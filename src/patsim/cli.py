@@ -163,7 +163,7 @@ def _cmd_frame(args) -> int:
         stats = framing.read_scaling_stats(args.stats_in)
     else:
         stats = framing.fit_scaling(frames)
-    dense = [framing.impute_and_scale(f, stats) for f in frames]
+    dense = framing.scale_frames(frames, stats)
     framing.write_frames(dense, args.out_frames, args.out_mask)
     if args.stats_out:
         framing.write_scaling_stats(stats, args.stats_out)
@@ -187,7 +187,6 @@ def _cmd_train(args) -> int:
         patience=args.patience,
         k=config.k,
         initial_weights=init,
-        seed=config.seed,
     )
     learned, trace = weights_mod.train_gd(frames, cfg)
     weights_mod.save_weights(learned, args.weights_out)

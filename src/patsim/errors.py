@@ -54,6 +54,12 @@ class MissingEvents(PatsimError):
         super().__init__(f"patient {patient_id!r} has an outcome but no events")
 
 
+class MalformedStats(PatsimError):
+    def __init__(self, path, reason):
+        self.path = path
+        super().__init__(f"scaling stats file {path}: {reason}")
+
+
 class BadConfig(PatsimError):
     pass
 

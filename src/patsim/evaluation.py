@@ -151,18 +151,15 @@ class MethodSpec:
         return active
 
 
-def _is_aggregation(patients) -> bool:
-    return isinstance(patients[0], framing.AggregatedPatient)
-
-
 def _scale_split(train_raw, test_raw):
-    if _is_aggregation(train_raw):
+    """Fit scaling on the training side, then scale both sides with it."""
+    if isinstance(train_raw[0], framing.AggregatedPatient):
         stats = framing.fit_aggregation_scaling(train_raw)
-        scale = framing.scale_aggregates
+        scaled = [framing.scale_aggregates(p, stats) for p in train_raw + test_raw]
     else:
         stats = framing.fit_scaling(train_raw)
-        scale = framing.impute_and_scale
-    return [scale(p, stats) for p in train_raw], [scale(p, stats) for p in test_raw]
+        scaled = framing.scale_frames(train_raw + test_raw, stats)
+    return scaled[: len(train_raw)], scaled[len(train_raw):]
 
 
 def _learn_weights(train_scaled, method: MethodSpec) -> FeatureWeights:
@@ -214,12 +211,14 @@ def _predict_fold(train_scaled, test_scaled, method: MethodSpec):
     return labels
 
 
-def cross_validate(patients, method: MethodSpec, k_folds=20, seed=0, workers=1) -> list:
-    """Stratified k-fold cross-validation of one method.
+def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
+    """Stratified k-fold cross-validation of several methods on shared folds.
 
-    `patients` are pre-imputation representations (framed or aggregated);
-    scaling statistics and feature weights are refit on the training folds
-    of each split. Returns one FoldMetrics per fold, ordered by fold index.
+    `patients` are pre-imputation representations (framed or aggregated).
+    Folds are outer and methods inner: each fold's scaling statistics are
+    fit and applied once, and every method predicts from the same scaled
+    fold; feature weights are refit per method on its training side.
+    Returns method name -> one FoldMetrics per fold, ordered by fold index.
     """
     patients = sorted(patients, key=lambda p: p.patient_id)
     by_id = {p.patient_id: p for p in patients}
@@ -232,16 +231,25 @@ def cross_validate(patients, method: MethodSpec, k_folds=20, seed=0, workers=1) 
         train_raw = [p for p in patients if p.patient_id not in test_ids]
         test_raw = [by_id[pid] for pid in folds[i]]
         train_scaled, test_scaled = _scale_split(train_raw, test_raw)
-        y_pred = _predict_fold(train_scaled, test_scaled, method)
         y_true = [p.label for p in test_raw]
-        return fold_metrics(i, y_true, y_pred)
+        return [fold_metrics(i, y_true, _predict_fold(train_scaled, test_scaled, method))
+                for method in methods]
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_fold, range(k_folds)))
+            per_fold = list(pool.map(run_fold, range(k_folds)))
     else:
-        results = [run_fold(i) for i in range(k_folds)]
-    return sorted(results, key=lambda m: m.fold_index)
+        per_fold = [run_fold(i) for i in range(k_folds)]
+    return {method.name: [fold[j] for fold in per_fold] for j, method in enumerate(methods)}
+
+
+def cross_validate(patients, method: MethodSpec, k_folds=20, seed=0, workers=1) -> list:
+    """Stratified k-fold cross-validation of one method.
+
+    Scaling statistics and feature weights are refit on the training folds
+    of each split. Returns one FoldMetrics per fold, ordered by fold index.
+    """
+    return cross_validate_methods(patients, [method], k_folds, seed, workers)[method.name]
 
 
 # ---------------------------------------------------------------------------

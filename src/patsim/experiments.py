@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
-
 from . import framing
 from .config import RunConfig
 from .errors import BadConfig
-from .evaluation import ComparisonReport, MethodSpec, compare, cross_validate, split_dev_validation
+from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate_methods,
+                         split_dev_validation)
 from .synth import SynthResult, SynthSpec, generate
 
 logger = logging.getLogger(__name__)
@@ -86,21 +85,17 @@ def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
     raise BadConfig(f"unknown experiment preset {preset!r}")
 
 
-def _representations_needed(methods) -> set:
-    reps = set()
-    for m in methods:
-        if m.kind == "knn":
-            reps.add(m.representation)
-        elif m.kind == "linear":
-            reps.add(m.representation)
-        else:
-            reps.add("timeseries")
-    return reps
-
-
 def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
-    """Run one preset end to end on a raw cohort and compare the methods."""
+    """Run one preset end to end on a raw cohort and compare the methods.
+
+    Methods are grouped by representation; each group shares one
+    cross-validation, so every fold is scaled once for all its methods.
+    """
     methods = preset_methods(preset, config, manual_weights=manual_weights)
+    groups = {}
+    for method in methods:
+        rep = "timeseries" if method.kind == "majority" else method.representation
+        groups.setdefault(rep, []).append(method)
 
     ids = cohort.patient_ids
     labels = [cohort.label(pid) for pid in ids]
@@ -108,39 +103,18 @@ def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> Co
     validation = set(validation_ids)
 
     raw = {}
-    if "timeseries" in _representations_needed(methods):
+    if "timeseries" in groups:
         frames = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
         raw["timeseries"] = [f for f in frames if f.patient_id in validation]
-    if "aggregation" in _representations_needed(methods):
+    if "aggregation" in groups:
         aggs = framing.aggregate_cohort(cohort, config.horizon_hours)
         raw["aggregation"] = [a for a in aggs if a.patient_id in validation]
 
     workers = config.effective_workers()
-    fold_metrics = {}
-    for method in methods:
-        rep = method.representation if method.kind != "majority" else "timeseries"
-        logger.info("cross-validating %s (%s)", method.name, rep)
-        fold_metrics[method.name] = cross_validate(
-            raw[rep], method, k_folds=config.folds, seed=config.seed, workers=workers,
-        )
-    return compare(fold_metrics)
-
-
-def ordering_summary(report: ComparisonReport) -> list:
-    """Method names sorted by mean F-measure, best first."""
-    return sorted(report.methods, key=lambda m: -report.mean_f_measure[m])
-
-
-def mean_f(report: ComparisonReport, name) -> float:
-    return report.mean_f_measure[name]
-
-
-def pairwise_p(report: ComparisonReport, a, b):
-    for p in report.pairwise:
-        if {p.method_a, p.method_b} == {a, b}:
-            return p.p_value
-    return None
-
-
-def f_matrix_column(report: ComparisonReport, name) -> np.ndarray:
-    return report.f_measures[:, report.methods.index(name)]
+    by_name = {}
+    for rep, group in groups.items():
+        logger.info("cross-validating %s (%s)", ", ".join(m.name for m in group), rep)
+        by_name.update(cross_validate_methods(
+            raw[rep], group, k_folds=config.folds, seed=config.seed, workers=workers,
+        ))
+    return compare({method.name: by_name[method.name] for method in methods})

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import vocab
-from .errors import BadConfig, DimensionMismatch, EmptyCohort
+from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedStats
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -142,6 +142,30 @@ class ScalingStats:
     static_degenerate: np.ndarray  # (4,) bool
 
 
+def _column_stats(values) -> tuple:
+    """(min, max, mean, degenerate) over axis 0, NaN entries unobserved.
+
+    Columns never observed get NaN statistics; they and constant columns
+    are degenerate.
+    """
+    observed = ~np.isnan(values)
+    any_obs = observed.any(axis=0)
+    lo = np.where(any_obs, np.where(observed, values, np.inf).min(axis=0), np.nan)
+    hi = np.where(any_obs, np.where(observed, values, -np.inf).max(axis=0), np.nan)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(
+            any_obs,
+            np.where(observed, values, 0.0).sum(axis=0) / np.maximum(observed.sum(axis=0), 1),
+            np.nan,
+        )
+    return lo, hi, mean, ~any_obs | (hi <= lo)
+
+
+def _fill(values, mean):
+    """NaN entries take the training mean, or 0 where that is NaN too."""
+    return np.where(np.isnan(values), np.where(np.isnan(mean), 0.0, mean), values)
+
+
 def fit_scaling(frames) -> ScalingStats:
     """Fit per-variable scaling statistics from training frames only."""
     if not frames:
@@ -169,18 +193,7 @@ def fit_scaling(frames) -> ScalingStats:
         dyn_mean = np.where(var_counts > 0, var_sums / np.maximum(var_counts, 1), np.nan)
     dyn_degenerate = ~observed_var | (dyn_max <= dyn_min)
 
-    s_mask = ~np.isnan(statics)
-    s_observed = s_mask.any(axis=0)
-    static_min = np.where(s_observed, np.where(s_mask, statics, np.inf).min(axis=0), np.nan)
-    static_max = np.where(s_observed, np.where(s_mask, statics, -np.inf).max(axis=0), np.nan)
-    with np.errstate(invalid="ignore"):
-        static_mean = np.where(
-            s_observed,
-            np.where(s_mask, statics, 0.0).sum(axis=0) / np.maximum(s_mask.sum(axis=0), 1),
-            np.nan,
-        )
-    static_degenerate = ~s_observed | (static_max <= static_min)
-
+    static_min, static_max, static_mean, static_degenerate = _column_stats(statics)
     return ScalingStats(
         n_buckets=n_buckets,
         dyn_min=dyn_min, dyn_max=dyn_max, dyn_mean=dyn_mean,
@@ -191,12 +204,11 @@ def fit_scaling(frames) -> ScalingStats:
 
 
 def _locf(values: np.ndarray) -> np.ndarray:
-    """Carry the last observed value forward along each row (NaN = missing)."""
-    n_rows, n_cols = values.shape
+    """Carry the last observed value forward along the last axis (NaN = missing)."""
     observed = ~np.isnan(values)
-    idx = np.where(observed, np.arange(n_cols)[None, :], 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    return values[np.arange(n_rows)[:, None], idx]
+    idx = np.where(observed, np.arange(values.shape[-1]), 0)
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    return np.take_along_axis(values, idx, axis=-1)
 
 
 def _scale01(values, lo, hi, degenerate):
@@ -207,37 +219,63 @@ def _scale01(values, lo, hi, degenerate):
     return np.where(degenerate, 0.5, scaled)
 
 
+def _impute_stack(dynamic, statics, stats: ScalingStats) -> tuple:
+    """Fill unobserved cells of stacked raw grids (n, 36, nb) and statics (n, 4).
+
+    Carry-forward first, then the training bucket mean, the pooled mean,
+    and 0 when the variable was never observed in training. Values
+    already present are never modified.
+    """
+    if dynamic.shape[1:] != (vocab.N_DYNAMIC, stats.n_buckets):
+        raise DimensionMismatch(
+            f"frame grid {dynamic.shape[1:]} does not match stats ({vocab.N_DYNAMIC}, {stats.n_buckets})"
+        )
+    fallback = np.where(np.isnan(stats.dyn_bucket_mean),
+                        stats.dyn_mean[:, None], stats.dyn_bucket_mean)
+    fallback = np.where(np.isnan(fallback), 0.0, fallback)
+    filled = _locf(dynamic)
+    filled = np.where(np.isnan(filled), fallback, filled)
+    return filled, _fill(statics, stats.static_mean)
+
+
+def impute_and_scale_batch(dynamic, statics, stats: ScalingStats) -> tuple:
+    """Dense, [0, 1]-scaled copies of stacked grids (n, 36, nb) and statics (n, 4).
+
+    Every step is elementwise per patient, so row i equals the
+    single-patient result bit for bit.
+    """
+    filled, statics = _impute_stack(dynamic, statics, stats)
+    dynamic = _scale01(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
+                       stats.dyn_degenerate[:, None])
+    statics = _scale01(statics, stats.static_min, stats.static_max, stats.static_degenerate)
+    return dynamic, statics
+
+
 def impute_frame(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
     """Fill unobserved cells on raw values: carry-forward, then bucket means.
 
     Values already present are never modified, so an already-dense frame
     passes through unchanged.
     """
-    if frame.dynamic.shape != (vocab.N_DYNAMIC, stats.n_buckets):
-        raise DimensionMismatch(
-            f"frame grid {frame.dynamic.shape} does not match stats ({vocab.N_DYNAMIC}, {stats.n_buckets})"
-        )
-    filled = _locf(frame.dynamic)
-    gaps = np.isnan(filled)
-    if gaps.any():
-        fallback = np.where(np.isnan(stats.dyn_bucket_mean),
-                            stats.dyn_mean[:, None], stats.dyn_bucket_mean)
-        fallback = np.where(np.isnan(fallback), 0.0, fallback)
-        filled = np.where(gaps, fallback, filled)
-    statics = np.where(np.isnan(frame.statics),
-                       np.where(np.isnan(stats.static_mean), 0.0, stats.static_mean),
-                       frame.statics)
-    return replace(frame, dynamic=filled, statics=statics, mask=frame.mask.copy())
+    dynamic, statics = _impute_stack(frame.dynamic[None], frame.statics[None], stats)
+    return replace(frame, dynamic=dynamic[0], statics=statics[0], mask=frame.mask.copy())
 
 
 def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
     """Dense, [0, 1]-scaled copy of `frame`; mask preserved unchanged."""
-    dense = impute_frame(frame, stats)
-    dynamic = _scale01(dense.dynamic, stats.dyn_min[:, None], stats.dyn_max[:, None],
-                       stats.dyn_degenerate[:, None])
-    statics = _scale01(dense.statics, stats.static_min, stats.static_max,
-                       stats.static_degenerate)
-    return replace(dense, dynamic=dynamic, statics=statics)
+    dynamic, statics = impute_and_scale_batch(frame.dynamic[None], frame.statics[None], stats)
+    return replace(frame, dynamic=dynamic[0], statics=statics[0], mask=frame.mask.copy())
+
+
+def scale_frames(frames, stats: ScalingStats) -> list:
+    """impute_and_scale over a list of frames in one vectorized pass.
+
+    The returned frames share their masks with the input frames.
+    """
+    dynamic, statics = impute_and_scale_batch(
+        np.stack([f.dynamic for f in frames]), np.stack([f.statics for f in frames]), stats)
+    return [FramedPatient(f.patient_id, d, f.mask, s, f.label)
+            for f, d, s in zip(frames, dynamic, statics)]
 
 
 def aggregate(patient_id, events, label, horizon_hours=48) -> AggregatedPatient:
@@ -291,45 +329,17 @@ def fit_aggregation_scaling(aggs) -> AggregationStats:
         raise EmptyCohort("cannot fit aggregation statistics on an empty cohort")
     tables = np.stack([a.table for a in aggs])           # (n, 36, 6)
     statics = np.stack([a.statics for a in aggs])
-    observed = ~np.isnan(tables)
-    any_obs = observed.any(axis=0)
-    col_min = np.where(any_obs, np.where(observed, tables, np.inf).min(axis=0), np.nan)
-    col_max = np.where(any_obs, np.where(observed, tables, -np.inf).max(axis=0), np.nan)
-    with np.errstate(invalid="ignore"):
-        col_mean = np.where(
-            any_obs,
-            np.where(observed, tables, 0.0).sum(axis=0) / np.maximum(observed.sum(axis=0), 1),
-            np.nan,
-        )
-    col_degenerate = ~any_obs | (col_max <= col_min)
-
-    s_mask = ~np.isnan(statics)
-    s_observed = s_mask.any(axis=0)
-    static_min = np.where(s_observed, np.where(s_mask, statics, np.inf).min(axis=0), np.nan)
-    static_max = np.where(s_observed, np.where(s_mask, statics, -np.inf).max(axis=0), np.nan)
-    with np.errstate(invalid="ignore"):
-        static_mean = np.where(
-            s_observed,
-            np.where(s_mask, statics, 0.0).sum(axis=0) / np.maximum(s_mask.sum(axis=0), 1),
-            np.nan,
-        )
-    static_degenerate = ~s_observed | (static_max <= static_min)
-    return AggregationStats(col_min, col_max, col_mean, col_degenerate,
-                            static_min, static_max, static_mean, static_degenerate)
+    return AggregationStats(*_column_stats(tables), *_column_stats(statics))
 
 
 def scale_aggregates(agg: AggregatedPatient, stats: AggregationStats) -> AggregatedPatient:
     """Dense, [0, 1]-scaled copy; missing statistics take training means."""
     if agg.table.shape != stats.col_min.shape:
         raise DimensionMismatch("aggregation table shape does not match stats")
-    filled = np.where(np.isnan(agg.table),
-                      np.where(np.isnan(stats.col_mean), 0.0, stats.col_mean),
-                      agg.table)
-    table = _scale01(filled, stats.col_min, stats.col_max, stats.col_degenerate)
-    statics = np.where(np.isnan(agg.statics),
-                       np.where(np.isnan(stats.static_mean), 0.0, stats.static_mean),
-                       agg.statics)
-    statics = _scale01(statics, stats.static_min, stats.static_max, stats.static_degenerate)
+    table = _scale01(_fill(agg.table, stats.col_mean),
+                     stats.col_min, stats.col_max, stats.col_degenerate)
+    statics = _scale01(_fill(agg.statics, stats.static_mean),
+                       stats.static_min, stats.static_max, stats.static_degenerate)
     return AggregatedPatient(agg.patient_id, table, statics, agg.label)
 
 
@@ -414,37 +424,44 @@ def write_scaling_stats(stats: ScalingStats, path) -> None:
 
 
 def read_scaling_stats(path) -> ScalingStats:
+    """Read a file written by write_scaling_stats.
+
+    A missing key or an unparsable value raises MalformedStats naming the
+    file (and the line, for a bad value).
+    """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or "=" not in line:
                 continue
             key, value = line.split("=", 1)
-            kv[key] = value
-    n_buckets = int(kv["n_buckets"])
-    stats = ScalingStats(
+            kv[key] = (line_no, value)
+
+    def get(key, convert=float):
+        if key not in kv:
+            raise MalformedStats(path, f"missing key {key!r}")
+        line_no, value = kv[key]
+        try:
+            return convert(value)
+        except ValueError:
+            raise MalformedStats(path, f"line {line_no}: bad value {value!r} for {key!r}") from None
+
+    def column(name, size, convert=float):
+        return np.array([get(f"{name}.{i}", convert) for i in range(size)])
+
+    n_buckets = get("n_buckets", int)
+    n_dyn, n_stat = vocab.N_DYNAMIC, vocab.N_STATIC
+    bucket_means = [column(f"dyn_bucket_mean.{v}", n_buckets) for v in range(n_dyn)]
+    return ScalingStats(
         n_buckets=n_buckets,
-        dyn_min=np.full(vocab.N_DYNAMIC, np.nan),
-        dyn_max=np.full(vocab.N_DYNAMIC, np.nan),
-        dyn_mean=np.full(vocab.N_DYNAMIC, np.nan),
-        dyn_bucket_mean=np.full((vocab.N_DYNAMIC, n_buckets), np.nan),
-        dyn_degenerate=np.zeros(vocab.N_DYNAMIC, dtype=bool),
-        static_min=np.full(vocab.N_STATIC, np.nan),
-        static_max=np.full(vocab.N_STATIC, np.nan),
-        static_mean=np.full(vocab.N_STATIC, np.nan),
-        static_degenerate=np.zeros(vocab.N_STATIC, dtype=bool),
+        dyn_min=column("dyn_min", n_dyn),
+        dyn_max=column("dyn_max", n_dyn),
+        dyn_mean=column("dyn_mean", n_dyn),
+        dyn_bucket_mean=np.array(bucket_means).reshape(n_dyn, n_buckets),
+        dyn_degenerate=column("dyn_degenerate", n_dyn, int).astype(bool),
+        static_min=column("static_min", n_stat),
+        static_max=column("static_max", n_stat),
+        static_mean=column("static_mean", n_stat),
+        static_degenerate=column("static_degenerate", n_stat, int).astype(bool),
     )
-    for v in range(vocab.N_DYNAMIC):
-        stats.dyn_min[v] = float(kv[f"dyn_min.{v}"])
-        stats.dyn_max[v] = float(kv[f"dyn_max.{v}"])
-        stats.dyn_mean[v] = float(kv[f"dyn_mean.{v}"])
-        stats.dyn_degenerate[v] = bool(int(kv[f"dyn_degenerate.{v}"]))
-        for t in range(n_buckets):
-            stats.dyn_bucket_mean[v, t] = float(kv[f"dyn_bucket_mean.{v}.{t}"])
-    for i in range(vocab.N_STATIC):
-        stats.static_min[i] = float(kv[f"static_min.{i}"])
-        stats.static_max[i] = float(kv[f"static_max.{i}"])
-        stats.static_mean[i] = float(kv[f"static_mean.{i}"])
-        stats.static_degenerate[i] = bool(int(kv[f"static_degenerate.{i}"]))
-    return stats

@@ -35,7 +35,7 @@ OUTCOMES_HEADER = "patient_id,in_hospital_death"
 MISSING_PLACEHOLDER = -1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     patient_id: str
     minute: int
@@ -73,9 +73,6 @@ class RawCohort:
             return 0.0
         return sum(o.in_hospital_death for o in self.outcomes.values()) / len(self.outcomes)
 
-    def summary(self) -> dict:
-        return {"n_patients": self.n_patients, "prevalence": self.prevalence}
-
 
 def _lines(stream) -> Iterable:
     if isinstance(stream, (str, Path)):
@@ -93,6 +90,7 @@ def parse_events(stream) -> list:
     or OutOfWindow on the first offending row.
     """
     events = []
+    names = {}   # one string object per distinct id or variable, not one per row
     dropped = 0
     for line_no, raw in enumerate(_lines(stream), start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -119,7 +117,8 @@ def parse_events(stream) -> list:
         if value == MISSING_PLACEHOLDER:
             dropped += 1
             continue
-        events.append(Event(pid, minute, variable, value))
+        events.append(Event(names.setdefault(pid, pid), minute,
+                            names.setdefault(variable, variable), value))
     if dropped:
         logger.warning("dropped %d rows with -1 placeholder values", dropped)
     return events

@@ -179,7 +179,7 @@ def classify(query, model: Model) -> tuple:
 
 
 def classify_batch(queries, model: Model) -> tuple:
-    """Vectorized classify over a list of queries; returns (labels, scores)."""
+    """Classify each query in turn, one full scan per query; returns (labels, scores)."""
     labels = np.empty(len(queries), dtype=int)
     scores = np.empty(len(queries), dtype=float)
     for i, q in enumerate(queries):

@@ -10,7 +10,6 @@ gain, gini) and file-based manual weights are provided as baselines.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,6 @@ class TrainConfig:
     patience: int = 3
     k: int = 10
     initial_weights: FeatureWeights | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -59,7 +57,6 @@ class TrainConfig:
 @dataclass
 class TrainTrace:
     errors: list = field(default_factory=list)        # training error per epoch, epoch 0 first
-    weight_hashes: list = field(default_factory=list)
     epochs_run: int = 0
     stop_reason: str = "max_epochs"                   # "converged" or "max_epochs"
     best_error: float = float("inf")
@@ -184,10 +181,6 @@ def _check_two_classes(labels):
         raise SingleClassCohort("training cohort contains a single class")
 
 
-def _hash_weights(w) -> str:
-    return hashlib.sha256(np.ascontiguousarray(w).tobytes()).hexdigest()[:16]
-
-
 def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     """Gradient-descent weight search; returns (FeatureWeights, TrainTrace).
 
@@ -219,7 +212,6 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
 
     trace = TrainTrace()
     trace.errors.append(err)
-    trace.weight_hashes.append(_hash_weights(w))
     best_err, best_w, best_epoch = err, w.copy(), 0
 
     plateau = 0
@@ -230,7 +222,6 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
         sets = _neighbor_sets(dist, w, config.k)
         new_err = _error_value(_soft_scores(dist, w, sets, labels), labels)
         trace.errors.append(new_err)
-        trace.weight_hashes.append(_hash_weights(w))
         trace.epochs_run = epoch
         if new_err < best_err:
             best_err, best_w, best_epoch = new_err, w.copy(), epoch
@@ -260,9 +251,9 @@ def _equal_frequency_bins(x) -> np.ndarray:
 
 
 def _contingency(bins, labels) -> np.ndarray:
-    table = np.zeros((N_BINS, 2))
-    for b, y in zip(bins, labels.astype(int)):
-        table[b, y] += 1
+    """(bin, label) counts as floats; bins no patient falls in are dropped."""
+    counts = np.bincount(2 * bins + labels.astype(int), minlength=2 * N_BINS)
+    table = counts.reshape(N_BINS, 2).astype(float)
     return table[table.sum(axis=1) > 0]
 
 

@@ -55,6 +55,22 @@ class TestFrameCommand:
         assert (again[0].dynamic == frames[0].dynamic).all()
 
 
+    def test_truncated_stats_file_is_one_line_error(self, synth_dir, tmp_path, capsys):
+        stats_path = tmp_path / "stats.txt"
+        args = ["frame", "--events", str(synth_dir / "events.csv"),
+                "--outcomes", str(synth_dir / "outcomes.csv"),
+                "--out-frames", str(tmp_path / "frames.csv")]
+        assert main(args + ["--stats-out", str(stats_path)]) == 0
+        lines = stats_path.read_text().splitlines()
+        stats_path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        capsys.readouterr()
+        assert main(args + ["--stats-in", str(stats_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scaling stats file ")
+        assert str(stats_path) in err and "missing key" in err
+
+
 @pytest.fixture(scope="module")
 def framed(synth_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("framed")

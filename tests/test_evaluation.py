@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from patsim import vocab
+from patsim import experiments, framing, synth, vocab
+from patsim.config import RunConfig
 from patsim.errors import (
     BadConfig,
     DegenerateMatrix,
@@ -14,8 +15,10 @@ from patsim.errors import (
 )
 from patsim.evaluation import (
     MethodSpec,
+    _predict_fold,
     compare,
     cross_validate,
+    cross_validate_methods,
     fold_metrics,
     friedman,
     kfold,
@@ -119,6 +122,28 @@ def separable_frames(rng, n=80):
     return frames
 
 
+@pytest.fixture(scope="module")
+def raw_frames():
+    """Unscaled frames with gaps, as experiments hand them to cross-validation."""
+    cohort = synth.generate(synth.SynthSpec(n_patients=60, seed=5)).cohort()
+    return framing.frame_cohort(cohort)
+
+
+def per_patient_cv(frames, method, k_folds, seed):
+    """Oracle: fit scaling per fold and scale each patient on its own."""
+    frames = sorted(frames, key=lambda f: f.patient_id)
+    folds = kfold([f.patient_id for f in frames], [f.label for f in frames], k=k_folds, seed=seed)
+    out = []
+    for i, fold in enumerate(folds):
+        train = [f for f in frames if f.patient_id not in fold]
+        test = [f for f in frames if f.patient_id in fold]
+        stats = framing.fit_scaling(train)
+        y_pred = _predict_fold([framing.impute_and_scale(f, stats) for f in train],
+                               [framing.impute_and_scale(f, stats) for f in test], method)
+        out.append(fold_metrics(i, [f.label for f in test], y_pred))
+    return out
+
+
 class TestCrossValidate:
     def test_separable_cohort_perfect_folds(self, rng):
         frames = separable_frames(rng)
@@ -147,6 +172,24 @@ class TestCrossValidate:
         seq = cross_validate(frames, method, k_folds=4, seed=1, workers=1)
         par = cross_validate(frames, method, k_folds=4, seed=1, workers=4)
         assert seq == par
+
+    def test_folds_outer_matches_per_method_and_per_patient_scaling(self, raw_frames):
+        methods = [
+            MethodSpec(name="gd", weighting="gd", k=5, max_epochs=3),
+            MethodSpec(name="chi2", weighting="chi2", k=5),
+            MethodSpec(name="none", weighting="none", k=5),
+            MethodSpec(name="maj", kind="majority"),
+            MethodSpec(name="lin", kind="linear"),
+        ]
+        expected = {m.name: per_patient_cv(raw_frames, m, k_folds=4, seed=3) for m in methods}
+        for workers in (1, 2):
+            shared = cross_validate_methods(raw_frames, methods, k_folds=4, seed=3,
+                                            workers=workers)
+            assert list(shared) == [m.name for m in methods]
+            assert shared == expected
+            for m in methods:
+                assert cross_validate(raw_frames, m, k_folds=4, seed=3,
+                                      workers=workers) == expected[m.name]
 
     def test_manual_requires_weights(self):
         with pytest.raises(BadConfig):
@@ -332,3 +375,24 @@ def test_fold_metrics_file_roundtrip(tmp_path, rng):
     path = tmp_path / "folds.csv"
     save_fold_metrics(metrics, path)
     assert load_fold_metrics(path) == metrics
+
+
+def test_exp3_scales_each_fold_once(monkeypatch):
+    cohort = synth.generate(synth.SynthSpec(n_patients=160, seed=11)).cohort()
+    config = RunConfig(folds=4, k=5, max_epochs=2, workers=1, seed=2)
+    calls = {"fit_scaling": 0, "impute_and_scale": 0}
+
+    def counting(name):
+        original = getattr(framing, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(framing, name, counting(name))
+    report = experiments.run_experiment("exp3", config, cohort)
+    assert report.methods == ["gd", "chi2", "infogain", "gini", "none"]
+    assert report.f_measures.shape == (4, 5)
+    assert calls == {"fit_scaling": 4, "impute_and_scale": 0}

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import ingest, vocab
-from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort
+from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedStats
 from patsim.framing import (
+    FramedPatient,
     aggregate,
     bucketize,
     fit_aggregation_scaling,
     fit_scaling,
     impute_and_scale,
+    impute_and_scale_batch,
     impute_frame,
     read_frames,
     read_scaling_stats,
     scale_aggregates,
+    scale_frames,
     sparsity,
     write_frames,
     write_scaling_stats,
@@ -276,3 +281,99 @@ def test_scaling_stats_roundtrip(tmp_path):
     da = impute_and_scale(a, stats)
     db = impute_and_scale(a, back)
     assert (da.dynamic == db.dynamic).all()
+
+
+def test_scaling_stats_missing_key_names_file_and_key(tmp_path):
+    a, b, c = hand_fixture()
+    path = tmp_path / "stats.txt"
+    write_scaling_stats(fit_scaling([a, b, c]), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("static_mean.2=")))
+    with pytest.raises(MalformedStats, match=r"stats\.txt: missing key 'static_mean\.2'"):
+        read_scaling_stats(path)
+
+
+def test_scaling_stats_bad_value_names_line(tmp_path):
+    a, b, c = hand_fixture()
+    path = tmp_path / "stats.txt"
+    write_scaling_stats(fit_scaling([a, b, c]), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].split("=")[0] + "=abc"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedStats, match=r"line 3: bad value 'abc'"):
+        read_scaling_stats(path)
+
+
+def _reference_impute_and_scale(frame, stats):
+    """Oracle: one patient at a time, row-wise carry-forward on a 2-D grid."""
+    n_rows, n_cols = frame.dynamic.shape
+    idx = np.where(~np.isnan(frame.dynamic), np.arange(n_cols)[None, :], 0)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    filled = frame.dynamic[np.arange(n_rows)[:, None], idx]
+    gaps = np.isnan(filled)
+    if gaps.any():
+        fallback = np.where(np.isnan(stats.dyn_bucket_mean),
+                            stats.dyn_mean[:, None], stats.dyn_bucket_mean)
+        fallback = np.where(np.isnan(fallback), 0.0, fallback)
+        filled = np.where(gaps, fallback, filled)
+    statics = np.where(np.isnan(frame.statics),
+                       np.where(np.isnan(stats.static_mean), 0.0, stats.static_mean),
+                       frame.statics)
+
+    def scale(values, lo, hi, degenerate):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+        return np.where(degenerate, 0.5, scaled)
+
+    return (scale(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
+                  stats.dyn_degenerate[:, None]),
+            scale(statics, stats.static_min, stats.static_max, stats.static_degenerate))
+
+
+ALL_NAN_VAR, CONSTANT_VAR, HIGH_VAR, LOW_VAR = 0, 1, 2, 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_train=st.integers(2, 7),
+       n_test=st.integers(1, 5), n_buckets=st.sampled_from([1, 3, 24]),
+       missing=st.floats(0.0, 1.0))
+def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_buckets, missing):
+    rng = np.random.default_rng(seed)
+
+    def raw(pid, spread):
+        dynamic = rng.normal(0.0, spread, (vocab.N_DYNAMIC, n_buckets))
+        dynamic[rng.random(dynamic.shape) < missing] = np.nan
+        dynamic[ALL_NAN_VAR] = np.nan
+        dynamic[CONSTANT_VAR] = np.where(np.isnan(dynamic[CONSTANT_VAR]), np.nan, 3.25)
+        dynamic[CONSTANT_VAR, 0] = 3.25
+        statics = rng.normal(0.0, spread, vocab.N_STATIC)
+        statics[rng.random(vocab.N_STATIC) < missing] = np.nan
+        statics[0] = np.nan
+        return FramedPatient(pid, dynamic, ~np.isnan(dynamic), statics, int(rng.random() < 0.5))
+
+    train = [raw(f"a{i}", 1.0) for i in range(n_train)]
+    # both extremes observed in training, so out-of-range test cells must clip
+    train[0].dynamic[[HIGH_VAR, LOW_VAR], 0] = (-1.0, 1.0)
+    train[1].dynamic[[HIGH_VAR, LOW_VAR], 0] = (1.0, -1.0)
+    for f in train:
+        f.mask = ~np.isnan(f.dynamic)
+    test = [raw(f"b{i}", 5.0) for i in range(n_test)]
+    test[0].dynamic[HIGH_VAR, 0] = 1e6
+    test[0].dynamic[LOW_VAR, 0] = -1e6
+    frames = train + test
+    stats = fit_scaling(train)
+
+    dynamic, statics = impute_and_scale_batch(
+        np.stack([f.dynamic for f in frames]), np.stack([f.statics for f in frames]), stats)
+    listed = scale_frames(frames, stats)
+    for i, f in enumerate(frames):
+        ref_dynamic, ref_statics = _reference_impute_and_scale(f, stats)
+        single = impute_and_scale(f, stats)
+        for got in (dynamic[i], listed[i].dynamic, single.dynamic):
+            assert got.tobytes() == ref_dynamic.tobytes()
+        for got in (statics[i], listed[i].statics, single.statics):
+            assert got.tobytes() == ref_statics.tobytes()
+        assert (listed[i].mask == f.mask).all() and (single.mask == f.mask).all()
+    assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
+    assert (statics[:, 0] == 0.5).all()
+    assert dynamic[n_train, HIGH_VAR, 0] == 1.0 and dynamic[n_train, LOW_VAR, 0] == 0.0

@@ -30,6 +30,20 @@ class TestParseEvents:
         evs = ingest.parse_events(events_stream("p1,10,Heart rate,80"))
         assert evs == [ingest.Event("p1", 10, "Heart rate", 80.0)]
 
+    def test_events_are_slotted_and_share_strings(self):
+        evs = ingest.parse_events(events_stream(
+            "p1,0,Age,54", "p1,10,Heart rate,80", "p2,10,Heart rate,-1", "p2,30,Heart rate,71.5"))
+        assert evs == [
+            ingest.Event("p1", 0, "Age", 54.0),
+            ingest.Event("p1", 10, "Heart rate", 80.0),
+            ingest.Event("p2", 30, "Heart rate", 71.5),
+        ]
+        assert not hasattr(evs[0], "__dict__")
+        assert evs[0].patient_id is evs[1].patient_id
+        assert evs[1].variable is evs[2].variable
+        with pytest.raises(AttributeError):
+            evs[0].value = 1.0
+
     def test_header_only(self):
         assert ingest.parse_events(io.StringIO(EV_HEADER)) == []
 

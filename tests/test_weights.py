@@ -14,8 +14,11 @@ from patsim.errors import (
 )
 from patsim.knn import FeatureWeights, Model, neighbors, soft_score
 from patsim.weights import (
+    N_BINS,
     TrainConfig,
     _chi_square_score,
+    _contingency,
+    _equal_frequency_bins,
     _error_value,
     _gini_score,
     _information_gain_score,
@@ -230,6 +233,19 @@ class TestFilterScores:
     def test_unknown_method(self, small_cohort):
         with pytest.raises(BadConfig):
             filter_score(small_cohort, "relief")
+
+    def test_contingency_matches_counting_loop(self, rng):
+        for n, spread in ((7, 1.0), (40, 1.0), (40, 0.0), (300, 3.0)):
+            x = np.round(rng.normal(0.0, 1.0, n) * spread, 1)
+            labels = (rng.random(n) < 0.3).astype(float)
+            bins = _equal_frequency_bins(x)
+            loop = np.zeros((N_BINS, 2))
+            for b, y in zip(bins, labels.astype(int)):
+                loop[b, y] += 1
+            expected = loop[loop.sum(axis=1) > 0]
+            table = _contingency(bins, labels)
+            assert table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
 
 
 class TestManualWeights:
