@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from . import evaluation, framing, ingest, knn, synth, weights as weights_mod
-from .config import build_config
+from .config import FEATURE_SETS, PREDICTION_MODES, REPRESENTATIONS, WEIGHTINGS, build_config
 from .errors import PatsimError
-from .experiments import PRESETS, default_cohort, run_experiment
+from .experiments import (PRESETS, default_cohort, knn_method, represent, run_experiment,
+                          validation_ids)
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: leave-one-out predictions on the training file")
     p.add_argument("--weights", required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mode", choices=knn.PREDICTION_MODES, default=None)
+    p.add_argument("--mode", choices=PREDICTION_MODES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--out", required=True)
     _common_flags(p)
@@ -88,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validate one method configuration")
     p.add_argument("--events", required=True)
     p.add_argument("--outcomes", required=True)
-    p.add_argument("--representation", choices=evaluation.REPRESENTATIONS, default=None)
-    p.add_argument("--weighting", choices=evaluation.WEIGHTINGS, default=None)
-    p.add_argument("--features", choices=evaluation.FEATURE_SETS, default=None)
+    p.add_argument("--representation", choices=REPRESENTATIONS, default=None)
+    p.add_argument("--weighting", choices=WEIGHTINGS, default=None)
+    p.add_argument("--features", choices=FEATURE_SETS, default=None)
     p.add_argument("--manual-weights", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mode", choices=knn.PREDICTION_MODES, default=None)
+    p.add_argument("--mode", choices=PREDICTION_MODES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--folds", type=int, default=None)
@@ -204,31 +205,15 @@ def _cmd_predict(args) -> int:
     model = knn.Model(train_frames, w, k=config.k,
                       prediction_mode=config.mode, threshold=config.threshold)
     loo = args.query_frames is None
-    queries = train_frames if loo else framing.read_frames(args.query_frames)
+    queries = model.frames if loo else framing.read_frames(args.query_frames)
+    queries = sorted(queries, key=lambda f: f.patient_id)
+    labels, scores = knn.classify_batch(queries, model, leave_one_out=loo)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("patient_id,score,label\n")
-        for q in sorted(queries, key=lambda f: f.patient_id):
-            ns = knn.neighbors(q, model, leave_one_out=loo)
-            label, score = knn.decide(ns, model.prediction_mode, model.threshold)
+        for q, score, label in zip(queries, scores, labels):
             fh.write(f"{q.patient_id},{repr(float(score))},{label}\n")
     print(f"scored {len(queries)} patients -> {args.out}")
     return 0
-
-
-def _method_from_config(config, name, manual_weights=None):
-    return evaluation.MethodSpec(
-        name=name,
-        kind="knn",
-        representation=config.representation,
-        weighting=config.weighting,
-        features=config.features,
-        k=config.k,
-        mode=config.mode,
-        threshold=config.threshold,
-        learning_rate=config.learning_rate,
-        max_epochs=config.max_epochs,
-        manual_weights=manual_weights,
-    )
 
 
 def _cmd_evaluate(args) -> int:
@@ -247,20 +232,12 @@ def _cmd_evaluate(args) -> int:
     manual = None
     if args.manual_weights:
         manual = weights_mod.load_manual_weights(args.manual_weights)
-    method = _method_from_config(config, name=config.weighting, manual_weights=manual)
-
+    method = knn_method(config.weighting, config, features=config.features,
+                        manual_weights=manual)
     ids = cohort.patient_ids
     if args.split == "validation":
-        labels = [cohort.label(pid) for pid in ids]
-        _, ids = evaluation.split_dev_validation(ids, labels, config.seed)
-    keep = set(ids)
-    if method.representation == "aggregation":
-        patients = [a for a in framing.aggregate_cohort(cohort, config.horizon_hours)
-                    if a.patient_id in keep]
-    else:
-        patients = [f for f in framing.frame_cohort(cohort, config.window_hours,
-                                                    config.horizon_hours)
-                    if f.patient_id in keep]
+        ids = validation_ids(cohort, config.seed)
+    patients = represent(cohort, method.representation, config, ids)
     metrics = evaluation.cross_validate(patients, method, k_folds=config.folds,
                                         seed=config.seed,
                                         workers=config.effective_workers())

@@ -10,12 +10,26 @@ from dataclasses import dataclass, fields
 
 from .errors import BadConfig
 
-_ENUMS = {
-    "representation": ("timeseries", "aggregation"),
-    "weighting": ("gd", "none", "manual", "chi2", "infogain", "gini"),
-    "mode": ("majority", "weighted"),
-    "features": ("all", "dynamic_only", "static_only"),
+REPRESENTATIONS = ("timeseries", "aggregation")
+WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
+FEATURE_SETS = ("all", "dynamic_only", "static_only")
+PREDICTION_MODES = ("majority", "weighted")
+KINDS = ("knn", "majority", "linear")
+
+_CHOICES = {
+    "representation": REPRESENTATIONS,
+    "weighting": WEIGHTINGS,
+    "features": FEATURE_SETS,
+    "mode": PREDICTION_MODES,
+    "kind": KINDS,
 }
+
+
+def check_choices(obj) -> None:
+    """Reject any enumerated field of `obj` (a config or method spec) outside its choices."""
+    for name, allowed in _CHOICES.items():
+        if hasattr(obj, name) and getattr(obj, name) not in allowed:
+            raise BadConfig(f"{name} must be one of {allowed}, got {getattr(obj, name)!r}")
 
 
 @dataclass
@@ -38,9 +52,7 @@ class RunConfig:
     workers: int = 0      # 0 = available cores
 
     def __post_init__(self):
-        for name, allowed in _ENUMS.items():
-            if getattr(self, name) not in allowed:
-                raise BadConfig(f"{name} must be one of {allowed}")
+        check_choices(self)
         if self.window_hours <= 0 or self.horizon_hours <= 0:
             raise BadConfig("window and horizon must be positive")
         if self.horizon_hours % self.window_hours != 0:
@@ -60,12 +72,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(name, raw):
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+    return {"int": int, "float": float}.get(_FIELD_TYPES[name], str)(raw)
 
 
 def read_config_values(path) -> dict:

@@ -60,6 +60,12 @@ class MalformedStats(PatsimError):
         super().__init__(f"scaling stats file {path}: {reason}")
 
 
+class MalformedFrames(PatsimError):
+    def __init__(self, path, reason):
+        self.path = path
+        super().__init__(f"frames file {path}: {reason}")
+
+
 class BadConfig(PatsimError):
     pass
 

@@ -9,13 +9,13 @@ Fold F-measures are the quantity the statistical tests compare.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import norm as norm_dist
+from scipy.special import chdtrc, ndtr
 
 from . import framing, vocab
+from .config import check_choices
 from .errors import (
     BadConfig,
     DegenerateMatrix,
@@ -27,11 +27,6 @@ from .errors import (
 from .knn import FeatureWeights, Model, classify_batch
 from .streams import substream
 from .weights import TrainConfig, filter_weights, train_gd
-
-REPRESENTATIONS = ("timeseries", "aggregation")
-WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
-FEATURE_SETS = ("all", "dynamic_only", "static_only")
-KINDS = ("knn", "majority", "linear")
 
 _FILTER_NAMES = {"chi2": "chi_square", "infogain": "information_gain", "gini": "gini"}
 
@@ -67,22 +62,26 @@ def fold_metrics(fold_index, y_true, y_pred) -> FoldMetrics:
     return FoldMetrics(fold_index, tp, fp, fn, tn, precision, recall, f)
 
 
+def _shuffled_classes(patient_ids, labels, rng):
+    """Each class's patient ids (class 0 first), sorted, then shuffled by `rng`."""
+    patient_ids = list(patient_ids)
+    for cls in (0, 1):
+        members = sorted(pid for pid, y in zip(patient_ids, labels) if y == cls)
+        rng.shuffle(members)
+        yield members
+
+
 def split_dev_validation(patient_ids, labels, seed) -> tuple:
     """Stratified 50/50 split, deterministic under the seed.
 
     Per class the development side gets the ceiling half, so each half's
     class counts are within one patient of an exact halving.
     """
-    patient_ids = list(patient_ids)
     labels = np.asarray(labels, dtype=int)
     if len(np.unique(labels)) < 2:
         raise SingleClassCohort("both classes are required for a stratified split")
-    rng = substream(seed, "split")
     dev, validation = [], []
-    for cls in (0, 1):
-        members = [pid for pid, y in zip(patient_ids, labels) if y == cls]
-        members.sort()
-        rng.shuffle(members)
+    for members in _shuffled_classes(patient_ids, labels, substream(seed, "split")):
         half = (len(members) + 1) // 2
         dev.extend(members[:half])
         validation.extend(members[half:])
@@ -96,18 +95,13 @@ def kfold(patient_ids, labels, k=20, seed=0) -> list:
     fold pointer, so both the per-class counts and the total sizes stay
     balanced.
     """
-    patient_ids = list(patient_ids)
     labels = np.asarray(labels, dtype=int)
     for cls in (0, 1):
         if int((labels == cls).sum()) < k:
             raise TooFewPerClass(f"class {cls} has fewer than {k} members")
-    rng = substream(seed, "folds")
     folds = [[] for _ in range(k)]
     pointer = 0
-    for cls in (0, 1):
-        members = [pid for pid, y in zip(patient_ids, labels) if y == cls]
-        members.sort()
-        rng.shuffle(members)
+    for members in _shuffled_classes(patient_ids, labels, substream(seed, "folds")):
         for pid in members:
             folds[pointer % k].append(pid)
             pointer += 1
@@ -131,14 +125,7 @@ class MethodSpec:
     manual_weights: FeatureWeights | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise BadConfig(f"unknown method kind {self.kind!r}")
-        if self.representation not in REPRESENTATIONS:
-            raise BadConfig(f"unknown representation {self.representation!r}")
-        if self.weighting not in WEIGHTINGS:
-            raise BadConfig(f"unknown weighting {self.weighting!r}")
-        if self.features not in FEATURE_SETS:
-            raise BadConfig(f"unknown feature set {self.features!r}")
+        check_choices(self)
         if self.weighting == "manual" and self.manual_weights is None:
             raise BadConfig("manual weighting requires a loaded weights file")
 
@@ -294,7 +281,7 @@ def friedman(matrix) -> tuple:
     correction = 1.0 - ties / (n * m * (m ** 2 - 1))
     statistic = numerator / correction if correction > 0 else 0.0
     statistic = max(statistic, 0.0)
-    p_value = float(chi2_dist.sf(statistic, m - 1))
+    p_value = float(chdtrc(m - 1, statistic))
     return float(statistic), p_value
 
 
@@ -350,7 +337,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     var -= float((counts ** 3 - counts).sum()) / 48.0
     correction = 0.5 * np.sign(w_plus - mean)
     z = (w_plus - mean - correction) / np.sqrt(var)
-    p = float(min(1.0, 2.0 * norm_dist.sf(abs(z))))
+    p = float(min(1.0, 2.0 * ndtr(-abs(z))))
     return statistic, p
 
 
@@ -429,16 +416,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
             "statistic": report.friedman_statistic,
             "p_value": report.friedman_p,
         },
-        "pairwise": [
-            {
-                "method_a": p.method_a,
-                "method_b": p.method_b,
-                "statistic": p.statistic,
-                "p_value": p.p_value,
-                "significant": p.significant,
-            }
-            for p in report.pairwise
-        ],
+        "pairwise": [asdict(p) for p in report.pairwise],
     }
 
 

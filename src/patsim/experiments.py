@@ -30,13 +30,12 @@ PRESETS = ("exp1", "exp2", "exp3")
 
 def default_cohort(preset, config: RunConfig, n_patients=1000, profile=None) -> SynthResult:
     """Synthetic stand-in cohort when no data files are supplied."""
-    if profile is None:
-        profile = "planted"
-    spec = SynthSpec(n_patients=n_patients, seed=config.seed, profile=profile)
+    spec = SynthSpec(n_patients=n_patients, seed=config.seed, profile=profile or "planted")
     return generate(spec)
 
 
-def _knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
+def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
+    """A kNN method from the run configuration on all features; overrides win."""
     base = dict(
         kind="knn",
         representation=config.representation,
@@ -55,34 +54,50 @@ def _knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
 def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
     if preset == "exp1":
         return [
-            _knn_method("similarity_gd", config, representation="timeseries", weighting="gd"),
+            knn_method("similarity_gd", config, representation="timeseries", weighting="gd"),
             MethodSpec(name="majority_class", kind="majority"),
             MethodSpec(name="linear_aggregates", kind="linear", representation="aggregation"),
         ]
     if preset == "exp2":
         return [
-            _knn_method("timeseries", config, representation="timeseries", weighting="gd"),
-            _knn_method("aggregation", config, representation="aggregation", weighting="gd"),
-            _knn_method("dynamic_only", config, representation="timeseries",
-                        weighting="gd", features="dynamic_only"),
-            _knn_method("static_only", config, representation="timeseries",
-                        weighting="gd", features="static_only"),
+            knn_method("timeseries", config, representation="timeseries", weighting="gd"),
+            knn_method("aggregation", config, representation="aggregation", weighting="gd"),
+            knn_method("dynamic_only", config, representation="timeseries",
+                       weighting="gd", features="dynamic_only"),
+            knn_method("static_only", config, representation="timeseries",
+                       weighting="gd", features="static_only"),
         ]
     if preset == "exp3":
         methods = [
-            _knn_method("gd", config, weighting="gd"),
-            _knn_method("chi2", config, weighting="chi2"),
-            _knn_method("infogain", config, weighting="infogain"),
-            _knn_method("gini", config, weighting="gini"),
-            _knn_method("none", config, weighting="none"),
+            knn_method("gd", config, weighting="gd"),
+            knn_method("chi2", config, weighting="chi2"),
+            knn_method("infogain", config, weighting="infogain"),
+            knn_method("gini", config, weighting="gini"),
+            knn_method("none", config, weighting="none"),
         ]
         if manual_weights is not None:
-            methods.insert(1, _knn_method("manual", config, weighting="manual",
-                                          manual_weights=manual_weights))
+            methods.insert(1, knn_method("manual", config, weighting="manual",
+                                         manual_weights=manual_weights))
         else:
             logger.warning("exp3: no manual weights file supplied, skipping the manual arm")
         return methods
     raise BadConfig(f"unknown experiment preset {preset!r}")
+
+
+def validation_ids(cohort, seed) -> list:
+    """Patient ids of the validation half of the stratified 50/50 split."""
+    ids = cohort.patient_ids
+    return split_dev_validation(ids, [cohort.label(pid) for pid in ids], seed)[1]
+
+
+def represent(cohort, representation, config: RunConfig, ids) -> list:
+    """The patients in `ids`, framed or aggregated."""
+    if representation == "aggregation":
+        patients = framing.aggregate_cohort(cohort, config.horizon_hours)
+    else:
+        patients = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
+    keep = set(ids)
+    return [p for p in patients if p.patient_id in keep]
 
 
 def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
@@ -97,24 +112,13 @@ def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> Co
         rep = "timeseries" if method.kind == "majority" else method.representation
         groups.setdefault(rep, []).append(method)
 
-    ids = cohort.patient_ids
-    labels = [cohort.label(pid) for pid in ids]
-    _, validation_ids = split_dev_validation(ids, labels, config.seed)
-    validation = set(validation_ids)
-
-    raw = {}
-    if "timeseries" in groups:
-        frames = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
-        raw["timeseries"] = [f for f in frames if f.patient_id in validation]
-    if "aggregation" in groups:
-        aggs = framing.aggregate_cohort(cohort, config.horizon_hours)
-        raw["aggregation"] = [a for a in aggs if a.patient_id in validation]
-
+    validation = validation_ids(cohort, config.seed)
     workers = config.effective_workers()
     by_name = {}
     for rep, group in groups.items():
         logger.info("cross-validating %s (%s)", ", ".join(m.name for m in group), rep)
         by_name.update(cross_validate_methods(
-            raw[rep], group, k_folds=config.folds, seed=config.seed, workers=workers,
+            represent(cohort, rep, config, validation), group,
+            k_folds=config.folds, seed=config.seed, workers=workers,
         ))
     return compare({method.name: by_name[method.name] for method in methods})

@@ -14,13 +14,14 @@ reused to transform anything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import vocab
-from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedStats
+from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedFrames, MalformedStats
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -110,15 +111,10 @@ def sparsity(frames) -> float:
     """Fraction of dynamic cells with no observation, before imputation."""
     if not frames:
         raise EmptyCohort("sparsity of an empty cohort is undefined")
-    shape = frames[0].mask.shape
-    total = 0
-    unobserved = 0
-    for f in frames:
-        if f.mask.shape != shape:
-            raise DimensionMismatch("frames do not share grid dimensions")
-        total += f.mask.size
-        unobserved += f.mask.size - int(f.mask.sum())
-    return unobserved / total
+    if any(f.mask.shape != frames[0].mask.shape for f in frames):
+        raise DimensionMismatch("frames do not share grid dimensions")
+    total = sum(f.mask.size for f in frames)
+    return (total - sum(int(f.mask.sum()) for f in frames)) / total
 
 
 @dataclass
@@ -373,8 +369,20 @@ def write_frames(frames, path, mask_path=None) -> None:
                 fh.write(",".join([f.patient_id] + bits) + "\n")
 
 
+def _is_finite(text) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def read_frames(path, mask_path=None) -> list:
-    """Read frames written by write_frames; mask defaults to all-observed."""
+    """Read frames written by write_frames; mask defaults to all-observed.
+
+    A row with the wrong cell count, a non-numeric or non-finite cell, a
+    label outside {0, 1} or a repeated patient id raises MalformedFrames
+    naming the file and line.
+    """
     masks = {}
     if mask_path is not None and Path(mask_path).exists():
         with open(mask_path, "r", encoding="utf-8") as fh:
@@ -383,22 +391,41 @@ def read_frames(path, mask_path=None) -> list:
                 parts = line.rstrip("\n").split(",")
                 masks[parts[0]] = np.array([c == "1" for c in parts[1:]], dtype=bool)
     frames = []
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = next(fh).rstrip("\n").split(",")
+        header = fh.readline().rstrip("\n").rstrip("\r").split(",")
         n_cells = len(header) - 2 - vocab.N_STATIC
         n_buckets = n_cells // vocab.N_DYNAMIC
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            pid, label = parts[0], int(parts[1])
-            values = np.array([float(x) for x in parts[2:]], dtype=float)
+        if n_buckets < 1 or n_cells != vocab.N_DYNAMIC * n_buckets:
+            raise MalformedFrames(path, f"line 1: header has {len(header)} columns")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(header):
+                raise MalformedFrames(path, f"line {line_no}: expected {len(header)} cells, "
+                                            f"got {len(parts)}")
+            pid, label = parts[0], parts[1]
+            if label not in ("0", "1"):
+                raise MalformedFrames(path, f"line {line_no}: label must be 0 or 1, got {label!r}")
+            if pid in first_line:
+                raise MalformedFrames(path, f"line {line_no}: duplicate patient id {pid!r} "
+                                            f"(first at line {first_line[pid]})")
+            first_line[pid] = line_no
+            try:
+                values = np.array([float(x) for x in parts[2:]], dtype=float)
+                finite = np.isfinite(values).all()
+            except ValueError:
+                finite = False
+            if not finite:
+                col = next(i for i in range(2, len(parts)) if not _is_finite(parts[i]))
+                raise MalformedFrames(path, f"line {line_no}: cell {header[col]} is not a "
+                                            f"finite number: {parts[col]!r}")
             dynamic = values[:n_cells].reshape(vocab.N_DYNAMIC, n_buckets)
             statics = values[n_cells:]
-            mask = masks.get(pid)
-            if mask is None:
-                mask = np.ones((vocab.N_DYNAMIC, n_buckets), dtype=bool)
-            else:
-                mask = mask.reshape(vocab.N_DYNAMIC, n_buckets)
-            frames.append(FramedPatient(pid, dynamic, mask, statics, label))
+            mask = masks.get(pid, np.ones(n_cells, dtype=bool)).reshape(vocab.N_DYNAMIC, n_buckets)
+            frames.append(FramedPatient(pid, dynamic, mask, statics, int(label)))
     return frames
 
 

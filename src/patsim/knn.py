@@ -6,6 +6,11 @@ variable's squared distance is the mean squared difference over its grid
 columns, which puts a whole time series on the same scale as one static
 feature. Similarity is exp(-d2), giving a smooth score in (0, 1] with no
 special case at zero distance.
+
+One engine serves prediction and the leave-one-out weight training in
+`weights`: `stack` orders a cohort by patient_id, `top_k` selects from a
+distance matrix over those columns (the ascending-patient_id tie-break
+lives there), and `soft_scores`/`decide_rows` score the selection.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vocab
-from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight
-
-PREDICTION_MODES = ("majority", "weighted")
+from .config import PREDICTION_MODES
+from .errors import BadConfig, DimensionMismatch, EmptyCohort, KTooLarge, NegativeWeight
 
 
 @dataclass
@@ -65,14 +69,54 @@ def variable_distances_sq(a, b) -> np.ndarray:
 def variable_distance_sq(a, b, variable) -> float:
     """Squared distance on a single variable (name or canonical index)."""
     v = vocab.VARIABLE_INDEX[variable] if isinstance(variable, str) else int(variable)
-    if v < vocab.N_DYNAMIC:
-        return float(((a.feature_grid[v] - b.feature_grid[v]) ** 2).mean())
-    return float((a.statics[v - vocab.N_DYNAMIC] - b.statics[v - vocab.N_DYNAMIC]) ** 2)
+    return float(variable_distances_sq(a, b)[v])
 
 
 def weighted_distance_sq(a, b, weights) -> float:
     """d2(a, b) = sum_v w_v * D2_v(a, b); symmetric, zero when a equals b."""
     return float(variable_distances_sq(a, b) @ _weight_array(weights))
+
+
+def stack(frames) -> tuple:
+    """(frames, grid, statics, labels, ids) of a cohort in ascending patient_id order."""
+    if not frames:
+        raise EmptyCohort("cohort has no patients")
+    frames = sorted(frames, key=lambda f: f.patient_id)
+    grid = np.stack([f.feature_grid for f in frames])
+    statics = np.stack([f.statics for f in frames])
+    labels = np.array([f.label for f in frames], dtype=int)
+    return frames, grid, statics, labels, [f.patient_id for f in frames]
+
+
+def top_k(d2, k) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, nearest first.
+
+    Columns are patients in ascending patient_id order and the sort is
+    stable, so equal distances resolve by ascending patient_id. Callers
+    exclude a candidate by setting its entry to +inf.
+    """
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def soft_scores(d2_sel, y_sel) -> np.ndarray:
+    """Row-wise similarity-weighted positive fraction sum(s*y)/sum(s), s = exp(-d2)."""
+    s = np.exp(-d2_sel)
+    return (s * y_sel).sum(axis=1) / s.sum(axis=1)
+
+
+def decide_rows(d2_sel, y_sel, mode, threshold=0.5) -> tuple:
+    """(labels, scores) for rows of selected neighbor distances and labels.
+
+    Majority mode: label is the most frequent neighbor label, voting ties
+    going to the positive class; score is the positive-vote fraction.
+    Weighted mode: score is the soft score and the label is
+    score >= threshold.
+    """
+    if mode == "majority":
+        pos = y_sel.sum(axis=1)
+        return (2 * pos >= y_sel.shape[1]).astype(int), pos / y_sel.shape[1]
+    scores = soft_scores(d2_sel, y_sel)
+    return (scores >= threshold).astype(int), scores
 
 
 @dataclass
@@ -91,8 +135,8 @@ class NeighborSet:
 class Model:
     """Lazy classifier: stored training patients plus distance weights.
 
-    Training patients are held internally in ascending patient_id order so
-    that a stable sort on distance alone realizes the documented tie-break.
+    `frames` holds the training patients in ascending patient_id order,
+    the column order that `top_k` breaks distance ties by.
     """
 
     frames: list
@@ -112,12 +156,7 @@ class Model:
             raise BadConfig(f"threshold must lie in (0, 1), got {self.threshold}")
         if not isinstance(self.weights, FeatureWeights):
             self.weights = FeatureWeights(self.weights)
-        order = sorted(range(len(self.frames)), key=lambda i: self.frames[i].patient_id)
-        self.frames = [self.frames[i] for i in order]
-        self._grid = np.stack([f.feature_grid for f in self.frames])
-        self._statics = np.stack([f.statics for f in self.frames])
-        self._labels = np.array([f.label for f in self.frames], dtype=int)
-        self._ids = [f.patient_id for f in self.frames]
+        self.frames, self._grid, self._statics, self._labels, self._ids = stack(self.frames)
 
     def distances_sq(self, query) -> np.ndarray:
         """Weighted squared distance from `query` to every training patient."""
@@ -128,60 +167,62 @@ class Model:
         return np.concatenate([dyn, stat], axis=1) @ self.weights.values
 
 
+def _nearest(queries, model: Model, leave_one_out) -> tuple:
+    """Neighbor indices (q, k) into model.frames and their distances (q, k).
+
+    Distance rows are exact scans, one per query. With leave_one_out,
+    training entries sharing a query's patient_id are excluded.
+    """
+    d2 = np.empty((len(queries), len(model.frames)))
+    for i, q in enumerate(queries):
+        d2[i] = model.distances_sq(q)
+    candidates = len(model.frames)
+    if leave_one_out and len(queries):
+        same = np.array([q.patient_id for q in queries])[:, None] == np.array(model._ids)
+        d2[same] = np.inf
+        candidates -= int(same.sum(axis=1).max())
+    if model.k > candidates:
+        raise KTooLarge(f"k={model.k} but only {candidates} candidate neighbors")
+    idx = top_k(d2, model.k)
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def classify_batch(queries, model: Model, leave_one_out=False) -> tuple:
+    """Predict (labels, scores) for all queries with one selection and one decision.
+
+    With leave_one_out, training entries sharing a query's patient_id are
+    not among that query's candidates.
+    """
+    idx, d2_sel = _nearest(queries, model, leave_one_out)
+    return decide_rows(d2_sel, model._labels[idx], model.prediction_mode, model.threshold)
+
+
+def classify(query, model: Model) -> tuple:
+    """Predict (label, score) for one query patient."""
+    labels, scores = classify_batch([query], model)
+    return int(labels[0]), float(scores[0])
+
+
 def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     """Exact k nearest training patients by full scan.
 
     With leave_one_out, training entries sharing the query's patient_id are
     excluded. Ties in distance resolve by ascending patient_id.
     """
-    d2 = model.distances_sq(query)
-    keep = np.ones(len(d2), dtype=bool)
-    if leave_one_out:
-        keep = np.array([pid != query.patient_id for pid in model._ids])
-    candidates = np.flatnonzero(keep)
-    if model.k > candidates.size:
-        raise KTooLarge(f"k={model.k} but only {candidates.size} candidate neighbors")
-    order = candidates[np.argsort(d2[candidates], kind="stable")[: model.k]]
-    entries = [(model._ids[i], float(d2[i]), int(model._labels[i])) for i in order]
+    idx, d2_sel = _nearest([query], model, leave_one_out)
+    entries = [(model._ids[i], float(d), int(model._labels[i]))
+               for i, d in zip(idx[0], d2_sel[0])]
     return NeighborSet(query_id=query.patient_id, entries=entries)
+
+
+def decide(neighbor_set: NeighborSet, mode, threshold=0.5) -> tuple:
+    """(label, score) of one neighbor set under the given mode (see decide_rows)."""
+    d2 = np.array([[e[1] for e in neighbor_set.entries]])
+    y = np.array([[e[2] for e in neighbor_set.entries]], dtype=int)
+    labels, scores = decide_rows(d2, y, mode, threshold)
+    return int(labels[0]), float(scores[0])
 
 
 def soft_score(neighbor_set: NeighborSet) -> float:
     """Similarity-weighted positive fraction: sum(s*y)/sum(s), s = exp(-d2)."""
-    d2 = np.array([e[1] for e in neighbor_set.entries])
-    y = np.array([e[2] for e in neighbor_set.entries], dtype=float)
-    s = np.exp(-d2)
-    return float((s * y).sum() / s.sum())
-
-
-def decide(neighbor_set: NeighborSet, mode, threshold=0.5) -> tuple:
-    """Turn a neighbor set into (label, score) under the given mode.
-
-    Majority mode: label is the most frequent neighbor label, voting ties
-    going to the positive class; score is the positive-vote fraction.
-    Weighted mode: score is the similarity-weighted soft score and the
-    label is score >= threshold.
-    """
-    if mode == "majority":
-        pos = sum(e[2] for e in neighbor_set.entries)
-        score = pos / len(neighbor_set.entries)
-        label = int(2 * pos >= len(neighbor_set.entries))
-    else:
-        score = soft_score(neighbor_set)
-        label = int(score >= threshold)
-    return label, score
-
-
-def classify(query, model: Model) -> tuple:
-    """Predict (label, score) for one query patient."""
-    ns = neighbors(query, model, leave_one_out=False)
-    return decide(ns, model.prediction_mode, model.threshold)
-
-
-def classify_batch(queries, model: Model) -> tuple:
-    """Classify each query in turn, one full scan per query; returns (labels, scores)."""
-    labels = np.empty(len(queries), dtype=int)
-    scores = np.empty(len(queries), dtype=float)
-    for i, q in enumerate(queries):
-        labels[i], scores[i] = classify(q, model)
-    return labels, scores
+    return decide(neighbor_set, "weighted")[1]

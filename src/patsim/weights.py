@@ -25,11 +25,9 @@ from .errors import (
     SingleClassCohort,
     UnknownVariable,
 )
-from .knn import FeatureWeights, _weight_array
+from .knn import FeatureWeights, _weight_array, soft_scores, stack, top_k
 
 logger = logging.getLogger(__name__)
-
-FILTER_METHODS = ("chi_square", "information_gain", "gini")
 
 
 @dataclass
@@ -42,16 +40,9 @@ class TrainConfig:
     initial_weights: FeatureWeights | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise BadConfig("learning_rate must be positive")
-        if self.max_epochs < 1:
-            raise BadConfig("max_epochs must be positive")
-        if self.min_relative_improvement <= 0:
-            raise BadConfig("min_relative_improvement must be positive")
-        if self.patience < 1:
-            raise BadConfig("patience must be positive")
-        if self.k < 1:
-            raise BadConfig("k must be positive")
+        for name in ("learning_rate", "max_epochs", "min_relative_improvement", "patience", "k"):
+            if getattr(self, name) <= 0:
+                raise BadConfig(f"{name} must be positive")
 
 
 @dataclass
@@ -65,17 +56,6 @@ class TrainTrace:
     @property
     def best_so_far(self) -> list:
         return list(np.minimum.accumulate(self.errors))
-
-
-def _stack_cohort(frames):
-    """Sort by patient_id and stack into arrays (grid, statics, labels, ids)."""
-    order = sorted(range(len(frames)), key=lambda i: frames[i].patient_id)
-    frames = [frames[i] for i in order]
-    grid = np.stack([f.feature_grid for f in frames])
-    statics = np.stack([f.statics for f in frames])
-    labels = np.array([f.label for f in frames], dtype=float)
-    ids = [f.patient_id for f in frames]
-    return grid, statics, labels, ids
 
 
 def _distance_tensor(grid, statics) -> np.ndarray:
@@ -103,24 +83,10 @@ def _distance_tensor(grid, statics) -> np.ndarray:
 
 
 def _neighbor_sets(dist, w, k) -> np.ndarray:
-    """Leave-one-out neighbor indices (n, k) at the given weights.
-
-    Rows are in patient_id order (enforced by _stack_cohort), so a stable
-    sort on distance realizes the ascending-patient_id tie-break.
-    """
-    n = dist.shape[1]
-    if k > n - 1:
-        raise KTooLarge(f"k={k} but only {n - 1} leave-one-out candidates")
+    """Leave-one-out neighbor indices (n, k) at the given weights."""
     d2 = np.tensordot(w, dist, axes=(0, 0))
     np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
-
-
-def _soft_scores(dist, w, sets, labels) -> np.ndarray:
-    rows = np.arange(dist.shape[1])[:, None]
-    d2_sel = np.einsum("v,vnk->nk", w, dist[:, rows, sets])
-    s = np.exp(-d2_sel)
-    return (s * labels[sets]).sum(axis=1) / s.sum(axis=1)
+    return top_k(d2, k)
 
 
 def _error_value(yhat, labels) -> float:
@@ -128,11 +94,38 @@ def _error_value(yhat, labels) -> float:
     return float(2.0 * ((labels - yhat) ** 2).sum())
 
 
+def _error_and_gradient(dist, w, sets, labels) -> tuple:
+    """Training error and dE/dw over fixed neighbor sets, from one gather."""
+    rows = np.arange(dist.shape[1])[:, None]
+    d_sel = dist[:, rows, sets]                       # (40, n, k)
+    d2_sel = np.einsum("v,vnk->nk", w, d_sel)
+    y_n = labels[sets]
+    yhat = soft_scores(d2_sel, y_n)
+    # yhat = T/S with s_in = exp(-d2_in), d s_in / d w_v = -D2_v(i,n) * s_in
+    s = np.exp(-d2_sel)
+    big_s = s.sum(axis=1)
+    big_t = (s * y_n).sum(axis=1)
+    d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)    # (n, 40)
+    d_s = -np.einsum("vnk,nk->nv", d_sel, s)
+    d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
+    grad = -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
+    return _error_value(yhat, labels), grad
+
+
+def _loo_problem(frames, weights, k) -> tuple:
+    """(distance tensor, weights, LOO neighbor sets, labels) of a training cohort."""
+    _, grid, statics, labels, _ = stack(frames)
+    _check_two_classes(labels)
+    if k > len(labels) - 1:
+        raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
+    dist = _distance_tensor(grid, statics)
+    w = _weight_array(weights)
+    return dist, w, _neighbor_sets(dist, w, k), labels
+
+
 def loo_neighbor_sets(frames, weights, k=10) -> np.ndarray:
     """Leave-one-out neighbor index sets for every training patient."""
-    grid, statics, _, _ = _stack_cohort(frames)
-    dist = _distance_tensor(grid, statics)
-    return _neighbor_sets(dist, _weight_array(weights), k)
+    return _loo_problem(frames, weights, k)[2]
 
 
 def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
@@ -142,38 +135,22 @@ def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
     patient_id order) the sets are held fixed instead of re-selected,
     which is the function the analytic gradient differentiates.
     """
-    grid, statics, labels, _ = _stack_cohort(frames)
-    _check_two_classes(labels)
-    dist = _distance_tensor(grid, statics)
-    w = _weight_array(weights)
-    sets = _neighbor_sets(dist, w, k) if neighbor_sets is None else neighbor_sets
-    return _error_value(_soft_scores(dist, w, sets, labels), labels)
-
-
-def _gradient_for_sets(dist, w, sets, labels) -> np.ndarray:
-    rows = np.arange(dist.shape[1])[:, None]
-    d_sel = dist[:, rows, sets]                       # (40, n, k)
-    d2_sel = np.einsum("v,vnk->nk", w, d_sel)
-    s = np.exp(-d2_sel)                               # (n, k)
-    y_n = labels[sets]
-    big_s = s.sum(axis=1)
-    big_t = (s * y_n).sum(axis=1)
-    yhat = big_t / big_s
-    # d s_in / d w_v = -D2_v(i,n) * s_in, chained through T/S
-    d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)    # (n, 40)
-    d_s = -np.einsum("vnk,nk->nv", d_sel, s)
-    d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
-    return -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
+    dist, w, sets, labels = _loo_problem(frames, weights, k)
+    if neighbor_sets is not None:
+        sets = neighbor_sets
+    return _error_and_gradient(dist, w, sets, labels)[0]
 
 
 def gradient(frames, weights, k=10) -> np.ndarray:
     """dE/dw per variable, neighbor sets held fixed at the current weights."""
-    grid, statics, labels, _ = _stack_cohort(frames)
-    _check_two_classes(labels)
-    dist = _distance_tensor(grid, statics)
-    w = _weight_array(weights)
-    sets = _neighbor_sets(dist, w, k)
-    return _gradient_for_sets(dist, w, sets, labels)
+    return _error_and_gradient(*_loo_problem(frames, weights, k))[1]
+
+
+def _active(active) -> np.ndarray:
+    """Boolean mask of searched variables; None means all of them."""
+    if active is None:
+        return np.ones(vocab.N_VARIABLES, dtype=bool)
+    return np.asarray(active, dtype=bool)
 
 
 def _check_two_classes(labels):
@@ -192,23 +169,10 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     restricts the search to a boolean subset of variables; the rest are
     pinned to zero.
     """
-    grid, statics, labels, _ = _stack_cohort(frames)
-    _check_two_classes(labels)
-    if len(frames) < config.k + 1:
-        raise KTooLarge(f"need at least k+1={config.k + 1} patients, got {len(frames)}")
-    if active is None:
-        active = np.ones(vocab.N_VARIABLES, dtype=bool)
-    else:
-        active = np.asarray(active, dtype=bool)
-
-    if config.initial_weights is None:
-        w = np.where(active, 1.0, 0.0)
-    else:
-        w = _weight_array(config.initial_weights) * active
-
-    dist = _distance_tensor(grid, statics)
-    sets = _neighbor_sets(dist, w, config.k)
-    err = _error_value(_soft_scores(dist, w, sets, labels), labels)
+    active = _active(active)
+    start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
+    dist, w, sets, labels = _loo_problem(frames, start * active, config.k)
+    err, grad = _error_and_gradient(dist, w, sets, labels)
 
     trace = TrainTrace()
     trace.errors.append(err)
@@ -216,11 +180,10 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
 
     plateau = 0
     for epoch in range(1, config.max_epochs + 1):
-        grad = _gradient_for_sets(dist, w, sets, labels)
         w = np.maximum(w - config.learning_rate * grad, 0.0)
         w *= active
-        sets = _neighbor_sets(dist, w, config.k)
-        new_err = _error_value(_soft_scores(dist, w, sets, labels), labels)
+        new_err, grad = _error_and_gradient(
+            dist, w, _neighbor_sets(dist, w, config.k), labels)
         trace.errors.append(new_err)
         trace.epochs_run = epoch
         if new_err < best_err:
@@ -266,33 +229,28 @@ def _chi_square_score(table) -> float:
 
 
 def _entropy(counts) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
 
-def _information_gain_score(table) -> float:
+def _impurity_gain(table, impurity) -> float:
+    """Label impurity minus its bin-weighted mean within bins."""
     total = table.sum()
-    h_y = _entropy(table.sum(axis=0))
-    h_cond = sum((row.sum() / total) * _entropy(row) for row in table)
-    return float(h_y - h_cond)
+    within = sum((row.sum() / total) * impurity(row) for row in table)
+    return float(impurity(table.sum(axis=0)) - within)
+
+
+def _information_gain_score(table) -> float:
+    return _impurity_gain(table, _entropy)
 
 
 def _gini(counts) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
+    p = counts / counts.sum()
     return float(1.0 - (p ** 2).sum())
 
 
 def _gini_score(table) -> float:
-    total = table.sum()
-    g_y = _gini(table.sum(axis=0))
-    g_cond = sum((row.sum() / total) * _gini(row) for row in table)
-    return float(g_y - g_cond)
+    return _impurity_gain(table, _gini)
 
 
 _SCORERS = {
@@ -310,7 +268,7 @@ def filter_score(frames, method) -> np.ndarray:
     """
     if method not in _SCORERS:
         raise BadConfig(f"unknown filter method {method!r}")
-    grid, statics, labels, _ = _stack_cohort(frames)
+    _, grid, statics, labels, _ = stack(frames)
     _check_two_classes(labels)
     summaries = np.concatenate([grid.mean(axis=2), statics], axis=1)
     scorer = _SCORERS[method]
@@ -328,10 +286,7 @@ def filter_weights(frames, method, active=None) -> FeatureWeights:
     (unweighted) configuration. All-zero scores fall back to uniform.
     """
     scores = filter_score(frames, method)
-    if active is None:
-        active = np.ones(vocab.N_VARIABLES, dtype=bool)
-    else:
-        active = np.asarray(active, dtype=bool)
+    active = _active(active)
     scores = np.where(active, np.maximum(scores, 0.0), 0.0)
     total = scores.sum()
     n_active = int(active.sum())

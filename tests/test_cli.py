@@ -110,6 +110,61 @@ class TestTrainPredict:
             assert label in ("0", "1")
 
 
+def _corrupt(line, fault):
+    """One data row of a frames file with a single planted fault."""
+    cells = line.split(",")
+    if fault == "truncated":
+        return ",".join(cells[:-3])
+    if fault in ("nan", "inf", "text"):
+        cells[5] = {"nan": "nan", "inf": "-inf", "text": "0.3x"}[fault]
+    if fault == "label":
+        cells[1] = "2"
+    return ",".join(cells)
+
+
+class TestStrictFrames:
+    @pytest.mark.parametrize("fault, reason", [
+        ("truncated", "line 4: expected"),
+        ("nan", "line 4: cell d00_t03 is not a finite number: 'nan'"),
+        ("inf", "line 4: cell d00_t03 is not a finite number: '-inf'"),
+        ("text", "line 4: cell d00_t03 is not a finite number: '0.3x'"),
+        ("label", "line 4: label must be 0 or 1, got '2'"),
+        ("duplicate", "line 4: duplicate patient id"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_malformed_row_is_one_line_error(self, framed, tmp_path, capsys,
+                                             fault, reason, command):
+        lines = framed.read_text().splitlines()
+        if fault == "duplicate":
+            lines[3] = lines[2]
+        else:
+            lines[3] = _corrupt(lines[3], fault)
+        bad = tmp_path / "bad_frames.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "train":
+            args = ["train", "--frames", str(bad), "--weights-out", str(tmp_path / "w.csv")]
+        else:
+            weights = tmp_path / "w.csv"
+            weights.write_text("variable,weight\n" + "".join(
+                f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
+            args = ["predict", "--train-frames", str(bad), "--weights", str(weights),
+                    "--out", str(tmp_path / "pred.csv")]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: frames file {bad}: {reason}")
+
+
+    def test_header_only_file_is_one_line_error(self, framed, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(framed.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["train", "--frames", str(empty), "--weights-out",
+                     str(tmp_path / "w.csv")]) == 1
+        assert capsys.readouterr().err == "error: cohort has no patients\n"
+
+
 class TestEvaluateCompare:
     def test_evaluate_and_compare(self, synth_dir, tmp_path):
         outs = {}

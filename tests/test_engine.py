@@ -1,0 +1,208 @@
+"""The neighbor engine shared by prediction and leave-one-out training.
+
+Selection is checked against a sorted (distance, patient_id) scan on
+tie-heavy quantized cohorts; batch prediction against the one-query path;
+and gradient descent against the loop that gathered the selected pairs
+twice per epoch.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patsim import vocab
+from patsim.errors import KTooLarge
+from patsim.knn import (
+    FeatureWeights,
+    Model,
+    classify_batch,
+    decide,
+    neighbors,
+    stack,
+    top_k,
+)
+from patsim.weights import (
+    TrainConfig,
+    _distance_tensor,
+    _error_value,
+    loo_neighbor_sets,
+    train_gd,
+)
+from util import quantized_frames, random_dense_frames
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def quantized_weights(rng):
+    """Weights in {0, 1, 2}: keeps distances tie-heavy, some variables off."""
+    return FeatureWeights(rng.integers(0, 3, vocab.N_VARIABLES).astype(float))
+
+
+def scan(row, ids, k, skip=None):
+    """Indices of the k nearest columns by a sorted (distance, id) scan."""
+    order = sorted((j for j in range(len(ids)) if ids[j] != skip),
+                   key=lambda j: (row[j], ids[j]))
+    return order[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 8), st.integers(1, 25), st.integers(1, 25))
+def test_top_k_matches_sorted_scan(seed, levels, n_rows, n_cols):
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(0, levels, (n_rows, n_cols)).astype(float)
+    d2[rng.random((n_rows, n_cols)) < 0.2] = np.inf
+    k = int(rng.integers(1, n_cols + 1))
+    ids = list(range(n_cols))
+    assert top_k(d2, k).tolist() == [scan(row, ids, k) for row in d2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(2, 4), st.integers(12, 30))
+def test_loo_neighbor_sets_match_scan(seed, levels, n):
+    rng = np.random.default_rng(seed)
+    frames = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
+    w = quantized_weights(rng)
+    k = int(rng.integers(1, n))
+    _, grid, statics, _, ids = stack(frames)
+    d2 = np.tensordot(w.values, _distance_tensor(grid, statics), axes=(0, 0))
+    expected = [scan(d2[i], ids, k, skip=ids[i]) for i in range(n)]
+    assert loo_neighbor_sets(frames, w, k=k).tolist() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(2, 4), st.integers(8, 30), st.booleans(),
+       st.sampled_from(["majority", "weighted"]))
+def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
+    rng = np.random.default_rng(seed)
+    train = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
+    k = int(rng.integers(1, n))
+    model = Model(train, quantized_weights(rng), k=k, prediction_mode=mode)
+    if leave_one_out:
+        queries = train[: n // 2]
+    else:
+        queries = quantized_frames(n // 2, rng, levels=levels, n_buckets=6)
+    labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
+    ids = [f.patient_id for f in model.frames]
+    y = np.array([f.label for f in model.frames])
+    for q, label, score in zip(queries, labels, scores):
+        row = model.distances_sq(q)
+        nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
+        assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
+            [ids[j] for j in nearest]
+        if mode == "majority":
+            pos = int(y[nearest].sum())
+            expected = (int(2 * pos >= k), pos / k)
+        else:
+            s = np.exp(-row[nearest])
+            soft = float((s * y[nearest]).sum() / s.sum())
+            expected = (int(soft >= model.threshold), soft)
+        assert (label, score) == expected
+
+
+@pytest.mark.parametrize("mode", ["majority", "weighted"])
+@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
+    rng = np.random.default_rng(11)
+    train = make(40, rng)
+    model = Model(train, FeatureWeights(rng.random(vocab.N_VARIABLES)), k=7,
+                  prediction_mode=mode, threshold=0.4)
+    queries = train[:15] if leave_one_out else make(15, np.random.default_rng(12))
+    labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
+    one_by_one = [decide(neighbors(q, model, leave_one_out), mode, model.threshold)
+                  for q in queries]
+    assert labels.tolist() == [label for label, _ in one_by_one]
+    assert scores.tolist() == [score for _, score in one_by_one]
+
+
+def test_leave_one_out_batch_too_few_candidates():
+    frames = random_dense_frames(5, np.random.default_rng(2))
+    model = Model(frames, FeatureWeights.uniform(), k=5)
+    assert classify_batch(frames, model)[0].shape == (5,)
+    with pytest.raises(KTooLarge):
+        classify_batch(frames, model, leave_one_out=True)
+
+
+def test_empty_batch():
+    frames = random_dense_frames(5, np.random.default_rng(2))
+    model = Model(frames, FeatureWeights.uniform(), k=2)
+    labels, scores = classify_batch([], model, leave_one_out=True)
+    assert labels.shape == scores.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# gradient descent against the loop that gathered twice per epoch
+
+
+def _old_neighbor_sets(dist, w, k):
+    d2 = np.tensordot(w, dist, axes=(0, 0))
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _old_soft_scores(dist, w, sets, labels):
+    rows = np.arange(dist.shape[1])[:, None]
+    d2_sel = np.einsum("v,vnk->nk", w, dist[:, rows, sets])
+    s = np.exp(-d2_sel)
+    return (s * labels[sets]).sum(axis=1) / s.sum(axis=1)
+
+
+def _old_gradient_for_sets(dist, w, sets, labels):
+    rows = np.arange(dist.shape[1])[:, None]
+    d_sel = dist[:, rows, sets]
+    d2_sel = np.einsum("v,vnk->nk", w, d_sel)
+    s = np.exp(-d2_sel)
+    y_n = labels[sets]
+    big_s = s.sum(axis=1)
+    big_t = (s * y_n).sum(axis=1)
+    yhat = big_t / big_s
+    d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)
+    d_s = -np.einsum("vnk,nk->nv", d_sel, s)
+    d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
+    return -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
+
+
+def _old_train_gd(frames, config, active):
+    frames = sorted(frames, key=lambda f: f.patient_id)
+    grid = np.stack([f.feature_grid for f in frames])
+    statics = np.stack([f.statics for f in frames])
+    labels = np.array([f.label for f in frames], dtype=float)
+    w = np.ones(vocab.N_VARIABLES) * active if config.initial_weights is None \
+        else config.initial_weights.values * active
+    dist = _distance_tensor(grid, statics)
+    sets = _old_neighbor_sets(dist, w, config.k)
+    err = _error_value(_old_soft_scores(dist, w, sets, labels), labels)
+    errors, best_err, best_w, plateau = [err], err, w.copy(), 0
+    for _ in range(config.max_epochs):
+        grad = _old_gradient_for_sets(dist, w, sets, labels)
+        w = np.maximum(w - config.learning_rate * grad, 0.0)
+        w *= active
+        sets = _old_neighbor_sets(dist, w, config.k)
+        new_err = _error_value(_old_soft_scores(dist, w, sets, labels), labels)
+        errors.append(new_err)
+        if new_err < best_err:
+            best_err, best_w = new_err, w.copy()
+        rel = (err - new_err) / err if err > 0 else 0.0
+        plateau = plateau + 1 if rel < config.min_relative_improvement else 0
+        err = new_err
+        if plateau >= config.patience:
+            break
+    return best_w, errors
+
+
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+@pytest.mark.parametrize("features", ["all", "dynamic_only"])
+def test_train_gd_equals_double_gather_loop(make, features):
+    rng = np.random.default_rng(5)
+    frames = make(45, rng)
+    active = np.ones(vocab.N_VARIABLES, dtype=bool)
+    if features == "dynamic_only":
+        active[vocab.N_DYNAMIC:] = False
+    for cfg in (TrainConfig(k=6, max_epochs=12, patience=13),
+                TrainConfig(k=4, max_epochs=200, learning_rate=0.5,
+                            initial_weights=FeatureWeights(rng.random(vocab.N_VARIABLES)))):
+        learned, trace = train_gd(frames, cfg, active=active)
+        old_w, old_errors = _old_train_gd(frames, cfg, active)
+        assert trace.errors == old_errors
+        assert learned.values.tolist() == old_w.tolist()

@@ -305,6 +305,52 @@ class TestWilcoxon:
         assert p == pytest.approx(ref.pvalue)
 
 
+
+class TestTailProbabilities:
+    """p-values come from scipy.special, bit-identical to the scipy.stats calls."""
+
+    def test_special_functions_equal_stats_calls(self):
+        from scipy.special import chdtrc, ndtr
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            df = int(rng.integers(1, 10))
+            x = float(rng.exponential(5.0)) * float(rng.integers(0, 2))
+            z = float(rng.normal(0.0, 3.0))
+            assert chdtrc(df, x) == scipy_stats.chi2.sf(x, df)
+            assert ndtr(-abs(z)) == scipy_stats.norm.sf(abs(z))
+
+    def test_friedman_p_equals_chi2_sf(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n, m = int(rng.integers(2, 25)), int(rng.integers(2, 7))
+            matrix = np.round(rng.random((n, m)), int(rng.integers(1, 3)))
+            stat, p = friedman(matrix)
+            assert p == float(scipy_stats.chi2.sf(stat, m - 1))
+
+    def test_wilcoxon_normal_p_equals_norm_sf(self):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            n = int(rng.integers(26, 60))
+            a, b = np.round(rng.random(n), 2), np.round(rng.random(n), 2)
+            _, p = wilcoxon_signed_rank(a, b)
+            d = (a - b)[a != b]
+            ranks = scipy_stats.rankdata(np.abs(d))
+            w_plus = float(ranks[d > 0].sum())
+            k = len(d)
+            mean = k * (k + 1) / 4.0
+            _, counts = np.unique(ranks, return_counts=True)
+            var = k * (k + 1) * (2 * k + 1) / 24.0 - float((counts ** 3 - counts).sum()) / 48.0
+            z = (w_plus - mean - 0.5 * np.sign(w_plus - mean)) / np.sqrt(var)
+            assert p == float(min(1.0, 2.0 * scipy_stats.norm.sf(abs(z))))
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        import subprocess
+        import sys
+        code = "import sys, patsim.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]
 

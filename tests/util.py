@@ -21,3 +21,22 @@ def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
         frames[0].label = 0
         frames[1].label = 1
     return frames
+
+
+def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.4):
+    """Dense frames on a coarse value grid: a tie-heavy cohort.
+
+    Every cell takes one of `levels` evenly spaced values in [0, 1], so
+    many pairs lie at equal distances, and `duplicates` patients copy
+    another patient's grid and statics exactly (distance 0 between them).
+    The list comes back shuffled, not in patient_id order.
+    """
+    frames = random_dense_frames(n, rng, n_buckets=n_buckets, prevalence=prevalence)
+    for f in frames:
+        f.dynamic = np.round(f.dynamic * (levels - 1)) / (levels - 1)
+        f.statics = np.round(f.statics * (levels - 1)) / (levels - 1)
+    for _ in range(duplicates if n >= 2 else 0):
+        src, dst = rng.choice(n, size=2, replace=False)
+        frames[dst].dynamic = frames[src].dynamic.copy()
+        frames[dst].statics = frames[src].statics.copy()
+    return [frames[i] for i in rng.permutation(n)]
