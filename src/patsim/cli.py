@@ -201,7 +201,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _config_from_args(args, k=args.k, mode=args.mode, threshold=args.threshold)
     train_frames = framing.read_frames(args.train_frames)
-    w = weights_mod.load_manual_weights(args.weights)
+    w = weights_mod.read_weights(args.weights)
     model = knn.Model(train_frames, w, k=config.k,
                       prediction_mode=config.mode, threshold=config.threshold)
     loo = args.query_frames is None

@@ -9,37 +9,50 @@ class PatsimError(Exception):
     """Base class for all validation errors raised by this package."""
 
 
-class MalformedRow(PatsimError):
-    def __init__(self, line_no, reason=""):
+class InputFault(PatsimError):
+    """A fault at one line of an input file.
+
+    The message starts with the file (when the input came from a path) and
+    the line number, when known.
+    """
+
+    def __init__(self, message, line_no=None, path=None):
         self.line_no = line_no
-        msg = f"malformed row at line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        self.path = path
+        where = [str(path)] if path is not None else []
+        if line_no is not None:
+            where.append(f"line {line_no}")
+        super().__init__(f"{' '.join(where)}: {message}" if where else message)
 
 
-class UnknownVariable(PatsimError):
-    def __init__(self, name):
+class MalformedRow(InputFault):
+    def __init__(self, line_no, reason="", path=None):
+        super().__init__(f"malformed row: {reason}" if reason else "malformed row",
+                         line_no, path)
+
+
+class UnknownVariable(InputFault):
+    def __init__(self, name, line_no=None, path=None):
         self.name = name
-        super().__init__(f"unknown variable name: {name!r}")
+        super().__init__(f"unknown variable name: {name!r}", line_no, path)
 
 
-class OutOfWindow(PatsimError):
-    def __init__(self, minute):
+class OutOfWindow(InputFault):
+    def __init__(self, minute, line_no=None, path=None):
         self.minute = minute
-        super().__init__(f"minute {minute} outside the observation window")
+        super().__init__(f"minute {minute} outside the observation window", line_no, path)
 
 
-class DuplicatePatient(PatsimError):
-    def __init__(self, patient_id):
+class DuplicatePatient(InputFault):
+    def __init__(self, patient_id, line_no=None, path=None):
         self.patient_id = patient_id
-        super().__init__(f"duplicate outcome row for patient {patient_id!r}")
+        super().__init__(f"duplicate outcome row for patient {patient_id!r}", line_no, path)
 
 
-class InvalidLabel(PatsimError):
-    def __init__(self, value):
+class InvalidLabel(InputFault):
+    def __init__(self, value, line_no=None, path=None):
         self.value = value
-        super().__init__(f"outcome label must be 0 or 1, got {value!r}")
+        super().__init__(f"outcome label must be 0 or 1, got {value!r}", line_no, path)
 
 
 class MissingOutcome(PatsimError):
@@ -61,9 +74,9 @@ class MalformedStats(PatsimError):
 
 
 class MalformedFrames(PatsimError):
-    def __init__(self, path, reason):
+    def __init__(self, path, reason, kind="frames"):
         self.path = path
-        super().__init__(f"frames file {path}: {reason}")
+        super().__init__(f"{kind} file {path}: {reason}")
 
 
 class BadConfig(PatsimError):
@@ -98,11 +111,11 @@ class DegenerateMatrix(PatsimError):
     pass
 
 
-class NegativeWeight(PatsimError):
-    def __init__(self, name, value):
+class NegativeWeight(InputFault):
+    def __init__(self, name, value, line_no=None, path=None):
         self.name = name
         self.value = value
-        super().__init__(f"weight for {name!r} must be non-negative, got {value}")
+        super().__init__(f"weight for {name!r} must be non-negative, got {value}", line_no, path)
 
 
 class BadSpec(PatsimError):

@@ -24,9 +24,9 @@ from .errors import (
     TooFewPairs,
     TooFewPerClass,
 )
-from .knn import FeatureWeights, Model, classify_batch
+from .knn import FeatureWeights, Model, classify_distances, query_distances
 from .streams import substream
-from .weights import TrainConfig, filter_weights, train_gd
+from .weights import TrainConfig, Workspace, filter_weights, train_gd
 
 _FILTER_NAMES = {"chi2": "chi_square", "infogain": "information_gain", "gini": "gini"}
 
@@ -149,18 +149,22 @@ def _scale_split(train_raw, test_raw):
     return scaled[: len(train_raw)], scaled[len(train_raw):]
 
 
-def _learn_weights(train_scaled, method: MethodSpec) -> FeatureWeights:
+def _uses_tensor(method: MethodSpec) -> bool:
+    return method.kind == "knn" and method.weighting == "gd"
+
+
+def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
     active = method.active_mask()
     if method.weighting == "gd":
         cfg = TrainConfig(learning_rate=method.learning_rate,
                           max_epochs=method.max_epochs, k=method.k)
-        learned, _ = train_gd(train_scaled, cfg, active=active)
+        learned, _ = train_gd(fold, cfg, active=active)
         return learned
     if method.weighting == "none":
         return FeatureWeights(np.where(active, 1.0, 0.0))
     if method.weighting == "manual":
         return FeatureWeights(method.manual_weights.values * active)
-    return filter_weights(train_scaled, _FILTER_NAMES[method.weighting], active=active)
+    return filter_weights(fold, _FILTER_NAMES[method.weighting], active=active)
 
 
 def _flatten(patients) -> np.ndarray:
@@ -184,18 +188,45 @@ def _fit_linear_scorer(x, y, iters=300, lr=0.5):
 
 
 def _predict_fold(train_scaled, test_scaled, method: MethodSpec):
+    """One method's test-side predictions on one scaled fold."""
+    return _predict_fold_methods(train_scaled, test_scaled, [method])[0]
+
+
+def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
+    """Each method's test-side predictions on one scaled fold.
+
+    The kNN methods share one neighbor workspace: the training side is
+    stacked once, the per-variable query distances are scanned once, and
+    the leave-one-out tensor and the filter tables are built once, on
+    first use; each method applies only its own weights. The tensor is
+    freed once the last method that trains on it has its weights, before
+    the query scan, as when each method built its own.
+    """
     y_train = np.array([p.label for p in train_scaled], dtype=float)
-    if method.kind == "majority":
-        majority = int(y_train.mean() >= 0.5)
-        return np.full(len(test_scaled), majority, dtype=int)
-    if method.kind == "linear":
-        w, b = _fit_linear_scorer(_flatten(train_scaled), y_train)
-        z = _flatten(test_scaled) @ w + b
-        return (z >= 0).astype(int)
-    model = Model(train_scaled, _learn_weights(train_scaled, method),
-                  k=method.k, prediction_mode=method.mode, threshold=method.threshold)
-    labels, _ = classify_batch(test_scaled, model)
-    return labels
+    fold = per_var = None
+    tensor_users = sum(_uses_tensor(m) for m in methods)
+    predictions = []
+    for method in methods:
+        if method.kind == "majority":
+            majority = int(y_train.mean() >= 0.5)
+            predictions.append(np.full(len(test_scaled), majority, dtype=int))
+            continue
+        if method.kind == "linear":
+            w, b = _fit_linear_scorer(_flatten(train_scaled), y_train)
+            predictions.append((_flatten(test_scaled) @ w + b >= 0).astype(int))
+            continue
+        if fold is None:
+            fold = Workspace(train_scaled)
+        learned = _learn_weights(fold, method)
+        tensor_users -= _uses_tensor(method)
+        if not tensor_users:
+            fold.release_tensor()
+        if per_var is None:
+            per_var = query_distances(test_scaled, fold.train)
+        model = Model(fold.train, learned,
+                      k=method.k, prediction_mode=method.mode, threshold=method.threshold)
+        predictions.append(classify_distances(per_var, model)[0])
+    return predictions
 
 
 def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
@@ -204,7 +235,8 @@ def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> 
     `patients` are pre-imputation representations (framed or aggregated).
     Folds are outer and methods inner: each fold's scaling statistics are
     fit and applied once, and every method predicts from the same scaled
-    fold; feature weights are refit per method on its training side.
+    fold and its shared neighbor workspace; feature weights are refit per
+    method on its training side.
     Returns method name -> one FoldMetrics per fold, ordered by fold index.
     """
     patients = sorted(patients, key=lambda p: p.patient_id)
@@ -219,8 +251,8 @@ def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> 
         test_raw = [by_id[pid] for pid in folds[i]]
         train_scaled, test_scaled = _scale_split(train_raw, test_raw)
         y_true = [p.label for p in test_raw]
-        return [fold_metrics(i, y_true, _predict_fold(train_scaled, test_scaled, method))
-                for method in methods]
+        return [fold_metrics(i, y_true, predicted) for predicted in
+                _predict_fold_methods(train_scaled, test_scaled, methods)]
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

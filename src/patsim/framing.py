@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -343,10 +342,18 @@ def scale_aggregates(agg: AggregatedPatient, stats: AggregationStats) -> Aggrega
 # file formats
 
 
+def _cell_names(n_buckets) -> list:
+    return [f"d{v:02d}_t{t:02d}" for v in range(vocab.N_DYNAMIC) for t in range(n_buckets)]
+
+
 def _dynamic_header(n_buckets):
-    cols = [f"d{v:02d}_t{t:02d}" for v in range(vocab.N_DYNAMIC) for t in range(n_buckets)]
+    cols = _cell_names(n_buckets)
     cols += [f"s{i}_{name.lower()}" for i, name in enumerate(vocab.STATIC_VARIABLES)]
     return ",".join(["patient_id", "label"] + cols)
+
+
+def _mask_header(n_buckets):
+    return ",".join(["patient_id"] + _cell_names(n_buckets))
 
 
 def write_frames(frames, path, mask_path=None) -> None:
@@ -362,8 +369,7 @@ def write_frames(frames, path, mask_path=None) -> None:
             fh.write(",".join([f.patient_id, str(f.label)] + cells) + "\n")
     if mask_path is not None:
         with open(mask_path, "w", encoding="utf-8") as fh:
-            cols = [f"d{v:02d}_t{t:02d}" for v in range(vocab.N_DYNAMIC) for t in range(n_buckets)]
-            fh.write(",".join(["patient_id"] + cols) + "\n")
+            fh.write(_mask_header(n_buckets) + "\n")
             for f in frames:
                 bits = [str(int(b)) for b in f.mask.ravel()]
                 fh.write(",".join([f.patient_id] + bits) + "\n")
@@ -376,21 +382,56 @@ def _is_finite(text) -> bool:
         return False
 
 
-def read_frames(path, mask_path=None) -> list:
-    """Read frames written by write_frames; mask defaults to all-observed.
+def _read_masks(mask_path, n_buckets, patients) -> dict:
+    """patient_id -> (36, n_buckets) mask from a mask file written by write_frames.
 
-    A row with the wrong cell count, a non-numeric or non-finite cell, a
-    label outside {0, 1} or a repeated patient id raises MalformedFrames
-    naming the file and line.
+    `patients` maps each frames-file patient to its line there. A bad
+    header, a row with the wrong cell count, a cell other than 0 or 1, a
+    row for a patient not in `patients` (or one already seen), or no row
+    for one of them raises MalformedFrames naming the mask file and line.
     """
+    def fault(reason):
+        return MalformedFrames(mask_path, reason, kind="mask")
+
+    header = _mask_header(n_buckets)
     masks = {}
-    if mask_path is not None and Path(mask_path).exists():
-        with open(mask_path, "r", encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                masks[parts[0]] = np.array([c == "1" for c in parts[1:]], dtype=bool)
-    frames = []
+    with open(mask_path, "r", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n").rstrip("\r") != header:
+            raise fault(f"line 1: expected header patient_id,d00_t00,... with "
+                        f"{vocab.N_DYNAMIC * n_buckets} cells")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            pid, *cells = line.split(",")
+            if len(cells) != vocab.N_DYNAMIC * n_buckets:
+                raise fault(f"line {line_no}: expected {vocab.N_DYNAMIC * n_buckets} cells, "
+                            f"got {len(cells)}")
+            if pid not in patients:
+                raise fault(f"line {line_no}: patient {pid!r} is not in the frames file")
+            if pid in masks:
+                raise fault(f"line {line_no}: duplicate patient id {pid!r}")
+            if not set(cells) <= {"0", "1"}:
+                col = next(i for i, c in enumerate(cells) if c not in ("0", "1"))
+                raise fault(f"line {line_no}: cell {_cell_names(n_buckets)[col]} must be "
+                            f"0 or 1, got {cells[col]!r}")
+            masks[pid] = np.array([c == "1" for c in cells]).reshape(vocab.N_DYNAMIC, n_buckets)
+    missing = next((pid for pid in patients if pid not in masks), None)
+    if missing is not None:
+        raise fault(f"no row for patient {missing!r} (frames file line {patients[missing]})")
+    return masks
+
+
+def read_frames(path, mask_path=None) -> list:
+    """Read frames written by write_frames, with their mask file if one is given.
+
+    Without a mask file every cell counts as observed; a given mask path
+    that does not exist raises FileNotFoundError. A row with the wrong
+    cell count, a non-numeric or non-finite cell, a label outside {0, 1}
+    or a repeated patient id raises MalformedFrames naming the file and
+    line; so do the mask-file faults listed in _read_masks.
+    """
+    rows = []
     first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r").split(",")
@@ -422,11 +463,12 @@ def read_frames(path, mask_path=None) -> list:
                 col = next(i for i in range(2, len(parts)) if not _is_finite(parts[i]))
                 raise MalformedFrames(path, f"line {line_no}: cell {header[col]} is not a "
                                             f"finite number: {parts[col]!r}")
-            dynamic = values[:n_cells].reshape(vocab.N_DYNAMIC, n_buckets)
-            statics = values[n_cells:]
-            mask = masks.get(pid, np.ones(n_cells, dtype=bool)).reshape(vocab.N_DYNAMIC, n_buckets)
-            frames.append(FramedPatient(pid, dynamic, mask, statics, int(label)))
-    return frames
+            rows.append((pid, values, int(label)))
+    shape = (vocab.N_DYNAMIC, n_buckets)
+    masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)
+    return [FramedPatient(pid, values[:n_cells].reshape(shape),
+                          masks.get(pid, np.ones(shape, dtype=bool)), values[n_cells:], label)
+            for pid, values, label in rows]
 
 
 def write_scaling_stats(stats: ScalingStats, path) -> None:

@@ -82,38 +82,53 @@ def _lines(stream) -> Iterable:
         yield from stream
 
 
+def _rows(stream, header) -> tuple:
+    """(path or None, (line_no, raw line) pairs after the header line).
+
+    The first line must be `header`; MalformedRow names line 1 otherwise.
+    """
+    path = stream if isinstance(stream, (str, Path)) else None
+    numbered = enumerate(_lines(stream), start=1)
+    first = next(numbered, (1, ""))[1].rstrip("\n").rstrip("\r")
+    if first != header:
+        raise MalformedRow(1, f"expected header {header!r}, got {first!r}", path)
+    return path, numbered
+
+
 def parse_events(stream) -> list:
     """Parse an events file (path, file object, or iterable of lines).
 
-    The header line is skipped. Rows whose value equals the -1 placeholder
-    are dropped with a counted warning. Raises MalformedRow, UnknownVariable
-    or OutOfWindow on the first offending row.
+    The first line must be EVENTS_HEADER. Rows whose value equals the -1
+    placeholder are dropped with a counted warning. Raises MalformedRow,
+    UnknownVariable or OutOfWindow, with the line (and the file, when
+    given a path), on the first offending row.
     """
     events = []
     names = {}   # one string object per distinct id or variable, not one per row
     dropped = 0
-    for line_no, raw in enumerate(_lines(stream), start=1):
+    path, rows = _rows(stream, EVENTS_HEADER)
+    for line_no, raw in rows:
         line = raw.rstrip("\n").rstrip("\r")
-        if line_no == 1 or not line:
+        if not line:
             continue
         fields = line.split(",")
         if len(fields) != 4:
-            raise MalformedRow(line_no, f"expected 4 columns, got {len(fields)}")
+            raise MalformedRow(line_no, f"expected 4 columns, got {len(fields)}", path)
         pid, minute_s, variable, value_s = fields
         try:
             minute = int(minute_s)
         except ValueError:
-            raise MalformedRow(line_no, f"non-integer minute {minute_s!r}") from None
+            raise MalformedRow(line_no, f"non-integer minute {minute_s!r}", path) from None
         try:
             value = float(value_s)
         except ValueError:
-            raise MalformedRow(line_no, f"non-numeric value {value_s!r}") from None
+            raise MalformedRow(line_no, f"non-numeric value {value_s!r}", path) from None
         if variable not in vocab.VARIABLE_INDEX:
-            raise UnknownVariable(variable)
+            raise UnknownVariable(variable, line_no, path)
         if not (0 <= minute < vocab.HORIZON_MINUTES):
-            raise OutOfWindow(minute)
+            raise OutOfWindow(minute, line_no, path)
         if not math.isfinite(value):
-            raise MalformedRow(line_no, f"non-finite value {value_s!r}")
+            raise MalformedRow(line_no, f"non-finite value {value_s!r}", path)
         if value == MISSING_PLACEHOLDER:
             dropped += 1
             continue
@@ -125,25 +140,26 @@ def parse_events(stream) -> list:
 
 
 def parse_outcomes(stream) -> list:
-    """Parse an outcomes file; labels restricted to {0, 1}."""
+    """Parse an outcomes file; the first line must be OUTCOMES_HEADER, labels in {0, 1}."""
     outcomes = []
     seen = set()
-    for line_no, raw in enumerate(_lines(stream), start=1):
+    path, rows = _rows(stream, OUTCOMES_HEADER)
+    for line_no, raw in rows:
         line = raw.rstrip("\n").rstrip("\r")
-        if line_no == 1 or not line:
+        if not line:
             continue
         fields = line.split(",")
         if len(fields) != 2:
-            raise MalformedRow(line_no, f"expected 2 columns, got {len(fields)}")
+            raise MalformedRow(line_no, f"expected 2 columns, got {len(fields)}", path)
         pid, label_s = fields
         try:
             label_f = float(label_s)
         except ValueError:
-            raise InvalidLabel(label_s) from None
+            raise InvalidLabel(label_s, line_no, path) from None
         if label_f not in (0.0, 1.0):
-            raise InvalidLabel(label_s)
+            raise InvalidLabel(label_s, line_no, path)
         if pid in seen:
-            raise DuplicatePatient(pid)
+            raise DuplicatePatient(pid, line_no, path)
         seen.add(pid)
         outcomes.append(Outcome(pid, int(label_f)))
     return outcomes

@@ -8,14 +8,17 @@ feature. Similarity is exp(-d2), giving a smooth score in (0, 1] with no
 special case at zero distance.
 
 One engine serves prediction and the leave-one-out weight training in
-`weights`: `stack` orders a cohort by patient_id, `top_k` selects from a
-distance matrix over those columns (the ascending-patient_id tie-break
-lives there), and `soft_scores`/`decide_rows` score the selection.
+`weights`: `stack` orders a cohort by patient_id, `query_distances` scans
+queries against it per variable and `weigh` applies one weighting (so
+several weightings share one scan), `top_k` selects from a distance
+matrix over those columns (the ascending-patient_id tie-break lives
+there), and `soft_scores`/`decide_rows` score the selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +80,17 @@ def weighted_distance_sq(a, b, weights) -> float:
     return float(variable_distances_sq(a, b) @ _weight_array(weights))
 
 
-def stack(frames) -> tuple:
+class Stacked(NamedTuple):
+    """A cohort in ascending patient_id order, as parallel arrays."""
+
+    frames: list
+    grid: np.ndarray
+    statics: np.ndarray
+    labels: np.ndarray
+    ids: list
+
+
+def stack(frames) -> Stacked:
     """(frames, grid, statics, labels, ids) of a cohort in ascending patient_id order."""
     if not frames:
         raise EmptyCohort("cohort has no patients")
@@ -85,17 +98,53 @@ def stack(frames) -> tuple:
     grid = np.stack([f.feature_grid for f in frames])
     statics = np.stack([f.statics for f in frames])
     labels = np.array([f.label for f in frames], dtype=int)
-    return frames, grid, statics, labels, [f.patient_id for f in frames]
+    return Stacked(frames, grid, statics, labels, [f.patient_id for f in frames])
+
+
+def query_distances(queries, train: Stacked) -> np.ndarray:
+    """Per-variable squared distances (q, n_train, 40) from each query to the training set.
+
+    One exact difference scan per query, with no gram-form shortcut, so a
+    query identical to a training patient lies at exactly 0.
+    """
+    n_dyn = train.grid.shape[1]
+    out = np.empty((len(queries), len(train.ids), vocab.N_VARIABLES))
+    for i, q in enumerate(queries):
+        if q.feature_grid.shape != train.grid.shape[1:]:
+            raise DimensionMismatch("query grid does not match training grid")
+        out[i, :, :n_dyn] = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
+        out[i, :, n_dyn:] = (train.statics - q.statics[None]) ** 2
+    return out
+
+
+def weigh(per_var, w) -> np.ndarray:
+    """Weighted squared distances (q, n_train) from per-variable ones.
+
+    One (n_train, 40) @ w product per query: a product batched over
+    queries may sum in another order, and a last-bit change can reorder a
+    distance tie.
+    """
+    d2 = np.empty(per_var.shape[:2])
+    for i, rows in enumerate(per_var):
+        d2[i] = rows @ w
+    return d2
 
 
 def top_k(d2, k) -> np.ndarray:
     """Column indices of the k smallest entries of each row, nearest first.
 
-    Columns are patients in ascending patient_id order and the sort is
-    stable, so equal distances resolve by ascending patient_id. Callers
-    exclude a candidate by setting its entry to +inf.
+    Columns are patients in ascending patient_id order, and equal distances
+    resolve by ascending column, hence by patient_id. A partition finds
+    each row's k-th smallest value; every entry up to it, all boundary ties
+    included, is sorted by (distance, column). Callers exclude a candidate
+    by setting its entry to +inf.
     """
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    d2 = np.asarray(d2)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d2 <= kth)
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(d2.shape[0]))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def soft_scores(d2_sel, y_sel) -> np.ndarray:
@@ -136,7 +185,9 @@ class Model:
     """Lazy classifier: stored training patients plus distance weights.
 
     `frames` holds the training patients in ascending patient_id order,
-    the column order that `top_k` breaks distance ties by.
+    the column order that `top_k` breaks distance ties by. It may be
+    given as a cohort already stacked by `stack`, which is then shared,
+    not copied.
     """
 
     frames: list
@@ -146,8 +197,12 @@ class Model:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not self.frames:
-            raise KTooLarge("model has no training patients")
+        train = self.frames
+        if not isinstance(train, Stacked):
+            if not train:
+                raise KTooLarge("model has no training patients")
+            train = stack(train)
+        self.train, self.frames = train, train.frames
         if self.k < 1 or self.k > len(self.frames):
             raise KTooLarge(f"k={self.k} with {len(self.frames)} training patients")
         if self.prediction_mode not in PREDICTION_MODES:
@@ -156,35 +211,56 @@ class Model:
             raise BadConfig(f"threshold must lie in (0, 1), got {self.threshold}")
         if not isinstance(self.weights, FeatureWeights):
             self.weights = FeatureWeights(self.weights)
-        self.frames, self._grid, self._statics, self._labels, self._ids = stack(self.frames)
 
     def distances_sq(self, query) -> np.ndarray:
         """Weighted squared distance from `query` to every training patient."""
-        if query.feature_grid.shape != self._grid.shape[1:]:
-            raise DimensionMismatch("query grid does not match training grid")
-        dyn = ((self._grid - query.feature_grid[None]) ** 2).mean(axis=2)
-        stat = (self._statics - query.statics[None]) ** 2
-        return np.concatenate([dyn, stat], axis=1) @ self.weights.values
+        return weigh(query_distances([query], self.train), self.weights.values)[0]
+
+
+# Queries per query_distances call in _nearest; bounds its (block, n_train, 40) array.
+QUERY_BLOCK = 16
 
 
 def _nearest(queries, model: Model, leave_one_out) -> tuple:
     """Neighbor indices (q, k) into model.frames and their distances (q, k).
 
-    Distance rows are exact scans, one per query. With leave_one_out,
-    training entries sharing a query's patient_id are excluded.
+    Distances are scanned QUERY_BLOCK queries at a time. With
+    leave_one_out, training entries sharing a query's patient_id are
+    excluded.
     """
     d2 = np.empty((len(queries), len(model.frames)))
-    for i, q in enumerate(queries):
-        d2[i] = model.distances_sq(q)
-    candidates = len(model.frames)
+    for s in range(0, len(queries), QUERY_BLOCK):
+        block = queries[s:s + QUERY_BLOCK]
+        d2[s:s + len(block)] = weigh(query_distances(block, model.train), model.weights.values)
+    excluded = 0
     if leave_one_out and len(queries):
-        same = np.array([q.patient_id for q in queries])[:, None] == np.array(model._ids)
+        same = np.array([q.patient_id for q in queries])[:, None] == np.array(model.train.ids)
         d2[same] = np.inf
-        candidates -= int(same.sum(axis=1).max())
+        excluded = int(same.sum(axis=1).max())
+    return _select(d2, model, excluded)
+
+
+def _select(d2, model: Model, excluded=0) -> tuple:
+    candidates = len(model.frames) - excluded
     if model.k > candidates:
         raise KTooLarge(f"k={model.k} but only {candidates} candidate neighbors")
     idx = top_k(d2, model.k)
     return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def _decide(nearest, model: Model) -> tuple:
+    idx, d2_sel = nearest
+    return decide_rows(d2_sel, model.train.labels[idx], model.prediction_mode, model.threshold)
+
+
+def classify_distances(per_var, model: Model) -> tuple:
+    """Predict (labels, scores) from per-variable distances (see query_distances).
+
+    This is how the methods of one cross-validation fold share one
+    distance scan: each applies only its own weights, selection and
+    decision.
+    """
+    return _decide(_select(weigh(per_var, model.weights.values), model), model)
 
 
 def classify_batch(queries, model: Model, leave_one_out=False) -> tuple:
@@ -193,8 +269,7 @@ def classify_batch(queries, model: Model, leave_one_out=False) -> tuple:
     With leave_one_out, training entries sharing a query's patient_id are
     not among that query's candidates.
     """
-    idx, d2_sel = _nearest(queries, model, leave_one_out)
-    return decide_rows(d2_sel, model._labels[idx], model.prediction_mode, model.threshold)
+    return _decide(_nearest(queries, model, leave_one_out), model)
 
 
 def classify(query, model: Model) -> tuple:
@@ -210,7 +285,8 @@ def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     excluded. Ties in distance resolve by ascending patient_id.
     """
     idx, d2_sel = _nearest([query], model, leave_one_out)
-    entries = [(model._ids[i], float(d), int(model._labels[i]))
+    train = model.train
+    entries = [(train.ids[i], float(d), int(train.labels[i]))
                for i, d in zip(idx[0], d2_sel[0])]
     return NeighborSet(query_id=query.patient_id, entries=entries)
 

@@ -11,6 +11,8 @@ gain, gini) and file-based manual weights are provided as baselines.
 from __future__ import annotations
 
 import logging
+import math
+import mmap
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import numpy as np
 from . import vocab
 from .errors import (
     BadConfig,
+    InputFault,
     KTooLarge,
     MalformedRow,
     NegativeWeight,
@@ -64,9 +67,16 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     Dynamic variables use the mean squared difference over their grid
     columns (gram-matrix form, clipped and symmetrized against rounding);
     statics are plain squared differences.
+
+    The tensor lives in its own anonymous memory map, which goes back to
+    the system when the tensor is freed. Off the heap, one fold's tensor
+    cannot leave a hole that the next fold's smaller arrays fill, which
+    would push that fold's tensor onto fresh memory and raise the peak RSS
+    of a cross-validation worker.
     """
     n, n_dyn, n_cols = grid.shape
-    out = np.empty((vocab.N_VARIABLES, n, n))
+    size = vocab.N_VARIABLES * n * n
+    out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, n, n)
     for v in range(n_dyn):
         # centering keeps a constant column's distances exactly zero
         x = grid[:, v, :] - grid[:, v, :].mean(axis=0)
@@ -112,13 +122,49 @@ def _error_and_gradient(dist, w, sets, labels) -> tuple:
     return _error_value(yhat, labels), grad
 
 
+class Workspace:
+    """A training cohort stacked once, with the state its weightings derive from it.
+
+    The (40, n, n) leave-one-out distance tensor and the filter tables are
+    built on first use and then shared by every weighting trained on this
+    cohort; `release_tensor` frees the tensor once no weighting needs it.
+    Every function below that takes `frames` also takes a Workspace.
+    """
+
+    def __init__(self, frames):
+        self.train = stack(frames)
+        self._tensor = None
+        self._tables = None
+
+    def __len__(self):
+        return len(self.train.ids)
+
+    def tensor(self) -> np.ndarray:
+        if self._tensor is None:
+            self._tensor = _distance_tensor(self.train.grid, self.train.statics)
+        return self._tensor
+
+    def release_tensor(self):
+        self._tensor = None
+
+    def tables(self) -> list:
+        if self._tables is None:
+            self._tables = _filter_tables(self.train)
+        return self._tables
+
+
+def _workspace(frames) -> Workspace:
+    return frames if isinstance(frames, Workspace) else Workspace(frames)
+
+
 def _loo_problem(frames, weights, k) -> tuple:
     """(distance tensor, weights, LOO neighbor sets, labels) of a training cohort."""
-    _, grid, statics, labels, _ = stack(frames)
+    ws = _workspace(frames)
+    labels = ws.train.labels
     _check_two_classes(labels)
     if k > len(labels) - 1:
         raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
-    dist = _distance_tensor(grid, statics)
+    dist = ws.tensor()
     w = _weight_array(weights)
     return dist, w, _neighbor_sets(dist, w, k), labels
 
@@ -260,23 +306,25 @@ _SCORERS = {
 }
 
 
-def filter_score(frames, method) -> np.ndarray:
-    """Raw per-variable filter scores against the binary label.
+def _filter_tables(train) -> list:
+    """(bin, label) contingency table of each variable, shared by every filter.
 
     Dynamic variables are summarized by their grid-row mean, discretized
     into 10 equal-frequency bins over the training set.
     """
+    summaries = np.concatenate([train.grid.mean(axis=2), train.statics], axis=1)
+    return [_contingency(_equal_frequency_bins(summaries[:, v]), train.labels)
+            for v in range(vocab.N_VARIABLES)]
+
+
+def filter_score(frames, method) -> np.ndarray:
+    """Raw per-variable filter scores against the binary label (see _filter_tables)."""
     if method not in _SCORERS:
         raise BadConfig(f"unknown filter method {method!r}")
-    _, grid, statics, labels, _ = stack(frames)
-    _check_two_classes(labels)
-    summaries = np.concatenate([grid.mean(axis=2), statics], axis=1)
+    ws = _workspace(frames)
+    _check_two_classes(ws.train.labels)
     scorer = _SCORERS[method]
-    scores = np.empty(vocab.N_VARIABLES)
-    for v in range(vocab.N_VARIABLES):
-        bins = _equal_frequency_bins(summaries[:, v])
-        scores[v] = scorer(_contingency(bins, labels))
-    return scores
+    return np.array([scorer(table) for table in ws.tables()])
 
 
 def filter_weights(frames, method, active=None) -> FeatureWeights:
@@ -301,6 +349,28 @@ def filter_weights(frames, method, active=None) -> FeatureWeights:
 WEIGHTS_HEADER = "variable,weight"
 
 
+def _weight_rows(lines, path=None, start=1):
+    """(line_no, variable, weight) of each `variable,weight` row; header lines are skipped."""
+    for line_no, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line or line == WEIGHTS_HEADER:
+            continue
+        name, sep, weight_s = line.rpartition(",")
+        if not sep:
+            raise MalformedRow(line_no, "expected variable,weight", path)
+        if name not in vocab.VARIABLE_INDEX:
+            raise UnknownVariable(name, line_no, path)
+        try:
+            w = float(weight_s)
+        except ValueError:
+            raise MalformedRow(line_no, f"non-numeric weight {weight_s!r}", path) from None
+        if not math.isfinite(w):
+            raise MalformedRow(line_no, f"non-finite weight {weight_s!r}", path)
+        if w < 0:
+            raise NegativeWeight(name, w, line_no, path)
+        yield line_no, name, w
+
+
 def load_manual_weights(source) -> FeatureWeights:
     """Read `variable,weight` rows; unlisted variables default to 0.
 
@@ -312,27 +382,36 @@ def load_manual_weights(source) -> FeatureWeights:
             return load_manual_weights(fh)
     values = np.zeros(vocab.N_VARIABLES)
     listed = set()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line == WEIGHTS_HEADER:
-            continue
-        name, sep, weight_s = line.rpartition(",")
-        if not sep:
-            raise MalformedRow(line_no, "expected variable,weight")
-        if name not in vocab.VARIABLE_INDEX:
-            raise UnknownVariable(name)
-        try:
-            w = float(weight_s)
-        except ValueError:
-            raise MalformedRow(line_no, f"non-numeric weight {weight_s!r}") from None
-        if w < 0:
-            raise NegativeWeight(name, w)
+    for _, name, w in _weight_rows(source):
         values[vocab.VARIABLE_INDEX[name]] = w
         listed.add(name)
     missing = vocab.N_VARIABLES - len(listed)
     if missing:
         logger.warning("manual weights file leaves %d variables at weight 0", missing)
     return FeatureWeights(values)
+
+
+def read_weights(path) -> FeatureWeights:
+    """Read learned weights as save_weights writes them.
+
+    The file must hold the header and then every one of the 40 variables
+    exactly once. Any other content raises a PatsimError naming the file
+    and the line, or the missing variables.
+    """
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").rstrip("\r")
+        if header != WEIGHTS_HEADER:
+            raise MalformedRow(1, f"expected header {WEIGHTS_HEADER!r}, got {header!r}", path)
+        for line_no, name, w in _weight_rows(fh, path, start=2):
+            if name in values:
+                raise MalformedRow(line_no, f"variable {name!r} listed twice", path)
+            values[name] = w
+    missing = [name for name in vocab.ALL_VARIABLES if name not in values]
+    if missing:
+        raise InputFault(f"{len(missing)} of {vocab.N_VARIABLES} variables missing, "
+                         f"first {missing[0]!r}", path=path)
+    return FeatureWeights([values[name] for name in vocab.ALL_VARIABLES])
 
 
 def save_weights(weights: FeatureWeights, path) -> None:

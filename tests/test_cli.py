@@ -165,6 +165,26 @@ class TestStrictFrames:
         assert capsys.readouterr().err == "error: cohort has no patients\n"
 
 
+class TestStrictWeights:
+    def test_predict_rejects_incomplete_learned_weights(self, framed, tmp_path, capsys):
+        partial = tmp_path / "partial.csv"
+        partial.write_text("variable,weight\nHeart rate,2.0\n")
+        capsys.readouterr()
+        assert main(["predict", "--train-frames", str(framed), "--weights", str(partial),
+                     "--out", str(tmp_path / "pred.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {partial}: 39 of 40 variables missing, " \
+                      f"first {vocab.ALL_VARIABLES[0]!r}\n"
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_init_weights_stay_lenient(self, framed, tmp_path):
+        partial = tmp_path / "partial.csv"
+        partial.write_text("Heart rate,2.0\n")
+        wpath = tmp_path / "w.csv"
+        assert main(["train", "--frames", str(framed), "--weights-out", str(wpath),
+                     "--init-weights", str(partial), "--k", "5", "--max-epochs", "2"]) == 0
+
+
 class TestEvaluateCompare:
     def test_evaluate_and_compare(self, synth_dir, tmp_path):
         outs = {}
@@ -197,6 +217,26 @@ class TestExitCodes:
         rc = main(["frame", "--events", str(bad), "--outcomes", str(outcomes),
                    "--out-frames", str(tmp_path / "f.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("events, outcomes, where, message", [
+        ("p1,0,Age,54\np1,10,NotAVariable,5\n", "p1,0\n", ("events", 3),
+         "unknown variable name: 'NotAVariable'"),
+        ("p1,0,Age,54\n", "p1,0\np1,1\n", ("outcomes", 3),
+         "duplicate outcome row for patient 'p1'"),
+        ("p1,0,Age,54\n", "p1,yes\n", ("outcomes", 2),
+         "outcome label must be 0 or 1, got 'yes'"),
+    ])
+    def test_ingest_error_names_file_and_line(self, tmp_path, capsys, events, outcomes,
+                                              where, message):
+        paths = {"events": tmp_path / "events.csv", "outcomes": tmp_path / "outcomes.csv"}
+        paths["events"].write_text("patient_id,minute,variable,value\n" + events)
+        paths["outcomes"].write_text("patient_id,in_hospital_death\n" + outcomes)
+        capsys.readouterr()
+        rc = main(["experiment", "exp3", "--events", str(paths["events"]),
+                   "--outcomes", str(paths["outcomes"]), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        name, line = where
+        assert capsys.readouterr().err == f"error: {paths[name]} line {line}: {message}\n"
 
     def test_io_error_is_2(self, tmp_path):
         rc = main(["frame", "--events", str(tmp_path / "missing.csv"),

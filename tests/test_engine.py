@@ -1,7 +1,8 @@
 """The neighbor engine shared by prediction and leave-one-out training.
 
-Selection is checked against a sorted (distance, patient_id) scan on
-tie-heavy quantized cohorts; batch prediction against the one-query path;
+Selection is checked against a sorted (distance, patient_id) scan and a
+stable argsort on tie-heavy matrices; batch prediction against the
+one-query path; shared per-variable distances against per-method scans;
 and gradient descent against the loop that gathered the selected pairs
 twice per epoch.
 """
@@ -17,10 +18,13 @@ from patsim.knn import (
     FeatureWeights,
     Model,
     classify_batch,
+    classify_distances,
     decide,
     neighbors,
+    query_distances,
     stack,
     top_k,
+    weigh,
 )
 from patsim.weights import (
     TrainConfig,
@@ -29,7 +33,7 @@ from patsim.weights import (
     loo_neighbor_sets,
     train_gd,
 )
-from util import quantized_frames, random_dense_frames
+from util import argsort_top_k, quantized_frames, random_dense_frames
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -55,6 +59,38 @@ def test_top_k_matches_sorted_scan(seed, levels, n_rows, n_cols):
     k = int(rng.integers(1, n_cols + 1))
     ids = list(range(n_cols))
     assert top_k(d2, k).tolist() == [scan(row, ids, k) for row in d2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 12), st.integers(2, 30),
+       st.sampled_from(["none", "diagonal", "scattered"]))
+def test_top_k_equals_stable_argsort(seed, levels, n_rows, n_cols, exclusions):
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(0, levels, (n_rows, n_cols)) / levels
+    if exclusions == "diagonal":
+        d2[np.arange(n_rows), np.arange(n_rows) % n_cols] = np.inf
+    elif exclusions == "scattered":
+        d2[rng.random((n_rows, n_cols)) < 0.3] = np.inf
+    for k in {1, int(rng.integers(1, n_cols + 1)), n_cols - 1, n_cols}:
+        assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
+
+
+@pytest.mark.parametrize("d2, k", [
+    # ties straddling the k-th place: four candidates at the boundary value
+    ([[3.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0]], 3),
+    ([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0], [2.0, 0.5, 0.5, 0.5, 0.5, 0.1]], 2),
+    # every entry equal: ascending columns
+    ([[0.25] * 9] * 4, 5),
+    ([[0.0] * 6] * 3, 6),
+    # +inf exclusions on the diagonal, k = n - 1 keeps every finite entry
+    ([[np.inf, 1.0, 1.0, 0.5], [1.0, np.inf, 1.0, 1.0],
+      [0.5, 0.5, np.inf, 0.5], [2.0, 1.0, 0.0, np.inf]], 3),
+    # fewer finite entries than k: +inf columns follow in ascending order
+    ([[np.inf, 2.0, np.inf, 1.0, np.inf]], 4),
+])
+def test_top_k_boundary_cases(d2, k):
+    d2 = np.array(d2)
+    assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,6 +150,38 @@ def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
                   for q in queries]
     assert labels.tolist() == [label for label, _ in one_by_one]
     assert scores.tolist() == [score for _, score in one_by_one]
+
+
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+def test_weighted_rows_equal_the_per_query_product(make):
+    """One per-variable scan weighed per query gives the old exact rows bit for bit."""
+    rng = np.random.default_rng(21)
+    train = stack(make(50, rng))
+    queries = make(13, np.random.default_rng(22))
+    w = rng.random(vocab.N_VARIABLES)
+    for q, row in zip(queries, weigh(query_distances(queries, train), w)):
+        dyn = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
+        stat = (train.statics - q.statics[None]) ** 2
+        assert row.tolist() == (np.concatenate([dyn, stat], axis=1) @ w).tolist()
+
+
+@pytest.mark.parametrize("mode", ["majority", "weighted"])
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+def test_shared_distances_equal_per_method_classify_batch(mode, make):
+    """Several weightings on one distance scan predict as their own Model scans would."""
+    rng = np.random.default_rng(31)
+    train, queries = make(40, rng), make(17, np.random.default_rng(32))
+    shared = stack(train)
+    per_var = query_distances(queries, shared)
+    for w in (FeatureWeights.uniform(), quantized_weights(rng),
+              FeatureWeights(rng.random(vocab.N_VARIABLES))):
+        on_own = Model(train, w, k=6, prediction_mode=mode, threshold=0.45)
+        on_shared = Model(shared, w, k=6, prediction_mode=mode, threshold=0.45)
+        assert on_shared.frames is shared.frames
+        expected = classify_batch(queries, on_own)
+        got = classify_distances(per_var, on_shared)
+        assert got[0].tolist() == expected[0].tolist()
+        assert got[1].tolist() == expected[1].tolist()
 
 
 def test_leave_one_out_batch_too_few_candidates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from patsim import experiments, framing, synth, vocab
+from patsim import experiments, framing, knn, synth, vocab, weights
 from patsim.config import RunConfig
 from patsim.errors import (
     BadConfig,
@@ -15,7 +15,10 @@ from patsim.errors import (
 )
 from patsim.evaluation import (
     MethodSpec,
+    _learn_weights,
     _predict_fold,
+    _predict_fold_methods,
+    _scale_split,
     compare,
     cross_validate,
     cross_validate_methods,
@@ -28,6 +31,7 @@ from patsim.evaluation import (
     split_dev_validation,
     wilcoxon_signed_rank,
 )
+from patsim.knn import FeatureWeights
 from util import random_dense_frames
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
@@ -190,6 +194,40 @@ class TestCrossValidate:
             for m in methods:
                 assert cross_validate(raw_frames, m, k_folds=4, seed=3,
                                       workers=workers) == expected[m.name]
+
+    def test_fold_shared_predictions_equal_per_method_models(self, raw_frames):
+        """Every weighting on the fold workspace predicts as its own Model scan would."""
+        manual = FeatureWeights(np.random.default_rng(4).random(vocab.N_VARIABLES))
+        methods = [
+            MethodSpec(name="gd", weighting="gd", k=5, max_epochs=3),
+            MethodSpec(name="gd_dyn", weighting="gd", k=4, max_epochs=2, mode="weighted",
+                       features="dynamic_only"),
+            MethodSpec(name="chi2", weighting="chi2", k=5),
+            MethodSpec(name="infogain", weighting="infogain", k=5, mode="weighted"),
+            MethodSpec(name="maj", kind="majority"),
+            MethodSpec(name="gini", weighting="gini", k=3, features="static_only"),
+            MethodSpec(name="none", weighting="none", k=5, mode="weighted", threshold=0.3),
+            MethodSpec(name="manual", weighting="manual", k=5, manual_weights=manual),
+        ]
+        frames = sorted(raw_frames, key=lambda f: f.patient_id)
+        folds = kfold([f.patient_id for f in frames], [f.label for f in frames], k=4, seed=3)
+        expected = {m.name: [] for m in methods}
+        for i, fold in enumerate(folds):
+            train, test = _scale_split([f for f in frames if f.patient_id not in fold],
+                                       [f for f in frames if f.patient_id in fold])
+            shared = _predict_fold_methods(train, test, methods)
+            for method, got in zip(methods, shared):
+                if method.kind == "knn":
+                    model = knn.Model(train, _learn_weights(train, method), k=method.k,
+                                      prediction_mode=method.mode, threshold=method.threshold)
+                    own = knn.classify_batch(test, model)[0]
+                else:
+                    own = _predict_fold(train, test, method)
+                assert got.tobytes() == own.tobytes(), (i, method.name)
+                expected[method.name].append(fold_metrics(i, [f.label for f in test], own))
+        for workers in (1, 2):
+            assert cross_validate_methods(raw_frames, methods, k_folds=4, seed=3,
+                                          workers=workers) == expected
 
     def test_manual_requires_weights(self):
         with pytest.raises(BadConfig):
@@ -442,3 +480,32 @@ def test_exp3_scales_each_fold_once(monkeypatch):
     assert report.methods == ["gd", "chi2", "infogain", "gini", "none"]
     assert report.f_measures.shape == (4, 5)
     assert calls == {"fit_scaling": 4, "impute_and_scale": 0}
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ("exp3", {"stack": 4, "bins": 4 * vocab.N_VARIABLES, "tensor": 4}),
+    # two representations, one workspace each per fold; three GD methods share
+    # the timeseries tensor
+    ("exp2", {"stack": 8, "bins": 0, "tensor": 8}),
+])
+def test_one_workspace_per_fold(monkeypatch, preset, expected):
+    cohort = synth.generate(synth.SynthSpec(n_patients=160, seed=11)).cohort()
+    config = RunConfig(folds=4, k=5, max_epochs=2, workers=1, seed=2)
+    calls = {"stack": 0, "bins": 0, "tensor": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    stack = counting("stack", knn.stack)
+    monkeypatch.setattr(knn, "stack", stack)
+    monkeypatch.setattr(weights, "stack", stack)
+    monkeypatch.setattr(weights, "_equal_frequency_bins",
+                        counting("bins", weights._equal_frequency_bins))
+    monkeypatch.setattr(weights, "_distance_tensor",
+                        counting("tensor", weights._distance_tensor))
+    report = experiments.run_experiment(preset, config, cohort)
+    assert report.f_measures.shape == (4, len(report.methods))
+    assert calls == expected

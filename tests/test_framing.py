@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patsim import ingest, vocab
-from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedStats
+from patsim.errors import (BadConfig, DimensionMismatch, EmptyCohort, MalformedFrames,
+                           MalformedStats)
 from patsim.framing import (
     FramedPatient,
     aggregate,
@@ -266,6 +267,60 @@ def test_frames_file_roundtrip(tmp_path, rng):
         assert (orig.dynamic == new.dynamic).all()
         assert (orig.mask == new.mask).all()
         assert (orig.statics == new.statics).all()
+
+
+def _mask_fault(lines, fault):
+    """Mask file lines (header first) with one planted fault."""
+    lines = list(lines)
+    cells = lines[2].split(",")
+    if fault == "short":
+        lines[2] = ",".join(cells[:-5])
+    elif fault == "long":
+        lines[2] = ",".join(cells + ["1"])
+    elif fault == "cell":
+        cells[4] = "2"
+        lines[2] = ",".join(cells)
+    elif fault == "header":
+        lines[0] = lines[0].replace("d00_t00", "d0_t0")
+    elif fault == "unknown":
+        lines[2] = ",".join(["q999"] + cells[1:])
+    elif fault == "duplicate":
+        lines[3] = lines[2]
+    elif fault == "empty":
+        lines = []
+    elif fault == "missing":
+        del lines[4]
+    return lines
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("short", "line 3: expected 864 cells, got 859"),
+    ("long", "line 3: expected 864 cells, got 865"),
+    ("cell", "line 3: cell d00_t03 must be 0 or 1, got '2'"),
+    ("header", "line 1: expected header patient_id,d00_t00,... with 864 cells"),
+    ("empty", "line 1: expected header patient_id,d00_t00,... with 864 cells"),
+    ("unknown", "line 3: patient 'q999' is not in the frames file"),
+    ("duplicate", "line 4: duplicate patient id 'q1'"),
+    ("missing", "no row for patient 'q3' (frames file line 5)"),
+])
+def test_mask_file_faults_name_file_and_line(tmp_path, rng, fault, reason):
+    from util import random_dense_frames
+    fpath, mpath = tmp_path / "f.csv", tmp_path / "m.csv"
+    write_frames(random_dense_frames(5, rng), fpath, mpath)
+    lines = _mask_fault(mpath.read_text().splitlines(), fault)
+    mpath.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(MalformedFrames) as exc:
+        read_frames(fpath, mpath)
+    assert str(exc.value) == f"mask file {mpath}: {reason}"
+
+
+def test_missing_mask_file_is_an_error(tmp_path, rng):
+    from util import random_dense_frames
+    fpath = tmp_path / "f.csv"
+    write_frames(random_dense_frames(3, rng), fpath)
+    assert all(f.mask.all() for f in read_frames(fpath))
+    with pytest.raises(FileNotFoundError):
+        read_frames(fpath, tmp_path / "no_such_mask.csv")
 
 
 def test_scaling_stats_roundtrip(tmp_path):

@@ -72,6 +72,32 @@ class TestParseEvents:
         with pytest.raises(MalformedRow):
             ingest.parse_events(events_stream("p1,10,Heart rate,nan"))
 
+    @pytest.mark.parametrize("header", ["", "patient,minute,variable,value",
+                                        "p1,10,Heart rate,80"])
+    def test_header_checked(self, header):
+        with pytest.raises(MalformedRow, match="line 1: malformed row: expected header") as exc:
+            ingest.parse_events(io.StringIO(header + "\np1,10,Heart rate,80\n"))
+        assert exc.value.line_no == 1
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("p1,10,Heart rate", MalformedRow, "malformed row: expected 4 columns, got 3"),
+        ("p1,ten,Heart rate,80", MalformedRow, "malformed row: non-integer minute 'ten'"),
+        ("p1,10,Heart rate,inf", MalformedRow, "malformed row: non-finite value 'inf'"),
+        ("p1,10,Pulse,80", UnknownVariable, "unknown variable name: 'Pulse'"),
+        ("p1,2880,Heart rate,80", OutOfWindow, "minute 2880 outside the observation window"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, row, error, message):
+        path = tmp_path / "events.csv"
+        path.write_text(EV_HEADER + "p1,0,Age,54\n\n" + row + "\n")
+        with pytest.raises(error) as exc:
+            ingest.parse_events(path)
+        assert (exc.value.path, exc.value.line_no) == (path, 4)
+        assert str(exc.value) == f"{path} line 4: {message}"
+        with pytest.raises(error) as exc:
+            ingest.parse_events(io.StringIO(EV_HEADER + row + "\n"))
+        assert (exc.value.path, exc.value.line_no) == (None, 2)
+        assert str(exc.value) == f"line 2: {message}"
+
     def test_placeholder_dropped(self, caplog):
         with caplog.at_level("WARNING"):
             evs = ingest.parse_events(events_stream(
@@ -94,6 +120,25 @@ class TestParseOutcomes:
             ingest.parse_outcomes(outcomes_stream("p1,2"))
         with pytest.raises(InvalidLabel):
             ingest.parse_outcomes(outcomes_stream("p1,dead"))
+
+
+    def test_header_checked(self):
+        with pytest.raises(MalformedRow, match="line 1: malformed row: expected header"):
+            ingest.parse_outcomes(io.StringIO("patient_id,death\np1,1\n"))
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("p1,1,0", MalformedRow, "malformed row: expected 2 columns, got 3"),
+        ("p1,2", InvalidLabel, "outcome label must be 0 or 1, got '2'"),
+        ("p1,dead", InvalidLabel, "outcome label must be 0 or 1, got 'dead'"),
+        ("p0,1", DuplicatePatient, "duplicate outcome row for patient 'p0'"),
+    ])
+    def test_errors_name_file_and_line(self, tmp_path, row, error, message):
+        path = tmp_path / "outcomes.csv"
+        path.write_text(OUT_HEADER + "p0,0\n" + row + "\n")
+        with pytest.raises(error) as exc:
+            ingest.parse_outcomes(path)
+        assert (exc.value.path, exc.value.line_no) == (path, 3)
+        assert str(exc.value) == f"{path} line 3: {message}"
 
 
 class TestBuildCohort:

@@ -3,9 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from patsim import vocab
+from patsim import vocab, weights
 from patsim.errors import (
     BadConfig,
+    InputFault,
     KTooLarge,
     MalformedRow,
     NegativeWeight,
@@ -16,6 +17,7 @@ from patsim.knn import FeatureWeights, Model, neighbors, soft_score
 from patsim.weights import (
     N_BINS,
     TrainConfig,
+    Workspace,
     _chi_square_score,
     _contingency,
     _equal_frequency_bins,
@@ -27,6 +29,7 @@ from patsim.weights import (
     gradient,
     load_manual_weights,
     loo_neighbor_sets,
+    read_weights,
     save_weights,
     train_gd,
     training_error,
@@ -247,6 +250,40 @@ class TestFilterScores:
             assert table.dtype == expected.dtype
             assert table.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def rebinned_scores(frames, method):
+        """Reference: one filter stacks, bins and tabulates every variable on its own."""
+        frames = sorted(frames, key=lambda f: f.patient_id)
+        grid = np.stack([f.feature_grid for f in frames])
+        statics = np.stack([f.statics for f in frames])
+        labels = np.array([f.label for f in frames], dtype=int)
+        summaries = np.concatenate([grid.mean(axis=2), statics], axis=1)
+        scorer = {"chi_square": _chi_square_score, "information_gain": _information_gain_score,
+                  "gini": _gini_score}[method]
+        scores = np.empty(vocab.N_VARIABLES)
+        for v in range(vocab.N_VARIABLES):
+            scores[v] = scorer(_contingency(_equal_frequency_bins(summaries[:, v]), labels))
+        return scores
+
+    def test_shared_tables_equal_per_filter_rebinning(self, rng, monkeypatch):
+        frames = random_dense_frames(57, rng)
+        for f in frames[::3]:
+            f.dynamic = np.round(f.dynamic, 1)      # ties at bin edges
+        calls = []
+        binning = weights._equal_frequency_bins
+        monkeypatch.setattr(weights, "_equal_frequency_bins",
+                            lambda x: calls.append(1) or binning(x))
+        shared = Workspace(frames)
+        for method in ("chi_square", "information_gain", "gini"):
+            expected = self.rebinned_scores(frames, method)
+            assert filter_score(shared, method).tobytes() == expected.tobytes()
+            assert filter_score(frames, method).tobytes() == expected.tobytes()
+            active = np.arange(vocab.N_VARIABLES) % 3 > 0
+            assert filter_weights(shared, method, active).values.tobytes() == \
+                filter_weights(frames, method, active).values.tobytes()
+        # 40 binnings for the shared workspace, 40 more for each call on a plain list
+        assert len(calls) == vocab.N_VARIABLES * (1 + 2 * 3)
+
 
 class TestManualWeights:
     def test_full_file(self):
@@ -273,6 +310,10 @@ class TestManualWeights:
         with pytest.raises(MalformedRow):
             load_manual_weights(io.StringIO("Heart rate,abc\n"))
 
+    def test_non_finite_weight(self):
+        with pytest.raises(MalformedRow, match="line 2: malformed row: non-finite weight 'inf'"):
+            load_manual_weights(io.StringIO("variable,weight\nHeart rate,inf\n"))
+
     def test_save_load_roundtrip(self, tmp_path, rng):
         fw = FeatureWeights(rng.random(vocab.N_VARIABLES))
         path = tmp_path / "w.csv"
@@ -282,3 +323,53 @@ class TestManualWeights:
         lines = path.read_text().splitlines()
         assert lines[0] == "variable,weight"
         assert [l.rpartition(",")[0] for l in lines[1:]] == list(vocab.ALL_VARIABLES)
+
+
+class TestLearnedWeightsFile:
+    """read_weights accepts exactly what save_weights writes."""
+
+    def write(self, tmp_path, rows, header="variable,weight"):
+        path = tmp_path / "learned.csv"
+        path.write_text("".join(line + "\n" for line in [header] + rows))
+        return path
+
+    def full_rows(self):
+        return [f"{name},{0.5 * i!r}" for i, name in enumerate(vocab.ALL_VARIABLES)]
+
+    def test_roundtrip_bit_for_bit(self, tmp_path, rng):
+        fw = FeatureWeights(rng.random(vocab.N_VARIABLES))
+        path = tmp_path / "w.csv"
+        save_weights(fw, path)
+        assert read_weights(path).values.tobytes() == fw.values.tobytes()
+        rows = self.full_rows()[::-1]
+        assert read_weights(self.write(tmp_path, rows)).values.tolist() == \
+            [0.5 * i for i in range(vocab.N_VARIABLES)]
+
+    @pytest.mark.parametrize("edit, error, where, message", [
+        (lambda rows: rows[:1], InputFault, ":",
+         f"39 of 40 variables missing, first {vocab.ALL_VARIABLES[1]!r}"),
+        (lambda rows: rows + rows[3:4], MalformedRow, " line 42:",
+         f"malformed row: variable {vocab.ALL_VARIABLES[3]!r} listed twice"),
+        (lambda rows: rows[:5] + ["Pulse,1.0"] + rows[5:], UnknownVariable, " line 7:",
+         "unknown variable name: 'Pulse'"),
+        (lambda rows: rows[:2] + ["Heart rate 2.0"] + rows[2:], MalformedRow, " line 4:",
+         "malformed row: expected variable,weight"),
+        (lambda rows: rows[:-1] + [rows[-1].replace(",19.5", ",abc")], MalformedRow,
+         " line 41:", "malformed row: non-numeric weight 'abc'"),
+        (lambda rows: [rows[0].replace(",0.0", ",-1.0")] + rows[1:], NegativeWeight,
+         " line 2:", f"weight for {vocab.ALL_VARIABLES[0]!r} must be non-negative, got -1.0"),
+        (lambda rows: [rows[0].replace(",0.0", ",nan")] + rows[1:], MalformedRow,
+         " line 2:", "malformed row: non-finite weight 'nan'"),
+    ])
+    def test_faults_name_file_and_line(self, tmp_path, edit, error, where, message):
+        path = self.write(tmp_path, edit(self.full_rows()))
+        with pytest.raises(error) as exc:
+            read_weights(path)
+        assert str(exc.value) == f"{path}{where} {message}"
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("header", ["", "name,value", "Heart rate,1.0"])
+    def test_header_required(self, tmp_path, header):
+        path = self.write(tmp_path, self.full_rows(), header=header)
+        with pytest.raises(MalformedRow, match=r"line 1: malformed row: expected header"):
+            read_weights(path)

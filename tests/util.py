@@ -40,3 +40,11 @@ def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.
         frames[dst].dynamic = frames[src].dynamic.copy()
         frames[dst].statics = frames[src].statics.copy()
     return [frames[i] for i in rng.permutation(n)]
+
+
+def argsort_top_k(d2, k):
+    """Reference selection: a stable row-wise argsort, first k columns.
+
+    Equal distances keep ascending column order, +inf entries sort last.
+    """
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
