@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import evaluation, framing, ingest, knn, synth, weights as weights_mod
+from . import evaluation, framing, ingest, knn, synth, tables, weights as weights_mod
 from .config import FEATURE_SETS, PREDICTION_MODES, REPRESENTATIONS, WEIGHTINGS, build_config
 from .errors import PatsimError
 from .experiments import (PRESETS, default_cohort, knn_method, represent, run_experiment,
@@ -208,10 +208,9 @@ def _cmd_predict(args) -> int:
     queries = model.frames if loo else framing.read_frames(args.query_frames)
     queries = sorted(queries, key=lambda f: f.patient_id)
     labels, scores = knn.classify_batch(queries, model, leave_one_out=loo)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("patient_id,score,label\n")
-        for q, score, label in zip(queries, scores, labels):
-            fh.write(f"{q.patient_id},{repr(float(score))},{label}\n")
+    tables.write_rows(args.out, "patient_id,score,label", (
+        f"{q.patient_id},{repr(float(score))},{label}"
+        for q, score, label in zip(queries, scores, labels)))
     print(f"scored {len(queries)} patients -> {args.out}")
     return 0
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .errors import BadConfig
+from . import tables
+from .errors import BadConfig, InputFault
 
 REPRESENTATIONS = ("timeseries", "aggregation")
 WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
@@ -34,9 +35,6 @@ def check_choices(obj) -> None:
 
 @dataclass
 class RunConfig:
-    events: str = ""
-    outcomes: str = ""
-    output_dir: str = "."
     window_hours: int = 2
     horizon_hours: int = 48
     representation: str = "timeseries"
@@ -76,22 +74,19 @@ def _coerce(name, raw):
 
 
 def read_config_values(path) -> dict:
-    """Parse a key=value config file into typed values."""
+    """Parse a key=value config file into typed values; `#` starts a comment line.
+
+    An unknown key or a bad value raises InputFault naming the file and line.
+    """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise BadConfig(f"line {line_no} of {path} is not key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise BadConfig(f"unknown config key {key!r}")
-            try:
-                values[key] = _coerce(key, value)
-            except ValueError:
-                raise BadConfig(f"bad value for {key!r}: {value!r}") from None
+    for line_no, cells in tables.read_rows(path, width=2, sep="=", comment="#"):
+        key, value = (cell.strip() for cell in cells)
+        if key not in _FIELD_TYPES:
+            raise InputFault(f"unknown config key {key!r}", line_no, path)
+        try:
+            values[key] = _coerce(key, value)
+        except ValueError:
+            raise InputFault(f"bad value for {key!r}: {value!r}", line_no, path) from None
     return values
 
 

@@ -26,9 +26,7 @@ class InputFault(PatsimError):
 
 
 class MalformedRow(InputFault):
-    def __init__(self, line_no, reason="", path=None):
-        super().__init__(f"malformed row: {reason}" if reason else "malformed row",
-                         line_no, path)
+    """A table row, header or missing row that its file format does not allow."""
 
 
 class UnknownVariable(InputFault):
@@ -65,18 +63,6 @@ class MissingEvents(PatsimError):
     def __init__(self, patient_id):
         self.patient_id = patient_id
         super().__init__(f"patient {patient_id!r} has an outcome but no events")
-
-
-class MalformedStats(PatsimError):
-    def __init__(self, path, reason):
-        self.path = path
-        super().__init__(f"scaling stats file {path}: {reason}")
-
-
-class MalformedFrames(PatsimError):
-    def __init__(self, path, reason, kind="frames"):
-        self.path = path
-        super().__init__(f"{kind} file {path}: {reason}")
 
 
 class BadConfig(PatsimError):

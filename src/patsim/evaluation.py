@@ -14,12 +14,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from . import framing, vocab
+from . import framing, tables, vocab
 from .config import check_choices
 from .errors import (
     BadConfig,
     DegenerateMatrix,
     DimensionMismatch,
+    MalformedRow,
     SingleClassCohort,
     TooFewPairs,
     TooFewPerClass,
@@ -185,11 +186,6 @@ def _fit_linear_scorer(x, y, iters=300, lr=0.5):
         w -= lr * (x.T @ err) / n
         b -= lr * err.mean()
     return w, b
-
-
-def _predict_fold(train_scaled, test_scaled, method: MethodSpec):
-    """One method's test-side predictions on one scaled fold."""
-    return _predict_fold_methods(train_scaled, test_scaled, [method])[0]
 
 
 def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
@@ -479,24 +475,26 @@ def report_to_text(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+FOLD_METRICS_HEADER = "fold,tp,fp,fn,tn,precision,recall,f_measure"
+
+
 def save_fold_metrics(metrics, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fold,tp,fp,fn,tn,precision,recall,f_measure\n")
-        for m in metrics:
-            fh.write(
-                f"{m.fold_index},{m.tp},{m.fp},{m.fn},{m.tn},"
-                f"{repr(m.precision)},{repr(m.recall)},{repr(m.f_measure)}\n"
-            )
+    tables.write_rows(path, FOLD_METRICS_HEADER, (
+        f"{m.fold_index},{m.tp},{m.fp},{m.fn},{m.tn},"
+        f"{repr(m.precision)},{repr(m.recall)},{repr(m.f_measure)}" for m in metrics))
+
+
+_FOLD_KINDS = (int,) * 5 + (float,) * 3
 
 
 def load_fold_metrics(path) -> list:
+    """Read a file written by save_fold_metrics; a bad cell names its file, line and column."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            out.append(FoldMetrics(
-                int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]),
-                int(parts[4]), float(parts[5]), float(parts[6]), float(parts[7]),
-            ))
+    for line_no, cells in tables.read_rows(path, FOLD_METRICS_HEADER):
+        values = [tables.finite_number(cell, kind) for cell, kind in zip(cells, _FOLD_KINDS)]
+        if None in values:
+            col = values.index(None)
+            raise MalformedRow(f"bad value {cells[col]!r} for "
+                               f"{FOLD_METRICS_HEADER.split(',')[col]!r}", line_no, path)
+        out.append(FoldMetrics(*values))
     return out

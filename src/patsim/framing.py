@@ -14,13 +14,12 @@ reused to transform anything else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import vocab
-from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedFrames, MalformedStats
+from . import tables, vocab
+from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -246,16 +245,6 @@ def impute_and_scale_batch(dynamic, statics, stats: ScalingStats) -> tuple:
     return dynamic, statics
 
 
-def impute_frame(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
-    """Fill unobserved cells on raw values: carry-forward, then bucket means.
-
-    Values already present are never modified, so an already-dense frame
-    passes through unchanged.
-    """
-    dynamic, statics = _impute_stack(frame.dynamic[None], frame.statics[None], stats)
-    return replace(frame, dynamic=dynamic[0], statics=statics[0], mask=frame.mask.copy())
-
-
 def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
     """Dense, [0, 1]-scaled copy of `frame`; mask preserved unchanged."""
     dynamic, statics = impute_and_scale_batch(frame.dynamic[None], frame.statics[None], stats)
@@ -361,110 +350,81 @@ def write_frames(frames, path, mask_path=None) -> None:
     if not frames:
         raise EmptyCohort("no frames to write")
     n_buckets = frames[0].dynamic.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dynamic_header(n_buckets) + "\n")
-        for f in frames:
-            cells = [repr(float(x)) for x in f.dynamic.ravel()]
-            cells += [repr(float(x)) for x in f.statics]
-            fh.write(",".join([f.patient_id, str(f.label)] + cells) + "\n")
+    tables.write_rows(path, _dynamic_header(n_buckets), (
+        ",".join([f.patient_id, str(f.label)] + [repr(float(x)) for x in f.dynamic.ravel()]
+                 + [repr(float(x)) for x in f.statics])
+        for f in frames))
     if mask_path is not None:
-        with open(mask_path, "w", encoding="utf-8") as fh:
-            fh.write(_mask_header(n_buckets) + "\n")
-            for f in frames:
-                bits = [str(int(b)) for b in f.mask.ravel()]
-                fh.write(",".join([f.patient_id] + bits) + "\n")
-
-
-def _is_finite(text) -> bool:
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
+        tables.write_rows(mask_path, _mask_header(n_buckets), (
+            ",".join([f.patient_id] + [str(int(b)) for b in f.mask.ravel()]) for f in frames))
 
 
 def _read_masks(mask_path, n_buckets, patients) -> dict:
     """patient_id -> (36, n_buckets) mask from a mask file written by write_frames.
 
-    `patients` maps each frames-file patient to its line there. A bad
-    header, a row with the wrong cell count, a cell other than 0 or 1, a
-    row for a patient not in `patients` (or one already seen), or no row
-    for one of them raises MalformedFrames naming the mask file and line.
+    `patients` maps each frames-file patient to its line there. Besides the
+    table faults (header, cell count), a cell other than 0 or 1, a row for
+    a patient not in `patients` (or one already seen), or no row for one
+    of them raises MalformedRow naming the mask file (and line).
     """
-    def fault(reason):
-        return MalformedFrames(mask_path, reason, kind="mask")
-
-    header = _mask_header(n_buckets)
     masks = {}
-    with open(mask_path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n").rstrip("\r") != header:
-            raise fault(f"line 1: expected header patient_id,d00_t00,... with "
-                        f"{vocab.N_DYNAMIC * n_buckets} cells")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            pid, *cells = line.split(",")
-            if len(cells) != vocab.N_DYNAMIC * n_buckets:
-                raise fault(f"line {line_no}: expected {vocab.N_DYNAMIC * n_buckets} cells, "
-                            f"got {len(cells)}")
-            if pid not in patients:
-                raise fault(f"line {line_no}: patient {pid!r} is not in the frames file")
-            if pid in masks:
-                raise fault(f"line {line_no}: duplicate patient id {pid!r}")
-            if not set(cells) <= {"0", "1"}:
-                col = next(i for i, c in enumerate(cells) if c not in ("0", "1"))
-                raise fault(f"line {line_no}: cell {_cell_names(n_buckets)[col]} must be "
-                            f"0 or 1, got {cells[col]!r}")
-            masks[pid] = np.array([c == "1" for c in cells]).reshape(vocab.N_DYNAMIC, n_buckets)
+    for line_no, (pid, *cells) in tables.read_rows(mask_path, _mask_header(n_buckets)):
+        if pid not in patients:
+            raise MalformedRow(f"patient {pid!r} is not in the frames file", line_no, mask_path)
+        if pid in masks:
+            raise MalformedRow(f"duplicate patient id {pid!r}", line_no, mask_path)
+        if not set(cells) <= {"0", "1"}:
+            col = next(i for i, c in enumerate(cells) if c not in ("0", "1"))
+            raise MalformedRow(f"cell {_cell_names(n_buckets)[col]} must be 0 or 1, "
+                               f"got {cells[col]!r}", line_no, mask_path)
+        masks[pid] = np.array([c == "1" for c in cells]).reshape(vocab.N_DYNAMIC, n_buckets)
     missing = next((pid for pid in patients if pid not in masks), None)
     if missing is not None:
-        raise fault(f"no row for patient {missing!r} (frames file line {patients[missing]})")
+        raise MalformedRow(f"no row for patient {missing!r} (frames file line "
+                           f"{patients[missing]})", path=mask_path)
     return masks
 
 
 def read_frames(path, mask_path=None) -> list:
     """Read frames written by write_frames, with their mask file if one is given.
 
-    Without a mask file every cell counts as observed; a given mask path
-    that does not exist raises FileNotFoundError. A row with the wrong
-    cell count, a non-numeric or non-finite cell, a label outside {0, 1}
-    or a repeated patient id raises MalformedFrames naming the file and
-    line; so do the mask-file faults listed in _read_masks.
+    The bucket count is read off the header's column count, and the header
+    must then be exactly the one write_frames writes. Without a mask file
+    every cell counts as observed; a given mask path that does not exist
+    raises FileNotFoundError. Besides the table faults (header, cell
+    count), a non-numeric or non-finite cell, a label outside {0, 1} or a
+    repeated patient id raises MalformedRow naming the file and line; so
+    do the mask-file faults listed in _read_masks.
     """
+    n_buckets = 1
+
+    def header(line):
+        nonlocal n_buckets
+        n_buckets = max(1, (line.count(",") - 1 - vocab.N_STATIC) // vocab.N_DYNAMIC)
+        return _dynamic_header(n_buckets)
+
     rows = []
     first_line = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r").split(",")
-        n_cells = len(header) - 2 - vocab.N_STATIC
-        n_buckets = n_cells // vocab.N_DYNAMIC
-        if n_buckets < 1 or n_cells != vocab.N_DYNAMIC * n_buckets:
-            raise MalformedFrames(path, f"line 1: header has {len(header)} columns")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise MalformedFrames(path, f"line {line_no}: expected {len(header)} cells, "
-                                            f"got {len(parts)}")
-            pid, label = parts[0], parts[1]
-            if label not in ("0", "1"):
-                raise MalformedFrames(path, f"line {line_no}: label must be 0 or 1, got {label!r}")
-            if pid in first_line:
-                raise MalformedFrames(path, f"line {line_no}: duplicate patient id {pid!r} "
-                                            f"(first at line {first_line[pid]})")
-            first_line[pid] = line_no
-            try:
-                values = np.array([float(x) for x in parts[2:]], dtype=float)
-                finite = np.isfinite(values).all()
-            except ValueError:
-                finite = False
-            if not finite:
-                col = next(i for i in range(2, len(parts)) if not _is_finite(parts[i]))
-                raise MalformedFrames(path, f"line {line_no}: cell {header[col]} is not a "
-                                            f"finite number: {parts[col]!r}")
-            rows.append((pid, values, int(label)))
+    for line_no, cells in tables.read_rows(path, header):
+        pid, label = cells[0], cells[1]
+        if label not in ("0", "1"):
+            raise MalformedRow(f"label must be 0 or 1, got {label!r}", line_no, path)
+        if pid in first_line:
+            raise MalformedRow(f"duplicate patient id {pid!r} (first at line "
+                               f"{first_line[pid]})", line_no, path)
+        first_line[pid] = line_no
+        try:
+            values = np.array([float(x) for x in cells[2:]], dtype=float)
+            finite = np.isfinite(values).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            col = next(i for i in range(2, len(cells)) if tables.finite_number(cells[i]) is None)
+            raise MalformedRow(f"cell {_dynamic_header(n_buckets).split(',')[col]} is not a "
+                               f"finite number: {cells[col]!r}", line_no, path)
+        rows.append((pid, values, int(label)))
     shape = (vocab.N_DYNAMIC, n_buckets)
+    n_cells = vocab.N_DYNAMIC * n_buckets
     masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)
     return [FramedPatient(pid, values[:n_cells].reshape(shape),
                           masks.get(pid, np.ones(shape, dtype=bool)), values[n_cells:], label)
@@ -495,26 +455,20 @@ def write_scaling_stats(stats: ScalingStats, path) -> None:
 def read_scaling_stats(path) -> ScalingStats:
     """Read a file written by write_scaling_stats.
 
-    A missing key or an unparsable value raises MalformedStats naming the
-    file (and the line, for a bad value).
+    Every line must be key=value; a missing key or an unparsable value
+    raises MalformedRow naming the file (and the line, for a bad value).
     """
-    kv = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            kv[key] = (line_no, value)
+    kv = {key: (line_no, value)
+          for line_no, (key, value) in tables.read_rows(path, width=2, sep="=")}
 
     def get(key, convert=float):
         if key not in kv:
-            raise MalformedStats(path, f"missing key {key!r}")
+            raise MalformedRow(f"missing key {key!r}", path=path)
         line_no, value = kv[key]
         try:
             return convert(value)
         except ValueError:
-            raise MalformedStats(path, f"line {line_no}: bad value {value!r} for {key!r}") from None
+            raise MalformedRow(f"bad value {value!r} for {key!r}", line_no, path) from None
 
     def column(name, size, convert=float):
         return np.array([get(f"{name}.{i}", convert) for i in range(size)])

@@ -11,10 +11,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
 
-from . import vocab
+from . import tables, vocab
 from .errors import (
     DuplicatePatient,
     InvalidLabel,
@@ -74,27 +72,6 @@ class RawCohort:
         return sum(o.in_hospital_death for o in self.outcomes.values()) / len(self.outcomes)
 
 
-def _lines(stream) -> Iterable:
-    if isinstance(stream, (str, Path)):
-        with open(stream, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from stream
-
-
-def _rows(stream, header) -> tuple:
-    """(path or None, (line_no, raw line) pairs after the header line).
-
-    The first line must be `header`; MalformedRow names line 1 otherwise.
-    """
-    path = stream if isinstance(stream, (str, Path)) else None
-    numbered = enumerate(_lines(stream), start=1)
-    first = next(numbered, (1, ""))[1].rstrip("\n").rstrip("\r")
-    if first != header:
-        raise MalformedRow(1, f"expected header {header!r}, got {first!r}", path)
-    return path, numbered
-
-
 def parse_events(stream) -> list:
     """Parse an events file (path, file object, or iterable of lines).
 
@@ -106,29 +83,22 @@ def parse_events(stream) -> list:
     events = []
     names = {}   # one string object per distinct id or variable, not one per row
     dropped = 0
-    path, rows = _rows(stream, EVENTS_HEADER)
-    for line_no, raw in rows:
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise MalformedRow(line_no, f"expected 4 columns, got {len(fields)}", path)
-        pid, minute_s, variable, value_s = fields
+    path = tables.path_of(stream)
+    for line_no, (pid, minute_s, variable, value_s) in tables.read_rows(stream, EVENTS_HEADER):
         try:
             minute = int(minute_s)
         except ValueError:
-            raise MalformedRow(line_no, f"non-integer minute {minute_s!r}", path) from None
+            raise MalformedRow(f"non-integer minute {minute_s!r}", line_no, path) from None
         try:
             value = float(value_s)
         except ValueError:
-            raise MalformedRow(line_no, f"non-numeric value {value_s!r}", path) from None
+            raise MalformedRow(f"non-numeric value {value_s!r}", line_no, path) from None
         if variable not in vocab.VARIABLE_INDEX:
             raise UnknownVariable(variable, line_no, path)
         if not (0 <= minute < vocab.HORIZON_MINUTES):
             raise OutOfWindow(minute, line_no, path)
         if not math.isfinite(value):
-            raise MalformedRow(line_no, f"non-finite value {value_s!r}", path)
+            raise MalformedRow(f"non-finite value {value_s!r}", line_no, path)
         if value == MISSING_PLACEHOLDER:
             dropped += 1
             continue
@@ -143,15 +113,8 @@ def parse_outcomes(stream) -> list:
     """Parse an outcomes file; the first line must be OUTCOMES_HEADER, labels in {0, 1}."""
     outcomes = []
     seen = set()
-    path, rows = _rows(stream, OUTCOMES_HEADER)
-    for line_no, raw in rows:
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise MalformedRow(line_no, f"expected 2 columns, got {len(fields)}", path)
-        pid, label_s = fields
+    path = tables.path_of(stream)
+    for line_no, (pid, label_s) in tables.read_rows(stream, OUTCOMES_HEADER):
         try:
             label_f = float(label_s)
         except ValueError:
@@ -199,21 +162,11 @@ def _fmt(value: float) -> str:
 
 def write_events(cohort: RawCohort, stream) -> None:
     """Serialize cohort events; patients sorted by id, events as stored."""
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", encoding="utf-8") as fh:
-            write_events(cohort, fh)
-        return
-    stream.write(EVENTS_HEADER + "\n")
-    for pid in cohort.patient_ids:
-        for ev in cohort.patients[pid]:
-            stream.write(f"{ev.patient_id},{ev.minute},{ev.variable},{_fmt(ev.value)}\n")
+    tables.write_rows(stream, EVENTS_HEADER, (
+        f"{ev.patient_id},{ev.minute},{ev.variable},{_fmt(ev.value)}"
+        for pid in cohort.patient_ids for ev in cohort.patients[pid]))
 
 
 def write_outcomes(cohort: RawCohort, stream) -> None:
-    if isinstance(stream, (str, Path)):
-        with open(stream, "w", encoding="utf-8") as fh:
-            write_outcomes(cohort, fh)
-        return
-    stream.write(OUTCOMES_HEADER + "\n")
-    for pid in cohort.patient_ids:
-        stream.write(f"{pid},{cohort.outcomes[pid].in_hospital_death}\n")
+    tables.write_rows(stream, OUTCOMES_HEADER, (
+        f"{pid},{cohort.outcomes[pid].in_hospital_death}" for pid in cohort.patient_ids))

@@ -212,10 +212,6 @@ class Model:
         if not isinstance(self.weights, FeatureWeights):
             self.weights = FeatureWeights(self.weights)
 
-    def distances_sq(self, query) -> np.ndarray:
-        """Weighted squared distance from `query` to every training patient."""
-        return weigh(query_distances([query], self.train), self.weights.values)[0]
-
 
 # Queries per query_distances call in _nearest; bounds its (block, n_train, 40) array.
 QUERY_BLOCK = 16

@@ -14,11 +14,10 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import vocab
+from . import tables, vocab
 from .errors import (
     BadConfig,
     InputFault,
@@ -349,23 +348,25 @@ def filter_weights(frames, method, active=None) -> FeatureWeights:
 WEIGHTS_HEADER = "variable,weight"
 
 
-def _weight_rows(lines, path=None, start=1):
-    """(line_no, variable, weight) of each `variable,weight` row; header lines are skipped."""
-    for line_no, raw in enumerate(lines, start=start):
-        line = raw.strip()
-        if not line or line == WEIGHTS_HEADER:
+def _weight_rows(source, header):
+    """(line_no, variable, weight) of each `variable,weight` row of a path or lines.
+
+    `header` is WEIGHTS_HEADER when line 1 must hold it, or None when the
+    header is optional; a header line is skipped wherever it appears.
+    """
+    path = tables.path_of(source)
+    for line_no, (name, weight_s) in tables.read_rows(source, header, width=2):
+        name = name.strip()
+        if f"{name},{weight_s.strip()}" == WEIGHTS_HEADER:
             continue
-        name, sep, weight_s = line.rpartition(",")
-        if not sep:
-            raise MalformedRow(line_no, "expected variable,weight", path)
         if name not in vocab.VARIABLE_INDEX:
             raise UnknownVariable(name, line_no, path)
         try:
             w = float(weight_s)
         except ValueError:
-            raise MalformedRow(line_no, f"non-numeric weight {weight_s!r}", path) from None
+            raise MalformedRow(f"non-numeric weight {weight_s!r}", line_no, path) from None
         if not math.isfinite(w):
-            raise MalformedRow(line_no, f"non-finite weight {weight_s!r}", path)
+            raise MalformedRow(f"non-finite weight {weight_s!r}", line_no, path)
         if w < 0:
             raise NegativeWeight(name, w, line_no, path)
         yield line_no, name, w
@@ -377,12 +378,9 @@ def load_manual_weights(source) -> FeatureWeights:
     The header line is optional. Unknown variable names and negative
     weights are rejected.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_manual_weights(fh)
     values = np.zeros(vocab.N_VARIABLES)
     listed = set()
-    for _, name, w in _weight_rows(source):
+    for _, name, w in _weight_rows(source, None):
         values[vocab.VARIABLE_INDEX[name]] = w
         listed.add(name)
     missing = vocab.N_VARIABLES - len(listed)
@@ -399,14 +397,10 @@ def read_weights(path) -> FeatureWeights:
     and the line, or the missing variables.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header != WEIGHTS_HEADER:
-            raise MalformedRow(1, f"expected header {WEIGHTS_HEADER!r}, got {header!r}", path)
-        for line_no, name, w in _weight_rows(fh, path, start=2):
-            if name in values:
-                raise MalformedRow(line_no, f"variable {name!r} listed twice", path)
-            values[name] = w
+    for line_no, name, w in _weight_rows(path, WEIGHTS_HEADER):
+        if name in values:
+            raise MalformedRow(f"variable {name!r} listed twice", line_no, path)
+        values[name] = w
     missing = [name for name in vocab.ALL_VARIABLES if name not in values]
     if missing:
         raise InputFault(f"{len(missing)} of {vocab.N_VARIABLES} variables missing, "
@@ -416,15 +410,11 @@ def read_weights(path) -> FeatureWeights:
 
 def save_weights(weights: FeatureWeights, path) -> None:
     """Write all 40 weights as `variable,weight` rows in canonical order."""
-    w = _weight_array(weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(WEIGHTS_HEADER + "\n")
-        for name, value in zip(vocab.ALL_VARIABLES, w):
-            fh.write(f"{name},{repr(float(value))}\n")
+    tables.write_rows(path, WEIGHTS_HEADER, (
+        f"{name},{repr(float(value))}"
+        for name, value in zip(vocab.ALL_VARIABLES, _weight_array(weights))))
 
 
 def save_trace(trace: TrainTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,error\n")
-        for epoch, err in enumerate(trace.errors):
-            fh.write(f"{epoch},{repr(float(err))}\n")
+    tables.write_rows(path, "epoch,error", (
+        f"{epoch},{repr(float(err))}" for epoch, err in enumerate(trace.errors)))

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from patsim import framing, ingest, vocab
+from patsim import framing, ingest, tables, vocab
 from patsim.cli import main
 from patsim.config import RunConfig, build_config, read_config_values, write_config
 from patsim.errors import BadConfig
-from patsim.evaluation import load_fold_metrics
+from patsim.evaluation import FOLD_METRICS_HEADER, load_fold_metrics
 from patsim.weights import load_manual_weights
 
 
@@ -67,8 +67,7 @@ class TestFrameCommand:
         assert main(args + ["--stats-in", str(stats_path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: scaling stats file ")
-        assert str(stats_path) in err and "missing key" in err
+        assert err.startswith(f"error: {stats_path}: missing key ")
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +152,7 @@ class TestStrictFrames:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"error: frames file {bad}: {reason}")
+        assert err.startswith(f"error: {bad} {reason}")
 
 
     def test_header_only_file_is_one_line_error(self, framed, tmp_path, capsys):
@@ -274,3 +273,60 @@ class TestConfig:
             RunConfig(weighting="magic")
         with pytest.raises(BadConfig):
             build_config(overrides={"nonsense": 1})
+
+
+def one_line_error(capsys, argv):
+    """Run the CLI expecting exit 1; return its single line of stderr."""
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err
+
+
+class TestLocatedFaults:
+    @pytest.mark.parametrize("row, reason", [
+        ("0,1,2", "expected 8 cells, got 3"),
+        ("0,1,x,3,4,0.5,0.5,0.5", "bad value 'x' for 'fp'"),
+        ("0,1,2,3,4,0.5,nan,0.5", "bad value 'nan' for 'recall'"),
+    ])
+    def test_compare_bad_fold_metrics_row(self, tmp_path, capsys, row, reason):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good_row = "0,1,2,3,4,0.5,0.5,0.5"
+        good.write_text(f"{FOLD_METRICS_HEADER}\n{good_row}\n")
+        bad.write_text(f"{FOLD_METRICS_HEADER}\n\n{row}\n")
+        err = one_line_error(capsys, ["compare", f"a={good}", f"b={bad}",
+                                      "--out-json", tmp_path / "report.json"])
+        assert err == f"error: {bad} line 3: {reason}\n"
+
+    def test_stats_line_without_separator(self, synth_dir, tmp_path, capsys):
+        stats = tmp_path / "stats.txt"
+        args = ["frame", "--events", synth_dir / "events.csv",
+                "--outcomes", synth_dir / "outcomes.csv", "--out-frames", tmp_path / "f.csv"]
+        assert main([str(a) for a in args + ["--stats-out", stats]]) == 0
+        lines = stats.read_text().splitlines()
+        lines.insert(4, "stray line")
+        stats.write_text("\n".join(lines) + "\n")
+        err = one_line_error(capsys, args + ["--stats-in", stats])
+        assert err == f"error: {stats} line 5: expected 2 cells, got 1\n"
+
+    @pytest.mark.parametrize("text, reason", [
+        ("# run\nk=abc\n", "line 2: bad value for 'k': 'abc'"),
+        ("events = real.csv\n", "line 1: unknown config key 'events'"),
+        ("k=5\noutput_dir=out\n", "line 2: unknown config key 'output_dir'"),
+    ])
+    def test_config_fault_names_file_and_line(self, tmp_path, capsys, text, reason):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        err = one_line_error(capsys, ["experiment", "exp3", "--config", config,
+                                      "--out-dir", tmp_path / "out"])
+        assert err == f"error: {config} {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_header_fault_quotes_a_bounded_prefix(self, framed, tmp_path, capsys):
+        first = framed.read_text().splitlines()[0]
+        err = one_line_error(capsys, ["predict", "--train-frames", framed, "--weights", framed,
+                                      "--out", tmp_path / "pred.csv"])
+        assert err == (f"error: {framed} line 1: expected header variable,weight (2 cells), "
+                       f"got {first[:tables.QUOTE_CHARS] + '...'!r}\n")
+        assert len(err) < len(str(framed)) + 200

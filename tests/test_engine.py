@@ -122,7 +122,7 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     ids = [f.patient_id for f in model.frames]
     y = np.array([f.label for f in model.frames])
     for q, label, score in zip(queries, labels, scores):
-        row = model.distances_sq(q)
+        row = weigh(query_distances([q], model.train), model.weights.values)[0]
         nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
         assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
             [ids[j] for j in nearest]

@@ -16,7 +16,6 @@ from patsim.errors import (
 from patsim.evaluation import (
     MethodSpec,
     _learn_weights,
-    _predict_fold,
     _predict_fold_methods,
     _scale_split,
     compare,
@@ -142,8 +141,9 @@ def per_patient_cv(frames, method, k_folds, seed):
         train = [f for f in frames if f.patient_id not in fold]
         test = [f for f in frames if f.patient_id in fold]
         stats = framing.fit_scaling(train)
-        y_pred = _predict_fold([framing.impute_and_scale(f, stats) for f in train],
-                               [framing.impute_and_scale(f, stats) for f in test], method)
+        y_pred = _predict_fold_methods([framing.impute_and_scale(f, stats) for f in train],
+                                       [framing.impute_and_scale(f, stats) for f in test],
+                                       [method])[0]
         out.append(fold_metrics(i, [f.label for f in test], y_pred))
     return out
 
@@ -222,7 +222,7 @@ class TestCrossValidate:
                                       prediction_mode=method.mode, threshold=method.threshold)
                     own = knn.classify_batch(test, model)[0]
                 else:
-                    own = _predict_fold(train, test, method)
+                    own = _predict_fold_methods(train, test, [method])[0]
                 assert got.tobytes() == own.tobytes(), (i, method.name)
                 expected[method.name].append(fold_metrics(i, [f.label for f in test], own))
         for workers in (1, 2):

@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patsim import ingest, vocab
-from patsim.errors import (BadConfig, DimensionMismatch, EmptyCohort, MalformedFrames,
-                           MalformedStats)
+from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
 from patsim.framing import (
     FramedPatient,
+    _impute_stack,
     aggregate,
     bucketize,
     fit_aggregation_scaling,
     fit_scaling,
     impute_and_scale,
     impute_and_scale_batch,
-    impute_frame,
     read_frames,
     read_scaling_stats,
     scale_aggregates,
@@ -173,9 +172,9 @@ class TestScaling:
         dense_raw = random_dense_frames(4, rng)
         stats = fit_scaling(dense_raw)
         for f in dense_raw:
-            out = impute_frame(f, stats)
-            assert (out.dynamic == f.dynamic).all()
-            assert (out.statics == f.statics).all()
+            dynamic, statics = _impute_stack(f.dynamic[None], f.statics[None], stats)
+            assert (dynamic[0] == f.dynamic).all()
+            assert (statics[0] == f.statics).all()
 
     def test_scaling_bounds_and_endpoints(self, rng):
         frames = []
@@ -294,11 +293,14 @@ def _mask_fault(lines, fault):
 
 
 @pytest.mark.parametrize("fault, reason", [
-    ("short", "line 3: expected 864 cells, got 859"),
-    ("long", "line 3: expected 864 cells, got 865"),
+    ("short", "line 3: expected 865 cells, got 860"),
+    ("long", "line 3: expected 865 cells, got 866"),
     ("cell", "line 3: cell d00_t03 must be 0 or 1, got '2'"),
-    ("header", "line 1: expected header patient_id,d00_t00,... with 864 cells"),
-    ("empty", "line 1: expected header patient_id,d00_t00,... with 864 cells"),
+    ("header", "line 1: expected header patient_id,d00_t00,d00_t01,d00_t02,d00_t03,d00_t04,"
+               "d00_t05,d... (865 cells), got 'patient_id,d0_t0,d00_t01,d00_t02,d00_t03,"
+               "d00_t04,d00_t05,d00...'"),
+    ("empty", "line 1: expected header patient_id,d00_t00,d00_t01,d00_t02,d00_t03,d00_t04,"
+              "d00_t05,d... (865 cells), got ''"),
     ("unknown", "line 3: patient 'q999' is not in the frames file"),
     ("duplicate", "line 4: duplicate patient id 'q1'"),
     ("missing", "no row for patient 'q3' (frames file line 5)"),
@@ -309,9 +311,10 @@ def test_mask_file_faults_name_file_and_line(tmp_path, rng, fault, reason):
     write_frames(random_dense_frames(5, rng), fpath, mpath)
     lines = _mask_fault(mpath.read_text().splitlines(), fault)
     mpath.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(MalformedFrames) as exc:
+    with pytest.raises(MalformedRow) as exc:
         read_frames(fpath, mpath)
-    assert str(exc.value) == f"mask file {mpath}: {reason}"
+    where = f"{mpath} " if reason.startswith("line") else f"{mpath}: "
+    assert str(exc.value) == where + reason
 
 
 def test_missing_mask_file_is_an_error(tmp_path, rng):
@@ -344,7 +347,7 @@ def test_scaling_stats_missing_key_names_file_and_key(tmp_path):
     write_scaling_stats(fit_scaling([a, b, c]), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("static_mean.2=")))
-    with pytest.raises(MalformedStats, match=r"stats\.txt: missing key 'static_mean\.2'"):
+    with pytest.raises(MalformedRow, match=r"stats\.txt: missing key 'static_mean\.2'"):
         read_scaling_stats(path)
 
 
@@ -355,7 +358,7 @@ def test_scaling_stats_bad_value_names_line(tmp_path):
     lines = path.read_text().splitlines()
     lines[2] = lines[2].split("=")[0] + "=abc"
     path.write_text("\n".join(lines))
-    with pytest.raises(MalformedStats, match=r"line 3: bad value 'abc'"):
+    with pytest.raises(MalformedRow, match=r"stats\.txt line 3: bad value 'abc' for 'dyn_max\.0'"):
         read_scaling_stats(path)
 
 

@@ -75,14 +75,14 @@ class TestParseEvents:
     @pytest.mark.parametrize("header", ["", "patient,minute,variable,value",
                                         "p1,10,Heart rate,80"])
     def test_header_checked(self, header):
-        with pytest.raises(MalformedRow, match="line 1: malformed row: expected header") as exc:
+        with pytest.raises(MalformedRow, match="line 1: expected header") as exc:
             ingest.parse_events(io.StringIO(header + "\np1,10,Heart rate,80\n"))
         assert exc.value.line_no == 1
 
     @pytest.mark.parametrize("row, error, message", [
-        ("p1,10,Heart rate", MalformedRow, "malformed row: expected 4 columns, got 3"),
-        ("p1,ten,Heart rate,80", MalformedRow, "malformed row: non-integer minute 'ten'"),
-        ("p1,10,Heart rate,inf", MalformedRow, "malformed row: non-finite value 'inf'"),
+        ("p1,10,Heart rate", MalformedRow, "expected 4 cells, got 3"),
+        ("p1,ten,Heart rate,80", MalformedRow, "non-integer minute 'ten'"),
+        ("p1,10,Heart rate,inf", MalformedRow, "non-finite value 'inf'"),
         ("p1,10,Pulse,80", UnknownVariable, "unknown variable name: 'Pulse'"),
         ("p1,2880,Heart rate,80", OutOfWindow, "minute 2880 outside the observation window"),
     ])
@@ -123,11 +123,11 @@ class TestParseOutcomes:
 
 
     def test_header_checked(self):
-        with pytest.raises(MalformedRow, match="line 1: malformed row: expected header"):
+        with pytest.raises(MalformedRow, match="line 1: expected header"):
             ingest.parse_outcomes(io.StringIO("patient_id,death\np1,1\n"))
 
     @pytest.mark.parametrize("row, error, message", [
-        ("p1,1,0", MalformedRow, "malformed row: expected 2 columns, got 3"),
+        ("p1,1,0", MalformedRow, "expected 2 cells, got 3"),
         ("p1,2", InvalidLabel, "outcome label must be 0 or 1, got '2'"),
         ("p1,dead", InvalidLabel, "outcome label must be 0 or 1, got 'dead'"),
         ("p0,1", DuplicatePatient, "duplicate outcome row for patient 'p0'"),

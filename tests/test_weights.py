@@ -311,7 +311,7 @@ class TestManualWeights:
             load_manual_weights(io.StringIO("Heart rate,abc\n"))
 
     def test_non_finite_weight(self):
-        with pytest.raises(MalformedRow, match="line 2: malformed row: non-finite weight 'inf'"):
+        with pytest.raises(MalformedRow, match="line 2: non-finite weight 'inf'"):
             load_manual_weights(io.StringIO("variable,weight\nHeart rate,inf\n"))
 
     def test_save_load_roundtrip(self, tmp_path, rng):
@@ -349,17 +349,17 @@ class TestLearnedWeightsFile:
         (lambda rows: rows[:1], InputFault, ":",
          f"39 of 40 variables missing, first {vocab.ALL_VARIABLES[1]!r}"),
         (lambda rows: rows + rows[3:4], MalformedRow, " line 42:",
-         f"malformed row: variable {vocab.ALL_VARIABLES[3]!r} listed twice"),
+         f"variable {vocab.ALL_VARIABLES[3]!r} listed twice"),
         (lambda rows: rows[:5] + ["Pulse,1.0"] + rows[5:], UnknownVariable, " line 7:",
          "unknown variable name: 'Pulse'"),
         (lambda rows: rows[:2] + ["Heart rate 2.0"] + rows[2:], MalformedRow, " line 4:",
-         "malformed row: expected variable,weight"),
+         "expected 2 cells, got 1"),
         (lambda rows: rows[:-1] + [rows[-1].replace(",19.5", ",abc")], MalformedRow,
-         " line 41:", "malformed row: non-numeric weight 'abc'"),
+         " line 41:", "non-numeric weight 'abc'"),
         (lambda rows: [rows[0].replace(",0.0", ",-1.0")] + rows[1:], NegativeWeight,
          " line 2:", f"weight for {vocab.ALL_VARIABLES[0]!r} must be non-negative, got -1.0"),
         (lambda rows: [rows[0].replace(",0.0", ",nan")] + rows[1:], MalformedRow,
-         " line 2:", "malformed row: non-finite weight 'nan'"),
+         " line 2:", "non-finite weight 'nan'"),
     ])
     def test_faults_name_file_and_line(self, tmp_path, edit, error, where, message):
         path = self.write(tmp_path, edit(self.full_rows()))
@@ -371,5 +371,5 @@ class TestLearnedWeightsFile:
     @pytest.mark.parametrize("header", ["", "name,value", "Heart rate,1.0"])
     def test_header_required(self, tmp_path, header):
         path = self.write(tmp_path, self.full_rows(), header=header)
-        with pytest.raises(MalformedRow, match=r"line 1: malformed row: expected header"):
+        with pytest.raises(MalformedRow, match=r"line 1: expected header"):
             read_weights(path)
