@@ -150,7 +150,7 @@ def _cmd_synth(args) -> int:
         json.dump(result.manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {cohort.n_patients} patients to {out} "
-          f"(prevalence {cohort.prevalence:.3f})")
+          f"(prevalence {cohort.labels.mean():.3f})")
     return 0
 
 
@@ -276,8 +276,7 @@ def _cmd_experiment(args) -> int:
     elif args.events or args.outcomes:
         raise PatsimError("supply both --events and --outcomes, or neither")
     else:
-        result = default_cohort(args.preset, config, n_patients=args.n_patients,
-                                profile=args.profile)
+        result = default_cohort(config, n_patients=args.n_patients, profile=args.profile)
         cohort = result.cohort()
     manual = None
     if args.manual_weights:

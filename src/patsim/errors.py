@@ -53,16 +53,16 @@ class InvalidLabel(InputFault):
         super().__init__(f"outcome label must be 0 or 1, got {value!r}", line_no, path)
 
 
-class MissingOutcome(PatsimError):
-    def __init__(self, patient_id):
+class MissingOutcome(InputFault):
+    def __init__(self, patient_id, line_no=None, path=None):
         self.patient_id = patient_id
-        super().__init__(f"patient {patient_id!r} has events but no outcome row")
+        super().__init__(f"patient {patient_id!r} has events but no outcome row", line_no, path)
 
 
-class MissingEvents(PatsimError):
-    def __init__(self, patient_id):
+class MissingEvents(InputFault):
+    def __init__(self, patient_id, line_no=None, path=None):
         self.patient_id = patient_id
-        super().__init__(f"patient {patient_id!r} has an outcome but no events")
+        super().__init__(f"patient {patient_id!r} has an outcome but no events", line_no, path)
 
 
 class BadConfig(PatsimError):

@@ -143,7 +143,7 @@ def _scale_split(train_raw, test_raw):
     """Fit scaling on the training side, then scale both sides with it."""
     if isinstance(train_raw[0], framing.AggregatedPatient):
         stats = framing.fit_aggregation_scaling(train_raw)
-        scaled = [framing.scale_aggregates(p, stats) for p in train_raw + test_raw]
+        scaled = framing.scale_aggregates(train_raw + test_raw, stats)
     else:
         stats = framing.fit_scaling(train_raw)
         scaled = framing.scale_frames(train_raw + test_raw, stats)

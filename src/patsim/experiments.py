@@ -28,27 +28,17 @@ logger = logging.getLogger(__name__)
 PRESETS = ("exp1", "exp2", "exp3")
 
 
-def default_cohort(preset, config: RunConfig, n_patients=1000, profile=None) -> SynthResult:
+def default_cohort(config: RunConfig, n_patients=1000, profile=None) -> SynthResult:
     """Synthetic stand-in cohort when no data files are supplied."""
-    spec = SynthSpec(n_patients=n_patients, seed=config.seed, profile=profile or "planted")
-    return generate(spec)
+    return generate(SynthSpec(n_patients=n_patients, seed=config.seed,
+                              profile=profile or "planted"))
 
 
 def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
     """A kNN method from the run configuration on all features; overrides win."""
-    base = dict(
-        kind="knn",
-        representation=config.representation,
-        weighting=config.weighting,
-        features="all",
-        k=config.k,
-        mode=config.mode,
-        threshold=config.threshold,
-        learning_rate=config.learning_rate,
-        max_epochs=config.max_epochs,
-    )
-    base.update(overrides)
-    return MethodSpec(name=name, **base)
+    taken = ("representation", "weighting", "k", "mode", "threshold", "learning_rate",
+             "max_epochs")
+    return MethodSpec(name=name, **{**{key: getattr(config, key) for key in taken}, **overrides})
 
 
 def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
@@ -86,18 +76,15 @@ def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
 
 def validation_ids(cohort, seed) -> list:
     """Patient ids of the validation half of the stratified 50/50 split."""
-    ids = cohort.patient_ids
-    return split_dev_validation(ids, [cohort.label(pid) for pid in ids], seed)[1]
+    return split_dev_validation(cohort.patient_ids, cohort.labels, seed)[1]
 
 
 def represent(cohort, representation, config: RunConfig, ids) -> list:
-    """The patients in `ids`, framed or aggregated."""
+    """The patients in `ids`, and only those, framed or aggregated, in patient_id order."""
+    cohort = cohort.select(ids)
     if representation == "aggregation":
-        patients = framing.aggregate_cohort(cohort, config.horizon_hours)
-    else:
-        patients = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
-    keep = set(ids)
-    return [p for p in patients if p.patient_id in keep]
+        return framing.aggregate_cohort(cohort, config.horizon_hours)
+    return framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
 
 
 def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:

@@ -59,50 +59,45 @@ class AggregatedPatient:
         return self.table
 
 
-def _static_values(events) -> np.ndarray:
-    statics = np.full(vocab.N_STATIC, np.nan)
-    for ev in events:
-        idx = vocab.STATIC_INDEX.get(ev.variable)
-        if idx is not None and np.isnan(statics[idx]):
-            statics[idx] = ev.value
-    return statics
+def _first_statics(cohort) -> np.ndarray:
+    """(n, 4) first value of each static in row order, NaN where never observed; no horizon."""
+    rows = np.flatnonzero(cohort.variable >= vocab.N_DYNAMIC)
+    keys, first = np.unique(cohort.patient[rows].astype(np.intp) * vocab.N_STATIC
+                            + (cohort.variable[rows] - vocab.N_DYNAMIC), return_index=True)
+    statics = np.full(cohort.n_patients * vocab.N_STATIC, np.nan)
+    statics[keys] = cohort.value[rows[first]]
+    return statics.reshape(cohort.n_patients, vocab.N_STATIC)
 
 
-def bucketize(patient_id, events, label, window_hours=2, horizon_hours=48) -> FramedPatient:
-    """Average a patient's events into fixed time buckets.
+def _dynamic_rows(cohort, horizon_hours):
+    """Indices of the dynamic rows before the horizon, and their (patient, variable) cell."""
+    rows = np.flatnonzero((cohort.variable < vocab.N_DYNAMIC)
+                          & (cohort.minute.astype(np.intp) < horizon_hours * 60))
+    return rows, cohort.patient[rows].astype(np.intp) * vocab.N_DYNAMIC + cohort.variable[rows]
+
+
+def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> list:
+    """Average every patient's events into fixed time buckets, in patient_id order.
 
     Bucket t covers minutes [60*window_hours*t, 60*window_hours*(t+1));
-    a cell is the arithmetic mean of the observations falling in it.
-    Events at or beyond the horizon are ignored. Statics take the first
-    observed value. Unobserved cells are NaN with mask False.
+    a cell is the arithmetic mean of the observations falling in it, summed
+    in the cohort's row order. Events at or beyond the horizon are ignored.
+    Statics take the first observed value. Unobserved cells are NaN with
+    mask False.
     """
     if window_hours <= 0 or horizon_hours <= 0 or horizon_hours % window_hours != 0:
         raise BadConfig(f"horizon {horizon_hours}h not divisible by window {window_hours}h")
     n_buckets = horizon_hours // window_hours
-    width = 60 * window_hours
-    sums = np.zeros((vocab.N_DYNAMIC, n_buckets))
-    counts = np.zeros((vocab.N_DYNAMIC, n_buckets), dtype=int)
-    for ev in events:
-        v = vocab.DYNAMIC_INDEX.get(ev.variable)
-        if v is None:
-            continue
-        if ev.minute >= horizon_hours * 60:
-            continue
-        t = ev.minute // width
-        sums[v, t] += ev.value
-        counts[v, t] += 1
-    mask = counts > 0
-    with np.errstate(invalid="ignore"):
-        dynamic = np.where(mask, sums / np.maximum(counts, 1), np.nan)
-    return FramedPatient(patient_id, dynamic, mask, _static_values(events), int(label))
-
-
-def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> list:
-    """Bucketize every patient; output sorted by patient_id."""
-    return [
-        bucketize(pid, cohort.patients[pid], cohort.label(pid), window_hours, horizon_hours)
-        for pid in cohort.patient_ids
-    ]
+    rows, cell = _dynamic_rows(cohort, horizon_hours)
+    cell = cell * n_buckets + cohort.minute[rows].astype(np.intp) // (60 * window_hours)
+    shape = (cohort.n_patients, vocab.N_DYNAMIC, n_buckets)
+    # bincount adds each cell's values in row order, one after another
+    sums = np.bincount(cell, weights=cohort.value[rows], minlength=np.prod(shape))
+    counts = np.bincount(cell, minlength=np.prod(shape))
+    mask = (counts > 0).reshape(shape)
+    dynamic = np.where(mask, (sums / np.maximum(counts, 1)).reshape(shape), np.nan)
+    return [FramedPatient(pid, d, m, s, y) for pid, d, m, s, y in zip(
+        cohort.patient_ids, dynamic, mask, _first_statics(cohort), cohort.labels.tolist())]
 
 
 def sparsity(frames) -> float:
@@ -262,36 +257,35 @@ def scale_frames(frames, stats: ScalingStats) -> list:
             for f, d, s in zip(frames, dynamic, statics)]
 
 
-def aggregate(patient_id, events, label, horizon_hours=48) -> AggregatedPatient:
+def aggregate_cohort(cohort, horizon_hours=48) -> list:
     """Summarize each dynamic variable by the six aggregation statistics.
 
-    Events must be sorted by minute; first/last follow that order. A
-    variable with no events gets count 0 and NaN for the other five.
+    Events at or beyond the horizon are ignored; first/last follow the
+    cohort's row order. A variable with no events gets count 0 and NaN for
+    the other five. Statics are as in frame_cohort.
     """
-    per_var = [[] for _ in range(vocab.N_DYNAMIC)]
-    for ev in events:
-        v = vocab.DYNAMIC_INDEX.get(ev.variable)
-        if v is None or ev.minute >= horizon_hours * 60:
-            continue
-        per_var[v].append(ev.value)
-    table = np.full((vocab.N_DYNAMIC, N_AGG), np.nan)
-    for v, values in enumerate(per_var):
-        table[v, 5] = len(values)
-        if values:
-            arr = np.asarray(values, dtype=float)
-            table[v, 0] = arr.min()
-            table[v, 1] = arr.max()
-            table[v, 2] = float(np.median(arr))
-            table[v, 3] = arr[0]
-            table[v, 4] = arr[-1]
-    return AggregatedPatient(patient_id, table, _static_values(events), int(label))
-
-
-def aggregate_cohort(cohort, horizon_hours=48) -> list:
-    return [
-        aggregate(pid, cohort.patients[pid], cohort.label(pid), horizon_hours)
-        for pid in cohort.patient_ids
-    ]
+    rows, cell = _dynamic_rows(cohort, horizon_hours)
+    order = np.argsort(cell, kind="stable")
+    cell, values = cell[order], cohort.value[rows][order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    counts = np.diff(np.append(starts, len(cell)))
+    ends = starts + counts
+    table = np.full((cohort.n_patients * vocab.N_DYNAMIC, N_AGG), np.nan)
+    table[:, 5] = 0.0
+    at = cell[starts]
+    table[at, 0] = np.minimum.reduceat(values, starts)
+    table[at, 1] = np.maximum.reduceat(values, starts)
+    # the median as np.median takes it: the mean of the middle value or middle two,
+    # a sum that starts from +0.0, so the signs of equal zeros do not matter
+    ranked = values[np.lexsort((values, cell))]
+    lo, hi = ranked[starts + (counts - 1) // 2] + 0.0, ranked[starts + counts // 2]
+    table[at, 2] = np.where(counts % 2 == 1, lo, (lo + hi) / 2)
+    table[at, 3] = values[starts]
+    table[at, 4] = values[ends - 1]
+    table[at, 5] = counts
+    table = table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG)
+    return [AggregatedPatient(pid, t, s, y) for pid, t, s, y in zip(
+        cohort.patient_ids, table, _first_statics(cohort), cohort.labels.tolist())]
 
 
 @dataclass
@@ -316,15 +310,20 @@ def fit_aggregation_scaling(aggs) -> AggregationStats:
     return AggregationStats(*_column_stats(tables), *_column_stats(statics))
 
 
-def scale_aggregates(agg: AggregatedPatient, stats: AggregationStats) -> AggregatedPatient:
-    """Dense, [0, 1]-scaled copy; missing statistics take training means."""
-    if agg.table.shape != stats.col_min.shape:
+def scale_aggregates(aggs, stats: AggregationStats) -> list:
+    """Dense, [0, 1]-scaled copies of aggregated patients, in one elementwise pass.
+
+    Missing statistics take training means.
+    """
+    grid = np.stack([a.table for a in aggs])             # (n, 36, 6)
+    if grid.shape[1:] != stats.col_min.shape:
         raise DimensionMismatch("aggregation table shape does not match stats")
-    table = _scale01(_fill(agg.table, stats.col_mean),
-                     stats.col_min, stats.col_max, stats.col_degenerate)
-    statics = _scale01(_fill(agg.statics, stats.static_mean),
+    grid = _scale01(_fill(grid, stats.col_mean), stats.col_min, stats.col_max,
+                    stats.col_degenerate)
+    statics = _scale01(_fill(np.stack([a.statics for a in aggs]), stats.static_mean),
                        stats.static_min, stats.static_max, stats.static_degenerate)
-    return AggregatedPatient(agg.patient_id, table, statics, agg.label)
+    return [AggregatedPatient(a.patient_id, t, s, a.label)
+            for a, t, s in zip(aggs, grid, statics)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,25 +430,30 @@ def read_frames(path, mask_path=None) -> list:
             for pid, values, label in rows]
 
 
+_DYN_STATS = ("dyn_min", "dyn_max", "dyn_mean", "dyn_degenerate")
+_STATIC_STATS = ("static_min", "static_max", "static_mean", "static_degenerate")
+
+
+def _stats_keys(n_buckets):
+    """(key, field, index) of each line of a scaling-stats file after n_buckets, in order."""
+    for v in range(vocab.N_DYNAMIC):
+        yield from ((f"{name}.{v}", name, v) for name in _DYN_STATS)
+        yield from ((f"dyn_bucket_mean.{v}.{t}", "dyn_bucket_mean", (v, t))
+                    for t in range(n_buckets))
+    for i in range(vocab.N_STATIC):
+        yield from ((f"{name}.{i}", name, i) for name in _STATIC_STATS)
+
+
 def write_scaling_stats(stats: ScalingStats, path) -> None:
-    """Persist scaling statistics as a plain-text key=value file."""
-    def fmt(x):
+    """Persist scaling statistics as a plain-text key=value file; flags print as 0/1."""
+    def fmt(name, x):
+        if name.endswith("degenerate"):
+            return int(x)
         return "nan" if np.isnan(x) else repr(float(x))
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n_buckets={stats.n_buckets}\n")
-        for v in range(vocab.N_DYNAMIC):
-            fh.write(f"dyn_min.{v}={fmt(stats.dyn_min[v])}\n")
-            fh.write(f"dyn_max.{v}={fmt(stats.dyn_max[v])}\n")
-            fh.write(f"dyn_mean.{v}={fmt(stats.dyn_mean[v])}\n")
-            fh.write(f"dyn_degenerate.{v}={int(stats.dyn_degenerate[v])}\n")
-            for t in range(stats.n_buckets):
-                fh.write(f"dyn_bucket_mean.{v}.{t}={fmt(stats.dyn_bucket_mean[v, t])}\n")
-        for i in range(vocab.N_STATIC):
-            fh.write(f"static_min.{i}={fmt(stats.static_min[i])}\n")
-            fh.write(f"static_max.{i}={fmt(stats.static_max[i])}\n")
-            fh.write(f"static_mean.{i}={fmt(stats.static_mean[i])}\n")
-            fh.write(f"static_degenerate.{i}={int(stats.static_degenerate[i])}\n")
+    tables.write_rows(path, f"n_buckets={stats.n_buckets}", (
+        f"{key}={fmt(name, getattr(stats, name)[index])}"
+        for key, name, index in _stats_keys(stats.n_buckets)))
 
 
 def read_scaling_stats(path) -> ScalingStats:
@@ -457,6 +461,7 @@ def read_scaling_stats(path) -> ScalingStats:
 
     Every line must be key=value; a missing key or an unparsable value
     raises MalformedRow naming the file (and the line, for a bad value).
+    The first missing key in file order is the one named.
     """
     kv = {key: (line_no, value)
           for line_no, (key, value) in tables.read_rows(path, width=2, sep="=")}
@@ -470,21 +475,11 @@ def read_scaling_stats(path) -> ScalingStats:
         except ValueError:
             raise MalformedRow(f"bad value {value!r} for {key!r}", line_no, path) from None
 
-    def column(name, size, convert=float):
-        return np.array([get(f"{name}.{i}", convert) for i in range(size)])
-
     n_buckets = get("n_buckets", int)
-    n_dyn, n_stat = vocab.N_DYNAMIC, vocab.N_STATIC
-    bucket_means = [column(f"dyn_bucket_mean.{v}", n_buckets) for v in range(n_dyn)]
-    return ScalingStats(
-        n_buckets=n_buckets,
-        dyn_min=column("dyn_min", n_dyn),
-        dyn_max=column("dyn_max", n_dyn),
-        dyn_mean=column("dyn_mean", n_dyn),
-        dyn_bucket_mean=np.array(bucket_means).reshape(n_dyn, n_buckets),
-        dyn_degenerate=column("dyn_degenerate", n_dyn, int).astype(bool),
-        static_min=column("static_min", n_stat),
-        static_max=column("static_max", n_stat),
-        static_mean=column("static_mean", n_stat),
-        static_degenerate=column("static_degenerate", n_stat, int).astype(bool),
-    )
+    fields = {name: np.empty(size, dtype=bool if name.endswith("degenerate") else float)
+              for names, size in ((_DYN_STATS, vocab.N_DYNAMIC), (_STATIC_STATS, vocab.N_STATIC))
+              for name in names}
+    fields["dyn_bucket_mean"] = np.empty((vocab.N_DYNAMIC, n_buckets))
+    for key, name, index in _stats_keys(n_buckets):
+        fields[name][index] = get(key, int if name.endswith("degenerate") else float)
+    return ScalingStats(n_buckets=n_buckets, **fields)

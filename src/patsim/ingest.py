@@ -1,4 +1,4 @@
-"""Parsing and validation of raw event and outcome files.
+"""Parsing and validation of raw event and outcome files, and the columnar cohort.
 
 Events file: CSV with header ``patient_id,minute,variable,value``, one
 observation per row. Static features (Age, Gender, Height, Weight) travel
@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import tables, vocab
 from .errors import (
@@ -32,47 +35,72 @@ OUTCOMES_HEADER = "patient_id,in_hospital_death"
 # impossible for every variable in the vocabulary, so dropped at parse time.
 MISSING_PLACEHOLDER = -1.0
 
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    patient_id: str
-    minute: int
-    variable: str
-    value: float
+# canonical variable index -> rank of its name; rows sort by name, not by index
+_NAME_RANK = np.array([sorted(vocab.ALL_VARIABLES).index(name) for name in vocab.ALL_VARIABLES])
 
 
-@dataclass(frozen=True)
-class Outcome:
-    patient_id: str
-    in_hospital_death: int
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Event rows as parallel columns, in file order; every id has at least one row.
+
+    `first_line[c]` is the line of patient ids[c]'s first row, when the rows
+    came from a file; `path` is that file, when given as a path.
+    """
+
+    ids: list
+    patient: np.ndarray    # int32
+    minute: np.ndarray     # int16
+    variable: np.ndarray   # int8
+    value: np.ndarray      # float64
+    first_line: list | None = None
+    path: object = None
+
+    def __len__(self) -> int:
+        return len(self.value)
 
 
-@dataclass
-class RawCohort:
-    """Joined events + outcomes, one sorted event list per patient."""
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """Outcome rows in file order; `lines[i]` is row i's line, when read from a file."""
 
-    patients: dict = field(default_factory=dict)   # patient_id -> list[Event]
-    outcomes: dict = field(default_factory=dict)   # patient_id -> Outcome
+    ids: list
+    labels: np.ndarray
+    lines: list | None = None
+    path: object = None
 
-    @property
-    def patient_ids(self) -> list:
-        return sorted(self.patients)
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Joined events and outcomes as columns.
+
+    `patient_ids` is sorted and `labels[i]` is patient i's label. Event row
+    j belongs to patient `patient[j]`. Rows are in canonical order:
+    (patient, minute, variable name, file order), the order write_events
+    writes and every framing reduction reads.
+    """
+
+    patient_ids: list
+    labels: np.ndarray
+    patient: np.ndarray    # int32
+    minute: np.ndarray     # int16
+    variable: np.ndarray   # int8, canonical index into vocab.ALL_VARIABLES
+    value: np.ndarray      # float64
 
     @property
     def n_patients(self) -> int:
-        return len(self.patients)
+        return len(self.patient_ids)
 
-    def label(self, patient_id) -> int:
-        return self.outcomes[patient_id].in_hospital_death
+    def select(self, ids) -> Cohort:
+        """The patients in `ids` with their rows, in this cohort's order."""
+        keep = set(ids)
+        chosen = np.array([pid in keep for pid in self.patient_ids], dtype=bool)
+        rows = chosen[self.patient]
+        return Cohort([pid for pid in self.patient_ids if pid in keep], self.labels[chosen],
+                      (np.cumsum(chosen, dtype=np.int32) - 1)[self.patient[rows]],
+                      self.minute[rows], self.variable[rows], self.value[rows])
 
-    @property
-    def prevalence(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(o.in_hospital_death for o in self.outcomes.values()) / len(self.outcomes)
 
-
-def parse_events(stream) -> list:
+def parse_events(stream) -> Events:
     """Parse an events file (path, file object, or iterable of lines).
 
     The first line must be EVENTS_HEADER. Rows whose value equals the -1
@@ -80,11 +108,13 @@ def parse_events(stream) -> list:
     UnknownVariable or OutOfWindow, with the line (and the file, when
     given a path), on the first offending row.
     """
-    events = []
-    names = {}   # one string object per distinct id or variable, not one per row
+    codes = {}
+    first_line = []
+    # typed arrays hold a row in 15 bytes, where Python ints and floats take about 100
+    patient, minutes, variables, values = array("i"), array("h"), array("b"), array("d")
     dropped = 0
     path = tables.path_of(stream)
-    for line_no, (pid, minute_s, variable, value_s) in tables.read_rows(stream, EVENTS_HEADER):
+    for line_no, (pid, minute_s, name, value_s) in tables.read_rows(stream, EVENTS_HEADER):
         try:
             minute = int(minute_s)
         except ValueError:
@@ -93,8 +123,9 @@ def parse_events(stream) -> list:
             value = float(value_s)
         except ValueError:
             raise MalformedRow(f"non-numeric value {value_s!r}", line_no, path) from None
-        if variable not in vocab.VARIABLE_INDEX:
-            raise UnknownVariable(variable, line_no, path)
+        variable = vocab.VARIABLE_INDEX.get(name)
+        if variable is None:
+            raise UnknownVariable(name, line_no, path)
         if not (0 <= minute < vocab.HORIZON_MINUTES):
             raise OutOfWindow(minute, line_no, path)
         if not math.isfinite(value):
@@ -102,17 +133,23 @@ def parse_events(stream) -> list:
         if value == MISSING_PLACEHOLDER:
             dropped += 1
             continue
-        events.append(Event(names.setdefault(pid, pid), minute,
-                            names.setdefault(variable, variable), value))
+        code = codes.get(pid)
+        if code is None:
+            code = codes[pid] = len(first_line)
+            first_line.append(line_no)
+        patient.append(code)
+        minutes.append(minute)
+        variables.append(variable)
+        values.append(value)
     if dropped:
         logger.warning("dropped %d rows with -1 placeholder values", dropped)
-    return events
+    return Events(list(codes), np.asarray(patient), np.asarray(minutes), np.asarray(variables),
+                  np.asarray(values), first_line, path)
 
 
-def parse_outcomes(stream) -> list:
+def parse_outcomes(stream) -> Outcomes:
     """Parse an outcomes file; the first line must be OUTCOMES_HEADER, labels in {0, 1}."""
-    outcomes = []
-    seen = set()
+    rows = {}   # patient_id -> (label, line)
     path = tables.path_of(stream)
     for line_no, (pid, label_s) in tables.read_rows(stream, OUTCOMES_HEADER):
         try:
@@ -121,52 +158,51 @@ def parse_outcomes(stream) -> list:
             raise InvalidLabel(label_s, line_no, path) from None
         if label_f not in (0.0, 1.0):
             raise InvalidLabel(label_s, line_no, path)
-        if pid in seen:
+        if pid in rows:
             raise DuplicatePatient(pid, line_no, path)
-        seen.add(pid)
-        outcomes.append(Outcome(pid, int(label_f)))
-    return outcomes
+        rows[pid] = (int(label_f), line_no)
+    return Outcomes(list(rows), np.array([label for label, _ in rows.values()], dtype=np.int64),
+                    [line for _, line in rows.values()], path)
 
 
-def build_cohort(events, outcomes) -> RawCohort:
-    """Join parsed events and outcomes into a consistent cohort.
+def build_cohort(events: Events, outcomes: Outcomes) -> Cohort:
+    """Join parsed events and outcomes into one cohort in canonical order.
 
-    Every patient must appear on both sides; per-patient event lists are
-    sorted by (minute, variable), stable with respect to input order.
+    Every patient must appear on both sides: the first patient (in events
+    file order) with rows but no outcome raises MissingOutcome at its first
+    events row, and the first with an outcome but no rows raises
+    MissingEvents at its outcomes row.
     """
-    outcome_map = {}
-    for o in outcomes:
-        outcome_map[o.patient_id] = o
-    patients = {}
-    for ev in events:
-        patients.setdefault(ev.patient_id, []).append(ev)
-    for pid in patients:
-        if pid not in outcome_map:
-            raise MissingOutcome(pid)
-    for pid in outcome_map:
-        if pid not in patients:
-            raise MissingEvents(pid)
-    for pid, evs in patients.items():
-        evs.sort(key=lambda e: (e.minute, e.variable))
-    return RawCohort(patients=patients, outcomes=outcome_map)
+    label_of = dict(zip(outcomes.ids, outcomes.labels.tolist()))
+    for code, pid in enumerate(events.ids):
+        if pid not in label_of:
+            raise MissingOutcome(pid, events.first_line and events.first_line[code], events.path)
+    present = set(events.ids)
+    for i, pid in enumerate(outcomes.ids):
+        if pid not in present:
+            raise MissingEvents(pid, outcomes.lines and outcomes.lines[i], outcomes.path)
+    patient_ids = sorted(events.ids)
+    index = {pid: i for i, pid in enumerate(patient_ids)}
+    patient = np.array([index[pid] for pid in events.ids], dtype=np.int32)[events.patient]
+    order = np.lexsort((_NAME_RANK[events.variable], events.minute, patient))
+    labels = np.array([label_of[pid] for pid in patient_ids], dtype=np.int64)
+    return Cohort(patient_ids, labels, patient[order], events.minute[order],
+                  events.variable[order], events.value[order])
 
 
-def load_cohort(events_path, outcomes_path) -> RawCohort:
+def load_cohort(events_path, outcomes_path) -> Cohort:
     return build_cohort(parse_events(events_path), parse_outcomes(outcomes_path))
 
 
-def _fmt(value: float) -> str:
-    # repr round-trips exactly; integers print without exponent noise
-    return repr(float(value))
-
-
-def write_events(cohort: RawCohort, stream) -> None:
-    """Serialize cohort events; patients sorted by id, events as stored."""
+def write_events(cohort: Cohort, stream) -> None:
+    """Serialize cohort events in canonical order; values print as repr, which round-trips."""
+    ids, names = cohort.patient_ids, vocab.ALL_VARIABLES
     tables.write_rows(stream, EVENTS_HEADER, (
-        f"{ev.patient_id},{ev.minute},{ev.variable},{_fmt(ev.value)}"
-        for pid in cohort.patient_ids for ev in cohort.patients[pid]))
+        f"{ids[p]},{m},{names[v]},{x!r}"
+        for p, m, v, x in zip(cohort.patient.tolist(), cohort.minute.tolist(),
+                              cohort.variable.tolist(), cohort.value.tolist())))
 
 
-def write_outcomes(cohort: RawCohort, stream) -> None:
+def write_outcomes(cohort: Cohort, stream) -> None:
     tables.write_rows(stream, OUTCOMES_HEADER, (
-        f"{pid},{cohort.outcomes[pid].in_hospital_death}" for pid in cohort.patient_ids))
+        f"{pid},{y}" for pid, y in zip(cohort.patient_ids, cohort.labels.tolist())))

@@ -268,12 +268,6 @@ def classify_batch(queries, model: Model, leave_one_out=False) -> tuple:
     return _decide(_nearest(queries, model, leave_one_out), model)
 
 
-def classify(query, model: Model) -> tuple:
-    """Predict (label, score) for one query patient."""
-    labels, scores = classify_batch([query], model)
-    return int(labels[0]), float(scores[0])
-
-
 def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     """Exact k nearest training patients by full scan.
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import vocab
 from .errors import BadSpec
-from .ingest import Event, Outcome, build_cohort
+from .ingest import Cohort, Events, Outcomes, build_cohort
 from .streams import substream
 
 PROFILES = ("planted", "trend")
@@ -76,15 +76,16 @@ class SynthSpec:
 
 @dataclass
 class SynthResult:
-    events: list
-    outcomes: list
+    events: Events
+    outcomes: Outcomes
     manifest: dict
 
-    def cohort(self):
+    def cohort(self) -> Cohort:
         return build_cohort(self.events, self.outcomes)
 
 
-def _static_events(pid, rng, label, spec):
+def _draw_statics(rng, label, spec) -> list:
+    """Age, Gender, Height and Weight of one patient, observed at minute 0."""
     # trend profile keeps statics label-free so only temporal shape separates
     informative = spec.profile != "trend"
     shift = spec.effect_size * label if informative else 0.0
@@ -93,34 +94,36 @@ def _static_events(pid, rng, label, spec):
     gender = float(rng.random() < male_rate)
     height = 170.0 + HEIGHT_SHIFT_CM * shift + 10.0 * rng.standard_normal()
     weight = 80.0 + WEIGHT_SHIFT_KG * shift + 14.0 * rng.standard_normal()
-    return [
-        Event(pid, 0, "Age", round(max(age, 16.0), 1)),
-        Event(pid, 0, "Gender", gender),
-        Event(pid, 0, "Height", round(max(height, 120.0), 1)),
-        Event(pid, 0, "Weight", round(max(weight, 30.0), 1)),
-    ]
+    return [round(max(age, 16.0), 1), gender, round(max(height, 120.0), 1),
+            round(max(weight, 30.0), 1)]
 
 
-def _signal_curves(spec, informative):
-    """Per informative variable, the (level, curve) signal components.
+def _signal_rows(spec, labels, informative, rng) -> tuple:
+    """(risk, rows, level variables, shape variables) of the profile.
 
-    Returns {variable_index: (level_coefficient, per-bucket curve)} for the
-    positive class; the curve is multiplied by the patient's latent risk.
+    A patient of class y carries the signal risk[i] * rows[y], a
+    (36, N_BUCKETS) array that is zero outside the informative variables.
     """
     t = np.arange(N_BUCKETS)
-    drift = (t / (N_BUCKETS - 1)) - 0.5                   # mean-zero ramp
-    curves = {}
-    shape_vars = informative[1::2]                        # alternate: level, shape, ...
-    for v in informative:
-        if v in shape_vars:
-            curves[v] = (SHAPE_SHIFT, SHAPE_DRIFT * drift)
-        else:
-            curves[v] = (LEVEL_SHIFT, np.zeros(N_BUCKETS))
-    return curves, [v for v in informative if v not in shape_vars], list(shape_vars)
+    rows = {y: np.zeros((vocab.N_DYNAMIC, N_BUCKETS)) for y in (0, 1)}
+    if spec.profile == "planted":
+        # the label enters through the risk, so both classes share one signal shape
+        risk = labels * spec.effect_size * rng.uniform(0.75, 1.25, size=len(labels))
+        drift = (t / (N_BUCKETS - 1)) - 0.5                   # mean-zero ramp
+        shape_vars = [int(v) for v in informative[1::2]]      # alternate: level, shape, ...
+        level_vars = [int(v) for v in informative if v not in shape_vars]
+        rows[0][level_vars] = LEVEL_SHIFT
+        rows[0][shape_vars] = SHAPE_SHIFT + SHAPE_DRIFT * drift
+        rows[1] = rows[0]
+        return risk, rows, level_vars, shape_vars
+    risk = spec.effect_size * rng.uniform(0.75, 1.25, size=len(labels))
+    for y, center in ((0, 6.0), (1, 18.0)):                # bump at 12 h vs 36 h
+        rows[y][informative] = TREND_BUMP * np.exp(-((t - center) / 3.0) ** 2)
+    return risk, rows, [], [int(v) for v in informative]
 
 
 def generate(spec: SynthSpec) -> SynthResult:
-    """Generate events, outcomes and a ground-truth manifest."""
+    """Generate events (per patient: statics, then dynamic rows), outcomes and a manifest."""
     rng = substream(spec.seed, "synth")
     n = spec.n_patients
     width = len(str(max(n - 1, 1)))
@@ -131,54 +134,36 @@ def generate(spec: SynthSpec) -> SynthResult:
                                      replace=False))
     baselines = rng.uniform(40.0, 160.0, size=vocab.N_DYNAMIC)
     scales = 0.05 * baselines
+    risk, signal_rows, level_vars, shape_vars = _signal_rows(spec, labels, informative, rng)
 
-    if spec.profile == "planted":
-        risk = labels * spec.effect_size * rng.uniform(0.75, 1.25, size=n)
-        curves, level_vars, shape_vars = _signal_curves(spec, informative)
-    else:
-        risk = spec.effect_size * rng.uniform(0.75, 1.25, size=n)
-        level_vars, shape_vars = [], [int(v) for v in informative]
-        centers = {0: 6.0, 1: 18.0}                        # bump at 12 h vs 36 h
-        t = np.arange(N_BUCKETS)
-        curves = {
-            v: (0.0, None) for v in informative
-        }
-        bump = {y: TREND_BUMP * np.exp(-((t - c) / 3.0) ** 2) for y, c in centers.items()}
-
-    events = []
-    outcomes = []
+    shape = (vocab.N_DYNAMIC, N_BUCKETS, 2)            # variable, bucket, observation
+    variable = np.broadcast_to(np.arange(vocab.N_DYNAMIC)[:, None, None], shape)
+    bucket_start = (np.arange(N_BUCKETS) * BUCKET_MINUTES)[None, :, None]
+    observation = np.arange(2)
+    patient, minutes, variables, values = [], [], [], []
     total_cells = 0
     dropped_cells = 0
-    for i, pid in enumerate(pids):
+    for i in range(n):
         y = int(labels[i])
-        outcomes.append(Outcome(pid, y))
-        events.extend(_static_events(pid, rng, y, spec))
+        static_values = _draw_statics(rng, y, spec)
         offsets = 0.5 * rng.standard_normal(vocab.N_DYNAMIC)
         keep = rng.random((vocab.N_DYNAMIC, N_BUCKETS)) >= spec.missing_rate
         total_cells += keep.size
         dropped_cells += int(keep.size - keep.sum())
         n_obs = rng.integers(1, 3, size=(vocab.N_DYNAMIC, N_BUCKETS))
-        minute_noise = rng.integers(0, BUCKET_MINUTES, size=(vocab.N_DYNAMIC, N_BUCKETS, 2))
-        value_noise = rng.standard_normal((vocab.N_DYNAMIC, N_BUCKETS, 2))
-        for v in range(vocab.N_DYNAMIC):
-            signal = np.zeros(N_BUCKETS)
-            if v in curves:
-                if spec.profile == "planted":
-                    level, curve = curves[v]
-                    signal = risk[i] * (level + curve)
-                else:
-                    signal = risk[i] * bump[y]
-            level_value = baselines[v] + scales[v] * offsets[v]
-            cell_values = level_value + scales[v] * (signal + 0.6 * value_noise[v, :, 0])
-            for t_idx in range(N_BUCKETS):
-                if not keep[v, t_idx]:
-                    continue
-                base_minute = t_idx * BUCKET_MINUTES
-                for j in range(int(n_obs[v, t_idx])):
-                    minute = base_minute + int(minute_noise[v, t_idx, j])
-                    value = cell_values[t_idx] + scales[v] * 0.1 * value_noise[v, t_idx, 1] * j
-                    events.append(Event(pid, minute, vocab.DYNAMIC_VARIABLES[v],
-                                        round(float(value), 4)))
+        minute_noise = rng.integers(0, BUCKET_MINUTES, size=shape)
+        value_noise = rng.standard_normal(shape)
+
+        cell_values = (baselines + scales * offsets)[:, None] + scales[:, None] * (
+            risk[i] * signal_rows[y] + 0.6 * value_noise[:, :, 0])
+        step = scales[:, None] * 0.1 * value_noise[:, :, 1]
+        observed = keep[:, :, None] & (observation < n_obs[:, :, None])
+        value = (cell_values[:, :, None] + step[:, :, None] * observation)[observed]
+        patient.append(np.full(vocab.N_STATIC + len(value), i))
+        minutes += [np.zeros(vocab.N_STATIC, dtype=int), (bucket_start + minute_noise)[observed]]
+        variables += [np.arange(vocab.N_DYNAMIC, vocab.N_VARIABLES), variable[observed]]
+        # Python's round, not np.round: the two differ in the last digit for some values
+        values += [static_values, [round(x, 4) for x in value.tolist()]]
     manifest = {
         "profile": spec.profile,
         "seed": spec.seed,
@@ -195,5 +180,8 @@ def generate(spec: SynthSpec) -> SynthResult:
         "total_cells": total_cells,
         "dropped_cells": dropped_cells,
     }
-    events.sort(key=lambda e: (e.patient_id, e.minute, e.variable))
-    return SynthResult(events=events, outcomes=outcomes, manifest=manifest)
+    events = Events(pids, np.concatenate(patient).astype(np.int32),
+                    np.concatenate(minutes).astype(np.int16),
+                    np.concatenate(variables).astype(np.int8),
+                    np.concatenate(values).astype(np.float64))
+    return SynthResult(events, Outcomes(pids, labels), manifest)

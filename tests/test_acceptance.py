@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patsim import framing, ingest, vocab
+from patsim import framing, vocab
 from patsim.config import RunConfig
 from patsim.errors import SingleClassCohort
 from patsim.evaluation import friedman, wilcoxon_signed_rank
@@ -29,7 +29,7 @@ from patsim.weights import (
     train_gd,
     training_error,
 )
-from util import random_dense_frames
+from util import cohort_of, random_dense_frames
 
 pytestmark = pytest.mark.acceptance
 
@@ -61,7 +61,7 @@ def exp3_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def exp2_trend_report():
     config = RunConfig(seed=7, workers=2)
-    cohort = default_cohort("exp2", config, n_patients=600, profile="trend").cohort()
+    cohort = default_cohort(config, n_patients=600, profile="trend").cohort()
     t0 = time.time()
     report = run_experiment("exp2", config, cohort)
     return report, time.time() - t0
@@ -70,7 +70,7 @@ def exp2_trend_report():
 @pytest.fixture(scope="module")
 def exp2_planted_report():
     config = RunConfig(seed=7, workers=2)
-    cohort = default_cohort("exp2", config, n_patients=1000).cohort()
+    cohort = default_cohort(config, n_patients=1000).cohort()
     return run_experiment("exp2", config, cohort)
 
 
@@ -133,17 +133,14 @@ def test_criterion_2_brute_force_knn():
 def test_criterion_3_framing_exactness():
     hr = vocab.DYNAMIC_INDEX["Heart rate"]
     age = vocab.STATIC_INDEX["Age"]
-    a = framing.bucketize("a", [
-        ingest.Event("a", 10, "Heart rate", 80.0),
-        ingest.Event("a", 50, "Heart rate", 90.0),
-        ingest.Event("a", 130, "Heart rate", 100.0),
-        ingest.Event("a", 0, "Age", 40.0),
-    ], label=1)
-    b = framing.bucketize("b", [
-        ingest.Event("b", 120, "Heart rate", 70.0),
-        ingest.Event("b", 0, "Age", 60.0),
-    ], label=0)
-    c = framing.bucketize("c", [], label=0)
+    a, b, c = framing.frame_cohort(cohort_of([
+        ("a", 10, "Heart rate", 80.0),
+        ("a", 50, "Heart rate", 90.0),
+        ("a", 130, "Heart rate", 100.0),
+        ("a", 0, "Age", 40.0),
+        ("b", 120, "Heart rate", 70.0),
+        ("b", 0, "Age", 60.0),
+    ], {"a": 1, "b": 0, "c": 0}))     # c has no events
 
     assert a.dynamic[hr, 0] == 85.0 and a.dynamic[hr, 1] == 100.0
     assert a.mask[hr, 0] and a.mask[hr, 1] and not a.mask[hr, 2:].any()

@@ -330,3 +330,21 @@ class TestLocatedFaults:
         assert err == (f"error: {framed} line 1: expected header variable,weight (2 cells), "
                        f"got {first[:tables.QUOTE_CHARS] + '...'!r}\n")
         assert len(err) < len(str(framed)) + 200
+
+    def test_events_without_outcome_row(self, tmp_path, capsys):
+        events, outcomes = tmp_path / "events.csv", tmp_path / "outcomes.csv"
+        events.write_text("patient_id,minute,variable,value\n"
+                          "p1,0,Age,54\np3,10,Heart rate,-1\n\np3,20,Heart rate,80\n")
+        outcomes.write_text("patient_id,in_hospital_death\np1,0\n")
+        err = one_line_error(capsys, ["frame", "--events", events, "--outcomes", outcomes,
+                                      "--out-frames", tmp_path / "f.csv"])
+        # line 3 is a dropped placeholder row, so p3's first row is on line 5
+        assert err == f"error: {events} line 5: patient 'p3' has events but no outcome row\n"
+
+    def test_outcome_without_events(self, tmp_path, capsys):
+        events, outcomes = tmp_path / "events.csv", tmp_path / "outcomes.csv"
+        events.write_text("patient_id,minute,variable,value\np1,0,Age,54\n")
+        outcomes.write_text("patient_id,in_hospital_death\np1,0\n\np2,1\n")
+        err = one_line_error(capsys, ["frame", "--events", events, "--outcomes", outcomes,
+                                      "--out-frames", tmp_path / "f.csv"])
+        assert err == f"error: {outcomes} line 4: patient 'p2' has an outcome but no events\n"

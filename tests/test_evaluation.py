@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from patsim import experiments, framing, knn, synth, vocab, weights
@@ -64,6 +66,32 @@ class TestSplit:
     def test_single_class(self):
         with pytest.raises(SingleClassCohort):
             split_dev_validation(["a", "b"], [1, 1], 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 30), st.integers(0, 30), st.integers(0, 2 ** 31),
+       st.randoms(use_true_random=False))
+def test_kfold_and_split_are_stratified_partitions(k, extra0, extra1, seed, shuffle):
+    sizes = (k + extra0, k + extra1)
+    ids = [f"p{i:03d}" for i in range(sum(sizes))]
+    shuffle.shuffle(ids)
+    labels = [0] * sizes[0] + [1] * sizes[1]
+    label = dict(zip(ids, labels))
+
+    folds = kfold(ids, labels, k=k, seed=seed)
+    assert len(folds) == k
+    members = list(itertools.chain.from_iterable(folds))
+    assert sorted(members) == sorted(ids)                  # disjoint and covering
+    totals = [len(f) for f in folds]
+    assert max(totals) - min(totals) <= 1
+    for cls in (0, 1):
+        per_class = [sum(label[p] == cls for p in f) for f in folds]
+        assert max(per_class) - min(per_class) <= 1
+
+    dev, validation = split_dev_validation(ids, labels, seed)
+    assert sorted(dev + validation) == sorted(ids) and not set(dev) & set(validation)
+    for cls, size in enumerate(sizes):
+        assert abs(2 * sum(label[p] == cls for p in dev) - size) <= 1
 
 
 class TestKfold:

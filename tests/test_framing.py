@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patsim import ingest, vocab
+from patsim import vocab
 from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
 from patsim.framing import (
     FramedPatient,
     _impute_stack,
-    aggregate,
-    bucketize,
+    aggregate_cohort,
     fit_aggregation_scaling,
     fit_scaling,
+    frame_cohort,
     impute_and_scale,
     impute_and_scale_batch,
     read_frames,
@@ -22,29 +22,36 @@ from patsim.framing import (
     write_frames,
     write_scaling_stats,
 )
+from util import cohort_of, framing_oracle
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 AGE = vocab.STATIC_INDEX["Age"]
 
 
 def ev(pid, minute, variable, value):
-    return ingest.Event(pid, minute, variable, value)
+    return (pid, minute, variable, value)
+
+
+def frame_one(pid, rows, label, window_hours=2, horizon_hours=48):
+    """frame_cohort of a one-patient cohort."""
+    return frame_cohort(cohort_of(rows, {pid: label}), window_hours, horizon_hours)[0]
+
+
+def aggregate_one(pid, rows, label):
+    """aggregate_cohort of a one-patient cohort."""
+    return aggregate_cohort(cohort_of(rows, {pid: label}))[0]
 
 
 def hand_fixture():
-    """Three patients with hand-computable buckets, scaling and imputation."""
-    a = bucketize("a", [
+    """Three patients with hand-computable buckets, scaling and imputation; c has no events."""
+    return frame_cohort(cohort_of([
         ev("a", 10, "Heart rate", 80.0),
         ev("a", 50, "Heart rate", 90.0),
         ev("a", 130, "Heart rate", 100.0),
         ev("a", 0, "Age", 40.0),
-    ], label=1)
-    b = bucketize("b", [
         ev("b", 120, "Heart rate", 70.0),
         ev("b", 0, "Age", 60.0),
-    ], label=0)
-    c = bucketize("c", [], label=0)
-    return a, b, c
+    ], {"a": 1, "b": 0, "c": 0}))
 
 
 class TestBucketize:
@@ -57,23 +64,23 @@ class TestBucketize:
         assert a.statics[AGE] == 40.0
 
     def test_half_open_boundary(self):
-        b = bucketize("b", [ev("b", 120, "Heart rate", 70.0)], label=0)
+        b = frame_one("b", [ev("b", 120, "Heart rate", 70.0)], label=0)
         assert not b.mask[HR, 0]
         assert b.mask[HR, 1] and b.dynamic[HR, 1] == 70.0
 
     def test_final_minute_lands_in_last_bucket(self):
-        f = bucketize("x", [ev("x", 2879, "Heart rate", 66.0)], label=0)
+        f = frame_one("x", [ev("x", 2879, "Heart rate", 66.0)], label=0)
         assert f.mask[HR, 23] and f.dynamic[HR, 23] == 66.0
 
     def test_one_hour_windows(self):
-        f = bucketize("x", [ev("x", 59, "Heart rate", 70.0)], label=0,
-                      window_hours=1, horizon_hours=48)
+        f = frame_one("x", [ev("x", 59, "Heart rate", 70.0)], label=0,
+                       window_hours=1, horizon_hours=48)
         assert f.dynamic.shape == (36, 48)
         assert f.mask[HR, 0]
 
     def test_bad_config(self):
         with pytest.raises(BadConfig):
-            bucketize("x", [], label=0, window_hours=5, horizon_hours=48)
+            frame_one("x", [], label=0, window_hours=5, horizon_hours=48)
 
     def test_partition_property(self, rng):
         # every in-window event lands in exactly one bucket
@@ -84,8 +91,7 @@ class TestBucketize:
             value = float(rng.uniform(50, 100))
             events.append(ev("p", minute, "Heart rate", value))
             expected.setdefault(minute // 120, []).append(value)
-        events.sort(key=lambda e: e.minute)
-        f = bucketize("p", events, label=0)
+        f = frame_one("p", events, label=0)
         for t in range(24):
             if t in expected:
                 assert f.mask[HR, t]
@@ -98,7 +104,7 @@ class TestBucketize:
 class TestSparsity:
     def test_extremes(self):
         a, b, c = hand_fixture()
-        full = bucketize("full", [
+        full = frame_one("full", [
             ev("full", t * 120, v, 1.0)
             for v in vocab.DYNAMIC_VARIABLES for t in range(24)
         ], label=0)
@@ -164,7 +170,7 @@ class TestScaling:
     def test_clamp_above_training_max(self):
         a, b, c = hand_fixture()
         stats = fit_scaling([a, b, c])
-        hot = bucketize("hot", [ev("hot", 10, "Heart rate", 140.0)], label=0)
+        hot = frame_one("hot", [ev("hot", 10, "Heart rate", 140.0)], label=0)
         assert impute_and_scale(hot, stats).dynamic[HR, 0] == 1.0
 
     def test_impute_identity_on_dense(self, rng):
@@ -184,8 +190,7 @@ class TestScaling:
                 for t in range(24):
                     if rng.random() < 0.7:
                         events.append(ev(f"p{i}", t * 120 + 5, v, float(rng.uniform(1, 9))))
-            events.sort(key=lambda e: (e.minute, e.variable))
-            frames.append(bucketize(f"p{i}", events, label=i % 2))
+            frames.append(frame_one(f"p{i}", events, label=i % 2))
         stats = fit_scaling(frames)
         dense = [impute_and_scale(f, stats) for f in frames]
         values = np.stack([d.dynamic for d in dense])
@@ -198,14 +203,14 @@ class TestScaling:
     def test_dimension_mismatch(self):
         a, b, c = hand_fixture()
         stats = fit_scaling([a, b, c])
-        short = bucketize("s", [], label=0, window_hours=4, horizon_hours=48)
+        short = frame_one("s", [], label=0, window_hours=4, horizon_hours=48)
         with pytest.raises(DimensionMismatch):
             impute_and_scale(short, stats)
 
 
 class TestAggregate:
     def test_six_statistics(self):
-        f = aggregate("p", [
+        f = aggregate_one("p", [
             ev("p", 10, "Heart rate", 3.0),
             ev("p", 20, "Heart rate", 1.0),
             ev("p", 30, "Heart rate", 2.0),
@@ -213,18 +218,18 @@ class TestAggregate:
         assert list(f.table[HR]) == [1.0, 3.0, 2.0, 3.0, 2.0, 3.0]
 
     def test_single_value(self):
-        f = aggregate("p", [ev("p", 10, "Heart rate", 7.0)], label=0)
+        f = aggregate_one("p", [ev("p", 10, "Heart rate", 7.0)], label=0)
         assert list(f.table[HR]) == [7.0, 7.0, 7.0, 7.0, 7.0, 1.0]
 
     def test_even_count_median(self):
-        f = aggregate("p", [
+        f = aggregate_one("p", [
             ev("p", 10, "Heart rate", 1.0),
             ev("p", 20, "Heart rate", 3.0),
         ], label=0)
         assert f.table[HR, 2] == 2.0
 
     def test_zero_events(self):
-        f = aggregate("p", [], label=0)
+        f = aggregate_one("p", [], label=0)
         assert f.table[HR, 5] == 0.0
         assert np.isnan(f.table[HR, :5]).all()
 
@@ -233,7 +238,7 @@ class TestAggregate:
         values = rng.uniform(1, 9, size=9)
         for _ in range(10):
             perm = rng.permutation(9)
-            f = aggregate("p", [ev("p", m, "Heart rate", float(values[perm][i]))
+            f = aggregate_one("p", [ev("p", m, "Heart rate", float(values[perm][i]))
                                 for i, m in enumerate(minutes)], label=0)
             assert f.table[HR, 0] == values.min()
             assert f.table[HR, 1] == values.max()
@@ -243,12 +248,12 @@ class TestAggregate:
             assert f.table[HR, 4] == values[perm][-1]
 
     def test_scale_fills_missing_from_training(self):
-        tr1 = aggregate("t1", [ev("t1", 10, "Heart rate", 10.0)], label=0)
-        tr2 = aggregate("t2", [ev("t2", 10, "Heart rate", 20.0),
+        tr1 = aggregate_one("t1", [ev("t1", 10, "Heart rate", 10.0)], label=0)
+        tr2 = aggregate_one("t2", [ev("t2", 10, "Heart rate", 20.0),
                                ev("t2", 20, "Heart rate", 30.0)], label=1)
         stats = fit_aggregation_scaling([tr1, tr2])
-        empty = aggregate("q", [], label=0)
-        scaled = scale_aggregates(empty, stats)
+        empty = aggregate_one("q", [], label=0)
+        scaled, = scale_aggregates([empty], stats)
         # count 0 scales to 0 (training counts 1 and 2), means fill the rest
         assert scaled.table[HR, 5] == 0.0
         assert scaled.table[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
@@ -435,3 +440,68 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
     assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
     assert (statics[:, 0] == 0.5).all()
     assert dynamic[n_train, HIGH_VAR, 0] == 1.0 and dynamic[n_train, LOW_VAR, 0] == 0.0
+
+
+ORACLE_VARIABLES = ("Heart rate", "pH", "Glucose", "Age", "Weight")
+# bucket edges of both window widths, the 24 h horizon and the last minute
+ORACLE_MINUTES = (0, 1, 59, 60, 119, 120, 239, 240, 1439, 1440, 2879)
+
+
+@st.composite
+def oracle_rows(draw):
+    """Patients and rows in shuffled file order, with 3+ observations per cell.
+
+    Values come from a small set, signed zeros and subnormals included, so
+    first/last, min/max and medians meet ties, and statics are observed more than once and past a 24 h horizon.
+    The last patient has only statics, and may have no rows at all.
+    """
+    n = draw(st.integers(1, 4))
+    values = (st.sampled_from([1.0, 2.5, 7.25, 100.0, 0.1, 0.0, -0.0, 5e-324, -5e-324])
+              | st.floats(-1e6, 1e6))
+    rows = []
+    for i in range(n):
+        cells = draw(st.lists(st.tuples(st.sampled_from(ORACLE_MINUTES),
+                                        st.sampled_from(ORACLE_VARIABLES)), max_size=6))
+        for minute, variable in cells:
+            if i == n - 1 and variable not in vocab.STATIC_INDEX:
+                continue
+            for value in draw(st.lists(values, min_size=3, max_size=5)):
+                rows.append((f"p{i}", minute, variable, value))
+    labels = {f"p{i}": i % 2 for i in range(n)}
+    return draw(st.permutations(rows)), labels
+
+
+def bits(array):
+    return np.asarray(array).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_rows(), st.sampled_from([(2, 48), (1, 24), (4, 48)]))
+def test_framing_matches_per_event_oracle(case, grid):
+    rows, labels = case
+    window_hours, horizon_hours = grid
+    cohort = cohort_of(rows, labels)
+    frames = frame_cohort(cohort, window_hours, horizon_hours)
+    aggs = aggregate_cohort(cohort, horizon_hours)
+    oracle = framing_oracle(rows, labels, window_hours, horizon_hours)
+    assert [f.patient_id for f in frames] == [a.patient_id for a in aggs] == sorted(labels)
+    for frame, agg in zip(frames, aggs):
+        dynamic, mask, statics, table = oracle[frame.patient_id]
+        assert frame.label == agg.label == labels[frame.patient_id]
+        assert bits(frame.dynamic) == bits(dynamic) and bits(frame.mask) == bits(mask)
+        assert bits(frame.statics) == bits(statics) == bits(agg.statics)
+        assert bits(agg.table) == bits(table)
+
+    # the framing invariants: scaling never touches the mask, dense output
+    # lies in [0, 1], and carrying forward never overwrites an observed cell
+    raw = np.stack([f.dynamic for f in frames])
+    masks = np.stack([f.mask for f in frames])
+    stats = fit_scaling(frames)
+    dense = scale_frames(frames, stats)
+    assert all(bits(d.mask) == bits(m) for d, m in zip(dense, masks))
+    assert all(bits(impute_and_scale(f, stats).mask) == bits(f.mask) for f in frames)
+    for d in dense:
+        assert ((d.dynamic >= 0.0) & (d.dynamic <= 1.0)).all()
+        assert ((d.statics >= 0.0) & (d.statics <= 1.0)).all()
+    filled, _ = _impute_stack(raw, np.stack([f.statics for f in frames]), stats)
+    assert bits(filled[masks]) == bits(raw[masks])

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from patsim import ingest, vocab
@@ -25,27 +26,44 @@ def outcomes_stream(*rows):
     return io.StringIO(OUT_HEADER + "".join(r + "\n" for r in rows))
 
 
+def rows_of(events):
+    """(patient_id, minute, variable, value) of each row of parsed events or a cohort."""
+    ids = events.ids if isinstance(events, ingest.Events) else events.patient_ids
+    return [(ids[p], m, vocab.ALL_VARIABLES[v], x) for p, m, v, x in zip(
+        events.patient.tolist(), events.minute.tolist(), events.variable.tolist(),
+        events.value.tolist())]
+
+
+def assert_same_cohort(a, b):
+    assert a.patient_ids == b.patient_ids
+    for column in ("labels", "patient", "minute", "variable", "value"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column
+
+
 class TestParseEvents:
     def test_basic_row(self):
         evs = ingest.parse_events(events_stream("p1,10,Heart rate,80"))
-        assert evs == [ingest.Event("p1", 10, "Heart rate", 80.0)]
+        assert len(evs) == 1
+        assert rows_of(evs) == [("p1", 10, "Heart rate", 80.0)]
 
-    def test_events_are_slotted_and_share_strings(self):
+    def test_events_are_typed_columns(self):
         evs = ingest.parse_events(events_stream(
             "p1,0,Age,54", "p1,10,Heart rate,80", "p2,10,Heart rate,-1", "p2,30,Heart rate,71.5"))
-        assert evs == [
-            ingest.Event("p1", 0, "Age", 54.0),
-            ingest.Event("p1", 10, "Heart rate", 80.0),
-            ingest.Event("p2", 30, "Heart rate", 71.5),
+        assert rows_of(evs) == [
+            ("p1", 0, "Age", 54.0),
+            ("p1", 10, "Heart rate", 80.0),
+            ("p2", 30, "Heart rate", 71.5),
         ]
-        assert not hasattr(evs[0], "__dict__")
-        assert evs[0].patient_id is evs[1].patient_id
-        assert evs[1].variable is evs[2].variable
-        with pytest.raises(AttributeError):
-            evs[0].value = 1.0
+        assert evs.ids == ["p1", "p2"]
+        assert [evs.patient.dtype, evs.minute.dtype, evs.variable.dtype, evs.value.dtype] \
+            == [np.int32, np.int16, np.int8, np.float64]
+        # each patient's first kept row; p2's line-4 row is a dropped placeholder
+        assert evs.first_line == [2, 5]
+        assert evs.path is None
 
     def test_header_only(self):
-        assert ingest.parse_events(io.StringIO(EV_HEADER)) == []
+        assert len(ingest.parse_events(io.StringIO(EV_HEADER))) == 0
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
@@ -59,7 +77,7 @@ class TestParseEvents:
 
     def test_last_minute_accepted(self):
         evs = ingest.parse_events(events_stream("p1,2879,Heart rate,80"))
-        assert evs[0].minute == 2879
+        assert evs.minute.tolist() == [2879]
 
     def test_malformed_rows(self):
         with pytest.raises(MalformedRow) as exc:
@@ -102,14 +120,15 @@ class TestParseEvents:
         with caplog.at_level("WARNING"):
             evs = ingest.parse_events(events_stream(
                 "p1,10,Heart rate,-1", "p1,20,Heart rate,75"))
-        assert len(evs) == 1 and evs[0].value == 75.0
+        assert len(evs) == 1 and evs.value.tolist() == [75.0]
         assert "1 rows" in caplog.text
 
 
 class TestParseOutcomes:
     def test_basic(self):
         outs = ingest.parse_outcomes(outcomes_stream("p1,1", "p2,0"))
-        assert outs == [ingest.Outcome("p1", 1), ingest.Outcome("p2", 0)]
+        assert outs.ids == ["p1", "p2"] and outs.labels.tolist() == [1, 0]
+        assert outs.lines == [2, 3]
 
     def test_duplicate(self):
         with pytest.raises(DuplicatePatient):
@@ -150,25 +169,40 @@ class TestBuildCohort:
             "p1,1", "p2,0", "p3,0", "p4,0", "p5,0"))
         cohort = ingest.build_cohort(evs, outs)
         assert cohort.n_patients == 5
-        assert cohort.prevalence == pytest.approx(0.20)
+        assert cohort.labels.mean() == pytest.approx(0.20)
 
     def test_missing_outcome(self):
-        evs = ingest.parse_events(events_stream("p3,10,Heart rate,80"))
-        with pytest.raises(MissingOutcome):
-            ingest.build_cohort(evs, [])
+        evs = ingest.parse_events(events_stream("p1,5,pH,7.3", "p3,10,Heart rate,80"))
+        with pytest.raises(MissingOutcome) as exc:
+            ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_stream("p1,0")))
+        assert str(exc.value) == "line 3: patient 'p3' has events but no outcome row"
 
     def test_missing_events(self):
         outs = ingest.parse_outcomes(outcomes_stream("p9,0"))
-        with pytest.raises(MissingEvents):
-            ingest.build_cohort([], outs)
+        with pytest.raises(MissingEvents) as exc:
+            ingest.build_cohort(ingest.parse_events(io.StringIO(EV_HEADER)), outs)
+        assert str(exc.value) == "line 2: patient 'p9' has an outcome but no events"
 
     def test_events_sorted(self):
+        # canonical order: patient, minute, variable name (not vocabulary index), file order
         evs = ingest.parse_events(events_stream(
-            "p1,50,Heart rate,90", "p1,10,Heart rate,80", "p1,10,Albumin,4"))
-        cohort = ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_stream("p1,0")))
-        stored = cohort.patients["p1"]
-        assert [(e.minute, e.variable) for e in stored] == sorted(
-            (e.minute, e.variable) for e in stored)
+            "p2,10,pH,7.1", "p1,50,Heart rate,90", "p1,10,Heart rate,80", "p1,10,Albumin,4",
+            "p1,10,Heart rate,81", "p1,10,Age,60"))
+        cohort = ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_stream("p2,1", "p1,0")))
+        assert cohort.patient_ids == ["p1", "p2"] and cohort.labels.tolist() == [0, 1]
+        assert rows_of(cohort) == [
+            ("p1", 10, "Age", 60.0), ("p1", 10, "Albumin", 4.0), ("p1", 10, "Heart rate", 80.0),
+            ("p1", 10, "Heart rate", 81.0), ("p1", 50, "Heart rate", 90.0), ("p2", 10, "pH", 7.1)]
+
+    def test_select_keeps_cohort_order(self):
+        evs = ingest.parse_events(events_stream(
+            "p3,10,pH,7.1", "p1,50,Heart rate,90", "p2,10,Albumin,4", "p3,0,Age,60"))
+        cohort = ingest.build_cohort(
+            evs, ingest.parse_outcomes(outcomes_stream("p1,0", "p2,1", "p3,1")))
+        chosen = cohort.select(["p3", "p1"])
+        assert chosen.patient_ids == ["p1", "p3"] and chosen.labels.tolist() == [0, 1]
+        assert rows_of(chosen) == [r for r in rows_of(cohort) if r[0] != "p2"]
+        assert_same_cohort(cohort.select(cohort.patient_ids), cohort)
 
 
 def test_roundtrip_and_closure(rng):
@@ -191,10 +225,10 @@ def test_roundtrip_and_closure(rng):
     again = ingest.build_cohort(
         ingest.parse_events(io.StringIO(ev_buf.getvalue())),
         ingest.parse_outcomes(io.StringIO(out_buf.getvalue())))
-    assert again == cohort
+    assert_same_cohort(again, cohort)
 
-    for events in cohort.patients.values():
-        for ev in events:
-            assert ev.variable in vocab.VARIABLE_INDEX
-        minutes = [e.minute for e in events]
-        assert minutes == sorted(minutes)
+    assert cohort.variable.min() >= 0 and cohort.variable.max() < vocab.N_VARIABLES
+    for p in range(cohort.n_patients):
+        minutes = cohort.minute[cohort.patient == p]
+        assert len(minutes) and (np.diff(minutes) >= 0).all()
+    assert (np.diff(cohort.patient) >= 0).all()

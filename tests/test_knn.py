@@ -10,14 +10,13 @@ from patsim.knn import (
     FeatureWeights,
     Model,
     NeighborSet,
-    classify,
     neighbors,
     soft_score,
     variable_distance_sq,
     variable_distances_sq,
     weighted_distance_sq,
 )
-from util import random_dense_frames
+from util import classify, random_dense_frames
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 

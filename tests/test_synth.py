@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from patsim import framing, vocab, weights
+from patsim.cli import main
 from patsim.errors import BadSpec
 from patsim.synth import SynthSpec, generate
 
@@ -32,7 +35,7 @@ class TestGenerator:
     def test_prevalence_within_3_sigma(self):
         spec = SynthSpec(n_patients=1000, prevalence=0.18, seed=2)
         result = generate(spec)
-        positives = sum(o.in_hospital_death for o in result.outcomes)
+        positives = int(result.outcomes.labels.sum())
         sigma = np.sqrt(1000 * 0.18 * 0.82)
         assert abs(positives - 180) <= 3 * sigma
         assert result.manifest["prevalence_actual"] == positives / 1000
@@ -47,8 +50,10 @@ class TestGenerator:
     def test_determinism(self):
         spec = SynthSpec(n_patients=15, seed=9)
         r1, r2 = generate(spec), generate(spec)
-        assert r1.events == r2.events
-        assert r1.outcomes == r2.outcomes
+        assert r1.events.ids == r2.events.ids and r1.outcomes.ids == r2.outcomes.ids
+        for column in ("patient", "minute", "variable", "value"):
+            assert getattr(r1.events, column).tobytes() == getattr(r2.events, column).tobytes()
+        assert r1.outcomes.labels.tolist() == r2.outcomes.labels.tolist()
 
     def test_manifest_lists_informative(self):
         result = generate(SynthSpec(n_patients=10, n_informative_variables=4, seed=4))
@@ -56,7 +61,7 @@ class TestGenerator:
         assert len(manifest["informative_variables"]) == 4
         assert set(manifest["level_variables"]) | set(manifest["shape_variables"]) \
             == set(manifest["informative_variables"])
-        assert set(manifest["latent_risk"]) == {o.patient_id for o in result.outcomes}
+        assert set(manifest["latent_risk"]) == set(result.outcomes.ids)
 
 
 class TestSignal:
@@ -124,3 +129,28 @@ class TestSignal:
         early = grids[:, v, 5:8].mean(axis=1)
         gap = abs(early[labels == 1].mean() - early[labels == 0].mean())
         assert gap > grids[:, v, 5:8].std() * 0.8
+
+
+# sha256 of the synth command's files for 30 patients, seed 1001; a change to
+# the generator's draw order, arithmetic or rounding changes these bytes.
+SYNTH_SHA256 = {
+    "planted": {
+        "events.csv": "11dfa10f59355d88fd28be3123dbe497b074c74823e5c6a73cc866d252b9dda9",
+        "outcomes.csv": "b446c501fef9f1e222e01862388e8709e139cdd80c5032f91019ccf8bd784570",
+        "manifest.json": "f630c28b8bbf3226d5783e1f50592484a2196a6925c4fa445c1f34468175001e",
+    },
+    "trend": {
+        "events.csv": "e0edcf009cd683336a034a747836e5b3abbefe0ec494a27a4b2c0ecd37ff68a6",
+        "outcomes.csv": "b446c501fef9f1e222e01862388e8709e139cdd80c5032f91019ccf8bd784570",
+        "manifest.json": "6f2f260d415afc1abd325aa3085e082a83e2e086ca0b7f57bd5b0dea3fca9a19",
+    },
+}
+
+
+@pytest.mark.parametrize("profile", sorted(SYNTH_SHA256))
+def test_synth_bytes_are_pinned(tmp_path, profile):
+    assert main(["synth", "--out-dir", str(tmp_path), "--n-patients", "30",
+                 "--seed", "1001", "--profile", profile]) == 0
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SYNTH_SHA256[profile]}
+    assert written == SYNTH_SHA256[profile]

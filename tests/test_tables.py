@@ -20,7 +20,7 @@ from patsim.errors import MalformedRow
 from patsim.evaluation import FoldMetrics
 from patsim.framing import FramedPatient, ScalingStats
 from patsim.knn import FeatureWeights
-from util import random_dense_frames
+from util import cohort_of, random_dense_frames
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IDS = st.text("abcxyz019_-.", min_size=1, max_size=6)
@@ -52,18 +52,18 @@ def read_each(text, read, stream=False):
                 min_size=1, max_size=30),
        st.data())
 def test_events_and_outcomes_round_trip(rows, data):
-    events = [ingest.Event(*row) for row in rows]
-    pids = sorted({e.patient_id for e in events})
+    pids = sorted({row[0] for row in rows})
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(pids), max_size=len(pids)))
-    cohort = ingest.build_cohort(events, [ingest.Outcome(p, y) for p, y in zip(pids, labels)])
+    cohort = cohort_of(rows, dict(zip(pids, labels)))
     ev_buf, out_buf = io.StringIO(), io.StringIO()
     ingest.write_events(cohort, ev_buf)
     ingest.write_outcomes(cohort, out_buf)
-    written = [e for pid in cohort.patient_ids for e in cohort.patients[pid]]
     for parsed in read_each(ev_buf.getvalue(), ingest.parse_events, stream=True):
-        assert parsed == written
+        assert parsed.ids == pids
+        for column in ("patient", "minute", "variable", "value"):
+            assert getattr(parsed, column).tobytes() == getattr(cohort, column).tobytes()
     for parsed in read_each(out_buf.getvalue(), ingest.parse_outcomes, stream=True):
-        assert parsed == [cohort.outcomes[pid] for pid in pids]
+        assert parsed.ids == pids and parsed.labels.tolist() == labels
 
 
 @settings(max_examples=25, deadline=None)

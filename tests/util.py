@@ -1,7 +1,8 @@
 import numpy as np
 
-from patsim import vocab
-from patsim.framing import FramedPatient
+from patsim import ingest, vocab
+from patsim.framing import N_AGG, FramedPatient
+from patsim.knn import classify_batch
 
 
 def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
@@ -42,9 +43,85 @@ def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.
     return [frames[i] for i in rng.permutation(n)]
 
 
+def classify(query, model):
+    """(label, score) of one query: classify_batch of a one-query batch."""
+    labels, scores = classify_batch([query], model)
+    return int(labels[0]), float(scores[0])
+
+
 def argsort_top_k(d2, k):
     """Reference selection: a stable row-wise argsort, first k columns.
 
     Equal distances keep ascending column order, +inf entries sort last.
     """
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def events_of(rows) -> ingest.Events:
+    """Events of (patient_id, minute, variable, value) rows, kept in the given (file) order."""
+    ids = list(dict.fromkeys(row[0] for row in rows))
+    code = {pid: i for i, pid in enumerate(ids)}
+    return ingest.Events(
+        ids,
+        np.array([code[row[0]] for row in rows], dtype=np.int32),
+        np.array([row[1] for row in rows], dtype=np.int16),
+        np.array([vocab.VARIABLE_INDEX[row[2]] for row in rows], dtype=np.int8),
+        np.array([row[3] for row in rows], dtype=np.float64))
+
+
+def cohort_of(rows, labels) -> ingest.Cohort:
+    """The cohort of `labels` (patient_id -> label) with (patient_id, minute, variable, value) rows.
+
+    build_cohort puts the rows in canonical order. A patient in `labels`
+    without rows gets none, which build_cohort would reject and framing
+    must handle.
+    """
+    with_rows = [pid for pid in labels if any(row[0] == pid for row in rows)]
+    joined = ingest.build_cohort(events_of(rows), ingest.Outcomes(
+        with_rows, np.array([labels[pid] for pid in with_rows], dtype=np.int64)))
+    patient_ids = sorted(labels)
+    renumber = np.array([patient_ids.index(pid) for pid in joined.patient_ids], dtype=np.int32)
+    return ingest.Cohort(patient_ids, np.array([labels[pid] for pid in patient_ids]),
+                         renumber[joined.patient], joined.minute, joined.variable, joined.value)
+
+
+def framing_oracle(rows, labels, window_hours=2, horizon_hours=48) -> dict:
+    """Per-event reference for frame_cohort and aggregate_cohort.
+
+    Each patient's (patient_id, minute, variable, value) rows are sorted by
+    (minute, variable), stable in file order, then bucketed and summarized
+    one event at a time. Returns patient_id -> (dynamic, mask, statics,
+    table) for every patient in `labels`.
+    """
+    n_buckets = horizon_hours // window_hours
+    per_patient = {pid: [] for pid in labels}
+    for row in rows:
+        per_patient[row[0]].append(row)
+    out = {}
+    for pid, events in per_patient.items():
+        events.sort(key=lambda row: (row[1], row[2]))
+        sums = np.zeros((vocab.N_DYNAMIC, n_buckets))
+        counts = np.zeros((vocab.N_DYNAMIC, n_buckets), dtype=int)
+        statics = np.full(vocab.N_STATIC, np.nan)
+        per_var = [[] for _ in range(vocab.N_DYNAMIC)]
+        for _, minute, variable, value in events:
+            if variable in vocab.STATIC_INDEX:
+                if np.isnan(statics[vocab.STATIC_INDEX[variable]]):
+                    statics[vocab.STATIC_INDEX[variable]] = value
+                continue
+            if minute >= horizon_hours * 60:
+                continue
+            v = vocab.DYNAMIC_INDEX[variable]
+            sums[v, minute // (60 * window_hours)] += value
+            counts[v, minute // (60 * window_hours)] += 1
+            per_var[v].append(value)
+        mask = counts > 0
+        dynamic = np.where(mask, sums / np.maximum(counts, 1), np.nan)
+        table = np.full((vocab.N_DYNAMIC, N_AGG), np.nan)
+        for v, values in enumerate(per_var):
+            table[v, 5] = len(values)
+            if values:
+                arr = np.asarray(values, dtype=float)
+                table[v, :5] = [arr.min(), arr.max(), np.median(arr), arr[0], arr[-1]]
+        out[pid] = (dynamic, mask, statics, table)
+    return out
