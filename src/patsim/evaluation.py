@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from . import framing, tables, vocab
 from .config import check_choices
@@ -309,6 +308,8 @@ def friedman(matrix) -> tuple:
     correction = 1.0 - ties / (n * m * (m ** 2 - 1))
     statistic = numerator / correction if correction > 0 else 0.0
     statistic = max(statistic, 0.0)
+    # imported here, so commands that compare nothing (train, predict) never load scipy
+    from scipy.special import chdtrc
     p_value = float(chdtrc(m - 1, statistic))
     return float(statistic), p_value
 
@@ -365,6 +366,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     var -= float((counts ** 3 - counts).sum()) / 48.0
     correction = 0.5 * np.sign(w_plus - mean)
     z = (w_plus - mean - correction) / np.sqrt(var)
+    from scipy.special import ndtr
     p = float(min(1.0, 2.0 * ndtr(-abs(z))))
     return statistic, p
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import tables, vocab
 from .errors import (
     DuplicatePatient,
+    InputFault,
     InvalidLabel,
     MalformedRow,
     MissingEvents,
@@ -191,7 +192,12 @@ def build_cohort(events: Events, outcomes: Outcomes) -> Cohort:
 
 
 def load_cohort(events_path, outcomes_path) -> Cohort:
-    return build_cohort(parse_events(events_path), parse_outcomes(outcomes_path))
+    """The cohort of an events and an outcomes file; a pair with no patients is an events fault."""
+    events = parse_events(events_path)
+    cohort = build_cohort(events, parse_outcomes(outcomes_path))
+    if not cohort.n_patients:
+        raise InputFault("no event rows, so the cohort has no patients", path=events.path)
+    return cohort
 
 
 def write_events(cohort: Cohort, stream) -> None:

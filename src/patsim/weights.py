@@ -61,11 +61,15 @@ class TrainTrace:
 
 
 def _distance_tensor(grid, statics) -> np.ndarray:
-    """Per-variable pairwise squared distances, shape (40, n, n).
+    """Per-variable pairwise squared distances, packed: shape (40, n(n-1)/2).
 
-    Dynamic variables use the mean squared difference over their grid
-    columns (gram-matrix form, clipped and symmetrized against rounding);
-    statics are plain squared differences.
+    Column p holds the pair (i, j), i < j, that `np.triu_indices(n, 1)`
+    lists p-th; `_pair_index` maps a pair back to its column. Dynamic
+    variables use the mean squared difference over their grid columns
+    (gram-matrix form, clipped against rounding); statics are plain
+    squared differences. The gram form is exactly symmetric, so every
+    value equals the square tensor's (i, j) and (j, i) entries bit for bit,
+    while the square tensor itself is never built.
 
     The tensor lives in its own anonymous memory map, which goes back to
     the system when the tensor is freed. Off the heap, one fold's tensor
@@ -74,28 +78,45 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     of a cross-validation worker.
     """
     n, n_dyn, n_cols = grid.shape
-    size = vocab.N_VARIABLES * n * n
-    out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, n, n)
+    iu, ju = np.triu_indices(n, 1)
+    size = vocab.N_VARIABLES * len(iu)
+    out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, -1)
     for v in range(n_dyn):
         # centering keeps a constant column's distances exactly zero
         x = grid[:, v, :] - grid[:, v, :].mean(axis=0)
         sq = (x * x).sum(axis=1)
-        d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        d = np.maximum(d, 0.0) / n_cols
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, 0.0)
-        out[v] = d
+        d = sq[iu] + sq[ju] - 2.0 * (x @ x.T)[iu, ju]
+        out[v] = np.maximum(d, 0.0) / n_cols
     for j in range(statics.shape[1]):
         s = statics[:, j]
-        out[n_dyn + j] = (s[:, None] - s[None, :]) ** 2
+        out[n_dyn + j] = (s[iu] - s[ju]) ** 2
     return out
 
 
-def _neighbor_sets(dist, w, k) -> np.ndarray:
-    """Leave-one-out neighbor indices (n, k) at the given weights."""
-    d2 = np.tensordot(w, dist, axes=(0, 0))
+def _pair_index(n) -> np.ndarray:
+    """(n, n) map from patients i, j to their column in the packed tensor; the diagonal maps to 0."""
+    pair = np.zeros((n, n), dtype=np.intp)
+    iu, ju = np.triu_indices(n, 1)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    return pair
+
+
+def _loo_distances(packed, pair, w) -> np.ndarray:
+    """Weighted squared distances (n, n) at the given weights, +inf on the diagonal.
+
+    The einsum adds each pair's 40 terms in variable order wherever its
+    column lies, so columns with equal per-variable distances get
+    bit-equal sums and tie by patient_id; a BLAS product (`w @ packed`)
+    sums a column in an order that depends on its position.
+    """
+    d2 = np.einsum("v,vp->p", w, packed)[pair]
     np.fill_diagonal(d2, np.inf)
-    return top_k(d2, k)
+    return d2
+
+
+def _neighbor_sets(packed, pair, w, k) -> np.ndarray:
+    """Leave-one-out neighbor indices (n, k) at the given weights."""
+    return top_k(_loo_distances(packed, pair, w), k)
 
 
 def _error_value(yhat, labels) -> float:
@@ -103,10 +124,10 @@ def _error_value(yhat, labels) -> float:
     return float(2.0 * ((labels - yhat) ** 2).sum())
 
 
-def _error_and_gradient(dist, w, sets, labels) -> tuple:
+def _error_and_gradient(packed, pair, w, sets, labels) -> tuple:
     """Training error and dE/dw over fixed neighbor sets, from one gather."""
-    rows = np.arange(dist.shape[1])[:, None]
-    d_sel = dist[:, rows, sets]                       # (40, n, k)
+    rows = np.arange(pair.shape[0])[:, None]
+    d_sel = packed[:, pair[rows, sets]]               # (40, n, k)
     d2_sel = np.einsum("v,vnk->nk", w, d_sel)
     y_n = labels[sets]
     yhat = soft_scores(d2_sel, y_n)
@@ -124,15 +145,17 @@ def _error_and_gradient(dist, w, sets, labels) -> tuple:
 class Workspace:
     """A training cohort stacked once, with the state its weightings derive from it.
 
-    The (40, n, n) leave-one-out distance tensor and the filter tables are
-    built on first use and then shared by every weighting trained on this
-    cohort; `release_tensor` frees the tensor once no weighting needs it.
-    Every function below that takes `frames` also takes a Workspace.
+    The packed (40, n(n-1)/2) leave-one-out distance tensor with its pair
+    index, and the filter tables, are built on first use and then shared by
+    every weighting trained on this cohort; `release_tensor` frees the
+    tensor and the index once no weighting needs them. Every function below
+    that takes `frames` also takes a Workspace.
     """
 
     def __init__(self, frames):
         self.train = stack(frames)
         self._tensor = None
+        self._pairs = None
         self._tables = None
 
     def __len__(self):
@@ -143,8 +166,13 @@ class Workspace:
             self._tensor = _distance_tensor(self.train.grid, self.train.statics)
         return self._tensor
 
+    def pairs(self) -> np.ndarray:
+        if self._pairs is None:
+            self._pairs = _pair_index(len(self))
+        return self._pairs
+
     def release_tensor(self):
-        self._tensor = None
+        self._tensor = self._pairs = None
 
     def tables(self) -> list:
         if self._tables is None:
@@ -157,20 +185,20 @@ def _workspace(frames) -> Workspace:
 
 
 def _loo_problem(frames, weights, k) -> tuple:
-    """(distance tensor, weights, LOO neighbor sets, labels) of a training cohort."""
+    """(packed tensor, pair index, weights, LOO neighbor sets, labels) of a training cohort."""
     ws = _workspace(frames)
     labels = ws.train.labels
     _check_two_classes(labels)
     if k > len(labels) - 1:
         raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
-    dist = ws.tensor()
+    packed, pair = ws.tensor(), ws.pairs()
     w = _weight_array(weights)
-    return dist, w, _neighbor_sets(dist, w, k), labels
+    return packed, pair, w, _neighbor_sets(packed, pair, w, k), labels
 
 
 def loo_neighbor_sets(frames, weights, k=10) -> np.ndarray:
     """Leave-one-out neighbor index sets for every training patient."""
-    return _loo_problem(frames, weights, k)[2]
+    return _loo_problem(frames, weights, k)[3]
 
 
 def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
@@ -180,10 +208,10 @@ def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
     patient_id order) the sets are held fixed instead of re-selected,
     which is the function the analytic gradient differentiates.
     """
-    dist, w, sets, labels = _loo_problem(frames, weights, k)
+    packed, pair, w, sets, labels = _loo_problem(frames, weights, k)
     if neighbor_sets is not None:
         sets = neighbor_sets
-    return _error_and_gradient(dist, w, sets, labels)[0]
+    return _error_and_gradient(packed, pair, w, sets, labels)[0]
 
 
 def gradient(frames, weights, k=10) -> np.ndarray:
@@ -216,8 +244,8 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     """
     active = _active(active)
     start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
-    dist, w, sets, labels = _loo_problem(frames, start * active, config.k)
-    err, grad = _error_and_gradient(dist, w, sets, labels)
+    packed, pair, w, sets, labels = _loo_problem(frames, start * active, config.k)
+    err, grad = _error_and_gradient(packed, pair, w, sets, labels)
 
     trace = TrainTrace()
     trace.errors.append(err)
@@ -228,7 +256,7 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
         w = np.maximum(w - config.learning_rate * grad, 0.0)
         w *= active
         new_err, grad = _error_and_gradient(
-            dist, w, _neighbor_sets(dist, w, config.k), labels)
+            packed, pair, w, _neighbor_sets(packed, pair, w, config.k), labels)
         trace.errors.append(new_err)
         trace.epochs_run = epoch
         if new_err < best_err:

@@ -348,3 +348,15 @@ class TestLocatedFaults:
         err = one_line_error(capsys, ["frame", "--events", events, "--outcomes", outcomes,
                                       "--out-frames", tmp_path / "f.csv"])
         assert err == f"error: {outcomes} line 4: patient 'p2' has an outcome but no events\n"
+
+    @pytest.mark.parametrize("command", [
+        ["frame", "--out-frames", "f.csv"],
+        ["experiment", "exp3", "--out-dir", "out"],
+    ])
+    def test_header_only_events_and_outcomes(self, tmp_path, capsys, command):
+        events, outcomes = tmp_path / "events.csv", tmp_path / "outcomes.csv"
+        events.write_text("patient_id,minute,variable,value\n")
+        outcomes.write_text("patient_id,in_hospital_death\n")
+        argv = command[:-1] + [tmp_path / command[-1], "--events", events, "--outcomes", outcomes]
+        err = one_line_error(capsys, argv)
+        assert err == f"error: {events}: no event rows, so the cohort has no patients\n"

@@ -3,13 +3,14 @@
 Selection is checked against a sorted (distance, patient_id) scan and a
 stable argsort on tie-heavy matrices; batch prediction against the
 one-query path; shared per-variable distances against per-method scans;
-and gradient descent against the loop that gathered the selected pairs
-twice per epoch.
+the packed leave-one-out tensor against the square one it replaced, and
+its weighted sums on exact duplicate patients; and gradient descent
+against the loop that gathered the selected pairs twice per epoch.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patsim import vocab
@@ -28,12 +29,14 @@ from patsim.knn import (
 )
 from patsim.weights import (
     TrainConfig,
+    Workspace,
     _distance_tensor,
     _error_value,
+    _loo_distances,
     loo_neighbor_sets,
     train_gd,
 )
-from util import argsort_top_k, quantized_frames, random_dense_frames
+from util import argsort_top_k, quantized_frames, random_dense_frames, square_distance_tensor
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -95,15 +98,78 @@ def test_top_k_boundary_cases(d2, k):
 
 @settings(max_examples=25, deadline=None)
 @given(SEEDS, st.integers(2, 4), st.integers(12, 30))
+# a BLAS product over the tensor summed row 11's two identical patients apart
+@example(seed=1032, levels=2, n=12)
 def test_loo_neighbor_sets_match_scan(seed, levels, n):
     rng = np.random.default_rng(seed)
     frames = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
     w = quantized_weights(rng)
     k = int(rng.integers(1, n))
     _, grid, statics, _, ids = stack(frames)
-    d2 = np.tensordot(w.values, _distance_tensor(grid, statics), axes=(0, 0))
+    d2 = np.einsum("v,vij->ij", w.values, square_distance_tensor(grid, statics))
     expected = [scan(d2[i], ids, k, skip=ids[i]) for i in range(n)]
     assert loo_neighbor_sets(frames, w, k=k).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+def test_packed_tensor_is_the_square_upper_triangle(make, n):
+    """Bit for bit, pair p of the packed tensor is entry (i, j) of the square oracle."""
+    _, grid, statics, _, _ = stack(make(n, np.random.default_rng(n)))
+    packed = _distance_tensor(grid, statics)
+    iu, ju = np.triu_indices(n, 1)
+    assert packed.dtype == np.float64
+    assert packed.tolist() == square_distance_tensor(grid, statics)[:, iu, ju].tolist()
+
+
+def test_workspace_holds_the_packed_tensor():
+    n = 23
+    ws = Workspace(random_dense_frames(n, np.random.default_rng(4)))
+    tensor, pairs = ws.tensor(), ws.pairs()
+    assert tensor.shape == (vocab.N_VARIABLES, n * (n - 1) // 2)
+    assert tensor.nbytes == 8 * vocab.N_VARIABLES * n * (n - 1) // 2
+    assert ws.tensor() is tensor
+    iu, ju = np.triu_indices(n, 1)
+    assert (pairs[iu, ju] == np.arange(len(iu))).all()
+    assert (pairs == pairs.T).all()
+    ws.release_tensor()
+    assert ws._tensor is None and ws._pairs is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.sampled_from([2, 3, 5, 1000]), st.integers(12, 60), st.integers(1, 4))
+def test_exact_duplicates_tie_and_resolve_by_patient_id(seed, levels, n, copies):
+    """Columns of copies of one patient that hold bit-equal per-variable
+    distances in a row get bit-equal weighted distances there, and enter
+    that row's neighbor set in ascending patient_id order."""
+    rng = np.random.default_rng(seed)
+    frames = quantized_frames(n, rng, levels=levels, duplicates=copies * (n // 4))
+    ws = Workspace(frames)
+    w = rng.random(vocab.N_VARIABLES) * rng.integers(0, 2, vocab.N_VARIABLES)
+    w[0] = 1.0 + rng.random()
+    k = int(rng.integers(1, n))
+    per_var = ws.tensor()[:, ws.pairs()]
+    d2 = _loo_distances(ws.tensor(), ws.pairs(), w)
+    sets = loo_neighbor_sets(ws, FeatureWeights(w), k=k)
+    keys = [ws.train.grid[i].tobytes() + ws.train.statics[i].tobytes() for i in range(n)]
+    copies_of = {}
+    for j, key in enumerate(keys):
+        copies_of.setdefault(key, []).append(j)
+    tied_sets = 0
+    for group in (g for g in copies_of.values() if len(g) > 1):
+        for i in range(n):
+            by_value = {}
+            for j in group:
+                if j != i:
+                    by_value.setdefault(per_var[:, i, j].tobytes(), []).append(j)
+            for tied in (t for t in by_value.values() if len(t) > 1):
+                tied_sets += 1
+                assert len({d2[i, j].tobytes() for j in tied}) == 1
+                chosen = [j for j in sets[i] if j in tied]
+                assert chosen == tied[:len(chosen)]
+    assert tied_sets > 0
+    assert sets.tolist() == [scan(d2[i], ws.train.ids, k, skip=ws.train.ids[i])
+                             for i in range(n)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -204,7 +270,7 @@ def test_empty_batch():
 
 
 def _old_neighbor_sets(dist, w, k):
-    d2 = np.tensordot(w, dist, axes=(0, 0))
+    d2 = np.einsum("v,vij->ij", w, dist)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
@@ -238,7 +304,7 @@ def _old_train_gd(frames, config, active):
     labels = np.array([f.label for f in frames], dtype=float)
     w = np.ones(vocab.N_VARIABLES) * active if config.initial_weights is None \
         else config.initial_weights.values * active
-    dist = _distance_tensor(grid, statics)
+    dist = square_distance_tensor(grid, statics)
     sets = _old_neighbor_sets(dist, w, config.k)
     err = _error_value(_old_soft_scores(dist, w, sets, labels), labels)
     errors, best_err, best_w, plateau = [err], err, w.copy(), 0

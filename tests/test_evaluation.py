@@ -417,6 +417,15 @@ class TestTailProbabilities:
                              check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_out(self):
+        """scipy loads only when a comparison computes a p-value."""
+        import subprocess
+        import sys
+        code = "import sys, patsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]
 

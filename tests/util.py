@@ -43,6 +43,29 @@ def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.
     return [frames[i] for i in rng.permutation(n)]
 
 
+def square_distance_tensor(grid, statics) -> np.ndarray:
+    """Reference per-variable pairwise squared distances, square: shape (40, n, n).
+
+    The gram-matrix build the packed leave-one-out tensor replaced, with
+    its symmetrizing step and zero diagonal; the packed tensor must equal
+    its upper triangle bit for bit.
+    """
+    n, n_dyn, n_cols = grid.shape
+    out = np.empty((vocab.N_VARIABLES, n, n))
+    for v in range(n_dyn):
+        x = grid[:, v, :] - grid[:, v, :].mean(axis=0)
+        sq = (x * x).sum(axis=1)
+        d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        d = np.maximum(d, 0.0) / n_cols
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
+        out[v] = d
+    for j in range(statics.shape[1]):
+        s = statics[:, j]
+        out[n_dyn + j] = (s[:, None] - s[None, :]) ** 2
+    return out
+
+
 def classify(query, model):
     """(label, score) of one query: classify_batch of a one-query batch."""
     labels, scores = classify_batch([query], model)
