@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth, frame, train, predict, evaluate, compare, experiment.
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error or a lost fold process, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 7)")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallelism cap (default: available cores)")
+                        help="cross-validation fold processes, each on one BLAS thread "
+                             "unless OPENBLAS_NUM_THREADS is set; memory grows by one "
+                             "fold workspace per process (default: available cores)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 

@@ -47,7 +47,7 @@ class RunConfig:
     mode: str = "majority"
     folds: int = 20
     seed: int = 7
-    workers: int = 0      # 0 = available cores
+    workers: int = 0      # fold processes; 0 = the CPUs this process may run on
 
     def __post_init__(self):
         check_choices(self)
@@ -63,6 +63,8 @@ class RunConfig:
     def effective_workers(self) -> int:
         if self.workers and self.workers > 0:
             return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

@@ -9,6 +9,10 @@ class PatsimError(Exception):
     """Base class for all validation errors raised by this package."""
 
 
+def _rebuild(cls, args):
+    return cls.__new__(cls, *args)
+
+
 class InputFault(PatsimError):
     """A fault at one line of an input file.
 
@@ -23,6 +27,11 @@ class InputFault(PatsimError):
         if line_no is not None:
             where.append(f"line {line_no}")
         super().__init__(f"{' '.join(where)}: {message}" if where else message)
+
+    def __reduce__(self):
+        # Unpickling must not call a subclass __init__ on the finished message:
+        # a fault raised in a fold process is re-raised in its parent.
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class MalformedRow(InputFault):
@@ -106,3 +115,7 @@ class NegativeWeight(InputFault):
 
 class BadSpec(PatsimError):
     pass
+
+
+class FoldProcessDied(PatsimError):
+    """A cross-validation fold process ended before it returned its fold."""

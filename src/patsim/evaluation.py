@@ -8,7 +8,6 @@ Fold F-measures are the quantity the statistical tests compare.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     BadConfig,
     DegenerateMatrix,
     DimensionMismatch,
+    FoldProcessDied,
     MalformedRow,
     SingleClassCohort,
     TooFewPairs,
@@ -224,6 +224,53 @@ def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
     return predictions
 
 
+def _run_fold(job, i) -> list:
+    """The FoldMetrics of every method of `job` (sorted patients, folds, methods) on fold `i`."""
+    patients, folds, methods = job
+    test_ids = set(folds[i])
+    train_raw = [p for p in patients if p.patient_id not in test_ids]
+    test_raw = [p for p in patients if p.patient_id in test_ids]
+    train_scaled, test_scaled = _scale_split(train_raw, test_raw)
+    y_true = [p.label for p in test_raw]
+    return [fold_metrics(i, y_true, predicted) for predicted in
+            _predict_fold_methods(train_scaled, test_scaled, methods)]
+
+
+# The job of the fold pool being run. It is set before the pool forks, so
+# each child inherits it: only a fold index goes out and only that fold's
+# metrics come back, and the cohort is never pickled.
+_JOB = None
+
+
+def _run_inherited_fold(i) -> list:
+    return _run_fold(_JOB, i)
+
+
+def _fold_pool(processes):
+    """A pool of `processes` children forked from this one; they inherit `_JOB`."""
+    # imported here, so commands that run no pool (train, predict) never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=processes,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
+def _run_folds_in_processes(job, processes) -> list:
+    """Every fold's metrics, in fold order, from a pool of forked processes."""
+    from concurrent.futures.process import BrokenProcessPool
+    global _JOB
+    pool = _fold_pool(processes)
+    _JOB = job          # the children fork on the first submit, inside map
+    try:
+        return list(pool.map(_run_inherited_fold, range(len(job[1]))))
+    except BrokenProcessPool:
+        raise FoldProcessDied("a cross-validation fold process died before "
+                              "returning its fold") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _JOB = None
+
+
 def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
     """Stratified k-fold cross-validation of several methods on shared folds.
 
@@ -232,28 +279,19 @@ def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> 
     fit and applied once, and every method predicts from the same scaled
     fold and its shared neighbor workspace; feature weights are refit per
     method on its training side.
+    With `workers` > 1 the folds run in min(workers, k_folds) forked
+    processes; the metrics do not depend on it.
     Returns method name -> one FoldMetrics per fold, ordered by fold index.
     """
     patients = sorted(patients, key=lambda p: p.patient_id)
-    by_id = {p.patient_id: p for p in patients}
     ids = [p.patient_id for p in patients]
     labels = np.array([p.label for p in patients], dtype=int)
-    folds = kfold(ids, labels, k=k_folds, seed=seed)
-
-    def run_fold(i):
-        test_ids = set(folds[i])
-        train_raw = [p for p in patients if p.patient_id not in test_ids]
-        test_raw = [by_id[pid] for pid in folds[i]]
-        train_scaled, test_scaled = _scale_split(train_raw, test_raw)
-        y_true = [p.label for p in test_raw]
-        return [fold_metrics(i, y_true, predicted) for predicted in
-                _predict_fold_methods(train_scaled, test_scaled, methods)]
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fold = list(pool.map(run_fold, range(k_folds)))
+    job = (patients, kfold(ids, labels, k=k_folds, seed=seed), methods)
+    processes = min(workers or 1, k_folds)
+    if processes > 1:
+        per_fold = _run_folds_in_processes(job, processes)
     else:
-        per_fold = [run_fold(i) for i in range(k_folds)]
+        per_fold = [_run_fold(job, i) for i in range(k_folds)]
     return {method.name: [fold[j] for fold in per_fold] for j, method in enumerate(methods)}
 
 

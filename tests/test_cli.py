@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from patsim import framing, ingest, tables, vocab
+from patsim import evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
 from patsim.config import RunConfig, build_config, read_config_values, write_config
 from patsim.errors import BadConfig
@@ -249,6 +250,72 @@ class TestExitCodes:
              str(tmp_path / "s"), "--n-patients", "5", "--seed", "1"],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def run_cli(args, env_updates=None):
+    """Run `python -m patsim.cli ARGS` in a fresh process; unset variables mapped to None."""
+    env = dict(os.environ)
+    for key, value in (env_updates or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, "-m", "patsim.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+class TestFoldProcesses:
+    def test_fold_fault_is_the_same_line_at_any_worker_count(self, tmp_path):
+        errors = set()
+        for workers in (1, 2):
+            proc = run_cli(["experiment", "exp3", "--n-patients", 400, "--k", 300,
+                            "--workers", workers, "--out-dir", tmp_path / f"w{workers}"])
+            assert proc.returncode == 1
+            lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith("WARNING ")]
+            assert len(lines) == 1, proc.stderr
+            errors.add(lines[0])
+        assert errors == {"error: k=300 but only 189 leave-one-out candidates"}
+
+    def test_dead_fold_process_is_one_line_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluation, "_scale_split", lambda *args: os._exit(3))
+        err = one_line_error(capsys, ["experiment", "exp3", "--n-patients", 160, "--folds", 4,
+                                      "--workers", 2, "--out-dir", tmp_path])
+        assert err == ("error: a cross-validation fold process died before "
+                       "returning its fold\n")
+
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("max_epochs=4\nk=5\n")
+        reports = {}
+        for threads in (None, "2"):
+            for workers in (1, 2):
+                out = tmp_path / f"t{threads}-w{workers}"
+                proc = run_cli(["experiment", "exp3", "--n-patients", 160, "--folds", 4,
+                                "--config", config, "--workers", workers, "--out-dir", out],
+                               {"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                reports[threads, workers] = [(out / f"exp3_report.{ext}").read_bytes()
+                                             for ext in ("json", "txt")]
+        assert len({tuple(r) for r in reports.values()}) == 1
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_import_sets_one_blas_thread_unless_set(self, given, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, patsim; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{expected}\n"
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        assert RunConfig(workers=5).effective_workers() == 5
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert RunConfig().effective_workers() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert RunConfig().effective_workers() == 3
 
 
 class TestConfig:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from patsim import experiments, framing, knn, synth, vocab, weights
+from patsim import evaluation, experiments, framing, knn, synth, vocab, weights
 from patsim.config import RunConfig
 from patsim.errors import (
     BadConfig,
@@ -204,6 +204,29 @@ class TestCrossValidate:
         seq = cross_validate(frames, method, k_folds=4, seed=1, workers=1)
         par = cross_validate(frames, method, k_folds=4, seed=1, workers=4)
         assert seq == par
+
+    @pytest.mark.parametrize("workers, processes", [(1000, 4), (3, 3), (1, None), (0, None)])
+    def test_pool_size_is_workers_capped_at_folds(self, rng, monkeypatch, workers, processes):
+        """No more fold processes than folds; one worker runs no pool at all."""
+        started = []
+
+        class InProcessPool:
+            def __init__(self, n):
+                started.append(n)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(evaluation, "_fold_pool", InProcessPool)
+        frames = separable_frames(rng, n=60)
+        method = MethodSpec(name="m", weighting="chi2", k=5)
+        got = cross_validate(frames, method, k_folds=4, seed=1, workers=workers)
+        assert got == cross_validate(frames, method, k_folds=4, seed=1, workers=1)
+        assert started == ([] if processes is None else [processes])
+        assert evaluation._JOB is None
 
     def test_folds_outer_matches_per_method_and_per_patient_scaling(self, raw_frames):
         methods = [
