@@ -252,24 +252,22 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
-def run_cli(args, env_updates=None):
-    """Run `python -m patsim.cli ARGS` in a fresh process; unset variables mapped to None."""
-    env = dict(os.environ)
-    for key, value in (env_updates or {}).items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return subprocess.run([sys.executable, "-m", "patsim.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+def fresh_python(args, blas_threads=None):
+    """Run `python ARGS` in a new interpreter, OPENBLAS_NUM_THREADS set to `blas_threads` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env)
 
 
 class TestFoldProcesses:
     def test_fold_fault_is_the_same_line_at_any_worker_count(self, tmp_path):
         errors = set()
         for workers in (1, 2):
-            proc = run_cli(["experiment", "exp3", "--n-patients", 400, "--k", 300,
-                            "--workers", workers, "--out-dir", tmp_path / f"w{workers}"])
+            proc = fresh_python(["-m", "patsim.cli", "experiment", "exp3", "--n-patients", 400,
+                                 "--k", 300, "--workers", workers,
+                                 "--out-dir", tmp_path / f"w{workers}"])
             assert proc.returncode == 1
             lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith("WARNING ")]
             assert len(lines) == 1, proc.stderr
@@ -290,9 +288,9 @@ class TestFoldProcesses:
         for threads in (None, "2"):
             for workers in (1, 2):
                 out = tmp_path / f"t{threads}-w{workers}"
-                proc = run_cli(["experiment", "exp3", "--n-patients", 160, "--folds", 4,
-                                "--config", config, "--workers", workers, "--out-dir", out],
-                               {"OPENBLAS_NUM_THREADS": threads})
+                proc = fresh_python(["-m", "patsim.cli", "experiment", "exp3",
+                                     "--n-patients", 160, "--folds", 4, "--config", config,
+                                     "--workers", workers, "--out-dir", out], threads)
                 assert proc.returncode == 0, proc.stderr
                 reports[threads, workers] = [(out / f"exp3_report.{ext}").read_bytes()
                                              for ext in ("json", "txt")]
@@ -300,12 +298,8 @@ class TestFoldProcesses:
 
     @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
     def test_import_sets_one_blas_thread_unless_set(self, given, expected):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if given is not None:
-            env["OPENBLAS_NUM_THREADS"] = given
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os, patsim; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env)
+        proc = fresh_python(
+            ["-c", "import os, patsim; print(os.environ['OPENBLAS_NUM_THREADS'])"], given)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{expected}\n"
 
