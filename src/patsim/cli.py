@@ -208,11 +208,10 @@ def _cmd_predict(args) -> int:
                       prediction_mode=config.mode, threshold=config.threshold)
     loo = args.query_frames is None
     queries = model.frames if loo else framing.read_frames(args.query_frames)
-    queries = sorted(queries, key=lambda f: f.patient_id)
     labels, scores = knn.classify_batch(queries, model, leave_one_out=loo)
     tables.write_rows(args.out, "patient_id,score,label", (
-        f"{q.patient_id},{repr(float(score))},{label}"
-        for q, score, label in zip(queries, scores, labels)))
+        f"{pid},{repr(float(score))},{label}"
+        for pid, score, label in zip(queries.ids, scores, labels)))
     print(f"scored {len(queries)} patients -> {args.out}")
     return 0
 
@@ -239,9 +238,9 @@ def _cmd_evaluate(args) -> int:
     if args.split == "validation":
         ids = validation_ids(cohort, config.seed)
     patients = represent(cohort, method.representation, config, ids)
-    metrics = evaluation.cross_validate(patients, method, k_folds=config.folds,
+    metrics = evaluation.cross_validate(patients, [method], k_folds=config.folds,
                                         seed=config.seed,
-                                        workers=config.effective_workers())
+                                        workers=config.effective_workers())[method.name]
     evaluation.save_fold_metrics(metrics, args.out)
     mean_f = sum(m.f_measure for m in metrics) / len(metrics)
     print(f"{method.name}: mean F over {len(metrics)} folds = {mean_f:.4f}")

@@ -92,12 +92,6 @@ def read_config_values(path) -> dict:
     return values
 
 
-def write_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(RunConfig):
-            fh.write(f"{f.name}={getattr(config, f.name)}\n")
-
-
 def build_config(file_path=None, overrides=None) -> RunConfig:
     """Merge defaults, an optional config file, and explicit overrides."""
     values = {}

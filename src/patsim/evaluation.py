@@ -138,15 +138,17 @@ class MethodSpec:
         return active
 
 
-def _scale_split(train_raw, test_raw):
-    """Fit scaling on the training side, then scale both sides with it."""
-    if isinstance(train_raw[0], framing.AggregatedPatient):
-        stats = framing.fit_aggregation_scaling(train_raw)
-        scaled = framing.scale_aggregates(train_raw + test_raw, stats)
+def _scale_split(train_raw, test_raw) -> tuple:
+    """Fit scaling on the training side, then scale both sides with it.
+
+    A cohort without a mask holds aggregation tables.
+    """
+    if train_raw.mask is None:
+        fit, scale = framing.fit_aggregation_scaling, framing.scale_aggregates
     else:
-        stats = framing.fit_scaling(train_raw)
-        scaled = framing.scale_frames(train_raw + test_raw, stats)
-    return scaled[: len(train_raw)], scaled[len(train_raw):]
+        fit, scale = framing.fit_scaling, framing.scale_frames
+    stats = fit(train_raw)
+    return scale(train_raw, stats), scale(test_raw, stats)
 
 
 def _uses_tensor(method: MethodSpec) -> bool:
@@ -167,12 +169,6 @@ def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
     return filter_weights(fold, _FILTER_NAMES[method.weighting], active=active)
 
 
-def _flatten(patients) -> np.ndarray:
-    return np.stack([
-        np.concatenate([p.feature_grid.ravel(), p.statics]) for p in patients
-    ])
-
-
 def _fit_linear_scorer(x, y, iters=300, lr=0.5):
     """Plain full-batch logistic fit; a deterministic stand-in baseline."""
     w = np.zeros(x.shape[1])
@@ -190,14 +186,14 @@ def _fit_linear_scorer(x, y, iters=300, lr=0.5):
 def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
     """Each method's test-side predictions on one scaled fold.
 
-    The kNN methods share one neighbor workspace: the training side is
-    stacked once, the per-variable query distances are scanned once, and
-    the leave-one-out tensor and the filter tables are built once, on
-    first use; each method applies only its own weights. The tensor is
-    freed once the last method that trains on it has its weights, before
-    the query scan, as when each method built its own.
+    The kNN methods share one neighbor workspace: the per-variable query
+    distances are scanned once, and the leave-one-out tensor and the
+    filter tables are built once, on first use; each method applies only
+    its own weights. The tensor is freed once the last method that trains
+    on it has its weights, before the query scan, as when each method
+    built its own.
     """
-    y_train = np.array([p.label for p in train_scaled], dtype=float)
+    y_train = train_scaled.labels.astype(float)
     fold = per_var = None
     tensor_users = sum(_uses_tensor(m) for m in methods)
     predictions = []
@@ -207,8 +203,10 @@ def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
             predictions.append(np.full(len(test_scaled), majority, dtype=int))
             continue
         if method.kind == "linear":
-            w, b = _fit_linear_scorer(_flatten(train_scaled), y_train)
-            predictions.append((_flatten(test_scaled) @ w + b >= 0).astype(int))
+            x_train, x_test = (np.hstack([f.grid.reshape(len(f), -1), f.statics])
+                               for f in (train_scaled, test_scaled))
+            w, b = _fit_linear_scorer(x_train, y_train)
+            predictions.append((x_test @ w + b >= 0).astype(int))
             continue
         if fold is None:
             fold = Workspace(train_scaled)
@@ -225,14 +223,12 @@ def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
 
 
 def _run_fold(job, i) -> list:
-    """The FoldMetrics of every method of `job` (sorted patients, folds, methods) on fold `i`."""
+    """The FoldMetrics of every method of `job` (patients, folds as rows, methods) on fold `i`."""
     patients, folds, methods = job
-    test_ids = set(folds[i])
-    train_raw = [p for p in patients if p.patient_id not in test_ids]
-    test_raw = [p for p in patients if p.patient_id in test_ids]
-    train_scaled, test_scaled = _scale_split(train_raw, test_raw)
-    y_true = [p.label for p in test_raw]
-    return [fold_metrics(i, y_true, predicted) for predicted in
+    test_raw = patients.take(folds[i])
+    train_scaled, test_scaled = _scale_split(
+        patients.take(np.delete(np.arange(len(patients)), folds[i])), test_raw)
+    return [fold_metrics(i, test_raw.labels, predicted) for predicted in
             _predict_fold_methods(train_scaled, test_scaled, methods)]
 
 
@@ -271,37 +267,27 @@ def _run_folds_in_processes(job, processes) -> list:
         _JOB = None
 
 
-def cross_validate_methods(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
+def cross_validate(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
     """Stratified k-fold cross-validation of several methods on shared folds.
 
-    `patients` are pre-imputation representations (framed or aggregated).
+    `patients` is a pre-imputation framing.Frames (framed or aggregated).
     Folds are outer and methods inner: each fold's scaling statistics are
-    fit and applied once, and every method predicts from the same scaled
-    fold and its shared neighbor workspace; feature weights are refit per
-    method on its training side.
+    fit on its training side and applied once, and every method predicts
+    from the same scaled fold and its shared neighbor workspace; feature
+    weights are refit per method on the training side.
     With `workers` > 1 the folds run in min(workers, k_folds) forked
     processes; the metrics do not depend on it.
     Returns method name -> one FoldMetrics per fold, ordered by fold index.
     """
-    patients = sorted(patients, key=lambda p: p.patient_id)
-    ids = [p.patient_id for p in patients]
-    labels = np.array([p.label for p in patients], dtype=int)
-    job = (patients, kfold(ids, labels, k=k_folds, seed=seed), methods)
+    # rows sort as their ascending patient ids do, so these are the folds of the ids, as rows
+    folds = kfold(range(len(patients)), patients.labels, k=k_folds, seed=seed)
+    job = (patients, folds, methods)
     processes = min(workers or 1, k_folds)
     if processes > 1:
         per_fold = _run_folds_in_processes(job, processes)
     else:
         per_fold = [_run_fold(job, i) for i in range(k_folds)]
     return {method.name: [fold[j] for fold in per_fold] for j, method in enumerate(methods)}
-
-
-def cross_validate(patients, method: MethodSpec, k_folds=20, seed=0, workers=1) -> list:
-    """Stratified k-fold cross-validation of one method.
-
-    Scaling statistics and feature weights are refit on the training folds
-    of each split. Returns one FoldMetrics per fold, ordered by fold index.
-    """
-    return cross_validate_methods(patients, [method], k_folds, seed, workers)[method.name]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import logging
 from . import framing
 from .config import RunConfig
 from .errors import BadConfig
-from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate_methods,
+from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
 from .synth import SynthResult, SynthSpec, generate
 
@@ -79,7 +79,7 @@ def validation_ids(cohort, seed) -> list:
     return split_dev_validation(cohort.patient_ids, cohort.labels, seed)[1]
 
 
-def represent(cohort, representation, config: RunConfig, ids) -> list:
+def represent(cohort, representation, config: RunConfig, ids) -> framing.Frames:
     """The patients in `ids`, and only those, framed or aggregated, in patient_id order."""
     cohort = cohort.select(ids)
     if representation == "aggregation":
@@ -104,7 +104,7 @@ def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> Co
     by_name = {}
     for rep, group in groups.items():
         logger.info("cross-validating %s (%s)", ", ".join(m.name for m in group), rep)
-        by_name.update(cross_validate_methods(
+        by_name.update(cross_validate(
             represent(cohort, rep, config, validation), group,
             k_folds=config.folds, seed=config.seed, workers=workers,
         ))

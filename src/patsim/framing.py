@@ -14,6 +14,7 @@ reused to transform anything else.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,16 +28,18 @@ N_AGG = len(AGG_FUNCTIONS)
 
 @dataclass
 class FramedPatient:
-    """One patient on the time-frame grid.
+    """One patient, as one row of a Frames cohort.
 
-    Before imputation `dynamic` holds NaN wherever `mask` is False; after
-    impute_and_scale it is dense with every entry in [0, 1]. The mask is
-    never modified by imputation.
+    On the time-frame grid `dynamic` is (36, n_buckets); before imputation
+    it holds NaN wherever `mask` is False, after scale_frames it is dense
+    with every entry in [0, 1]. The mask is never modified by imputation.
+    An aggregation row holds the (36, 6) table, columns in AGG_FUNCTIONS
+    order, and has no mask.
     """
 
     patient_id: str
-    dynamic: np.ndarray   # (36, n_buckets) float
-    mask: np.ndarray      # (36, n_buckets) bool, True = observed
+    dynamic: np.ndarray   # (36, n_buckets) or (36, 6) float
+    mask: np.ndarray | None   # (36, n_buckets) bool, True = observed; None for aggregates
     statics: np.ndarray   # (4,) float, NaN = unobserved
     label: int
 
@@ -45,18 +48,48 @@ class FramedPatient:
         return self.dynamic
 
 
-@dataclass
-class AggregatedPatient:
-    """One patient summarized by the six aggregation statistics."""
+@dataclass(frozen=True, eq=False)
+class Frames(Sequence):
+    """A cohort stacked in ascending patient_id order.
 
-    patient_id: str
-    table: np.ndarray     # (36, 6) float, columns in AGG_FUNCTIONS order
-    statics: np.ndarray   # (4,) float
-    label: int
+    Patient i is `ids[i]` with label `labels[i]`, feature grid `grid[i]`
+    (36 variables by the time-frame buckets, or by the six aggregation
+    statistics) and statics `statics[i]`. `mask` is the (n, 36, n_buckets)
+    observation mask on the time-frame grid and None for aggregates.
+    Item i is patient i's FramedPatient, whose arrays are views into these.
+    """
 
-    @property
-    def feature_grid(self) -> np.ndarray:
-        return self.table
+    ids: list
+    labels: np.ndarray    # (n,) int
+    grid: np.ndarray      # (n, 36, c) float
+    statics: np.ndarray   # (n, 4) float
+    mask: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> FramedPatient:
+        i = range(len(self.ids))[i]
+        return FramedPatient(self.ids[i], self.grid[i],
+                             None if self.mask is None else self.mask[i],
+                             self.statics[i], int(self.labels[i]))
+
+    def take(self, rows) -> Frames:
+        """The patients at the given rows, copied; ascending rows keep the patient_id order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Frames([self.ids[r] for r in rows], self.labels[rows], self.grid[rows],
+                      self.statics[rows], None if self.mask is None else self.mask[rows])
+
+
+def stack(rows) -> Frames:
+    """The Frames of FramedPatient rows, sorted by patient_id (stable for equal ids)."""
+    if not rows:
+        raise EmptyCohort("cohort has no patients")
+    rows = sorted(rows, key=lambda f: f.patient_id)
+    mask = None if rows[0].mask is None else np.stack([f.mask for f in rows])
+    return Frames([f.patient_id for f in rows], np.array([f.label for f in rows], dtype=int),
+                  np.stack([f.feature_grid for f in rows]), np.stack([f.statics for f in rows]),
+                  mask)
 
 
 def _first_statics(cohort) -> np.ndarray:
@@ -76,7 +109,7 @@ def _dynamic_rows(cohort, horizon_hours):
     return rows, cohort.patient[rows].astype(np.intp) * vocab.N_DYNAMIC + cohort.variable[rows]
 
 
-def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> list:
+def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> Frames:
     """Average every patient's events into fixed time buckets, in patient_id order.
 
     Bucket t covers minutes [60*window_hours*t, 60*window_hours*(t+1));
@@ -96,18 +129,16 @@ def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> list:
     counts = np.bincount(cell, minlength=np.prod(shape))
     mask = (counts > 0).reshape(shape)
     dynamic = np.where(mask, (sums / np.maximum(counts, 1)).reshape(shape), np.nan)
-    return [FramedPatient(pid, d, m, s, y) for pid, d, m, s, y in zip(
-        cohort.patient_ids, dynamic, mask, _first_statics(cohort), cohort.labels.tolist())]
+    return Frames(list(cohort.patient_ids), cohort.labels.astype(int), dynamic,
+                  _first_statics(cohort), mask)
 
 
-def sparsity(frames) -> float:
+def sparsity(frames: Frames) -> float:
     """Fraction of dynamic cells with no observation, before imputation."""
     if not frames:
         raise EmptyCohort("sparsity of an empty cohort is undefined")
-    if any(f.mask.shape != frames[0].mask.shape for f in frames):
-        raise DimensionMismatch("frames do not share grid dimensions")
-    total = sum(f.mask.size for f in frames)
-    return (total - sum(int(f.mask.sum()) for f in frames)) / total
+    total = frames.mask.size
+    return (total - int(frames.mask.sum())) / total
 
 
 @dataclass
@@ -155,14 +186,12 @@ def _fill(values, mean):
     return np.where(np.isnan(values), np.where(np.isnan(mean), 0.0, mean), values)
 
 
-def fit_scaling(frames) -> ScalingStats:
+def fit_scaling(frames: Frames) -> ScalingStats:
     """Fit per-variable scaling statistics from training frames only."""
     if not frames:
         raise EmptyCohort("cannot fit scaling statistics on an empty cohort")
-    n_buckets = frames[0].dynamic.shape[1]
-    dyn = np.stack([f.dynamic for f in frames])          # (n, 36, nb)
-    mask = np.stack([f.mask for f in frames])
-    statics = np.stack([f.statics for f in frames])      # (n, 4)
+    dyn, mask, statics = frames.grid, frames.mask, frames.statics   # (n, 36, nb), (n, 4)
+    n_buckets = dyn.shape[2]
     if dyn.shape[1] != vocab.N_DYNAMIC:
         raise DimensionMismatch("expected 36 dynamic variables")
 
@@ -227,37 +256,26 @@ def _impute_stack(dynamic, statics, stats: ScalingStats) -> tuple:
     return filled, _fill(statics, stats.static_mean)
 
 
-def impute_and_scale_batch(dynamic, statics, stats: ScalingStats) -> tuple:
-    """Dense, [0, 1]-scaled copies of stacked grids (n, 36, nb) and statics (n, 4).
+def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
+    """Dense, [0, 1]-scaled copy of a cohort on the time-frame grid, in one pass.
 
-    Every step is elementwise per patient, so row i equals the
-    single-patient result bit for bit.
+    Every step is elementwise per patient, so a patient's result does not
+    depend on the rest of the cohort. The mask is shared, not copied.
     """
-    filled, statics = _impute_stack(dynamic, statics, stats)
-    dynamic = _scale01(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
-                       stats.dyn_degenerate[:, None])
-    statics = _scale01(statics, stats.static_min, stats.static_max, stats.static_degenerate)
-    return dynamic, statics
+    filled, statics = _impute_stack(frames.grid, frames.statics, stats)
+    return replace(frames,
+                   grid=_scale01(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
+                                 stats.dyn_degenerate[:, None]),
+                   statics=_scale01(statics, stats.static_min, stats.static_max,
+                                    stats.static_degenerate))
 
 
 def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
-    """Dense, [0, 1]-scaled copy of `frame`; mask preserved unchanged."""
-    dynamic, statics = impute_and_scale_batch(frame.dynamic[None], frame.statics[None], stats)
-    return replace(frame, dynamic=dynamic[0], statics=statics[0], mask=frame.mask.copy())
+    """Dense, [0, 1]-scaled copy of one patient; mask preserved unchanged."""
+    return scale_frames(stack([frame]), stats)[0]
 
 
-def scale_frames(frames, stats: ScalingStats) -> list:
-    """impute_and_scale over a list of frames in one vectorized pass.
-
-    The returned frames share their masks with the input frames.
-    """
-    dynamic, statics = impute_and_scale_batch(
-        np.stack([f.dynamic for f in frames]), np.stack([f.statics for f in frames]), stats)
-    return [FramedPatient(f.patient_id, d, f.mask, s, f.label)
-            for f, d, s in zip(frames, dynamic, statics)]
-
-
-def aggregate_cohort(cohort, horizon_hours=48) -> list:
+def aggregate_cohort(cohort, horizon_hours=48) -> Frames:
     """Summarize each dynamic variable by the six aggregation statistics.
 
     Events at or beyond the horizon are ignored; first/last follow the
@@ -283,9 +301,8 @@ def aggregate_cohort(cohort, horizon_hours=48) -> list:
     table[at, 3] = values[starts]
     table[at, 4] = values[ends - 1]
     table[at, 5] = counts
-    table = table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG)
-    return [AggregatedPatient(pid, t, s, y) for pid, t, s, y in zip(
-        cohort.patient_ids, table, _first_statics(cohort), cohort.labels.tolist())]
+    return Frames(list(cohort.patient_ids), cohort.labels.astype(int),
+                  table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG), _first_statics(cohort))
 
 
 @dataclass
@@ -302,28 +319,24 @@ class AggregationStats:
     static_degenerate: np.ndarray
 
 
-def fit_aggregation_scaling(aggs) -> AggregationStats:
+def fit_aggregation_scaling(aggs: Frames) -> AggregationStats:
     if not aggs:
         raise EmptyCohort("cannot fit aggregation statistics on an empty cohort")
-    tables = np.stack([a.table for a in aggs])           # (n, 36, 6)
-    statics = np.stack([a.statics for a in aggs])
-    return AggregationStats(*_column_stats(tables), *_column_stats(statics))
+    return AggregationStats(*_column_stats(aggs.grid), *_column_stats(aggs.statics))
 
 
-def scale_aggregates(aggs, stats: AggregationStats) -> list:
-    """Dense, [0, 1]-scaled copies of aggregated patients, in one elementwise pass.
+def scale_aggregates(aggs: Frames, stats: AggregationStats) -> Frames:
+    """Dense, [0, 1]-scaled copy of an aggregated cohort, in one elementwise pass.
 
     Missing statistics take training means.
     """
-    grid = np.stack([a.table for a in aggs])             # (n, 36, 6)
-    if grid.shape[1:] != stats.col_min.shape:
+    if aggs.grid.shape[1:] != stats.col_min.shape:
         raise DimensionMismatch("aggregation table shape does not match stats")
-    grid = _scale01(_fill(grid, stats.col_mean), stats.col_min, stats.col_max,
-                    stats.col_degenerate)
-    statics = _scale01(_fill(np.stack([a.statics for a in aggs]), stats.static_mean),
-                       stats.static_min, stats.static_max, stats.static_degenerate)
-    return [AggregatedPatient(a.patient_id, t, s, a.label)
-            for a, t, s in zip(aggs, grid, statics)]
+    return replace(aggs,
+                   grid=_scale01(_fill(aggs.grid, stats.col_mean), stats.col_min,
+                                 stats.col_max, stats.col_degenerate),
+                   statics=_scale01(_fill(aggs.statics, stats.static_mean), stats.static_min,
+                                    stats.static_max, stats.static_degenerate))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +358,11 @@ def _mask_header(n_buckets):
 
 
 def write_frames(frames, path, mask_path=None) -> None:
-    """Write dense frames as CSV (variable-major cells), plus 0/1 mask file."""
+    """Write dense frames as CSV (variable-major cells), plus 0/1 mask file.
+
+    Rows are written one patient at a time, in the order given, so any
+    sequence of FramedPatient rows can be written as well as a Frames.
+    """
     if not frames:
         raise EmptyCohort("no frames to write")
     n_buckets = frames[0].dynamic.shape[1]
@@ -384,7 +401,7 @@ def _read_masks(mask_path, n_buckets, patients) -> dict:
     return masks
 
 
-def read_frames(path, mask_path=None) -> list:
+def read_frames(path, mask_path=None) -> Frames:
     """Read frames written by write_frames, with their mask file if one is given.
 
     The bucket count is read off the header's column count, and the header
@@ -393,7 +410,9 @@ def read_frames(path, mask_path=None) -> list:
     raises FileNotFoundError. Besides the table faults (header, cell
     count), a non-numeric or non-finite cell, a label outside {0, 1} or a
     repeated patient id raises MalformedRow naming the file and line; so
-    do the mask-file faults listed in _read_masks.
+    do the mask-file faults listed in _read_masks. The patients come back
+    in ascending patient_id order, whatever the file's order; a file with
+    no patients raises EmptyCohort.
     """
     n_buckets = 1
 
@@ -425,9 +444,10 @@ def read_frames(path, mask_path=None) -> list:
     shape = (vocab.N_DYNAMIC, n_buckets)
     n_cells = vocab.N_DYNAMIC * n_buckets
     masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)
-    return [FramedPatient(pid, values[:n_cells].reshape(shape),
-                          masks.get(pid, np.ones(shape, dtype=bool)), values[n_cells:], label)
-            for pid, values, label in rows]
+    return stack([FramedPatient(pid, values[:n_cells].reshape(shape),
+                                masks.get(pid, np.ones(shape, dtype=bool)), values[n_cells:],
+                                label)
+                  for pid, values, label in rows])
 
 
 _DYN_STATS = ("dyn_min", "dyn_max", "dyn_mean", "dyn_degenerate")

@@ -8,23 +8,24 @@ feature. Similarity is exp(-d2), giving a smooth score in (0, 1] with no
 special case at zero distance.
 
 One engine serves prediction and the leave-one-out weight training in
-`weights`: `stack` orders a cohort by patient_id, `query_distances` scans
-queries against it per variable and `weigh` applies one weighting (so
-several weightings share one scan), `top_k` selects from a distance
-matrix over those columns (the ascending-patient_id tie-break lives
-there), and `soft_scores`/`decide_rows` score the selection.
+`weights`, over cohorts stacked in ascending patient_id order
+(`framing.Frames`): `query_distances` scans queries against a cohort per
+variable and `weigh` applies one weighting (so several weightings share
+one scan), `top_k` selects from a distance matrix over those columns (the
+ascending-patient_id tie-break lives there), and `soft_scores`/
+`decide_rows` score the selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import vocab
 from .config import PREDICTION_MODES
-from .errors import BadConfig, DimensionMismatch, EmptyCohort, KTooLarge, NegativeWeight
+from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight
+from .framing import Frames, stack
 
 
 @dataclass
@@ -49,9 +50,6 @@ class FeatureWeights:
     def uniform(cls, value=1.0) -> "FeatureWeights":
         return cls(np.full(vocab.N_VARIABLES, float(value)))
 
-    def as_dict(self) -> dict:
-        return {name: float(w) for name, w in zip(vocab.ALL_VARIABLES, self.values)}
-
 
 def _weight_array(weights) -> np.ndarray:
     if isinstance(weights, FeatureWeights):
@@ -69,51 +67,24 @@ def variable_distances_sq(a, b) -> np.ndarray:
     return np.concatenate([dyn, stat])
 
 
-def variable_distance_sq(a, b, variable) -> float:
-    """Squared distance on a single variable (name or canonical index)."""
-    v = vocab.VARIABLE_INDEX[variable] if isinstance(variable, str) else int(variable)
-    return float(variable_distances_sq(a, b)[v])
-
-
 def weighted_distance_sq(a, b, weights) -> float:
     """d2(a, b) = sum_v w_v * D2_v(a, b); symmetric, zero when a equals b."""
     return float(variable_distances_sq(a, b) @ _weight_array(weights))
 
 
-class Stacked(NamedTuple):
-    """A cohort in ascending patient_id order, as parallel arrays."""
-
-    frames: list
-    grid: np.ndarray
-    statics: np.ndarray
-    labels: np.ndarray
-    ids: list
-
-
-def stack(frames) -> Stacked:
-    """(frames, grid, statics, labels, ids) of a cohort in ascending patient_id order."""
-    if not frames:
-        raise EmptyCohort("cohort has no patients")
-    frames = sorted(frames, key=lambda f: f.patient_id)
-    grid = np.stack([f.feature_grid for f in frames])
-    statics = np.stack([f.statics for f in frames])
-    labels = np.array([f.label for f in frames], dtype=int)
-    return Stacked(frames, grid, statics, labels, [f.patient_id for f in frames])
-
-
-def query_distances(queries, train: Stacked) -> np.ndarray:
+def query_distances(queries: Frames, train: Frames) -> np.ndarray:
     """Per-variable squared distances (q, n_train, 40) from each query to the training set.
 
     One exact difference scan per query, with no gram-form shortcut, so a
     query identical to a training patient lies at exactly 0.
     """
+    if queries.grid.shape[1:] != train.grid.shape[1:]:
+        raise DimensionMismatch("query grid does not match training grid")
     n_dyn = train.grid.shape[1]
-    out = np.empty((len(queries), len(train.ids), vocab.N_VARIABLES))
-    for i, q in enumerate(queries):
-        if q.feature_grid.shape != train.grid.shape[1:]:
-            raise DimensionMismatch("query grid does not match training grid")
-        out[i, :, :n_dyn] = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
-        out[i, :, n_dyn:] = (train.statics - q.statics[None]) ** 2
+    out = np.empty((len(queries), len(train), vocab.N_VARIABLES))
+    for i, (grid, statics) in enumerate(zip(queries.grid, queries.statics)):
+        out[i, :, :n_dyn] = ((train.grid - grid[None]) ** 2).mean(axis=2)
+        out[i, :, n_dyn:] = (train.statics - statics[None]) ** 2
     return out
 
 
@@ -184,25 +155,18 @@ class NeighborSet:
 class Model:
     """Lazy classifier: stored training patients plus distance weights.
 
-    `frames` holds the training patients in ascending patient_id order,
-    the column order that `top_k` breaks distance ties by. It may be
-    given as a cohort already stacked by `stack`, which is then shared,
-    not copied.
+    `frames` holds the training patients, shared, not copied. Their
+    ascending patient_id order is the column order that `top_k` breaks
+    distance ties by.
     """
 
-    frames: list
+    frames: Frames
     weights: FeatureWeights
     k: int = 10
     prediction_mode: str = "majority"
     threshold: float = 0.5
 
     def __post_init__(self):
-        train = self.frames
-        if not isinstance(train, Stacked):
-            if not train:
-                raise KTooLarge("model has no training patients")
-            train = stack(train)
-        self.train, self.frames = train, train.frames
         if self.k < 1 or self.k > len(self.frames):
             raise KTooLarge(f"k={self.k} with {len(self.frames)} training patients")
         if self.prediction_mode not in PREDICTION_MODES:
@@ -217,7 +181,7 @@ class Model:
 QUERY_BLOCK = 16
 
 
-def _nearest(queries, model: Model, leave_one_out) -> tuple:
+def _nearest(queries: Frames, model: Model, leave_one_out) -> tuple:
     """Neighbor indices (q, k) into model.frames and their distances (q, k).
 
     Distances are scanned QUERY_BLOCK queries at a time. With
@@ -226,11 +190,11 @@ def _nearest(queries, model: Model, leave_one_out) -> tuple:
     """
     d2 = np.empty((len(queries), len(model.frames)))
     for s in range(0, len(queries), QUERY_BLOCK):
-        block = queries[s:s + QUERY_BLOCK]
-        d2[s:s + len(block)] = weigh(query_distances(block, model.train), model.weights.values)
+        block = queries.take(np.arange(s, min(s + QUERY_BLOCK, len(queries))))
+        d2[s:s + len(block)] = weigh(query_distances(block, model.frames), model.weights.values)
     excluded = 0
     if leave_one_out and len(queries):
-        same = np.array([q.patient_id for q in queries])[:, None] == np.array(model.train.ids)
+        same = np.array(queries.ids)[:, None] == np.array(model.frames.ids)
         d2[same] = np.inf
         excluded = int(same.sum(axis=1).max())
     return _select(d2, model, excluded)
@@ -246,7 +210,7 @@ def _select(d2, model: Model, excluded=0) -> tuple:
 
 def _decide(nearest, model: Model) -> tuple:
     idx, d2_sel = nearest
-    return decide_rows(d2_sel, model.train.labels[idx], model.prediction_mode, model.threshold)
+    return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
 
 
 def classify_distances(per_var, model: Model) -> tuple:
@@ -259,7 +223,7 @@ def classify_distances(per_var, model: Model) -> tuple:
     return _decide(_select(weigh(per_var, model.weights.values), model), model)
 
 
-def classify_batch(queries, model: Model, leave_one_out=False) -> tuple:
+def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
     """Predict (labels, scores) for all queries with one selection and one decision.
 
     With leave_one_out, training entries sharing a query's patient_id are
@@ -274,8 +238,8 @@ def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     With leave_one_out, training entries sharing the query's patient_id are
     excluded. Ties in distance resolve by ascending patient_id.
     """
-    idx, d2_sel = _nearest([query], model, leave_one_out)
-    train = model.train
+    idx, d2_sel = _nearest(stack([query]), model, leave_one_out)
+    train = model.frames
     entries = [(train.ids[i], float(d), int(train.labels[i]))
                for i, d in zip(idx[0], d2_sel[0])]
     return NeighborSet(query_id=query.patient_id, entries=entries)

@@ -27,7 +27,7 @@ from .errors import (
     SingleClassCohort,
     UnknownVariable,
 )
-from .knn import FeatureWeights, _weight_array, soft_scores, stack, top_k
+from .knn import FeatureWeights, _weight_array, soft_scores, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +60,22 @@ class TrainTrace:
         return list(np.minimum.accumulate(self.errors))
 
 
+def _distinct_rows(grid, statics) -> tuple:
+    """(distinct, copy_of): the first row of each distinct patient, ascending,
+    and the position in `distinct` of each row's first copy.
+
+    Two patients are copies when their grids and statics are equal bit for
+    bit. The rows are compared as opaque byte strings through a void view,
+    which `np.unique` sorts far faster than rows of floats (`axis=0`).
+    """
+    n = len(grid)
+    rows = np.concatenate([grid.reshape(n, -1), statics], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = np.sort(first)
+    return distinct, np.searchsorted(distinct, first[inverse])
+
+
 def _distance_tensor(grid, statics) -> np.ndarray:
     """Per-variable pairwise squared distances, packed: shape (40, n(n-1)/2).
 
@@ -71,6 +87,11 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     value equals the square tensor's (i, j) and (j, i) entries bit for bit,
     while the square tensor itself is never built.
 
+    The gram is taken over the distinct patients only, and every copy of a
+    patient gets the entries of its first copy, at distance 0 from it.
+    BLAS gives two identical rows different last bits against a third
+    patient, which would order exact copies against patient_id.
+
     The tensor lives in its own anonymous memory map, which goes back to
     the system when the tensor is freed. Off the heap, one fold's tensor
     cannot leave a hole that the next fold's smaller arrays fill, which
@@ -81,12 +102,15 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     size = vocab.N_VARIABLES * len(iu)
     out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, -1)
+    distinct, copy_of = _distinct_rows(grid, statics)
+    pi, pj = copy_of[iu], copy_of[ju]
     for v in range(n_dyn):
         # centering keeps a constant column's distances exactly zero
-        x = grid[:, v, :] - grid[:, v, :].mean(axis=0)
+        x = (grid[:, v, :] - grid[:, v, :].mean(axis=0))[distinct]
         sq = (x * x).sum(axis=1)
-        d = sq[iu] + sq[ju] - 2.0 * (x @ x.T)[iu, ju]
-        out[v] = np.maximum(d, 0.0) / n_cols
+        d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.fill_diagonal(d, 0.0)
+        out[v] = np.maximum(d[pi, pj], 0.0) / n_cols
     for j in range(statics.shape[1]):
         s = statics[:, j]
         out[n_dyn + j] = (s[iu] - s[ju]) ** 2
@@ -143,7 +167,7 @@ def _error_and_gradient(packed, pair, w, sets, labels) -> tuple:
 
 
 class Workspace:
-    """A training cohort stacked once, with the state its weightings derive from it.
+    """A training cohort (a framing.Frames), with the state its weightings derive from it.
 
     The packed (40, n(n-1)/2) leave-one-out distance tensor with its pair
     index, and the filter tables, are built on first use and then shared by
@@ -153,13 +177,13 @@ class Workspace:
     """
 
     def __init__(self, frames):
-        self.train = stack(frames)
+        self.train = frames
         self._tensor = None
         self._pairs = None
         self._tables = None
 
     def __len__(self):
-        return len(self.train.ids)
+        return len(self.train)
 
     def tensor(self) -> np.ndarray:
         if self._tensor is None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patsim.framing import stack
 from util import random_dense_frames
 
 
@@ -11,4 +12,4 @@ def rng():
 
 @pytest.fixture
 def small_cohort(rng):
-    return random_dense_frames(30, rng)
+    return stack(random_dense_frames(30, rng))

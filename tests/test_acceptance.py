@@ -84,7 +84,7 @@ def test_criterion_1_gradient_oracle():
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
-        frames = random_dense_frames(30, rng)
+        frames = framing.stack(random_dense_frames(30, rng))
         w0 = rng.random(vocab.N_VARIABLES) + 0.2
         sets = loo_neighbor_sets(frames, FeatureWeights(w0), k=k)
         grad = gradient(frames, FeatureWeights(w0), k=k)
@@ -114,7 +114,7 @@ def test_criterion_2_brute_force_knn():
     queries = random_dense_frames(199, np.random.default_rng(5))
     queries.append(replace(train[11], patient_id="tie_query"))
     w = FeatureWeights(rng.random(vocab.N_VARIABLES) + 0.05)
-    model = Model(train, w, k=10)
+    model = Model(framing.stack(train), w, k=10)
     for q in queries:
         ns = neighbors(q, model, leave_one_out=False)
         scan = sorted(
@@ -146,7 +146,7 @@ def test_criterion_3_framing_exactness():
     assert a.mask[hr, 0] and a.mask[hr, 1] and not a.mask[hr, 2:].any()
     assert b.mask[hr, 1] and not b.mask[hr, 0]
 
-    stats = framing.fit_scaling([a, b, c])
+    stats = framing.fit_scaling(framing.stack([a, b, c]))
     assert stats.dyn_min[hr] == 70.0 and stats.dyn_max[hr] == 100.0
     assert stats.dyn_bucket_mean[hr, 0] == 85.0
     assert stats.dyn_bucket_mean[hr, 1] == 85.0
@@ -258,7 +258,7 @@ def test_criterion_8_determinism(exp3_runs):
 
 def test_criterion_9_training_sanity():
     rng = np.random.default_rng(99)
-    frames = random_dense_frames(40, rng)
+    frames = framing.stack(random_dense_frames(40, rng))
 
     _, trace = train_gd(frames, TrainConfig(k=5, max_epochs=30))
     best = trace.best_so_far
@@ -271,6 +271,6 @@ def test_criterion_9_training_sanity():
     for f in single:
         f.label = 1
     with pytest.raises(SingleClassCohort):
-        train_gd(single, TrainConfig(k=5))
+        train_gd(framing.stack(single), TrainConfig(k=5))
     ok(9, "best-so-far error non-increasing, tiny learning rate keeps "
           "weights, single-class cohort rejected")

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from patsim import evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
-from patsim.config import RunConfig, build_config, read_config_values, write_config
+from patsim.config import RunConfig, build_config, read_config_values
 from patsim.errors import BadConfig
 from patsim.evaluation import FOLD_METRICS_HEADER, load_fold_metrics
 from patsim.weights import load_manual_weights
@@ -316,13 +317,13 @@ class TestConfig:
     def test_roundtrip(self, tmp_path):
         config = RunConfig(k=7, learning_rate=0.1, weighting="gini", seed=12)
         path = tmp_path / "run.cfg"
-        write_config(config, path)
+        path.write_text("".join(f"{f.name}={getattr(config, f.name)}\n" for f in fields(config)))
         values = read_config_values(path)
         assert RunConfig(**values) == config
 
     def test_precedence_flags_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        write_config(RunConfig(k=5, folds=8), path)
+        path.write_text("k=5\nfolds=8\n")
         merged = build_config(file_path=path, overrides={"k": 9})
         assert merged.k == 9
         assert merged.folds == 8

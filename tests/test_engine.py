@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from patsim import vocab
 from patsim.errors import KTooLarge
+from patsim.framing import stack
 from patsim.knn import (
     FeatureWeights,
     Model,
@@ -23,7 +24,6 @@ from patsim.knn import (
     decide,
     neighbors,
     query_distances,
-    stack,
     top_k,
     weigh,
 )
@@ -102,12 +102,11 @@ def test_top_k_boundary_cases(d2, k):
 @example(seed=1032, levels=2, n=12)
 def test_loo_neighbor_sets_match_scan(seed, levels, n):
     rng = np.random.default_rng(seed)
-    frames = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
+    frames = stack(quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4))
     w = quantized_weights(rng)
     k = int(rng.integers(1, n))
-    _, grid, statics, _, ids = stack(frames)
-    d2 = np.einsum("v,vij->ij", w.values, square_distance_tensor(grid, statics))
-    expected = [scan(d2[i], ids, k, skip=ids[i]) for i in range(n)]
+    d2 = np.einsum("v,vij->ij", w.values, square_distance_tensor(frames.grid, frames.statics))
+    expected = [scan(d2[i], frames.ids, k, skip=frames.ids[i]) for i in range(n)]
     assert loo_neighbor_sets(frames, w, k=k).tolist() == expected
 
 
@@ -115,16 +114,17 @@ def test_loo_neighbor_sets_match_scan(seed, levels, n):
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
 def test_packed_tensor_is_the_square_upper_triangle(make, n):
     """Bit for bit, pair p of the packed tensor is entry (i, j) of the square oracle."""
-    _, grid, statics, _, _ = stack(make(n, np.random.default_rng(n)))
-    packed = _distance_tensor(grid, statics)
+    frames = stack(make(n, np.random.default_rng(n)))
+    packed = _distance_tensor(frames.grid, frames.statics)
     iu, ju = np.triu_indices(n, 1)
     assert packed.dtype == np.float64
-    assert packed.tolist() == square_distance_tensor(grid, statics)[:, iu, ju].tolist()
+    assert packed.tolist() == \
+        square_distance_tensor(frames.grid, frames.statics)[:, iu, ju].tolist()
 
 
 def test_workspace_holds_the_packed_tensor():
     n = 23
-    ws = Workspace(random_dense_frames(n, np.random.default_rng(4)))
+    ws = Workspace(stack(random_dense_frames(n, np.random.default_rng(4))))
     tensor, pairs = ws.tensor(), ws.pairs()
     assert tensor.shape == (vocab.N_VARIABLES, n * (n - 1) // 2)
     assert tensor.nbytes == 8 * vocab.N_VARIABLES * n * (n - 1) // 2
@@ -139,12 +139,12 @@ def test_workspace_holds_the_packed_tensor():
 @settings(max_examples=40, deadline=None)
 @given(SEEDS, st.sampled_from([2, 3, 5, 1000]), st.integers(12, 60), st.integers(1, 4))
 def test_exact_duplicates_tie_and_resolve_by_patient_id(seed, levels, n, copies):
-    """Columns of copies of one patient that hold bit-equal per-variable
-    distances in a row get bit-equal weighted distances there, and enter
+    """Copies of one patient lie at distance 0 from each other, hold
+    bit-equal per-variable and weighted distances in every row, and enter
     that row's neighbor set in ascending patient_id order."""
     rng = np.random.default_rng(seed)
     frames = quantized_frames(n, rng, levels=levels, duplicates=copies * (n // 4))
-    ws = Workspace(frames)
+    ws = Workspace(stack(frames))
     w = rng.random(vocab.N_VARIABLES) * rng.integers(0, 2, vocab.N_VARIABLES)
     w[0] = 1.0 + rng.random()
     k = int(rng.integers(1, n))
@@ -158,15 +158,16 @@ def test_exact_duplicates_tie_and_resolve_by_patient_id(seed, levels, n, copies)
     tied_sets = 0
     for group in (g for g in copies_of.values() if len(g) > 1):
         for i in range(n):
-            by_value = {}
-            for j in group:
-                if j != i:
-                    by_value.setdefault(per_var[:, i, j].tobytes(), []).append(j)
-            for tied in (t for t in by_value.values() if len(t) > 1):
-                tied_sets += 1
-                assert len({d2[i, j].tobytes() for j in tied}) == 1
-                chosen = [j for j in sets[i] if j in tied]
-                assert chosen == tied[:len(chosen)]
+            tied = [j for j in group if j != i]
+            if i in group:
+                assert (per_var[:, i, tied] == 0.0).all()
+            if len(tied) < 2:
+                continue
+            tied_sets += 1
+            assert len({per_var[:, i, j].tobytes() for j in tied}) == 1
+            assert len({d2[i, j].tobytes() for j in tied}) == 1
+            chosen = [j for j in sets[i] if j in tied]
+            assert chosen == tied[:len(chosen)]
     assert tied_sets > 0
     assert sets.tolist() == [scan(d2[i], ws.train.ids, k, skip=ws.train.ids[i])
                              for i in range(n)]
@@ -179,16 +180,15 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     rng = np.random.default_rng(seed)
     train = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
     k = int(rng.integers(1, n))
-    model = Model(train, quantized_weights(rng), k=k, prediction_mode=mode)
+    model = Model(stack(train), quantized_weights(rng), k=k, prediction_mode=mode)
     if leave_one_out:
-        queries = train[: n // 2]
+        queries = stack(train[: n // 2])
     else:
-        queries = quantized_frames(n // 2, rng, levels=levels, n_buckets=6)
+        queries = stack(quantized_frames(n // 2, rng, levels=levels, n_buckets=6))
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
-    ids = [f.patient_id for f in model.frames]
-    y = np.array([f.label for f in model.frames])
+    ids, y = model.frames.ids, model.frames.labels
     for q, label, score in zip(queries, labels, scores):
-        row = weigh(query_distances([q], model.train), model.weights.values)[0]
+        row = weigh(query_distances(stack([q]), model.frames), model.weights.values)[0]
         nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
         assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
             [ids[j] for j in nearest]
@@ -208,9 +208,9 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
 def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
     rng = np.random.default_rng(11)
     train = make(40, rng)
-    model = Model(train, FeatureWeights(rng.random(vocab.N_VARIABLES)), k=7,
+    model = Model(stack(train), FeatureWeights(rng.random(vocab.N_VARIABLES)), k=7,
                   prediction_mode=mode, threshold=0.4)
-    queries = train[:15] if leave_one_out else make(15, np.random.default_rng(12))
+    queries = stack(train[:15] if leave_one_out else make(15, np.random.default_rng(12)))
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
     one_by_one = [decide(neighbors(q, model, leave_one_out), mode, model.threshold)
                   for q in queries]
@@ -223,7 +223,7 @@ def test_weighted_rows_equal_the_per_query_product(make):
     """One per-variable scan weighed per query gives the old exact rows bit for bit."""
     rng = np.random.default_rng(21)
     train = stack(make(50, rng))
-    queries = make(13, np.random.default_rng(22))
+    queries = stack(make(13, np.random.default_rng(22)))
     w = rng.random(vocab.N_VARIABLES)
     for q, row in zip(queries, weigh(query_distances(queries, train), w)):
         dyn = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
@@ -236,14 +236,14 @@ def test_weighted_rows_equal_the_per_query_product(make):
 def test_shared_distances_equal_per_method_classify_batch(mode, make):
     """Several weightings on one distance scan predict as their own Model scans would."""
     rng = np.random.default_rng(31)
-    train, queries = make(40, rng), make(17, np.random.default_rng(32))
+    train, queries = make(40, rng), stack(make(17, np.random.default_rng(32)))
     shared = stack(train)
     per_var = query_distances(queries, shared)
     for w in (FeatureWeights.uniform(), quantized_weights(rng),
               FeatureWeights(rng.random(vocab.N_VARIABLES))):
-        on_own = Model(train, w, k=6, prediction_mode=mode, threshold=0.45)
+        on_own = Model(stack(train), w, k=6, prediction_mode=mode, threshold=0.45)
         on_shared = Model(shared, w, k=6, prediction_mode=mode, threshold=0.45)
-        assert on_shared.frames is shared.frames
+        assert on_shared.frames is shared
         expected = classify_batch(queries, on_own)
         got = classify_distances(per_var, on_shared)
         assert got[0].tolist() == expected[0].tolist()
@@ -251,7 +251,7 @@ def test_shared_distances_equal_per_method_classify_batch(mode, make):
 
 
 def test_leave_one_out_batch_too_few_candidates():
-    frames = random_dense_frames(5, np.random.default_rng(2))
+    frames = stack(random_dense_frames(5, np.random.default_rng(2)))
     model = Model(frames, FeatureWeights.uniform(), k=5)
     assert classify_batch(frames, model)[0].shape == (5,)
     with pytest.raises(KTooLarge):
@@ -259,9 +259,9 @@ def test_leave_one_out_batch_too_few_candidates():
 
 
 def test_empty_batch():
-    frames = random_dense_frames(5, np.random.default_rng(2))
+    frames = stack(random_dense_frames(5, np.random.default_rng(2)))
     model = Model(frames, FeatureWeights.uniform(), k=2)
-    labels, scores = classify_batch([], model, leave_one_out=True)
+    labels, scores = classify_batch(frames.take([]), model, leave_one_out=True)
     assert labels.shape == scores.shape == (0,)
 
 
@@ -336,7 +336,7 @@ def test_train_gd_equals_double_gather_loop(make, features):
     for cfg in (TrainConfig(k=6, max_epochs=12, patience=13),
                 TrainConfig(k=4, max_epochs=200, learning_rate=0.5,
                             initial_weights=FeatureWeights(rng.random(vocab.N_VARIABLES)))):
-        learned, trace = train_gd(frames, cfg, active=active)
+        learned, trace = train_gd(stack(frames), cfg, active=active)
         old_w, old_errors = _old_train_gd(frames, cfg, active)
         assert trace.errors == old_errors
         assert learned.values.tolist() == old_w.tolist()

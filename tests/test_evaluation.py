@@ -22,7 +22,6 @@ from patsim.evaluation import (
     _scale_split,
     compare,
     cross_validate,
-    cross_validate_methods,
     fold_metrics,
     friedman,
     kfold,
@@ -150,7 +149,7 @@ def separable_frames(rng, n=80):
     frames = random_dense_frames(n, rng, prevalence=0.3)
     for f in frames:
         f.dynamic[HR] = 0.1 + 0.8 * f.label + 0.02 * rng.random(24)
-    return frames
+    return framing.stack(frames)
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +161,15 @@ def raw_frames():
 
 def per_patient_cv(frames, method, k_folds, seed):
     """Oracle: fit scaling per fold and scale each patient on its own."""
-    frames = sorted(frames, key=lambda f: f.patient_id)
-    folds = kfold([f.patient_id for f in frames], [f.label for f in frames], k=k_folds, seed=seed)
+    folds = kfold(frames.ids, frames.labels, k=k_folds, seed=seed)
     out = []
     for i, fold in enumerate(folds):
         train = [f for f in frames if f.patient_id not in fold]
         test = [f for f in frames if f.patient_id in fold]
-        stats = framing.fit_scaling(train)
-        y_pred = _predict_fold_methods([framing.impute_and_scale(f, stats) for f in train],
-                                       [framing.impute_and_scale(f, stats) for f in test],
-                                       [method])[0]
+        stats = framing.fit_scaling(framing.stack(train))
+        y_pred = _predict_fold_methods(
+            framing.stack([framing.impute_and_scale(f, stats) for f in train]),
+            framing.stack([framing.impute_and_scale(f, stats) for f in test]), [method])[0]
         out.append(fold_metrics(i, [f.label for f in test], y_pred))
     return out
 
@@ -180,29 +178,29 @@ class TestCrossValidate:
     def test_separable_cohort_perfect_folds(self, rng):
         frames = separable_frames(rng)
         method = MethodSpec(name="m", weighting="none", k=5)
-        metrics = cross_validate(frames, method, k_folds=4, seed=0)
+        metrics = cross_validate(frames, [method], k_folds=4, seed=0)["m"]
         assert len(metrics) == 4
         assert all(m.f_measure == 1.0 for m in metrics)
 
     def test_fold_sizes_and_conservation(self, rng):
         frames = separable_frames(rng, n=83)
         method = MethodSpec(name="m", weighting="none", k=5)
-        metrics = cross_validate(frames, method, k_folds=4, seed=0)
+        metrics = cross_validate(frames, [method], k_folds=4, seed=0)["m"]
         sizes = [m.tp + m.fp + m.fn + m.tn for m in metrics]
         assert sum(sizes) == 83
         assert max(sizes) - min(sizes) <= 1
 
     def test_majority_baseline_recall_zero(self, rng):
-        frames = random_dense_frames(60, rng, prevalence=0.25)
+        frames = framing.stack(random_dense_frames(60, rng, prevalence=0.25))
         method = MethodSpec(name="maj", kind="majority")
-        metrics = cross_validate(frames, method, k_folds=4, seed=0)
+        metrics = cross_validate(frames, [method], k_folds=4, seed=0)["maj"]
         assert all(m.recall == 0.0 for m in metrics)
 
     def test_workers_do_not_change_results(self, rng):
         frames = separable_frames(rng, n=60)
         method = MethodSpec(name="m", weighting="chi2", k=5)
-        seq = cross_validate(frames, method, k_folds=4, seed=1, workers=1)
-        par = cross_validate(frames, method, k_folds=4, seed=1, workers=4)
+        seq = cross_validate(frames, [method], k_folds=4, seed=1, workers=1)
+        par = cross_validate(frames, [method], k_folds=4, seed=1, workers=4)
         assert seq == par
 
     @pytest.mark.parametrize("workers, processes", [(1000, 4), (3, 3), (1, None), (0, None)])
@@ -223,8 +221,8 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluation, "_fold_pool", InProcessPool)
         frames = separable_frames(rng, n=60)
         method = MethodSpec(name="m", weighting="chi2", k=5)
-        got = cross_validate(frames, method, k_folds=4, seed=1, workers=workers)
-        assert got == cross_validate(frames, method, k_folds=4, seed=1, workers=1)
+        got = cross_validate(frames, [method], k_folds=4, seed=1, workers=workers)
+        assert got == cross_validate(frames, [method], k_folds=4, seed=1, workers=1)
         assert started == ([] if processes is None else [processes])
         assert evaluation._JOB is None
 
@@ -238,13 +236,12 @@ class TestCrossValidate:
         ]
         expected = {m.name: per_patient_cv(raw_frames, m, k_folds=4, seed=3) for m in methods}
         for workers in (1, 2):
-            shared = cross_validate_methods(raw_frames, methods, k_folds=4, seed=3,
-                                            workers=workers)
+            shared = cross_validate(raw_frames, methods, k_folds=4, seed=3, workers=workers)
             assert list(shared) == [m.name for m in methods]
             assert shared == expected
             for m in methods:
-                assert cross_validate(raw_frames, m, k_folds=4, seed=3,
-                                      workers=workers) == expected[m.name]
+                assert cross_validate(raw_frames, [m], k_folds=4, seed=3,
+                                      workers=workers) == {m.name: expected[m.name]}
 
     def test_fold_shared_predictions_equal_per_method_models(self, raw_frames):
         """Every weighting on the fold workspace predicts as its own Model scan would."""
@@ -260,12 +257,12 @@ class TestCrossValidate:
             MethodSpec(name="none", weighting="none", k=5, mode="weighted", threshold=0.3),
             MethodSpec(name="manual", weighting="manual", k=5, manual_weights=manual),
         ]
-        frames = sorted(raw_frames, key=lambda f: f.patient_id)
-        folds = kfold([f.patient_id for f in frames], [f.label for f in frames], k=4, seed=3)
+        folds = kfold(raw_frames.ids, raw_frames.labels, k=4, seed=3)
         expected = {m.name: [] for m in methods}
         for i, fold in enumerate(folds):
-            train, test = _scale_split([f for f in frames if f.patient_id not in fold],
-                                       [f for f in frames if f.patient_id in fold])
+            in_fold = np.isin(raw_frames.ids, fold)
+            train, test = _scale_split(raw_frames.take(np.flatnonzero(~in_fold)),
+                                       raw_frames.take(np.flatnonzero(in_fold)))
             shared = _predict_fold_methods(train, test, methods)
             for method, got in zip(methods, shared):
                 if method.kind == "knn":
@@ -275,10 +272,10 @@ class TestCrossValidate:
                 else:
                     own = _predict_fold_methods(train, test, [method])[0]
                 assert got.tobytes() == own.tobytes(), (i, method.name)
-                expected[method.name].append(fold_metrics(i, [f.label for f in test], own))
+                expected[method.name].append(fold_metrics(i, test.labels, own))
         for workers in (1, 2):
-            assert cross_validate_methods(raw_frames, methods, k_folds=4, seed=3,
-                                          workers=workers) == expected
+            assert cross_validate(raw_frames, methods, k_folds=4, seed=3,
+                                  workers=workers) == expected
 
     def test_manual_requires_weights(self):
         with pytest.raises(BadConfig):
@@ -543,15 +540,15 @@ def test_exp3_scales_each_fold_once(monkeypatch):
 
 
 @pytest.mark.parametrize("preset, expected", [
-    ("exp3", {"stack": 4, "bins": 4 * vocab.N_VARIABLES, "tensor": 4}),
+    ("exp3", {"workspace": 4, "bins": 4 * vocab.N_VARIABLES, "tensor": 4}),
     # two representations, one workspace each per fold; three GD methods share
     # the timeseries tensor
-    ("exp2", {"stack": 8, "bins": 0, "tensor": 8}),
+    ("exp2", {"workspace": 8, "bins": 0, "tensor": 8}),
 ])
 def test_one_workspace_per_fold(monkeypatch, preset, expected):
     cohort = synth.generate(synth.SynthSpec(n_patients=160, seed=11)).cohort()
     config = RunConfig(folds=4, k=5, max_epochs=2, workers=1, seed=2)
-    calls = {"stack": 0, "bins": 0, "tensor": 0}
+    calls = {"workspace": 0, "bins": 0, "tensor": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -559,9 +556,7 @@ def test_one_workspace_per_fold(monkeypatch, preset, expected):
             return original(*args, **kwargs)
         return wrapper
 
-    stack = counting("stack", knn.stack)
-    monkeypatch.setattr(knn, "stack", stack)
-    monkeypatch.setattr(weights, "stack", stack)
+    monkeypatch.setattr(evaluation, "Workspace", counting("workspace", weights.Workspace))
     monkeypatch.setattr(weights, "_equal_frequency_bins",
                         counting("bins", weights._equal_frequency_bins))
     monkeypatch.setattr(weights, "_distance_tensor",

@@ -13,12 +13,12 @@ from patsim.framing import (
     fit_scaling,
     frame_cohort,
     impute_and_scale,
-    impute_and_scale_batch,
     read_frames,
     read_scaling_stats,
     scale_aggregates,
     scale_frames,
     sparsity,
+    stack,
     write_frames,
     write_scaling_stats,
 )
@@ -108,24 +108,24 @@ class TestSparsity:
             ev("full", t * 120, v, 1.0)
             for v in vocab.DYNAMIC_VARIABLES for t in range(24)
         ], label=0)
-        assert sparsity([full]) == 0.0
-        assert sparsity([c]) == 1.0
+        assert sparsity(stack([full])) == 0.0
+        assert sparsity(stack([c])) == 1.0
 
     def test_empty(self):
         with pytest.raises(EmptyCohort):
-            sparsity([])
+            sparsity(hand_fixture().take([]))
 
     def test_mixed(self):
         a, b, c = hand_fixture()
         total = 3 * 36 * 24
         observed = 2 + 1 + 0
-        assert sparsity([a, b, c]) == pytest.approx((total - observed) / total)
+        assert sparsity(stack([a, b, c])) == pytest.approx((total - observed) / total)
 
 
 class TestScaling:
     def test_min_max_and_means(self):
         a, b, c = hand_fixture()
-        stats = fit_scaling([a, b, c])
+        stats = fit_scaling(stack([a, b, c]))
         assert stats.dyn_min[HR] == 70.0 and stats.dyn_max[HR] == 100.0
         assert stats.dyn_bucket_mean[HR, 0] == 85.0
         assert stats.dyn_bucket_mean[HR, 1] == pytest.approx(85.0)
@@ -137,11 +137,11 @@ class TestScaling:
 
     def test_empty(self):
         with pytest.raises(EmptyCohort):
-            fit_scaling([])
+            fit_scaling(hand_fixture().take([]))
 
     def test_impute_and_scale_hand_values(self):
         a, b, c = hand_fixture()
-        stats = fit_scaling([a, b, c])
+        stats = fit_scaling(stack([a, b, c]))
         da = impute_and_scale(a, stats)
         assert da.dynamic[HR, 0] == 0.5
         assert da.dynamic[HR, 1] == 1.0
@@ -163,20 +163,20 @@ class TestScaling:
 
     def test_mask_preserved(self):
         a, b, c = hand_fixture()
-        stats = fit_scaling([a, b, c])
+        stats = fit_scaling(stack([a, b, c]))
         da = impute_and_scale(a, stats)
         assert (da.mask == a.mask).all()
 
     def test_clamp_above_training_max(self):
         a, b, c = hand_fixture()
-        stats = fit_scaling([a, b, c])
+        stats = fit_scaling(stack([a, b, c]))
         hot = frame_one("hot", [ev("hot", 10, "Heart rate", 140.0)], label=0)
         assert impute_and_scale(hot, stats).dynamic[HR, 0] == 1.0
 
     def test_impute_identity_on_dense(self, rng):
         from util import random_dense_frames
         dense_raw = random_dense_frames(4, rng)
-        stats = fit_scaling(dense_raw)
+        stats = fit_scaling(stack(dense_raw))
         for f in dense_raw:
             dynamic, statics = _impute_stack(f.dynamic[None], f.statics[None], stats)
             assert (dynamic[0] == f.dynamic).all()
@@ -191,7 +191,7 @@ class TestScaling:
                     if rng.random() < 0.7:
                         events.append(ev(f"p{i}", t * 120 + 5, v, float(rng.uniform(1, 9))))
             frames.append(frame_one(f"p{i}", events, label=i % 2))
-        stats = fit_scaling(frames)
+        stats = fit_scaling(stack(frames))
         dense = [impute_and_scale(f, stats) for f in frames]
         values = np.stack([d.dynamic for d in dense])
         assert values.min() >= 0.0 and values.max() <= 1.0
@@ -202,7 +202,7 @@ class TestScaling:
 
     def test_dimension_mismatch(self):
         a, b, c = hand_fixture()
-        stats = fit_scaling([a, b, c])
+        stats = fit_scaling(stack([a, b, c]))
         short = frame_one("s", [], label=0, window_hours=4, horizon_hours=48)
         with pytest.raises(DimensionMismatch):
             impute_and_scale(short, stats)
@@ -215,23 +215,23 @@ class TestAggregate:
             ev("p", 20, "Heart rate", 1.0),
             ev("p", 30, "Heart rate", 2.0),
         ], label=0)
-        assert list(f.table[HR]) == [1.0, 3.0, 2.0, 3.0, 2.0, 3.0]
+        assert list(f.feature_grid[HR]) == [1.0, 3.0, 2.0, 3.0, 2.0, 3.0]
 
     def test_single_value(self):
         f = aggregate_one("p", [ev("p", 10, "Heart rate", 7.0)], label=0)
-        assert list(f.table[HR]) == [7.0, 7.0, 7.0, 7.0, 7.0, 1.0]
+        assert list(f.feature_grid[HR]) == [7.0, 7.0, 7.0, 7.0, 7.0, 1.0]
 
     def test_even_count_median(self):
         f = aggregate_one("p", [
             ev("p", 10, "Heart rate", 1.0),
             ev("p", 20, "Heart rate", 3.0),
         ], label=0)
-        assert f.table[HR, 2] == 2.0
+        assert f.feature_grid[HR, 2] == 2.0
 
     def test_zero_events(self):
         f = aggregate_one("p", [], label=0)
-        assert f.table[HR, 5] == 0.0
-        assert np.isnan(f.table[HR, :5]).all()
+        assert f.feature_grid[HR, 5] == 0.0
+        assert np.isnan(f.feature_grid[HR, :5]).all()
 
     def test_permutation_sensitivity(self, rng):
         minutes = sorted(int(m) for m in rng.choice(2800, size=9, replace=False))
@@ -240,23 +240,23 @@ class TestAggregate:
             perm = rng.permutation(9)
             f = aggregate_one("p", [ev("p", m, "Heart rate", float(values[perm][i]))
                                 for i, m in enumerate(minutes)], label=0)
-            assert f.table[HR, 0] == values.min()
-            assert f.table[HR, 1] == values.max()
-            assert f.table[HR, 2] == pytest.approx(np.median(values))
-            assert f.table[HR, 5] == 9.0
-            assert f.table[HR, 3] == values[perm][0]
-            assert f.table[HR, 4] == values[perm][-1]
+            assert f.feature_grid[HR, 0] == values.min()
+            assert f.feature_grid[HR, 1] == values.max()
+            assert f.feature_grid[HR, 2] == pytest.approx(np.median(values))
+            assert f.feature_grid[HR, 5] == 9.0
+            assert f.feature_grid[HR, 3] == values[perm][0]
+            assert f.feature_grid[HR, 4] == values[perm][-1]
 
     def test_scale_fills_missing_from_training(self):
         tr1 = aggregate_one("t1", [ev("t1", 10, "Heart rate", 10.0)], label=0)
         tr2 = aggregate_one("t2", [ev("t2", 10, "Heart rate", 20.0),
                                ev("t2", 20, "Heart rate", 30.0)], label=1)
-        stats = fit_aggregation_scaling([tr1, tr2])
+        stats = fit_aggregation_scaling(stack([tr1, tr2]))
         empty = aggregate_one("q", [], label=0)
-        scaled, = scale_aggregates([empty], stats)
+        scaled, = scale_aggregates(stack([empty]), stats)
         # count 0 scales to 0 (training counts 1 and 2), means fill the rest
-        assert scaled.table[HR, 5] == 0.0
-        assert scaled.table[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
+        assert scaled.feature_grid[HR, 5] == 0.0
+        assert scaled.feature_grid[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
 
 
 def test_frames_file_roundtrip(tmp_path, rng):
@@ -333,7 +333,7 @@ def test_missing_mask_file_is_an_error(tmp_path, rng):
 
 def test_scaling_stats_roundtrip(tmp_path):
     a, b, c = hand_fixture()
-    stats = fit_scaling([a, b, c])
+    stats = fit_scaling(stack([a, b, c]))
     path = tmp_path / "stats.txt"
     write_scaling_stats(stats, path)
     back = read_scaling_stats(path)
@@ -349,7 +349,7 @@ def test_scaling_stats_roundtrip(tmp_path):
 def test_scaling_stats_missing_key_names_file_and_key(tmp_path):
     a, b, c = hand_fixture()
     path = tmp_path / "stats.txt"
-    write_scaling_stats(fit_scaling([a, b, c]), path)
+    write_scaling_stats(fit_scaling(stack([a, b, c])), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("static_mean.2=")))
     with pytest.raises(MalformedRow, match=r"stats\.txt: missing key 'static_mean\.2'"):
@@ -359,7 +359,7 @@ def test_scaling_stats_missing_key_names_file_and_key(tmp_path):
 def test_scaling_stats_bad_value_names_line(tmp_path):
     a, b, c = hand_fixture()
     path = tmp_path / "stats.txt"
-    write_scaling_stats(fit_scaling([a, b, c]), path)
+    write_scaling_stats(fit_scaling(stack([a, b, c])), path)
     lines = path.read_text().splitlines()
     lines[2] = lines[2].split("=")[0] + "=abc"
     path.write_text("\n".join(lines))
@@ -424,19 +424,18 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
     test[0].dynamic[HIGH_VAR, 0] = 1e6
     test[0].dynamic[LOW_VAR, 0] = -1e6
     frames = train + test
-    stats = fit_scaling(train)
+    stats = fit_scaling(stack(train))
 
-    dynamic, statics = impute_and_scale_batch(
-        np.stack([f.dynamic for f in frames]), np.stack([f.statics for f in frames]), stats)
-    listed = scale_frames(frames, stats)
+    scaled = scale_frames(stack(frames), stats)
+    dynamic, statics = scaled.grid, scaled.statics
     for i, f in enumerate(frames):
         ref_dynamic, ref_statics = _reference_impute_and_scale(f, stats)
         single = impute_and_scale(f, stats)
-        for got in (dynamic[i], listed[i].dynamic, single.dynamic):
+        for got in (dynamic[i], scaled[i].dynamic, single.dynamic):
             assert got.tobytes() == ref_dynamic.tobytes()
-        for got in (statics[i], listed[i].statics, single.statics):
+        for got in (statics[i], scaled[i].statics, single.statics):
             assert got.tobytes() == ref_statics.tobytes()
-        assert (listed[i].mask == f.mask).all() and (single.mask == f.mask).all()
+        assert (scaled[i].mask == f.mask).all() and (single.mask == f.mask).all()
     assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
     assert (statics[:, 0] == 0.5).all()
     assert dynamic[n_train, HIGH_VAR, 0] == 1.0 and dynamic[n_train, LOW_VAR, 0] == 0.0
@@ -490,7 +489,7 @@ def test_framing_matches_per_event_oracle(case, grid):
         assert frame.label == agg.label == labels[frame.patient_id]
         assert bits(frame.dynamic) == bits(dynamic) and bits(frame.mask) == bits(mask)
         assert bits(frame.statics) == bits(statics) == bits(agg.statics)
-        assert bits(agg.table) == bits(table)
+        assert bits(agg.feature_grid) == bits(table) and agg.mask is None
 
     # the framing invariants: scaling never touches the mask, dense output
     # lies in [0, 1], and carrying forward never overwrites an observed cell

@@ -6,13 +6,13 @@ import pytest
 
 from patsim import vocab
 from patsim.errors import BadConfig, KTooLarge, NegativeWeight
+from patsim.framing import stack
 from patsim.knn import (
     FeatureWeights,
     Model,
     NeighborSet,
     neighbors,
     soft_score,
-    variable_distance_sq,
     variable_distances_sq,
     weighted_distance_sq,
 )
@@ -31,7 +31,7 @@ class TestFeatureWeights:
     def test_uniform(self):
         w = FeatureWeights.uniform()
         assert (w.values == 1.0).all()
-        assert w.as_dict()["Heart rate"] == 1.0
+        assert w.values.shape == (vocab.N_VARIABLES,)
 
 
 class TestVariableDistance:
@@ -39,19 +39,20 @@ class TestVariableDistance:
         a = random_dense_frames(1, rng)[0]
         b = replace(a, patient_id="other")
         for v in range(vocab.N_VARIABLES):
-            assert variable_distance_sq(a, b, v) == 0.0
+            assert variable_distances_sq(a, b)[v] == 0.0
 
     def test_constant_offset(self, rng):
         a, b = random_dense_frames(2, rng)
         b.dynamic[:] = a.dynamic
         b.dynamic[HR] = a.dynamic[HR] + 0.5
-        assert variable_distance_sq(a, b, HR) == pytest.approx(0.25)
-        assert variable_distance_sq(a, b, "Heart rate") == pytest.approx(0.25)
+        assert variable_distances_sq(a, b)[HR] == pytest.approx(0.25)
+        assert variable_distances_sq(a, b)[vocab.VARIABLE_INDEX["Heart rate"]] == \
+            pytest.approx(0.25)
 
     def test_static_distance(self, rng):
         a, b = random_dense_frames(2, rng)
         a.statics[0], b.statics[0] = 0.2, 0.7
-        assert variable_distance_sq(a, b, "Age") == pytest.approx(0.25)
+        assert variable_distances_sq(a, b)[vocab.VARIABLE_INDEX["Age"]] == pytest.approx(0.25)
 
 
 class TestWeightedDistance:
@@ -64,7 +65,7 @@ class TestWeightedDistance:
         w = np.zeros(vocab.N_VARIABLES)
         w[HR] = 1.0
         assert weighted_distance_sq(a, b, w) == pytest.approx(
-            variable_distance_sq(a, b, HR))
+            variable_distances_sq(a, b)[HR])
 
     def test_linear_in_weights_and_ranking(self, rng):
         frames = random_dense_frames(10, rng)
@@ -90,7 +91,7 @@ class TestNeighbors:
     def test_exact_copy_is_rank_one(self, rng):
         frames = random_dense_frames(12, rng)
         query = replace(frames[4], patient_id="query")
-        model = Model(frames, FeatureWeights.uniform(), k=3)
+        model = Model(stack(frames), FeatureWeights.uniform(), k=3)
         ns = neighbors(query, model, leave_one_out=False)
         assert ns.entries[0][0] == frames[4].patient_id
         assert ns.entries[0][1] == 0.0
@@ -100,22 +101,22 @@ class TestNeighbors:
         frames[2].dynamic = frames[1].dynamic.copy()
         frames[2].statics = frames[1].statics.copy()
         query = replace(frames[1], patient_id="zz_query")
-        model = Model(frames, FeatureWeights.uniform(), k=2)
+        model = Model(stack(frames), FeatureWeights.uniform(), k=2)
         ns = neighbors(query, model, leave_one_out=False)
         first_two = [ns.entries[0][0], ns.entries[1][0]]
         assert first_two == sorted([frames[1].patient_id, frames[2].patient_id])
 
     def test_leave_one_out_excludes_self(self, rng):
         frames = random_dense_frames(8, rng)
-        model = Model(frames, FeatureWeights.uniform(), k=3)
+        model = Model(stack(frames), FeatureWeights.uniform(), k=3)
         ns = neighbors(frames[2], model, leave_one_out=True)
         assert frames[2].patient_id not in [e[0] for e in ns.entries]
 
     def test_k_too_large(self, rng):
         frames = random_dense_frames(4, rng)
         with pytest.raises(KTooLarge):
-            Model(frames, FeatureWeights.uniform(), k=5)
-        model = Model(frames, FeatureWeights.uniform(), k=4)
+            Model(stack(frames), FeatureWeights.uniform(), k=5)
+        model = Model(stack(frames), FeatureWeights.uniform(), k=4)
         with pytest.raises(KTooLarge):
             neighbors(frames[0], model, leave_one_out=True)
 
@@ -123,7 +124,7 @@ class TestNeighbors:
         train = random_dense_frames(60, rng)
         queries = random_dense_frames(25, np.random.default_rng(9))
         w = FeatureWeights(rng.random(vocab.N_VARIABLES))
-        model = Model(train, w, k=7)
+        model = Model(stack(train), w, k=7)
         for q in queries:
             ns = neighbors(q, model, leave_one_out=False)
             # independent scan: per-pair distance, sorted by (d2, id)
@@ -163,7 +164,7 @@ class TestClassify:
             f.statics[:] = query.statics
             f.statics[0] = query.statics[0] + 0.1
             f.label = labels[i]
-        model = Model(frames, FeatureWeights.uniform(), k=k,
+        model = Model(stack(frames), FeatureWeights.uniform(), k=k,
                       prediction_mode=mode, threshold=threshold)
         return query, model
 
@@ -189,9 +190,9 @@ class TestClassify:
     def test_bad_mode_and_threshold(self, rng):
         frames = random_dense_frames(5, rng)
         with pytest.raises(BadConfig):
-            Model(frames, FeatureWeights.uniform(), k=2, prediction_mode="oracle")
+            Model(stack(frames), FeatureWeights.uniform(), k=2, prediction_mode="oracle")
         with pytest.raises(BadConfig):
-            Model(frames, FeatureWeights.uniform(), k=2, threshold=1.5)
+            Model(stack(frames), FeatureWeights.uniform(), k=2, threshold=1.5)
 
 
 class TestInvariants:
@@ -199,8 +200,8 @@ class TestInvariants:
         frames = random_dense_frames(30, rng)
         queries = random_dense_frames(10, np.random.default_rng(3))
         base = rng.random(vocab.N_VARIABLES) + 0.05
-        m1 = Model(frames, FeatureWeights(base), k=5)
-        m2 = Model(frames, FeatureWeights(base * 3.7), k=5)
+        m1 = Model(stack(frames), FeatureWeights(base), k=5)
+        m2 = Model(stack(frames), FeatureWeights(base * 3.7), k=5)
         for q in queries:
             n1 = neighbors(q, m1, leave_one_out=False)
             n2 = neighbors(q, m2, leave_one_out=False)
@@ -211,20 +212,20 @@ class TestInvariants:
         frames = random_dense_frames(20, rng)
         w = rng.random(vocab.N_VARIABLES)
         w[HR] = 0.0
-        model = Model(frames, FeatureWeights(w), k=5)
+        model = Model(stack(frames), FeatureWeights(w), k=5)
         q = random_dense_frames(1, np.random.default_rng(8))[0]
         before = classify(q, model)
         q.dynamic[HR] = rng.random(24)
         perturbed_frames = [replace(f, dynamic=f.dynamic.copy()) for f in frames]
         for f in perturbed_frames:
             f.dynamic[HR] = rng.random(24)
-        model2 = Model(perturbed_frames, FeatureWeights(w), k=5)
+        model2 = Model(stack(perturbed_frames), FeatureWeights(w), k=5)
         assert classify(q, model2) == before
 
     def test_kernel_range(self, rng):
         frames = random_dense_frames(10, rng)
         w = FeatureWeights(rng.random(vocab.N_VARIABLES))
-        model = Model(frames, w, k=4)
+        model = Model(stack(frames), w, k=4)
         for q in frames[:4]:
             ns = neighbors(q, model, leave_one_out=False)
             for _, d2, _ in ns.entries:
@@ -238,7 +239,7 @@ class TestInvariants:
         q = random_dense_frames(1, np.random.default_rng(4))[0]
         runs = []
         for _ in range(2):
-            model = Model(list(frames), w, k=6)
+            model = Model(stack(frames), w, k=6)
             ns = neighbors(q, model, leave_one_out=False)
             runs.append((tuple(ns.entries), classify(q, model)))
         assert runs[0] == runs[1]

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,8 +68,7 @@ class TestGenerator:
 class TestSignal:
     def scaled_frames(self, result):
         frames = frames_for(result)
-        stats = framing.fit_scaling(frames)
-        return [framing.impute_and_scale(f, stats) for f in frames]
+        return framing.scale_frames(frames, framing.fit_scaling(frames))
 
     def test_filters_rank_informative_above_noise(self):
         result = generate(SynthSpec(n_patients=400, seed=5))
@@ -101,9 +101,7 @@ class TestSignal:
         rng = np.random.default_rng(0)
         labels = np.array([f.label for f in dense])
         rng.shuffle(labels)
-        shuffled = [framing.FramedPatient(f.patient_id, f.dynamic, f.mask,
-                                          f.statics, int(y))
-                    for f, y in zip(dense, labels)]
+        shuffled = replace(dense, labels=labels)
         after = weights.filter_score(shuffled, "chi_square")
         # informative scores collapse into the noise score range
         assert max(after[informative]) < np.percentile(after[noise], 99) * 3
@@ -117,8 +115,7 @@ class TestSignal:
         informative = [vocab.DYNAMIC_INDEX[n]
                        for n in result.manifest["informative_variables"]]
         labels = np.array([a.label for a in aggs])
-        tables = np.stack([a.table for a in aggs])
-        grids = np.stack([f.dynamic for f in frames])
+        tables, grids = aggs.grid, frames.grid
         v = informative[0]
         for col in range(5):   # min, max, median, first, last
             pos = tables[labels == 1, v, col].mean()

@@ -13,6 +13,7 @@ from patsim.errors import (
     SingleClassCohort,
     UnknownVariable,
 )
+from patsim.framing import stack
 from patsim.knn import FeatureWeights, Model, neighbors, soft_score
 from patsim.weights import (
     N_BINS,
@@ -53,7 +54,7 @@ def two_tight_clusters(rng, n_per_class=8, gap=0.8):
 class TestTrainingError:
     def test_pure_clusters_give_zero_error(self, rng):
         frames = two_tight_clusters(rng)
-        e = training_error(frames, FeatureWeights.uniform(), k=3)
+        e = training_error(stack(frames), FeatureWeights.uniform(), k=3)
         # scores are not exactly 0/1 (kernel in (0,1]) but must be tiny
         assert e < 1e-8
 
@@ -83,7 +84,7 @@ class TestTrainingError:
         for f in frames:
             f.label = 1
         with pytest.raises(SingleClassCohort):
-            training_error(frames, FeatureWeights.uniform(), k=3)
+            training_error(stack(frames), FeatureWeights.uniform(), k=3)
 
 
 class TestGradient:
@@ -107,12 +108,12 @@ class TestGradient:
         frames = random_dense_frames(12, rng)
         for f in frames:
             f.dynamic[HR] = 0.42
-        grad = gradient(frames, FeatureWeights.uniform(), k=4)
+        grad = gradient(stack(frames), FeatureWeights.uniform(), k=4)
         assert grad[HR] == 0.0
 
     def test_zero_at_zero_error(self, rng):
         frames = two_tight_clusters(rng)
-        grad = gradient(frames, FeatureWeights.uniform(), k=3)
+        grad = gradient(stack(frames), FeatureWeights.uniform(), k=3)
         assert np.abs(grad).max() < 1e-6
 
 
@@ -129,7 +130,7 @@ class TestTrainGd:
         for f in frames:
             f.dynamic[HR] = 0.25 + 0.5 * f.label + 0.05 * rng.random(24)
         cfg = TrainConfig(k=7, max_epochs=60)
-        learned, _ = train_gd(frames, cfg)
+        learned, _ = train_gd(stack(frames), cfg)
         noise = np.delete(learned.values[: vocab.N_DYNAMIC], HR)
         assert learned.values[HR] > noise.max()
 
@@ -142,7 +143,7 @@ class TestTrainGd:
 
     def test_converged_stop_reason(self, rng):
         frames = two_tight_clusters(rng)
-        _, trace = train_gd(frames, TrainConfig(k=3, max_epochs=100))
+        _, trace = train_gd(stack(frames), TrainConfig(k=3, max_epochs=100))
         assert trace.stop_reason == "converged"
         assert trace.epochs_run < 100
 
@@ -151,12 +152,12 @@ class TestTrainGd:
         for f in frames:
             f.label = 0
         with pytest.raises(SingleClassCohort):
-            train_gd(frames, TrainConfig(k=3))
+            train_gd(stack(frames), TrainConfig(k=3))
 
     def test_needs_k_plus_one(self, rng):
         frames = random_dense_frames(5, rng)
         with pytest.raises(KTooLarge):
-            train_gd(frames, TrainConfig(k=5))
+            train_gd(stack(frames), TrainConfig(k=5))
 
     def test_non_negative_weights(self, small_cohort):
         learned, _ = train_gd(small_cohort, TrainConfig(k=5, learning_rate=2.0,
@@ -191,7 +192,7 @@ class TestFilterScores:
         for i, f in enumerate(frames):
             f.label = i % 2
             f.dynamic[HR] = f.label + 0.01 * rng.random(24)
-        scores = filter_score(frames, "information_gain")
+        scores = filter_score(stack(frames), "information_gain")
         assert scores[HR] == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_variable_scores_zero(self, rng):
@@ -207,8 +208,8 @@ class TestFilterScores:
             frames[2 * b].label = 0
             frames[2 * b + 1].dynamic[HR] = b / 19.0
             frames[2 * b + 1].label = 1
-        chi = filter_score(frames, "chi_square")
-        gin = filter_score(frames, "gini")
+        chi = filter_score(stack(frames), "chi_square")
+        gin = filter_score(stack(frames), "gini")
         assert chi[HR] == pytest.approx(0.0, abs=1e-9)
         assert gin[HR] == pytest.approx(0.0, abs=1e-9)
 
@@ -217,7 +218,7 @@ class TestFilterScores:
         for f in frames:
             f.dynamic[HR] = 0.3 + 0.4 * f.label + 0.05 * rng.random(24)
         for method in ("chi_square", "information_gain", "gini"):
-            scores = filter_score(frames, method)
+            scores = filter_score(stack(frames), method)
             assert int(np.argmax(scores)) == HR
 
     def test_normalization_sums_to_variable_count(self, small_cohort):
@@ -231,7 +232,7 @@ class TestFilterScores:
         for f in frames:
             f.label = 0
         with pytest.raises(SingleClassCohort):
-            filter_weights(frames, "chi_square")
+            filter_weights(stack(frames), "chi_square")
 
     def test_unknown_method(self, small_cohort):
         with pytest.raises(BadConfig):
@@ -273,15 +274,16 @@ class TestFilterScores:
         binning = weights._equal_frequency_bins
         monkeypatch.setattr(weights, "_equal_frequency_bins",
                             lambda x: calls.append(1) or binning(x))
-        shared = Workspace(frames)
+        cohort = stack(frames)
+        shared = Workspace(cohort)
         for method in ("chi_square", "information_gain", "gini"):
             expected = self.rebinned_scores(frames, method)
             assert filter_score(shared, method).tobytes() == expected.tobytes()
-            assert filter_score(frames, method).tobytes() == expected.tobytes()
+            assert filter_score(cohort, method).tobytes() == expected.tobytes()
             active = np.arange(vocab.N_VARIABLES) % 3 > 0
             assert filter_weights(shared, method, active).values.tobytes() == \
-                filter_weights(frames, method, active).values.tobytes()
-        # 40 binnings for the shared workspace, 40 more for each call on a plain list
+                filter_weights(cohort, method, active).values.tobytes()
+        # 40 binnings for the shared workspace, 40 more for each call on a plain cohort
         assert len(calls) == vocab.N_VARIABLES * (1 + 2 * 3)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from patsim import ingest, vocab
-from patsim.framing import N_AGG, FramedPatient
+from patsim.framing import N_AGG, FramedPatient, stack
 from patsim.knn import classify_batch
 
 
@@ -48,18 +48,24 @@ def square_distance_tensor(grid, statics) -> np.ndarray:
 
     The gram-matrix build the packed leave-one-out tensor replaced, with
     its symmetrizing step and zero diagonal; the packed tensor must equal
-    its upper triangle bit for bit.
+    its upper triangle bit for bit. The gram is taken over the distinct
+    patients (grid and statics equal bit for bit) in their first-seen
+    order, and each copy of a patient gets its first copy's entries.
     """
     n, n_dyn, n_cols = grid.shape
+    first_copy = {}
+    copy_of = np.array([first_copy.setdefault(row.tobytes(), len(first_copy))
+                        for row in np.concatenate([grid.reshape(n, -1), statics], axis=1)])
+    distinct = np.array([copy_of.tolist().index(c) for c in range(len(first_copy))])
     out = np.empty((vocab.N_VARIABLES, n, n))
     for v in range(n_dyn):
-        x = grid[:, v, :] - grid[:, v, :].mean(axis=0)
+        x = (grid[:, v, :] - grid[:, v, :].mean(axis=0))[distinct]
         sq = (x * x).sum(axis=1)
         d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
         d = np.maximum(d, 0.0) / n_cols
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
-        out[v] = d
+        out[v] = d[np.ix_(copy_of, copy_of)]
     for j in range(statics.shape[1]):
         s = statics[:, j]
         out[n_dyn + j] = (s[:, None] - s[None, :]) ** 2
@@ -68,7 +74,7 @@ def square_distance_tensor(grid, statics) -> np.ndarray:
 
 def classify(query, model):
     """(label, score) of one query: classify_batch of a one-query batch."""
-    labels, scores = classify_batch([query], model)
+    labels, scores = classify_batch(stack([query]), model)
     return int(labels[0]), float(scores[0])
 
 
