@@ -24,11 +24,9 @@ from .errors import (
     TooFewPairs,
     TooFewPerClass,
 )
-from .knn import FeatureWeights, Model, classify_distances, query_distances
+from .knn import FeatureWeights, Model, classify_distances, weighted_distances
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
-
-_FILTER_NAMES = {"chi2": "chi_square", "infogain": "information_gain", "gini": "gini"}
 
 
 @dataclass
@@ -151,10 +149,6 @@ def _scale_split(train_raw, test_raw) -> tuple:
     return scale(train_raw, stats), scale(test_raw, stats)
 
 
-def _uses_tensor(method: MethodSpec) -> bool:
-    return method.kind == "knn" and method.weighting == "gd"
-
-
 def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
     active = method.active_mask()
     if method.weighting == "gd":
@@ -166,7 +160,7 @@ def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
         return FeatureWeights(np.where(active, 1.0, 0.0))
     if method.weighting == "manual":
         return FeatureWeights(method.manual_weights.values * active)
-    return filter_weights(fold, _FILTER_NAMES[method.weighting], active=active)
+    return filter_weights(fold, method.weighting, active=active)
 
 
 def _fit_linear_scorer(x, y, iters=300, lr=0.5):
@@ -183,43 +177,43 @@ def _fit_linear_scorer(x, y, iters=300, lr=0.5):
     return w, b
 
 
-def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
-    """Each method's test-side predictions on one scaled fold.
-
-    The kNN methods share one neighbor workspace: the per-variable query
-    distances are scanned once, and the leave-one-out tensor and the
-    filter tables are built once, on first use; each method applies only
-    its own weights. The tensor is freed once the last method that trains
-    on it has its weights, before the query scan, as when each method
-    built its own.
-    """
+def _baseline_prediction(train_scaled, test_scaled, method: MethodSpec) -> np.ndarray:
+    """Test-side predictions of a majority or linear method."""
     y_train = train_scaled.labels.astype(float)
-    fold = per_var = None
-    tensor_users = sum(_uses_tensor(m) for m in methods)
-    predictions = []
-    for method in methods:
-        if method.kind == "majority":
-            majority = int(y_train.mean() >= 0.5)
-            predictions.append(np.full(len(test_scaled), majority, dtype=int))
-            continue
-        if method.kind == "linear":
-            x_train, x_test = (np.hstack([f.grid.reshape(len(f), -1), f.statics])
-                               for f in (train_scaled, test_scaled))
-            w, b = _fit_linear_scorer(x_train, y_train)
-            predictions.append((x_test @ w + b >= 0).astype(int))
-            continue
-        if fold is None:
-            fold = Workspace(train_scaled)
-        learned = _learn_weights(fold, method)
-        tensor_users -= _uses_tensor(method)
-        if not tensor_users:
-            fold.release_tensor()
-        if per_var is None:
-            per_var = query_distances(test_scaled, fold.train)
-        model = Model(fold.train, learned,
-                      k=method.k, prediction_mode=method.mode, threshold=method.threshold)
-        predictions.append(classify_distances(per_var, model)[0])
-    return predictions
+    if method.kind == "majority":
+        return np.full(len(test_scaled), int(y_train.mean() >= 0.5), dtype=int)
+    x_train, x_test = (np.hstack([f.grid.reshape(len(f), -1), f.statics])
+                       for f in (train_scaled, test_scaled))
+    w, b = _fit_linear_scorer(x_train, y_train)
+    return (x_test @ w + b >= 0).astype(int)
+
+
+def _predict_knn_methods(train_scaled, test_scaled, methods) -> list:
+    """The test-side predictions of kNN methods on one scaled fold.
+
+    Every method first learns its weights on one shared Workspace, which
+    builds the leave-one-out tensor and the filter tables once, on first
+    use. The workspace, and with it the tensor, is then dropped, and one
+    weighted_distances pass over the test side weighs each query under all
+    the learned weightings; each method applies only its own selection and
+    decision.
+    """
+    fold = Workspace(train_scaled)
+    learned = [_learn_weights(fold, m) for m in methods]
+    del fold    # frees the tensor before the test side is scanned
+    d2 = weighted_distances(test_scaled, train_scaled, [w.values for w in learned])
+    return [classify_distances(rows, Model(train_scaled, w, k=m.k, prediction_mode=m.mode,
+                                           threshold=m.threshold))[0]
+            for m, w, rows in zip(methods, learned, d2)]
+
+
+def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
+    """Each method's test-side predictions on one scaled fold."""
+    knn_methods = [m for m in methods if m.kind == "knn"]
+    knn_predictions = iter(_predict_knn_methods(train_scaled, test_scaled, knn_methods)
+                           if knn_methods else ())
+    return [next(knn_predictions) if m.kind == "knn"
+            else _baseline_prediction(train_scaled, test_scaled, m) for m in methods]
 
 
 def _run_fold(job, i) -> list:
@@ -295,18 +289,15 @@ def cross_validate(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
 
 
 def _average_ranks(values) -> np.ndarray:
-    """Ranks 1..n with ties sharing the average of their positions."""
+    """Ranks 1..n with ties sharing the average of their positions.
+
+    A tie group at sorted positions i..j (0-based) has i entries below it and
+    j + 1 at or below it, so its rank is (i + (j + 1) + 1) / 2.
+    """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    ordered = np.sort(values)
+    below = np.searchsorted(ordered, values, "left")
+    return (below + np.searchsorted(ordered, values, "right") + 1) / 2.0
 
 
 def friedman(matrix) -> tuple:

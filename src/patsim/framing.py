@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tables, vocab
-from .errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
+from .errors import BadConfig, DimensionMismatch, EmptyCohort, InputFault, MalformedRow
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -412,7 +412,7 @@ def read_frames(path, mask_path=None) -> Frames:
     repeated patient id raises MalformedRow naming the file and line; so
     do the mask-file faults listed in _read_masks. The patients come back
     in ascending patient_id order, whatever the file's order; a file with
-    no patients raises EmptyCohort.
+    no patient rows raises InputFault naming it.
     """
     n_buckets = 1
 
@@ -441,6 +441,8 @@ def read_frames(path, mask_path=None) -> Frames:
             raise MalformedRow(f"cell {_dynamic_header(n_buckets).split(',')[col]} is not a "
                                f"finite number: {cells[col]!r}", line_no, path)
         rows.append((pid, values, int(label)))
+    if not rows:
+        raise InputFault("no patient rows, so the cohort has no patients", path=path)
     shape = (vocab.N_DYNAMIC, n_buckets)
     n_cells = vocab.N_DYNAMIC * n_buckets
     masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)

@@ -9,11 +9,11 @@ special case at zero distance.
 
 One engine serves prediction and the leave-one-out weight training in
 `weights`, over cohorts stacked in ascending patient_id order
-(`framing.Frames`): `query_distances` scans queries against a cohort per
-variable and `weigh` applies one weighting (so several weightings share
-one scan), `top_k` selects from a distance matrix over those columns (the
-ascending-patient_id tie-break lives there), and `soft_scores`/
-`decide_rows` score the selection.
+(`framing.Frames`): `weighted_distances` scans each query against a cohort
+once and weighs that scan under every given weighting, `top_k` selects
+from a distance matrix over those columns (the ascending-patient_id
+tie-break lives there), and `soft_scores`/`decide_rows` score the
+selection.
 """
 
 from __future__ import annotations
@@ -72,33 +72,27 @@ def weighted_distance_sq(a, b, weights) -> float:
     return float(variable_distances_sq(a, b) @ _weight_array(weights))
 
 
-def query_distances(queries: Frames, train: Frames) -> np.ndarray:
-    """Per-variable squared distances (q, n_train, 40) from each query to the training set.
+def weighted_distances(queries: Frames, train: Frames, weightings) -> np.ndarray:
+    """Weighted squared distances (m, q, n_train) from each query to the training set,
+    one (q, n_train) matrix per weighting of `weightings` (40 weights each).
 
-    One exact difference scan per query, with no gram-form shortcut, so a
-    query identical to a training patient lies at exactly 0.
+    One exact difference scan per query fills one reused (n_train, 40)
+    buffer, with no gram-form shortcut, so a query identical to a training
+    patient lies at exactly 0. Each weighting is then one (n_train, 40) @ w
+    product per query: a product batched over queries may sum in another
+    order, and a last-bit change can reorder a distance tie.
     """
     if queries.grid.shape[1:] != train.grid.shape[1:]:
         raise DimensionMismatch("query grid does not match training grid")
     n_dyn = train.grid.shape[1]
-    out = np.empty((len(queries), len(train), vocab.N_VARIABLES))
+    per_var = np.empty((len(train), vocab.N_VARIABLES))
+    out = np.empty((len(weightings), len(queries), len(train)))
     for i, (grid, statics) in enumerate(zip(queries.grid, queries.statics)):
-        out[i, :, :n_dyn] = ((train.grid - grid[None]) ** 2).mean(axis=2)
-        out[i, :, n_dyn:] = (train.statics - statics[None]) ** 2
+        per_var[:, :n_dyn] = ((train.grid - grid[None]) ** 2).mean(axis=2)
+        per_var[:, n_dyn:] = (train.statics - statics[None]) ** 2
+        for d2, w in zip(out, weightings):
+            d2[i] = per_var @ w
     return out
-
-
-def weigh(per_var, w) -> np.ndarray:
-    """Weighted squared distances (q, n_train) from per-variable ones.
-
-    One (n_train, 40) @ w product per query: a product batched over
-    queries may sum in another order, and a last-bit change can reorder a
-    distance tie.
-    """
-    d2 = np.empty(per_var.shape[:2])
-    for i, rows in enumerate(per_var):
-        d2[i] = rows @ w
-    return d2
 
 
 def top_k(d2, k) -> np.ndarray:
@@ -177,21 +171,13 @@ class Model:
             self.weights = FeatureWeights(self.weights)
 
 
-# Queries per query_distances call in _nearest; bounds its (block, n_train, 40) array.
-QUERY_BLOCK = 16
-
-
 def _nearest(queries: Frames, model: Model, leave_one_out) -> tuple:
     """Neighbor indices (q, k) into model.frames and their distances (q, k).
 
-    Distances are scanned QUERY_BLOCK queries at a time. With
-    leave_one_out, training entries sharing a query's patient_id are
+    With leave_one_out, training entries sharing a query's patient_id are
     excluded.
     """
-    d2 = np.empty((len(queries), len(model.frames)))
-    for s in range(0, len(queries), QUERY_BLOCK):
-        block = queries.take(np.arange(s, min(s + QUERY_BLOCK, len(queries))))
-        d2[s:s + len(block)] = weigh(query_distances(block, model.frames), model.weights.values)
+    d2 = weighted_distances(queries, model.frames, [model.weights.values])[0]
     excluded = 0
     if leave_one_out and len(queries):
         same = np.array(queries.ids)[:, None] == np.array(model.frames.ids)
@@ -213,14 +199,14 @@ def _decide(nearest, model: Model) -> tuple:
     return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
 
 
-def classify_distances(per_var, model: Model) -> tuple:
-    """Predict (labels, scores) from per-variable distances (see query_distances).
+def classify_distances(d2, model: Model) -> tuple:
+    """Predict (labels, scores) from the queries' weighted distances (q, n_train)
+    under model.weights (see weighted_distances).
 
     This is how the methods of one cross-validation fold share one
-    distance scan: each applies only its own weights, selection and
-    decision.
+    distance scan: each applies only its own selection and decision.
     """
-    return _decide(_select(weigh(per_var, model.weights.values), model), model)
+    return _decide(_select(d2, model), model)
 
 
 def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
@@ -243,16 +229,3 @@ def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     entries = [(train.ids[i], float(d), int(train.labels[i]))
                for i, d in zip(idx[0], d2_sel[0])]
     return NeighborSet(query_id=query.patient_id, entries=entries)
-
-
-def decide(neighbor_set: NeighborSet, mode, threshold=0.5) -> tuple:
-    """(label, score) of one neighbor set under the given mode (see decide_rows)."""
-    d2 = np.array([[e[1] for e in neighbor_set.entries]])
-    y = np.array([[e[2] for e in neighbor_set.entries]], dtype=int)
-    labels, scores = decide_rows(d2, y, mode, threshold)
-    return int(labels[0]), float(scores[0])
-
-
-def soft_score(neighbor_set: NeighborSet) -> float:
-    """Similarity-weighted positive fraction: sum(s*y)/sum(s), s = exp(-d2)."""
-    return decide(neighbor_set, "weighted")[1]

@@ -14,6 +14,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -171,37 +172,27 @@ class Workspace:
 
     The packed (40, n(n-1)/2) leave-one-out distance tensor with its pair
     index, and the filter tables, are built on first use and then shared by
-    every weighting trained on this cohort; `release_tensor` frees the
-    tensor and the index once no weighting needs them. Every function below
-    that takes `frames` also takes a Workspace.
+    every weighting trained on this cohort; they go when the workspace
+    does. Every function below that takes `frames` also takes a Workspace.
     """
 
     def __init__(self, frames):
         self.train = frames
-        self._tensor = None
-        self._pairs = None
-        self._tables = None
 
     def __len__(self):
         return len(self.train)
 
+    @cached_property
     def tensor(self) -> np.ndarray:
-        if self._tensor is None:
-            self._tensor = _distance_tensor(self.train.grid, self.train.statics)
-        return self._tensor
+        return _distance_tensor(self.train.grid, self.train.statics)
 
+    @cached_property
     def pairs(self) -> np.ndarray:
-        if self._pairs is None:
-            self._pairs = _pair_index(len(self))
-        return self._pairs
+        return _pair_index(len(self))
 
-    def release_tensor(self):
-        self._tensor = self._pairs = None
-
+    @cached_property
     def tables(self) -> list:
-        if self._tables is None:
-            self._tables = _filter_tables(self.train)
-        return self._tables
+        return _filter_tables(self.train)
 
 
 def _workspace(frames) -> Workspace:
@@ -215,7 +206,7 @@ def _loo_problem(frames, weights, k) -> tuple:
     _check_two_classes(labels)
     if k > len(labels) - 1:
         raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
-    packed, pair = ws.tensor(), ws.pairs()
+    packed, pair = ws.tensor, ws.pairs
     w = _weight_array(weights)
     return packed, pair, w, _neighbor_sets(packed, pair, w, k), labels
 
@@ -350,9 +341,10 @@ def _gini_score(table) -> float:
     return _impurity_gain(table, _gini)
 
 
+# keyed by the filter names of config.WEIGHTINGS
 _SCORERS = {
-    "chi_square": _chi_square_score,
-    "information_gain": _information_gain_score,
+    "chi2": _chi_square_score,
+    "infogain": _information_gain_score,
     "gini": _gini_score,
 }
 
@@ -375,7 +367,7 @@ def filter_score(frames, method) -> np.ndarray:
     ws = _workspace(frames)
     _check_two_classes(ws.train.labels)
     scorer = _SCORERS[method]
-    return np.array([scorer(table) for table in ws.tables()])
+    return np.array([scorer(table) for table in ws.tables])
 
 
 def filter_weights(frames, method, active=None) -> FeatureWeights:

@@ -163,7 +163,20 @@ class TestStrictFrames:
         capsys.readouterr()
         assert main(["train", "--frames", str(empty), "--weights-out",
                      str(tmp_path / "w.csv")]) == 1
-        assert capsys.readouterr().err == "error: cohort has no patients\n"
+        assert capsys.readouterr().err == \
+            f"error: {empty}: no patient rows, so the cohort has no patients\n"
+
+    @pytest.mark.parametrize("side", ["--train-frames", "--query-frames"])
+    def test_predict_names_a_header_only_file(self, framed, tmp_path, capsys, side):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(framed.read_text().splitlines()[0] + "\n")
+        weights = tmp_path / "w.csv"
+        weights.write_text("variable,weight\n" + "".join(
+            f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
+        files = {"--train-frames": framed, "--query-frames": framed, side: empty}
+        err = one_line_error(capsys, ["predict", *(a for item in files.items() for a in item),
+                                      "--weights", weights, "--out", tmp_path / "pred.csv"])
+        assert err == f"error: {empty}: no patient rows, so the cohort has no patients\n"
 
 
 class TestStrictWeights:

@@ -2,7 +2,8 @@
 
 Selection is checked against a sorted (distance, patient_id) scan and a
 stable argsort on tie-heavy matrices; batch prediction against the
-one-query path; shared per-variable distances against per-method scans;
+one-query path; one weighted-distance pass under several weightings
+against per-method scans;
 the packed leave-one-out tensor against the square one it replaced, and
 its weighted sums on exact duplicate patients; and gradient descent
 against the loop that gathered the selected pairs twice per epoch.
@@ -21,11 +22,9 @@ from patsim.knn import (
     Model,
     classify_batch,
     classify_distances,
-    decide,
     neighbors,
-    query_distances,
     top_k,
-    weigh,
+    weighted_distances,
 )
 from patsim.weights import (
     TrainConfig,
@@ -36,7 +35,13 @@ from patsim.weights import (
     loo_neighbor_sets,
     train_gd,
 )
-from util import argsort_top_k, quantized_frames, random_dense_frames, square_distance_tensor
+from util import (
+    argsort_top_k,
+    decide,
+    quantized_frames,
+    random_dense_frames,
+    square_distance_tensor,
+)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -125,15 +130,13 @@ def test_packed_tensor_is_the_square_upper_triangle(make, n):
 def test_workspace_holds_the_packed_tensor():
     n = 23
     ws = Workspace(stack(random_dense_frames(n, np.random.default_rng(4))))
-    tensor, pairs = ws.tensor(), ws.pairs()
+    tensor, pairs = ws.tensor, ws.pairs
     assert tensor.shape == (vocab.N_VARIABLES, n * (n - 1) // 2)
     assert tensor.nbytes == 8 * vocab.N_VARIABLES * n * (n - 1) // 2
-    assert ws.tensor() is tensor
+    assert ws.tensor is tensor
     iu, ju = np.triu_indices(n, 1)
     assert (pairs[iu, ju] == np.arange(len(iu))).all()
     assert (pairs == pairs.T).all()
-    ws.release_tensor()
-    assert ws._tensor is None and ws._pairs is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,8 +151,8 @@ def test_exact_duplicates_tie_and_resolve_by_patient_id(seed, levels, n, copies)
     w = rng.random(vocab.N_VARIABLES) * rng.integers(0, 2, vocab.N_VARIABLES)
     w[0] = 1.0 + rng.random()
     k = int(rng.integers(1, n))
-    per_var = ws.tensor()[:, ws.pairs()]
-    d2 = _loo_distances(ws.tensor(), ws.pairs(), w)
+    per_var = ws.tensor[:, ws.pairs]
+    d2 = _loo_distances(ws.tensor, ws.pairs, w)
     sets = loo_neighbor_sets(ws, FeatureWeights(w), k=k)
     keys = [ws.train.grid[i].tobytes() + ws.train.statics[i].tobytes() for i in range(n)]
     copies_of = {}
@@ -188,7 +191,7 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
     ids, y = model.frames.ids, model.frames.labels
     for q, label, score in zip(queries, labels, scores):
-        row = weigh(query_distances(stack([q]), model.frames), model.weights.values)[0]
+        row = weighted_distances(stack([q]), model.frames, [model.weights.values])[0, 0]
         nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
         assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
             [ids[j] for j in nearest]
@@ -220,32 +223,38 @@ def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
 
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
 def test_weighted_rows_equal_the_per_query_product(make):
-    """One per-variable scan weighed per query gives the old exact rows bit for bit."""
+    """Every weighting's rows equal one exact per-query scan weighed alone, bit for bit."""
     rng = np.random.default_rng(21)
     train = stack(make(50, rng))
     queries = stack(make(13, np.random.default_rng(22)))
-    w = rng.random(vocab.N_VARIABLES)
-    for q, row in zip(queries, weigh(query_distances(queries, train), w)):
+    weightings = [rng.random(vocab.N_VARIABLES), np.ones(vocab.N_VARIABLES),
+                  quantized_weights(rng).values]
+    d2 = weighted_distances(queries, train, weightings)
+    assert d2.shape == (len(weightings), len(queries), len(train))
+    for i, q in enumerate(queries):
         dyn = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
         stat = (train.statics - q.statics[None]) ** 2
-        assert row.tolist() == (np.concatenate([dyn, stat], axis=1) @ w).tolist()
+        per_var = np.concatenate([dyn, stat], axis=1)
+        for rows, w in zip(d2, weightings):
+            assert rows[i].tolist() == (per_var @ w).tolist()
 
 
 @pytest.mark.parametrize("mode", ["majority", "weighted"])
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
 def test_shared_distances_equal_per_method_classify_batch(mode, make):
-    """Several weightings on one distance scan predict as their own Model scans would."""
+    """Several weightings on one distance pass predict as their own Model scans would."""
     rng = np.random.default_rng(31)
     train, queries = make(40, rng), stack(make(17, np.random.default_rng(32)))
     shared = stack(train)
-    per_var = query_distances(queries, shared)
-    for w in (FeatureWeights.uniform(), quantized_weights(rng),
-              FeatureWeights(rng.random(vocab.N_VARIABLES))):
+    weightings = [FeatureWeights.uniform(), quantized_weights(rng),
+                  FeatureWeights(rng.random(vocab.N_VARIABLES))]
+    d2 = weighted_distances(queries, shared, [w.values for w in weightings])
+    for w, rows in zip(weightings, d2):
         on_own = Model(stack(train), w, k=6, prediction_mode=mode, threshold=0.45)
         on_shared = Model(shared, w, k=6, prediction_mode=mode, threshold=0.45)
         assert on_shared.frames is shared
         expected = classify_batch(queries, on_own)
-        got = classify_distances(per_var, on_shared)
+        got = classify_distances(rows, on_shared)
         assert got[0].tolist() == expected[0].tolist()
         assert got[1].tolist() == expected[1].tolist()
 

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from patsim.errors import (
 )
 from patsim.evaluation import (
     MethodSpec,
+    _average_ranks,
     _learn_weights,
     _predict_fold_methods,
     _scale_split,
@@ -280,6 +282,15 @@ class TestCrossValidate:
     def test_manual_requires_weights(self):
         with pytest.raises(BadConfig):
             MethodSpec(name="m", weighting="manual")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+                | st.floats(-1e3, 1e3, allow_nan=False), max_size=40))
+def test_average_ranks_match_scipy_rankdata(values):
+    """Tie-heavy vectors, -0.0 against 0.0 included: equal to rankdata's average method."""
+    expected = scipy_stats.rankdata(values, method="average") if values else np.empty(0)
+    assert _average_ranks(values).tolist() == expected.tolist()
 
 
 class TestFriedman:
@@ -564,3 +575,30 @@ def test_one_workspace_per_fold(monkeypatch, preset, expected):
     report = experiments.run_experiment(preset, config, cohort)
     assert report.f_measures.shape == (4, len(report.methods))
     assert calls == expected
+
+
+def test_fold_tensor_is_freed_before_the_test_side_is_scanned(monkeypatch, raw_frames):
+    """A fold learns every kNN method's weights, then drops its workspace and
+    tensor, and only then scans the test side, once for all weightings."""
+    tensors, scans = [], []
+    build, scan = weights._distance_tensor, evaluation.weighted_distances
+
+    def recording_build(*args):
+        tensor = build(*args)
+        tensors.append(weakref.ref(tensor))
+        return tensor
+
+    def checking_scan(queries, train, weightings):
+        assert tensors and all(ref() is None for ref in tensors)
+        scans.append(len(weightings))
+        return scan(queries, train, weightings)
+
+    monkeypatch.setattr(weights, "_distance_tensor", recording_build)
+    monkeypatch.setattr(evaluation, "weighted_distances", checking_scan)
+    methods = [MethodSpec(name="gd", weighting="gd", k=5, max_epochs=2),
+               MethodSpec(name="maj", kind="majority"),
+               MethodSpec(name="chi2", weighting="chi2", k=5),
+               MethodSpec(name="gd_static", weighting="gd", k=3, max_epochs=2,
+                          features="static_only")]
+    cross_validate(raw_frames, methods, k_folds=3, seed=1, workers=1)
+    assert len(tensors) == 3 and scans == [3, 3, 3]

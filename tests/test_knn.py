@@ -12,11 +12,10 @@ from patsim.knn import (
     Model,
     NeighborSet,
     neighbors,
-    soft_score,
     variable_distances_sq,
     weighted_distance_sq,
 )
-from util import classify, random_dense_frames
+from util import classify, random_dense_frames, soft_score
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 

@@ -76,7 +76,7 @@ class TestSignal:
         informative = [vocab.VARIABLE_INDEX[n]
                        for n in result.manifest["informative_variables"]]
         noise = [v for v in range(vocab.N_DYNAMIC) if v not in informative]
-        for method in ("chi_square", "information_gain", "gini"):
+        for method in ("chi2", "infogain", "gini"):
             scores = weights.filter_score(dense, method)
             assert min(scores[informative]) > max(scores[noise])
 
@@ -95,14 +95,14 @@ class TestSignal:
         informative = [vocab.VARIABLE_INDEX[n]
                        for n in result.manifest["informative_variables"]]
         noise = [v for v in range(vocab.N_DYNAMIC) if v not in informative]
-        before = weights.filter_score(dense, "chi_square")
+        before = weights.filter_score(dense, "chi2")
         assert min(before[informative]) > max(before[noise])
 
         rng = np.random.default_rng(0)
         labels = np.array([f.label for f in dense])
         rng.shuffle(labels)
         shuffled = replace(dense, labels=labels)
-        after = weights.filter_score(shuffled, "chi_square")
+        after = weights.filter_score(shuffled, "chi2")
         # informative scores collapse into the noise score range
         assert max(after[informative]) < np.percentile(after[noise], 99) * 3
 

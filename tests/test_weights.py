@@ -14,7 +14,7 @@ from patsim.errors import (
     UnknownVariable,
 )
 from patsim.framing import stack
-from patsim.knn import FeatureWeights, Model, neighbors, soft_score
+from patsim.knn import FeatureWeights, Model, neighbors
 from patsim.weights import (
     N_BINS,
     TrainConfig,
@@ -35,7 +35,7 @@ from patsim.weights import (
     train_gd,
     training_error,
 )
-from util import random_dense_frames
+from util import random_dense_frames, soft_score
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 
@@ -192,7 +192,7 @@ class TestFilterScores:
         for i, f in enumerate(frames):
             f.label = i % 2
             f.dynamic[HR] = f.label + 0.01 * rng.random(24)
-        scores = filter_score(stack(frames), "information_gain")
+        scores = filter_score(stack(frames), "infogain")
         assert scores[HR] == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_variable_scores_zero(self, rng):
@@ -208,7 +208,7 @@ class TestFilterScores:
             frames[2 * b].label = 0
             frames[2 * b + 1].dynamic[HR] = b / 19.0
             frames[2 * b + 1].label = 1
-        chi = filter_score(stack(frames), "chi_square")
+        chi = filter_score(stack(frames), "chi2")
         gin = filter_score(stack(frames), "gini")
         assert chi[HR] == pytest.approx(0.0, abs=1e-9)
         assert gin[HR] == pytest.approx(0.0, abs=1e-9)
@@ -217,12 +217,12 @@ class TestFilterScores:
         frames = random_dense_frames(60, rng)
         for f in frames:
             f.dynamic[HR] = 0.3 + 0.4 * f.label + 0.05 * rng.random(24)
-        for method in ("chi_square", "information_gain", "gini"):
+        for method in ("chi2", "infogain", "gini"):
             scores = filter_score(stack(frames), method)
             assert int(np.argmax(scores)) == HR
 
     def test_normalization_sums_to_variable_count(self, small_cohort):
-        for method in ("chi_square", "information_gain", "gini"):
+        for method in ("chi2", "infogain", "gini"):
             fw = filter_weights(small_cohort, method)
             assert fw.values.sum() == pytest.approx(vocab.N_VARIABLES)
             assert fw.values.min() >= 0.0
@@ -232,7 +232,7 @@ class TestFilterScores:
         for f in frames:
             f.label = 0
         with pytest.raises(SingleClassCohort):
-            filter_weights(stack(frames), "chi_square")
+            filter_weights(stack(frames), "chi2")
 
     def test_unknown_method(self, small_cohort):
         with pytest.raises(BadConfig):
@@ -259,7 +259,7 @@ class TestFilterScores:
         statics = np.stack([f.statics for f in frames])
         labels = np.array([f.label for f in frames], dtype=int)
         summaries = np.concatenate([grid.mean(axis=2), statics], axis=1)
-        scorer = {"chi_square": _chi_square_score, "information_gain": _information_gain_score,
+        scorer = {"chi2": _chi_square_score, "infogain": _information_gain_score,
                   "gini": _gini_score}[method]
         scores = np.empty(vocab.N_VARIABLES)
         for v in range(vocab.N_VARIABLES):
@@ -276,7 +276,7 @@ class TestFilterScores:
                             lambda x: calls.append(1) or binning(x))
         cohort = stack(frames)
         shared = Workspace(cohort)
-        for method in ("chi_square", "information_gain", "gini"):
+        for method in ("chi2", "infogain", "gini"):
             expected = self.rebinned_scores(frames, method)
             assert filter_score(shared, method).tobytes() == expected.tobytes()
             assert filter_score(cohort, method).tobytes() == expected.tobytes()

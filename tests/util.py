@@ -2,7 +2,7 @@ import numpy as np
 
 from patsim import ingest, vocab
 from patsim.framing import N_AGG, FramedPatient, stack
-from patsim.knn import classify_batch
+from patsim.knn import NeighborSet, classify_batch, decide_rows
 
 
 def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
@@ -76,6 +76,19 @@ def classify(query, model):
     """(label, score) of one query: classify_batch of a one-query batch."""
     labels, scores = classify_batch(stack([query]), model)
     return int(labels[0]), float(scores[0])
+
+
+def decide(neighbor_set: NeighborSet, mode, threshold=0.5) -> tuple:
+    """(label, score) of one neighbor set under the given mode (see knn.decide_rows)."""
+    d2 = np.array([[e[1] for e in neighbor_set.entries]])
+    y = np.array([[e[2] for e in neighbor_set.entries]], dtype=int)
+    labels, scores = decide_rows(d2, y, mode, threshold)
+    return int(labels[0]), float(scores[0])
+
+
+def soft_score(neighbor_set: NeighborSet) -> float:
+    """Similarity-weighted positive fraction: sum(s*y)/sum(s), s = exp(-d2)."""
+    return decide(neighbor_set, "weighted")[1]
 
 
 def argsort_top_k(d2, k):
