@@ -73,14 +73,14 @@ def weighted_distance_sq(a, b, weights) -> float:
 
 
 def weighted_distances(queries: Frames, train: Frames, weightings) -> np.ndarray:
-    """Weighted squared distances (m, q, n_train) from each query to the training set,
-    one (q, n_train) matrix per weighting of `weightings` (40 weights each).
+    """Weighted squared distances (m, q, n_train) from each query to the training set.
 
-    One exact difference scan per query fills one reused (n_train, 40)
-    buffer, with no gram-form shortcut, so a query identical to a training
-    patient lies at exactly 0. Each weighting is then one (n_train, 40) @ w
-    product per query: a product batched over queries may sum in another
-    order, and a last-bit change can reorder a distance tie.
+    Matrix j is weighed by `weightings[j]`, a vector of 40 weights. One
+    exact difference scan per query fills one reused (n_train, 40) buffer,
+    with no gram-form shortcut, so a query identical to a training patient
+    lies at exactly 0. Each weighting is then one (n_train, 40) @ w product
+    per query: a product batched over queries may sum in another order,
+    and a last-bit change can reorder a distance tie.
     """
     if queries.grid.shape[1:] != train.grid.shape[1:]:
         raise DimensionMismatch("query grid does not match training grid")
@@ -200,11 +200,11 @@ def _decide(nearest, model: Model) -> tuple:
 
 
 def classify_distances(d2, model: Model) -> tuple:
-    """Predict (labels, scores) from the queries' weighted distances (q, n_train)
-    under model.weights (see weighted_distances).
+    """Predict (labels, scores) from weighted distances (q, n_train) under model.weights.
 
-    This is how the methods of one cross-validation fold share one
-    distance scan: each applies only its own selection and decision.
+    The rows come from weighted_distances. This is how the methods of one
+    cross-validation fold share one distance scan: each applies only its
+    own selection and decision.
     """
     return _decide(_select(d2, model), model)
 
