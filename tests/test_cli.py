@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from patsim import evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
@@ -13,6 +17,7 @@ from patsim.config import RunConfig, build_config, read_config_values
 from patsim.errors import BadConfig
 from patsim.evaluation import FOLD_METRICS_HEADER, load_fold_metrics
 from patsim.weights import load_manual_weights
+from util import FAULTS, mutate
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +440,53 @@ class TestLocatedFaults:
         argv = command[:-1] + [tmp_path / command[-1], "--events", events, "--outcomes", outcomes]
         err = one_line_error(capsys, argv)
         assert err == f"error: {events}: no event rows, so the cohort has no patients\n"
+
+
+class TestReaderFuzz:
+    """A mutated input file fails in one stderr line naming it, exit 1 (2 for I/O), no traceback.
+
+    Each case breaks one file of a command that would otherwise succeed.
+    The one exception to naming the broken file: an events or outcomes
+    file with no rows leaves the other file's first patient unmatched, and
+    that fault names the other file and line.
+    """
+
+    READERS = {
+        "train --frames": ("frames", lambda f, bad, out: [
+            "train", "--frames", bad, "--weights-out", out / "w.csv", "--max-epochs", "1"]),
+        "predict --train-frames": ("frames", lambda f, bad, out: [
+            "predict", "--train-frames", bad, "--weights", f["weights"], "--out", out / "p.csv"]),
+        "predict --query-frames": ("frames", lambda f, bad, out: [
+            "predict", "--train-frames", f["frames"], "--query-frames", bad,
+            "--weights", f["weights"], "--out", out / "p.csv"]),
+        "experiment --events": ("events", lambda f, bad, out: [
+            "experiment", "exp3", "--events", bad, "--outcomes", f["outcomes"],
+            "--out-dir", out]),
+        "experiment --outcomes": ("outcomes", lambda f, bad, out: [
+            "experiment", "exp3", "--events", f["events"], "--outcomes", bad,
+            "--out-dir", out]),
+    }
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(READERS)), st.sampled_from(FAULTS + ("missing",)), st.data())
+    def test_one_line_naming_the_file(self, synth_dir, framed, tmp_path, capsys,
+                                      reader, mutation, data):
+        kind, argv = self.READERS[reader]
+        files = {"frames": framed, "events": synth_dir / "events.csv",
+                 "outcomes": synth_dir / "outcomes.csv", "weights": tmp_path / "w.csv"}
+        files["weights"].write_text("variable,weight\n" + "".join(
+            f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            out = Path(out)
+            bad = out / f"bad_{kind}.csv"
+            if mutation != "missing":
+                bad.write_bytes(mutate(files[kind].read_text(), mutation, data.draw).encode())
+            capsys.readouterr()
+            rc = main([str(a) for a in argv(files, bad, out)])
+            err = capsys.readouterr().err
+        partner = {"events": "outcomes", "outcomes": "events"}.get(kind)
+        named = files[partner] if partner and mutation == "header_only" else bad
+        assert rc == (2 if mutation == "missing" else 1)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert str(named) in err

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import ingest, vocab
 from patsim.errors import (
@@ -232,3 +234,34 @@ def test_roundtrip_and_closure(rng):
         minutes = cohort.minute[cohort.patient == p]
         assert len(minutes) and (np.diff(minutes) >= 0).all()
     assert (np.diff(cohort.patient) >= 0).all()
+
+
+def test_shuffled_events_file_gives_the_same_cohort(tmp_path, rng):
+    from patsim import synth
+
+    cohort = synth.generate(synth.SynthSpec(n_patients=12, seed=5)).cohort()
+    events, outcomes = tmp_path / "events.csv", tmp_path / "outcomes.csv"
+    ingest.write_events(cohort, events)
+    ingest.write_outcomes(cohort, outcomes)
+    sorted_cohort = ingest.load_cohort(events, outcomes)
+    assert_same_cohort(sorted_cohort, cohort)
+    # a stable shuffle by one random key per (patient, minute, variable): rows that
+    # tie in canonical order keep their file order, which breaks the tie
+    head, *lines = events.read_text().splitlines()
+    group = np.unique(np.stack([cohort.patient, cohort.minute, cohort.variable]), axis=1,
+                      return_inverse=True)[1].ravel()
+    order = np.argsort(rng.random(group.max() + 1)[group], kind="stable")
+    assert (order != np.arange(len(order))).any()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([head] + [lines[i] for i in order]) + "\n")
+    assert_same_cohort(ingest.load_cohort(shuffled, outcomes), sorted_cohort)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2), st.integers(0, 2)),
+                max_size=12))
+def test_nondecreasing_is_lexsort_returning_the_identity(rows):
+    keys = tuple(np.array(column, dtype=np.int64).reshape(len(rows))
+                 for column in zip(*rows)) if rows else (np.zeros(0, np.int64),) * 3
+    assert ingest._nondecreasing(keys) == \
+        bool((np.lexsort(keys) == np.arange(len(rows))).all())

@@ -167,3 +167,57 @@ def framing_oracle(rows, labels, window_hours=2, horizon_hours=48) -> dict:
                 table[v, :5] = [arr.min(), arr.max(), np.median(arr), arr[0], arr[-1]]
         out[pid] = (dynamic, mask, statics, table)
     return out
+
+
+# ---------------------------------------------------------------------------
+# mutations of a table file, for the reader equivalence and fuzz tests
+
+# mutations that make any table file with at least one row malformed
+FAULTS = ("drop_cell", "add_cell", "truncate", "header_only", "empty", "nan", "inf")
+# mutations that change the bytes: the row loop reads some as before and rejects others
+RESHAPES = ("crlf", "blank", "space", "non_ascii", "shuffle", "no_final_newline", "odd_cell")
+# cell texts where number parsers, or the fast path's byte rules, might disagree
+ODD_CELLS = ("nan", "-inf", "1e400", "1_0", "5_0", " 1", "1 ", "0x10", "5.0", "+5", "05", "-0",
+             "", "1d5", ".5", "5.", "1e5", "Heart rate", "é", "(1)")
+
+
+def mutate(text, mutation, draw) -> str:
+    """`text`, a table file with a header and at least one row, changed by `mutation`.
+
+    `draw` is hypothesis's data.draw: it picks the row, cell and details,
+    so a failing case shrinks.
+    """
+    from hypothesis import strategies as st
+
+    head, *rows = text.splitlines()
+    i = draw(st.integers(0, len(rows) - 1))
+    cells = rows[i].split(",")
+    j = draw(st.integers(1, len(cells) - 1))   # a cell after the id
+    if mutation == "empty":
+        return ""
+    if mutation == "header_only":
+        rows = []
+    elif mutation == "drop_cell":
+        rows[i] = ",".join(cells[:-1])
+    elif mutation == "add_cell":
+        rows[i] += ",1"
+    elif mutation == "truncate":   # cut before the last comma, keeping part of the id
+        rows[i] = rows[i][:draw(st.integers(1, max(1, rows[i].rindex(",") - 1)))]
+    elif mutation in ("nan", "inf", "odd_cell"):
+        cells[j] = {"nan": "nan", "inf": "inf"}.get(mutation) or draw(st.sampled_from(ODD_CELLS))
+        rows[i] = ",".join(cells)
+    elif mutation == "blank":
+        rows.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+    elif mutation == "space":
+        cells[j] = draw(st.sampled_from([" ", ""])) + cells[j] + draw(st.sampled_from([" ", ""]))
+        rows[i] = ",".join(cells)
+    elif mutation == "non_ascii":
+        rows[i] = "é" + rows[i]
+    elif mutation == "shuffle":
+        rows = draw(st.permutations(rows))
+    out = "\n".join([head, *rows]) + "\n"
+    if mutation == "crlf":
+        return out.replace("\n", "\r\n")
+    if mutation == "no_final_newline":
+        return out[:-1]
+    return out
