@@ -412,13 +412,12 @@ def read_frames(path, mask_path=None) -> Frames:
     repeated patient id raises MalformedRow naming the file and line; so
     do the mask-file faults listed in _read_masks. The patients come back
     in ascending patient_id order, whatever the file's order; a file with
-    no patient rows raises InputFault naming it. A well-formed file is
-    parsed in one columnar pass; anything else, and every fault, is left
-    to the row loop.
+    no patient rows raises InputFault naming it. A well-formed file takes one columnar pass.
     """
-    n_buckets, rows, first_line = _frame_columns(path) or _frame_rows(path)
+    rows, first_line = _frame_columns(path) or _frame_rows(path)
     if not rows:
         raise InputFault("no patient rows, so the cohort has no patients", path=path)
+    n_buckets = (len(rows[0][1]) - vocab.N_STATIC) // vocab.N_DYNAMIC
     shape = (vocab.N_DYNAMIC, n_buckets)
     n_cells = vocab.N_DYNAMIC * n_buckets
     masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)
@@ -428,49 +427,30 @@ def read_frames(path, mask_path=None) -> Frames:
                   for pid, values, label in rows])
 
 
-def _bucket_count(header_line) -> int:
-    """The bucket count a frames header line's column count implies."""
-    return max(1, (header_line.count(",") - 1 - vocab.N_STATIC) // vocab.N_DYNAMIC)
-
-
-def _cell_fields(header):
-    return [("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))]
+def _frames_header(line):
+    """The frames header with the bucket count that line 1's column count implies."""
+    return _dynamic_header(max(1, (line.count(",") - 1 - vocab.N_STATIC) // vocab.N_DYNAMIC))
 
 
 def _frame_columns(path):
-    """_frame_rows's result for a well-formed frames file, else None.
-
-    It checks every rule _frame_rows checks, with array operations on
-    tables.read_columns blocks.
-    """
-    ids, labels, cells = [], [], []
-    for block in tables.read_columns(path, lambda line: _dynamic_header(_bucket_count(line)),
-                                     _cell_fields):
-        if block is None or not np.isin(block["label"], (b"0", b"1")).all() \
-                or not np.isfinite(block["cells"]).all():
+    """_frame_rows's result for a well-formed frames file, from tables.read_columns, else None."""
+    rows = []
+    for block in tables.read_columns(path, _frames_header, lambda header: [
+            ("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))]):
+        if block is None or not (np.isin(block["label"], (b"0", b"1")).all()
+                                 and np.isfinite(block["cells"]).all()):
             return None
-        ids += [pid.decode("ascii") for pid in block["id"].tolist()]
-        labels += [int(label) for label in block["label"].tolist()]
-        cells += list(block["cells"])
-    if not ids or len(set(ids)) < len(ids):
-        return None
-    n_buckets = (len(cells[0]) - vocab.N_STATIC) // vocab.N_DYNAMIC
-    return n_buckets, list(zip(ids, cells, labels)), \
-        {pid: line for line, pid in enumerate(ids, start=2)}
+        rows += zip([pid.decode("ascii") for pid in block["id"].tolist()], block["cells"],
+                    (block["label"] == b"1").astype(int).tolist())
+    first_line = {pid: line for line, (pid, _, _) in enumerate(rows, start=2)}
+    return (rows, first_line) if rows and len(first_line) == len(rows) else None
 
 
 def _frame_rows(path):
-    """(n_buckets, [(patient_id, cells, label)], patient_id -> line) of a frames file, row by row."""
-    n_buckets = 1
-
-    def header(line):
-        nonlocal n_buckets
-        n_buckets = _bucket_count(line)
-        return _dynamic_header(n_buckets)
-
+    """([(patient_id, cells, label)], patient_id -> line) of a frames file, read row by row."""
     rows = []
     first_line = {}
-    for line_no, cells in tables.read_rows(path, header):
+    for line_no, cells in tables.read_rows(path, _frames_header):
         pid, label = cells[0], cells[1]
         if label not in ("0", "1"):
             raise MalformedRow(f"label must be 0 or 1, got {label!r}", line_no, path)
@@ -485,10 +465,10 @@ def _frame_rows(path):
             finite = False
         if not finite:
             col = next(i for i in range(2, len(cells)) if tables.finite_number(cells[i]) is None)
-            raise MalformedRow(f"cell {_dynamic_header(n_buckets).split(',')[col]} is not a "
-                               f"finite number: {cells[col]!r}", line_no, path)
+            raise MalformedRow(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
+                               f"not a finite number: {cells[col]!r}", line_no, path)
         rows.append((pid, values, int(label)))
-    return n_buckets, rows, first_line
+    return rows, first_line
 
 
 _DYN_STATS = ("dyn_min", "dyn_max", "dyn_mean", "dyn_degenerate")

@@ -39,13 +39,11 @@ MISSING_PLACEHOLDER = -1.0
 # canonical variable index -> rank of its name; rows sort by name, not by index
 _NAME_RANK = np.array([sorted(vocab.ALL_VARIABLES).index(name) for name in vocab.ALL_VARIABLES])
 
-# the columnar parse: names one byte wider than the longest, so a longer name cannot
-# truncate into a match; a minute wider than int16 so any number past the horizon is seen
+# the columnar parse reads names one byte wider than the longest, so a longer one cannot
+# truncate into a match, and minutes wider than int16, so any past the horizon shows
 _SORTED_NAMES = np.array(sorted(vocab.ALL_VARIABLES), dtype=np.bytes_)
-_SORTED_INDEX = np.array([vocab.VARIABLE_INDEX[name] for name in sorted(vocab.ALL_VARIABLES)],
-                         dtype=np.int8)
-_EVENT_FIELDS = [("minute", np.int64), ("name", f"S{_SORTED_NAMES.itemsize + 1}"),
-                 ("value", np.float64)]
+_SORTED_INDEX = np.argsort(_NAME_RANK).astype(np.int8)
+_EVENT_FIELDS = [("minute", "i8"), ("name", f"S{_SORTED_NAMES.itemsize + 1}"), ("value", "f8")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +112,8 @@ def parse_events(stream) -> Events:
 
     The first line must be EVENTS_HEADER. Rows whose value equals the -1
     placeholder are dropped with a counted warning. Raises MalformedRow,
-    UnknownVariable or OutOfWindow, with the line (and the file, when
-    given a path), on the first offending row. A well-formed path is
-    parsed in one columnar pass; anything else, and every fault, is left
-    to the row loop.
+    UnknownVariable or OutOfWindow, with the line (and the file, when given
+    a path), on the first offending row; a well-formed path takes one columnar pass.
     """
     path = tables.path_of(stream)
     events, dropped = (path is not None and _event_columns(path)) or _event_rows(stream)
@@ -127,15 +123,9 @@ def parse_events(stream) -> Events:
 
 
 def _event_columns(path):
-    """(Events, placeholder rows dropped) of a well-formed events file, else None.
-
-    Gives what _event_rows gives wherever it returns, or None; it checks
-    every rule _event_rows checks, with array operations on
-    tables.read_columns blocks, and codes patients per run of equal ids.
-    """
-    codes = {}   # patient_id bytes -> code, in order of first kept row
-    first_line, columns = [], []
-    dropped, line = 0, 1   # `line`: the last line of the previous block
+    """_event_rows's result for a well-formed events file, from tables.read_columns, else None."""
+    codes, first_line, columns = {}, [], []   # codes: patient_id bytes -> code
+    dropped, line = 0, 1   # line: the last line of the blocks read so far
     for rows in tables.read_columns(path, EVENTS_HEADER, _EVENT_FIELDS):
         if rows is None:
             return None
@@ -148,21 +138,16 @@ def _event_columns(path):
         dropped += len(rows) - len(kept)
         ids = rows["id"][kept]
         runs = np.flatnonzero(np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1])))
-        run_codes = []
         for pid, row in zip(ids[runs].tolist(), kept[runs].tolist()):
             if pid not in codes:
-                codes[pid] = len(first_line)
+                codes[pid] = len(codes)
                 first_line.append(line + 1 + row)
-            run_codes.append(codes[pid])
-        patient = np.repeat(np.array(run_codes, dtype=np.int32), np.diff(runs, append=len(ids)))
-        columns.append((patient, minute[kept].astype(np.int16), _SORTED_INDEX[at[kept]],
-                        value[kept]))
+        run_codes = np.array([codes[pid] for pid in ids[runs].tolist()], dtype=np.int32)
+        columns.append((np.repeat(run_codes, np.diff(runs, append=len(ids))),
+                        minute[kept].astype(np.int16), _SORTED_INDEX[at[kept]], value[kept]))
         line += len(rows)
-    if not columns:
-        return None
-    patient, minute, variable, value = (np.concatenate(column) for column in zip(*columns))
-    return Events([pid.decode("ascii") for pid in codes], patient, minute, variable, value,
-                  first_line, path), dropped
+    return (Events([pid.decode("ascii") for pid in codes], *map(np.concatenate, zip(*columns)),
+                   first_line, path), dropped) if columns else None
 
 
 def _event_rows(stream):
@@ -242,24 +227,13 @@ def build_cohort(events: Events, outcomes: Outcomes) -> Cohort:
     index = {pid: i for i, pid in enumerate(patient_ids)}
     patient = np.array([index[pid] for pid in events.ids], dtype=np.int32)[events.patient]
     labels = np.array([label_of[pid] for pid in patient_ids], dtype=np.int64)
-    keys = (_NAME_RANK[events.variable], events.minute, patient)
-    # lexsort is stable, so rows already in canonical order, as write_events leaves
-    # them, need no sort: it would return the identity
-    if _nondecreasing(keys):
-        return Cohort(patient_ids, labels, patient, events.minute, events.variable, events.value)
-    order = np.lexsort(keys)
+    # one int64 per row ordered as (patient, minute + 2**15 in 16 bits, name rank in 6); rows
+    # already in canonical order, as write_events leaves them, skip the stable sort
+    key = (patient.astype(np.int64) << 22 | (events.minute.astype(np.int64) + 2 ** 15) << 6
+           | _NAME_RANK[events.variable])
+    order = slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
     return Cohort(patient_ids, labels, patient[order], events.minute[order],
                   events.variable[order], events.value[order])
-
-
-def _nondecreasing(keys) -> bool:
-    """Whether rows are in lexsort order of `keys`, the last key the primary one."""
-    later = np.zeros(max(len(keys[0]) - 1, 0), dtype=bool)   # row i + 1 sorts after row i
-    tied = ~later
-    for key in reversed(keys):
-        later |= tied & (key[1:] > key[:-1])
-        tied &= key[1:] == key[:-1]
-    return bool((later | tied).all())
 
 
 def load_cohort(events_path, outcomes_path) -> Cohort:

@@ -20,9 +20,8 @@ from .errors import MalformedRow
 # characters of a line that a header fault quotes; a frames header runs to kilobytes
 QUOTE_CHARS = 60
 
-# the bytes read_columns parses, LF included; a file holding any other byte goes to read_rows
+# read_columns parses only these bytes (LF included), about BLOCK_BYTES per np.loadtxt call
 PLAIN_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.+-(), \n"
-# read_columns parses about this many bytes per np.loadtxt call, so memory stays bounded
 BLOCK_BYTES = 1 << 20
 _LF, _COMMA, _SPACE = b"\n, "
 
@@ -81,30 +80,21 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
 
 
 def read_columns(path, header, fields):
-    """Yield the rows of the comma table at `path` as structured arrays, a block at a time.
+    """Yield the rows of a well-formed comma table at `path` as structured arrays, by block.
 
-    The fast path for a well-formed file that read_rows would read: line 1
-    is exactly the header (`header` as in read_rows), no line is blank,
-    every byte is in PLAIN_BYTES, no space stands beside a comma or a line
-    end, and np.loadtxt converts every row to the field "id" (bytes, as
-    wide as the longest first cell) followed by `fields`, a dtype field
-    list or a function of the header text giving one. Row i of the file
-    is then item i of the concatenated blocks, on line i + 2. On anything
-    else it yields None and stops: the caller then reads the file with
-    read_rows, which names the fault, if there is one.
+    Well-formed: line 1 is `header` (as in read_rows), every byte is in PLAIN_BYTES, no line
+    is blank, no space stands beside a comma or a line end, and np.loadtxt reads each row as
+    field "id" (bytes, as wide as the longest) and then `fields` (a dtype list, or a function
+    of the header text giving one). Row i is then on line i + 2. Otherwise it yields None and
+    stops; read_rows then reads the file and reports any fault.
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
-        if first.translate(None, PLAIN_BYTES) or not first.endswith(b"\n"):
+        first = fh.readline().decode("latin-1")
+        expected = header if isinstance(header, str) else header(first.rstrip("\r\n"))
+        if first != expected + "\n":
             yield None
             return
-        first = first[:-1].decode("ascii")
-        expected = header if isinstance(header, str) else header(first)
-        if first != expected:
-            yield None
-            return
-        if callable(fields):
-            fields = fields(expected)
+        fields = fields(expected) if callable(fields) else fields
         while chunk := fh.read(BLOCK_BYTES):
             block = chunk + fh.readline()
             rows = _parse_block(block if block.endswith(b"\n") else block + b"\n", fields)
@@ -115,26 +105,18 @@ def read_columns(path, header, fields):
 
 def _parse_block(block, fields):
     """The rows of `block`, whole lines ending in LF, or None if they are not well-formed."""
-    if block.translate(None, PLAIN_BYTES):
-        return None
     text = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(text == _LF)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if (starts == ends).any():
-        return None
     # spaces at a cell's edge: number parsers strip them and read_rows skips a line of
     # them, so such a file takes read_rows; text[-1] is LF, so a space at 0 sees LF before it
     spaces = np.flatnonzero(text == _SPACE)
-    before, after = text[spaces - 1], text[spaces + 1]
-    if ((before == _COMMA) | (before == _LF) | (after == _COMMA) | (after == _LF)).any():
-        return None
-    commas = np.flatnonzero(text == _COMMA)
-    first_comma = np.searchsorted(commas, starts)
-    if first_comma[-1] == len(commas):
-        return None
-    width = int((commas[first_comma] - starts).max())
-    # an id column larger than the text it is parsed from means a freak id: leave it to the loop
-    if width * len(starts) > len(block):
+    edges = np.concatenate((text[spaces - 1], text[spaces + 1]))
+    commas = np.append(np.flatnonzero(text == _COMMA), len(block))   # a stop past the end
+    width = int((commas[np.searchsorted(commas, starts)] - starts).max())
+    # an id column larger than its text would mean a freak id: leave that to read_rows
+    if block.translate(None, PLAIN_BYTES) or (starts == ends).any() \
+            or ((edges == _LF) | (edges == _COMMA)).any() or width * len(starts) > len(block):
         return None
     try:
         rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=1,

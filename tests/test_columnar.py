@@ -225,8 +225,8 @@ def test_frames_columns_match_the_row_loop(seed, n, n_buckets, mutation, block, 
         if mutation in (None, "shuffle", "no_final_newline"):
             assert fast is not None
         if fast is not None:
-            n_cells, rows, first_line = framing._frame_rows(path)
-            assert (fast[0], fast[2]) == (n_cells, first_line)
-            assert [(pid, cells.tobytes(), label) for pid, cells, label in fast[1]] == \
+            rows, first_line = framing._frame_rows(path)
+            assert fast[1] == first_line
+            assert [(pid, cells.tobytes(), label) for pid, cells, label in fast[0]] == \
                 [(pid, cells.tobytes(), label) for pid, cells, label in rows]
         assert same_outcome(outcome(framing.read_frames, path), outcome(reference_frames, path))

@@ -258,10 +258,23 @@ def test_shuffled_events_file_gives_the_same_cohort(tmp_path, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2), st.integers(0, 2)),
-                max_size=12))
-def test_nondecreasing_is_lexsort_returning_the_identity(rows):
-    keys = tuple(np.array(column, dtype=np.int64).reshape(len(rows))
-                 for column in zip(*rows)) if rows else (np.zeros(0, np.int64),) * 3
-    assert ingest._nondecreasing(keys) == \
-        bool((np.lexsort(keys) == np.arange(len(rows))).all())
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2 ** 15, 2 ** 15 - 1),
+                          st.integers(0, vocab.N_VARIABLES - 1), st.sampled_from([0.5, 1.5])),
+                min_size=1, max_size=12).map(sorted) | st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([-2 ** 15, -1, 0, 7, 2 ** 15 - 1]),
+              st.integers(0, 2), st.sampled_from([0.5, 1.5])), min_size=1, max_size=12))
+def test_cohort_rows_follow_lexsort(rows):
+    """build_cohort's one-key order, and its skip for sorted rows, equal a stable lexsort."""
+    ids = [f"p{p}" for p, _, _, _ in rows]
+    events = ingest.Events(list(dict.fromkeys(ids)), np.array(
+        [list(dict.fromkeys(ids)).index(pid) for pid in ids], dtype=np.int32),
+        np.array([m for _, m, _, _ in rows], dtype=np.int16),
+        np.array([v for _, _, v, _ in rows], dtype=np.int8),
+        np.array([x for _, _, _, x in rows], dtype=np.float64))
+    cohort = ingest.build_cohort(events, ingest.Outcomes(
+        sorted(set(ids)), np.zeros(len(set(ids)), dtype=np.int64)))
+    patient = np.array([sorted(set(ids)).index(pid) for pid in ids], dtype=np.int32)
+    order = np.lexsort((ingest._NAME_RANK[events.variable], events.minute, patient))
+    assert cohort.patient.tolist() == patient[order].tolist()
+    for column in ("minute", "variable", "value"):
+        assert getattr(cohort, column).tolist() == getattr(events, column)[order].tolist()
