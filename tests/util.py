@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from patsim import ingest, vocab
 from patsim.framing import N_AGG, FramedPatient, stack
@@ -187,8 +188,6 @@ def mutate(text, mutation, draw) -> str:
     `draw` is hypothesis's data.draw: it picks the row, cell and details,
     so a failing case shrinks.
     """
-    from hypothesis import strategies as st
-
     head, *rows = text.splitlines()
     i = draw(st.integers(0, len(rows) - 1))
     cells = rows[i].split(",")
