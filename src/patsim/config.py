@@ -5,6 +5,7 @@ Precedence is command-line flags over config file over defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -59,6 +60,8 @@ class RunConfig:
             raise BadConfig("threshold must lie in (0, 1)")
         if self.k < 1 or self.folds < 2:
             raise BadConfig("k must be >= 1 and folds >= 2")
+        if not math.isfinite(self.learning_rate):
+            raise BadConfig("learning_rate must be finite")
 
     def effective_workers(self) -> int:
         if self.workers and self.workers > 0:

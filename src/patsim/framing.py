@@ -353,12 +353,8 @@ def _dynamic_header(n_buckets):
     return ",".join(["patient_id", "label"] + cols)
 
 
-def _mask_header(n_buckets):
-    return ",".join(["patient_id"] + _cell_names(n_buckets))
-
-
 def write_frames(frames, path, mask_path=None) -> None:
-    """Write dense frames as CSV (variable-major cells), plus 0/1 mask file.
+    """Write dense frames as CSV (variable-major cells), plus 0/1 mask file, an output only.
 
     Rows are written one patient at a time, in the order given, so any
     sequence of FramedPatient rows can be written as well as a Frames.
@@ -371,60 +367,28 @@ def write_frames(frames, path, mask_path=None) -> None:
                  + [repr(float(x)) for x in f.statics])
         for f in frames))
     if mask_path is not None:
-        tables.write_rows(mask_path, _mask_header(n_buckets), (
+        tables.write_rows(mask_path, ",".join(["patient_id"] + _cell_names(n_buckets)), (
             ",".join([f.patient_id] + [str(int(b)) for b in f.mask.ravel()]) for f in frames))
 
 
-def _read_masks(mask_path, n_buckets, patients) -> dict:
-    """patient_id -> (36, n_buckets) mask from a mask file written by write_frames.
-
-    `patients` maps each frames-file patient to its line there. Besides the
-    table faults (header, cell count), a cell other than 0 or 1, a row for
-    a patient not in `patients` (or one already seen), or no row for one
-    of them raises MalformedRow naming the mask file (and line).
-    """
-    masks = {}
-    for line_no, (pid, *cells) in tables.read_rows(mask_path, _mask_header(n_buckets)):
-        if pid not in patients:
-            raise MalformedRow(f"patient {pid!r} is not in the frames file", line_no, mask_path)
-        if pid in masks:
-            raise MalformedRow(f"duplicate patient id {pid!r}", line_no, mask_path)
-        if not set(cells) <= {"0", "1"}:
-            col = next(i for i, c in enumerate(cells) if c not in ("0", "1"))
-            raise MalformedRow(f"cell {_cell_names(n_buckets)[col]} must be 0 or 1, "
-                               f"got {cells[col]!r}", line_no, mask_path)
-        masks[pid] = np.array([c == "1" for c in cells]).reshape(vocab.N_DYNAMIC, n_buckets)
-    missing = next((pid for pid in patients if pid not in masks), None)
-    if missing is not None:
-        raise MalformedRow(f"no row for patient {missing!r} (frames file line "
-                           f"{patients[missing]})", path=mask_path)
-    return masks
-
-
-def read_frames(path, mask_path=None) -> Frames:
-    """Read frames written by write_frames, with their mask file if one is given.
+def read_frames(path) -> Frames:
+    """Read frames written by write_frames, in one columnar pass when the file is well-formed.
 
     The bucket count is read off the header's column count, and the header
-    must then be exactly the one write_frames writes. Without a mask file
-    every cell counts as observed; a given mask path that does not exist
-    raises FileNotFoundError. Besides the table faults (header, cell
-    count), a non-numeric or non-finite cell, a label outside {0, 1} or a
-    repeated patient id raises MalformedRow naming the file and line; so
-    do the mask-file faults listed in _read_masks. The patients come back
-    in ascending patient_id order, whatever the file's order; a file with
-    no patient rows raises InputFault naming it. A well-formed file takes one columnar pass.
+    must then be exactly the one write_frames writes. Besides the table
+    faults (header, cell count), a non-numeric or non-finite cell, a label
+    outside {0, 1} or a repeated patient id raises MalformedRow naming the
+    file and line; a file with no patient rows raises InputFault naming it.
+    The patients come back in ascending patient_id order, every cell observed.
     """
-    rows, first_line = _frame_columns(path) or _frame_rows(path)
-    if not rows:
+    ids, labels, cells = _frame_columns(path) or _frame_rows(path)
+    if not ids:
         raise InputFault("no patient rows, so the cohort has no patients", path=path)
-    n_buckets = (len(rows[0][1]) - vocab.N_STATIC) // vocab.N_DYNAMIC
-    shape = (vocab.N_DYNAMIC, n_buckets)
-    n_cells = vocab.N_DYNAMIC * n_buckets
-    masks = {} if mask_path is None else _read_masks(mask_path, n_buckets, first_line)
-    return stack([FramedPatient(pid, values[:n_cells].reshape(shape),
-                                masks.get(pid, np.ones(shape, dtype=bool)), values[n_cells:],
-                                label)
-                  for pid, values, label in rows])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    cells = cells[order]
+    grid = cells[:, :-vocab.N_STATIC].reshape(len(ids), vocab.N_DYNAMIC, -1)
+    return Frames([ids[i] for i in order], labels[order], grid, cells[:, -vocab.N_STATIC:],
+                  np.ones(grid.shape, dtype=bool))
 
 
 def _frames_header(line):
@@ -434,22 +398,23 @@ def _frames_header(line):
 
 def _frame_columns(path):
     """_frame_rows's result for a well-formed frames file, from tables.read_columns, else None."""
-    rows = []
+    ids, labels, cells = [], [], []
     for block in tables.read_columns(path, _frames_header, lambda header: [
             ("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))]):
         if block is None or not (np.isin(block["label"], (b"0", b"1")).all()
                                  and np.isfinite(block["cells"]).all()):
             return None
-        rows += zip([pid.decode("ascii") for pid in block["id"].tolist()], block["cells"],
-                    (block["label"] == b"1").astype(int).tolist())
-    first_line = {pid: line for line, (pid, _, _) in enumerate(rows, start=2)}
-    return (rows, first_line) if rows and len(first_line) == len(rows) else None
+        ids += [pid.decode("ascii") for pid in block["id"].tolist()]
+        labels.append(block["label"] == b"1")
+        cells.append(block["cells"])
+    if not ids or len(set(ids)) != len(ids):
+        return None
+    return ids, np.concatenate(labels).astype(int), np.concatenate(cells)
 
 
 def _frame_rows(path):
-    """([(patient_id, cells, label)], patient_id -> line) of a frames file, read row by row."""
-    rows = []
-    first_line = {}
+    """(patient_ids, labels, cells) of a frames file, in file order, read row by row."""
+    first_line, labels, rows = {}, [], []
     for line_no, cells in tables.read_rows(path, _frames_header):
         pid, label = cells[0], cells[1]
         if label not in ("0", "1"):
@@ -467,8 +432,9 @@ def _frame_rows(path):
             col = next(i for i in range(2, len(cells)) if tables.finite_number(cells[i]) is None)
             raise MalformedRow(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
                                f"not a finite number: {cells[col]!r}", line_no, path)
-        rows.append((pid, values, int(label)))
-    return rows, first_line
+        labels.append(int(label))
+        rows.append(values)
+    return list(first_line), np.array(labels, dtype=int), np.array(rows, dtype=float)
 
 
 _DYN_STATS = ("dyn_min", "dyn_max", "dyn_mean", "dyn_degenerate")
@@ -517,6 +483,9 @@ def read_scaling_stats(path) -> ScalingStats:
             raise MalformedRow(f"bad value {value!r} for {key!r}", line_no, path) from None
 
     n_buckets = get("n_buckets", int)
+    if not 1 <= n_buckets <= len(kv):   # it sizes an array before any other key is read
+        raise MalformedRow(f"bad value {kv['n_buckets'][1]!r} for 'n_buckets'",
+                           kv["n_buckets"][0], path)
     fields = {name: np.empty(size, dtype=bool if name.endswith("degenerate") else float)
               for names, size in ((_DYN_STATS, vocab.N_DYNAMIC), (_STATIC_STATS, vocab.N_STATIC))
               for name in names}

@@ -54,11 +54,14 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
     `width` cells, by default the header's count; patsim tables have at
     least two. Lines starting with `comment` are skipped like blank ones.
     A fault raises MalformedRow naming the line, and the file when
-    `source` is a path.
+    `source` is a path; a file's line that is not UTF-8 text is a fault.
     """
     path = path_of(source)
-    with open(path, "r", encoding="utf-8") if path is not None else nullcontext(source) as lines:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") if path is not None \
+            else nullcontext(source) as lines:
         numbered = enumerate(lines, start=1)
+        if path is not None:
+            numbered = ((n, _utf8(raw, n, path)) for n, raw in numbered)
         if header is not None:
             first = next(numbered, (1, ""))[1].rstrip("\r\n")
             expected = header if isinstance(header, str) else header(first)
@@ -77,6 +80,16 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
                     continue
                 raise MalformedRow(f"expected {width} cells, got {len(cells)}", line_no, path)
             yield line_no, cells
+
+
+def _utf8(line, line_no, path) -> str:
+    """`line`, unless surrogateescape made a byte of it that is not UTF-8 a lone surrogate."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRow("not UTF-8 text", line_no, path) from None
+    return line
 
 
 def read_columns(path, header, fields):

@@ -25,10 +25,11 @@ from .errors import (
     KTooLarge,
     MalformedRow,
     NegativeWeight,
+    PatsimError,
     SingleClassCohort,
     UnknownVariable,
 )
-from .knn import FeatureWeights, _weight_array, soft_scores, top_k
+from .knn import FeatureWeights, _weight_array, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -44,8 +45,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "max_epochs", "min_relative_improvement", "patience", "k"):
-            if getattr(self, name) <= 0:
-                raise BadConfig(f"{name} must be positive")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise BadConfig(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -155,15 +156,17 @@ def _error_and_gradient(packed, pair, w, sets, labels) -> tuple:
     d_sel = packed[:, pair[rows, sets]]               # (40, n, k)
     d2_sel = np.einsum("v,vnk->nk", w, d_sel)
     y_n = labels[sets]
-    yhat = soft_scores(d2_sel, y_n)
-    # yhat = T/S with s_in = exp(-d2_in), d s_in / d w_v = -D2_v(i,n) * s_in
+    # the soft score yhat = T/S with s_in = exp(-d2_in), d s_in / d w_v = -D2_v(i,n) * s_in
     s = np.exp(-d2_sel)
     big_s = s.sum(axis=1)
     big_t = (s * y_n).sum(axis=1)
     d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)    # (n, 40)
     d_s = -np.einsum("vnk,nk->nv", d_sel, s)
-    d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
-    grad = -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
+    # every similarity of a set underflowing to 0 gives a NaN error, for train_gd to report
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yhat = big_t / big_s
+        d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
+        grad = -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
     return _error_value(yhat, labels), grad
 
 
@@ -246,6 +249,13 @@ def _check_two_classes(labels):
         raise SingleClassCohort("training cohort contains a single class")
 
 
+def _finite(value, epoch):
+    """Stop at a non-finite training error, or weights that top_k could find no neighbor at."""
+    if not np.isfinite(value).all():
+        raise PatsimError(f"gradient descent diverged: the training error is not finite at "
+                          f"epoch {epoch}; a smaller learning rate may converge")
+
+
 def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     """Gradient-descent weight search; returns (FeatureWeights, TrainTrace).
 
@@ -261,6 +271,7 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
     packed, pair, w, sets, labels = _loo_problem(frames, start * active, config.k)
     err, grad = _error_and_gradient(packed, pair, w, sets, labels)
+    _finite(err, 0)
 
     trace = TrainTrace()
     trace.errors.append(err)
@@ -268,10 +279,13 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
 
     plateau = 0
     for epoch in range(1, config.max_epochs + 1):
-        w = np.maximum(w - config.learning_rate * grad, 0.0)
-        w *= active
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.maximum(w - config.learning_rate * grad, 0.0)
+            w *= active
+        _finite(w, epoch)
         new_err, grad = _error_and_gradient(
             packed, pair, w, _neighbor_sets(packed, pair, w, config.k), labels)
+        _finite(new_err, epoch)
         trace.errors.append(new_err)
         trace.epochs_run = epoch
         if new_err < best_err:

@@ -17,7 +17,7 @@ from patsim.config import RunConfig, build_config, read_config_values
 from patsim.errors import BadConfig
 from patsim.evaluation import FOLD_METRICS_HEADER, load_fold_metrics
 from patsim.weights import load_manual_weights
-from util import FAULTS, mutate
+from util import FAULTS, mask_lines, mutate
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +48,11 @@ class TestFrameCommand:
                    "--out-frames", str(frames_path), "--out-mask", str(mask_path),
                    "--stats-out", str(stats_path)])
         assert rc == 0
-        frames = framing.read_frames(frames_path, mask_path)
+        frames = framing.read_frames(frames_path)
         assert len(frames) == 60
+        observed = framing.frame_cohort(ingest.load_cohort(synth_dir / "events.csv",
+                                                           synth_dir / "outcomes.csv"))
+        assert mask_path.read_text().splitlines() == mask_lines(observed.ids, observed.mask)
         grid = np.stack([f.dynamic for f in frames])
         assert grid.min() >= 0.0 and grid.max() <= 1.0
 
@@ -390,6 +393,29 @@ class TestLocatedFaults:
         err = one_line_error(capsys, args + ["--stats-in", stats])
         assert err == f"error: {stats} line 5: expected 2 cells, got 1\n"
 
+    @pytest.mark.parametrize("value", ["-1", "99999999999"])
+    def test_stats_bucket_count_out_of_range(self, synth_dir, tmp_path, capsys, value):
+        stats = tmp_path / "stats.txt"
+        args = ["frame", "--events", synth_dir / "events.csv",
+                "--outcomes", synth_dir / "outcomes.csv", "--out-frames", tmp_path / "f.csv"]
+        assert main([str(a) for a in args + ["--stats-out", stats]]) == 0
+        lines = stats.read_text().splitlines()
+        stats.write_text("\n".join([f"n_buckets={value}"] + lines[1:]) + "\n")
+        err = one_line_error(capsys, args + ["--stats-in", stats])
+        assert err == f"error: {stats} line 1: bad value {value!r} for 'n_buckets'\n"
+
+    @pytest.mark.parametrize("lr, reason", [
+        ("nan", "learning_rate must be finite"),
+        ("inf", "learning_rate must be finite"),
+        ("1e6", "gradient descent diverged: the training error is not finite at epoch 1; "
+                "a smaller learning rate may converge"),
+    ])
+    def test_train_learning_rate_fault(self, framed, tmp_path, capsys, lr, reason):
+        err = one_line_error(capsys, ["train", "--frames", framed, "--lr", lr,
+                                      "--weights-out", tmp_path / "w.csv"])
+        assert err == f"error: {reason}\n"
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("text, reason", [
         ("# run\nk=abc\n", "line 2: bad value for 'k': 'abc'"),
         ("events = real.csv\n", "line 1: unknown config key 'events'"),
@@ -481,7 +507,8 @@ class TestReaderFuzz:
             out = Path(out)
             bad = out / f"bad_{kind}.csv"
             if mutation != "missing":
-                bad.write_bytes(mutate(files[kind].read_text(), mutation, data.draw).encode())
+                bad.write_bytes(mutate(files[kind].read_text(), mutation, data.draw)
+                                .encode(errors="surrogateescape"))
             capsys.readouterr()
             rc = main([str(a) for a in argv(files, bad, out)])
             err = capsys.readouterr().err

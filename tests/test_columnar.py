@@ -52,7 +52,7 @@ def same_outcome(got, want):
 
 def written(text, tmp, name):
     path = Path(tmp) / name
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
     return path
 
 
@@ -220,13 +220,14 @@ def test_frames_columns_match_the_row_loop(seed, n, n_buckets, mutation, block, 
         framing.write_frames(random_dense_frames(n, np.random.default_rng(seed), n_buckets),
                              path)
         if mutation is not None:
-            path.write_bytes(mutate_frames(path.read_text(), mutation, data.draw).encode())
+            path.write_bytes(mutate_frames(path.read_text(), mutation, data.draw)
+                             .encode(errors="surrogateescape"))
         fast = framing._frame_columns(path)
         if mutation in (None, "shuffle", "no_final_newline"):
             assert fast is not None
         if fast is not None:
-            rows, first_line = framing._frame_rows(path)
-            assert fast[1] == first_line
-            assert [(pid, cells.tobytes(), label) for pid, cells, label in fast[0]] == \
-                [(pid, cells.tobytes(), label) for pid, cells, label in rows]
+            ids, labels, cells = framing._frame_rows(path)
+            assert fast[0] == ids
+            assert [(a.dtype.str, a.shape, a.tobytes()) for a in fast[1:]] == \
+                [(a.dtype.str, a.shape, a.tobytes()) for a in (labels, cells)]
         assert same_outcome(outcome(framing.read_frames, path), outcome(reference_frames, path))

@@ -20,7 +20,7 @@ from patsim.errors import MalformedRow
 from patsim.evaluation import FoldMetrics
 from patsim.framing import FramedPatient, ScalingStats
 from patsim.knn import FeatureWeights
-from util import cohort_of, random_dense_frames
+from util import cohort_of, mask_lines, random_dense_frames
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IDS = st.text("abcxyz019_-.", min_size=1, max_size=6)
@@ -78,18 +78,19 @@ def test_frames_and_mask_round_trip(seed, n_buckets, n):
     with tempfile.TemporaryDirectory() as tmp:
         fpath, mpath = Path(tmp) / "frames.csv", Path(tmp) / "mask.csv"
         framing.write_frames(frames, fpath, mpath)
-        frames_text, mask_text = fpath.read_text(), mpath.read_text()
-        for frames_variant, mask_variant in zip(variants(frames_text), variants(mask_text)):
-            fpath.write_bytes(frames_variant.encode("utf-8"))
-            mpath.write_bytes(mask_variant.encode("utf-8"))
-            back = framing.read_frames(fpath, mpath)
+        # the mask file is written in the given order and never read back
+        assert mpath.read_text().splitlines() == \
+            mask_lines([f.patient_id for f in frames], [f.mask for f in frames])
+        for variant in variants(fpath.read_text()):
+            fpath.write_bytes(variant.encode("utf-8"))
+            back = framing.read_frames(fpath)
             # written in the given order, read back in patient_id order
             assert [(f.patient_id, f.label) for f in back] == \
                 sorted((f.patient_id, f.label) for f in frames)
             for a, b in zip(back, framing.stack(frames)):
                 assert a.dynamic.tobytes() == b.dynamic.tobytes()
                 assert a.statics.tobytes() == b.statics.tobytes()
-                assert (a.mask == b.mask).all()
+            assert back.mask.all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,13 +167,6 @@ def _frames(d):
     return path, framing.read_frames
 
 
-def _mask(d):
-    fpath, path = d / "frames.csv", d / "mask.csv"
-    framing.write_frames(random_dense_frames(2, np.random.default_rng(0), n_buckets=2),
-                         fpath, path)
-    return path, lambda mask_path: framing.read_frames(fpath, mask_path)
-
-
 def _learned_weights(d):
     path = d / "weights.csv"
     weights.save_weights(FeatureWeights.uniform(), path)
@@ -205,7 +199,7 @@ def _config(d):
     return path, read_config_values
 
 
-WITH_HEADER = [_events, _outcomes, _frames, _mask, _learned_weights, _fold_metrics]
+WITH_HEADER = [_events, _outcomes, _frames, _learned_weights, _fold_metrics]
 ALL_READERS = WITH_HEADER + [_manual_weights, _stats, _config]
 
 

@@ -25,6 +25,15 @@ def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
     return frames
 
 
+def mask_lines(ids, masks) -> list:
+    """The lines of a mask file for these patients and (36, n_buckets) masks, header first."""
+    n_buckets = masks[0].shape[1]
+    header = ["patient_id"] + [f"d{v:02d}_t{t:02d}" for v in range(vocab.N_DYNAMIC)
+                               for t in range(n_buckets)]
+    return [",".join(header)] + [",".join([pid] + ["1" if b else "0" for b in mask.ravel()])
+                                 for pid, mask in zip(ids, masks)]
+
+
 def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.4):
     """Dense frames on a coarse value grid: a tie-heavy cohort.
 
@@ -174,7 +183,7 @@ def framing_oracle(rows, labels, window_hours=2, horizon_hours=48) -> dict:
 # mutations of a table file, for the reader equivalence and fuzz tests
 
 # mutations that make any table file with at least one row malformed
-FAULTS = ("drop_cell", "add_cell", "truncate", "header_only", "empty", "nan", "inf")
+FAULTS = ("drop_cell", "add_cell", "truncate", "header_only", "empty", "nan", "inf", "non_utf8")
 # mutations that change the bytes: the row loop reads some as before and rejects others
 RESHAPES = ("crlf", "blank", "space", "non_ascii", "shuffle", "no_final_newline", "odd_cell")
 # cell texts where number parsers, or the fast path's byte rules, might disagree
@@ -186,7 +195,9 @@ def mutate(text, mutation, draw) -> str:
     """`text`, a table file with a header and at least one row, changed by `mutation`.
 
     `draw` is hypothesis's data.draw: it picks the row, cell and details,
-    so a failing case shrinks.
+    so a failing case shrinks. Write the result with
+    `encode(errors="surrogateescape")`: "non_utf8" puts in a byte that
+    no UTF-8 text holds, as that error handler decodes it.
     """
     head, *rows = text.splitlines()
     i = draw(st.integers(0, len(rows) - 1))
@@ -210,6 +221,9 @@ def mutate(text, mutation, draw) -> str:
     elif mutation == "space":
         cells[j] = draw(st.sampled_from([" ", ""])) + cells[j] + draw(st.sampled_from([" ", ""]))
         rows[i] = ",".join(cells)
+    elif mutation == "non_utf8":
+        at, byte = draw(st.integers(0, len(rows[i]))), draw(st.sampled_from("\udcff\udcc3\udc80"))
+        rows[i] = rows[i][:at] + byte + rows[i][at:]
     elif mutation == "non_ascii":
         rows[i] = "é" + rows[i]
     elif mutation == "shuffle":
