@@ -385,9 +385,8 @@ def read_frames(path) -> Frames:
     if not ids:
         raise InputFault("no patient rows, so the cohort has no patients", path=path)
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    cells = cells[order]
-    grid = cells[:, :-vocab.N_STATIC].reshape(len(ids), vocab.N_DYNAMIC, -1)
-    return Frames([ids[i] for i in order], labels[order], grid, cells[:, -vocab.N_STATIC:],
+    grid = cells[order, :-vocab.N_STATIC].reshape(len(ids), vocab.N_DYNAMIC, -1)
+    return Frames([ids[i] for i in order], labels[order], grid, cells[order, -vocab.N_STATIC:],
                   np.ones(grid.shape, dtype=bool))
 
 
