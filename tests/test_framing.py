@@ -316,7 +316,7 @@ def test_scaling_stats_bad_value_names_line(tmp_path):
     path = tmp_path / "stats.txt"
     write_scaling_stats(fit_scaling(stack([a, b, c])), path)
     written = path.read_text().splitlines()
-    # a bucket count below 1, or beyond the file's keys, sizes no array
+    # an n_buckets below 1 or beyond the file's key count is refused before it sizes an array
     for line, value, reason in [(3, "abc", "'abc' for 'dyn_max.0'"),
                                 (1, "-1", "'-1' for 'n_buckets'"),
                                 (1, "99999999999", "'99999999999' for 'n_buckets'")]:
