@@ -7,34 +7,49 @@ Exit codes: 0 success, 1 validation error or a lost fold process, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import sys
 from pathlib import Path
 
 from . import evaluation, framing, ingest, knn, synth, tables, weights as weights_mod
-from .config import FEATURE_SETS, PREDICTION_MODES, REPRESENTATIONS, WEIGHTINGS, build_config
-from .errors import PatsimError
-from .experiments import (PRESETS, default_cohort, knn_method, represent, run_experiment,
-                          validation_ids)
+from .config import (FEATURE_SETS, PREDICTION_MODES, REPRESENTATIONS, WEIGHTINGS, RunConfig,
+                     build_config)
+from .errors import InputFault, PatsimError
+from .experiments import PRESETS, knn_method, represent, run_experiment, validation_ids
 
 logger = logging.getLogger(__name__)
 
 
 def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 7)")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--workers", type=int,
                         help="cross-validation fold processes, each on one BLAS thread "
                              "unless OPENBLAS_NUM_THREADS is set; memory grows by one "
                              "fold workspace per process (default: available cores)")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-def _config_from_args(args, **extra):
-    overrides = {"seed": args.seed, "workers": args.workers}
-    overrides.update(extra)
-    return build_config(file_path=args.config, overrides=overrides)
+def _given(source, target) -> dict:
+    """The values in `source` named after a parameter of `target`, None dropped.
+
+    Every flag that sets a parameter takes its name as `dest`, so from the
+    parsed arguments this is the flags given; from a RunConfig it is the
+    run's value of every parameter that RunConfig owns.
+    """
+    return {name: getattr(source, name) for name in inspect.signature(target).parameters
+            if getattr(source, name, None) is not None}
+
+
+def _config_from_args(args) -> RunConfig:
+    return build_config(file_path=args.config, overrides=_given(args, RunConfig))
+
+
+def _build(cls, args, config):
+    """`cls` with the run's value of each field RunConfig owns and the flags given for the rest."""
+    return cls(**{**_given(args, cls), **_given(config, cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,60 +61,60 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-patients", type=int, default=1000)
-    p.add_argument("--prevalence", type=float, default=0.18)
-    p.add_argument("--informative", type=int, default=2)
-    p.add_argument("--missing-rate", type=float, default=0.28)
-    p.add_argument("--effect-size", type=float, default=1.0)
-    p.add_argument("--profile", choices=synth.PROFILES, default="planted")
+    p.add_argument("--n-patients", type=int)
+    p.add_argument("--prevalence", type=float)
+    p.add_argument("--informative", type=int, dest="n_informative_variables")
+    p.add_argument("--missing-rate", type=float)
+    p.add_argument("--effect-size", type=float)
+    p.add_argument("--profile", choices=synth.PROFILES)
     _common_flags(p)
 
     p = sub.add_parser("frame", help="standardize events into the time-frame grid")
     p.add_argument("--events", required=True)
     p.add_argument("--outcomes", required=True)
     p.add_argument("--out-frames", required=True)
-    p.add_argument("--out-mask", default=None)
-    p.add_argument("--stats-out", default=None, help="write fitted scaling statistics here")
-    p.add_argument("--stats-in", default=None, help="reuse training statistics instead of fitting")
-    p.add_argument("--window-hours", type=int, default=None)
-    p.add_argument("--horizon-hours", type=int, default=None)
+    p.add_argument("--out-mask")
+    p.add_argument("--stats-out", help="write fitted scaling statistics here")
+    p.add_argument("--stats-in", help="reuse training statistics instead of fitting")
+    p.add_argument("--window-hours", type=int)
+    p.add_argument("--horizon-hours", type=int)
     _common_flags(p)
 
     p = sub.add_parser("train", help="learn feature weights by gradient descent")
     p.add_argument("--frames", required=True)
     p.add_argument("--weights-out", required=True)
-    p.add_argument("--trace-out", default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--min-rel-improvement", type=float, default=1e-6)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--init-weights", default=None, help="starting weights file")
+    p.add_argument("--trace-out")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--min-rel-improvement", type=float, dest="min_relative_improvement")
+    p.add_argument("--patience", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--init-weights", help="starting weights file")
     _common_flags(p)
 
     p = sub.add_parser("predict", help="classify patients against a framed cohort")
     p.add_argument("--train-frames", required=True)
-    p.add_argument("--query-frames", default=None,
+    p.add_argument("--query-frames",
                    help="default: leave-one-out predictions on the training file")
     p.add_argument("--weights", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mode", choices=PREDICTION_MODES, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--k", type=int)
+    p.add_argument("--mode", choices=PREDICTION_MODES)
+    p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True)
     _common_flags(p)
 
     p = sub.add_parser("evaluate", help="cross-validate one method configuration")
     p.add_argument("--events", required=True)
     p.add_argument("--outcomes", required=True)
-    p.add_argument("--representation", choices=REPRESENTATIONS, default=None)
-    p.add_argument("--weighting", choices=WEIGHTINGS, default=None)
-    p.add_argument("--features", choices=FEATURE_SETS, default=None)
-    p.add_argument("--manual-weights", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--mode", choices=PREDICTION_MODES, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--representation", choices=REPRESENTATIONS)
+    p.add_argument("--weighting", choices=WEIGHTINGS)
+    p.add_argument("--features", choices=FEATURE_SETS)
+    p.add_argument("--manual-weights")
+    p.add_argument("--k", type=int)
+    p.add_argument("--mode", choices=PREDICTION_MODES)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--folds", type=int)
     p.add_argument("--split", choices=("none", "validation"), default="none",
                    help="validation: cross-validate only the held-out half of a 50/50 split")
     p.add_argument("--out", required=True, help="fold metrics CSV")
@@ -108,41 +123,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare methods from fold-metric files")
     p.add_argument("reports", nargs="+", metavar="NAME=PATH",
                    help="fold metrics CSVs written by evaluate")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--out-json", required=True)
-    p.add_argument("--out-text", default=None)
+    p.add_argument("--out-text")
     _common_flags(p)
 
     p = sub.add_parser("experiment", help="run a preset comparison end to end")
     p.add_argument("preset", choices=PRESETS)
-    p.add_argument("--events", default=None)
-    p.add_argument("--outcomes", default=None)
+    p.add_argument("--events")
+    p.add_argument("--outcomes")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-patients", type=int, default=1000,
+    p.add_argument("--n-patients", type=int,
                    help="synthetic cohort size when no data files are given")
-    p.add_argument("--profile", choices=synth.PROFILES, default=None,
-                   help="synthetic profile (default: planted)")
-    p.add_argument("--manual-weights", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--profile", choices=synth.PROFILES,
+                   help=f"synthetic profile (default: {synth.SynthSpec.profile})")
+    p.add_argument("--manual-weights")
+    p.add_argument("--k", type=int)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--folds", type=int)
     _common_flags(p)
 
     return parser
 
 
 def _cmd_synth(args) -> int:
-    config = _config_from_args(args)
-    spec = synth.SynthSpec(
-        n_patients=args.n_patients,
-        prevalence=args.prevalence,
-        n_informative_variables=args.informative,
-        missing_rate=args.missing_rate,
-        effect_size=args.effect_size,
-        seed=config.seed,
-        profile=args.profile,
-    )
-    result = synth.generate(spec)
+    result = synth.generate(_build(synth.SynthSpec, args, _config_from_args(args)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cohort = result.cohort()
@@ -157,40 +162,31 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_frame(args) -> int:
-    config = _config_from_args(args, window_hours=args.window_hours,
-                               horizon_hours=args.horizon_hours)
+    config = _config_from_args(args)
     cohort = ingest.load_cohort(args.events, args.outcomes)
     frames = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
     raw_sparsity = framing.sparsity(frames)
+    n_buckets = frames.grid.shape[2]
     if args.stats_in:
         stats = framing.read_scaling_stats(args.stats_in)
+        if stats.n_buckets != n_buckets:
+            raise InputFault(f"stats for {stats.n_buckets} buckets, but the grid has {n_buckets}",
+                             path=args.stats_in)
     else:
         stats = framing.fit_scaling(frames)
     dense = framing.scale_frames(frames, stats)
     framing.write_frames(dense, args.out_frames, args.out_mask)
     if args.stats_out:
         framing.write_scaling_stats(stats, args.stats_out)
-    print(f"framed {len(dense)} patients "
-          f"({config.horizon_hours // config.window_hours} buckets, "
-          f"sparsity {raw_sparsity:.4f})")
+    print(f"framed {len(dense)} patients ({n_buckets} buckets, sparsity {raw_sparsity:.4f})")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _config_from_args(args, learning_rate=args.lr, k=args.k,
-                               max_epochs=args.max_epochs)
-    frames = framing.read_frames(args.frames)
-    init = None
+    cfg = _build(weights_mod.TrainConfig, args, _config_from_args(args))
     if args.init_weights:
-        init = weights_mod.load_manual_weights(args.init_weights)
-    cfg = weights_mod.TrainConfig(
-        learning_rate=config.learning_rate,
-        max_epochs=config.max_epochs,
-        min_relative_improvement=args.min_rel_improvement,
-        patience=args.patience,
-        k=config.k,
-        initial_weights=init,
-    )
+        cfg.initial_weights = weights_mod.load_manual_weights(args.init_weights)
+    frames = framing.read_frames(args.frames)
     learned, trace = weights_mod.train_gd(frames, cfg)
     weights_mod.save_weights(learned, args.weights_out)
     if args.trace_out:
@@ -201,13 +197,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    config = _config_from_args(args, k=args.k, mode=args.mode, threshold=args.threshold)
+    config = _config_from_args(args)
     train_frames = framing.read_frames(args.train_frames)
     w = weights_mod.read_weights(args.weights)
     model = knn.Model(train_frames, w, k=config.k,
                       prediction_mode=config.mode, threshold=config.threshold)
     loo = args.query_frames is None
     queries = model.frames if loo else framing.read_frames(args.query_frames)
+    if queries.grid.shape[2] != train_frames.grid.shape[2]:
+        raise InputFault(f"{queries.grid.shape[2]} buckets per variable, but the training "
+                         f"frames have {train_frames.grid.shape[2]}", path=args.query_frames)
     labels, scores = knn.classify_batch(queries, model, leave_one_out=loo)
     tables.write_rows(args.out, "patient_id,score,label", (
         f"{pid},{repr(float(score))},{label}"
@@ -217,17 +216,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _config_from_args(
-        args,
-        representation=args.representation,
-        weighting=args.weighting,
-        features=args.features,
-        k=args.k,
-        mode=args.mode,
-        threshold=args.threshold,
-        learning_rate=args.lr,
-        folds=args.folds,
-    )
+    config = _config_from_args(args)
     cohort = ingest.load_cohort(args.events, args.outcomes)
     manual = None
     if args.manual_weights:
@@ -253,8 +242,10 @@ def _cmd_compare(args) -> int:
         name, sep, path = item.partition("=")
         if not sep:
             raise PatsimError(f"expected NAME=PATH, got {item!r}")
+        if name in fold_metrics:
+            raise PatsimError(f"report name {name!r} given twice")
         fold_metrics[name] = evaluation.load_fold_metrics(path)
-    report = evaluation.compare(fold_metrics, alpha=args.alpha)
+    report = evaluation.compare(fold_metrics, **_given(args, evaluation.compare))
     _write_report(report, Path(args.out_json), args.out_text and Path(args.out_text))
     print(evaluation.report_to_text(report), end="")
     return 0
@@ -271,14 +262,13 @@ def _write_report(report, json_path, text_path=None):
 
 
 def _cmd_experiment(args) -> int:
-    config = _config_from_args(args, k=args.k, learning_rate=args.lr, folds=args.folds)
+    config = _config_from_args(args)
     if args.events and args.outcomes:
         cohort = ingest.load_cohort(args.events, args.outcomes)
     elif args.events or args.outcomes:
         raise PatsimError("supply both --events and --outcomes, or neither")
     else:
-        result = default_cohort(config, n_patients=args.n_patients, profile=args.profile)
-        cohort = result.cohort()
+        cohort = synth.generate(_build(synth.SynthSpec, args, config)).cohort()
     manual = None
     if args.manual_weights:
         manual = weights_mod.load_manual_weights(args.manual_weights)

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, key=value config files, flag overrides.
+"""Run configuration: defaults, validity rules, key=value config files, flag overrides.
 
 Precedence is command-line flags over config file over defaults.
 """
@@ -9,7 +9,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from . import tables
+from . import tables, vocab
 from .errors import BadConfig, InputFault
 
 REPRESENTATIONS = ("timeseries", "aggregation")
@@ -27,17 +27,41 @@ _CHOICES = {
 }
 
 
-def check_choices(obj) -> None:
-    """Reject any enumerated field of `obj` (a config or method spec) outside its choices."""
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+_RULES = {
+    "k": _AT_LEAST_1,
+    "max_epochs": _AT_LEAST_1,
+    "patience": _AT_LEAST_1,
+    "learning_rate": _POSITIVE,
+    "min_relative_improvement": _POSITIVE,
+    "folds": ("at least 2", lambda v: v >= 2),
+    "threshold": ("in (0, 1)", lambda v: 0 < v < 1),
+}
+
+
+def check_choices(**values) -> None:
+    """Reject any setting in `values`, named as in RunConfig, that breaks its choices or rule.
+
+    The grid rule: a positive window divides the horizon, of at most vocab.HORIZON_HOURS.
+    """
     for name, allowed in _CHOICES.items():
-        if hasattr(obj, name) and getattr(obj, name) not in allowed:
-            raise BadConfig(f"{name} must be one of {allowed}, got {getattr(obj, name)!r}")
+        if name in values and values[name] not in allowed:
+            raise BadConfig(f"{name} must be one of {allowed}, got {values[name]!r}")
+    for name, (text, holds) in _RULES.items():
+        if name in values and not holds(values[name]):
+            raise BadConfig(f"{name} must be {text}")
+    if "horizon_hours" in values:
+        window, horizon = values["window_hours"], values["horizon_hours"]
+        if not (window > 0 and horizon % window == 0 and 0 < horizon <= vocab.HORIZON_HOURS):
+            raise BadConfig(f"window_hours must be positive and divide horizon_hours, which is "
+                            f"at most {vocab.HORIZON_HOURS}; got {window} and {horizon}")
 
 
 @dataclass
 class RunConfig:
-    window_hours: int = 2
-    horizon_hours: int = 48
+    window_hours: int = vocab.WINDOW_HOURS
+    horizon_hours: int = vocab.HORIZON_HOURS
     representation: str = "timeseries"
     weighting: str = "gd"
     features: str = "all"
@@ -51,17 +75,7 @@ class RunConfig:
     workers: int = 0      # fold processes; 0 = the CPUs this process may run on
 
     def __post_init__(self):
-        check_choices(self)
-        if self.window_hours <= 0 or self.horizon_hours <= 0:
-            raise BadConfig("window and horizon must be positive")
-        if self.horizon_hours % self.window_hours != 0:
-            raise BadConfig("horizon_hours must be divisible by window_hours")
-        if not (0.0 < self.threshold < 1.0):
-            raise BadConfig("threshold must lie in (0, 1)")
-        if self.k < 1 or self.folds < 2:
-            raise BadConfig("k must be >= 1 and folds >= 2")
-        if not math.isfinite(self.learning_rate):
-            raise BadConfig("learning_rate must be finite")
+        check_choices(**vars(self))
 
     def effective_workers(self) -> int:
         if self.workers and self.workers > 0:

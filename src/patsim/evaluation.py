@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import framing, tables, vocab
-from .config import check_choices
+from .config import RunConfig, check_choices
 from .errors import (
     BadConfig,
     DegenerateMatrix,
@@ -86,7 +86,7 @@ def split_dev_validation(patient_ids, labels, seed) -> tuple:
     return sorted(dev), sorted(validation)
 
 
-def kfold(patient_ids, labels, k=20, seed=0) -> list:
+def kfold(patient_ids, labels, k=RunConfig.folds, seed=0) -> list:
     """Stratified k disjoint folds covering the input; sizes differ by <= 1.
 
     Shuffled members of each class are dealt round-robin with a running
@@ -112,18 +112,18 @@ class MethodSpec:
 
     name: str
     kind: str = "knn"                      # knn | majority | linear
-    representation: str = "timeseries"     # timeseries | aggregation
-    weighting: str = "gd"                  # gd | none | manual | chi2 | infogain | gini
-    features: str = "all"                  # all | dynamic_only | static_only
-    k: int = 10
-    mode: str = "majority"
-    threshold: float = 0.5
-    learning_rate: float = 0.3
-    max_epochs: int = 200
+    representation: str = RunConfig.representation
+    weighting: str = RunConfig.weighting
+    features: str = RunConfig.features
+    k: int = RunConfig.k
+    mode: str = RunConfig.mode
+    threshold: float = RunConfig.threshold
+    learning_rate: float = RunConfig.learning_rate
+    max_epochs: int = RunConfig.max_epochs
     manual_weights: FeatureWeights | None = None
 
     def __post_init__(self):
-        check_choices(self)
+        check_choices(**vars(self))
         if self.weighting == "manual" and self.manual_weights is None:
             raise BadConfig("manual weighting requires a loaded weights file")
 
@@ -261,7 +261,7 @@ def _run_folds_in_processes(job, processes) -> list:
         _JOB = None
 
 
-def cross_validate(patients, methods, k_folds=20, seed=0, workers=1) -> dict:
+def cross_validate(patients, methods, k_folds=RunConfig.folds, seed=0, workers=1) -> dict:
     """Stratified k-fold cross-validation of several methods on shared folds.
 
     `patients` is a pre-imputation framing.Frames (framed or aggregated).

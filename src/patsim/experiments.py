@@ -21,17 +21,10 @@ from .config import RunConfig
 from .errors import BadConfig
 from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
-from .synth import SynthResult, SynthSpec, generate
 
 logger = logging.getLogger(__name__)
 
 PRESETS = ("exp1", "exp2", "exp3")
-
-
-def default_cohort(config: RunConfig, n_patients=1000, profile=None) -> SynthResult:
-    """Synthetic stand-in cohort when no data files are supplied."""
-    return generate(SynthSpec(n_patients=n_patients, seed=config.seed,
-                              profile=profile or "planted"))
 
 
 def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tables, vocab
-from .errors import BadConfig, DimensionMismatch, EmptyCohort, InputFault, MalformedRow
+from .config import check_choices
+from .errors import DimensionMismatch, EmptyCohort, InputFault, MalformedRow
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -109,7 +110,8 @@ def _dynamic_rows(cohort, horizon_hours):
     return rows, cohort.patient[rows].astype(np.intp) * vocab.N_DYNAMIC + cohort.variable[rows]
 
 
-def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> Frames:
+def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
+                 horizon_hours=vocab.HORIZON_HOURS) -> Frames:
     """Average every patient's events into fixed time buckets, in patient_id order.
 
     Bucket t covers minutes [60*window_hours*t, 60*window_hours*(t+1));
@@ -118,8 +120,7 @@ def frame_cohort(cohort, window_hours=2, horizon_hours=48) -> Frames:
     Statics take the first observed value. Unobserved cells are NaN with
     mask False.
     """
-    if window_hours <= 0 or horizon_hours <= 0 or horizon_hours % window_hours != 0:
-        raise BadConfig(f"horizon {horizon_hours}h not divisible by window {window_hours}h")
+    check_choices(window_hours=window_hours, horizon_hours=horizon_hours)
     n_buckets = horizon_hours // window_hours
     rows, cell = _dynamic_rows(cohort, horizon_hours)
     cell = cell * n_buckets + cohort.minute[rows].astype(np.intp) // (60 * window_hours)
@@ -275,13 +276,15 @@ def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient
     return scale_frames(stack([frame]), stats)[0]
 
 
-def aggregate_cohort(cohort, horizon_hours=48) -> Frames:
+def aggregate_cohort(cohort, horizon_hours=vocab.HORIZON_HOURS) -> Frames:
     """Summarize each dynamic variable by the six aggregation statistics.
 
     Events at or beyond the horizon are ignored; first/last follow the
     cohort's row order. A variable with no events gets count 0 and NaN for
     the other five. Statics are as in frame_cohort.
     """
+    # the aggregates summarize the whole horizon as one window
+    check_choices(window_hours=horizon_hours, horizon_hours=horizon_hours)
     rows, cell = _dynamic_rows(cohort, horizon_hours)
     order = np.argsort(cell, kind="stable")
     cell, values = cell[order], cohort.value[rows][order]

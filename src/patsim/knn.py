@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vocab
-from .config import PREDICTION_MODES
+from .config import RunConfig, check_choices
 from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight
 from .framing import Frames, stack
 
@@ -118,7 +118,7 @@ def soft_scores(d2_sel, y_sel) -> np.ndarray:
     return (s * y_sel).sum(axis=1) / s.sum(axis=1)
 
 
-def decide_rows(d2_sel, y_sel, mode, threshold=0.5) -> tuple:
+def decide_rows(d2_sel, y_sel, mode, threshold=RunConfig.threshold) -> tuple:
     """(labels, scores) for rows of selected neighbor distances and labels.
 
     Majority mode: label is the most frequent neighbor label, voting ties
@@ -156,17 +156,14 @@ class Model:
 
     frames: Frames
     weights: FeatureWeights
-    k: int = 10
-    prediction_mode: str = "majority"
-    threshold: float = 0.5
+    k: int = RunConfig.k
+    prediction_mode: str = RunConfig.mode
+    threshold: float = RunConfig.threshold
 
     def __post_init__(self):
-        if self.k < 1 or self.k > len(self.frames):
+        check_choices(k=self.k, mode=self.prediction_mode, threshold=self.threshold)
+        if self.k > len(self.frames):
             raise KTooLarge(f"k={self.k} with {len(self.frames)} training patients")
-        if self.prediction_mode not in PREDICTION_MODES:
-            raise BadConfig(f"unknown prediction mode {self.prediction_mode!r}")
-        if not (0.0 < self.threshold < 1.0):
-            raise BadConfig(f"threshold must lie in (0, 1), got {self.threshold}")
         if not isinstance(self.weights, FeatureWeights):
             self.weights = FeatureWeights(self.weights)
 

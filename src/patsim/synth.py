@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vocab
+from .config import RunConfig
 from .errors import BadSpec
 from .ingest import Cohort, Events, Outcomes, build_cohort
 from .streams import substream
 
 PROFILES = ("planted", "trend")
-
-N_BUCKETS = 24
-BUCKET_MINUTES = 120
 
 # signal strengths in units of the per-variable noise scale
 LEVEL_SHIFT = 1.2         # level variables: whole-trajectory shift for positives
@@ -56,7 +54,7 @@ class SynthSpec:
     n_informative_variables: int = 2
     missing_rate: float = 0.28
     effect_size: float = 1.0
-    seed: int = 7
+    seed: int = RunConfig.seed
     profile: str = "planted"
 
     def __post_init__(self):
@@ -102,14 +100,14 @@ def _signal_rows(spec, labels, informative, rng) -> tuple:
     """(risk, rows, level variables, shape variables) of the profile.
 
     A patient of class y carries the signal risk[i] * rows[y], a
-    (36, N_BUCKETS) array that is zero outside the informative variables.
+    (36, vocab.N_BUCKETS) array that is zero outside the informative variables.
     """
-    t = np.arange(N_BUCKETS)
-    rows = {y: np.zeros((vocab.N_DYNAMIC, N_BUCKETS)) for y in (0, 1)}
+    t = np.arange(vocab.N_BUCKETS)
+    rows = {y: np.zeros((vocab.N_DYNAMIC, vocab.N_BUCKETS)) for y in (0, 1)}
     if spec.profile == "planted":
         # the label enters through the risk, so both classes share one signal shape
         risk = labels * spec.effect_size * rng.uniform(0.75, 1.25, size=len(labels))
-        drift = (t / (N_BUCKETS - 1)) - 0.5                   # mean-zero ramp
+        drift = (t / (vocab.N_BUCKETS - 1)) - 0.5             # mean-zero ramp
         shape_vars = [int(v) for v in informative[1::2]]      # alternate: level, shape, ...
         level_vars = [int(v) for v in informative if v not in shape_vars]
         rows[0][level_vars] = LEVEL_SHIFT
@@ -136,9 +134,9 @@ def generate(spec: SynthSpec) -> SynthResult:
     scales = 0.05 * baselines
     risk, signal_rows, level_vars, shape_vars = _signal_rows(spec, labels, informative, rng)
 
-    shape = (vocab.N_DYNAMIC, N_BUCKETS, 2)            # variable, bucket, observation
+    shape = (vocab.N_DYNAMIC, vocab.N_BUCKETS, 2)      # variable, bucket, observation
     variable = np.broadcast_to(np.arange(vocab.N_DYNAMIC)[:, None, None], shape)
-    bucket_start = (np.arange(N_BUCKETS) * BUCKET_MINUTES)[None, :, None]
+    bucket_start = (np.arange(vocab.N_BUCKETS) * 60 * vocab.WINDOW_HOURS)[None, :, None]
     observation = np.arange(2)
     patient, minutes, variables, values = [], [], [], []
     total_cells = 0
@@ -147,11 +145,11 @@ def generate(spec: SynthSpec) -> SynthResult:
         y = int(labels[i])
         static_values = _draw_statics(rng, y, spec)
         offsets = 0.5 * rng.standard_normal(vocab.N_DYNAMIC)
-        keep = rng.random((vocab.N_DYNAMIC, N_BUCKETS)) >= spec.missing_rate
+        keep = rng.random((vocab.N_DYNAMIC, vocab.N_BUCKETS)) >= spec.missing_rate
         total_cells += keep.size
         dropped_cells += int(keep.size - keep.sum())
-        n_obs = rng.integers(1, 3, size=(vocab.N_DYNAMIC, N_BUCKETS))
-        minute_noise = rng.integers(0, BUCKET_MINUTES, size=shape)
+        n_obs = rng.integers(1, 3, size=(vocab.N_DYNAMIC, vocab.N_BUCKETS))
+        minute_noise = rng.integers(0, 60 * vocab.WINDOW_HOURS, size=shape)
         value_noise = rng.standard_normal(shape)
 
         cell_values = (baselines + scales * offsets)[:, None] + scales[:, None] * (

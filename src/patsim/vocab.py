@@ -56,5 +56,8 @@ DYNAMIC_INDEX = {name: i for i, name in enumerate(DYNAMIC_VARIABLES)}
 STATIC_INDEX = {name: i for i, name in enumerate(STATIC_VARIABLES)}
 VARIABLE_INDEX = {name: i for i, name in enumerate(ALL_VARIABLES)}
 
-# Observation window: first 48 hours after ICU admission.
-HORIZON_MINUTES = 48 * 60
+# Observation window: the first 48 hours after ICU admission, in 2-hour frames by default.
+WINDOW_HOURS = 2
+HORIZON_HOURS = 48
+HORIZON_MINUTES = HORIZON_HOURS * 60
+N_BUCKETS = HORIZON_HOURS // WINDOW_HOURS

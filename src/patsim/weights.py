@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tables, vocab
+from .config import RunConfig, check_choices
 from .errors import (
     BadConfig,
     InputFault,
@@ -36,17 +37,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.3
-    max_epochs: int = 200
+    learning_rate: float = RunConfig.learning_rate
+    max_epochs: int = RunConfig.max_epochs
     min_relative_improvement: float = 1e-6
     patience: int = 3
-    k: int = 10
+    k: int = RunConfig.k
     initial_weights: FeatureWeights | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "max_epochs", "min_relative_improvement", "patience", "k"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise BadConfig(f"{name} must be positive and finite")
+        check_choices(**vars(self))
 
 
 @dataclass
@@ -214,12 +213,12 @@ def _loo_problem(frames, weights, k) -> tuple:
     return packed, pair, w, _neighbor_sets(packed, pair, w, k), labels
 
 
-def loo_neighbor_sets(frames, weights, k=10) -> np.ndarray:
+def loo_neighbor_sets(frames, weights, k=RunConfig.k) -> np.ndarray:
     """Leave-one-out neighbor index sets for every training patient."""
     return _loo_problem(frames, weights, k)[3]
 
 
-def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
+def training_error(frames, weights, k=RunConfig.k, neighbor_sets=None) -> float:
     """Leave-one-out training error at the given weights.
 
     With `neighbor_sets` (an (n, k) index array over patients in
@@ -232,7 +231,7 @@ def training_error(frames, weights, k=10, neighbor_sets=None) -> float:
     return _error_and_gradient(packed, pair, w, sets, labels)[0]
 
 
-def gradient(frames, weights, k=10) -> np.ndarray:
+def gradient(frames, weights, k=RunConfig.k) -> np.ndarray:
     """dE/dw per variable, neighbor sets held fixed at the current weights."""
     return _error_and_gradient(*_loo_problem(frames, weights, k))[1]
 

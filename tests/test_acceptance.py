@@ -19,7 +19,7 @@ from patsim import framing, vocab
 from patsim.config import RunConfig
 from patsim.errors import SingleClassCohort
 from patsim.evaluation import friedman, wilcoxon_signed_rank
-from patsim.experiments import default_cohort, run_experiment
+from patsim.experiments import run_experiment
 from patsim.knn import FeatureWeights, Model, neighbors, variable_distances_sq
 from patsim.synth import SynthSpec, generate
 from patsim.weights import (
@@ -61,7 +61,7 @@ def exp3_runs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def exp2_trend_report():
     config = RunConfig(seed=7, workers=2)
-    cohort = default_cohort(config, n_patients=600, profile="trend").cohort()
+    cohort = generate(SynthSpec(n_patients=600, profile="trend", seed=config.seed)).cohort()
     t0 = time.time()
     report = run_experiment("exp2", config, cohort)
     return report, time.time() - t0
@@ -70,7 +70,7 @@ def exp2_trend_report():
 @pytest.fixture(scope="module")
 def exp2_planted_report():
     config = RunConfig(seed=7, workers=2)
-    cohort = default_cohort(config, n_patients=1000).cohort()
+    cohort = generate(SynthSpec(n_patients=1000, seed=config.seed)).cohort()
     return run_experiment("exp2", config, cohort)
 
 

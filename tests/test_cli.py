@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from patsim import evaluation, framing, ingest, tables, vocab
+from patsim import cli, evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
 from patsim.config import RunConfig, build_config, read_config_values
 from patsim.errors import BadConfig
-from patsim.evaluation import FOLD_METRICS_HEADER, load_fold_metrics
-from patsim.weights import load_manual_weights
+from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
+from patsim.weights import TrainConfig, load_manual_weights
 from util import FAULTS, mask_lines, mutate
 
 
@@ -229,6 +230,14 @@ class TestEvaluateCompare:
         assert "friedman" in report
         assert "precision" in text_path.read_text()
 
+    def test_compare_rejects_a_repeated_report_name(self, tmp_path, capsys):
+        report = tmp_path / "a.csv"
+        report.write_text(f"{FOLD_METRICS_HEADER}\n0,1,2,3,4,0.5,0.5,0.5\n")
+        err = one_line_error(capsys, ["compare", f"x={report}", f"x={report}", f"y={report}",
+                                      "--out-json", tmp_path / "report.json"])
+        assert err == "error: report name 'x' given twice\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestExitCodes:
     def test_validation_error_is_1(self, tmp_path):
@@ -357,6 +366,81 @@ class TestConfig:
         with pytest.raises(BadConfig):
             build_config(overrides={"nonsense": 1})
 
+    @pytest.mark.parametrize("name, value, reason", [
+        ("k", 0, "k must be at least 1"),
+        ("max_epochs", 0, "max_epochs must be at least 1"),
+        ("patience", 0, "patience must be at least 1"),
+        ("learning_rate", -1.0, "learning_rate must be positive and finite"),
+        ("learning_rate", 0.0, "learning_rate must be positive and finite"),
+        ("learning_rate", float("nan"), "learning_rate must be positive and finite"),
+        ("learning_rate", float("inf"), "learning_rate must be positive and finite"),
+        ("min_relative_improvement", float("nan"),
+         "min_relative_improvement must be positive and finite"),
+        ("folds", 1, "folds must be at least 2"),
+        ("threshold", 1.5, "threshold must be in (0, 1)"),
+        ("threshold", 0.0, "threshold must be in (0, 1)"),
+    ])
+    def test_every_settings_class_rejects_a_bad_value_alike(self, name, value, reason):
+        carriers = [cls for cls in (RunConfig, MethodSpec, TrainConfig)
+                    if name in {f.name for f in fields(cls)}]
+        assert carriers
+        for cls in carriers:
+            with pytest.raises(BadConfig) as caught:
+                cls(**{"name": "m"} if cls is MethodSpec else {}, **{name: value})
+            assert str(caught.value) == reason, cls.__name__
+
+
+def _subparsers():
+    """Each subcommand's parser, by name."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _required_argv(parser):
+    """The shortest argv that `parser` accepts: a placeholder for each required argument."""
+    argv = []
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append(action.choices[0] if action.choices else "x=y")
+        elif action.required:
+            argv += [action.option_strings[0], "x"]
+    return argv
+
+
+# a legal value other than the default for every RunConfig field a flag sets
+FLAG_VALUES = {"window_hours": "4", "horizon_hours": "24", "representation": "aggregation",
+               "weighting": "chi2", "features": "static_only", "k": "7",
+               "learning_rate": "0.1", "max_epochs": "9", "threshold": "0.4",
+               "mode": "weighted", "folds": "5", "seed": "11", "workers": "3"}
+
+
+class TestFlagWiring:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
+    def test_a_flag_sets_what_its_config_key_sets(self, tmp_path):
+        run_fields = {f.name for f in fields(RunConfig)}
+        parser, seen = cli.build_parser(), set()
+        for command, sub in _subparsers().items():
+            base = [command] + _required_argv(sub)
+            for action in sub._actions:
+                if action.dest not in run_fields or not action.option_strings:
+                    continue
+                value = FLAG_VALUES[action.dest]
+                config = tmp_path / f"{command}-{action.dest}.cfg"
+                config.write_text(f"{action.dest} = {value}\n")
+                by_flag = cli._config_from_args(
+                    parser.parse_args(base + [action.option_strings[0], value]))
+                by_file = cli._config_from_args(parser.parse_args(base + ["--config", str(config)]))
+                assert by_flag == by_file != RunConfig(), (command, action.dest)
+                seen.add(action.dest)
+        assert seen == set(FLAG_VALUES)
+
 
 def one_line_error(capsys, argv):
     """Run the CLI expecting exit 1; return its single line of stderr."""
@@ -404,9 +488,54 @@ class TestLocatedFaults:
         err = one_line_error(capsys, args + ["--stats-in", stats])
         assert err == f"error: {stats} line 1: bad value {value!r} for 'n_buckets'\n"
 
+    def test_stats_of_another_grid_name_the_stats_file(self, synth_dir, tmp_path, capsys):
+        stats = tmp_path / "stats.txt"
+        args = ["frame", "--events", synth_dir / "events.csv",
+                "--outcomes", synth_dir / "outcomes.csv", "--out-frames", tmp_path / "f.csv"]
+        assert main([str(a) for a in args + ["--stats-out", stats]]) == 0
+        err = one_line_error(capsys, args + ["--window-hours", 4, "--stats-in", stats])
+        assert err == f"error: {stats}: stats for 24 buckets, but the grid has 12\n"
+
+    def test_query_frames_of_another_grid_name_the_query_file(self, synth_dir, framed,
+                                                              tmp_path, capsys):
+        query = tmp_path / "query.csv"
+        assert main(["frame", "--events", str(synth_dir / "events.csv"),
+                     "--outcomes", str(synth_dir / "outcomes.csv"),
+                     "--out-frames", str(query), "--window-hours", "4"]) == 0
+        weights = tmp_path / "w.csv"
+        weights.write_text("variable,weight\n" + "".join(
+            f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
+        err = one_line_error(capsys, ["predict", "--train-frames", framed, "--query-frames", query,
+                                      "--weights", weights, "--out", tmp_path / "pred.csv"])
+        assert err == (f"error: {query}: 12 buckets per variable, "
+                       f"but the training frames have 24\n")
+
+    @pytest.mark.parametrize("argv, config, reason", [
+        (["experiment", "exp3", "--lr", "-1"], None, "learning_rate must be positive and finite"),
+        (["experiment", "exp3", "--lr", "nan"], None, "learning_rate must be positive and finite"),
+        (["experiment", "exp3"], "max_epochs = 0\n", "max_epochs must be at least 1"),
+        (["evaluate", "--threshold", "1.5", "--out", "m.csv"], None,
+         "threshold must be in (0, 1)"),
+        (["frame", "--horizon-hours", "72", "--out-frames", "f.csv"], None,
+         "window_hours must be positive and divide horizon_hours, which is at most 48; "
+         "got 2 and 72"),
+        (["frame", "--window-hours", "5", "--out-frames", "f.csv"], None,
+         "window_hours must be positive and divide horizon_hours, which is at most 48; "
+         "got 5 and 48"),
+    ], ids=["lr_negative", "lr_nan", "config_max_epochs_0", "threshold", "horizon_72h",
+            "window_5h"])
+    def test_settings_faults_come_before_data(self, tmp_path, capsys, argv, config, reason):
+        argv = argv + ["--events", tmp_path / "missing.csv", "--outcomes", tmp_path / "no.csv"]
+        if argv[0] == "experiment":
+            argv += ["--out-dir", tmp_path / "out"]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert one_line_error(capsys, argv) == f"error: {reason}\n"
+
     @pytest.mark.parametrize("lr, reason", [
-        ("nan", "learning_rate must be finite"),
-        ("inf", "learning_rate must be finite"),
+        ("nan", "learning_rate must be positive and finite"),
+        ("inf", "learning_rate must be positive and finite"),
         ("1e6", "gradient descent diverged: the training error is not finite at epoch 1; "
                 "a smaller learning rate may converge"),
     ])

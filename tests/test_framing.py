@@ -81,6 +81,10 @@ class TestBucketize:
     def test_bad_config(self):
         with pytest.raises(BadConfig):
             frame_one("x", [], label=0, window_hours=5, horizon_hours=48)
+        with pytest.raises(BadConfig, match="at most 48"):
+            frame_one("x", [], label=0, window_hours=2, horizon_hours=72)
+        with pytest.raises(BadConfig, match="at most 48"):
+            aggregate_cohort(cohort_of([], {"x": 0}), 72)
 
     def test_partition_property(self, rng):
         # every in-window event lands in exactly one bucket
