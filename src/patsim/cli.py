@@ -11,25 +11,15 @@ import inspect
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, framing, ingest, knn, synth, tables, weights as weights_mod
-from .config import (FEATURE_SETS, PREDICTION_MODES, REPRESENTATIONS, WEIGHTINGS, RunConfig,
-                     build_config)
+from .config import _CHOICES, RunConfig, build_config, check_choices
 from .errors import InputFault, PatsimError
 from .experiments import PRESETS, knn_method, represent, run_experiment, validation_ids
 
 logger = logging.getLogger(__name__)
-
-
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--workers", type=int,
-                        help="cross-validation fold processes, each on one BLAS thread "
-                             "unless OPENBLAS_NUM_THREADS is set; memory grows by one "
-                             "fold workspace per process (default: available cores)")
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
 def _given(source, target) -> dict:
@@ -50,100 +40,6 @@ def _config_from_args(args) -> RunConfig:
 def _build(cls, args, config):
     """`cls` with the run's value of each field RunConfig owns and the flags given for the rest."""
     return cls(**{**_given(args, cls), **_given(config, cls)})
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="patsim",
-        description="Patient-similarity ICU mortality prediction pipeline",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-patients", type=int)
-    p.add_argument("--prevalence", type=float)
-    p.add_argument("--informative", type=int, dest="n_informative_variables")
-    p.add_argument("--missing-rate", type=float)
-    p.add_argument("--effect-size", type=float)
-    p.add_argument("--profile", choices=synth.PROFILES)
-    _common_flags(p)
-
-    p = sub.add_parser("frame", help="standardize events into the time-frame grid")
-    p.add_argument("--events", required=True)
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--out-frames", required=True)
-    p.add_argument("--out-mask")
-    p.add_argument("--stats-out", help="write fitted scaling statistics here")
-    p.add_argument("--stats-in", help="reuse training statistics instead of fitting")
-    p.add_argument("--window-hours", type=int)
-    p.add_argument("--horizon-hours", type=int)
-    _common_flags(p)
-
-    p = sub.add_parser("train", help="learn feature weights by gradient descent")
-    p.add_argument("--frames", required=True)
-    p.add_argument("--weights-out", required=True)
-    p.add_argument("--trace-out")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--min-rel-improvement", type=float, dest="min_relative_improvement")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--init-weights", help="starting weights file")
-    _common_flags(p)
-
-    p = sub.add_parser("predict", help="classify patients against a framed cohort")
-    p.add_argument("--train-frames", required=True)
-    p.add_argument("--query-frames",
-                   help="default: leave-one-out predictions on the training file")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=PREDICTION_MODES)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("evaluate", help="cross-validate one method configuration")
-    p.add_argument("--events", required=True)
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--representation", choices=REPRESENTATIONS)
-    p.add_argument("--weighting", choices=WEIGHTINGS)
-    p.add_argument("--features", choices=FEATURE_SETS)
-    p.add_argument("--manual-weights")
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=PREDICTION_MODES)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--split", choices=("none", "validation"), default="none",
-                   help="validation: cross-validate only the held-out half of a 50/50 split")
-    p.add_argument("--out", required=True, help="fold metrics CSV")
-    _common_flags(p)
-
-    p = sub.add_parser("compare", help="compare methods from fold-metric files")
-    p.add_argument("reports", nargs="+", metavar="NAME=PATH",
-                   help="fold metrics CSVs written by evaluate")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--out-json", required=True)
-    p.add_argument("--out-text")
-    _common_flags(p)
-
-    p = sub.add_parser("experiment", help="run a preset comparison end to end")
-    p.add_argument("preset", choices=PRESETS)
-    p.add_argument("--events")
-    p.add_argument("--outcomes")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-patients", type=int,
-                   help="synthetic cohort size when no data files are given")
-    p.add_argument("--profile", choices=synth.PROFILES,
-                   help=f"synthetic profile (default: {synth.SynthSpec.profile})")
-    p.add_argument("--manual-weights")
-    p.add_argument("--k", type=int)
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--folds", type=int)
-    _common_flags(p)
-
-    return parser
 
 
 def _cmd_synth(args) -> int:
@@ -237,6 +133,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    settings = _given(args, evaluation.compare)
+    check_choices(**settings)      # before any report is read
     fold_metrics = {}
     for item in args.reports:
         name, sep, path = item.partition("=")
@@ -245,7 +143,7 @@ def _cmd_compare(args) -> int:
         if name in fold_metrics:
             raise PatsimError(f"report name {name!r} given twice")
         fold_metrics[name] = evaluation.load_fold_metrics(path)
-    report = evaluation.compare(fold_metrics, **_given(args, evaluation.compare))
+    report = evaluation.compare(fold_metrics, **settings)
     _write_report(report, Path(args.out_json), args.out_text and Path(args.out_text))
     print(evaluation.report_to_text(report), end="")
     return 0
@@ -263,10 +161,15 @@ def _write_report(report, json_path, text_path=None):
 
 def _cmd_experiment(args) -> int:
     config = _config_from_args(args)
-    if args.events and args.outcomes:
-        cohort = ingest.load_cohort(args.events, args.outcomes)
-    elif args.events or args.outcomes:
+    if bool(args.events) != bool(args.outcomes):
         raise PatsimError("supply both --events and --outcomes, or neither")
+    synthetic = [_FLAGS[dest][0] for dest in ("n_patients", "profile")
+                 if getattr(args, dest) is not None]
+    if args.events and synthetic:
+        raise PatsimError(f"{synthetic[0]} sets the synthetic cohort, which --events and "
+                          f"--outcomes replace")
+    if args.events:
+        cohort = ingest.load_cohort(args.events, args.outcomes)
     else:
         cohort = synth.generate(_build(synth.SynthSpec, args, config)).cohort()
     manual = None
@@ -280,26 +183,122 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "frame": _cmd_frame,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "evaluate": _cmd_evaluate,
-    "compare": _cmd_compare,
-    "experiment": _cmd_experiment,
+# Every flag once, keyed by its dest: the field or parameter it sets, or the file it
+# names. An enum setting takes its choices from config._CHOICES, and a setting's help
+# ends with the library's default.
+_FLAGS = {
+    "preset": ("preset", dict(choices=PRESETS, help="which comparison to run")),
+    "reports": ("reports", dict(nargs="+", metavar="NAME=PATH",
+                                help="fold metrics CSVs written by evaluate")),
+    "events": ("--events", dict(help="events CSV: patient_id,minute,variable,value")),
+    "outcomes": ("--outcomes", dict(help="outcomes CSV: patient_id,in_hospital_death")),
+    "out_dir": ("--out-dir", dict(help="directory for the outputs")),
+    "out_frames": ("--out-frames", dict(help="framed cohort CSV to write")),
+    "out_mask": ("--out-mask", dict(help="0/1 observation mask CSV to write")),
+    "stats_out": ("--stats-out", dict(help="write fitted scaling statistics here")),
+    "stats_in": ("--stats-in", dict(help="reuse training statistics instead of fitting")),
+    "frames": ("--frames", dict(help="framed cohort CSV written by frame")),
+    "weights_out": ("--weights-out", dict(help="learned weights CSV to write")),
+    "trace_out": ("--trace-out", dict(help="training error per epoch CSV to write")),
+    "init_weights": ("--init-weights", dict(help="starting weights file")),
+    "train_frames": ("--train-frames", dict(help="framed cohort the neighbors come from")),
+    "query_frames": ("--query-frames", dict(help="patients to classify (default: leave-one-out "
+                                                  "over the training frames)")),
+    "weights": ("--weights", dict(help="feature weights CSV written by train")),
+    "manual_weights": ("--manual-weights", dict(help="weights file for manual weighting")),
+    "out": ("--out", dict(help="CSV to write: predictions (predict), fold metrics (evaluate)")),
+    "out_json": ("--out-json", dict(help="comparison report JSON to write")),
+    "out_text": ("--out-text", dict(help="comparison report text to write")),
+    "split": ("--split", dict(choices=("none", "validation"), help="validation: cross-validate "
+                              "only the held-out half of a 50/50 split (default none)")),
+    "window_hours": ("--window-hours", dict(type=int, help="hours per time frame")),
+    "horizon_hours": ("--horizon-hours", dict(type=int, help="hours of each stay to frame")),
+    "representation": ("--representation", dict(help="time frames or per-variable aggregates")),
+    "weighting": ("--weighting", dict(help="how the per-variable weights are set")),
+    "features": ("--features", dict(help="variables the distance uses")),
+    "k": ("--k", dict(type=int, help="neighbors that vote")),
+    "mode": ("--mode", dict(help="how the neighbors vote")),
+    "threshold": ("--threshold", dict(type=float, help="score at which a patient is positive")),
+    "learning_rate": ("--lr", dict(type=float, help="gradient-descent learning rate")),
+    "max_epochs": ("--max-epochs", dict(type=int, help="gradient-descent epoch cap")),
+    "min_relative_improvement": ("--min-rel-improvement", dict(
+        type=float, help="relative error drop below which an epoch is a plateau")),
+    "patience": ("--patience", dict(type=int, help="plateau epochs in a row that stop training")),
+    "folds": ("--folds", dict(type=int, help="cross-validation folds")),
+    "n_patients": ("--n-patients", dict(type=int, help="size of the synthetic cohort")),
+    "prevalence": ("--prevalence", dict(type=float, help="share of positive patients")),
+    "n_informative_variables": ("--informative", dict(type=int, help="variables with signal")),
+    "missing_rate": ("--missing-rate", dict(type=float, help="share of cells dropped")),
+    "effect_size": ("--effect-size", dict(type=float, help="signal strength")),
+    "profile": ("--profile", dict(help="synthetic cohort profile")),
+    "alpha": ("--alpha", dict(type=float, help="significance level of the Friedman and "
+                                               "Wilcoxon tests")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "config": ("--config", dict(help="key=value config file; flags take precedence")),
+    "workers": ("--workers", dict(type=int, help="cross-validation fold processes, 0 = the "
+                                  "available cores; train and predict run in one process")),
+    "verbose": ("--verbose", dict(action="store_true", help="log progress to stderr")),
 }
+
+# Each subcommand: its handler, its help and the dests of the flags it reads; "!" marks
+# a required flag. Every subcommand also takes --verbose.
+_COMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic cohort",
+              "out_dir! n_patients prevalence n_informative_variables missing_rate "
+              "effect_size profile seed config"),
+    "frame": (_cmd_frame, "standardize events into the time-frame grid",
+              "events! outcomes! out_frames! out_mask stats_out stats_in window_hours "
+              "horizon_hours config"),
+    "train": (_cmd_train, "learn feature weights by gradient descent",
+              "frames! weights_out! trace_out learning_rate max_epochs "
+              "min_relative_improvement patience k init_weights config workers"),
+    "predict": (_cmd_predict, "classify patients against a framed cohort",
+                "train_frames! query_frames weights! k mode threshold out! config workers"),
+    "evaluate": (_cmd_evaluate, "cross-validate one method configuration",
+                 "events! outcomes! representation weighting features manual_weights k mode "
+                 "threshold learning_rate folds split out! seed config workers"),
+    "compare": (_cmd_compare, "compare methods from fold-metric files",
+                "reports alpha out_json! out_text"),
+    "experiment": (_cmd_experiment, "run a preset comparison end to end",
+                   "preset events outcomes out_dir! n_patients profile manual_weights k "
+                   "learning_rate folds seed config workers"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="patsim",
+        description="Patient-similarity ICU mortality prediction pipeline",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for owner in (evaluation.ComparisonReport, synth.SynthSpec,
+                                                weights_mod.TrainConfig, RunConfig)
+                for f in fields(owner)}
+    for command, (_, text, dests) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in dests.split() + ["verbose"]:
+            dest = name.rstrip("!")
+            option, kwargs = _FLAGS[dest]
+            kwargs = dict(kwargs)
+            if dest in _CHOICES:
+                kwargs["choices"] = _CHOICES[dest]
+            if dest in defaults:
+                kwargs["help"] += f" (default {defaults[dest]})"
+            if option.startswith("-"):
+                kwargs.update(dest=dest, required=name.endswith("!"))
+            p.add_argument(option, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except PatsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

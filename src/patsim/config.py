@@ -17,6 +17,7 @@ WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
 FEATURE_SETS = ("all", "dynamic_only", "static_only")
 PREDICTION_MODES = ("majority", "weighted")
 KINDS = ("knn", "majority", "linear")
+PROFILES = ("planted", "trend")
 
 _CHOICES = {
     "representation": REPRESENTATIONS,
@@ -24,24 +25,34 @@ _CHOICES = {
     "features": FEATURE_SETS,
     "mode": PREDICTION_MODES,
     "kind": KINDS,
+    "profile": PROFILES,
 }
 
 
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+_UNIT_OPEN = ("in (0, 1)", lambda v: 0 < v < 1)
 _RULES = {
     "k": _AT_LEAST_1,
     "max_epochs": _AT_LEAST_1,
     "patience": _AT_LEAST_1,
+    "n_patients": _AT_LEAST_1,
     "learning_rate": _POSITIVE,
     "min_relative_improvement": _POSITIVE,
     "folds": ("at least 2", lambda v: v >= 2),
-    "threshold": ("in (0, 1)", lambda v: 0 < v < 1),
+    "workers": ("at least 0", lambda v: v >= 0),
+    "threshold": _UNIT_OPEN,
+    "alpha": _UNIT_OPEN,
+    "prevalence": _UNIT_OPEN,
+    "missing_rate": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "n_informative_variables": (f"between 1 and {vocab.N_DYNAMIC}",
+                                lambda v: 1 <= v <= vocab.N_DYNAMIC),
+    "effect_size": ("non-negative and finite", lambda v: 0 <= v < math.inf),
 }
 
 
 def check_choices(**values) -> None:
-    """Reject any setting in `values`, named as in RunConfig, that breaks its choices or rule.
+    """Reject any setting in `values`, keyed by its field name, that breaks its choice or rule.
 
     The grid rule: a positive window divides the horizon, of at most vocab.HORIZON_HOURS.
     """
@@ -78,7 +89,7 @@ class RunConfig:
         check_choices(**vars(self))
 
     def effective_workers(self) -> int:
-        if self.workers and self.workers > 0:
+        if self.workers:
             return self.workers
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))

@@ -113,9 +113,5 @@ class NegativeWeight(InputFault):
         super().__init__(f"weight for {name!r} must be non-negative, got {value}", line_no, path)
 
 
-class BadSpec(PatsimError):
-    pass
-
-
 class FoldProcessDied(PatsimError):
     """A cross-validation fold process ended before it returned its fold."""

@@ -412,13 +412,14 @@ class ComparisonReport:
     alpha: float = 0.05
 
 
-def compare(fold_metrics_by_method: dict, alpha=0.05) -> ComparisonReport:
+def compare(fold_metrics_by_method: dict, alpha=ComparisonReport.alpha) -> ComparisonReport:
     """Friedman test across methods, pairwise Wilcoxon only if it fires.
 
     Input maps method name to its per-fold metrics (all methods over the
     same folds). Pairwise tests run on fold F-measures and only when the
-    Friedman p-value is below alpha.
+    Friedman p-value is below alpha, which lies in (0, 1).
     """
+    check_choices(alpha=alpha)
     methods = list(fold_metrics_by_method)
     if len(methods) < 2:
         raise DegenerateMatrix("need at least two methods to compare")

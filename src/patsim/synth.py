@@ -28,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vocab
-from .config import RunConfig
-from .errors import BadSpec
+from .config import RunConfig, check_choices
 from .ingest import Cohort, Events, Outcomes, build_cohort
 from .streams import substream
-
-PROFILES = ("planted", "trend")
 
 # signal strengths in units of the per-variable noise scale
 LEVEL_SHIFT = 1.2         # level variables: whole-trajectory shift for positives
@@ -58,18 +55,7 @@ class SynthSpec:
     profile: str = "planted"
 
     def __post_init__(self):
-        if self.n_patients < 1:
-            raise BadSpec("n_patients must be positive")
-        if not (0.0 < self.prevalence < 1.0):
-            raise BadSpec("prevalence must lie in (0, 1)")
-        if not (0.0 <= self.missing_rate < 1.0):
-            raise BadSpec("missing_rate must lie in [0, 1)")
-        if not (1 <= self.n_informative_variables <= vocab.N_DYNAMIC):
-            raise BadSpec("n_informative_variables must be between 1 and 36")
-        if not np.isfinite(self.effect_size) or self.effect_size < 0:
-            raise BadSpec("effect_size must be a non-negative finite real")
-        if self.profile not in PROFILES:
-            raise BadSpec(f"unknown profile {self.profile!r}")
+        check_choices(**vars(self))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import argparse
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,9 +16,10 @@ from hypothesis import strategies as st
 
 from patsim import cli, evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
-from patsim.config import RunConfig, build_config, read_config_values
+from patsim.config import _CHOICES, _RULES, RunConfig, build_config, read_config_values
 from patsim.errors import BadConfig
 from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
+from patsim.synth import SynthSpec
 from patsim.weights import TrainConfig, load_manual_weights
 from util import FAULTS, mask_lines, mutate
 
@@ -365,6 +368,8 @@ class TestConfig:
             RunConfig(weighting="magic")
         with pytest.raises(BadConfig):
             build_config(overrides={"nonsense": 1})
+        with pytest.raises(BadConfig, match=r"^alpha must be in \(0, 1\)$"):
+            evaluation.compare({}, alpha=float("nan"))
 
     @pytest.mark.parametrize("name, value, reason", [
         ("k", 0, "k must be at least 1"),
@@ -379,9 +384,16 @@ class TestConfig:
         ("folds", 1, "folds must be at least 2"),
         ("threshold", 1.5, "threshold must be in (0, 1)"),
         ("threshold", 0.0, "threshold must be in (0, 1)"),
+        ("workers", -1, "workers must be at least 0"),
+        ("n_patients", 0, "n_patients must be at least 1"),
+        ("prevalence", float("nan"), "prevalence must be in (0, 1)"),
+        ("missing_rate", -0.1, "missing_rate must be in [0, 1)"),
+        ("n_informative_variables", 37, "n_informative_variables must be between 1 and 36"),
+        ("effect_size", float("inf"), "effect_size must be non-negative and finite"),
+        ("profile", "weird", "profile must be one of ('planted', 'trend'), got 'weird'"),
     ])
     def test_every_settings_class_rejects_a_bad_value_alike(self, name, value, reason):
-        carriers = [cls for cls in (RunConfig, MethodSpec, TrainConfig)
+        carriers = [cls for cls in (RunConfig, MethodSpec, TrainConfig, SynthSpec)
                     if name in {f.name for f in fields(cls)}]
         assert carriers
         for cls in carriers:
@@ -415,13 +427,55 @@ FLAG_VALUES = {"window_hours": "4", "horizon_hours": "24", "representation": "ag
                "mode": "weighted", "folds": "5", "seed": "11", "workers": "3"}
 
 
+# the option strings each subcommand's --help lists, besides -h: 76 in all
+HELP_FLAGS = {
+    "synth": "--out-dir --n-patients --prevalence --informative --missing-rate --effect-size "
+             "--profile --seed --config --verbose",
+    "frame": "--events --outcomes --out-frames --out-mask --stats-out --stats-in "
+             "--window-hours --horizon-hours --config --verbose",
+    "train": "--frames --weights-out --trace-out --lr --max-epochs --min-rel-improvement "
+             "--patience --k --init-weights --config --workers --verbose",
+    "predict": "--train-frames --query-frames --weights --k --mode --threshold --out --config "
+               "--workers --verbose",
+    "evaluate": "--events --outcomes --representation --weighting --features --manual-weights "
+                "--k --mode --threshold --lr --folds --split --out --seed --config --workers "
+                "--verbose",
+    "compare": "--alpha --out-json --out-text --verbose",
+    "experiment": "--events --outcomes --out-dir --n-patients --profile --manual-weights --k "
+                  "--lr --folds --seed --config --workers --verbose",
+}
+
+# flags that a subcommand took once and never read
+DROPPED_FLAGS = [("frame", "--seed"), ("train", "--seed"), ("predict", "--seed"),
+                 ("compare", "--seed"), ("compare", "--config"), ("synth", "--workers"),
+                 ("frame", "--workers"), ("compare", "--workers")]
+
+
 class TestFlagWiring:
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_exits_0(self, command, capsys):
+        """--help exits 0 and lists exactly the subcommand's flags."""
         with pytest.raises(SystemExit) as caught:
             main([command, "--help"])
         assert caught.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == HELP_FLAGS[command].split()
+
+    @pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+    def test_a_dropped_flag_is_a_usage_error(self, command, flag, capsys):
+        argv = [command] + _required_argv(_subparsers()[command]) + [flag, "1"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_every_rule_names_a_setting(self):
+        """A rule or choice whose key is no setting's name would never fire."""
+        settings = {f.name for cls in (RunConfig, TrainConfig, SynthSpec, MethodSpec)
+                    for f in fields(cls)}
+        assert "alpha" in inspect.signature(evaluation.compare).parameters
+        settings.add("alpha")
+        assert set(_RULES) | set(_CHOICES) <= settings
 
     def test_a_flag_sets_what_its_config_key_sets(self, tmp_path):
         run_fields = {f.name for f in fields(RunConfig)}
@@ -522,8 +576,15 @@ class TestLocatedFaults:
         (["frame", "--window-hours", "5", "--out-frames", "f.csv"], None,
          "window_hours must be positive and divide horizon_hours, which is at most 48; "
          "got 5 and 48"),
+        (["experiment", "exp3", "--workers", "-4"], None, "workers must be at least 0"),
+        (["experiment", "exp3"], "workers = -1\n", "workers must be at least 0"),
+        (["experiment", "exp3", "--n-patients", "50"], None,
+         "--n-patients sets the synthetic cohort, which --events and --outcomes replace"),
+        (["experiment", "exp3", "--profile", "trend"], None,
+         "--profile sets the synthetic cohort, which --events and --outcomes replace"),
     ], ids=["lr_negative", "lr_nan", "config_max_epochs_0", "threshold", "horizon_72h",
-            "window_5h"])
+            "window_5h", "workers_negative", "config_workers_negative", "n_patients_with_data",
+            "profile_with_data"])
     def test_settings_faults_come_before_data(self, tmp_path, capsys, argv, config, reason):
         argv = argv + ["--events", tmp_path / "missing.csv", "--outcomes", tmp_path / "no.csv"]
         if argv[0] == "experiment":
@@ -532,6 +593,13 @@ class TestLocatedFaults:
             (tmp_path / "run.cfg").write_text(config)
             argv += ["--config", tmp_path / "run.cfg"]
         assert one_line_error(capsys, argv) == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "1.5"])
+    def test_compare_alpha_fault_comes_before_the_reports(self, tmp_path, capsys, alpha):
+        err = one_line_error(capsys, ["compare", f"x={tmp_path / 'missing.csv'}",
+                                      f"y={tmp_path / 'missing.csv'}", "--out-json",
+                                      tmp_path / "o.json", "--alpha", alpha])
+        assert err == "error: alpha must be in (0, 1)\n"
 
     @pytest.mark.parametrize("lr, reason", [
         ("nan", "learning_rate must be positive and finite"),

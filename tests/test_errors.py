@@ -26,7 +26,6 @@ INSTANCES = [
     errors.TooFewPerClass("class 1 has fewer than 20 members"),
     errors.TooFewPairs("only 3 non-zero differences"),
     errors.DegenerateMatrix("need at least 2 folds and 2 methods"),
-    errors.BadSpec("bad spec"),
     errors.FoldProcessDied("a fold process died"),
 ]
 

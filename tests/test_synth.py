@@ -6,7 +6,7 @@ import pytest
 
 from patsim import framing, vocab, weights
 from patsim.cli import main
-from patsim.errors import BadSpec
+from patsim.errors import BadConfig
 from patsim.synth import SynthSpec, generate
 
 
@@ -16,15 +16,15 @@ def frames_for(result):
 
 class TestSpecValidation:
     def test_bad_values(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadConfig):
             SynthSpec(n_patients=0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadConfig):
             SynthSpec(prevalence=1.0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadConfig):
             SynthSpec(missing_rate=1.0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadConfig):
             SynthSpec(n_informative_variables=0)
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadConfig):
             SynthSpec(profile="weird")
 
 
