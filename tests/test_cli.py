@@ -472,9 +472,7 @@ class TestFlagWiring:
     def test_every_rule_names_a_setting(self):
         """A rule or choice whose key is no setting's name would never fire."""
         settings = {f.name for cls in (RunConfig, TrainConfig, SynthSpec, MethodSpec)
-                    for f in fields(cls)}
-        assert "alpha" in inspect.signature(evaluation.compare).parameters
-        settings.add("alpha")
+                    for f in fields(cls)} | set(inspect.signature(evaluation.compare).parameters)
         assert set(_RULES) | set(_CHOICES) <= settings
 
     def test_a_flag_sets_what_its_config_key_sets(self, tmp_path):
