@@ -117,8 +117,7 @@ def _cmd_evaluate(args) -> int:
     manual = None
     if args.manual_weights:
         manual = weights_mod.load_manual_weights(args.manual_weights)
-    method = knn_method(config.weighting, config, features=config.features,
-                        manual_weights=manual)
+    method = knn_method(config.weighting, config, manual_weights=manual)
     ids = cohort.patient_ids
     if args.split == "validation":
         ids = validation_ids(cohort, config.seed)
@@ -160,6 +159,9 @@ def _write_report(report, json_path, text_path=None):
 
 
 def _cmd_experiment(args) -> int:
+    if args.manual_weights and args.preset != "exp3":
+        raise PatsimError(f"--manual-weights sets exp3's manual arm, which {args.preset} "
+                          f"does not have")
     config = _config_from_args(args)
     if bool(args.events) != bool(args.outcomes):
         raise PatsimError("supply both --events and --outcomes, or neither")

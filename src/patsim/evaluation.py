@@ -24,7 +24,7 @@ from .errors import (
     TooFewPairs,
     TooFewPerClass,
 )
-from .knn import FeatureWeights, Model, classify_distances, weighted_distances
+from .knn import FeatureWeights, Model, classify_distances, nearest
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
 
@@ -194,17 +194,18 @@ def _predict_knn_methods(train_scaled, test_scaled, methods) -> list:
     Every method first learns its weights on one shared Workspace, which
     builds the leave-one-out tensor and the filter tables once, on first
     use. The workspace, and with it the tensor, is then dropped, and one
-    weighted_distances pass over the test side weighs each query under all
-    the learned weightings; each method applies only its own selection and
+    nearest() search over the test side finds each query's neighbors
+    under all the learned weightings; each method applies only its own
     decision.
     """
     fold = Workspace(train_scaled)
     learned = [_learn_weights(fold, m) for m in methods]
-    del fold    # frees the tensor before the test side is scanned
-    d2 = weighted_distances(test_scaled, train_scaled, [w.values for w in learned])
-    return [classify_distances(rows, Model(train_scaled, w, k=m.k, prediction_mode=m.mode,
-                                           threshold=m.threshold))[0]
-            for m, w, rows in zip(methods, learned, d2)]
+    del fold    # frees the tensor before the test side is searched
+    models = [Model(train_scaled, w, k=m.k, prediction_mode=m.mode, threshold=m.threshold)
+              for m, w in zip(methods, learned)]
+    selections = nearest(test_scaled, train_scaled, [w.values for w in learned],
+                         [m.k for m in methods])
+    return [classify_distances(sel, model)[0] for sel, model in zip(selections, models)]
 
 
 def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:

@@ -28,9 +28,9 @@ PRESETS = ("exp1", "exp2", "exp3")
 
 
 def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
-    """A kNN method from the run configuration on all features; overrides win."""
-    taken = ("representation", "weighting", "k", "mode", "threshold", "learning_rate",
-             "max_epochs")
+    """A kNN method from the run configuration; overrides win."""
+    taken = ("representation", "weighting", "features", "k", "mode", "threshold",
+             "learning_rate", "max_epochs")
     return MethodSpec(name=name, **{**{key: getattr(config, key) for key in taken}, **overrides})
 
 

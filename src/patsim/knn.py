@@ -9,15 +9,17 @@ special case at zero distance.
 
 One engine serves prediction and the leave-one-out weight training in
 `weights`, over cohorts stacked in ascending patient_id order
-(`framing.Frames`): `weighted_distances` scans each query against a cohort
-once and weighs that scan under every given weighting, `top_k` selects
-from a distance matrix over those columns (the ascending-patient_id
-tie-break lives there), and `soft_scores`/`decide_rows` score the
-selection.
+(`framing.Frames`): `nearest` finds each query's k nearest training
+patients under every given weighting, screening out by a bounded gram
+product the patients that cannot be among them and scanning the rest
+exactly; `top_k` selects from a distance matrix over those columns (the
+ascending-patient_id tie-break lives there), and `soft_scores`/
+`decide_rows` score the selection.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,26 +74,137 @@ def weighted_distance_sq(a, b, weights) -> float:
     return float(variable_distances_sq(a, b) @ _weight_array(weights))
 
 
-def weighted_distances(queries: Frames, train: Frames, weightings) -> np.ndarray:
-    """Weighted squared distances (m, q, n_train) from each query to the training set.
+# Queries screened at once: the screen's (block, n_train) arrays hold about this
+# many elements each, so its memory stays bounded as the training set grows.
+SCREEN_ELEMENTS = 1 << 18
 
-    Matrix j is weighed by `weightings[j]`, a vector of 40 weights. One
-    exact difference scan per query fills one reused (n_train, 40) buffer,
-    with no gram-form shortcut, so a query identical to a training patient
-    lies at exactly 0. Each weighting is then one (n_train, 40) @ w product
-    per query: a product batched over queries may sum in another order,
-    and a last-bit change can reorder a distance tie.
+# The screen's margin for a pair (i, j) is _TAU * (q_i + q_j) + _ETA, where q_i is
+# the squared norm of row i of the scaled flat cohort (see _screen). Against the
+# exact path's computed distance, the gram form's error is at most about
+# 3*g(F) + g(64) of q_i + q_j, with g(m) = m*u the usual rounding bound (u = 2**-53)
+# and F = 36*c + 4 columns: the scaled cells, the norms and the dot product each
+# sum F terms, and the exact path subtracts and squares per cell, sums c cells,
+# weighs and sums 40 variables, all over non-negative terms whose real total is at
+# most 2*(q_i + q_j). At F = 868 that is about 3e-13; _TAU = 2**-30 (9.3e-10) is
+# some 3,000 times larger, and it also absorbs the roundings of the margin and of
+# the bound themselves. _ETA covers products that underflow in either path, whose
+# absolute errors stay below 1e-320 a term.
+_TAU = 2.0 ** -30
+_ETA = 1e-300
+
+
+def _flat(grid, statics) -> np.ndarray:
+    """(n, 36*c + 4) rows: each patient's grid cells, variable by variable, then statics."""
+    return np.concatenate([grid.reshape(len(grid), -1), statics], axis=1)
+
+
+def _screen(queries, train, k, left_out) -> np.ndarray:
+    """Candidates (b, n_train): every pair that can be among its query's k nearest.
+
+    `queries` and `train` are flat rows already scaled so that a squared
+    euclidean distance between them is the weighted distance. One BLAS
+    gram gives approx = q_i + q_j - 2 x_i.x_j, within the margin
+    _TAU * (q_i + q_j) + _ETA of the exact computed distance. Row i's
+    bound U_i is its k-th smallest approx + margin, so at least k pairs
+    lie at or below it exactly; a pair whose approx - margin exceeds U_i
+    cannot be among the k nearest. A pair the gram overflowed on (approx
+    or margin not finite) is always a candidate, a left-out pair never.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (np.einsum("ij,ij->i", queries, queries)[:, None]
+                 + np.einsum("ij,ij->i", train, train)[None, :])
+        approx = norms - 2.0 * (queries @ train.T)
+        margin = _TAU * norms + _ETA
+        upper, lower = approx + margin, approx - margin
+    upper[~np.isfinite(upper) | left_out] = np.inf
+    bound = np.partition(upper, k - 1, axis=1)[:, k - 1:k]
+    return ((lower <= bound) | ~np.isfinite(lower)) & ~left_out
+
+
+def _exact_terms(train: Frames, rows, grid, statics, per_var) -> None:
+    """Write the 40 per-variable squared distances from one query to training `rows`.
+
+    Each lands in its own row of `per_var`. The arithmetic is per element
+    (difference, square) and per output (a mean over one variable's
+    cells), so a row's values do not depend on which other rows are
+    computed with it.
+    """
+    n_dyn = train.grid.shape[1]
+    per_var[rows, :n_dyn] = ((train.grid[rows] - grid) ** 2).mean(axis=2)
+    per_var[rows, n_dyn:] = (train.statics[rows] - statics) ** 2
+
+
+def _exact_rows(grid, statics, train: Frames, weightings, candidates) -> list:
+    """Weighted distances (b, n_train) per weighting from a block of queries: exact at
+    that weighting's candidates, +inf elsewhere.
+
+    Each query's candidates under any weighting get one exact difference
+    scan into a zeroed (n_train, 40) buffer, at their own rows. Every
+    weighting is then one (n_train, 40) @ w product over the whole buffer,
+    as a full scan makes it: a row's sum depends only on its values and
+    its position, so every candidate gets the full scan's bits.
+    """
+    per_var = np.zeros((len(train), vocab.N_VARIABLES))
+    d2 = [np.full(c.shape, np.inf) for c in candidates]
+    for i, union in enumerate(np.logical_or.reduce(candidates)):
+        _exact_terms(train, np.flatnonzero(union), grid[i], statics[i], per_var)
+        for rows, cand, w in zip(d2, candidates, weightings):
+            rows[i, cand[i]] = (per_var @ w)[cand[i]]
+    return d2
+
+
+def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) -> list:
+    """The k nearest training patients of each query, under each of several weightings.
+
+    Returns one (idx, d2_sel) per weighting (a vector of 40 weights): the
+    columns of `train`, (q, k), nearest first with equal distances by
+    ascending patient_id, and their weighted squared distances. `k` is
+    one int or one per weighting. With leave_one_out, training entries
+    sharing a query's patient_id are excluded.
+
+    The result is that of an exact difference scan of every query against
+    every training patient, bit for bit, so a query identical to a
+    training patient lies at exactly 0: only the candidates the gram
+    screen (_screen) cannot rule out get that scan, and top_k selects
+    from their distances with +inf elsewhere. Queries go in blocks of
+    about SCREEN_ELEMENTS / n_train. A query with a candidate at a
+    non-finite exact distance, where the screen's bound does not hold,
+    is scanned in full.
     """
     if queries.grid.shape[1:] != train.grid.shape[1:]:
         raise DimensionMismatch("query grid does not match training grid")
-    n_dyn = train.grid.shape[1]
-    per_var = np.empty((len(train), vocab.N_VARIABLES))
-    out = np.empty((len(weightings), len(queries), len(train)))
-    for i, (grid, statics) in enumerate(zip(queries.grid, queries.statics)):
-        per_var[:, :n_dyn] = ((train.grid - grid[None]) ** 2).mean(axis=2)
-        per_var[:, n_dyn:] = (train.statics - statics[None]) ** 2
-        for d2, w in zip(out, weightings):
-            d2[i] = per_var @ w
+    ks = np.broadcast_to(k, (len(weightings),)).tolist()
+    excluded = 0
+    if leave_one_out and len(queries):
+        copies = Counter(train.ids)
+        excluded = max(copies[pid] for pid in queries.ids)
+    if max(ks) > len(train) - excluded:
+        raise KTooLarge(f"k={max(ks)} but only {len(train) - excluded} candidate neighbors")
+    n_dyn, cells = train.grid.shape[1:]
+    scales = [np.concatenate([np.repeat(np.sqrt(w[:n_dyn] / cells), cells),
+                              np.sqrt(w[n_dyn:])]) for w in weightings]
+    flat_train, train_ids = _flat(train.grid, train.statics), np.array(train.ids)
+    out = [(np.empty((len(queries), kj), dtype=np.intp), np.empty((len(queries), kj)))
+           for kj in ks]
+    step = max(1, SCREEN_ELEMENTS // len(train))
+    for lo in range(0, len(queries), step):
+        block = slice(lo, lo + step)
+        grid, statics = queries.grid[block], queries.statics[block]
+        left_out = (np.array(queries.ids[block])[:, None] == train_ids if leave_one_out
+                    else np.zeros((len(grid), len(train)), dtype=bool))
+        flat = _flat(grid, statics)
+        candidates = [_screen(flat * s, flat_train * s, kj, left_out)
+                      for s, kj in zip(scales, ks)]
+        d2 = _exact_rows(grid, statics, train, weightings, candidates)
+        unsure = np.logical_or.reduce([(c & ~np.isfinite(rows)).any(axis=1)
+                                       for c, rows in zip(candidates, d2)])
+        if unsure.any():
+            for c in candidates:
+                c[unsure] = ~left_out[unsure]
+            d2 = _exact_rows(grid, statics, train, weightings, candidates)
+        for (idx, d2_sel), rows, kj in zip(out, d2, ks):
+            idx[block] = top_k(rows, kj)
+            d2_sel[block] = np.take_along_axis(rows, idx[block], axis=1)
     return out
 
 
@@ -169,41 +282,19 @@ class Model:
 
 
 def _nearest(queries: Frames, model: Model, leave_one_out) -> tuple:
-    """Neighbor indices (q, k) into model.frames and their distances (q, k).
+    """Neighbor indices (q, k) into model.frames and their distances (q, k)."""
+    return nearest(queries, model.frames, [model.weights.values], model.k, leave_one_out)[0]
 
-    With leave_one_out, training entries sharing a query's patient_id are
-    excluded.
+
+def classify_distances(selection, model: Model) -> tuple:
+    """Predict (labels, scores) from a selection (idx, d2_sel) made under model.weights.
+
+    The selection is one of nearest()'s. This is how the methods of one
+    cross-validation fold share one neighbor search: each applies only
+    its own decision.
     """
-    d2 = weighted_distances(queries, model.frames, [model.weights.values])[0]
-    excluded = 0
-    if leave_one_out and len(queries):
-        same = np.array(queries.ids)[:, None] == np.array(model.frames.ids)
-        d2[same] = np.inf
-        excluded = int(same.sum(axis=1).max())
-    return _select(d2, model, excluded)
-
-
-def _select(d2, model: Model, excluded=0) -> tuple:
-    candidates = len(model.frames) - excluded
-    if model.k > candidates:
-        raise KTooLarge(f"k={model.k} but only {candidates} candidate neighbors")
-    idx = top_k(d2, model.k)
-    return idx, np.take_along_axis(d2, idx, axis=1)
-
-
-def _decide(nearest, model: Model) -> tuple:
-    idx, d2_sel = nearest
+    idx, d2_sel = selection
     return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
-
-
-def classify_distances(d2, model: Model) -> tuple:
-    """Predict (labels, scores) from weighted distances (q, n_train) under model.weights.
-
-    The rows come from weighted_distances. This is how the methods of one
-    cross-validation fold share one distance scan: each applies only its
-    own selection and decision.
-    """
-    return _decide(_select(d2, model), model)
 
 
 def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
@@ -212,11 +303,11 @@ def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
     With leave_one_out, training entries sharing a query's patient_id are
     not among that query's candidates.
     """
-    return _decide(_nearest(queries, model, leave_one_out), model)
+    return classify_distances(_nearest(queries, model, leave_one_out), model)
 
 
 def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
-    """Exact k nearest training patients by full scan.
+    """Exact k nearest training patients, as a full scan finds them.
 
     With leave_one_out, training entries sharing the query's patient_id are
     excluded. Ties in distance resolve by ascending patient_id.

@@ -5,6 +5,8 @@ assignment) pulls its generator from here, so a whole run is reproducible
 from one seed while each component can be re-run in isolation.
 """
 
+from __future__ import annotations
+
 import zlib
 
 import numpy as np

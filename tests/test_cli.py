@@ -233,6 +233,20 @@ class TestEvaluateCompare:
         assert "friedman" in report
         assert "precision" in text_path.read_text()
 
+    def test_experiment_takes_features_from_the_config(self, synth_dir, tmp_path):
+        reports = {}
+        for features in ("all", "static_only"):
+            config = tmp_path / f"{features}.cfg"
+            config.write_text(f"features = {features}\nmax_epochs = 3\n")
+            out = tmp_path / features
+            rc = main(["experiment", "exp3", "--events", str(synth_dir / "events.csv"),
+                       "--outcomes", str(synth_dir / "outcomes.csv"), "--folds", "3",
+                       "--k", "3", "--config", str(config), "--out-dir", str(out)])
+            assert rc == 0
+            reports[features] = json.loads((out / "exp3_report.json").read_text())
+        assert reports["all"]["methods"] == reports["static_only"]["methods"]
+        assert reports["all"]["fold_f_measures"] != reports["static_only"]["fold_f_measures"]
+
     def test_compare_rejects_a_repeated_report_name(self, tmp_path, capsys):
         report = tmp_path / "a.csv"
         report.write_text(f"{FOLD_METRICS_HEADER}\n0,1,2,3,4,0.5,0.5,0.5\n")
@@ -580,9 +594,13 @@ class TestLocatedFaults:
          "--n-patients sets the synthetic cohort, which --events and --outcomes replace"),
         (["experiment", "exp3", "--profile", "trend"], None,
          "--profile sets the synthetic cohort, which --events and --outcomes replace"),
+        (["experiment", "exp1", "--manual-weights", "missing_w.csv"], None,
+         "--manual-weights sets exp3's manual arm, which exp1 does not have"),
+        (["experiment", "exp2", "--manual-weights", "missing_w.csv"], None,
+         "--manual-weights sets exp3's manual arm, which exp2 does not have"),
     ], ids=["lr_negative", "lr_nan", "config_max_epochs_0", "threshold", "horizon_72h",
             "window_5h", "workers_negative", "config_workers_negative", "n_patients_with_data",
-            "profile_with_data"])
+            "profile_with_data", "exp1_manual_weights", "exp2_manual_weights"])
     def test_settings_faults_come_before_data(self, tmp_path, capsys, argv, config, reason):
         argv = argv + ["--events", tmp_path / "missing.csv", "--outcomes", tmp_path / "no.csv"]
         if argv[0] == "experiment":

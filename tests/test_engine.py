@@ -2,29 +2,32 @@
 
 Selection is checked against a sorted (distance, patient_id) scan and a
 stable argsort on tie-heavy matrices; batch prediction against the
-one-query path; one weighted-distance pass under several weightings
-against per-method scans;
+one-query path; the screened search under several weightings against a
+full exact scan and against per-method scans, bit for bit, and its
+screen against admitting everyone;
 the packed leave-one-out tensor against the square one it replaced, and
 its weighted sums on exact duplicate patients; and gradient descent
 against the loop that gathered the selected pairs twice per epoch.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patsim import vocab
+from patsim import knn, vocab
 from patsim.errors import KTooLarge
-from patsim.framing import stack
+from patsim.framing import FramedPatient, stack
 from patsim.knn import (
     FeatureWeights,
     Model,
     classify_batch,
     classify_distances,
+    nearest,
     neighbors,
     top_k,
-    weighted_distances,
 )
 from patsim.weights import (
     TrainConfig,
@@ -38,6 +41,8 @@ from patsim.weights import (
 from util import (
     argsort_top_k,
     decide,
+    full_scan,
+    full_scan_nearest,
     quantized_frames,
     random_dense_frames,
     square_distance_tensor,
@@ -191,7 +196,7 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
     ids, y = model.frames.ids, model.frames.labels
     for q, label, score in zip(queries, labels, scores):
-        row = weighted_distances(stack([q]), model.frames, [model.weights.values])[0, 0]
+        row = full_scan(stack([q]), model.frames, [model.weights.values])[0, 0]
         nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
         assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
             [ids[j] for j in nearest]
@@ -223,40 +228,160 @@ def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
 
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
 def test_weighted_rows_equal_the_per_query_product(make):
-    """Every weighting's rows equal one exact per-query scan weighed alone, bit for bit."""
+    """Every weighting's selection is that of one exact per-query scan weighed alone,
+    in indices and distances, bit for bit."""
     rng = np.random.default_rng(21)
     train = stack(make(50, rng))
     queries = stack(make(13, np.random.default_rng(22)))
     weightings = [rng.random(vocab.N_VARIABLES), np.ones(vocab.N_VARIABLES),
                   quantized_weights(rng).values]
-    d2 = weighted_distances(queries, train, weightings)
-    assert d2.shape == (len(weightings), len(queries), len(train))
+    found = nearest(queries, train, weightings, 7)
+    assert len(found) == len(weightings)
     for i, q in enumerate(queries):
         dyn = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
         stat = (train.statics - q.statics[None]) ** 2
         per_var = np.concatenate([dyn, stat], axis=1)
-        for rows, w in zip(d2, weightings):
-            assert rows[i].tolist() == (per_var @ w).tolist()
+        for (idx, d2_sel), w in zip(found, weightings):
+            row = (per_var @ w)[None]
+            assert idx[i].tolist() == top_k(row, 7)[0].tolist()
+            assert d2_sel[i].tolist() == row[0, idx[i]].tolist()
 
 
 @pytest.mark.parametrize("mode", ["majority", "weighted"])
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
 def test_shared_distances_equal_per_method_classify_batch(mode, make):
-    """Several weightings on one distance pass predict as their own Model scans would."""
+    """Several weightings in one search predict as their own Model scans would."""
     rng = np.random.default_rng(31)
     train, queries = make(40, rng), stack(make(17, np.random.default_rng(32)))
     shared = stack(train)
     weightings = [FeatureWeights.uniform(), quantized_weights(rng),
                   FeatureWeights(rng.random(vocab.N_VARIABLES))]
-    d2 = weighted_distances(queries, shared, [w.values for w in weightings])
-    for w, rows in zip(weightings, d2):
+    found = nearest(queries, shared, [w.values for w in weightings], 6)
+    for w, selection in zip(weightings, found):
         on_own = Model(stack(train), w, k=6, prediction_mode=mode, threshold=0.45)
         on_shared = Model(shared, w, k=6, prediction_mode=mode, threshold=0.45)
         assert on_shared.frames is shared
         expected = classify_batch(queries, on_own)
-        got = classify_distances(rows, on_shared)
+        got = classify_distances(selection, on_shared)
         assert got[0].tolist() == expected[0].tolist()
         assert got[1].tolist() == expected[1].tolist()
+
+
+# ---------------------------------------------------------------------------
+# the screened search against the full exact scan
+
+
+def assert_equals_full_scan(queries, train, weightings, k, leave_one_out=False):
+    """nearest() gives full_scan_nearest's indices and distance bits under every weighting."""
+    got = nearest(queries, train, weightings, k, leave_one_out)
+    expected = full_scan_nearest(queries, train, weightings, k, leave_one_out)
+    assert len(got) == len(expected)
+    for (idx, d2_sel), (want_idx, want_d2) in zip(got, expected):
+        assert idx.tolist() == want_idx.tolist()
+        assert d2_sel.tobytes() == want_d2.tobytes()
+
+
+def drawn_weighting(rng, kind):
+    if kind == "random":
+        return rng.random(vocab.N_VARIABLES)
+    if kind == "sparse":     # most variables off
+        return rng.random(vocab.N_VARIABLES) * (rng.random(vocab.N_VARIABLES) < 0.2)
+    if kind == "integer":
+        return rng.integers(0, 4, vocab.N_VARIABLES).astype(float)
+    return np.ones(vocab.N_VARIABLES)
+
+
+@settings(max_examples=120, deadline=None)
+@given(SEEDS, st.sampled_from([random_dense_frames, quantized_frames]), st.integers(2, 70),
+       st.booleans(), st.lists(st.sampled_from(["random", "sparse", "integer", "uniform"]),
+                               min_size=1, max_size=3),
+       st.sampled_from([1, 3, None]), st.sampled_from([6, 24]))
+def test_screened_search_equals_the_full_scan(seed, make, n, leave_one_out, kinds,
+                                              block_queries, n_buckets):
+    """Bit for bit, on dense and duplicate-heavy cohorts, with blocks of 1 or 3 queries
+    or the default budget."""
+    rng = np.random.default_rng(seed)
+    train_list = make(n, rng, n_buckets=n_buckets)
+    train = stack(train_list)
+    if leave_one_out:
+        queries = stack(train_list[: int(rng.integers(1, n + 1))])
+    else:
+        queries = stack(make(int(rng.integers(1, 12)), rng, n_buckets=n_buckets))
+    weightings = [drawn_weighting(rng, kind) for kind in kinds]
+    k = int(rng.integers(1, n))
+    budget = knn.SCREEN_ELEMENTS if block_queries is None else block_queries * n
+    with mock.patch.object(knn, "SCREEN_ELEMENTS", budget):
+        assert_equals_full_scan(queries, train, weightings, k, leave_one_out)
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("scale, variables", [
+    (1e308, slice(0, 3)),     # the gram's norms overflow, the exact distances do not
+    (1e308, slice(None)),     # both overflow: every distance is +inf
+    (1e200, slice(None)),
+])
+def test_overflowing_weights_fall_back_to_the_full_scan(leave_one_out, scale, variables):
+    rng = np.random.default_rng(3)
+    train = stack(random_dense_frames(30, rng))
+    queries = train if leave_one_out else stack(random_dense_frames(8, rng))
+    w = rng.random(vocab.N_VARIABLES)
+    w[variables] = scale
+    with np.errstate(over="ignore"):
+        assert_equals_full_scan(queries, train, [w, np.ones(vocab.N_VARIABLES)], 5,
+                                leave_one_out)
+
+
+def test_exact_overflow_under_a_finite_gram_falls_back_to_the_full_scan():
+    """A difference of 1.4e154 squares to +inf on the exact path, while the gram, under
+    a weight of 1e-300, puts the pair at about 7.8e6: that pair alone would pass the
+    screen at k = 1, and the nearest patient (at 1.6e7) would be missed."""
+    blank = dict(mask=np.ones((vocab.N_DYNAMIC, 24), dtype=bool), label=0)
+    far_cell = np.zeros((vocab.N_DYNAMIC, 24))
+    far_cell[0, 0] = 1.4e154
+    query = FramedPatient("q", np.zeros((vocab.N_DYNAMIC, 24)), statics=np.zeros(4), **blank)
+    train = stack([FramedPatient("a", far_cell, statics=np.zeros(4), **blank),
+                   FramedPatient("b", np.zeros((vocab.N_DYNAMIC, 24)),
+                                 statics=np.array([4000.0, 0, 0, 0]), **blank)])
+    w = np.ones(vocab.N_VARIABLES)
+    w[0] = 1e-300
+    with np.errstate(over="ignore"):
+        (idx, d2_sel), = nearest(stack([query]), train, [w], 1)
+        assert_equals_full_scan(stack([query]), train, [w], 1)
+    assert idx.tolist() == [[1]] and d2_sel.tolist() == [[1.6e7]]
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+def test_identical_cohort_ties_by_patient_id(leave_one_out):
+    frames = random_dense_frames(25, np.random.default_rng(5))
+    for f in frames[1:]:
+        f.dynamic, f.statics = frames[0].dynamic.copy(), frames[0].statics.copy()
+    train = stack(frames)
+    queries = stack(frames[::-3]) if leave_one_out else stack(frames[:1])
+    (idx, d2_sel), = nearest(queries, train, [np.ones(vocab.N_VARIABLES)], 24 if
+                             leave_one_out else 25, leave_one_out)
+    for pid, row in zip(queries.ids, idx):
+        assert [train.ids[j] for j in row] == [p for p in train.ids if
+                                                not (leave_one_out and p == pid)]
+    assert (d2_sel == 0.0).all()
+    assert_equals_full_scan(queries, train, [np.ones(vocab.N_VARIABLES)], 7, leave_one_out)
+
+
+def test_screen_admits_few_exact_rows(monkeypatch):
+    """On 200 random dense patients at k = 10, fewer than 2k training rows per query
+    get the exact scan: a screen that admits everyone fails here."""
+    frames = stack(random_dense_frames(200, np.random.default_rng(8)))
+    rows = []
+    exact = knn._exact_terms
+
+    def counting(train, candidates, *args):
+        rows.append(len(candidates))
+        return exact(train, candidates, *args)
+
+    monkeypatch.setattr(knn, "_exact_terms", counting)
+    w = np.random.default_rng(9).random(vocab.N_VARIABLES)
+    nearest(frames, frames, [w], 10, leave_one_out=True)
+    assert len(rows) == 200
+    assert max(rows) < 20
 
 
 def test_leave_one_out_batch_too_few_candidates():

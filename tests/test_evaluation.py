@@ -457,6 +457,18 @@ class TestTailProbabilities:
                              check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_numpy_random_out(self):
+        """numpy.random loads only when a command draws random numbers (synth, splits,
+        folds), not on `import patsim.cli`, so train and predict never pay for it."""
+        import subprocess
+        import sys
+        code = ("import sys, patsim.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules if m == 'scipy' "
+                "or m.startswith(('scipy.', 'numpy.random'))}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]
 
@@ -579,22 +591,22 @@ def test_one_workspace_per_fold(monkeypatch, preset, expected):
 
 def test_fold_tensor_is_freed_before_the_test_side_is_scanned(monkeypatch, raw_frames):
     """A fold learns every kNN method's weights, then drops its workspace and
-    tensor, and only then scans the test side, once for all weightings."""
+    tensor, and only then searches the test side, once for all weightings."""
     tensors, scans = [], []
-    build, scan = weights._distance_tensor, evaluation.weighted_distances
+    build, search = weights._distance_tensor, evaluation.nearest
 
     def recording_build(*args):
         tensor = build(*args)
         tensors.append(weakref.ref(tensor))
         return tensor
 
-    def checking_scan(queries, train, weightings):
+    def checking_search(queries, train, weightings, k, *args):
         assert tensors and all(ref() is None for ref in tensors)
         scans.append(len(weightings))
-        return scan(queries, train, weightings)
+        return search(queries, train, weightings, k, *args)
 
     monkeypatch.setattr(weights, "_distance_tensor", recording_build)
-    monkeypatch.setattr(evaluation, "weighted_distances", checking_scan)
+    monkeypatch.setattr(evaluation, "nearest", checking_search)
     methods = [MethodSpec(name="gd", weighting="gd", k=5, max_epochs=2),
                MethodSpec(name="maj", kind="majority"),
                MethodSpec(name="chi2", weighting="chi2", k=5),

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from patsim import ingest, vocab
 from patsim.framing import N_AGG, FramedPatient, stack
-from patsim.knn import NeighborSet, classify_batch, decide_rows
+from patsim.knn import NeighborSet, classify_batch, decide_rows, top_k
 
 
 def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
@@ -80,6 +80,33 @@ def square_distance_tensor(grid, statics) -> np.ndarray:
         s = statics[:, j]
         out[n_dyn + j] = (s[:, None] - s[None, :]) ** 2
     return out
+
+
+def full_scan(queries, train, weightings) -> np.ndarray:
+    """Reference weighted squared distances (m, q, n_train): every query against every
+    training patient, under each of the m weightings.
+
+    One exact difference scan per query fills one reused (n_train, 40)
+    buffer, and each weighting is one (n_train, 40) @ w product on it: the
+    arithmetic knn.nearest applies to its candidates.
+    """
+    n_dyn = train.grid.shape[1]
+    per_var = np.empty((len(train), vocab.N_VARIABLES))
+    out = np.empty((len(weightings), len(queries), len(train)))
+    for i, (grid, statics) in enumerate(zip(queries.grid, queries.statics)):
+        per_var[:, :n_dyn] = ((train.grid - grid[None]) ** 2).mean(axis=2)
+        per_var[:, n_dyn:] = (train.statics - statics[None]) ** 2
+        for d2, w in zip(out, weightings):
+            d2[i] = per_var @ w
+    return out
+
+
+def full_scan_nearest(queries, train, weightings, k, leave_one_out=False) -> list:
+    """Reference (idx, d2_sel) per weighting: top_k over full_scan's rows, left-out at +inf."""
+    d2 = full_scan(queries, train, weightings)
+    if leave_one_out:
+        d2[:, np.array(queries.ids)[:, None] == np.array(train.ids)] = np.inf
+    return [(idx := top_k(rows, k), np.take_along_axis(rows, idx, axis=1)) for rows in d2]
 
 
 def classify(query, model):
