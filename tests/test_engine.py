@@ -320,7 +320,9 @@ def test_screened_search_equals_the_full_scan(seed, make, n, leave_one_out, kind
     (1e308, slice(None)),     # both overflow: every distance is +inf
     (1e200, slice(None)),
 ])
-def test_overflowing_weights_fall_back_to_the_full_scan(leave_one_out, scale, variables):
+def test_overflowing_weights_equal_the_full_scan(leave_one_out, scale, variables):
+    """Where the gram overflows, every pair is a candidate; where the exact path
+    overflows too, each query is scanned in full, +inf ties going by patient_id."""
     rng = np.random.default_rng(3)
     train = stack(random_dense_frames(30, rng))
     queries = train if leave_one_out else stack(random_dense_frames(8, rng))
