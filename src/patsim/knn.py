@@ -214,14 +214,22 @@ def top_k(d2, k) -> np.ndarray:
     Columns are patients in ascending patient_id order, and equal distances
     resolve by ascending column, hence by patient_id. A partition finds
     each row's k-th smallest value; every entry up to it, all boundary ties
-    included, is sorted by (distance, column). Callers exclude a candidate
-    by setting its entry to +inf.
+    included, is sorted by (distance, column). Where no row ties at its
+    k-th value, every row holds exactly k such entries, in ascending
+    column order, and a stable sort of their (n, k) distances gives that
+    order; otherwise one lexsort orders them all. Callers exclude a
+    candidate by setting its entry to +inf.
     """
     d2 = np.asarray(d2)
+    n = d2.shape[0]
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     rows, cols = np.nonzero(d2 <= kth)
+    starts = np.searchsorted(rows, np.arange(n))
+    if len(cols) == n * k and (starts == np.arange(0, n * k, k)).all():
+        cols = cols.reshape(n, k)
+        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+        return np.take_along_axis(cols, order, axis=1)
     order = np.lexsort((cols, d2[rows, cols], rows))
-    starts = np.searchsorted(rows, np.arange(d2.shape[0]))
     return cols[order][starts[:, None] + np.arange(k)]
 
 

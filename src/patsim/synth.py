@@ -106,6 +106,23 @@ def _signal_rows(spec, labels, informative, rng) -> tuple:
     return risk, rows, [], [int(v) for v in informative]
 
 
+def _round4(values) -> np.ndarray:
+    """Python's `round(x, 4)` of every value, bit for bit.
+
+    np.round takes rint(x * 1e4) / 1e4, and the product carries a rounding
+    error of at most |x * 1e4| * 2**-53. Only where that product lies
+    within a few such errors of a half-way point, or overflows, can
+    np.round land on the other side of the point from Python's correctly
+    rounded decimal; those values go through Python's `round`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.round(values, 4)
+        scaled = values * 1e4
+        clear = np.abs(scaled - np.floor(scaled) - 0.5) > np.abs(scaled) * 2.0 ** -50
+    out[~clear] = [round(x, 4) for x in values[~clear].tolist()]
+    return out
+
+
 def generate(spec: SynthSpec) -> SynthResult:
     """Generate events (per patient: statics, then dynamic rows), outcomes and a manifest."""
     rng = substream(spec.seed, "synth")
@@ -146,8 +163,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         patient.append(np.full(vocab.N_STATIC + len(value), i))
         minutes += [np.zeros(vocab.N_STATIC, dtype=int), (bucket_start + minute_noise)[observed]]
         variables += [np.arange(vocab.N_DYNAMIC, vocab.N_VARIABLES), variable[observed]]
-        # Python's round, not np.round: the two differ in the last digit for some values
-        values += [static_values, [round(x, 4) for x in value.tolist()]]
+        values += [static_values, _round4(value)]
     manifest = {
         "profile": spec.profile,
         "seed": spec.seed,

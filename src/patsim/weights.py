@@ -66,15 +66,17 @@ def _distinct_rows(grid, statics) -> tuple:
     and the position in `distinct` of each row's first copy.
 
     Two patients are copies when their grids and statics are equal bit for
-    bit. The rows are compared as opaque byte strings through a void view,
-    which `np.unique` sorts far faster than rows of floats (`axis=0`).
+    bit. Each row's bytes key a dict that keeps the first row holding
+    them: one hash per row, where a sort of the rows as opaque byte
+    strings (a void view) spends most of its time copying them.
     """
     n = len(grid)
     rows = np.concatenate([grid.reshape(n, -1), statics], axis=1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = np.sort(first)
-    return distinct, np.searchsorted(distinct, first[inverse])
+    first = {}
+    first_copy = np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)],
+                          dtype=np.intp)
+    distinct = np.unique(first_copy)
+    return distinct, np.searchsorted(distinct, first_copy)
 
 
 def _distance_tensor(grid, statics) -> np.ndarray:
@@ -93,6 +95,15 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     BLAS gives two identical rows different last bits against a third
     patient, which would order exact copies against patient_id.
 
+    Each dynamic row is built in place: the pairs' squared norms are
+    gathered straight into it, the pairs' gram entries are gathered into
+    one reused buffer, doubled and subtracted, and a copy pair's entry
+    is zeroed, all before the clip and the division. That is the square
+    build's arithmetic, element for element, without its (n, n) arrays.
+    The gather is `np.take(..., mode="clip")`, which writes into the
+    buffer directly; with the default mode numpy would take into a
+    scratch array of the buffer's size first.
+
     The tensor lives in its own anonymous memory map, which goes back to
     the system when the tensor is freed. Off the heap, one fold's tensor
     cannot leave a hole that the next fold's smaller arrays fill, which
@@ -105,13 +116,21 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, -1)
     distinct, copy_of = _distinct_rows(grid, statics)
     pi, pj = copy_of[iu], copy_of[ju]
+    flat = pi * len(distinct) + pj
+    copies = pi == pj
+    twice_gram = np.empty(len(iu))
     for v in range(n_dyn):
         # centering keeps a constant column's distances exactly zero
         x = (grid[:, v, :] - grid[:, v, :].mean(axis=0))[distinct]
         sq = (x * x).sum(axis=1)
-        d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.fill_diagonal(d, 0.0)
-        out[v] = np.maximum(d[pi, pj], 0.0) / n_cols
+        row = out[v]
+        np.add(sq[pi], sq[pj], out=row)
+        np.take(x @ x.T, flat, out=twice_gram, mode="clip")
+        twice_gram *= 2.0
+        row -= twice_gram
+        row[copies] = 0.0
+        np.maximum(row, 0.0, out=row)
+        row /= n_cols
     for j in range(statics.shape[1]):
         s = statics[:, j]
         out[n_dyn + j] = (s[iu] - s[ju]) ** 2
@@ -193,7 +212,7 @@ class Workspace:
         return _pair_index(len(self))
 
     @cached_property
-    def tables(self) -> list:
+    def tables(self) -> np.ndarray:
         return _filter_tables(self.train)
 
 
@@ -309,68 +328,98 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
 N_BINS = 10
 
 
-def _equal_frequency_bins(x) -> np.ndarray:
-    edges = np.quantile(x, np.linspace(0.1, 0.9, N_BINS - 1))
-    return np.searchsorted(edges, x, side="right")
+def _filter_tables(train) -> np.ndarray:
+    """(40, N_BINS, 2) (bin, label) counts of every variable, shared by every filter.
+
+    Dynamic variables are summarized by their grid-row mean, discretized
+    into 10 equal-frequency bins over the training set. One quantile pass
+    finds every variable's 9 edges, and one bincount counts every table.
+    numpy's quantile interpolation is monotone, so each variable's edges
+    ascend, and the count of edges at or below a value is the bin that
+    `searchsorted(edges, value, side="right")` gives it. A bin no patient
+    falls in holds zeros, which the scorers skip.
+    """
+    summaries = np.concatenate([train.grid.mean(axis=2), train.statics], axis=1)
+    edges = np.quantile(summaries, np.linspace(0.1, 0.9, N_BINS - 1), axis=0)
+    bins = (summaries[:, None, :] >= edges).sum(axis=1)
+    codes = 2 * (np.arange(vocab.N_VARIABLES) * N_BINS + bins) + train.labels[:, None]
+    counts = np.bincount(codes.ravel(), minlength=2 * N_BINS * vocab.N_VARIABLES)
+    return counts.reshape(vocab.N_VARIABLES, N_BINS, 2).astype(float)
 
 
-def _contingency(bins, labels) -> np.ndarray:
-    """(bin, label) counts as floats; bins no patient falls in are dropped."""
-    counts = np.bincount(2 * bins + labels.astype(int), minlength=2 * N_BINS)
-    table = counts.reshape(N_BINS, 2).astype(float)
-    return table[table.sum(axis=1) > 0]
+# The scorers below take a stack of (bin, label) tables and score each
+# table over its non-empty bins, bit for bit as one table at a time: every
+# count and count sum is an exact integer, the arithmetic is per element,
+# and each sum of non-integer terms is formed in the order numpy or
+# Python forms it for a single table.
+
+def _chi_square_scores(tables) -> np.ndarray:
+    """Chi-square statistic of each table against independence of bin and label.
+
+    A table's terms are summed as `terms.sum()` sums its compact (B, 2)
+    terms: pairwise, in an order fixed by B, its count of non-empty bins.
+    So the tables go in groups of equal B, with their non-empty bins moved
+    to the front in bin order, and each group's terms are summed as one
+    contiguous (tables, 2B) block along its last axis.
+    """
+    filled = tables.sum(axis=2) > 0
+    order = np.argsort(~filled, axis=1, kind="stable")
+    compact = np.take_along_axis(tables, order[:, :, None], axis=1)
+    widths = filled.sum(axis=1)
+    scores = np.empty(len(tables))
+    for width in np.unique(widths):
+        group = widths == width
+        table = compact[group, :width]
+        total = table.sum(axis=(1, 2))[:, None, None]
+        expected = table.sum(axis=2)[:, :, None] * table.sum(axis=1)[:, None, :] / total
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
+        scores[group] = terms.reshape(len(terms), -1).sum(axis=1)
+    return scores
 
 
-def _chi_square_score(table) -> float:
-    total = table.sum()
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
+def _entropies(counts) -> np.ndarray:
+    """Label entropy, in bits, of each (..., 2) pair of counts.
+
+    A zero count's term is -0.0, which adds nothing to the other term, as
+    if it were left out of the sum.
+    """
     with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-    return float(terms.sum())
+        p = counts / counts.sum(axis=-1, keepdims=True)
+        terms = np.where(counts > 0, p * np.log2(p), -0.0)
+    return -(terms[..., 0] + terms[..., 1])
 
 
-def _entropy(counts) -> float:
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+def _ginis(counts) -> np.ndarray:
+    """Gini impurity of each (..., 2) pair of counts."""
+    with np.errstate(invalid="ignore"):
+        p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p[..., 0] ** 2 + p[..., 1] ** 2)
 
 
-def _impurity_gain(table, impurity) -> float:
-    """Label impurity minus its bin-weighted mean within bins."""
-    total = table.sum()
-    within = sum((row.sum() / total) * impurity(row) for row in table)
-    return float(impurity(table.sum(axis=0)) - within)
+def _impurity_gains(tables, impurity) -> np.ndarray:
+    """Label impurity minus its bin-weighted mean within bins, per table.
 
-
-def _information_gain_score(table) -> float:
-    return _impurity_gain(table, _entropy)
-
-
-def _gini(counts) -> float:
-    p = counts / counts.sum()
-    return float(1.0 - (p ** 2).sum())
-
-
-def _gini_score(table) -> float:
-    return _impurity_gain(table, _gini)
+    The bins' terms are added one bin at a time from +0.0, as Python's
+    `sum` adds them; an empty bin adds -0.0, which changes no sum.
+    """
+    total = tables.sum(axis=(1, 2))
+    size = tables.sum(axis=2)
+    with np.errstate(invalid="ignore"):
+        terms = size / total[:, None] * impurity(tables)
+    terms[size == 0] = -0.0
+    within = np.zeros(len(tables))
+    for column in terms.T:
+        within += column
+    return impurity(tables.sum(axis=1)) - within
 
 
 # keyed by the filter names of config.WEIGHTINGS
 _SCORERS = {
-    "chi2": _chi_square_score,
-    "infogain": _information_gain_score,
-    "gini": _gini_score,
+    "chi2": _chi_square_scores,
+    "infogain": lambda tables: _impurity_gains(tables, _entropies),
+    "gini": lambda tables: _impurity_gains(tables, _ginis),
 }
-
-
-def _filter_tables(train) -> list:
-    """(bin, label) contingency table of each variable, shared by every filter.
-
-    Dynamic variables are summarized by their grid-row mean, discretized
-    into 10 equal-frequency bins over the training set.
-    """
-    summaries = np.concatenate([train.grid.mean(axis=2), train.statics], axis=1)
-    return [_contingency(_equal_frequency_bins(summaries[:, v]), train.labels)
-            for v in range(vocab.N_VARIABLES)]
 
 
 def filter_score(frames, method) -> np.ndarray:
@@ -379,8 +428,7 @@ def filter_score(frames, method) -> np.ndarray:
         raise BadConfig(f"unknown filter method {method!r}")
     ws = _workspace(frames)
     _check_two_classes(ws.train.labels)
-    scorer = _SCORERS[method]
-    return np.array([scorer(table) for table in ws.tables])
+    return _SCORERS[method](ws.tables)
 
 
 def filter_weights(frames, method, active=None) -> FeatureWeights:

@@ -10,6 +10,7 @@ its weighted sums on exact duplicate patients; and gradient descent
 against the loop that gathered the selected pairs twice per epoch.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patsim import knn, vocab
+from patsim import knn, vocab, weights
 from patsim.errors import KTooLarge
 from patsim.framing import FramedPatient, stack
 from patsim.knn import (
@@ -106,6 +107,41 @@ def test_top_k_boundary_cases(d2, k):
     assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.integers(1, 12), st.integers(1, 40), st.booleans())
+def test_top_k_without_boundary_ties_skips_the_lexsort(seed, n_rows, n_cols, scale):
+    """Distinct continuous distances: no row ties at its k-th value, so the
+    selection is a stable sort of each row's k nearest, never a lexsort."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.random((n_rows, n_cols)) * (1e-300 if scale else 1.0)
+    for k in {1, int(rng.integers(1, n_cols + 1)), n_cols}:
+        with mock.patch("numpy.lexsort", side_effect=AssertionError("lexsort ran")):
+            assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(2, 12), st.integers(1, 30))
+def test_top_k_mixed_rows_equal_stable_argsort(seed, n_rows, n_cols):
+    """Rows that tie at their boundary, rows that do not, and rows partly or
+    wholly +inf, in one matrix: either way of ordering gives argsort's."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 4, n_rows)
+    kinds[:2] = [0, 1]
+    d2 = np.empty((n_rows, n_cols))
+    for row, kind in zip(d2, kinds):
+        if kind == 0:      # distinct
+            row[:] = rng.random(n_cols)
+        elif kind == 1:    # tie-heavy
+            row[:] = rng.integers(0, 3, n_cols) / 3
+        elif kind == 2:    # partly excluded
+            row[:] = rng.random(n_cols)
+            row[rng.random(n_cols) < 0.4] = np.inf
+        else:              # wholly excluded
+            row[:] = np.inf
+    for k in {1, int(rng.integers(1, n_cols + 1)), n_cols}:
+        assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(SEEDS, st.integers(2, 4), st.integers(12, 30))
 # a BLAS product over the tensor summed row 11's two identical patients apart
@@ -120,8 +156,13 @@ def test_loo_neighbor_sets_match_scan(seed, levels, n):
     assert loo_neighbor_sets(frames, w, k=k).tolist() == expected
 
 
+def copy_heavy_frames(n, rng):
+    """Near-continuous values, with about half of the patients exact copies of others."""
+    return quantized_frames(n, rng, levels=2 ** 20, duplicates=max(1, n // 2))
+
+
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
-@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames, copy_heavy_frames])
 def test_packed_tensor_is_the_square_upper_triangle(make, n):
     """Bit for bit, pair p of the packed tensor is entry (i, j) of the square oracle."""
     frames = stack(make(n, np.random.default_rng(n)))
@@ -130,6 +171,25 @@ def test_packed_tensor_is_the_square_upper_triangle(make, n):
     assert packed.dtype == np.float64
     assert packed.tolist() == \
         square_distance_tensor(frames.grid, frames.statics)[:, iu, ju].tolist()
+
+
+def test_tensor_build_heap_stays_small(monkeypatch):
+    """Besides the tensor, an untracked memory map, the build holds a few
+    (n, n) arrays and pair-length arrays on the heap; taking every dynamic
+    variable's gram entries into the tensor at once would add 36 pair-length
+    rows. The copy search runs beforehand, as its arrays scale with the grid."""
+    n = 300
+    frames = stack(random_dense_frames(n, np.random.default_rng(3)))
+    found = weights._distinct_rows(frames.grid, frames.statics)
+    monkeypatch.setattr(weights, "_distinct_rows", lambda grid, statics: found)
+    tracemalloc.start()
+    try:
+        _distance_tensor(frames.grid, frames.statics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    square, pairs = 8 * n * n, 8 * n * (n - 1) // 2
+    assert peak < 2 * square + 12 * pairs
 
 
 def test_workspace_holds_the_packed_tensor():

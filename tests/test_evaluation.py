@@ -563,15 +563,16 @@ def test_exp3_scales_each_fold_once(monkeypatch):
 
 
 @pytest.mark.parametrize("preset, expected", [
-    ("exp3", {"workspace": 4, "bins": 4 * vocab.N_VARIABLES, "tensor": 4}),
+    # one table build per fold, shared by the three filters
+    ("exp3", {"workspace": 4, "tables": 4, "tensor": 4}),
     # two representations, one workspace each per fold; three GD methods share
     # the timeseries tensor
-    ("exp2", {"workspace": 8, "bins": 0, "tensor": 8}),
+    ("exp2", {"workspace": 8, "tables": 0, "tensor": 8}),
 ])
 def test_one_workspace_per_fold(monkeypatch, preset, expected):
     cohort = synth.generate(synth.SynthSpec(n_patients=160, seed=11)).cohort()
     config = RunConfig(folds=4, k=5, max_epochs=2, workers=1, seed=2)
-    calls = {"workspace": 0, "bins": 0, "tensor": 0}
+    calls = {"workspace": 0, "tables": 0, "tensor": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -580,8 +581,7 @@ def test_one_workspace_per_fold(monkeypatch, preset, expected):
         return wrapper
 
     monkeypatch.setattr(evaluation, "Workspace", counting("workspace", weights.Workspace))
-    monkeypatch.setattr(weights, "_equal_frequency_bins",
-                        counting("bins", weights._equal_frequency_bins))
+    monkeypatch.setattr(weights, "_filter_tables", counting("tables", weights._filter_tables))
     monkeypatch.setattr(weights, "_distance_tensor",
                         counting("tensor", weights._distance_tensor))
     report = experiments.run_experiment(preset, config, cohort)

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import framing, vocab, weights
 from patsim.cli import main
 from patsim.errors import BadConfig
-from patsim.synth import SynthSpec, generate
+from patsim.synth import SynthSpec, _round4, generate
 
 
 def frames_for(result):
@@ -63,6 +65,21 @@ class TestGenerator:
         assert set(manifest["level_variables"]) | set(manifest["shape_variables"]) \
             == set(manifest["informative_variables"])
         assert set(manifest["latent_risk"]) == set(result.outcomes.ids)
+
+
+# a value, or a half-way point of the 4th decimal and its neighbouring doubles
+HALF_WAYS = st.integers(-3 * 10 ** 6, 3 * 10 ** 6).flatmap(lambda i: st.sampled_from(
+    [float(np.nextafter((i + 0.5) / 1e4, to)) for to in (-np.inf, np.inf)]
+    + [(i + 0.5) / 1e4]))
+ROUNDABLE = st.one_of(HALF_WAYS, st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ROUNDABLE, min_size=1, max_size=50))
+def test_vectorized_rounding_is_pythons(values):
+    """Bit for bit, also where np.round alone lands on the other side of a half-way point."""
+    expected = np.array([round(x, 4) for x in values])
+    assert _round4(np.array(values)).tobytes() == expected.tobytes()
 
 
 class TestSignal:

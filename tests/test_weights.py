@@ -1,7 +1,10 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patsim import vocab, weights
 from patsim.errors import (
@@ -19,12 +22,9 @@ from patsim.weights import (
     N_BINS,
     TrainConfig,
     Workspace,
-    _chi_square_score,
-    _contingency,
-    _equal_frequency_bins,
+    _SCORERS,
     _error_value,
-    _gini_score,
-    _information_gain_score,
+    _filter_tables,
     filter_score,
     filter_weights,
     gradient,
@@ -35,7 +35,13 @@ from patsim.weights import (
     train_gd,
     training_error,
 )
-from util import random_dense_frames, soft_score
+from util import (
+    equal_frequency_bins,
+    quantized_frames,
+    random_dense_frames,
+    soft_score,
+    table_filter_scores,
+)
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 
@@ -177,15 +183,23 @@ class TestTrainGd:
             TrainConfig(patience=0)
 
 
+def score_of(table, method) -> float:
+    """A filter's score of one (bin, label) table, through the whole-array scorers."""
+    return float(_SCORERS[method](np.array([table], dtype=float))[0])
+
+
 class TestFilterScores:
+    # an empty bin between two pure ones, which every scorer skips
+    PURE_BALANCED = [[10.0, 0.0], [0.0, 0.0], [0.0, 10.0]]
+
     def test_chi_square_hand_table(self):
-        assert _chi_square_score(np.array([[10.0, 0.0], [0.0, 10.0]])) == pytest.approx(20.0)
+        assert score_of(self.PURE_BALANCED, "chi2") == pytest.approx(20.0)
 
     def test_information_gain_pure_balanced(self):
-        assert _information_gain_score(np.array([[10.0, 0.0], [0.0, 10.0]])) == pytest.approx(1.0)
+        assert score_of(self.PURE_BALANCED, "infogain") == pytest.approx(1.0)
 
     def test_gini_pure_balanced(self):
-        assert _gini_score(np.array([[10.0, 0.0], [0.0, 10.0]])) == pytest.approx(0.5)
+        assert score_of(self.PURE_BALANCED, "gini") == pytest.approx(0.5)
 
     def test_pure_split_from_data(self, rng):
         frames = random_dense_frames(40, rng)
@@ -240,51 +254,58 @@ class TestFilterScores:
 
     def test_contingency_matches_counting_loop(self, rng):
         for n, spread in ((7, 1.0), (40, 1.0), (40, 0.0), (300, 3.0)):
-            x = np.round(rng.normal(0.0, 1.0, n) * spread, 1)
-            labels = (rng.random(n) < 0.3).astype(float)
-            bins = _equal_frequency_bins(x)
-            loop = np.zeros((N_BINS, 2))
-            for b, y in zip(bins, labels.astype(int)):
-                loop[b, y] += 1
-            expected = loop[loop.sum(axis=1) > 0]
-            table = _contingency(bins, labels)
-            assert table.dtype == expected.dtype
-            assert table.tobytes() == expected.tobytes()
-
-    @staticmethod
-    def rebinned_scores(frames, method):
-        """Reference: one filter stacks, bins and tabulates every variable on its own."""
-        frames = sorted(frames, key=lambda f: f.patient_id)
-        grid = np.stack([f.feature_grid for f in frames])
-        statics = np.stack([f.statics for f in frames])
-        labels = np.array([f.label for f in frames], dtype=int)
-        summaries = np.concatenate([grid.mean(axis=2), statics], axis=1)
-        scorer = {"chi2": _chi_square_score, "infogain": _information_gain_score,
-                  "gini": _gini_score}[method]
-        scores = np.empty(vocab.N_VARIABLES)
-        for v in range(vocab.N_VARIABLES):
-            scores[v] = scorer(_contingency(_equal_frequency_bins(summaries[:, v]), labels))
-        return scores
+            # one grid cell per dynamic variable, so each summary is that cell
+            x = np.round(rng.normal(0.0, 1.0, (n, vocab.N_VARIABLES)) * spread, 1)
+            labels = (rng.random(n) < 0.3).astype(int)
+            cohort = SimpleNamespace(grid=x[:, :vocab.N_DYNAMIC, None],
+                                     statics=x[:, vocab.N_DYNAMIC:], labels=labels)
+            tables = _filter_tables(cohort)
+            assert tables.dtype == np.float64
+            for v in range(vocab.N_VARIABLES):
+                loop = np.zeros((N_BINS, 2))
+                for b, y in zip(equal_frequency_bins(x[:, v]), labels):
+                    loop[b, y] += 1
+                assert tables[v].tobytes() == loop.tobytes()
 
     def test_shared_tables_equal_per_filter_rebinning(self, rng, monkeypatch):
         frames = random_dense_frames(57, rng)
         for f in frames[::3]:
             f.dynamic = np.round(f.dynamic, 1)      # ties at bin edges
         calls = []
-        binning = weights._equal_frequency_bins
-        monkeypatch.setattr(weights, "_equal_frequency_bins",
-                            lambda x: calls.append(1) or binning(x))
+        build = weights._filter_tables
+        monkeypatch.setattr(weights, "_filter_tables", lambda train: calls.append(1) or build(train))
         cohort = stack(frames)
         shared = Workspace(cohort)
         for method in ("chi2", "infogain", "gini"):
-            expected = self.rebinned_scores(frames, method)
+            # the reference bins, tabulates and scores every variable on its own
+            expected = table_filter_scores(cohort, method)
             assert filter_score(shared, method).tobytes() == expected.tobytes()
             assert filter_score(cohort, method).tobytes() == expected.tobytes()
             active = np.arange(vocab.N_VARIABLES) % 3 > 0
             assert filter_weights(shared, method, active).values.tobytes() == \
                 filter_weights(cohort, method, active).values.tobytes()
-        # 40 binnings for the shared workspace, 40 more for each call on a plain cohort
-        assert len(calls) == vocab.N_VARIABLES * (1 + 2 * 3)
+        # one table build for the shared workspace, one more for each call on a plain cohort
+        assert len(calls) == 1 + 2 * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 90), st.sampled_from([1, 2, 6]),
+           st.sampled_from(["random", "quantized", "rounded"]))
+    def test_scores_equal_the_per_table_reference(self, seed, n, n_buckets, kind):
+        """Bit for bit, including the sign of zero, on cohorts with empty bins, pure
+        bins, constant variables and ties at bin edges."""
+        rng = np.random.default_rng(seed)
+        if kind == "quantized":
+            frames = quantized_frames(n, rng, levels=int(rng.integers(2, 5)),
+                                      n_buckets=n_buckets, duplicates=n // 3)
+        else:
+            frames = random_dense_frames(n, rng, n_buckets=n_buckets)
+            if kind == "rounded":
+                for f in frames:
+                    f.dynamic, f.statics = np.round(f.dynamic, 1), np.round(f.statics, 1)
+        cohort = Workspace(stack(frames))
+        for method in ("chi2", "infogain", "gini"):
+            assert filter_score(cohort, method).tobytes() == \
+                table_filter_scores(cohort.train, method).tobytes()
 
 
 class TestManualWeights:

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from patsim import ingest, vocab
+from patsim import ingest, vocab, weights
 from patsim.framing import N_AGG, FramedPatient, stack
 from patsim.knn import NeighborSet, classify_batch, decide_rows, top_k
 
@@ -80,6 +80,68 @@ def square_distance_tensor(grid, statics) -> np.ndarray:
         s = statics[:, j]
         out[n_dyn + j] = (s[:, None] - s[None, :]) ** 2
     return out
+
+
+def equal_frequency_bins(x) -> np.ndarray:
+    """Reference binning of one variable's summaries: 10 equal-frequency bins."""
+    edges = np.quantile(x, np.linspace(0.1, 0.9, weights.N_BINS - 1))
+    return np.searchsorted(edges, x, side="right")
+
+
+def contingency(bins, labels) -> np.ndarray:
+    """Reference (bin, label) counts of one variable as floats; empty bins dropped."""
+    counts = np.bincount(2 * bins + labels.astype(int), minlength=2 * weights.N_BINS)
+    table = counts.reshape(weights.N_BINS, 2).astype(float)
+    return table[table.sum(axis=1) > 0]
+
+
+def chi_square_score(table) -> float:
+    """Reference chi-square statistic of one compact (bin, label) table."""
+    total = table.sum()
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
+    return float(terms.sum())
+
+
+def _entropy(counts) -> float:
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def _gini(counts) -> float:
+    p = counts / counts.sum()
+    return float(1.0 - (p ** 2).sum())
+
+
+def _impurity_gain(table, impurity) -> float:
+    total = table.sum()
+    within = sum((row.sum() / total) * impurity(row) for row in table)
+    return float(impurity(table.sum(axis=0)) - within)
+
+
+def information_gain_score(table) -> float:
+    """Reference information gain of one compact (bin, label) table."""
+    return _impurity_gain(table, _entropy)
+
+
+def gini_score(table) -> float:
+    """Reference gini gain of one compact (bin, label) table."""
+    return _impurity_gain(table, _gini)
+
+
+SCORERS = {"chi2": chi_square_score, "infogain": information_gain_score, "gini": gini_score}
+
+
+def table_filter_scores(frames, method) -> np.ndarray:
+    """Reference filter scores: each variable binned, tabulated and scored on its own.
+
+    The per-variable path that weights.filter_score computes in whole-array
+    passes; the two must agree bit for bit.
+    """
+    summaries = np.concatenate([frames.grid.mean(axis=2), frames.statics], axis=1)
+    return np.array([SCORERS[method](contingency(equal_frequency_bins(x), frames.labels))
+                     for x in summaries.T])
 
 
 def full_scan(queries, train, weightings) -> np.ndarray:
