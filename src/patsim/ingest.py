@@ -245,13 +245,19 @@ def load_cohort(events_path, outcomes_path) -> Cohort:
     return cohort
 
 
+_WRITE_BLOCK = 1 << 14
+
+
 def write_events(cohort: Cohort, stream) -> None:
     """Serialize cohort events in canonical order; values print as repr, which round-trips."""
     ids, names = cohort.patient_ids, vocab.ALL_VARIABLES
+    # a block of events at a time, so the Python objects of every event never coexist
+    blocks = (slice(lo, lo + _WRITE_BLOCK) for lo in range(0, len(cohort.value), _WRITE_BLOCK))
     tables.write_rows(stream, EVENTS_HEADER, (
         f"{ids[p]},{m},{names[v]},{x!r}"
-        for p, m, v, x in zip(cohort.patient.tolist(), cohort.minute.tolist(),
-                              cohort.variable.tolist(), cohort.value.tolist())))
+        for b in blocks
+        for p, m, v, x in zip(cohort.patient[b].tolist(), cohort.minute[b].tolist(),
+                              cohort.variable[b].tolist(), cohort.value[b].tolist())))
 
 
 def write_outcomes(cohort: Cohort, stream) -> None:

@@ -96,13 +96,14 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     patient, which would order exact copies against patient_id.
 
     Each dynamic row is built in place: the pairs' squared norms are
-    gathered straight into it, the pairs' gram entries are gathered into
-    one reused buffer, doubled and subtracted, and a copy pair's entry
-    is zeroed, all before the clip and the division. That is the square
-    build's arithmetic, element for element, without its (n, n) arrays.
-    The gather is `np.take(..., mode="clip")`, which writes into the
-    buffer directly; with the default mode numpy would take into a
-    scratch array of the buffer's size first.
+    gathered straight into it and into one reused buffer and added, the
+    pairs' gram entries are gathered into the buffer, doubled and
+    subtracted, and a copy pair's entry is zeroed, all before the clip and
+    the division. That is the square build's arithmetic, element for
+    element, without its (n, n) arrays. Every gather is
+    `np.take(..., mode="clip")`, which writes into its output directly;
+    with the default mode numpy takes into a scratch array of the
+    output's size first.
 
     The tensor lives in its own anonymous memory map, which goes back to
     the system when the tensor is freed. Off the heap, one fold's tensor
@@ -118,16 +119,17 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     pi, pj = copy_of[iu], copy_of[ju]
     flat = pi * len(distinct) + pj
     copies = pi == pj
-    twice_gram = np.empty(len(iu))
+    buf = np.empty(len(iu))
     for v in range(n_dyn):
         # centering keeps a constant column's distances exactly zero
         x = (grid[:, v, :] - grid[:, v, :].mean(axis=0))[distinct]
         sq = (x * x).sum(axis=1)
         row = out[v]
-        np.add(sq[pi], sq[pj], out=row)
-        np.take(x @ x.T, flat, out=twice_gram, mode="clip")
-        twice_gram *= 2.0
-        row -= twice_gram
+        np.take(sq, pi, out=row, mode="clip")
+        row += np.take(sq, pj, out=buf, mode="clip")
+        np.take(x @ x.T, flat, out=buf, mode="clip")
+        buf *= 2.0
+        row -= buf
         row[copies] = 0.0
         np.maximum(row, 0.0, out=row)
         row /= n_cols
@@ -405,8 +407,7 @@ def _impurity_gains(tables, impurity) -> np.ndarray:
     """
     total = tables.sum(axis=(1, 2))
     size = tables.sum(axis=2)
-    with np.errstate(invalid="ignore"):
-        terms = size / total[:, None] * impurity(tables)
+    terms = size / total[:, None] * impurity(tables)
     terms[size == 0] = -0.0
     within = np.zeros(len(tables))
     for column in terms.T:
