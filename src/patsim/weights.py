@@ -61,6 +61,12 @@ class TrainTrace:
         return list(np.minimum.accumulate(self.errors))
 
 
+# A private anonymous map whose pages are mapped in one call where the system
+# offers it (Linux): the build writes every page, and taking them one fault at
+# a time cost about 2 of the 16 ms of a 189-patient build.
+_TENSOR_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+
+
 def _distinct_rows(grid, statics) -> tuple:
     """(distinct, copy_of): the first row of each distinct patient, ascending,
     and the position in `distinct` of each row's first copy.
@@ -95,15 +101,18 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     BLAS gives two identical rows different last bits against a third
     patient, which would order exact copies against patient_id.
 
-    Each dynamic row is built in place: the pairs' squared norms are
-    gathered straight into it and into one reused buffer and added, the
-    pairs' gram entries are gathered into the buffer, doubled and
-    subtracted, and a copy pair's entry is zeroed, all before the clip and
-    the division. That is the square build's arithmetic, element for
-    element, without its (n, n) arrays. Every gather is
-    `np.take(..., mode="clip")`, which writes into its output directly;
-    with the default mode numpy takes into a scratch array of the
-    output's size first.
+    Every variable is centred and its squared norms summed in one pass
+    over the distinct patients' grids, which gives them as one variable at
+    a time would, bit for bit: the operations are elementwise, and each sum
+    runs over one variable's contiguous cells. Each dynamic row is then
+    built in place: the pairs' squared norms are gathered straight into it
+    and into one reused buffer and added, the pairs' gram entries are
+    gathered into the buffer, doubled and subtracted, and a copy pair's
+    entry is zeroed, all before the clip and the division. That is the
+    square build's arithmetic, element for element, without its (n, n)
+    arrays. Every gather is `np.take(..., mode="clip")`, which writes into
+    its output directly; with the default mode numpy takes into a scratch
+    array of the output's size first.
 
     The tensor lives in its own anonymous memory map, which goes back to
     the system when the tensor is freed. Off the heap, one fold's tensor
@@ -112,19 +121,25 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     of a cross-validation worker.
     """
     n, n_dyn, n_cols = grid.shape
+    distinct, copy_of = _distinct_rows(grid, statics)
+    # centering keeps a constant column's distances exactly zero
+    centred = grid[distinct]
+    centred -= grid.mean(axis=0)
+    norms = (centred * centred).sum(axis=2)
     iu, ju = np.triu_indices(n, 1)
     size = vocab.N_VARIABLES * len(iu)
-    out = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float).reshape(vocab.N_VARIABLES, -1)
-    distinct, copy_of = _distinct_rows(grid, statics)
+    out = np.frombuffer(mmap.mmap(-1, 8 * size, flags=_TENSOR_MAP_FLAGS),
+                        dtype=float).reshape(vocab.N_VARIABLES, -1)
+    for j in range(statics.shape[1]):
+        s = statics[:, j]
+        out[n_dyn + j] = (s[iu] - s[ju]) ** 2
     pi, pj = copy_of[iu], copy_of[ju]
+    del iu, ju      # the dynamic rows need only the pairs' distinct patients
     flat = pi * len(distinct) + pj
     copies = pi == pj
-    buf = np.empty(len(iu))
+    buf = np.empty(len(pi))
     for v in range(n_dyn):
-        # centering keeps a constant column's distances exactly zero
-        x = (grid[:, v, :] - grid[:, v, :].mean(axis=0))[distinct]
-        sq = (x * x).sum(axis=1)
-        row = out[v]
+        x, sq, row = centred[:, v, :], norms[:, v], out[v]
         np.take(sq, pi, out=row, mode="clip")
         row += np.take(sq, pj, out=buf, mode="clip")
         np.take(x @ x.T, flat, out=buf, mode="clip")
@@ -133,9 +148,6 @@ def _distance_tensor(grid, statics) -> np.ndarray:
         row[copies] = 0.0
         np.maximum(row, 0.0, out=row)
         row /= n_cols
-    for j in range(statics.shape[1]):
-        s = statics[:, j]
-        out[n_dyn + j] = (s[iu] - s[ju]) ** 2
     return out
 
 
