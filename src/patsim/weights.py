@@ -103,8 +103,8 @@ def _distance_tensor(grid, statics) -> np.ndarray:
 
     Every variable is centred and its squared norms summed in one pass
     over the distinct patients' grids, which gives them as one variable at
-    a time would, bit for bit: the operations are elementwise, and each sum
-    runs over one variable's contiguous cells. Each dynamic row is then
+    a time would, bit for bit: the subtraction is elementwise, and each
+    norm sums one variable's contiguous cells. Each dynamic row is then
     built in place: the pairs' squared norms are gathered straight into it
     and into one reused buffer and added, the pairs' gram entries are
     gathered into the buffer, doubled and subtracted, and a copy pair's
@@ -122,9 +122,11 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     """
     n, n_dyn, n_cols = grid.shape
     distinct, copy_of = _distinct_rows(grid, statics)
-    # centering keeps a constant column's distances exactly zero
+    # centering keeps a constant column's distances exactly zero; each mean is
+    # taken over its own variable's view, whose summation order, for a
+    # one-column grid, differs from the whole grid's
     centred = grid[distinct]
-    centred -= grid.mean(axis=0)
+    centred -= np.array([grid[:, v, :].mean(axis=0) for v in range(n_dyn)])
     norms = (centred * centred).sum(axis=2)
     iu, ju = np.triu_indices(n, 1)
     size = vocab.N_VARIABLES * len(iu)

@@ -161,8 +161,15 @@ def copy_heavy_frames(n, rng):
     return quantized_frames(n, rng, levels=2 ** 20, duplicates=max(1, n // 2))
 
 
+def one_bucket_frames(n, rng):
+    """One grid column per variable (window = horizon), where numpy sums a
+    variable's column mean in another order than the whole grid's."""
+    return random_dense_frames(n, rng, n_buckets=1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
-@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames, copy_heavy_frames])
+@pytest.mark.parametrize("make", [random_dense_frames, quantized_frames, copy_heavy_frames,
+                                  one_bucket_frames])
 def test_packed_tensor_is_the_square_upper_triangle(make, n):
     """Bit for bit, pair p of the packed tensor is entry (i, j) of the square oracle."""
     frames = stack(make(n, np.random.default_rng(n)))
