@@ -63,7 +63,8 @@ class TrainTrace:
 
 # A private anonymous map whose pages are mapped in one call where the system
 # offers it (Linux): the build writes every page, and taking them one fault at
-# a time cost about 2 of the 16 ms of a 189-patient build.
+# a time cost about 2 of the 16 ms of a 189-patient build on a 2-core virtual
+# machine (Python 3.11, numpy 2.4).
 _TENSOR_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
 
 
