@@ -24,7 +24,7 @@ from .errors import (
     TooFewPairs,
     TooFewPerClass,
 )
-from .knn import FeatureWeights, Model, classify_distances, nearest
+from .knn import FeatureWeights, decide_rows, nearest
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
 
@@ -188,33 +188,30 @@ def _baseline_prediction(train_scaled, test_scaled, method: MethodSpec) -> np.nd
     return (x_test @ w + b >= 0).astype(int)
 
 
-def _predict_knn_methods(train_scaled, test_scaled, methods) -> list:
-    """The test-side predictions of kNN methods on one scaled fold.
-
-    Every method first learns its weights on one shared Workspace, which
-    builds the leave-one-out tensor and the filter tables once, on first
-    use. The workspace, and with it the tensor, is then dropped, and one
-    nearest() search over the test side finds each query's neighbors
-    under all the learned weightings; each method applies only its own
-    decision.
-    """
-    fold = Workspace(train_scaled)
-    learned = [_learn_weights(fold, m) for m in methods]
-    del fold    # frees the tensor before the test side is searched
-    models = [Model(train_scaled, w, k=m.k, prediction_mode=m.mode, threshold=m.threshold)
-              for m, w in zip(methods, learned)]
-    selections = nearest(test_scaled, train_scaled, [w.values for w in learned],
-                         [m.k for m in methods])
-    return [classify_distances(sel, model)[0] for sel, model in zip(selections, models)]
-
-
 def _predict_fold_methods(train_scaled, test_scaled, methods) -> list:
-    """Each method's test-side predictions on one scaled fold."""
-    knn_methods = [m for m in methods if m.kind == "knn"]
-    knn_predictions = iter(_predict_knn_methods(train_scaled, test_scaled, knn_methods)
-                           if knn_methods else ())
-    return [next(knn_predictions) if m.kind == "knn"
-            else _baseline_prediction(train_scaled, test_scaled, m) for m in methods]
+    """Each method's test-side predictions on one scaled fold.
+
+    Every kNN method first learns its weights on one shared Workspace,
+    which builds the leave-one-out tensor and the filter tables once, on
+    first use. The workspace, and with it the tensor, is then dropped, and
+    one nearest() search at the largest k finds each query's neighbors
+    under all the learned weightings. Each method decides from the first
+    k of them: (distance, patient_id) orders them totally, so those are
+    its own k nearest.
+    """
+    knn_at = [i for i, m in enumerate(methods) if m.kind == "knn"]
+    decided = {}
+    if knn_at:
+        fold = Workspace(train_scaled)
+        learned = [_learn_weights(fold, methods[i]).values for i in knn_at]
+        del fold    # frees the tensor before the test side is searched
+        found = nearest(test_scaled, train_scaled, learned, max(methods[i].k for i in knn_at))
+        for i, (idx, d2_sel) in zip(knn_at, found):
+            m = methods[i]
+            decided[i] = decide_rows(d2_sel[:, :m.k], train_scaled.labels[idx[:, :m.k]],
+                                     m.mode, m.threshold)[0]
+    return [decided[i] if m.kind == "knn" else _baseline_prediction(train_scaled, test_scaled, m)
+            for i, m in enumerate(methods)]
 
 
 def _run_fold(job, i) -> list:

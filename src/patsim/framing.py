@@ -163,23 +163,29 @@ class ScalingStats:
     static_degenerate: np.ndarray  # (4,) bool
 
 
-def _column_stats(values) -> tuple:
-    """(min, max, mean, degenerate) over axis 0, NaN entries unobserved.
+def _column_sums(values, observed=None) -> tuple:
+    """(min, max, sum, count) over axis 0 of the observed entries, NaN ones by default.
+
+    A column never observed has min +inf, max -inf, sum 0 and count 0.
+    """
+    if observed is None:
+        observed = ~np.isnan(values)
+    return (np.where(observed, values, np.inf).min(axis=0),
+            np.where(observed, values, -np.inf).max(axis=0),
+            np.where(observed, values, 0.0).sum(axis=0), observed.sum(axis=0))
+
+
+def _column_stats(lo, hi, sums, counts) -> tuple:
+    """(min, max, mean, degenerate) of columns from their _column_sums.
 
     Columns never observed get NaN statistics; they and constant columns
     are degenerate.
     """
-    observed = ~np.isnan(values)
-    any_obs = observed.any(axis=0)
-    lo = np.where(any_obs, np.where(observed, values, np.inf).min(axis=0), np.nan)
-    hi = np.where(any_obs, np.where(observed, values, -np.inf).max(axis=0), np.nan)
+    seen = counts > 0
     with np.errstate(invalid="ignore"):
-        mean = np.where(
-            any_obs,
-            np.where(observed, values, 0.0).sum(axis=0) / np.maximum(observed.sum(axis=0), 1),
-            np.nan,
-        )
-    return lo, hi, mean, ~any_obs | (hi <= lo)
+        mean = np.where(seen, sums / np.maximum(counts, 1), np.nan)
+    lo, hi = np.where(seen, lo, np.nan), np.where(seen, hi, np.nan)
+    return lo, hi, mean, ~seen | (hi <= lo)
 
 
 def _fill(values, mean):
@@ -188,38 +194,21 @@ def _fill(values, mean):
 
 
 def fit_scaling(frames: Frames) -> ScalingStats:
-    """Fit per-variable scaling statistics from training frames only."""
+    """Fit per-variable scaling statistics from training frames only.
+
+    One masked pass gives the sums of every (variable, bucket); a
+    variable's statistics pool its buckets' sums.
+    """
     if not frames:
         raise EmptyCohort("cannot fit scaling statistics on an empty cohort")
-    dyn, mask, statics = frames.grid, frames.mask, frames.statics   # (n, 36, nb), (n, 4)
-    n_buckets = dyn.shape[2]
-    if dyn.shape[1] != vocab.N_DYNAMIC:
+    if frames.grid.shape[1] != vocab.N_DYNAMIC:
         raise DimensionMismatch("expected 36 dynamic variables")
-
-    dyn_min = np.where(mask, dyn, np.inf).min(axis=(0, 2))
-    dyn_max = np.where(mask, dyn, -np.inf).max(axis=(0, 2))
-    observed_var = mask.any(axis=(0, 2))
-    dyn_min = np.where(observed_var, dyn_min, np.nan)
-    dyn_max = np.where(observed_var, dyn_max, np.nan)
-
-    cell_counts = mask.sum(axis=0)                       # (36, nb)
-    cell_sums = np.where(mask, dyn, 0.0).sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        dyn_bucket_mean = np.where(cell_counts > 0, cell_sums / np.maximum(cell_counts, 1), np.nan)
-    var_counts = cell_counts.sum(axis=1)
-    var_sums = cell_sums.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        dyn_mean = np.where(var_counts > 0, var_sums / np.maximum(var_counts, 1), np.nan)
-    dyn_degenerate = ~observed_var | (dyn_max <= dyn_min)
-
-    static_min, static_max, static_mean, static_degenerate = _column_stats(statics)
-    return ScalingStats(
-        n_buckets=n_buckets,
-        dyn_min=dyn_min, dyn_max=dyn_max, dyn_mean=dyn_mean,
-        dyn_bucket_mean=dyn_bucket_mean, dyn_degenerate=dyn_degenerate,
-        static_min=static_min, static_max=static_max, static_mean=static_mean,
-        static_degenerate=static_degenerate,
-    )
+    lo, hi, sums, counts = _column_sums(frames.grid, frames.mask)     # each (36, n_buckets)
+    dyn_min, dyn_max, dyn_mean, dyn_degenerate = _column_stats(
+        lo.min(axis=1), hi.max(axis=1), sums.sum(axis=1), counts.sum(axis=1))
+    return ScalingStats(frames.grid.shape[2], dyn_min, dyn_max, dyn_mean,
+                        _column_stats(lo, hi, sums, counts)[2], dyn_degenerate,
+                        *_column_stats(*_column_sums(frames.statics)))
 
 
 def _locf(values: np.ndarray) -> np.ndarray:
@@ -249,12 +238,8 @@ def _impute_stack(dynamic, statics, stats: ScalingStats) -> tuple:
         raise DimensionMismatch(
             f"frame grid {dynamic.shape[1:]} does not match stats ({vocab.N_DYNAMIC}, {stats.n_buckets})"
         )
-    fallback = np.where(np.isnan(stats.dyn_bucket_mean),
-                        stats.dyn_mean[:, None], stats.dyn_bucket_mean)
-    fallback = np.where(np.isnan(fallback), 0.0, fallback)
-    filled = _locf(dynamic)
-    filled = np.where(np.isnan(filled), fallback, filled)
-    return filled, _fill(statics, stats.static_mean)
+    return (_fill(_locf(dynamic), _fill(stats.dyn_bucket_mean, stats.dyn_mean[:, None])),
+            _fill(statics, stats.static_mean))
 
 
 def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
@@ -325,7 +310,8 @@ class AggregationStats:
 def fit_aggregation_scaling(aggs: Frames) -> AggregationStats:
     if not aggs:
         raise EmptyCohort("cannot fit aggregation statistics on an empty cohort")
-    return AggregationStats(*_column_stats(aggs.grid), *_column_stats(aggs.statics))
+    return AggregationStats(*_column_stats(*_column_sums(aggs.grid)),
+                            *_column_stats(*_column_sums(aggs.statics)))
 
 
 def scale_aggregates(aggs: Frames, stats: AggregationStats) -> Frames:

@@ -13,8 +13,8 @@ One engine serves prediction and the leave-one-out weight training in
 patients under every given weighting, screening out by a bounded gram
 product the patients that cannot be among them and scanning the rest
 exactly; `top_k` selects from a distance matrix over those columns (the
-ascending-patient_id tie-break lives there), and `soft_scores`/
-`decide_rows` score the selection.
+ascending-patient_id tie-break lives there), and `decide_rows` scores
+the selection.
 """
 
 from __future__ import annotations
@@ -158,9 +158,10 @@ def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) 
 
     Returns one (idx, d2_sel) per weighting (a vector of 40 weights): the
     columns of `train`, (q, k), nearest first with equal distances by
-    ascending patient_id, and their weighted squared distances. `k` is
-    one int or one per weighting. With leave_one_out, training entries
-    sharing a query's patient_id are excluded.
+    ascending patient_id, and their weighted squared distances. That
+    order is total, so the first j columns are the j nearest for any
+    j <= k. With leave_one_out, training entries sharing a query's
+    patient_id are excluded.
 
     The result is that of an exact difference scan of every query against
     every training patient, bit for bit, so a query identical to a
@@ -173,19 +174,18 @@ def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) 
     """
     if queries.grid.shape[1:] != train.grid.shape[1:]:
         raise DimensionMismatch("query grid does not match training grid")
-    ks = np.broadcast_to(k, (len(weightings),)).tolist()
     excluded = 0
     if leave_one_out and len(queries):
         copies = Counter(train.ids)
         excluded = max(copies[pid] for pid in queries.ids)
-    if max(ks) > len(train) - excluded:
-        raise KTooLarge(f"k={max(ks)} but only {len(train) - excluded} candidate neighbors")
+    if k > len(train) - excluded:
+        raise KTooLarge(f"k={k} but only {len(train) - excluded} candidate neighbors")
     n_dyn, cells = train.grid.shape[1:]
     scales = [np.concatenate([np.repeat(np.sqrt(w[:n_dyn] / cells), cells),
                               np.sqrt(w[n_dyn:])]) for w in weightings]
     flat_train, train_ids = _flat(train.grid, train.statics), np.array(train.ids)
-    out = [(np.empty((len(queries), kj), dtype=np.intp), np.empty((len(queries), kj)))
-           for kj in ks]
+    out = [(np.empty((len(queries), k), dtype=np.intp), np.empty((len(queries), k)))
+           for _ in weightings]
     step = max(1, SCREEN_ELEMENTS // len(train))
     for lo in range(0, len(queries), step):
         block = slice(lo, lo + step)
@@ -193,8 +193,7 @@ def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) 
         left_out = (np.array(queries.ids[block])[:, None] == train_ids if leave_one_out
                     else np.zeros((len(grid), len(train)), dtype=bool))
         flat = _flat(grid, statics)
-        candidates = [_screen(flat * s, flat_train * s, kj, left_out)
-                      for s, kj in zip(scales, ks)]
+        candidates = [_screen(flat * s, flat_train * s, k, left_out) for s in scales]
         d2 = _exact_rows(grid, statics, train, weightings, candidates)
         unsure = np.logical_or.reduce([(c & ~np.isfinite(rows)).any(axis=1)
                                        for c, rows in zip(candidates, d2)])
@@ -202,8 +201,8 @@ def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) 
             for c in candidates:
                 c[unsure] = ~left_out[unsure]
             d2 = _exact_rows(grid, statics, train, weightings, candidates)
-        for (idx, d2_sel), rows, kj in zip(out, d2, ks):
-            idx[block] = top_k(rows, kj)
+        for (idx, d2_sel), rows in zip(out, d2):
+            idx[block] = top_k(rows, k)
             d2_sel[block] = np.take_along_axis(rows, idx[block], axis=1)
     return out
 
@@ -218,11 +217,16 @@ def top_k(d2, k) -> np.ndarray:
     k-th value, every row holds exactly k such entries, in ascending
     column order, and a stable sort of their (n, k) distances gives that
     order; otherwise one lexsort orders them all. Callers exclude a
-    candidate by setting its entry to +inf.
+    candidate by setting its entry to +inf. A NaN entry sorts as +inf.
     """
     d2 = np.asarray(d2)
     n, n_cols = d2.shape
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    # np.partition puts NaN after +inf, so only a row whose k-th value is not finite can
+    # hold a NaN among its k smallest, or keep fewer than k entries up to it
+    if not np.isfinite(kth).all() and np.isnan(d2).any():
+        d2 = np.where(np.isnan(d2), np.inf, d2)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     # np.nonzero's (rows, cols), from the flat positions, which numpy finds far faster
     rows, cols = np.divmod(np.flatnonzero(d2 <= kth), n_cols)
     starts = np.searchsorted(rows, np.arange(n))
@@ -234,24 +238,19 @@ def top_k(d2, k) -> np.ndarray:
     return cols[order][starts[:, None] + np.arange(k)]
 
 
-def soft_scores(d2_sel, y_sel) -> np.ndarray:
-    """Row-wise similarity-weighted positive fraction sum(s*y)/sum(s), s = exp(-d2)."""
-    s = np.exp(-d2_sel)
-    return (s * y_sel).sum(axis=1) / s.sum(axis=1)
-
-
 def decide_rows(d2_sel, y_sel, mode, threshold=RunConfig.threshold) -> tuple:
     """(labels, scores) for rows of selected neighbor distances and labels.
 
     Majority mode: label is the most frequent neighbor label, voting ties
     going to the positive class; score is the positive-vote fraction.
-    Weighted mode: score is the soft score and the label is
-    score >= threshold.
+    Weighted mode: score is the similarity-weighted positive fraction
+    sum(s*y)/sum(s), s = exp(-d2), and the label is score >= threshold.
     """
     if mode == "majority":
         pos = y_sel.sum(axis=1)
         return (2 * pos >= y_sel.shape[1]).astype(int), pos / y_sel.shape[1]
-    scores = soft_scores(d2_sel, y_sel)
+    s = np.exp(-d2_sel)
+    scores = (s * y_sel).sum(axis=1) / s.sum(axis=1)
     return (scores >= threshold).astype(int), scores
 
 
@@ -290,29 +289,15 @@ class Model:
             self.weights = FeatureWeights(self.weights)
 
 
-def _nearest(queries: Frames, model: Model, leave_one_out) -> tuple:
-    """Neighbor indices (q, k) into model.frames and their distances (q, k)."""
-    return nearest(queries, model.frames, [model.weights.values], model.k, leave_one_out)[0]
-
-
-def classify_distances(selection, model: Model) -> tuple:
-    """Predict (labels, scores) from a selection (idx, d2_sel) made under model.weights.
-
-    The selection is one of nearest()'s. This is how the methods of one
-    cross-validation fold share one neighbor search: each applies only
-    its own decision.
-    """
-    idx, d2_sel = selection
-    return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
-
-
 def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
     """Predict (labels, scores) for all queries with one selection and one decision.
 
     With leave_one_out, training entries sharing a query's patient_id are
     not among that query's candidates.
     """
-    return classify_distances(_nearest(queries, model, leave_one_out), model)
+    (idx, d2_sel), = nearest(queries, model.frames, [model.weights.values], model.k,
+                             leave_one_out)
+    return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
 
 
 def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
@@ -321,7 +306,8 @@ def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
     With leave_one_out, training entries sharing the query's patient_id are
     excluded. Ties in distance resolve by ascending patient_id.
     """
-    idx, d2_sel = _nearest(stack([query]), model, leave_one_out)
+    (idx, d2_sel), = nearest(stack([query]), model.frames, [model.weights.values], model.k,
+                             leave_one_out)
     train = model.frames
     entries = [(train.ids[i], float(d), int(train.labels[i]))
                for i, d in zip(idx[0], d2_sel[0])]

@@ -175,11 +175,6 @@ def _loo_distances(packed, pair, w) -> np.ndarray:
     return d2
 
 
-def _neighbor_sets(packed, pair, w, k) -> np.ndarray:
-    """Leave-one-out neighbor indices (n, k) at the given weights."""
-    return top_k(_loo_distances(packed, pair, w), k)
-
-
 def _error_value(yhat, labels) -> float:
     # one error term per class label: (y - yhat)^2 + ((1-y) - (1-yhat))^2
     return float(2.0 * ((labels - yhat) ** 2).sum())
@@ -246,7 +241,7 @@ def _loo_problem(frames, weights, k) -> tuple:
         raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
     packed, pair = ws.tensor, ws.pairs
     w = _weight_array(weights)
-    return packed, pair, w, _neighbor_sets(packed, pair, w, k), labels
+    return packed, pair, w, top_k(_loo_distances(packed, pair, w), k), labels
 
 
 def loo_neighbor_sets(frames, weights, k=RunConfig.k) -> np.ndarray:
@@ -319,7 +314,7 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
             w *= active
         _finite(w, epoch)
         new_err, grad = _error_and_gradient(
-            packed, pair, w, _neighbor_sets(packed, pair, w, config.k), labels)
+            packed, pair, w, top_k(_loo_distances(packed, pair, w), config.k), labels)
         _finite(new_err, epoch)
         trace.errors.append(new_err)
         trace.epochs_run = epoch

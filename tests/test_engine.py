@@ -1,10 +1,11 @@
 """The neighbor engine shared by prediction and leave-one-out training.
 
 Selection is checked against a sorted (distance, patient_id) scan and a
-stable argsort on tie-heavy matrices; batch prediction against the
-one-query path; the screened search under several weightings against a
-full exact scan and against per-method scans, bit for bit, and its
-screen against admitting everyone;
+stable argsort on tie-heavy matrices, NaN entries sorting as +inf; batch
+prediction against the one-query path; the screened search under several
+weightings against a full exact scan and against per-method scans, bit
+for bit, at each k as the prefix of a larger k, and its screen against
+admitting everyone;
 the packed leave-one-out tensor against the square one it replaced, and
 its weighted sums on exact duplicate patients; and gradient descent
 against the loop that gathered the selected pairs twice per epoch.
@@ -25,7 +26,7 @@ from patsim.knn import (
     FeatureWeights,
     Model,
     classify_batch,
-    classify_distances,
+    decide_rows,
     nearest,
     neighbors,
     top_k,
@@ -101,10 +102,45 @@ def test_top_k_equals_stable_argsort(seed, levels, n_rows, n_cols, exclusions):
       [0.5, 0.5, np.inf, 0.5], [2.0, 1.0, 0.0, np.inf]], 3),
     # fewer finite entries than k: +inf columns follow in ascending order
     ([[np.inf, 2.0, np.inf, 1.0, np.inf]], 4),
+    # a NaN k-th value: the row keeps k entries, NaN tying with +inf by column
+    ([[np.inf, 1.0, np.nan, np.nan], [1.0, np.inf, 2.0, 3.0]], 3),
 ])
 def test_top_k_boundary_cases(d2, k):
     d2 = np.array(d2)
     assert top_k(d2, k).tolist() == argsort_top_k(d2, k).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(1, 12), st.integers(1, 30))
+def test_top_k_sorts_nan_as_inf(seed, n_rows, n_cols):
+    """Rows with NaN and +inf entries, tied or distinct values, select as if each
+    NaN were +inf, and each row's selection comes from that row alone."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.integers(0, 3, (n_rows, n_cols)) / 3 + rng.random((n_rows, n_cols)) * rng.random()
+    d2[rng.random((n_rows, n_cols)) < rng.random()] = np.nan
+    d2[rng.random((n_rows, n_cols)) < 0.2] = np.inf
+    for k in {1, int(rng.integers(1, n_cols + 1)), n_cols}:
+        expected = argsort_top_k(d2, k).tolist()
+        assert top_k(d2, k).tolist() == expected
+        assert [top_k(row[None], k)[0].tolist() for row in d2] == expected
+
+
+def test_nan_loo_distances_select_from_their_own_row():
+    """A static of 1e200 overflows its squared distances to +inf, and a weight of 0
+    makes them NaN: that patient's leave-one-out row is NaN but for its +inf
+    diagonal, and its neighbors are the first k other patients, not another row's."""
+    frames = random_dense_frames(12, np.random.default_rng(0))
+    frames[5].statics[1] = 1e200
+    train = stack(frames)
+    w = np.ones(vocab.N_VARIABLES)
+    w[vocab.N_DYNAMIC + 1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = Workspace(train)
+        d2 = _loo_distances(ws.tensor, ws.pairs, w)
+        sets = loo_neighbor_sets(ws, FeatureWeights(w), k=3)
+    assert np.isnan(np.delete(d2[5], 5)).all()
+    assert sets[5].tolist() == [0, 1, 2]
+    assert sets.tolist() == argsort_top_k(d2, 3).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,12 +360,10 @@ def test_shared_distances_equal_per_method_classify_batch(mode, make):
     weightings = [FeatureWeights.uniform(), quantized_weights(rng),
                   FeatureWeights(rng.random(vocab.N_VARIABLES))]
     found = nearest(queries, shared, [w.values for w in weightings], 6)
-    for w, selection in zip(weightings, found):
+    for w, (idx, d2_sel) in zip(weightings, found):
         on_own = Model(stack(train), w, k=6, prediction_mode=mode, threshold=0.45)
-        on_shared = Model(shared, w, k=6, prediction_mode=mode, threshold=0.45)
-        assert on_shared.frames is shared
         expected = classify_batch(queries, on_own)
-        got = classify_distances(selection, on_shared)
+        got = decide_rows(d2_sel, shared.labels[idx], mode, 0.45)
         assert got[0].tolist() == expected[0].tolist()
         assert got[1].tolist() == expected[1].tolist()
 
@@ -379,6 +413,30 @@ def test_screened_search_equals_the_full_scan(seed, make, n, leave_one_out, kind
     budget = knn.SCREEN_ELEMENTS if block_queries is None else block_queries * n
     with mock.patch.object(knn, "SCREEN_ELEMENTS", budget):
         assert_equals_full_scan(queries, train, weightings, k, leave_one_out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from([random_dense_frames, quantized_frames]), st.integers(2, 40),
+       st.booleans(), st.lists(st.sampled_from(["random", "sparse", "integer", "uniform"]),
+                               min_size=1, max_size=3))
+def test_nearest_at_a_larger_k_holds_each_smaller_k_as_a_prefix(seed, make, n, leave_one_out,
+                                                                 kinds):
+    """The first k columns of nearest() at K are nearest() at k, in indices and
+    distance bits, for every k <= K: what lets a fold's methods share one search
+    at their largest k."""
+    rng = np.random.default_rng(seed)
+    train_list = make(n, rng, n_buckets=6)
+    train = stack(train_list)
+    queries = (stack(train_list[: int(rng.integers(1, n + 1))]) if leave_one_out
+               else stack(make(int(rng.integers(1, 12)), rng, n_buckets=6)))
+    weightings = [drawn_weighting(rng, kind) for kind in kinds]
+    top = int(rng.integers(1, n)) if leave_one_out else int(rng.integers(1, n + 1))
+    widest = nearest(queries, train, weightings, top, leave_one_out)
+    for k in range(1, top + 1):
+        for (idx, d2_sel), (wide_idx, wide_d2) in zip(
+                nearest(queries, train, weightings, k, leave_one_out), widest):
+            assert idx.tobytes() == np.ascontiguousarray(wide_idx[:, :k]).tobytes()
+            assert d2_sel.tobytes() == np.ascontiguousarray(wide_d2[:, :k]).tobytes()
 
 
 @pytest.mark.parametrize("leave_one_out", [False, True])

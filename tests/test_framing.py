@@ -7,6 +7,7 @@ from patsim import vocab
 from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
 from patsim.framing import (
     FramedPatient,
+    Frames,
     _impute_stack,
     aggregate_cohort,
     fit_aggregation_scaling,
@@ -22,7 +23,7 @@ from patsim.framing import (
     write_frames,
     write_scaling_stats,
 )
-from util import cohort_of, framing_oracle
+from util import cohort_of, framing_oracle, reference_fit_scaling
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 AGE = vocab.STATIC_INDEX["Age"]
@@ -404,6 +405,36 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
     assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
     assert (statics[:, 0] == 0.5).all()
     assert dynamic[n_train, HIGH_VAR, 0] == 1.0 and dynamic[n_train, LOW_VAR, 0] == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       n_buckets=st.sampled_from([1, 2, 24]), missing=st.floats(0.0, 1.0),
+       levels=st.sampled_from([0, 3]))
+def test_fit_scaling_equals_the_pass_by_pass_reference(seed, n, n_buckets, missing, levels):
+    """Every statistic's bits, on drawn masked grids with a never-observed and a
+    constant variable and static, one patient or one bucket, continuous or tied values.
+    Cells hold no -0.0, as frame_cohort's do: its bincount sums start from +0.0."""
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(0.0, 2.0, (n, vocab.N_DYNAMIC, n_buckets))
+    statics = rng.normal(0.0, 2.0, (n, vocab.N_STATIC))
+    if levels:
+        grid, statics = np.round(grid * levels) / levels + 0.0, np.round(statics * levels) + 0.0
+    mask = rng.random(grid.shape) >= missing
+    mask[:, ALL_NAN_VAR] = False
+    mask[0, CONSTANT_VAR, 0] = True
+    grid[:, CONSTANT_VAR] = 3.25
+    grid[~mask] = np.nan
+    statics[rng.random(statics.shape) < missing] = np.nan
+    statics[:, 0], statics[:, 1] = np.nan, -1.5
+    frames = Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics, mask)
+    got, want = fit_scaling(frames), reference_fit_scaling(frames)
+    assert got.n_buckets == want.n_buckets == n_buckets
+    for name in ("dyn_min", "dyn_max", "dyn_mean", "dyn_bucket_mean", "dyn_degenerate",
+                 "static_min", "static_max", "static_mean", "static_degenerate"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.dyn_degenerate[[ALL_NAN_VAR, CONSTANT_VAR]].all()
+    assert got.static_degenerate[:2].all()
 
 
 ORACLE_VARIABLES = ("Heart rate", "pH", "Glucose", "Age", "Weight")

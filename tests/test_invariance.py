@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from patsim import knn
+from patsim import knn, tables
 from patsim.cli import main
 
 N_PATIENTS, FOLDS = 60, 4
@@ -19,6 +19,11 @@ N_FOLD_TRAIN = N_PATIENTS - N_PATIENTS // FOLDS
 # Queries per neighbor-search block, set through knn.SCREEN_ELEMENTS, the element
 # budget of the screen's (block, n_train) arrays, and checked against its default.
 SCREEN_BLOCKS = (1, 3)
+
+# Bytes per columnar read, tables.BLOCK_BYTES, against its default of 1 MiB. A block
+# is extended to the end of its last line, so an events file is then parsed about 150
+# rows at a time and a frames file (about 17 KB a row) one row at a time.
+READ_BLOCK_BYTES = 4096
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +70,8 @@ def default_outputs(inputs):
 @pytest.mark.parametrize("block_queries", SCREEN_BLOCKS)
 def test_outputs_do_not_depend_on_the_screen_block(inputs, default_outputs, block_queries):
     assert outputs(inputs, inputs / f"block_{block_queries}", block_queries) == default_outputs
+
+
+def test_outputs_do_not_depend_on_the_read_block(inputs, default_outputs):
+    with mock.patch.object(tables, "BLOCK_BYTES", READ_BLOCK_BYTES):
+        assert outputs(inputs, inputs / "read_block", None) == default_outputs

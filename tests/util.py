@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from patsim import ingest, vocab, weights
+from patsim import framing, ingest, vocab, weights
 from patsim.framing import N_AGG, FramedPatient, stack
 from patsim.knn import NeighborSet, classify_batch, decide_rows, top_k
 
@@ -51,6 +51,38 @@ def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.
         frames[dst].dynamic = frames[src].dynamic.copy()
         frames[dst].statics = frames[src].statics.copy()
     return [frames[i] for i in rng.permutation(n)]
+
+
+def reference_fit_scaling(frames) -> framing.ScalingStats:
+    """Reference scaling statistics of a masked cohort, pass by pass.
+
+    The arithmetic framing.fit_scaling replaced: each variable's min and
+    max over all its observed cells at once, then per-(variable, bucket)
+    sums and counts, pooled along the buckets for the variable means, and
+    the statics column by column. fit_scaling must equal it bit for bit.
+    """
+    dyn, mask, statics = frames.grid, frames.mask, frames.statics
+    observed_var = mask.any(axis=(0, 2))
+    dyn_min = np.where(observed_var, np.where(mask, dyn, np.inf).min(axis=(0, 2)), np.nan)
+    dyn_max = np.where(observed_var, np.where(mask, dyn, -np.inf).max(axis=(0, 2)), np.nan)
+    cell_counts = mask.sum(axis=0)
+    cell_sums = np.where(mask, dyn, 0.0).sum(axis=0)
+    var_counts, var_sums = cell_counts.sum(axis=1), cell_sums.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        bucket_mean = np.where(cell_counts > 0, cell_sums / np.maximum(cell_counts, 1), np.nan)
+        dyn_mean = np.where(var_counts > 0, var_sums / np.maximum(var_counts, 1), np.nan)
+    seen = ~np.isnan(statics)
+    any_seen = seen.any(axis=0)
+    static_min = np.where(any_seen, np.where(seen, statics, np.inf).min(axis=0), np.nan)
+    static_max = np.where(any_seen, np.where(seen, statics, -np.inf).max(axis=0), np.nan)
+    with np.errstate(invalid="ignore"):
+        static_mean = np.where(any_seen, np.where(seen, statics, 0.0).sum(axis=0)
+                               / np.maximum(seen.sum(axis=0), 1), np.nan)
+    return framing.ScalingStats(
+        n_buckets=dyn.shape[2], dyn_min=dyn_min, dyn_max=dyn_max, dyn_mean=dyn_mean,
+        dyn_bucket_mean=bucket_mean, dyn_degenerate=~observed_var | (dyn_max <= dyn_min),
+        static_min=static_min, static_max=static_max, static_mean=static_mean,
+        static_degenerate=~any_seen | (static_max <= static_min))
 
 
 def square_distance_tensor(grid, statics) -> np.ndarray:
@@ -193,9 +225,11 @@ def soft_score(neighbor_set: NeighborSet) -> float:
 def argsort_top_k(d2, k):
     """Reference selection: a stable row-wise argsort, first k columns.
 
-    Equal distances keep ascending column order, +inf entries sort last.
+    Equal distances keep ascending column order, +inf entries sort last,
+    and a NaN entry sorts as +inf.
     """
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    d2 = np.asarray(d2)
+    return np.argsort(np.where(np.isnan(d2), np.inf, d2), axis=1, kind="stable")[:, :k]
 
 
 def events_of(rows) -> ingest.Events:
