@@ -365,7 +365,8 @@ def read_frames(path) -> Frames:
 
     The bucket count is read off the header's column count, and the header
     must then be exactly the one write_frames writes. Besides the table
-    faults (header, cell count), a non-numeric or non-finite cell, a label
+    faults (header, cell count), a non-numeric or non-finite cell, a cell
+    outside [0, 1] (the range frame scales every cell into), a label
     outside {0, 1} or a repeated patient id raises MalformedRow naming the
     file and line; a file with no patient rows raises InputFault naming it.
     The patients come back in ascending patient_id order, every cell observed.
@@ -390,7 +391,7 @@ def _frame_columns(path):
     for block in tables.read_columns(path, _frames_header, lambda header: [
             ("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))]):
         if block is None or not (np.isin(block["label"], (b"0", b"1")).all()
-                                 and np.isfinite(block["cells"]).all()):
+                                 and ((block["cells"] >= 0.0) & (block["cells"] <= 1.0)).all()):
             return None
         ids += [pid.decode("ascii") for pid in block["id"].tolist()]
         labels.append(block["label"] == b"1")
@@ -413,13 +414,17 @@ def _frame_rows(path):
         first_line[pid] = line_no
         try:
             values = np.array([float(x) for x in cells[2:]], dtype=float)
-            finite = np.isfinite(values).all()
+            scaled = ((values >= 0.0) & (values <= 1.0)).all()
         except ValueError:
-            finite = False
-        if not finite:
-            col = next(i for i in range(2, len(cells)) if tables.finite_number(cells[i]) is None)
+            scaled = False
+        if not scaled:
+            for col in range(2, len(cells)):
+                value = tables.finite_number(cells[col])
+                if value is None or not 0.0 <= value <= 1.0:
+                    break
+            reason = "not a finite number" if value is None else "outside [0, 1]"
             raise MalformedRow(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
-                               f"not a finite number: {cells[col]!r}", line_no, path)
+                               f"{reason}: {cells[col]!r}", line_no, path)
         labels.append(int(label))
         rows.append(values)
     return list(first_line), np.array(labels, dtype=int), np.array(rows, dtype=float)

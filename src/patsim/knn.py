@@ -26,7 +26,7 @@ import numpy as np
 
 from . import vocab
 from .config import RunConfig, check_choices
-from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight
+from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight, PatsimError
 from .framing import Frames, stack
 
 
@@ -244,13 +244,19 @@ def decide_rows(d2_sel, y_sel, mode, threshold=RunConfig.threshold) -> tuple:
     Majority mode: label is the most frequent neighbor label, voting ties
     going to the positive class; score is the positive-vote fraction.
     Weighted mode: score is the similarity-weighted positive fraction
-    sum(s*y)/sum(s), s = exp(-d2), and the label is score >= threshold.
+    sum(s*y)/sum(s), s = exp(-d2), and the label is score >= threshold; a
+    row whose similarities all underflow to 0 has no score, and raises.
     """
     if mode == "majority":
         pos = y_sel.sum(axis=1)
         return (2 * pos >= y_sel.shape[1]).astype(int), pos / y_sel.shape[1]
     s = np.exp(-d2_sel)
-    scores = (s * y_sel).sum(axis=1) / s.sum(axis=1)
+    total = s.sum(axis=1)
+    if not total.all():
+        raise PatsimError(f"weighted mode: at these weights every neighbor similarity exp(-d2) "
+                          f"of {(total == 0).sum()} of {len(total)} patients underflows to 0; "
+                          f"smaller weights or majority mode can score them")
+    scores = (s * y_sel).sum(axis=1) / total
     return (scores >= threshold).astype(int), scores
 
 

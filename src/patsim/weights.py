@@ -162,42 +162,9 @@ def _pair_index(n) -> np.ndarray:
     return pair
 
 
-def _loo_distances(packed, pair, w) -> np.ndarray:
-    """Weighted squared distances (n, n) at the given weights, +inf on the diagonal.
-
-    The einsum adds each pair's 40 terms in variable order wherever its
-    column lies, so columns with equal per-variable distances get
-    bit-equal sums and tie by patient_id; a BLAS product (`w @ packed`)
-    sums a column in an order that depends on its position.
-    """
-    d2 = np.einsum("v,vp->p", w, packed)[pair]
-    np.fill_diagonal(d2, np.inf)
-    return d2
-
-
 def _error_value(yhat, labels) -> float:
     # one error term per class label: (y - yhat)^2 + ((1-y) - (1-yhat))^2
     return float(2.0 * ((labels - yhat) ** 2).sum())
-
-
-def _error_and_gradient(packed, pair, w, sets, labels) -> tuple:
-    """Training error and dE/dw over fixed neighbor sets, from one gather."""
-    rows = np.arange(pair.shape[0])[:, None]
-    d_sel = packed[:, pair[rows, sets]]               # (40, n, k)
-    d2_sel = np.einsum("v,vnk->nk", w, d_sel)
-    y_n = labels[sets]
-    # the soft score yhat = T/S with s_in = exp(-d2_in), d s_in / d w_v = -D2_v(i,n) * s_in
-    s = np.exp(-d2_sel)
-    big_s = s.sum(axis=1)
-    big_t = (s * y_n).sum(axis=1)
-    d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)    # (n, 40)
-    d_s = -np.einsum("vnk,nk->nv", d_sel, s)
-    # every similarity of a set underflowing to 0 gives a NaN error, for train_gd to report
-    with np.errstate(divide="ignore", invalid="ignore"):
-        yhat = big_t / big_s
-        d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
-        grad = -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
-    return _error_value(yhat, labels), grad
 
 
 class Workspace:
@@ -206,7 +173,8 @@ class Workspace:
     The packed (40, n(n-1)/2) leave-one-out distance tensor with its pair
     index, and the filter tables, are built on first use and then shared by
     every weighting trained on this cohort; they go when the workspace
-    does. Every function below that takes `frames` also takes a Workspace.
+    does. Only the two leave-one-out methods below read the tensor. Every
+    function below that takes `frames` also takes a Workspace.
     """
 
     def __init__(self, frames):
@@ -227,26 +195,46 @@ class Workspace:
     def tables(self) -> np.ndarray:
         return _filter_tables(self.train)
 
+    def neighbor_sets(self, w, k) -> np.ndarray:
+        """Leave-one-out neighbor index sets (n, k) at the weight array `w`.
+
+        The einsum adds each pair's 40 terms in variable order wherever its
+        column lies, so columns with equal per-variable distances get
+        bit-equal sums and tie by patient_id; a BLAS product (`w @ packed`)
+        sums a column in an order that depends on its position.
+        """
+        _check_cohort(self.train.labels, k)
+        d2 = np.einsum("v,vp->p", w, self.tensor)[self.pairs]
+        np.fill_diagonal(d2, np.inf)
+        return top_k(d2, k)
+
+    def error_and_gradient(self, w, sets) -> tuple:
+        """Training error and dE/dw at weights `w` over fixed neighbor sets, from one gather."""
+        labels = self.train.labels
+        d_sel = self.tensor[:, self.pairs[np.arange(len(labels))[:, None], sets]]   # (40, n, k)
+        d2_sel = np.einsum("v,vnk->nk", w, d_sel)
+        y_n = labels[sets]
+        # the soft score yhat = T/S with s_in = exp(-d2_in), d s_in / d w_v = -D2_v(i,n) * s_in
+        s = np.exp(-d2_sel)
+        big_s = s.sum(axis=1)
+        big_t = (s * y_n).sum(axis=1)
+        d_t = -np.einsum("vnk,nk->nv", d_sel, s * y_n)    # (n, 40)
+        d_s = -np.einsum("vnk,nk->nv", d_sel, s)
+        # every similarity of a set underflowing to 0 gives a NaN error, for train_gd to report
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yhat = big_t / big_s
+            d_yhat = (d_t * big_s[:, None] - big_t[:, None] * d_s) / (big_s ** 2)[:, None]
+            grad = -4.0 * ((labels - yhat)[:, None] * d_yhat).sum(axis=0)
+        return _error_value(yhat, labels), grad
+
 
 def _workspace(frames) -> Workspace:
     return frames if isinstance(frames, Workspace) else Workspace(frames)
 
 
-def _loo_problem(frames, weights, k) -> tuple:
-    """(packed tensor, pair index, weights, LOO neighbor sets, labels) of a training cohort."""
-    ws = _workspace(frames)
-    labels = ws.train.labels
-    _check_two_classes(labels)
-    if k > len(labels) - 1:
-        raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
-    packed, pair = ws.tensor, ws.pairs
-    w = _weight_array(weights)
-    return packed, pair, w, top_k(_loo_distances(packed, pair, w), k), labels
-
-
 def loo_neighbor_sets(frames, weights, k=RunConfig.k) -> np.ndarray:
     """Leave-one-out neighbor index sets for every training patient."""
-    return _loo_problem(frames, weights, k)[3]
+    return _workspace(frames).neighbor_sets(_weight_array(weights), k)
 
 
 def training_error(frames, weights, k=RunConfig.k, neighbor_sets=None) -> float:
@@ -256,15 +244,18 @@ def training_error(frames, weights, k=RunConfig.k, neighbor_sets=None) -> float:
     patient_id order) the sets are held fixed instead of re-selected,
     which is the function the analytic gradient differentiates.
     """
-    packed, pair, w, sets, labels = _loo_problem(frames, weights, k)
-    if neighbor_sets is not None:
-        sets = neighbor_sets
-    return _error_and_gradient(packed, pair, w, sets, labels)[0]
+    ws, w = _workspace(frames), _weight_array(weights)
+    if neighbor_sets is None:
+        neighbor_sets = ws.neighbor_sets(w, k)
+    else:
+        _check_cohort(ws.train.labels, k)
+    return ws.error_and_gradient(w, neighbor_sets)[0]
 
 
 def gradient(frames, weights, k=RunConfig.k) -> np.ndarray:
     """dE/dw per variable, neighbor sets held fixed at the current weights."""
-    return _error_and_gradient(*_loo_problem(frames, weights, k))[1]
+    ws, w = _workspace(frames), _weight_array(weights)
+    return ws.error_and_gradient(w, ws.neighbor_sets(w, k))[1]
 
 
 def _active(active) -> np.ndarray:
@@ -274,9 +265,12 @@ def _active(active) -> np.ndarray:
     return np.asarray(active, dtype=bool)
 
 
-def _check_two_classes(labels):
+def _check_cohort(labels, k=0):
+    """A training cohort holds both classes and, when k is given, k leave-one-out candidates."""
     if len(np.unique(labels)) < 2:
         raise SingleClassCohort("training cohort contains a single class")
+    if k > len(labels) - 1:
+        raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
 
 
 def _finite(value, epoch):
@@ -297,11 +291,13 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
     restricts the search to a boolean subset of variables; the rest are
     pinned to zero.
     """
-    active = _active(active)
+    ws, active = _workspace(frames), _active(active)
     start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
-    packed, pair, w, sets, labels = _loo_problem(frames, start * active, config.k)
-    err, grad = _error_and_gradient(packed, pair, w, sets, labels)
-    _finite(err, 0)
+    w = _weight_array(start * active)
+    err, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, config.k))
+    if not np.isfinite(err):
+        raise PatsimError(f"gradient descent cannot start: the training error is not finite at "
+                          f"the start weights (largest {w.max():g}); smaller ones may converge")
 
     trace = TrainTrace()
     trace.errors.append(err)
@@ -313,8 +309,7 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
             w = np.maximum(w - config.learning_rate * grad, 0.0)
             w *= active
         _finite(w, epoch)
-        new_err, grad = _error_and_gradient(
-            packed, pair, w, top_k(_loo_distances(packed, pair, w), config.k), labels)
+        new_err, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, config.k))
         _finite(new_err, epoch)
         trace.errors.append(new_err)
         trace.epochs_run = epoch
@@ -438,7 +433,7 @@ def filter_score(frames, method) -> np.ndarray:
     if method not in _SCORERS:
         raise BadConfig(f"unknown filter method {method!r}")
     ws = _workspace(frames)
-    _check_two_classes(ws.train.labels)
+    _check_cohort(ws.train.labels)
     return _SCORERS[method](ws.tables)
 
 

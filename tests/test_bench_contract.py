@@ -9,7 +9,10 @@ load its modules from their files and change nothing in them.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from patsim import evaluation
 from patsim.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def _load(name):
@@ -64,3 +68,38 @@ def test_fit_predict_workload_checks_pass(workloads, tmp_path):
     rng = random.Random(1)
     assert workloads.check_train(inputs, out, rng) == []
     assert workloads.check_predict(inputs, out, rng) == []
+
+
+def test_traced_commands_run_and_nest_their_spans(tracer, tmp_path):
+    """The benchmark's traced CLI over one train, one predict and one exp3, small.
+
+    traced_cli.py rebinds patsim's module globals, so each command runs in
+    its own process, as the benchmark runs it. The tracer reads its
+    targets' arguments and results (train_gd's first argument must support
+    len()), so a change to them fails the command, which no other test sees.
+    """
+    frames, weights = tmp_path / "frames.csv", tmp_path / "w.csv"
+    assert main(["synth", "--out-dir", str(tmp_path / "synth"), "--n-patients", "60",
+                 "--seed", "5"]) == 0
+    assert main(["frame", "--events", str(tmp_path / "synth" / "events.csv"),
+                 "--outcomes", str(tmp_path / "synth" / "outcomes.csv"),
+                 "--out-frames", str(frames)]) == 0
+    (tmp_path / "run.cfg").write_text("max_epochs=2\n", encoding="utf-8")
+    commands = {    # in this order: predict reads the weights train writes
+        "train": ["train", "--frames", frames, "--weights-out", weights, "--max-epochs", "2"],
+        "predict": ["predict", "--train-frames", frames, "--weights", weights,
+                    "--out", tmp_path / "pred.csv"],
+        "exp3": ["experiment", "exp3", "--n-patients", "60", "--folds", "3",
+                 "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "exp3"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for label, args in commands.items():
+        spans_path = tmp_path / f"{label}.json"
+        proc = subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans_path),
+                               *map(str, args), "--workers", "1"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{label}: {proc.stderr}"
+        spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+        assert "main" in {s["name"] for s in spans}, label
+        assert tracer.span_errors(spans) == [], label

@@ -128,8 +128,9 @@ def _corrupt(line, fault):
     cells = line.split(",")
     if fault == "truncated":
         return ",".join(cells[:-3])
-    if fault in ("nan", "inf", "text"):
-        cells[5] = {"nan": "nan", "inf": "-inf", "text": "0.3x"}[fault]
+    if fault in ("nan", "inf", "text", "above", "below"):
+        cells[5] = {"nan": "nan", "inf": "-inf", "text": "0.3x", "above": "1e200",
+                    "below": "-0.25"}[fault]
     if fault == "label":
         cells[1] = "2"
     return ",".join(cells)
@@ -141,6 +142,8 @@ class TestStrictFrames:
         ("nan", "line 4: cell d00_t03 is not a finite number: 'nan'"),
         ("inf", "line 4: cell d00_t03 is not a finite number: '-inf'"),
         ("text", "line 4: cell d00_t03 is not a finite number: '0.3x'"),
+        ("above", "line 4: cell d00_t03 is outside [0, 1]: '1e200'"),
+        ("below", "line 4: cell d00_t03 is outside [0, 1]: '-0.25'"),
         ("label", "line 4: label must be 0 or 1, got '2'"),
         ("duplicate", "line 4: duplicate patient id"),
     ])
@@ -629,6 +632,35 @@ class TestLocatedFaults:
         assert err == f"error: {reason}\n"
         assert not (tmp_path / "w.csv").exists()
 
+    def test_train_start_weights_fault(self, framed, tmp_path, capsys):
+        """Every similarity underflows before any step: the start weights are at fault."""
+        start = tmp_path / "start.csv"
+        start.write_text("variable,weight\n" + "".join(
+            f"{name},1e300\n" for name in vocab.ALL_VARIABLES))
+        err = one_line_error(capsys, ["train", "--frames", framed, "--init-weights", start,
+                                      "--weights-out", tmp_path / "w.csv"])
+        assert err == ("error: gradient descent cannot start: the training error is not "
+                       "finite at the start weights (largest 1e+300); smaller ones may converge\n")
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_weighted_mode_underflow_fault(self, synth_dir, framed, tmp_path, capsys, command):
+        """Weights of 1000 put every neighbor's similarity exp(-d2) at 0, where a
+        weighted score would be 0/0."""
+        weights = tmp_path / "w1000.csv"
+        weights.write_text("variable,weight\n" + "".join(
+            f"{name},1000\n" for name in vocab.ALL_VARIABLES))
+        out = tmp_path / "out.csv"
+        argv = {"predict": ["predict", "--train-frames", framed, "--weights", weights],
+                "evaluate": ["evaluate", "--events", synth_dir / "events.csv",
+                             "--outcomes", synth_dir / "outcomes.csv", "--weighting", "manual",
+                             "--manual-weights", weights, "--folds", "3"]}[command]
+        err = one_line_error(capsys, argv + ["--mode", "weighted", "--out", out])
+        assert re.fullmatch(r"error: weighted mode: at these weights every neighbor similarity "
+                            r"exp\(-d2\) of \d+ of \d+ patients underflows to 0; smaller weights "
+                            r"or majority mode can score them\n", err), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, reason", [
         ("# run\nk=abc\n", "line 2: bad value for 'k': 'abc'"),
         ("events = real.csv\n", "line 1: unknown config key 'events'"),
@@ -730,3 +762,65 @@ class TestReaderFuzz:
         assert rc == (2 if mutation == "missing" else 1)
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert str(named) in err
+
+
+class TestNumericFaults:
+    """Weights up to 1e300 and frames cells outside [0, 1], through the CLI.
+
+    Every run exits 0 with finite outputs and nothing on stderr, or exits 1
+    with one line; a frames file with a cell outside [0, 1] always fails,
+    naming itself. A numpy floating-point warning fails the test, as the
+    suite turns it into an error.
+    """
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["train", "predict", "evaluate"]),
+           st.sampled_from(["majority", "weighted"]), st.integers(-3, 300),
+           st.lists(st.floats(0.0, 1.0), min_size=vocab.N_VARIABLES,
+                    max_size=vocab.N_VARIABLES),
+           st.booleans(), st.data())
+    def test_finite_outputs_or_one_line(self, synth_dir, framed, tmp_path, capsys, command,
+                                        mode, exponent, shares, outside, data):
+        outside = outside and command != "evaluate"     # evaluate frames its own events
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            out = Path(out)
+            weights, frames = out / "w.csv", framed
+            weights.write_text("variable,weight\n" + "".join(
+                f"{name},{share * 10.0 ** exponent!r}\n"
+                for name, share in zip(vocab.ALL_VARIABLES, shares)))
+            if outside:
+                lines = framed.read_text().splitlines()
+                row = data.draw(st.integers(1, len(lines) - 1))
+                cells = lines[row].split(",")
+                cells[data.draw(st.integers(2, len(cells) - 1))] = repr(data.draw(st.one_of(
+                    st.floats(max_value=-1e-308, allow_infinity=False),
+                    st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))))
+                lines[row] = ",".join(cells)
+                frames = out / "frames.csv"
+                frames.write_text("\n".join(lines) + "\n")
+            argv = {
+                "train": ["train", "--frames", frames, "--init-weights", weights, "--k", "5",
+                          "--weights-out", out / "learned.csv", "--trace-out", out / "trace.csv",
+                          "--max-epochs", "3"],
+                "predict": ["predict", "--train-frames", frames, "--weights", weights,
+                            "--k", "5", "--mode", mode, "--out", out / "pred.csv"],
+                "evaluate": ["evaluate", "--events", synth_dir / "events.csv",
+                             "--outcomes", synth_dir / "outcomes.csv", "--weighting", "manual",
+                             "--manual-weights", weights, "--k", "5", "--mode", mode,
+                             "--folds", "3", "--out", out / "metrics.csv"],
+            }[command]
+            capsys.readouterr()
+            rc = main([str(a) for a in argv])
+            err = capsys.readouterr().err
+            if rc == 0:
+                assert not outside and err == ""
+                written = {"train": ["learned.csv", "trace.csv"], "predict": ["pred.csv"],
+                           "evaluate": ["metrics.csv"]}[command]
+                for name in written:
+                    rows = [line.split(",")[1:] for line in
+                            (out / name).read_text().splitlines()[1:]]
+                    assert np.isfinite(np.array(rows, dtype=float)).all(), name
+            else:
+                assert rc == 1 and err.count("\n") == 1 and err.startswith("error: "), err
+                assert not outside or f"{frames} line " in err

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patsim import knn, vocab, weights
-from patsim.errors import KTooLarge
+from patsim.errors import KTooLarge, PatsimError
 from patsim.framing import FramedPatient, stack
 from patsim.knn import (
     FeatureWeights,
@@ -36,7 +36,6 @@ from patsim.weights import (
     Workspace,
     _distance_tensor,
     _error_value,
-    _loo_distances,
     loo_neighbor_sets,
     train_gd,
 )
@@ -125,6 +124,14 @@ def test_top_k_sorts_nan_as_inf(seed, n_rows, n_cols):
         assert [top_k(row[None], k)[0].tolist() for row in d2] == expected
 
 
+def loo_distances(ws, w):
+    """The weighted leave-one-out distances Workspace.neighbor_sets selects from, as it
+    sums them: +inf on the diagonal."""
+    d2 = np.einsum("v,vp->p", w, ws.tensor)[ws.pairs]
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
 def test_nan_loo_distances_select_from_their_own_row():
     """A static of 1e200 overflows its squared distances to +inf, and a weight of 0
     makes them NaN: that patient's leave-one-out row is NaN but for its +inf
@@ -136,8 +143,8 @@ def test_nan_loo_distances_select_from_their_own_row():
     w[vocab.N_DYNAMIC + 1] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         ws = Workspace(train)
-        d2 = _loo_distances(ws.tensor, ws.pairs, w)
-        sets = loo_neighbor_sets(ws, FeatureWeights(w), k=3)
+        d2 = loo_distances(ws, w)
+        sets = ws.neighbor_sets(w, 3)
     assert np.isnan(np.delete(d2[5], 5)).all()
     assert sets[5].tolist() == [0, 1, 2]
     assert sets.tolist() == argsort_top_k(d2, 3).tolist()
@@ -260,8 +267,8 @@ def test_exact_duplicates_tie_and_resolve_by_patient_id(seed, levels, n, copies)
     w[0] = 1.0 + rng.random()
     k = int(rng.integers(1, n))
     per_var = ws.tensor[:, ws.pairs]
-    d2 = _loo_distances(ws.tensor, ws.pairs, w)
-    sets = loo_neighbor_sets(ws, FeatureWeights(w), k=k)
+    d2 = loo_distances(ws, w)
+    sets = ws.neighbor_sets(w, k)
     keys = [ws.train.grid[i].tobytes() + ws.train.statics[i].tobytes() for i in range(n)]
     copies_of = {}
     for j, key in enumerate(keys):
@@ -601,3 +608,37 @@ def test_train_gd_equals_double_gather_loop(make, features):
         old_w, old_errors = _old_train_gd(frames, cfg, active)
         assert trace.errors == old_errors
         assert learned.values.tolist() == old_w.tolist()
+
+
+ACTIVE_SETS = {
+    "all": np.ones(vocab.N_VARIABLES, dtype=bool),
+    "dynamic_only": np.arange(vocab.N_VARIABLES) < vocab.N_DYNAMIC,
+    "static_only": np.arange(vocab.N_VARIABLES) >= vocab.N_DYNAMIC,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.sampled_from([random_dense_frames, quantized_frames, copy_heavy_frames,
+                               one_bucket_frames]),
+       st.integers(4, 40), st.sampled_from(sorted(ACTIVE_SETS)), st.booleans(),
+       st.sampled_from([0.1, 0.5, 2.0, 1e4]), st.integers(1, 25), st.integers(1, 4))
+def test_train_gd_equals_the_reference_loop_on_drawn_cohorts(seed, make, n, features,
+                                                             initial, lr, max_epochs, patience):
+    """Weights and every trace error, bit for bit, on dense, tie-heavy, copy-heavy and
+    one-bucket cohorts, with every active set and with or without start weights; a
+    reference run that leaves the finite numbers makes train_gd fail in one PatsimError."""
+    rng = np.random.default_rng(seed)
+    frames = make(n, rng)
+    start = FeatureWeights(2.0 * rng.random(vocab.N_VARIABLES)) if initial else None
+    cfg = TrainConfig(k=int(rng.integers(1, min(n - 1, 8) + 1)), learning_rate=lr,
+                      max_epochs=max_epochs, patience=patience, initial_weights=start)
+    active = ACTIVE_SETS[features]
+    with np.errstate(all="ignore"):
+        old_w, old_errors = _old_train_gd(frames, cfg, active)
+    if not np.isfinite(old_errors).all():
+        with pytest.raises(PatsimError):
+            train_gd(stack(frames), cfg, active=active)
+        return
+    learned, trace = train_gd(stack(frames), cfg, active=active)
+    assert trace.errors == old_errors
+    assert learned.values.tobytes() == old_w.tobytes()

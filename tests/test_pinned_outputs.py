@@ -1,0 +1,64 @@
+"""The outputs whose bytes hold on every CPU path, pinned by sha256.
+
+synth, frame, a majority-mode predict under fixed weights and
+experiment exp3 write the same bytes whichever SIMD loops numpy
+dispatches to and whichever OpenBLAS kernel runs: these hashes were
+also taken in processes started under OPENBLAS_CORETYPE=Sandybridge and
+under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4". The
+learned weights and trace of train, and the scores of a weighted-mode
+predict, are left out: their last bits follow the CPU path, as `np.exp`
+and the BLAS products do.
+"""
+
+import hashlib
+
+import pytest
+
+from patsim import vocab
+from patsim.cli import main
+
+PINNED = {
+    "synth/events.csv":
+        "94839f0ea9bd05498d3fe843fbe75c1cddf2e8c950b79fa466c776c140623b8b",
+    "synth/outcomes.csv":
+        "0f3e8630959c9ed9c68300f74d0623ebed73138738bcd0657841629421b96fcb",
+    "synth/manifest.json":
+        "454778cf60497fcfb3a3354482fee9f5b990d2a0876ca115d6e72707aa126494",
+    "frames.csv":
+        "473b8e0b7873bef4c542427506a537af95ad4900ee8c8a4a8c46924854c4a8ba",
+    "mask.csv":
+        "a727e6f6bada6f0b878d36db7d22737fba6c9fae2c30894c858a4ec66f2be4c5",
+    "stats.txt":
+        "52871c715a9713e525797e7b341c786adb32c372fc8567f9f7363d40bf786cf4",
+    "pred.csv":
+        "c871979dff33139f83c3faa8806d9ce906dc447ffdb37bde1d47e53f13f033e8",
+    "exp3/exp3_report.json":
+        "cc58118af9689cc2f9b7e21b41ba69575056c787e89d64e3031fdbf06c640780",
+    "exp3/exp3_report.txt":
+        "4714b8e402ab86d900142402fcbee0148880d72cc257bf6723702bcc4700dc92",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
+    """synth -> frame -> majority predict -> exp3 on 150 patients, at 3 epochs a GD fold."""
+    synth = tmp_path / "synth"
+    assert main(["synth", "--out-dir", str(synth), "--n-patients", "150", "--seed", "2101"]) == 0
+    assert main(["frame", "--events", str(synth / "events.csv"),
+                 "--outcomes", str(synth / "outcomes.csv"),
+                 "--out-frames", str(tmp_path / "frames.csv"),
+                 "--out-mask", str(tmp_path / "mask.csv"),
+                 "--stats-out", str(tmp_path / "stats.txt")]) == 0
+    weights = tmp_path / "weights.csv"
+    weights.write_text("variable,weight\n" + "".join(
+        f"{name},{(1 + v % 4) / 4}\n" for v, name in enumerate(vocab.ALL_VARIABLES)))
+    assert main(["predict", "--train-frames", str(tmp_path / "frames.csv"),
+                 "--weights", str(weights), "--out", str(tmp_path / "pred.csv"),
+                 "--workers", str(workers)]) == 0
+    (tmp_path / "run.cfg").write_text("max_epochs=3\n")
+    assert main(["experiment", "exp3", "--events", str(synth / "events.csv"),
+                 "--outcomes", str(synth / "outcomes.csv"), "--folds", "5",
+                 "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "exp3"),
+                 "--workers", str(workers)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED} == PINNED

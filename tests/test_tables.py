@@ -71,8 +71,9 @@ def test_events_and_outcomes_round_trip(rows, data):
 def test_frames_and_mask_round_trip(seed, n_buckets, n):
     rng = np.random.default_rng(seed)
     shape = (vocab.N_DYNAMIC, n_buckets)
-    frames = [FramedPatient(f"p{i}", rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape),
-                            rng.random(shape) < 0.6, rng.normal(size=vocab.N_STATIC),
+    # frames cells lie in [0, 1]; their magnitudes still span several decades
+    frames = [FramedPatient(f"p{i}", rng.random(shape) * 10.0 ** -rng.integers(0, 7),
+                            rng.random(shape) < 0.6, rng.random(vocab.N_STATIC),
                             int(rng.integers(0, 2)))
               for i in rng.permutation(n)]
     with tempfile.TemporaryDirectory() as tmp:
