@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from patsim import vocab
 from patsim.errors import BadConfig, DimensionMismatch, EmptyCohort, MalformedRow
 from patsim.framing import (
+    N_AGG,
     FramedPatient,
     Frames,
     _impute_stack,
@@ -23,7 +24,8 @@ from patsim.framing import (
     write_frames,
     write_scaling_stats,
 )
-from util import cohort_of, framing_oracle, reference_fit_scaling
+from util import (cohort_of, framing_oracle, reference_aggregation_scaling,
+                  reference_fit_scaling)
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 AGE = vocab.STATIC_INDEX["Age"]
@@ -435,6 +437,41 @@ def test_fit_scaling_equals_the_pass_by_pass_reference(seed, n, n_buckets, missi
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.dyn_degenerate[[ALL_NAN_VAR, CONSTANT_VAR]].all()
     assert got.static_degenerate[:2].all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_train=st.integers(1, 6), n_test=st.integers(1, 4),
+       missing=st.floats(0.0, 1.0), levels=st.sampled_from([0, 3]))
+def test_aggregation_scaling_equals_the_column_by_column_reference(seed, n_train, n_test,
+                                                                   missing, levels):
+    """Both sides' bits, on drawn aggregation tables with NaN cells, a never-observed
+    variable and static, constant columns (one of +0.0 and -0.0 mixed) and signed zeros,
+    continuous or tied values, and test cells beyond the training range."""
+    rng = np.random.default_rng(seed)
+
+    def table(n, spread):
+        grid = rng.normal(0.0, spread, (n, vocab.N_DYNAMIC, N_AGG))
+        statics = rng.normal(0.0, spread, (n, vocab.N_STATIC))
+        if levels:
+            grid, statics = np.round(grid * levels) / levels, np.round(statics * levels)
+        grid[rng.random(grid.shape) < 0.1] = -0.0
+        grid[rng.random(grid.shape) < missing] = np.nan
+        statics[rng.random(statics.shape) < missing] = np.nan
+        return Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics)
+
+    train, test = table(n_train, 1.0), table(n_test, 5.0)
+    train.grid[:, ALL_NAN_VAR] = np.nan
+    train.grid[:, CONSTANT_VAR] = 3.25
+    train.grid[:, CONSTANT_VAR, 0] = np.where(np.arange(n_train) % 2, -0.0, 0.0)
+    train.statics[:, 0], train.statics[:, 1] = np.nan, -1.5
+    stats = fit_aggregation_scaling(train)
+    for side in (train, test):
+        got = scale_aggregates(side, stats)
+        want_grid, want_statics = reference_aggregation_scaling(train, side)
+        assert got.mask is None and got.grid.shape == side.grid.shape
+        assert got.grid.tobytes() == want_grid.tobytes()
+        assert got.statics.tobytes() == want_statics.tobytes()
+        assert (got.grid[:, [ALL_NAN_VAR, CONSTANT_VAR]] == 0.5).all()
 
 
 ORACLE_VARIABLES = ("Heart rate", "pH", "Glucose", "Age", "Weight")

@@ -1,7 +1,8 @@
 """The outputs whose bytes hold on every CPU path, pinned by sha256.
 
-synth, frame, a majority-mode predict under fixed weights and
-experiment exp3 write the same bytes whichever SIMD loops numpy
+synth, frame, a majority-mode predict under fixed weights, two evaluate
+runs (aggregates under chi2 weights, time frames under gd) and
+experiments exp1, exp2 and exp3 write the same bytes whichever SIMD loops numpy
 dispatches to and whichever OpenBLAS kernel runs: these hashes were
 also taken in processes started under OPENBLAS_CORETYPE=Sandybridge and
 under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4". The
@@ -32,6 +33,18 @@ PINNED = {
         "52871c715a9713e525797e7b341c786adb32c372fc8567f9f7363d40bf786cf4",
     "pred.csv":
         "c871979dff33139f83c3faa8806d9ce906dc447ffdb37bde1d47e53f13f033e8",
+    "eval_aggregation.csv":
+        "fb557eac281e3d52dc063833d083d5c62b86cdc1855de61bae98115693718985",
+    "eval_gd.csv":
+        "9564d29cf235ef785f5a689b05dfb0cfe039ee045e227e32b278e7ea80654c7a",
+    "exp1/exp1_report.json":
+        "e3d190be0331054a80416565ec854d68d35bbcdbcde495676dc68825981a8f9c",
+    "exp1/exp1_report.txt":
+        "5157e9271ae27dd6ce8c0f43ff9058e18e9bdee7ee44917aa52d18b6759bf176",
+    "exp2/exp2_report.json":
+        "550f5d8777b13a3c1877ae7d7b7fa1e8ce90a19748282abbd7a41f9a606c9dfb",
+    "exp2/exp2_report.txt":
+        "5065a8cb211c9b6f407195d24f627cb1ebaa057476e758c41c3f4d629355227f",
     "exp3/exp3_report.json":
         "cc58118af9689cc2f9b7e21b41ba69575056c787e89d64e3031fdbf06c640780",
     "exp3/exp3_report.txt":
@@ -41,7 +54,7 @@ PINNED = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
-    """synth -> frame -> majority predict -> exp3 on 150 patients, at 3 epochs a GD fold."""
+    """synth -> frame -> majority predict -> evaluate, exp1-3 on 150 patients, 3 epochs a GD fold."""
     synth = tmp_path / "synth"
     assert main(["synth", "--out-dir", str(synth), "--n-patients", "150", "--seed", "2101"]) == 0
     assert main(["frame", "--events", str(synth / "events.csv"),
@@ -56,9 +69,12 @@ def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
                  "--weights", str(weights), "--out", str(tmp_path / "pred.csv"),
                  "--workers", str(workers)]) == 0
     (tmp_path / "run.cfg").write_text("max_epochs=3\n")
-    assert main(["experiment", "exp3", "--events", str(synth / "events.csv"),
-                 "--outcomes", str(synth / "outcomes.csv"), "--folds", "5",
-                 "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "exp3"),
-                 "--workers", str(workers)]) == 0
+    data = ["--events", str(synth / "events.csv"), "--outcomes", str(synth / "outcomes.csv"),
+            "--folds", "5", "--config", str(tmp_path / "run.cfg"), "--workers", str(workers)]
+    for preset in ("exp1", "exp2", "exp3"):
+        assert main(["experiment", preset, *data, "--out-dir", str(tmp_path / preset)]) == 0
+    assert main(["evaluate", *data, "--representation", "aggregation", "--weighting", "chi2",
+                 "--out", str(tmp_path / "eval_aggregation.csv")]) == 0
+    assert main(["evaluate", *data, "--out", str(tmp_path / "eval_gd.csv")]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PINNED} == PINNED

@@ -85,6 +85,33 @@ def reference_fit_scaling(frames) -> framing.ScalingStats:
         static_degenerate=~any_seen | (static_max <= static_min))
 
 
+def reference_aggregation_scaling(train, test) -> tuple:
+    """Reference scaling of aggregation tables: the scaled (grid, statics) of `test`.
+
+    The arithmetic of the aggregation-only fit and apply that fit_scaling
+    and scale_frames replaced: each (variable, statistic) column and each
+    static is on its own, with the min, max and mean of its training cells
+    that are not NaN. A NaN cell takes that mean, or 0 where the column was
+    never observed; a never-observed or constant column scales to 0.5 and
+    the rest clip into [0, 1]. scale_frames(test, fit_scaling(train)) must
+    equal it bit for bit.
+    """
+    def scaled(fit_on, values):
+        seen = ~np.isnan(fit_on)
+        counts = seen.sum(axis=0)
+        ever = counts > 0
+        lo = np.where(ever, np.where(seen, fit_on, np.inf).min(axis=0), np.nan)
+        hi = np.where(ever, np.where(seen, fit_on, -np.inf).max(axis=0), np.nan)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.where(ever, np.where(seen, fit_on, 0.0).sum(axis=0)
+                            / np.maximum(counts, 1), np.nan)
+            filled = np.where(np.isnan(values), np.where(np.isnan(mean), 0.0, mean), values)
+            out = np.clip((filled - lo) / (hi - lo), 0.0, 1.0)
+        return np.where(~ever | (hi <= lo), 0.5, out)
+
+    return scaled(train.grid, test.grid), scaled(train.statics, test.statics)
+
+
 def square_distance_tensor(grid, statics) -> np.ndarray:
     """Reference per-variable pairwise squared distances, square: shape (40, n, n).
 
