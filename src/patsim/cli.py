@@ -80,9 +80,9 @@ def _cmd_frame(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _build(weights_mod.TrainConfig, args, _config_from_args(args))
+    frames = framing.read_frames(args.frames)
     if args.init_weights:
         cfg.initial_weights = weights_mod.load_manual_weights(args.init_weights)
-    frames = framing.read_frames(args.frames)
     learned, trace = weights_mod.train_gd(frames, cfg)
     weights_mod.save_weights(learned, args.weights_out)
     if args.trace_out:

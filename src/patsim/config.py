@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, fields
 
 from . import tables, vocab
-from .errors import BadConfig, InputFault
+from .errors import InputFault, PatsimError
 
 REPRESENTATIONS = ("timeseries", "aggregation")
 WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
@@ -58,15 +58,15 @@ def check_choices(**values) -> None:
     """
     for name, allowed in _CHOICES.items():
         if name in values and values[name] not in allowed:
-            raise BadConfig(f"{name} must be one of {allowed}, got {values[name]!r}")
+            raise PatsimError(f"{name} must be one of {allowed}, got {values[name]!r}")
     for name, (text, holds) in _RULES.items():
         if name in values and not holds(values[name]):
-            raise BadConfig(f"{name} must be {text}")
+            raise PatsimError(f"{name} must be {text}")
     if "horizon_hours" in values:
         window, horizon = values["window_hours"], values["horizon_hours"]
         if not (window > 0 and horizon % window == 0 and 0 < horizon <= vocab.HORIZON_HOURS):
-            raise BadConfig(f"window_hours must be positive and divide horizon_hours, which is "
-                            f"at most {vocab.HORIZON_HOURS}; got {window} and {horizon}")
+            raise PatsimError(f"window_hours must be positive and divide horizon_hours, which is "
+                              f"at most {vocab.HORIZON_HOURS}; got {window} and {horizon}")
 
 
 @dataclass
@@ -129,6 +129,6 @@ def build_config(file_path=None, overrides=None) -> RunConfig:
         if value is None:
             continue
         if key not in _FIELD_TYPES:
-            raise BadConfig(f"unknown config key {key!r}")
+            raise PatsimError(f"unknown config key {key!r}")
         values[key] = value
     return RunConfig(**values)

@@ -14,16 +14,7 @@ import numpy as np
 
 from . import framing, tables, vocab
 from .config import RunConfig, check_choices
-from .errors import (
-    BadConfig,
-    DegenerateMatrix,
-    DimensionMismatch,
-    FoldProcessDied,
-    MalformedRow,
-    SingleClassCohort,
-    TooFewPairs,
-    TooFewPerClass,
-)
+from .errors import InputFault, PatsimError, TooFewPairs
 from .knn import FeatureWeights, decide_rows, nearest
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
@@ -77,7 +68,7 @@ def split_dev_validation(patient_ids, labels, seed) -> tuple:
     """
     labels = np.asarray(labels, dtype=int)
     if len(np.unique(labels)) < 2:
-        raise SingleClassCohort("both classes are required for a stratified split")
+        raise PatsimError("both classes are required for a stratified split")
     dev, validation = [], []
     for members in _shuffled_classes(patient_ids, labels, substream(seed, "split")):
         half = (len(members) + 1) // 2
@@ -96,7 +87,7 @@ def kfold(patient_ids, labels, k=RunConfig.folds, seed=0) -> list:
     labels = np.asarray(labels, dtype=int)
     for cls in (0, 1):
         if int((labels == cls).sum()) < k:
-            raise TooFewPerClass(f"class {cls} has fewer than {k} members")
+            raise PatsimError(f"class {cls} has fewer than {k} members")
     folds = [[] for _ in range(k)]
     pointer = 0
     for members in _shuffled_classes(patient_ids, labels, substream(seed, "folds")):
@@ -125,7 +116,7 @@ class MethodSpec:
     def __post_init__(self):
         check_choices(**vars(self))
         if self.weighting == "manual" and self.manual_weights is None:
-            raise BadConfig("manual weighting requires a loaded weights file")
+            raise PatsimError("manual weighting requires a loaded weights file")
 
     def active_mask(self) -> np.ndarray:
         active = np.ones(vocab.N_VARIABLES, dtype=bool)
@@ -137,16 +128,9 @@ class MethodSpec:
 
 
 def _scale_split(train_raw, test_raw) -> tuple:
-    """Fit scaling on the training side, then scale both sides with it.
-
-    A cohort without a mask holds aggregation tables.
-    """
-    if train_raw.mask is None:
-        fit, scale = framing.fit_aggregation_scaling, framing.scale_aggregates
-    else:
-        fit, scale = framing.fit_scaling, framing.scale_frames
-    stats = fit(train_raw)
-    return scale(train_raw, stats), scale(test_raw, stats)
+    """Fit scaling on the training side, then scale both sides with it."""
+    stats = framing.fit_scaling(train_raw)
+    return framing.scale_frames(train_raw, stats), framing.scale_frames(test_raw, stats)
 
 
 def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
@@ -252,8 +236,8 @@ def _run_folds_in_processes(job, processes) -> list:
     try:
         return list(pool.map(_run_inherited_fold, range(len(job[1]))))
     except BrokenProcessPool:
-        raise FoldProcessDied("a cross-validation fold process died before "
-                              "returning its fold") from None
+        raise PatsimError("a cross-validation fold process died before "
+                          "returning its fold") from None
     finally:
         pool.shutdown(cancel_futures=True)
         _JOB = None
@@ -308,7 +292,7 @@ def friedman(matrix) -> tuple:
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2 or matrix.shape[1] < 2:
-        raise DegenerateMatrix("need at least 2 folds and 2 methods")
+        raise PatsimError("need at least 2 folds and 2 methods")
     n, m = matrix.shape
     ranks = np.stack([_average_ranks(row) for row in matrix])
     rank_sums = ranks.sum(axis=0)
@@ -359,7 +343,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise DimensionMismatch("paired samples must have equal length")
+        raise PatsimError("paired samples must have equal length")
     d = a - b
     d = d[d != 0]
     n = len(d)
@@ -420,10 +404,10 @@ def compare(fold_metrics_by_method: dict, alpha=ComparisonReport.alpha) -> Compa
     check_choices(alpha=alpha)
     methods = list(fold_metrics_by_method)
     if len(methods) < 2:
-        raise DegenerateMatrix("need at least two methods to compare")
+        raise PatsimError("need at least two methods to compare")
     n_folds = {len(v) for v in fold_metrics_by_method.values()}
     if len(n_folds) != 1:
-        raise DegenerateMatrix("methods cover different numbers of folds")
+        raise PatsimError("methods cover different numbers of folds")
     f_matrix = np.column_stack([
         [m.f_measure for m in fold_metrics_by_method[name]] for name in methods
     ])
@@ -510,7 +494,7 @@ def load_fold_metrics(path) -> list:
         values = [tables.finite_number(cell, kind) for cell, kind in zip(cells, _FOLD_KINDS)]
         if None in values:
             col = values.index(None)
-            raise MalformedRow(f"bad value {cells[col]!r} for "
-                               f"{FOLD_METRICS_HEADER.split(',')[col]!r}", line_no, path)
+            raise InputFault(f"bad value {cells[col]!r} for "
+                             f"{FOLD_METRICS_HEADER.split(',')[col]!r}", line_no, path)
         out.append(FoldMetrics(*values))
     return out

@@ -18,7 +18,7 @@ import logging
 
 from . import framing
 from .config import RunConfig
-from .errors import BadConfig
+from .errors import PatsimError
 from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
 
@@ -64,7 +64,7 @@ def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
         else:
             logger.warning("exp3: no manual weights file supplied, skipping the manual arm")
         return methods
-    raise BadConfig(f"unknown experiment preset {preset!r}")
+    raise PatsimError(f"unknown experiment preset {preset!r}")
 
 
 def validation_ids(cohort, seed) -> list:

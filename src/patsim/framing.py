@@ -7,9 +7,9 @@ Two representations are produced from the same raw events:
 * aggregation table: six summary statistics per dynamic variable
   (minimum, maximum, median, first, last, count).
 
-Both paths share the same treatment of statics and the same min-max
-scaling discipline: statistics are fitted on training patients only and
-reused to transform anything else.
+Both share one min-max scaling, fitted on training patients only and
+reused to transform anything else: an aggregation table scales as 216
+one-bucket variables, one per (variable, statistic) column.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tables, vocab
 from .config import check_choices
-from .errors import DimensionMismatch, EmptyCohort, InputFault, MalformedRow
+from .errors import InputFault, PatsimError
 
 AGG_FUNCTIONS = ("minimum", "maximum", "median", "first", "last", "count")
 N_AGG = len(AGG_FUNCTIONS)
@@ -85,7 +85,7 @@ class Frames(Sequence):
 def stack(rows) -> Frames:
     """The Frames of FramedPatient rows, sorted by patient_id (stable for equal ids)."""
     if not rows:
-        raise EmptyCohort("cohort has no patients")
+        raise PatsimError("cohort has no patients")
     rows = sorted(rows, key=lambda f: f.patient_id)
     mask = None if rows[0].mask is None else np.stack([f.mask for f in rows])
     return Frames([f.patient_id for f in rows], np.array([f.label for f in rows], dtype=int),
@@ -137,18 +137,21 @@ def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
 def sparsity(frames: Frames) -> float:
     """Fraction of dynamic cells with no observation, before imputation."""
     if not frames:
-        raise EmptyCohort("sparsity of an empty cohort is undefined")
+        raise PatsimError("sparsity of an empty cohort is undefined")
     total = frames.mask.size
     return (total - int(frames.mask.sum())) / total
 
 
 @dataclass
 class ScalingStats:
-    """Training-set statistics for imputing and scaling time-frame grids.
+    """Training-set statistics for imputing and scaling a cohort's grids.
 
     Mins/maxes pool all buckets of a variable; bucket means are per
     (variable, bucket) and NaN where that bucket was never observed.
-    Degenerate variables (never observed, or constant) scale to 0.5.
+    Degenerate variables (never observed, or constant) scale to 0.5. The
+    shapes are the time-frame grid's: an aggregation table scales as 216
+    one-bucket variables, its (variable, statistic) columns, so each
+    column's statistics are its own.
     """
 
     n_buckets: int
@@ -193,20 +196,33 @@ def _fill(values, mean):
     return np.where(np.isnan(values), np.where(np.isnan(mean), 0.0, mean), values)
 
 
+def _variable_grid(frames: Frames) -> np.ndarray:
+    """The grid as (n, variables, buckets); an aggregation table's columns are variables.
+
+    The (n, 36, 6) table is viewed as (n, 216, 1): over one bucket
+    carry-forward changes nothing, and a variable's pooled statistics are
+    its one column's own.
+    """
+    n, rows, cols = frames.grid.shape
+    return frames.grid if frames.mask is not None else frames.grid.reshape(n, rows * cols, 1)
+
+
 def fit_scaling(frames: Frames) -> ScalingStats:
     """Fit per-variable scaling statistics from training frames only.
 
     One masked pass gives the sums of every (variable, bucket); a
-    variable's statistics pool its buckets' sums.
+    variable's statistics pool its buckets' sums. A cohort without a mask
+    holds aggregation tables, fitted column by column.
     """
     if not frames:
-        raise EmptyCohort("cannot fit scaling statistics on an empty cohort")
+        raise PatsimError("cannot fit scaling statistics on an empty cohort")
     if frames.grid.shape[1] != vocab.N_DYNAMIC:
-        raise DimensionMismatch("expected 36 dynamic variables")
-    lo, hi, sums, counts = _column_sums(frames.grid, frames.mask)     # each (36, n_buckets)
+        raise PatsimError("expected 36 dynamic variables")
+    grid = _variable_grid(frames)
+    lo, hi, sums, counts = _column_sums(grid, frames.mask)     # each (variables, n_buckets)
     dyn_min, dyn_max, dyn_mean, dyn_degenerate = _column_stats(
         lo.min(axis=1), hi.max(axis=1), sums.sum(axis=1), counts.sum(axis=1))
-    return ScalingStats(frames.grid.shape[2], dyn_min, dyn_max, dyn_mean,
+    return ScalingStats(grid.shape[2], dyn_min, dyn_max, dyn_mean,
                         _column_stats(lo, hi, sums, counts)[2], dyn_degenerate,
                         *_column_stats(*_column_sums(frames.statics)))
 
@@ -228,30 +244,29 @@ def _scale01(values, lo, hi, degenerate):
 
 
 def _impute_stack(dynamic, statics, stats: ScalingStats) -> tuple:
-    """Fill unobserved cells of stacked raw grids (n, 36, nb) and statics (n, 4).
+    """Fill unobserved cells of stacked raw grids (n, variables, nb) and statics (n, 4).
 
     Carry-forward first, then the training bucket mean, the pooled mean,
     and 0 when the variable was never observed in training. Values
     already present are never modified.
     """
-    if dynamic.shape[1:] != (vocab.N_DYNAMIC, stats.n_buckets):
-        raise DimensionMismatch(
-            f"frame grid {dynamic.shape[1:]} does not match stats ({vocab.N_DYNAMIC}, {stats.n_buckets})"
-        )
+    if dynamic.shape[1:] != stats.dyn_bucket_mean.shape:
+        raise PatsimError(f"frame grid {dynamic.shape[1:]} does not match stats "
+                          f"{stats.dyn_bucket_mean.shape}")
     return (_fill(_locf(dynamic), _fill(stats.dyn_bucket_mean, stats.dyn_mean[:, None])),
             _fill(statics, stats.static_mean))
 
 
 def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
-    """Dense, [0, 1]-scaled copy of a cohort on the time-frame grid, in one pass.
+    """Dense, [0, 1]-scaled copy of a cohort, time frames or aggregates, in one pass.
 
     Every step is elementwise per patient, so a patient's result does not
     depend on the rest of the cohort. The mask is shared, not copied.
     """
-    filled, statics = _impute_stack(frames.grid, frames.statics, stats)
+    filled, statics = _impute_stack(_variable_grid(frames), frames.statics, stats)
     return replace(frames,
                    grid=_scale01(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
-                                 stats.dyn_degenerate[:, None]),
+                                 stats.dyn_degenerate[:, None]).reshape(frames.grid.shape),
                    statics=_scale01(statics, stats.static_min, stats.static_max,
                                     stats.static_degenerate))
 
@@ -293,41 +308,6 @@ def aggregate_cohort(cohort, horizon_hours=vocab.HORIZON_HOURS) -> Frames:
                   table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG), _first_statics(cohort))
 
 
-@dataclass
-class AggregationStats:
-    """Training statistics for the aggregation table, per (variable, function)."""
-
-    col_min: np.ndarray        # (36, 6)
-    col_max: np.ndarray        # (36, 6)
-    col_mean: np.ndarray       # (36, 6)
-    col_degenerate: np.ndarray  # (36, 6) bool
-    static_min: np.ndarray
-    static_max: np.ndarray
-    static_mean: np.ndarray
-    static_degenerate: np.ndarray
-
-
-def fit_aggregation_scaling(aggs: Frames) -> AggregationStats:
-    if not aggs:
-        raise EmptyCohort("cannot fit aggregation statistics on an empty cohort")
-    return AggregationStats(*_column_stats(*_column_sums(aggs.grid)),
-                            *_column_stats(*_column_sums(aggs.statics)))
-
-
-def scale_aggregates(aggs: Frames, stats: AggregationStats) -> Frames:
-    """Dense, [0, 1]-scaled copy of an aggregated cohort, in one elementwise pass.
-
-    Missing statistics take training means.
-    """
-    if aggs.grid.shape[1:] != stats.col_min.shape:
-        raise DimensionMismatch("aggregation table shape does not match stats")
-    return replace(aggs,
-                   grid=_scale01(_fill(aggs.grid, stats.col_mean), stats.col_min,
-                                 stats.col_max, stats.col_degenerate),
-                   statics=_scale01(_fill(aggs.statics, stats.static_mean), stats.static_min,
-                                    stats.static_max, stats.static_degenerate))
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -349,7 +329,7 @@ def write_frames(frames, path, mask_path=None) -> None:
     sequence of FramedPatient rows can be written as well as a Frames.
     """
     if not frames:
-        raise EmptyCohort("no frames to write")
+        raise PatsimError("no frames to write")
     n_buckets = frames[0].dynamic.shape[1]
     tables.write_rows(path, _dynamic_header(n_buckets), (
         ",".join([f.patient_id, str(f.label)] + [repr(float(x)) for x in f.dynamic.ravel()]
@@ -367,8 +347,8 @@ def read_frames(path) -> Frames:
     must then be exactly the one write_frames writes. Besides the table
     faults (header, cell count), a non-numeric or non-finite cell, a cell
     outside [0, 1] (the range frame scales every cell into), a label
-    outside {0, 1} or a repeated patient id raises MalformedRow naming the
-    file and line; a file with no patient rows raises InputFault naming it.
+    outside {0, 1} or a repeated patient id raises InputFault naming the
+    file and line, and a file with no patient rows one naming the file.
     The patients come back in ascending patient_id order, every cell observed.
     """
     ids, labels, cells = _frame_columns(path) or _frame_rows(path)
@@ -407,10 +387,10 @@ def _frame_rows(path):
     for line_no, cells in tables.read_rows(path, _frames_header):
         pid, label = cells[0], cells[1]
         if label not in ("0", "1"):
-            raise MalformedRow(f"label must be 0 or 1, got {label!r}", line_no, path)
+            raise InputFault(f"label must be 0 or 1, got {label!r}", line_no, path)
         if pid in first_line:
-            raise MalformedRow(f"duplicate patient id {pid!r} (first at line "
-                               f"{first_line[pid]})", line_no, path)
+            raise InputFault(f"duplicate patient id {pid!r} (first at line "
+                             f"{first_line[pid]})", line_no, path)
         first_line[pid] = line_no
         try:
             values = np.array([float(x) for x in cells[2:]], dtype=float)
@@ -423,8 +403,8 @@ def _frame_rows(path):
                 if value is None or not 0.0 <= value <= 1.0:
                     break
             reason = "not a finite number" if value is None else "outside [0, 1]"
-            raise MalformedRow(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
-                               f"{reason}: {cells[col]!r}", line_no, path)
+            raise InputFault(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
+                             f"{reason}: {cells[col]!r}", line_no, path)
         labels.append(int(label))
         rows.append(values)
     return list(first_line), np.array(labels, dtype=int), np.array(rows, dtype=float)
@@ -460,7 +440,7 @@ def read_scaling_stats(path) -> ScalingStats:
     """Read a file written by write_scaling_stats.
 
     Every line must be key=value; a missing key or an unparsable value
-    raises MalformedRow naming the file (and the line, for a bad value).
+    raises InputFault naming the file (and the line, for a bad value).
     The first missing key in file order is the one named.
     """
     kv = {key: (line_no, value)
@@ -468,17 +448,17 @@ def read_scaling_stats(path) -> ScalingStats:
 
     def get(key, convert=float):
         if key not in kv:
-            raise MalformedRow(f"missing key {key!r}", path=path)
+            raise InputFault(f"missing key {key!r}", path=path)
         line_no, value = kv[key]
         try:
             return convert(value)
         except ValueError:
-            raise MalformedRow(f"bad value {value!r} for {key!r}", line_no, path) from None
+            raise InputFault(f"bad value {value!r} for {key!r}", line_no, path) from None
 
     n_buckets = get("n_buckets", int)
     if not 1 <= n_buckets <= len(kv):   # it sizes an array before any other key is read
-        raise MalformedRow(f"bad value {kv['n_buckets'][1]!r} for 'n_buckets'",
-                           kv["n_buckets"][0], path)
+        raise InputFault(f"bad value {kv['n_buckets'][1]!r} for 'n_buckets'",
+                         kv["n_buckets"][0], path)
     fields = {name: np.empty(size, dtype=bool if name.endswith("degenerate") else float)
               for names, size in ((_DYN_STATS, vocab.N_DYNAMIC), (_STATIC_STATS, vocab.N_STATIC))
               for name in names}

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables, vocab
-from .errors import (
-    DuplicatePatient,
-    InputFault,
-    InvalidLabel,
-    MalformedRow,
-    MissingEvents,
-    MissingOutcome,
-    OutOfWindow,
-    UnknownVariable,
-)
+from .errors import InputFault
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +102,9 @@ def parse_events(stream) -> Events:
     """Parse an events file (path, file object, or iterable of lines).
 
     The first line must be EVENTS_HEADER. Rows whose value equals the -1
-    placeholder are dropped with a counted warning. Raises MalformedRow,
-    UnknownVariable or OutOfWindow, with the line (and the file, when given
-    a path), on the first offending row; a well-formed path takes one columnar pass.
+    placeholder are dropped with a counted warning. Raises InputFault, with
+    the line (and the file, when given a path), on the first offending row;
+    a well-formed path takes one columnar pass.
     """
     path = tables.path_of(stream)
     events, dropped = (path is not None and _event_columns(path)) or _event_rows(stream)
@@ -162,18 +153,18 @@ def _event_rows(stream):
         try:
             minute = int(minute_s)
         except ValueError:
-            raise MalformedRow(f"non-integer minute {minute_s!r}", line_no, path) from None
+            raise InputFault(f"non-integer minute {minute_s!r}", line_no, path) from None
         try:
             value = float(value_s)
         except ValueError:
-            raise MalformedRow(f"non-numeric value {value_s!r}", line_no, path) from None
+            raise InputFault(f"non-numeric value {value_s!r}", line_no, path) from None
         variable = vocab.VARIABLE_INDEX.get(name)
         if variable is None:
-            raise UnknownVariable(name, line_no, path)
+            raise InputFault(f"unknown variable name: {name!r}", line_no, path)
         if not (0 <= minute < vocab.HORIZON_MINUTES):
-            raise OutOfWindow(minute, line_no, path)
+            raise InputFault(f"minute {minute} outside the observation window", line_no, path)
         if not math.isfinite(value):
-            raise MalformedRow(f"non-finite value {value_s!r}", line_no, path)
+            raise InputFault(f"non-finite value {value_s!r}", line_no, path)
         if value == MISSING_PLACEHOLDER:
             dropped += 1
             continue
@@ -197,11 +188,11 @@ def parse_outcomes(stream) -> Outcomes:
         try:
             label_f = float(label_s)
         except ValueError:
-            raise InvalidLabel(label_s, line_no, path) from None
+            label_f = None
         if label_f not in (0.0, 1.0):
-            raise InvalidLabel(label_s, line_no, path)
+            raise InputFault(f"outcome label must be 0 or 1, got {label_s!r}", line_no, path)
         if pid in rows:
-            raise DuplicatePatient(pid, line_no, path)
+            raise InputFault(f"duplicate outcome row for patient {pid!r}", line_no, path)
         rows[pid] = (int(label_f), line_no)
     return Outcomes(list(rows), np.array([label for label, _ in rows.values()], dtype=np.int64),
                     [line for _, line in rows.values()], path)
@@ -211,18 +202,19 @@ def build_cohort(events: Events, outcomes: Outcomes) -> Cohort:
     """Join parsed events and outcomes into one cohort in canonical order.
 
     Every patient must appear on both sides: the first patient (in events
-    file order) with rows but no outcome raises MissingOutcome at its first
-    events row, and the first with an outcome but no rows raises
-    MissingEvents at its outcomes row.
+    file order) with rows but no outcome is a fault at its first events
+    row, and the first with an outcome but no rows one at its outcomes row.
     """
     label_of = dict(zip(outcomes.ids, outcomes.labels.tolist()))
     for code, pid in enumerate(events.ids):
         if pid not in label_of:
-            raise MissingOutcome(pid, events.first_line and events.first_line[code], events.path)
+            raise InputFault(f"patient {pid!r} has events but no outcome row",
+                             events.first_line and events.first_line[code], events.path)
     present = set(events.ids)
     for i, pid in enumerate(outcomes.ids):
         if pid not in present:
-            raise MissingEvents(pid, outcomes.lines and outcomes.lines[i], outcomes.path)
+            raise InputFault(f"patient {pid!r} has an outcome but no events",
+                             outcomes.lines and outcomes.lines[i], outcomes.path)
     patient_ids = sorted(events.ids)
     index = {pid: i for i, pid in enumerate(patient_ids)}
     patient = np.array([index[pid] for pid in events.ids], dtype=np.int32)[events.patient]

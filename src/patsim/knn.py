@@ -26,7 +26,7 @@ import numpy as np
 
 from . import vocab
 from .config import RunConfig, check_choices
-from .errors import BadConfig, DimensionMismatch, KTooLarge, NegativeWeight, PatsimError
+from .errors import PatsimError
 from .framing import Frames, stack
 
 
@@ -39,14 +39,14 @@ class FeatureWeights:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).copy()
         if self.values.shape != (vocab.N_VARIABLES,):
-            raise DimensionMismatch(
+            raise PatsimError(
                 f"expected {vocab.N_VARIABLES} weights, got shape {self.values.shape}"
             )
         for name, w in zip(vocab.ALL_VARIABLES, self.values):
             if not np.isfinite(w):
-                raise BadConfig(f"weight for {name!r} is not finite")
+                raise PatsimError(f"weight for {name!r} is not finite")
             if w < 0:
-                raise NegativeWeight(name, w)
+                raise PatsimError(f"weight for {name!r} must be non-negative, got {w}")
 
     @classmethod
     def uniform(cls, value=1.0) -> "FeatureWeights":
@@ -63,7 +63,7 @@ def variable_distances_sq(a, b) -> np.ndarray:
     """All 40 per-variable squared distances between two dense patients."""
     grid_a, grid_b = a.feature_grid, b.feature_grid
     if grid_a.shape != grid_b.shape:
-        raise DimensionMismatch("patients are on different grids")
+        raise PatsimError("patients are on different grids")
     dyn = ((grid_a - grid_b) ** 2).mean(axis=1)
     stat = (a.statics - b.statics) ** 2
     return np.concatenate([dyn, stat])
@@ -173,13 +173,13 @@ def nearest(queries: Frames, train: Frames, weightings, k, leave_one_out=False) 
     is scanned in full.
     """
     if queries.grid.shape[1:] != train.grid.shape[1:]:
-        raise DimensionMismatch("query grid does not match training grid")
+        raise PatsimError("query grid does not match training grid")
     excluded = 0
     if leave_one_out and len(queries):
         copies = Counter(train.ids)
         excluded = max(copies[pid] for pid in queries.ids)
     if k > len(train) - excluded:
-        raise KTooLarge(f"k={k} but only {len(train) - excluded} candidate neighbors")
+        raise PatsimError(f"k={k} but only {len(train) - excluded} candidate neighbors")
     n_dyn, cells = train.grid.shape[1:]
     scales = [np.concatenate([np.repeat(np.sqrt(w[:n_dyn] / cells), cells),
                               np.sqrt(w[n_dyn:])]) for w in weightings]
@@ -290,7 +290,7 @@ class Model:
     def __post_init__(self):
         check_choices(k=self.k, mode=self.prediction_mode, threshold=self.threshold)
         if self.k > len(self.frames):
-            raise KTooLarge(f"k={self.k} with {len(self.frames)} training patients")
+            raise PatsimError(f"k={self.k} with {len(self.frames)} training patients")
         if not isinstance(self.weights, FeatureWeights):
             self.weights = FeatureWeights(self.weights)
 

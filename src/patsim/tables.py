@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedRow
+from .errors import InputFault
 
 # characters of a line that a header fault quotes; a frames header runs to kilobytes
 QUOTE_CHARS = 60
@@ -53,7 +53,7 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
     the table has no header and `width` is required. Every row must have
     `width` cells, by default the header's count; patsim tables have at
     least two. Lines starting with `comment` are skipped like blank ones.
-    A fault raises MalformedRow naming the line, and the file when
+    A fault raises InputFault naming the line, and the file when
     `source` is a path; a file's line that is not UTF-8 text is a fault.
     """
     path = path_of(source)
@@ -68,8 +68,8 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
             if width is None:
                 width = expected.count(sep) + 1
             if first != expected:
-                raise MalformedRow(f"expected header {_clip(expected)} ({width} cells), "
-                                   f"got {_clip(first)!r}", 1, path)
+                raise InputFault(f"expected header {_clip(expected)} ({width} cells), "
+                                 f"got {_clip(first)!r}", 1, path)
         if comment is not None:
             numbered = ((n, raw) for n, raw in numbered if not raw.lstrip().startswith(comment))
         for line_no, raw in numbered:
@@ -78,7 +78,7 @@ def read_rows(source, header=None, width=None, sep=",", comment=None):
                 # a blank line splits into one cell, so the check stays off the common path
                 if not raw.strip():
                     continue
-                raise MalformedRow(f"expected {width} cells, got {len(cells)}", line_no, path)
+                raise InputFault(f"expected {width} cells, got {len(cells)}", line_no, path)
             yield line_no, cells
 
 
@@ -88,7 +88,7 @@ def _utf8(line, line_no, path) -> str:
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:
-            raise MalformedRow("not UTF-8 text", line_no, path) from None
+            raise InputFault("not UTF-8 text", line_no, path) from None
     return line
 
 

@@ -20,16 +20,7 @@ import numpy as np
 
 from . import tables, vocab
 from .config import RunConfig, check_choices
-from .errors import (
-    BadConfig,
-    InputFault,
-    KTooLarge,
-    MalformedRow,
-    NegativeWeight,
-    PatsimError,
-    SingleClassCohort,
-    UnknownVariable,
-)
+from .errors import InputFault, PatsimError
 from .knn import FeatureWeights, _weight_array, top_k
 
 logger = logging.getLogger(__name__)
@@ -268,9 +259,9 @@ def _active(active) -> np.ndarray:
 def _check_cohort(labels, k=0):
     """A training cohort holds both classes and, when k is given, k leave-one-out candidates."""
     if len(np.unique(labels)) < 2:
-        raise SingleClassCohort("training cohort contains a single class")
+        raise PatsimError("training cohort contains a single class")
     if k > len(labels) - 1:
-        raise KTooLarge(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
+        raise PatsimError(f"k={k} but only {len(labels) - 1} leave-one-out candidates")
 
 
 def _finite(value, epoch):
@@ -431,7 +422,7 @@ _SCORERS = {
 def filter_score(frames, method) -> np.ndarray:
     """Raw per-variable filter scores against the binary label (see _filter_tables)."""
     if method not in _SCORERS:
-        raise BadConfig(f"unknown filter method {method!r}")
+        raise PatsimError(f"unknown filter method {method!r}")
     ws = _workspace(frames)
     _check_cohort(ws.train.labels)
     return _SCORERS[method](ws.tables)
@@ -471,25 +462,37 @@ def _weight_rows(source, header):
         if f"{name},{weight_s.strip()}" == WEIGHTS_HEADER:
             continue
         if name not in vocab.VARIABLE_INDEX:
-            raise UnknownVariable(name, line_no, path)
+            raise InputFault(f"unknown variable name: {name!r}", line_no, path)
         try:
             w = float(weight_s)
         except ValueError:
-            raise MalformedRow(f"non-numeric weight {weight_s!r}", line_no, path) from None
+            raise InputFault(f"non-numeric weight {weight_s!r}", line_no, path) from None
         if not math.isfinite(w):
-            raise MalformedRow(f"non-finite weight {weight_s!r}", line_no, path)
+            raise InputFault(f"non-finite weight {weight_s!r}", line_no, path)
         if w < 0:
-            raise NegativeWeight(name, w, line_no, path)
+            raise InputFault(f"weight for {name!r} must be non-negative, got {w}", line_no, path)
         yield line_no, name, w
+
+
+def _file_weights(values, source) -> FeatureWeights:
+    """The weights read from `source`; a sum that overflows is a fault naming the file.
+
+    A per-variable distance between frames scaled to [0, 1] is at most 1, so
+    a finite sum keeps every weighted distance finite.
+    """
+    if not math.isfinite(sum(values)):   # Python floats: inf, with no numpy warning
+        raise InputFault("the weights sum past the largest float, so weighted distances "
+                         "would overflow", path=tables.path_of(source))
+    return FeatureWeights(values)
 
 
 def load_manual_weights(source) -> FeatureWeights:
     """Read `variable,weight` rows; unlisted variables default to 0.
 
-    The header line is optional. Unknown variable names and negative
-    weights are rejected.
+    The header line is optional. Unknown variable names, negative weights
+    and weights whose sum is not finite are rejected.
     """
-    values = np.zeros(vocab.N_VARIABLES)
+    values = [0.0] * vocab.N_VARIABLES
     listed = set()
     for _, name, w in _weight_rows(source, None):
         values[vocab.VARIABLE_INDEX[name]] = w
@@ -497,7 +500,7 @@ def load_manual_weights(source) -> FeatureWeights:
     missing = vocab.N_VARIABLES - len(listed)
     if missing:
         logger.warning("manual weights file leaves %d variables at weight 0", missing)
-    return FeatureWeights(values)
+    return _file_weights(values, source)
 
 
 def read_weights(path) -> FeatureWeights:
@@ -510,13 +513,13 @@ def read_weights(path) -> FeatureWeights:
     values = {}
     for line_no, name, w in _weight_rows(path, WEIGHTS_HEADER):
         if name in values:
-            raise MalformedRow(f"variable {name!r} listed twice", line_no, path)
+            raise InputFault(f"variable {name!r} listed twice", line_no, path)
         values[name] = w
     missing = [name for name in vocab.ALL_VARIABLES if name not in values]
     if missing:
         raise InputFault(f"{len(missing)} of {vocab.N_VARIABLES} variables missing, "
                          f"first {missing[0]!r}", path=path)
-    return FeatureWeights([values[name] for name in vocab.ALL_VARIABLES])
+    return _file_weights([values[name] for name in vocab.ALL_VARIABLES], path)
 
 
 def save_weights(weights: FeatureWeights, path) -> None:

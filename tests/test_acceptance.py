@@ -17,7 +17,7 @@ import pytest
 
 from patsim import framing, vocab
 from patsim.config import RunConfig
-from patsim.errors import SingleClassCohort
+from patsim.errors import PatsimError
 from patsim.evaluation import friedman, wilcoxon_signed_rank
 from patsim.experiments import run_experiment
 from patsim.knn import FeatureWeights, Model, neighbors, variable_distances_sq
@@ -270,7 +270,7 @@ def test_criterion_9_training_sanity():
     single = random_dense_frames(20, rng)
     for f in single:
         f.label = 1
-    with pytest.raises(SingleClassCohort):
+    with pytest.raises(PatsimError, match="contains a single class"):
         train_gd(framing.stack(single), TrainConfig(k=5))
     ok(9, "best-so-far error non-increasing, tiny learning rate keeps "
           "weights, single-class cohort rejected")

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from patsim import cli, evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
 from patsim.config import _CHOICES, _RULES, RunConfig, build_config, read_config_values
-from patsim.errors import BadConfig
+from patsim.errors import PatsimError
 from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
 from patsim.synth import SynthSpec
 from patsim.weights import TrainConfig, load_manual_weights
@@ -379,13 +380,13 @@ class TestConfig:
         assert merged.folds == 8
 
     def test_validation(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^window_hours must be positive and divide "):
             RunConfig(window_hours=5, horizon_hours=48)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^weighting must be one of .*, got 'magic'$"):
             RunConfig(weighting="magic")
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^unknown config key 'nonsense'$"):
             build_config(overrides={"nonsense": 1})
-        with pytest.raises(BadConfig, match=r"^alpha must be in \(0, 1\)$"):
+        with pytest.raises(PatsimError, match=r"^alpha must be in \(0, 1\)$"):
             evaluation.compare({}, alpha=float("nan"))
 
     @pytest.mark.parametrize("name, value, reason", [
@@ -414,7 +415,7 @@ class TestConfig:
                     if name in {f.name for f in fields(cls)}]
         assert carriers
         for cls in carriers:
-            with pytest.raises(BadConfig) as caught:
+            with pytest.raises(PatsimError, match=f"^{re.escape(reason)}$") as caught:
                 cls(**{"name": "m"} if cls is MethodSpec else {}, **{name: value})
             assert str(caught.value) == reason, cls.__name__
 
@@ -661,6 +662,27 @@ class TestLocatedFaults:
                             r"or majority mode can score them\n", err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "train", "evaluate"])
+    def test_weight_sum_overflow_fault(self, synth_dir, framed, tmp_path, capsys, command):
+        """Weights of 1.7e308 are each finite, but their sum is not, and neither
+        would the weighted distances be."""
+        weights = tmp_path / "wmax.csv"
+        weights.write_text("variable,weight\n" + "".join(
+            f"{name},1.7e308\n" for name in vocab.ALL_VARIABLES))
+        out = tmp_path / "out.csv"
+        argv = {"predict": ["predict", "--train-frames", framed, "--weights", weights],
+                "train": ["train", "--frames", framed, "--init-weights", weights,
+                          "--weights-out"],
+                "evaluate": ["evaluate", "--events", synth_dir / "events.csv",
+                             "--outcomes", synth_dir / "outcomes.csv", "--weighting", "manual",
+                             "--manual-weights", weights, "--folds", "3", "--out"]}[command]
+        if command == "predict":
+            argv.append("--out")
+        err = one_line_error(capsys, argv + [out])
+        assert err == (f"error: {weights}: the weights sum past the largest float, so "
+                       "weighted distances would overflow\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, reason", [
         ("# run\nk=abc\n", "line 2: bad value for 'k': 'abc'"),
         ("events = real.csv\n", "line 1: unknown config key 'events'"),
@@ -765,29 +787,31 @@ class TestReaderFuzz:
 
 
 class TestNumericFaults:
-    """Weights up to 1e300 and frames cells outside [0, 1], through the CLI.
+    """Weights up to the float maximum and frames cells outside [0, 1], through the CLI.
 
     Every run exits 0 with finite outputs and nothing on stderr, or exits 1
     with one line; a frames file with a cell outside [0, 1] always fails,
-    naming itself. A numpy floating-point warning fails the test, as the
-    suite turns it into an error.
+    naming itself, and otherwise weights whose sum is not finite fail,
+    naming their file. A numpy floating-point warning fails the test, as
+    the suite turns it into an error.
     """
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(["train", "predict", "evaluate"]),
-           st.sampled_from(["majority", "weighted"]), st.integers(-3, 300),
+           st.sampled_from(["majority", "weighted"]),
+           st.one_of(st.integers(-3, 308).map(lambda e: 10.0 ** e), st.just(sys.float_info.max)),
            st.lists(st.floats(0.0, 1.0), min_size=vocab.N_VARIABLES,
                     max_size=vocab.N_VARIABLES),
            st.booleans(), st.data())
     def test_finite_outputs_or_one_line(self, synth_dir, framed, tmp_path, capsys, command,
-                                        mode, exponent, shares, outside, data):
+                                        mode, scale, shares, outside, data):
         outside = outside and command != "evaluate"     # evaluate frames its own events
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
             out = Path(out)
             weights, frames = out / "w.csv", framed
             weights.write_text("variable,weight\n" + "".join(
-                f"{name},{share * 10.0 ** exponent!r}\n"
+                f"{name},{share * scale!r}\n"
                 for name, share in zip(vocab.ALL_VARIABLES, shares)))
             if outside:
                 lines = framed.read_text().splitlines()
@@ -824,3 +848,5 @@ class TestNumericFaults:
             else:
                 assert rc == 1 and err.count("\n") == 1 and err.startswith("error: "), err
                 assert not outside or f"{frames} line " in err
+                if not outside and not math.isfinite(sum(share * scale for share in shares)):
+                    assert err.startswith(f"error: {weights}: the weights sum past "), err

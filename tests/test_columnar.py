@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patsim import framing, ingest, tables, vocab
-from patsim.errors import MalformedRow, PatsimError
+from patsim.errors import InputFault, PatsimError
 from util import FAULTS, RESHAPES, mutate, random_dense_frames
 
 # tiny blocks make files of a few rows span several np.loadtxt calls
@@ -172,7 +172,7 @@ def test_underscores_take_the_loop(tmp_path, minute, value, minute_read, value_r
 def test_non_finite_values_keep_the_loop_fault(tmp_path, value):
     path = tmp_path / "events.csv"
     path.write_text(f"{ingest.EVENTS_HEADER}\np,0,Age,1\np,0,Age,{value}\n")
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(InputFault, match=f"line 3: non-finite value '{value}'$") as exc:
         ingest.parse_events(path)
     assert str(exc.value) == f"{path} line 3: non-finite value {value!r}"
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patsim import knn, vocab, weights
-from patsim.errors import KTooLarge, PatsimError
+from patsim.errors import PatsimError
 from patsim.framing import FramedPatient, stack
 from patsim.knn import (
     FeatureWeights,
@@ -522,7 +522,7 @@ def test_leave_one_out_batch_too_few_candidates():
     frames = stack(random_dense_frames(5, np.random.default_rng(2)))
     model = Model(frames, FeatureWeights.uniform(), k=5)
     assert classify_batch(frames, model)[0].shape == (5,)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(PatsimError, match="^k=5 but only 4 candidate neighbors$"):
         classify_batch(frames, model, leave_one_out=True)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from patsim import vocab
-from patsim.errors import BadConfig, KTooLarge, NegativeWeight
+from patsim.errors import PatsimError
 from patsim.framing import stack
 from patsim.knn import (
     FeatureWeights,
@@ -24,7 +24,8 @@ class TestFeatureWeights:
     def test_negative_rejected(self):
         values = np.ones(vocab.N_VARIABLES)
         values[3] = -0.5
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(PatsimError, match=r"^weight for 'Non-invasive \(diastolic\)' must be "
+                                              r"non-negative, got -0\.5$"):
             FeatureWeights(values)
 
     def test_uniform(self):
@@ -113,10 +114,10 @@ class TestNeighbors:
 
     def test_k_too_large(self, rng):
         frames = random_dense_frames(4, rng)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(PatsimError, match="^k=5 with 4 training patients$"):
             Model(stack(frames), FeatureWeights.uniform(), k=5)
         model = Model(stack(frames), FeatureWeights.uniform(), k=4)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(PatsimError, match="^k=4 but only 3 candidate neighbors$"):
             neighbors(frames[0], model, leave_one_out=True)
 
     def test_brute_force_oracle(self, rng):
@@ -188,9 +189,9 @@ class TestClassify:
 
     def test_bad_mode_and_threshold(self, rng):
         frames = random_dense_frames(5, rng)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^mode must be one of .*, got 'oracle'$"):
             Model(stack(frames), FeatureWeights.uniform(), k=2, prediction_mode="oracle")
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match=r"^threshold must be in \(0, 1\)$"):
             Model(stack(frames), FeatureWeights.uniform(), k=2, threshold=1.5)
 
 

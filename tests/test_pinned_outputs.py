@@ -54,7 +54,7 @@ PINNED = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
-    """synth -> frame -> majority predict -> evaluate, exp1-3 on 150 patients, 3 epochs a GD fold."""
+    """synth -> frame -> majority predict -> evaluate and exp1-3 on 150 patients, 3 GD epochs."""
     synth = tmp_path / "synth"
     assert main(["synth", "--out-dir", str(synth), "--n-patients", "150", "--seed", "2101"]) == 0
     assert main(["frame", "--events", str(synth / "events.csv"),

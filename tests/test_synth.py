@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from patsim import framing, vocab, weights
 from patsim.cli import main
-from patsim.errors import BadConfig
+from patsim.errors import PatsimError
 from patsim.synth import SynthSpec, _round4, generate
 
 
@@ -18,15 +18,15 @@ def frames_for(result):
 
 class TestSpecValidation:
     def test_bad_values(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^n_patients must be at least 1$"):
             SynthSpec(n_patients=0)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match=r"^prevalence must be in \(0, 1\)$"):
             SynthSpec(prevalence=1.0)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match=r"^missing_rate must be in \[0, 1\)$"):
             SynthSpec(missing_rate=1.0)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^n_informative_variables must be between 1 and 36$"):
             SynthSpec(n_informative_variables=0)
-        with pytest.raises(BadConfig):
+        with pytest.raises(PatsimError, match="^profile must be one of .*, got 'weird'$"):
             SynthSpec(profile="weird")
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from patsim import evaluation, framing, ingest, tables, vocab, weights
 from patsim.config import read_config_values
-from patsim.errors import MalformedRow
+from patsim.errors import InputFault
 from patsim.evaluation import FoldMetrics
 from patsim.framing import FramedPatient, ScalingStats
 from patsim.knn import FeatureWeights
@@ -210,7 +210,7 @@ def test_wrong_header_names_line_1(tmp_path, table):
     read(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(["not,the,header"] + lines[1:]) + "\n")
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(InputFault, match="line 1: expected header ") as exc:
         read(path)
     assert str(exc.value).startswith(f"{path} line 1: expected header ")
     assert str(exc.value).endswith(", got 'not,the,header'")
@@ -226,7 +226,8 @@ def test_short_row_names_file_and_line(tmp_path, table):
     width = len(lines[-1].split(sep))
     lines[-1] = sep.join(lines[-1].split(sep)[:-1])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(InputFault, match=f"line {len(lines)}: expected {width} cells, "
+                                         f"got {width - 1}$") as exc:
         read(path)
     assert str(exc.value) == f"{path} line {len(lines)}: expected {width} cells, " \
                              f"got {width - 1}"
@@ -237,7 +238,7 @@ def test_read_rows_takes_lines_and_skips_comments():
     lines = ["k=1\r\n", "  # note\n", "\n", "a = b\n"]
     assert list(tables.read_rows(lines, width=2, sep="=", comment="#")) == \
         [(1, ["k", "1"]), (4, ["a ", " b"])]
-    with pytest.raises(MalformedRow) as exc:
+    with pytest.raises(InputFault, match="^line 3: expected 2 cells, got 1$") as exc:
         list(tables.read_rows(["h,i\n", "x,y\n", "x\n"], header="h,i"))
     assert str(exc.value) == "line 3: expected 2 cells, got 1"
     assert exc.value.path is None
