@@ -670,14 +670,12 @@ class TestLocatedFaults:
         weights.write_text("variable,weight\n" + "".join(
             f"{name},1.7e308\n" for name in vocab.ALL_VARIABLES))
         out = tmp_path / "out.csv"
-        argv = {"predict": ["predict", "--train-frames", framed, "--weights", weights],
+        argv = {"predict": ["predict", "--train-frames", framed, "--weights", weights, "--out"],
                 "train": ["train", "--frames", framed, "--init-weights", weights,
                           "--weights-out"],
                 "evaluate": ["evaluate", "--events", synth_dir / "events.csv",
                              "--outcomes", synth_dir / "outcomes.csv", "--weighting", "manual",
                              "--manual-weights", weights, "--folds", "3", "--out"]}[command]
-        if command == "predict":
-            argv.append("--out")
         err = one_line_error(capsys, argv + [out])
         assert err == (f"error: {weights}: the weights sum past the largest float, so "
                        "weighted distances would overflow\n")

@@ -43,8 +43,8 @@ def _file(directory, name, text):
 
 EVENTS, OUTCOMES = ingest.EVENTS_HEADER + "\n", ingest.OUTCOMES_HEADER + "\n"
 
-# a call that makes the package raise one of its faults, given a scratch
-# directory, and the start of that fault's message
+# a call that makes the package raise one of its faults, given a temporary
+# directory, and a part of that fault's message
 RAISERS = {
     "cell count": (lambda d: ingest.parse_events(_file(d, "e.csv", EVENTS + "p1,10,pH\n")),
                    "line 2: expected 4 cells, got 3"),
