@@ -22,13 +22,7 @@ from patsim.evaluation import friedman, wilcoxon_signed_rank
 from patsim.experiments import run_experiment
 from patsim.knn import FeatureWeights, Model, neighbors, variable_distances_sq
 from patsim.synth import SynthSpec, generate
-from patsim.weights import (
-    TrainConfig,
-    gradient,
-    loo_neighbor_sets,
-    train_gd,
-    training_error,
-)
+from patsim.weights import TrainConfig, Workspace, train_gd
 from util import cohort_of, random_dense_frames
 
 pytestmark = pytest.mark.acceptance
@@ -84,16 +78,16 @@ def test_criterion_1_gradient_oracle():
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
-        frames = framing.stack(random_dense_frames(30, rng))
+        ws = Workspace(framing.stack(random_dense_frames(30, rng)))
         w0 = rng.random(vocab.N_VARIABLES) + 0.2
-        sets = loo_neighbor_sets(frames, FeatureWeights(w0), k=k)
-        grad = gradient(frames, FeatureWeights(w0), k=k)
+        sets = ws.neighbor_sets(w0, k)
+        _, grad = ws.error_and_gradient(w0, sets)
         for v in range(vocab.N_VARIABLES):
             wp, wm = w0.copy(), w0.copy()
             wp[v] += h
             wm[v] -= h
-            ep = training_error(frames, FeatureWeights(wp), k=k, neighbor_sets=sets)
-            em = training_error(frames, FeatureWeights(wm), k=k, neighbor_sets=sets)
+            ep, _ = ws.error_and_gradient(wp, sets)
+            em, _ = ws.error_and_gradient(wm, sets)
             fd = (ep - em) / (2 * h)
             rel = abs(grad[v] - fd) / max(abs(grad[v]), abs(fd), 1e-8)
             assert rel < 1e-4, f"trial {trial} variable {v}: rel error {rel}"
@@ -261,7 +255,7 @@ def test_criterion_9_training_sanity():
     frames = framing.stack(random_dense_frames(40, rng))
 
     _, trace = train_gd(frames, TrainConfig(k=5, max_epochs=30))
-    best = trace.best_so_far
+    best = np.minimum.accumulate(trace.errors)
     assert all(later <= earlier for earlier, later in zip(best, best[1:]))
 
     frozen, _ = train_gd(frames, TrainConfig(k=5, learning_rate=1e-30, max_epochs=10))

@@ -36,7 +36,6 @@ from patsim.weights import (
     Workspace,
     _distance_tensor,
     _error_value,
-    loo_neighbor_sets,
     train_gd,
 )
 from util import (
@@ -196,7 +195,7 @@ def test_loo_neighbor_sets_match_scan(seed, levels, n):
     k = int(rng.integers(1, n))
     d2 = np.einsum("v,vij->ij", w.values, square_distance_tensor(frames.grid, frames.statics))
     expected = [scan(d2[i], frames.ids, k, skip=frames.ids[i]) for i in range(n)]
-    assert loo_neighbor_sets(frames, w, k=k).tolist() == expected
+    assert Workspace(frames).neighbor_sets(w.values, k).tolist() == expected
 
 
 def copy_heavy_frames(n, rng):

@@ -77,9 +77,9 @@ RAISERS = {
                         "weight for 'Invasive (diastolic)' must be non-negative"),
     "bad setting": (lambda d: RunConfig(k=0), "k must be at least 1"),
     "empty cohort": (lambda d: framing.stack([]), "cohort has no patients"),
-    "k too large": (lambda d: weights.training_error(
-        framing.stack(random_dense_frames(4, np.random.default_rng(0))),
-        FeatureWeights.uniform(), k=5), "k=5 but only 3 leave-one-out candidates"),
+    "k too large": (lambda d: weights.Workspace(
+        framing.stack(random_dense_frames(4, np.random.default_rng(0)))).neighbor_sets(
+        np.ones(vocab.N_VARIABLES), 5), "k=5 but only 3 leave-one-out candidates"),
     "single class": (lambda d: evaluation.split_dev_validation(["a", "b"], [1, 1], 0),
                      "both classes are required"),
     "too few per class": (lambda d: evaluation.kfold(list("abcdef"), [1, 0, 0, 0, 0, 0], k=2),

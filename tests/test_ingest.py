@@ -1,4 +1,4 @@
-import io
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +12,21 @@ EV_HEADER = "patient_id,minute,variable,value\n"
 OUT_HEADER = "patient_id,in_hospital_death\n"
 
 
-def events_stream(*rows):
-    return io.StringIO(EV_HEADER + "".join(r + "\n" for r in rows))
+def events_file(tmp_path, *rows, header=EV_HEADER):
+    path = tmp_path / "events.csv"
+    path.write_text(header + "".join(r + "\n" for r in rows))
+    return path
 
 
-def outcomes_stream(*rows):
-    return io.StringIO(OUT_HEADER + "".join(r + "\n" for r in rows))
+def outcomes_file(tmp_path, *rows, header=OUT_HEADER):
+    path = tmp_path / "outcomes.csv"
+    path.write_text(header + "".join(r + "\n" for r in rows))
+    return path
+
+
+def at(path):
+    """The start of a fault message that names `path`, as a pattern."""
+    return "^" + re.escape(f"{path} ")
 
 
 def rows_of(events):
@@ -36,14 +45,15 @@ def assert_same_cohort(a, b):
 
 
 class TestParseEvents:
-    def test_basic_row(self):
-        evs = ingest.parse_events(events_stream("p1,10,Heart rate,80"))
+    def test_basic_row(self, tmp_path):
+        evs = ingest.parse_events(events_file(tmp_path, "p1,10,Heart rate,80"))
         assert len(evs) == 1
         assert rows_of(evs) == [("p1", 10, "Heart rate", 80.0)]
 
-    def test_events_are_typed_columns(self):
-        evs = ingest.parse_events(events_stream(
-            "p1,0,Age,54", "p1,10,Heart rate,80", "p2,10,Heart rate,-1", "p2,30,Heart rate,71.5"))
+    def test_events_are_typed_columns(self, tmp_path):
+        path = events_file(tmp_path, "p1,0,Age,54", "p1,10,Heart rate,80",
+                           "p2,10,Heart rate,-1", "p2,30,Heart rate,71.5")
+        evs = ingest.parse_events(path)
         assert rows_of(evs) == [
             ("p1", 0, "Age", 54.0),
             ("p1", 10, "Heart rate", 80.0),
@@ -54,41 +64,53 @@ class TestParseEvents:
             == [np.int32, np.int16, np.int8, np.float64]
         # each patient's first kept row; p2's line-4 row is a dropped placeholder
         assert evs.first_line == [2, 5]
-        assert evs.path is None
+        assert evs.path == path
 
-    def test_header_only(self):
-        assert len(ingest.parse_events(io.StringIO(EV_HEADER))) == 0
+    def test_header_only(self, tmp_path):
+        assert len(ingest.parse_events(events_file(tmp_path))) == 0
 
-    def test_unknown_variable(self):
-        with pytest.raises(InputFault, match="^line 2: unknown variable name: 'HeartRateX'$"):
-            ingest.parse_events(events_stream("p1,10,HeartRateX,80"))
+    def test_unknown_variable(self, tmp_path):
+        path = events_file(tmp_path, "p1,10,HeartRateX,80")
+        with pytest.raises(InputFault, match=at(path) + "line 2: unknown variable name: "
+                                                        "'HeartRateX'$"):
+            ingest.parse_events(path)
 
-    def test_out_of_window(self):
-        with pytest.raises(InputFault, match="^line 2: minute 2880 outside the observation "):
-            ingest.parse_events(events_stream("p1,2880,Heart rate,80"))
-        with pytest.raises(InputFault, match="^line 2: minute -5 outside the observation "):
-            ingest.parse_events(events_stream("p1,-5,Heart rate,80"))
+    def test_out_of_window(self, tmp_path):
+        path = events_file(tmp_path, "p1,2880,Heart rate,80")
+        with pytest.raises(InputFault, match=at(path) + "line 2: minute 2880 outside the "
+                                                        "observation "):
+            ingest.parse_events(path)
+        path = events_file(tmp_path, "p1,-5,Heart rate,80")
+        with pytest.raises(InputFault, match=at(path) + "line 2: minute -5 outside the "
+                                                        "observation "):
+            ingest.parse_events(path)
 
-    def test_last_minute_accepted(self):
-        evs = ingest.parse_events(events_stream("p1,2879,Heart rate,80"))
+    def test_last_minute_accepted(self, tmp_path):
+        evs = ingest.parse_events(events_file(tmp_path, "p1,2879,Heart rate,80"))
         assert evs.minute.tolist() == [2879]
 
-    def test_malformed_rows(self):
-        with pytest.raises(InputFault, match="^line 2: expected 4 cells, got 3$") as exc:
-            ingest.parse_events(events_stream("p1,10,Heart rate"))
+    def test_malformed_rows(self, tmp_path):
+        path = events_file(tmp_path, "p1,10,Heart rate")
+        with pytest.raises(InputFault, match=at(path) + "line 2: expected 4 cells, got 3$") \
+                as exc:
+            ingest.parse_events(path)
         assert exc.value.line_no == 2
-        with pytest.raises(InputFault, match="^line 2: non-integer minute 'ten'$"):
-            ingest.parse_events(events_stream("p1,ten,Heart rate,80"))
-        with pytest.raises(InputFault, match="^line 2: non-numeric value 'abc'$"):
-            ingest.parse_events(events_stream("p1,10,Heart rate,abc"))
-        with pytest.raises(InputFault, match="^line 2: non-finite value 'nan'$"):
-            ingest.parse_events(events_stream("p1,10,Heart rate,nan"))
+        path = events_file(tmp_path, "p1,ten,Heart rate,80")
+        with pytest.raises(InputFault, match=at(path) + "line 2: non-integer minute 'ten'$"):
+            ingest.parse_events(path)
+        path = events_file(tmp_path, "p1,10,Heart rate,abc")
+        with pytest.raises(InputFault, match=at(path) + "line 2: non-numeric value 'abc'$"):
+            ingest.parse_events(path)
+        path = events_file(tmp_path, "p1,10,Heart rate,nan")
+        with pytest.raises(InputFault, match=at(path) + "line 2: non-finite value 'nan'$"):
+            ingest.parse_events(path)
 
     @pytest.mark.parametrize("header", ["", "patient,minute,variable,value",
                                         "p1,10,Heart rate,80"])
-    def test_header_checked(self, header):
+    def test_header_checked(self, tmp_path, header):
+        path = events_file(tmp_path, "p1,10,Heart rate,80", header=header + "\n")
         with pytest.raises(InputFault, match="line 1: expected header") as exc:
-            ingest.parse_events(io.StringIO(header + "\np1,10,Heart rate,80\n"))
+            ingest.parse_events(path)
         assert exc.value.line_no == 1
 
     @pytest.mark.parametrize("row, message", [
@@ -105,39 +127,46 @@ class TestParseEvents:
             ingest.parse_events(path)
         assert (exc.value.path, exc.value.line_no) == (path, 4)
         assert str(exc.value) == f"{path} line 4: {message}"
-        with pytest.raises(InputFault, match=f"^line 2: {message}$") as exc:
-            ingest.parse_events(io.StringIO(EV_HEADER + row + "\n"))
-        assert (exc.value.path, exc.value.line_no) == (None, 2)
-        assert str(exc.value) == f"line 2: {message}"
+        path = events_file(tmp_path, row)
+        with pytest.raises(InputFault, match=f"{at(path)}line 2: {message}$") as exc:
+            ingest.parse_events(path)
+        assert (exc.value.path, exc.value.line_no) == (path, 2)
+        assert str(exc.value) == f"{path} line 2: {message}"
 
-    def test_placeholder_dropped(self, caplog):
+    def test_placeholder_dropped(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
-            evs = ingest.parse_events(events_stream(
-                "p1,10,Heart rate,-1", "p1,20,Heart rate,75"))
+            evs = ingest.parse_events(events_file(
+                tmp_path, "p1,10,Heart rate,-1", "p1,20,Heart rate,75"))
         assert len(evs) == 1 and evs.value.tolist() == [75.0]
         assert "1 rows" in caplog.text
 
 
 class TestParseOutcomes:
-    def test_basic(self):
-        outs = ingest.parse_outcomes(outcomes_stream("p1,1", "p2,0"))
+    def test_basic(self, tmp_path):
+        outs = ingest.parse_outcomes(outcomes_file(tmp_path, "p1,1", "p2,0"))
         assert outs.ids == ["p1", "p2"] and outs.labels.tolist() == [1, 0]
         assert outs.lines == [2, 3]
 
-    def test_duplicate(self):
-        with pytest.raises(InputFault, match="^line 3: duplicate outcome row for patient 'p1'$"):
-            ingest.parse_outcomes(outcomes_stream("p1,1", "p1,0"))
+    def test_duplicate(self, tmp_path):
+        path = outcomes_file(tmp_path, "p1,1", "p1,0")
+        with pytest.raises(InputFault, match=at(path) + "line 3: duplicate outcome row for "
+                                                        "patient 'p1'$"):
+            ingest.parse_outcomes(path)
 
-    def test_invalid_label(self):
-        with pytest.raises(InputFault, match="^line 2: outcome label must be 0 or 1, got '2'$"):
-            ingest.parse_outcomes(outcomes_stream("p1,2"))
-        with pytest.raises(InputFault, match="^line 2: outcome label must be 0 or 1, got 'dead'"):
-            ingest.parse_outcomes(outcomes_stream("p1,dead"))
+    def test_invalid_label(self, tmp_path):
+        path = outcomes_file(tmp_path, "p1,2")
+        with pytest.raises(InputFault, match=at(path) + "line 2: outcome label must be 0 or 1, "
+                                                        "got '2'$"):
+            ingest.parse_outcomes(path)
+        path = outcomes_file(tmp_path, "p1,dead")
+        with pytest.raises(InputFault, match=at(path) + "line 2: outcome label must be 0 or 1, "
+                                                        "got 'dead'"):
+            ingest.parse_outcomes(path)
 
 
-    def test_header_checked(self):
+    def test_header_checked(self, tmp_path):
         with pytest.raises(InputFault, match="line 1: expected header"):
-            ingest.parse_outcomes(io.StringIO("patient_id,death\np1,1\n"))
+            ingest.parse_outcomes(outcomes_file(tmp_path, "p1,1", header="patient_id,death\n"))
 
     @pytest.mark.parametrize("row, message", [
         ("p1,1,0", "expected 2 cells, got 3"),
@@ -155,51 +184,54 @@ class TestParseOutcomes:
 
 
 class TestBuildCohort:
-    def test_join_and_prevalence(self):
-        evs = ingest.parse_events(events_stream(
-            "p1,10,Heart rate,80", "p2,5,Glucose,120",
+    def test_join_and_prevalence(self, tmp_path):
+        evs = ingest.parse_events(events_file(
+            tmp_path, "p1,10,Heart rate,80", "p2,5,Glucose,120",
             "p3,1,pH,7.3", "p4,2,Lactate,1.1", "p5,3,Albumin,3.9"))
-        outs = ingest.parse_outcomes(outcomes_stream(
-            "p1,1", "p2,0", "p3,0", "p4,0", "p5,0"))
+        outs = ingest.parse_outcomes(outcomes_file(
+            tmp_path, "p1,1", "p2,0", "p3,0", "p4,0", "p5,0"))
         cohort = ingest.build_cohort(evs, outs)
         assert cohort.n_patients == 5
         assert cohort.labels.mean() == pytest.approx(0.20)
 
-    def test_missing_outcome(self):
-        evs = ingest.parse_events(events_stream("p1,5,pH,7.3", "p3,10,Heart rate,80"))
+    def test_missing_outcome(self, tmp_path):
+        path = events_file(tmp_path, "p1,5,pH,7.3", "p3,10,Heart rate,80")
+        evs = ingest.parse_events(path)
         with pytest.raises(InputFault, match="has events but no outcome row") as exc:
-            ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_stream("p1,0")))
-        assert str(exc.value) == "line 3: patient 'p3' has events but no outcome row"
+            ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_file(tmp_path, "p1,0")))
+        assert str(exc.value) == f"{path} line 3: patient 'p3' has events but no outcome row"
 
-    def test_missing_events(self):
-        outs = ingest.parse_outcomes(outcomes_stream("p9,0"))
+    def test_missing_events(self, tmp_path):
+        path = outcomes_file(tmp_path, "p9,0")
+        outs = ingest.parse_outcomes(path)
         with pytest.raises(InputFault, match="has an outcome but no events") as exc:
-            ingest.build_cohort(ingest.parse_events(io.StringIO(EV_HEADER)), outs)
-        assert str(exc.value) == "line 2: patient 'p9' has an outcome but no events"
+            ingest.build_cohort(ingest.parse_events(events_file(tmp_path)), outs)
+        assert str(exc.value) == f"{path} line 2: patient 'p9' has an outcome but no events"
 
-    def test_events_sorted(self):
+    def test_events_sorted(self, tmp_path):
         # canonical order: patient, minute, variable name (not vocabulary index), file order
-        evs = ingest.parse_events(events_stream(
-            "p2,10,pH,7.1", "p1,50,Heart rate,90", "p1,10,Heart rate,80", "p1,10,Albumin,4",
-            "p1,10,Heart rate,81", "p1,10,Age,60"))
-        cohort = ingest.build_cohort(evs, ingest.parse_outcomes(outcomes_stream("p2,1", "p1,0")))
+        evs = ingest.parse_events(events_file(
+            tmp_path, "p2,10,pH,7.1", "p1,50,Heart rate,90", "p1,10,Heart rate,80",
+            "p1,10,Albumin,4", "p1,10,Heart rate,81", "p1,10,Age,60"))
+        cohort = ingest.build_cohort(
+            evs, ingest.parse_outcomes(outcomes_file(tmp_path, "p2,1", "p1,0")))
         assert cohort.patient_ids == ["p1", "p2"] and cohort.labels.tolist() == [0, 1]
         assert rows_of(cohort) == [
             ("p1", 10, "Age", 60.0), ("p1", 10, "Albumin", 4.0), ("p1", 10, "Heart rate", 80.0),
             ("p1", 10, "Heart rate", 81.0), ("p1", 50, "Heart rate", 90.0), ("p2", 10, "pH", 7.1)]
 
-    def test_select_keeps_cohort_order(self):
-        evs = ingest.parse_events(events_stream(
-            "p3,10,pH,7.1", "p1,50,Heart rate,90", "p2,10,Albumin,4", "p3,0,Age,60"))
+    def test_select_keeps_cohort_order(self, tmp_path):
+        evs = ingest.parse_events(events_file(
+            tmp_path, "p3,10,pH,7.1", "p1,50,Heart rate,90", "p2,10,Albumin,4", "p3,0,Age,60"))
         cohort = ingest.build_cohort(
-            evs, ingest.parse_outcomes(outcomes_stream("p1,0", "p2,1", "p3,1")))
+            evs, ingest.parse_outcomes(outcomes_file(tmp_path, "p1,0", "p2,1", "p3,1")))
         chosen = cohort.select(["p3", "p1"])
         assert chosen.patient_ids == ["p1", "p3"] and chosen.labels.tolist() == [0, 1]
         assert rows_of(chosen) == [r for r in rows_of(cohort) if r[0] != "p2"]
         assert_same_cohort(cohort.select(cohort.patient_ids), cohort)
 
 
-def test_roundtrip_and_closure(rng):
+def test_roundtrip_and_closure(tmp_path, rng):
     rows = []
     variables = list(vocab.ALL_VARIABLES)
     for i in range(8):
@@ -210,15 +242,13 @@ def test_roundtrip_and_closure(rng):
             rows.append(f"p{i},{minute},{v},{value}")
     outcome_rows = [f"p{i},{int(rng.random() < 0.4)}" for i in range(8)]
     cohort = ingest.build_cohort(
-        ingest.parse_events(events_stream(*rows)),
-        ingest.parse_outcomes(outcomes_stream(*outcome_rows)))
+        ingest.parse_events(events_file(tmp_path, *rows)),
+        ingest.parse_outcomes(outcomes_file(tmp_path, *outcome_rows)))
 
-    ev_buf, out_buf = io.StringIO(), io.StringIO()
-    ingest.write_events(cohort, ev_buf)
-    ingest.write_outcomes(cohort, out_buf)
-    again = ingest.build_cohort(
-        ingest.parse_events(io.StringIO(ev_buf.getvalue())),
-        ingest.parse_outcomes(io.StringIO(out_buf.getvalue())))
+    ev_path, out_path = tmp_path / "written_events.csv", tmp_path / "written_outcomes.csv"
+    ingest.write_events(cohort, ev_path)
+    ingest.write_outcomes(cohort, out_path)
+    again = ingest.build_cohort(ingest.parse_events(ev_path), ingest.parse_outcomes(out_path))
     assert_same_cohort(again, cohort)
 
     assert cohort.variable.min() >= 0 and cohort.variable.max() < vocab.N_VARIABLES

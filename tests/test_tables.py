@@ -1,11 +1,11 @@
 """Contract tests for the row layout every patsim table file shares.
 
-Each row format round-trips through its writer and reader; line ends in
-CRLF and blank lines leave the result unchanged; and every reader names
+Each row format round-trips through its writer and reader, both given a
+file path; line ends in CRLF and blank lines leave the result unchanged; and every reader names
 line 1 for a wrong header and the file and line of a short row.
 """
 
-import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,17 +32,23 @@ def variants(text):
     return [text, text.replace("\n", "\r\n"), spaced, spaced.replace("\n", "\r\n")]
 
 
-def read_each(text, read, stream=False):
-    """read() of every variant of `text`, from a file (and from lines, with `stream`)."""
+def read_each(text, read):
+    """read() of every variant of `text`, each written to a file as bytes."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         for variant in variants(text):
             path.write_bytes(variant.encode("utf-8"))
             out.append(read(path))
-            if stream:
-                out.append(read(io.StringIO(variant, newline="")))
     return out
+
+
+def written(write):
+    """The text that `write(path)` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write(path)
+        return path.read_bytes().decode("utf-8")
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,14 +61,13 @@ def test_events_and_outcomes_round_trip(rows, data):
     pids = sorted({row[0] for row in rows})
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(pids), max_size=len(pids)))
     cohort = cohort_of(rows, dict(zip(pids, labels)))
-    ev_buf, out_buf = io.StringIO(), io.StringIO()
-    ingest.write_events(cohort, ev_buf)
-    ingest.write_outcomes(cohort, out_buf)
-    for parsed in read_each(ev_buf.getvalue(), ingest.parse_events, stream=True):
+    events = written(lambda path: ingest.write_events(cohort, path))
+    outcomes = written(lambda path: ingest.write_outcomes(cohort, path))
+    for parsed in read_each(events, ingest.parse_events):
         assert parsed.ids == pids
         for column in ("patient", "minute", "variable", "value"):
             assert getattr(parsed, column).tobytes() == getattr(cohort, column).tobytes()
-    for parsed in read_each(out_buf.getvalue(), ingest.parse_outcomes, stream=True):
+    for parsed in read_each(outcomes, ingest.parse_outcomes):
         assert parsed.ids == pids and parsed.labels.tolist() == labels
 
 
@@ -98,10 +103,9 @@ def test_frames_and_mask_round_trip(seed, n_buckets, n):
 @given(st.lists(st.floats(0.0, 1e300), min_size=vocab.N_VARIABLES,
                 max_size=vocab.N_VARIABLES))
 def test_learned_weights_round_trip(values):
-    buf = io.StringIO()
-    weights.save_weights(FeatureWeights(values), buf)
+    text = written(lambda path: weights.save_weights(FeatureWeights(values), path))
     for read in (weights.read_weights, weights.load_manual_weights):
-        for back in read_each(buf.getvalue(), read):
+        for back in read_each(text, read):
             assert back.values.tolist() == values
 
 
@@ -111,9 +115,8 @@ def test_learned_weights_round_trip(values):
                           FINITE, FINITE, FINITE), max_size=25))
 def test_fold_metrics_round_trip(rows):
     metrics = [FoldMetrics(*row) for row in rows]
-    buf = io.StringIO()
-    evaluation.save_fold_metrics(metrics, buf)
-    for back in read_each(buf.getvalue(), evaluation.load_fold_metrics):
+    text = written(lambda path: evaluation.save_fold_metrics(metrics, path))
+    for back in read_each(text, evaluation.load_fold_metrics):
         assert back == metrics
 
 
@@ -234,17 +237,20 @@ def test_short_row_names_file_and_line(tmp_path, table):
     assert (exc.value.path, exc.value.line_no) == (path, len(lines))
 
 
-def test_read_rows_takes_lines_and_skips_comments():
-    lines = ["k=1\r\n", "  # note\n", "\n", "a = b\n"]
-    assert list(tables.read_rows(lines, width=2, sep="=", comment="#")) == \
+def test_read_rows_takes_lines_and_skips_comments(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"k=1\r\n  # note\n\na = b\n")
+    assert list(tables.read_rows(path, width=2, sep="=", comment="#")) == \
         [(1, ["k", "1"]), (4, ["a ", " b"])]
-    with pytest.raises(InputFault, match="^line 3: expected 2 cells, got 1$") as exc:
-        list(tables.read_rows(["h,i\n", "x,y\n", "x\n"], header="h,i"))
-    assert str(exc.value) == "line 3: expected 2 cells, got 1"
-    assert exc.value.path is None
+    path.write_bytes(b"h,i\nx,y\nx\n")
+    with pytest.raises(InputFault, match="^" + re.escape(f"{path} ") +
+                                         "line 3: expected 2 cells, got 1$") as exc:
+        list(tables.read_rows(path, header="h,i"))
+    assert str(exc.value) == f"{path} line 3: expected 2 cells, got 1"
+    assert exc.value.path == path
 
 
-def test_write_rows_to_a_stream():
-    buf = io.StringIO()
-    tables.write_rows(buf, "a,b", (f"{i},{i * i}" for i in range(3)))
-    assert buf.getvalue() == "a,b\n0,0\n1,1\n2,4\n"
+def test_write_rows_to_a_file(tmp_path):
+    path = tmp_path / "table.csv"
+    tables.write_rows(path, "a,b", (f"{i},{i * i}" for i in range(3)))
+    assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,4\n"

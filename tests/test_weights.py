@@ -1,4 +1,3 @@
-import io
 import re
 from types import SimpleNamespace
 
@@ -20,13 +19,10 @@ from patsim.weights import (
     _filter_tables,
     filter_score,
     filter_weights,
-    gradient,
     load_manual_weights,
-    loo_neighbor_sets,
     read_weights,
     save_weights,
     train_gd,
-    training_error,
 )
 from util import (
     equal_frequency_bins,
@@ -52,15 +48,16 @@ def two_tight_clusters(rng, n_per_class=8, gap=0.8):
 
 class TestTrainingError:
     def test_pure_clusters_give_zero_error(self, rng):
-        frames = two_tight_clusters(rng)
-        e = training_error(stack(frames), FeatureWeights.uniform(), k=3)
+        ws, w = Workspace(stack(two_tight_clusters(rng))), np.ones(vocab.N_VARIABLES)
+        e, _ = ws.error_and_gradient(w, ws.neighbor_sets(w, 3))
         # scores are not exactly 0/1 (kernel in (0,1]) but must be tiny
         assert e < 1e-8
 
     def test_naive_loop_oracle(self, small_cohort, rng):
         w = FeatureWeights(rng.random(vocab.N_VARIABLES) + 0.1)
         k = 5
-        fast = training_error(small_cohort, w, k=k)
+        ws = Workspace(small_cohort)
+        fast, _ = ws.error_and_gradient(w.values, ws.neighbor_sets(w.values, k))
         model = Model(small_cohort, w, k=k)
         slow = 0.0
         for f in small_cohort:
@@ -76,29 +73,30 @@ class TestTrainingError:
 
     def test_k_too_large(self, small_cohort):
         with pytest.raises(PatsimError, match="^k=30 but only 29 leave-one-out candidates$"):
-            training_error(small_cohort, FeatureWeights.uniform(), k=30)
+            Workspace(small_cohort).neighbor_sets(np.ones(vocab.N_VARIABLES), 30)
 
     def test_single_class(self, rng):
         frames = random_dense_frames(10, rng)
         for f in frames:
             f.label = 1
         with pytest.raises(PatsimError, match="^training cohort contains a single class$"):
-            training_error(stack(frames), FeatureWeights.uniform(), k=3)
+            Workspace(stack(frames)).neighbor_sets(np.ones(vocab.N_VARIABLES), 3)
 
 
 class TestGradient:
     def test_matches_finite_differences(self, small_cohort, rng):
         w0 = rng.random(vocab.N_VARIABLES) + 0.2
         k = 5
-        sets = loo_neighbor_sets(small_cohort, FeatureWeights(w0), k=k)
-        grad = gradient(small_cohort, FeatureWeights(w0), k=k)
+        ws = Workspace(small_cohort)
+        sets = ws.neighbor_sets(w0, k)
+        _, grad = ws.error_and_gradient(w0, sets)
         h = 1e-5
         for v in range(vocab.N_VARIABLES):
             wp, wm = w0.copy(), w0.copy()
             wp[v] += h
             wm[v] -= h
-            ep = training_error(small_cohort, FeatureWeights(wp), k=k, neighbor_sets=sets)
-            em = training_error(small_cohort, FeatureWeights(wm), k=k, neighbor_sets=sets)
+            ep, _ = ws.error_and_gradient(wp, sets)
+            em, _ = ws.error_and_gradient(wm, sets)
             fd = (ep - em) / (2 * h)
             rel = abs(grad[v] - fd) / max(abs(grad[v]), abs(fd), 1e-8)
             assert rel < 1e-4
@@ -107,12 +105,13 @@ class TestGradient:
         frames = random_dense_frames(12, rng)
         for f in frames:
             f.dynamic[HR] = 0.42
-        grad = gradient(stack(frames), FeatureWeights.uniform(), k=4)
+        ws, w = Workspace(stack(frames)), np.ones(vocab.N_VARIABLES)
+        _, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, 4))
         assert grad[HR] == 0.0
 
     def test_zero_at_zero_error(self, rng):
-        frames = two_tight_clusters(rng)
-        grad = gradient(stack(frames), FeatureWeights.uniform(), k=3)
+        ws, w = Workspace(stack(two_tight_clusters(rng))), np.ones(vocab.N_VARIABLES)
+        _, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, 3))
         assert np.abs(grad).max() < 1e-6
 
 
@@ -135,7 +134,7 @@ class TestTrainGd:
 
     def test_best_so_far_non_increasing(self, small_cohort):
         _, trace = train_gd(small_cohort, TrainConfig(k=5, max_epochs=25))
-        best = trace.best_so_far
+        best = np.minimum.accumulate(trace.errors)
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
         assert trace.best_error == pytest.approx(min(trace.errors))
         assert trace.epochs_run <= 25
@@ -302,34 +301,45 @@ class TestFilterScores:
 
 
 class TestManualWeights:
-    def test_full_file(self):
+    def write(self, tmp_path, text):
+        path = tmp_path / "manual.csv"
+        path.write_text(text)
+        return path
+
+    def test_full_file(self, tmp_path):
         text = "variable,weight\n" + "".join(f"{n},1.0\n" for n in vocab.ALL_VARIABLES)
-        fw = load_manual_weights(io.StringIO(text))
+        fw = load_manual_weights(self.write(tmp_path, text))
         assert (fw.values == 1.0).all()
 
-    def test_partial_file_defaults_zero(self, caplog):
+    def test_partial_file_defaults_zero(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
-            fw = load_manual_weights(io.StringIO("Heart rate,2.0\n"))
+            fw = load_manual_weights(self.write(tmp_path, "Heart rate,2.0\n"))
         assert fw.values[HR] == 2.0
         assert fw.values.sum() == 2.0
         assert "39 variables" in caplog.text
 
-    def test_negative_weight(self):
-        with pytest.raises(InputFault, match="^line 1: weight for 'Heart rate' must be "
-                                             r"non-negative, got -1\.0$"):
-            load_manual_weights(io.StringIO("Heart rate,-1\n"))
+    def test_negative_weight(self, tmp_path):
+        path = self.write(tmp_path, "Heart rate,-1\n")
+        with pytest.raises(InputFault, match="^" + re.escape(f"{path} ") +
+                           "line 1: weight for 'Heart rate' must be "
+                           r"non-negative, got -1\.0$"):
+            load_manual_weights(path)
 
-    def test_unknown_variable(self):
-        with pytest.raises(InputFault, match="^line 1: unknown variable name: 'Pulse'$"):
-            load_manual_weights(io.StringIO("Pulse,1.0\n"))
+    def test_unknown_variable(self, tmp_path):
+        path = self.write(tmp_path, "Pulse,1.0\n")
+        with pytest.raises(InputFault, match="^" + re.escape(f"{path} ") +
+                           "line 1: unknown variable name: 'Pulse'$"):
+            load_manual_weights(path)
 
-    def test_malformed(self):
-        with pytest.raises(InputFault, match="^line 1: non-numeric weight 'abc'$"):
-            load_manual_weights(io.StringIO("Heart rate,abc\n"))
+    def test_malformed(self, tmp_path):
+        path = self.write(tmp_path, "Heart rate,abc\n")
+        with pytest.raises(InputFault, match="^" + re.escape(f"{path} ") +
+                           "line 1: non-numeric weight 'abc'$"):
+            load_manual_weights(path)
 
-    def test_non_finite_weight(self):
+    def test_non_finite_weight(self, tmp_path):
         with pytest.raises(InputFault, match="line 2: non-finite weight 'inf'"):
-            load_manual_weights(io.StringIO("variable,weight\nHeart rate,inf\n"))
+            load_manual_weights(self.write(tmp_path, "variable,weight\nHeart rate,inf\n"))
 
     def test_save_load_roundtrip(self, tmp_path, rng):
         fw = FeatureWeights(rng.random(vocab.N_VARIABLES))
