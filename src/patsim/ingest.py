@@ -41,8 +41,8 @@ _EVENT_FIELDS = [("minute", "i8"), ("name", f"S{_SORTED_NAMES.itemsize + 1}"), (
 class Events:
     """Event rows as parallel columns, in file order; every id has at least one row.
 
-    `first_line[c]` is the line of patient ids[c]'s first row, when the rows
-    came from a file; `path` is that file, when given as a path.
+    `first_line[c]` is the line of patient ids[c]'s first row, and `path`
+    the file, when the rows were read from one.
     """
 
     ids: list
@@ -98,16 +98,15 @@ class Cohort:
                       self.minute[rows], self.variable[rows], self.value[rows])
 
 
-def parse_events(stream) -> Events:
-    """Parse an events file (path, file object, or iterable of lines).
+def parse_events(path) -> Events:
+    """Parse the events file at `path`.
 
     The first line must be EVENTS_HEADER. Rows whose value equals the -1
     placeholder are dropped with a counted warning. Raises InputFault, with
-    the line (and the file, when given a path), on the first offending row;
-    a well-formed path takes one columnar pass.
+    the file and the line, on the first offending row; a well-formed file
+    takes one columnar pass.
     """
-    path = tables.path_of(stream)
-    events, dropped = (path is not None and _event_columns(path)) or _event_rows(stream)
+    events, dropped = _event_columns(path) or _event_rows(path)
     if dropped:
         logger.warning("dropped %d rows with -1 placeholder values", dropped)
     return events
@@ -141,15 +140,14 @@ def _event_columns(path):
                    first_line, path), dropped) if columns else None
 
 
-def _event_rows(stream):
+def _event_rows(path):
     """(Events, placeholder rows dropped) of an events file, read row by row; the reference."""
     codes = {}
     first_line = []
     # typed arrays hold a row in 15 bytes, where Python ints and floats take about 100
     patient, minutes, variables, values = array("i"), array("h"), array("b"), array("d")
     dropped = 0
-    path = tables.path_of(stream)
-    for line_no, (pid, minute_s, name, value_s) in tables.read_rows(stream, EVENTS_HEADER):
+    for line_no, (pid, minute_s, name, value_s) in tables.read_rows(path, EVENTS_HEADER):
         try:
             minute = int(minute_s)
         except ValueError:
@@ -180,11 +178,10 @@ def _event_rows(stream):
                   np.asarray(values), first_line, path), dropped
 
 
-def parse_outcomes(stream) -> Outcomes:
-    """Parse an outcomes file; the first line must be OUTCOMES_HEADER, labels in {0, 1}."""
+def parse_outcomes(path) -> Outcomes:
+    """Parse the outcomes file at `path`; line 1 must be OUTCOMES_HEADER, labels in {0, 1}."""
     rows = {}   # patient_id -> (label, line)
-    path = tables.path_of(stream)
-    for line_no, (pid, label_s) in tables.read_rows(stream, OUTCOMES_HEADER):
+    for line_no, (pid, label_s) in tables.read_rows(path, OUTCOMES_HEADER):
         try:
             label_f = float(label_s)
         except ValueError:
@@ -240,18 +237,18 @@ def load_cohort(events_path, outcomes_path) -> Cohort:
 _WRITE_BLOCK = 1 << 14
 
 
-def write_events(cohort: Cohort, stream) -> None:
+def write_events(cohort: Cohort, path) -> None:
     """Serialize cohort events in canonical order; values print as repr, which round-trips."""
     ids, names = cohort.patient_ids, vocab.ALL_VARIABLES
     # a block of events at a time, so the Python objects of every event never coexist
     blocks = (slice(lo, lo + _WRITE_BLOCK) for lo in range(0, len(cohort.value), _WRITE_BLOCK))
-    tables.write_rows(stream, EVENTS_HEADER, (
+    tables.write_rows(path, EVENTS_HEADER, (
         f"{ids[p]},{m},{names[v]},{x!r}"
         for b in blocks
         for p, m, v, x in zip(cohort.patient[b].tolist(), cohort.minute[b].tolist(),
                               cohort.variable[b].tolist(), cohort.value[b].tolist())))
 
 
-def write_outcomes(cohort: Cohort, stream) -> None:
-    tables.write_rows(stream, OUTCOMES_HEADER, (
+def write_outcomes(cohort: Cohort, path) -> None:
+    tables.write_rows(path, OUTCOMES_HEADER, (
         f"{pid},{y}" for pid, y in zip(cohort.patient_ids, cohort.labels.tolist())))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from contextlib import nullcontext
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -24,11 +22,6 @@ QUOTE_CHARS = 60
 PLAIN_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.+-(), \n"
 BLOCK_BYTES = 1 << 20
 _LF, _COMMA, _SPACE = b"\n, "
-
-
-def path_of(source):
-    """`source` when it is a path, else None: the file a fault names."""
-    return source if isinstance(source, (str, Path)) else None
 
 
 def finite_number(text, kind=float):
@@ -44,24 +37,19 @@ def _clip(text) -> str:
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
-def read_rows(source, header=None, width=None, sep=",", comment=None):
-    """Yield (line_no, cells) for each row of a table after its header.
+def read_rows(path, header=None, width=None, sep=",", comment=None):
+    """Yield (line_no, cells) for each row of the table at `path` after its header.
 
-    `source` is a path or an iterable of lines. `header` is the text line 1
-    must hold, or a function of line 1 returning that text, for a format
-    whose header carries a parameter (the frames bucket count); None means
-    the table has no header and `width` is required. Every row must have
-    `width` cells, by default the header's count; patsim tables have at
-    least two. Lines starting with `comment` are skipped like blank ones.
-    A fault raises InputFault naming the line, and the file when
-    `source` is a path; a file's line that is not UTF-8 text is a fault.
+    `header` is the text line 1 must hold, or a function of line 1 returning
+    that text, for a format whose header carries a parameter (the frames
+    bucket count); None means the table has no header and `width` is
+    required. Every row must have `width` cells, by default the header's
+    count; patsim tables have at least two. Lines starting with `comment`
+    are skipped like blank ones. A fault raises InputFault naming the file
+    and the line; a line that is not UTF-8 text is a fault.
     """
-    path = path_of(source)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") if path is not None \
-            else nullcontext(source) as lines:
-        numbered = enumerate(lines, start=1)
-        if path is not None:
-            numbered = ((n, _utf8(raw, n, path)) for n, raw in numbered)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as lines:
+        numbered = ((n, _utf8(raw, n, path)) for n, raw in enumerate(lines, start=1))
         if header is not None:
             first = next(numbered, (1, ""))[1].rstrip("\r\n")
             expected = header if isinstance(header, str) else header(first)
@@ -139,13 +127,9 @@ def _parse_block(block, fields):
     return rows if len(rows) == len(ends) else None
 
 
-def write_rows(target, header, rows) -> None:
-    """Write `header` and then each row, a string already formatted, one per line.
-
-    `target` is a path or a text stream.
-    """
-    path = path_of(target)
-    with open(path, "w", encoding="utf-8") if path is not None else nullcontext(target) as fh:
+def write_rows(path, header, rows) -> None:
+    """Write `header` and then each row, a string already formatted, one per line, to `path`."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         rows = iter(rows)
         # a write per row made write_events 20 % slower; 256 frames rows are about 1.5 MB

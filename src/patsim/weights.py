@@ -47,10 +47,6 @@ class TrainTrace:
     best_error: float = float("inf")
     best_epoch: int = 0
 
-    @property
-    def best_so_far(self) -> list:
-        return list(np.minimum.accumulate(self.errors))
-
 
 # A private anonymous map whose pages are mapped in one call where the system
 # offers it (Linux): the build writes every page, and taking them one fault at
@@ -223,32 +219,6 @@ def _workspace(frames) -> Workspace:
     return frames if isinstance(frames, Workspace) else Workspace(frames)
 
 
-def loo_neighbor_sets(frames, weights, k=RunConfig.k) -> np.ndarray:
-    """Leave-one-out neighbor index sets for every training patient."""
-    return _workspace(frames).neighbor_sets(_weight_array(weights), k)
-
-
-def training_error(frames, weights, k=RunConfig.k, neighbor_sets=None) -> float:
-    """Leave-one-out training error at the given weights.
-
-    With `neighbor_sets` (an (n, k) index array over patients in
-    patient_id order) the sets are held fixed instead of re-selected,
-    which is the function the analytic gradient differentiates.
-    """
-    ws, w = _workspace(frames), _weight_array(weights)
-    if neighbor_sets is None:
-        neighbor_sets = ws.neighbor_sets(w, k)
-    else:
-        _check_cohort(ws.train.labels, k)
-    return ws.error_and_gradient(w, neighbor_sets)[0]
-
-
-def gradient(frames, weights, k=RunConfig.k) -> np.ndarray:
-    """dE/dw per variable, neighbor sets held fixed at the current weights."""
-    ws, w = _workspace(frames), _weight_array(weights)
-    return ws.error_and_gradient(w, ws.neighbor_sets(w, k))[1]
-
-
 def _active(active) -> np.ndarray:
     """Boolean mask of searched variables; None means all of them."""
     if active is None:
@@ -346,33 +316,21 @@ def _filter_tables(train) -> np.ndarray:
 
 
 # The scorers below take a stack of (bin, label) tables and score each
-# table over its non-empty bins, bit for bit as one table at a time: every
-# count and count sum is an exact integer, the arithmetic is per element,
-# and each sum of non-integer terms is formed in the order numpy or
-# Python forms it for a single table.
+# table over its non-empty bins. The impurity scorers work on the whole
+# stack, bit for bit as one table at a time: every count and count sum is
+# an exact integer, the arithmetic is per element, and each sum of
+# non-integer terms is formed in the order Python forms it for a single
+# table.
 
 def _chi_square_scores(tables) -> np.ndarray:
-    """Chi-square statistic of each table against independence of bin and label.
-
-    A table's terms are summed as `terms.sum()` sums its compact (B, 2)
-    terms: pairwise, in an order fixed by B, its count of non-empty bins.
-    So the tables go in groups of equal B, with their non-empty bins moved
-    to the front in bin order, and each group's terms are summed as one
-    contiguous (tables, 2B) block along its last axis.
-    """
-    filled = tables.sum(axis=2) > 0
-    order = np.argsort(~filled, axis=1, kind="stable")
-    compact = np.take_along_axis(tables, order[:, :, None], axis=1)
-    widths = filled.sum(axis=1)
+    """Chi-square statistic of each table against independence of bin and label."""
     scores = np.empty(len(tables))
-    for width in np.unique(widths):
-        group = widths == width
-        table = compact[group, :width]
-        total = table.sum(axis=(1, 2))[:, None, None]
-        expected = table.sum(axis=2)[:, :, None] * table.sum(axis=1)[:, None, :] / total
+    for v, table in enumerate(tables):
+        table = table[table.sum(axis=1) > 0]
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-        scores[group] = terms.reshape(len(terms), -1).sum(axis=1)
+        scores[v] = terms.sum()
     return scores
 
 
@@ -450,14 +408,13 @@ def filter_weights(frames, method, active=None) -> FeatureWeights:
 WEIGHTS_HEADER = "variable,weight"
 
 
-def _weight_rows(source, header):
-    """(line_no, variable, weight) of each `variable,weight` row of a path or lines.
+def _weight_rows(path, header):
+    """(line_no, variable, weight) of each `variable,weight` row of the file at `path`.
 
     `header` is WEIGHTS_HEADER when line 1 must hold it, or None when the
     header is optional; a header line is skipped wherever it appears.
     """
-    path = tables.path_of(source)
-    for line_no, (name, weight_s) in tables.read_rows(source, header, width=2):
+    for line_no, (name, weight_s) in tables.read_rows(path, header, width=2):
         name = name.strip()
         if f"{name},{weight_s.strip()}" == WEIGHTS_HEADER:
             continue
@@ -474,33 +431,33 @@ def _weight_rows(source, header):
         yield line_no, name, w
 
 
-def _file_weights(values, source) -> FeatureWeights:
-    """The weights read from `source`; a sum that overflows is a fault naming the file.
+def _file_weights(values, path) -> FeatureWeights:
+    """The weights read from `path`; a sum that overflows is a fault naming the file.
 
     A per-variable distance between frames scaled to [0, 1] is at most 1, so
     a finite sum keeps every weighted distance finite.
     """
     if not math.isfinite(sum(values)):   # Python floats: inf, with no numpy warning
         raise InputFault("the weights sum past the largest float, so weighted distances "
-                         "would overflow", path=tables.path_of(source))
+                         "would overflow", path=path)
     return FeatureWeights(values)
 
 
-def load_manual_weights(source) -> FeatureWeights:
-    """Read `variable,weight` rows; unlisted variables default to 0.
+def load_manual_weights(path) -> FeatureWeights:
+    """Read the `variable,weight` rows of the file at `path`; unlisted variables default to 0.
 
     The header line is optional. Unknown variable names, negative weights
     and weights whose sum is not finite are rejected.
     """
     values = [0.0] * vocab.N_VARIABLES
     listed = set()
-    for _, name, w in _weight_rows(source, None):
+    for _, name, w in _weight_rows(path, None):
         values[vocab.VARIABLE_INDEX[name]] = w
         listed.add(name)
     missing = vocab.N_VARIABLES - len(listed)
     if missing:
         logger.warning("manual weights file leaves %d variables at weight 0", missing)
-    return _file_weights(values, source)
+    return _file_weights(values, path)
 
 
 def read_weights(path) -> FeatureWeights:

@@ -463,6 +463,18 @@ class TestTailProbabilities:
                              check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_leaves_scipy_and_the_pool_modules_out(self):
+        """scipy.special loads only inside friedman and wilcoxon_signed_rank, and
+        multiprocessing and concurrent.futures only when folds run in processes, so a
+        stray top-level import cannot slow every train and predict unnoticed."""
+        import subprocess
+        import sys
+        code = ("import sys, patsim.cli; print(sorted({m.split('.')[0] for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')}))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]
 

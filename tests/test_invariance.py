@@ -2,12 +2,18 @@
 
 Each knob below changes only the shape of the execution. `predict`
 (leave-one-out and `--query-frames`) and `evaluate` must write the same
-bytes at every value of it as at its default.
+bytes at every value of it as at its default, and so must every command
+of the whole pipeline at any drawn combination of the knobs.
 """
 
+import tempfile
+from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patsim import knn, tables
 from patsim.cli import main
@@ -75,3 +81,61 @@ def test_outputs_do_not_depend_on_the_screen_block(inputs, default_outputs, bloc
 def test_outputs_do_not_depend_on_the_read_block(inputs, default_outputs):
     with mock.patch.object(tables, "BLOCK_BYTES", READ_BLOCK_BYTES):
         assert outputs(inputs, inputs / "read_block", None) == default_outputs
+
+
+# Every execution-shape knob with the values drawn for it, its default first:
+# the screen's element budget (1: one query per block), the columnar read block
+# (512: about 15 events rows, or one frames row, per np.loadtxt call) and the
+# cross-validation fold processes.
+KNOBS = [
+    ("screen_elements", (knn.SCREEN_ELEMENTS, 1, 100)),
+    ("block_bytes", (tables.BLOCK_BYTES, 512, 4096)),
+    ("workers", (1, 2, 3)),
+]
+DEFAULT_SHAPE = {name: values[0] for name, values in KNOBS}
+
+
+def pipeline(root, seed, screen_elements, block_bytes, workers) -> dict:
+    """The bytes of every file that synth, frame, train, predict in both modes,
+    evaluate and exp3 write on a 40-patient cohort in the given shape."""
+    out = Path(root) / f"s{screen_elements}-b{block_bytes}-w{workers}"
+    files = {name: str(out / name) for name in (
+        "events.csv", "outcomes.csv", "frames.csv", "mask.csv", "stats.txt", "w.csv",
+        "trace.csv", "majority.csv", "weighted.csv", "folds.csv", "run.cfg")}
+    out.mkdir()
+    Path(files["run.cfg"]).write_text("max_epochs = 3\n")
+    run = ["--k", "3", "--workers", str(workers)]
+    commands = [
+        ["synth", "--out-dir", str(out), "--n-patients", "40", "--prevalence", "0.3",
+         "--seed", str(seed)],
+        ["frame", "--events", files["events.csv"], "--outcomes", files["outcomes.csv"],
+         "--out-frames", files["frames.csv"], "--out-mask", files["mask.csv"],
+         "--stats-out", files["stats.txt"]],
+        ["train", "--frames", files["frames.csv"], "--weights-out", files["w.csv"],
+         "--trace-out", files["trace.csv"], "--max-epochs", "3"] + run,
+        *(["predict", "--train-frames", files["frames.csv"], "--weights", files["w.csv"],
+           "--mode", mode, "--out", files[f"{mode}.csv"]] + run
+          for mode in ("majority", "weighted")),
+        ["evaluate", "--events", files["events.csv"], "--outcomes", files["outcomes.csv"],
+         "--folds", "3", "--config", files["run.cfg"], "--out", files["folds.csv"]] + run,
+        ["experiment", "exp3", "--events", files["events.csv"], "--outcomes",
+         files["outcomes.csv"], "--folds", "3", "--config", files["run.cfg"],
+         "--out-dir", str(out)] + run,
+    ]
+    with mock.patch.object(knn, "SCREEN_ELEMENTS", screen_elements), \
+            mock.patch.object(tables, "BLOCK_BYTES", block_bytes):
+        for argv in commands:
+            assert main(argv) == 0, argv
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 16),
+       st.fixed_dictionaries({name: st.sampled_from(values) for name, values in KNOBS}))
+@example(1, {"screen_elements": 1, "block_bytes": 512, "workers": 3})
+def test_pipeline_outputs_do_not_depend_on_the_execution_shape(seed, shape):
+    with tempfile.TemporaryDirectory() as root:
+        default = pipeline(root, seed, **DEFAULT_SHAPE)
+        assert len(default) == 14
+        if shape != DEFAULT_SHAPE:
+            assert pipeline(root, seed, **shape) == default
