@@ -7,7 +7,6 @@ of the whole pipeline at any drawn combination of the knobs.
 """
 
 import tempfile
-from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 

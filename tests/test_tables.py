@@ -1,8 +1,9 @@
 """Contract tests for the row layout every patsim table file shares.
 
 Each row format round-trips through its writer and reader, both given a
-file path; line ends in CRLF and blank lines leave the result unchanged; and every reader names
-line 1 for a wrong header and the file and line of a short row.
+file path; line ends in CRLF and blank lines leave the result unchanged;
+and every reader names line 1 for a wrong header and the file and line of
+a short row.
 """
 
 import re
