@@ -305,9 +305,10 @@ def friedman(matrix) -> tuple:
     correction = 1.0 - ties / (n * m * (m ** 2 - 1))
     statistic = numerator / correction if correction > 0 else 0.0
     statistic = max(statistic, 0.0)
-    # imported here, so commands that compare nothing (train, predict) never load scipy
-    from scipy.special import chdtrc
-    p_value = float(chdtrc(m - 1, statistic))
+    # imported here, so commands that compare nothing (train, predict) never compile
+    # it; it loads scipy only for the cephes branches it does not port
+    from .tails import chdtrc
+    p_value = chdtrc(m - 1, statistic)
     return float(statistic), p_value
 
 
@@ -363,8 +364,8 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     var -= float((counts ** 3 - counts).sum()) / 48.0
     correction = 0.5 * np.sign(w_plus - mean)
     z = (w_plus - mean - correction) / np.sqrt(var)
-    from scipy.special import ndtr
-    p = float(min(1.0, 2.0 * ndtr(-abs(z))))
+    from .tails import ndtr
+    p = min(1.0, 2.0 * ndtr(float(-abs(z))))
     return statistic, p
 
 

@@ -1,4 +1,9 @@
 import itertools
+import json
+import math
+import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from patsim import evaluation, experiments, framing, knn, synth, vocab, weights
+from patsim import evaluation, experiments, framing, knn, synth, tails, vocab, weights
 from patsim.config import RunConfig
 from patsim.errors import PatsimError, TooFewPairs
 from patsim.evaluation import (
@@ -398,7 +403,40 @@ class TestWilcoxon:
 
 
 class TestTailProbabilities:
-    """p-values come from scipy.special, bit-identical to the scipy.stats calls."""
+    """p-values come from patsim.tails, bit-identical to scipy.special and so to
+    the scipy.stats calls."""
+
+    def test_chdtrc_equals_scipy_on_every_branch(self):
+        # df 1-60 reach the continued fraction, the series, Lanczos and lgam (below
+        # and above 13) in igam_fac, and the deferred igamc_series (df <= 2) and
+        # asymptotic series (df > 40); df 300 and 600 reach igam_fac's log1pmx form
+        from scipy.special import chdtrc
+        edges = [0.0, 5e-324, 1e-300, 1e-10, 1e300, math.inf]
+        grid = np.concatenate([np.linspace(0, 3, 601), np.linspace(3, 150, 1471),
+                               np.geomspace(150, 4000, 61), edges])
+        for df in [*range(1, 61), 300, 600]:
+            xs = np.concatenate([grid, df * np.linspace(0.5, 1.5, 201)])
+            got = np.array([tails.chdtrc(df, x) for x in xs.tolist()])
+            assert got.tobytes() == chdtrc(float(df), xs).tobytes(), df
+        for a, x, branch in [(0.5, 0.5, "igamc_series"), (25.0, 25.0, "asymptotic_series"),
+                             (300.0, 400.0, "log1pmx form")]:
+            with pytest.raises(tails.NotPorted, match=branch):
+                tails._igamc(a, x)
+
+    def test_ndtr_equals_scipy_on_a_grid(self):
+        from scipy.special import ndtr
+        zs = np.concatenate([np.linspace(-40, 40, 40001), [-math.inf, math.inf, -0.0, 5e-324]])
+        got = np.array([tails.ndtr(z) for z in zs.tolist()])
+        assert got.tobytes() == ndtr(zs).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60),
+           st.floats(0, 4000) | st.sampled_from([5e-324, 1e300, math.inf]),
+           st.floats(-40, 40) | st.sampled_from([-math.inf, math.inf]))
+    def test_tails_equal_scipy_on_random_draws(self, df, x, z):
+        from scipy.special import chdtrc, ndtr
+        assert struct.pack("d", tails.chdtrc(df, x)) == struct.pack("d", chdtrc(df, x))
+        assert struct.pack("d", tails.ndtr(z)) == struct.pack("d", ndtr(z))
 
     def test_special_functions_equal_stats_calls(self):
         from scipy.special import chdtrc, ndtr
@@ -435,17 +473,15 @@ class TestTailProbabilities:
             assert p == float(min(1.0, 2.0 * scipy_stats.norm.sf(abs(z))))
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        import subprocess
-        import sys
         code = "import sys, patsim.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_scipy_out(self):
-        """scipy loads only when a comparison computes a p-value."""
-        import subprocess
-        import sys
+        """scipy loads only when a p-value reaches a cephes branch patsim.tails
+        does not port (test_experiment_exp3_leaves_scipy_out,
+        test_compare_in_a_deferred_branch_prints_scipys_bits)."""
         code = "import sys, patsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
@@ -454,8 +490,6 @@ class TestTailProbabilities:
     def test_cli_import_leaves_numpy_random_out(self):
         """numpy.random loads only when a command draws random numbers (synth, splits,
         folds), not on `import patsim.cli`, so train and predict never pay for it."""
-        import subprocess
-        import sys
         code = ("import sys, patsim.cli; "
                 "print(sorted({m.split('.')[0] for m in sys.modules if m == 'scipy' "
                 "or m.startswith(('scipy.', 'numpy.random'))}))")
@@ -464,16 +498,54 @@ class TestTailProbabilities:
         assert out.stdout.strip() == "[]"
 
     def test_cli_import_leaves_scipy_and_the_pool_modules_out(self):
-        """scipy.special loads only inside friedman and wilcoxon_signed_rank, and
+        """patsim.tails (and through it scipy.special) loads only inside friedman and
+        wilcoxon_signed_rank, and
         multiprocessing and concurrent.futures only when folds run in processes, so a
         stray top-level import cannot slow every train and predict unnoticed."""
-        import subprocess
-        import sys
         code = ("import sys, patsim.cli; print(sorted({m.split('.')[0] for m in sys.modules "
                 "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')}))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_experiment_exp3_leaves_scipy_out(self, tmp_path):
+        """exp3's Friedman tests have 3 to 5 degrees of freedom, which no deferred
+        cephes branch reaches, so a whole exp3 run never imports scipy."""
+        (tmp_path / "run.cfg").write_text("max_epochs = 3\n")
+        argv = ["experiment", "exp3", "--n-patients", "100", "--seed", "5", "--folds", "3",
+                "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "out")]
+        code = ("import sys; from patsim.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "exp3_report.json").exists()
+
+    def test_compare_in_a_deferred_branch_prints_scipys_bits(self, tmp_path):
+        """Three methods whose rank sums over 4 folds are 6, 8 and 10 give a Friedman
+        statistic of exactly 2 on 2 degrees of freedom, in cephes's igamc_series
+        branch. scipy's p there is 0.36787944117144245, not exp(-1); compare must
+        load scipy and report its bits."""
+        from scipy.special import chdtrc
+        # true positives per fold, with one false positive and one false negative
+        # each, so F = tp / (tp + 1)
+        tps = {"a": [3, 3, 2, 2], "b": [2, 2, 3, 1], "c": [1, 1, 1, 3]}
+        reports = []
+        for name, fold_tps in tps.items():
+            save_fold_metrics([fold_metrics(i, [1] * tp + [0, 1], [1] * tp + [1, 0])
+                               for i, tp in enumerate(fold_tps)], tmp_path / f"{name}.csv")
+            reports.append(f"{name}={tmp_path / name}.csv")
+        out_json = tmp_path / "cmp.json"
+        code = ("import sys; from patsim.cli import main; "
+                f"assert main(['compare', *{reports!r}, '--out-json', {str(out_json)!r}]) == 0; "
+                "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "True"
+        friedman_record = json.loads(out_json.read_text())["friedman"]
+        assert friedman_record["statistic"] == 2.0
+        assert friedman_record["p_value"] == float(chdtrc(2, 2.0)) != math.exp(-1.0)
 
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]

@@ -8,10 +8,16 @@ also taken in processes started under OPENBLAS_CORETYPE=Sandybridge and
 under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4". The
 learned weights and trace of train, and the scores of a weighted-mode
 predict, are left out: their last bits follow the CPU path, as `np.exp`
-and the BLAS products do.
+and the BLAS products do. `test_pinned_outputs_hold_on_other_cpu_paths`
+reruns the flow in processes started under both settings.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,9 +58,17 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
-    """synth -> frame -> majority predict -> evaluate and exp1-3 on 150 patients, 3 GD epochs."""
+# settings that make numpy and OpenBLAS take other code paths on an AVX-512 host;
+# each changes the bits of train's weights and of weighted-mode scores
+CPU_PATHS = {
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+
+
+def pinned_hashes(tmp_path, workers) -> dict:
+    """synth -> frame -> majority predict -> evaluate and exp1-3 on 150 patients, 3 GD
+    epochs; the sha256 of every file named in PINNED."""
     synth = tmp_path / "synth"
     assert main(["synth", "--out-dir", str(synth), "--n-patients", "150", "--seed", "2101"]) == 0
     assert main(["frame", "--events", str(synth / "events.csv"),
@@ -76,5 +90,26 @@ def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
     assert main(["evaluate", *data, "--representation", "aggregation", "--weighting", "chi2",
                  "--out", str(tmp_path / "eval_aggregation.csv")]) == 0
     assert main(["evaluate", *data, "--out", str(tmp_path / "eval_gd.csv")]) == 0
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in PINNED} == PINNED
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_host_independent_outputs_keep_their_bytes(tmp_path, workers):
+    assert pinned_hashes(tmp_path, workers) == PINNED
+
+
+@pytest.mark.parametrize("cpu_path", sorted(CPU_PATHS))
+def test_pinned_outputs_hold_on_other_cpu_paths(tmp_path, cpu_path):
+    """The same flow at --workers 1 and 2, in a process started under `cpu_path`."""
+    code = ("import json, sys; from pathlib import Path; "
+            "from test_pinned_outputs import pinned_hashes; "
+            "print(json.dumps([pinned_hashes(Path(sys.argv[1]) / str(w), w) for w in (1, 2)]))")
+    for workers in (1, 2):
+        (tmp_path / str(workers)).mkdir()
+    env = dict(os.environ, **CPU_PATHS[cpu_path])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [PINNED, PINNED]
