@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error or a lost fold process, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import logging
 import sys
@@ -15,31 +14,20 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import evaluation, framing, ingest, knn, synth, tables, weights as weights_mod
-from .config import _CHOICES, RunConfig, build_config, check_choices
+from .config import _CHOICES, RunConfig, build_config, check_choices, given
 from .errors import InputFault, PatsimError
 from .experiments import PRESETS, knn_method, represent, run_experiment, validation_ids
 
 logger = logging.getLogger(__name__)
 
 
-def _given(source, target) -> dict:
-    """The values in `source` named after a parameter of `target`, None dropped.
-
-    Every flag that sets a parameter takes its name as `dest`, so from the
-    parsed arguments this is the flags given; from a RunConfig it is the
-    run's value of every parameter that RunConfig owns.
-    """
-    return {name: getattr(source, name) for name in inspect.signature(target).parameters
-            if getattr(source, name, None) is not None}
-
-
 def _config_from_args(args) -> RunConfig:
-    return build_config(file_path=args.config, overrides=_given(args, RunConfig))
+    return build_config(file_path=args.config, overrides=given(args, RunConfig))
 
 
 def _build(cls, args, config):
     """`cls` with the run's value of each field RunConfig owns and the flags given for the rest."""
-    return cls(**{**_given(args, cls), **_given(config, cls)})
+    return cls(**{**given(args, cls), **given(config, cls)})
 
 
 def _cmd_synth(args) -> int:
@@ -96,8 +84,7 @@ def _cmd_predict(args) -> int:
     config = _config_from_args(args)
     train_frames = framing.read_frames(args.train_frames)
     w = weights_mod.read_weights(args.weights)
-    model = knn.Model(train_frames, w, k=config.k,
-                      prediction_mode=config.mode, threshold=config.threshold)
+    model = knn.Model(train_frames, w, **given(config, knn.Model))
     loo = args.query_frames is None
     queries = model.frames if loo else framing.read_frames(args.query_frames)
     if queries.grid.shape[2] != train_frames.grid.shape[2]:
@@ -132,7 +119,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    settings = _given(args, evaluation.compare)
+    settings = given(args, evaluation.compare)
     check_choices(**settings)      # before any report is read
     fold_metrics = {}
     for item in args.reports:

@@ -5,6 +5,7 @@ Precedence is command-line flags over config file over defaults.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, fields
@@ -69,10 +70,14 @@ def check_choices(**values) -> None:
                               f"at most {vocab.HORIZON_HOURS}; got {window} and {horizon}")
 
 
-@dataclass
-class RunConfig:
-    window_hours: int = vocab.WINDOW_HOURS
-    horizon_hours: int = vocab.HORIZON_HOURS
+@dataclass(kw_only=True)
+class MethodSettings:
+    """The settings that tell one method from another, each declared once here.
+
+    RunConfig holds a run's values of them and evaluation.MethodSpec one
+    method's; `given` carries them from the one to the other.
+    """
+
     representation: str = "timeseries"
     weighting: str = "gd"
     features: str = "all"
@@ -81,12 +86,18 @@ class RunConfig:
     max_epochs: int = 200
     threshold: float = 0.5
     mode: str = "majority"
-    folds: int = 20
-    seed: int = 7
-    workers: int = 0      # fold processes; 0 = the CPUs this process may run on
 
     def __post_init__(self):
         check_choices(**vars(self))
+
+
+@dataclass(kw_only=True)
+class RunConfig(MethodSettings):
+    window_hours: int = vocab.WINDOW_HOURS
+    horizon_hours: int = vocab.HORIZON_HOURS
+    folds: int = 20
+    seed: int = 7
+    workers: int = 0      # fold processes; 0 = the CPUs this process may run on
 
     def effective_workers(self) -> int:
         if self.workers:
@@ -94,6 +105,18 @@ class RunConfig:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
+
+
+def given(source, target) -> dict:
+    """The values in `source` named after a parameter of `target`, None dropped.
+
+    The one rule that carries settings into an object. Every flag that sets
+    a parameter takes its name as `dest`, so from the parsed arguments this
+    is the flags given; from a RunConfig or a MethodSpec it is its value of
+    every parameter it owns.
+    """
+    return {name: getattr(source, name) for name in inspect.signature(target).parameters
+            if getattr(source, name, None) is not None}
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

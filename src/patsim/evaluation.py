@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import framing, tables, vocab
-from .config import RunConfig, check_choices
+from .config import MethodSettings, RunConfig, check_choices, given
 from .errors import InputFault, PatsimError, TooFewPairs
 from .knn import FeatureWeights, decide_rows, nearest
 from .streams import substream
@@ -97,24 +97,16 @@ def kfold(patient_ids, labels, k=RunConfig.folds, seed=0) -> list:
     return [sorted(f) for f in folds]
 
 
-@dataclass
-class MethodSpec:
+@dataclass(kw_only=True)
+class MethodSpec(MethodSettings):
     """One classifier configuration entering a comparison."""
 
     name: str
     kind: str = "knn"                      # knn | majority | linear
-    representation: str = RunConfig.representation
-    weighting: str = RunConfig.weighting
-    features: str = RunConfig.features
-    k: int = RunConfig.k
-    mode: str = RunConfig.mode
-    threshold: float = RunConfig.threshold
-    learning_rate: float = RunConfig.learning_rate
-    max_epochs: int = RunConfig.max_epochs
     manual_weights: FeatureWeights | None = None
 
     def __post_init__(self):
-        check_choices(**vars(self))
+        super().__post_init__()
         if self.weighting == "manual" and self.manual_weights is None:
             raise PatsimError("manual weighting requires a loaded weights file")
 
@@ -136,9 +128,7 @@ def _scale_split(train_raw, test_raw) -> tuple:
 def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
     active = method.active_mask()
     if method.weighting == "gd":
-        cfg = TrainConfig(learning_rate=method.learning_rate,
-                          max_epochs=method.max_epochs, k=method.k)
-        learned, _ = train_gd(fold, cfg, active=active)
+        learned, _ = train_gd(fold, TrainConfig(**given(method, TrainConfig)), active=active)
         return learned
     if method.weighting == "none":
         return FeatureWeights(np.where(active, 1.0, 0.0))

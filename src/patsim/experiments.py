@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 
 from . import framing
-from .config import RunConfig
+from .config import RunConfig, given
 from .errors import PatsimError
 from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
@@ -28,10 +28,8 @@ PRESETS = ("exp1", "exp2", "exp3")
 
 
 def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
-    """A kNN method from the run configuration; overrides win."""
-    taken = ("representation", "weighting", "features", "k", "mode", "threshold",
-             "learning_rate", "max_epochs")
-    return MethodSpec(name=name, **{**{key: getattr(config, key) for key in taken}, **overrides})
+    """A kNN method with the run's value of every method setting; overrides win."""
+    return MethodSpec(name=name, **{**given(config, MethodSpec), **overrides})
 
 
 def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:

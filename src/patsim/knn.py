@@ -284,11 +284,11 @@ class Model:
     frames: Frames
     weights: FeatureWeights
     k: int = RunConfig.k
-    prediction_mode: str = RunConfig.mode
+    mode: str = RunConfig.mode
     threshold: float = RunConfig.threshold
 
     def __post_init__(self):
-        check_choices(k=self.k, mode=self.prediction_mode, threshold=self.threshold)
+        check_choices(**vars(self))
         if self.k > len(self.frames):
             raise PatsimError(f"k={self.k} with {len(self.frames)} training patients")
         if not isinstance(self.weights, FeatureWeights):
@@ -303,7 +303,7 @@ def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
     """
     (idx, d2_sel), = nearest(queries, model.frames, [model.weights.values], model.k,
                              leave_one_out)
-    return decide_rows(d2_sel, model.frames.labels[idx], model.prediction_mode, model.threshold)
+    return decide_rows(d2_sel, model.frames.labels[idx], model.mode, model.threshold)
 
 
 def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:

@@ -408,12 +408,14 @@ def filter_weights(frames, method, active=None) -> FeatureWeights:
 WEIGHTS_HEADER = "variable,weight"
 
 
-def _weight_rows(path, header):
-    """(line_no, variable, weight) of each `variable,weight` row of the file at `path`.
+def _weight_rows(path, header) -> dict:
+    """Each listed variable's weight, read from the `variable,weight` rows of the file at `path`.
 
     `header` is WEIGHTS_HEADER when line 1 must hold it, or None when the
-    header is optional; a header line is skipped wherever it appears.
+    header is optional; a header line is skipped wherever it appears. A
+    variable listed twice is a fault.
     """
+    rows = {}
     for line_no, (name, weight_s) in tables.read_rows(path, header, width=2):
         name = name.strip()
         if f"{name},{weight_s.strip()}" == WEIGHTS_HEADER:
@@ -428,7 +430,10 @@ def _weight_rows(path, header):
             raise InputFault(f"non-finite weight {weight_s!r}", line_no, path)
         if w < 0:
             raise InputFault(f"weight for {name!r} must be non-negative, got {w}", line_no, path)
-        yield line_no, name, w
+        if name in rows:
+            raise InputFault(f"variable {name!r} listed twice", line_no, path)
+        rows[name] = w
+    return rows
 
 
 def _file_weights(values, path) -> FeatureWeights:
@@ -446,18 +451,14 @@ def _file_weights(values, path) -> FeatureWeights:
 def load_manual_weights(path) -> FeatureWeights:
     """Read the `variable,weight` rows of the file at `path`; unlisted variables default to 0.
 
-    The header line is optional. Unknown variable names, negative weights
-    and weights whose sum is not finite are rejected.
+    The header line is optional. Unknown or repeated variable names,
+    negative weights and weights whose sum is not finite are rejected.
     """
-    values = [0.0] * vocab.N_VARIABLES
-    listed = set()
-    for _, name, w in _weight_rows(path, None):
-        values[vocab.VARIABLE_INDEX[name]] = w
-        listed.add(name)
-    missing = vocab.N_VARIABLES - len(listed)
+    rows = _weight_rows(path, None)
+    missing = vocab.N_VARIABLES - len(rows)
     if missing:
         logger.warning("manual weights file leaves %d variables at weight 0", missing)
-    return _file_weights(values, path)
+    return _file_weights([rows.get(name, 0.0) for name in vocab.ALL_VARIABLES], path)
 
 
 def read_weights(path) -> FeatureWeights:
@@ -467,16 +468,12 @@ def read_weights(path) -> FeatureWeights:
     exactly once. Any other content raises a PatsimError naming the file
     and the line, or the missing variables.
     """
-    values = {}
-    for line_no, name, w in _weight_rows(path, WEIGHTS_HEADER):
-        if name in values:
-            raise InputFault(f"variable {name!r} listed twice", line_no, path)
-        values[name] = w
-    missing = [name for name in vocab.ALL_VARIABLES if name not in values]
+    rows = _weight_rows(path, WEIGHTS_HEADER)
+    missing = [name for name in vocab.ALL_VARIABLES if name not in rows]
     if missing:
         raise InputFault(f"{len(missing)} of {vocab.N_VARIABLES} variables missing, "
                          f"first {missing[0]!r}", path=path)
-    return _file_weights([values[name] for name in vocab.ALL_VARIABLES], path)
+    return _file_weights([rows[name] for name in vocab.ALL_VARIABLES], path)
 
 
 def save_weights(weights: FeatureWeights, path) -> None:

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 from patsim import cli, evaluation, framing, ingest, tables, vocab
 from patsim.cli import main
-from patsim.config import _CHOICES, _RULES, RunConfig, build_config, read_config_values
+from patsim.config import (_CHOICES, _RULES, MethodSettings, RunConfig, build_config,
+                           read_config_values)
 from patsim.errors import PatsimError
 from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
+from patsim.experiments import PRESETS, knn_method, preset_methods, represent, validation_ids
+from patsim.knn import FeatureWeights
 from patsim.synth import SynthSpec
 from patsim.weights import TrainConfig, load_manual_weights
 from util import FAULTS, mask_lines, mutate
@@ -237,19 +240,85 @@ class TestEvaluateCompare:
         assert "friedman" in report
         assert "precision" in text_path.read_text()
 
-    def test_experiment_takes_features_from_the_config(self, synth_dir, tmp_path):
-        reports = {}
-        for features in ("all", "static_only"):
-            config = tmp_path / f"{features}.cfg"
-            config.write_text(f"features = {features}\nmax_epochs = 3\n")
-            out = tmp_path / features
-            rc = main(["experiment", "exp3", "--events", str(synth_dir / "events.csv"),
-                       "--outcomes", str(synth_dir / "outcomes.csv"), "--folds", "3",
-                       "--k", "3", "--config", str(config), "--out-dir", str(out)])
+    def test_evaluate_validation_split(self, synth_dir, tmp_path):
+        """--split validation cross-validates the held-out half of the 50/50 split only."""
+        out, expected = tmp_path / "metrics.csv", tmp_path / "expected.csv"
+        rc = main(["evaluate", "--events", str(synth_dir / "events.csv"),
+                   "--outcomes", str(synth_dir / "outcomes.csv"), "--weighting", "chi2",
+                   "--k", "3", "--folds", "3", "--seed", "5", "--split", "validation",
+                   "--workers", "1", "--out", str(out)])
+        assert rc == 0
+        cohort = ingest.load_cohort(synth_dir / "events.csv", synth_dir / "outcomes.csv")
+        config = RunConfig(weighting="chi2", k=3, folds=3, seed=5)
+        method = knn_method("chi2", config)
+        patients = represent(cohort, method.representation, config,
+                             validation_ids(cohort, config.seed))
+        assert len(patients) < cohort.n_patients
+        evaluation.save_fold_metrics(evaluation.cross_validate(
+            patients, [method], k_folds=3, seed=5, workers=1)["chi2"], expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    # the method settings each preset's kNN arms set themselves; the rest come from the run
+    ARM_SETS = {
+        "similarity_gd": {"representation", "weighting"},
+        "timeseries": {"representation", "weighting"},
+        "aggregation": {"representation", "weighting"},
+        "dynamic_only": {"representation", "weighting", "features"},
+        "static_only": {"representation", "weighting", "features"},
+        **{name: {"weighting"} for name in ("gd", "manual", "chi2", "infogain", "gini", "none")},
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(MethodSettings)])
+    def test_experiment_takes_features_from_the_config(self, synth_dir, tmp_path, monkeypatch,
+                                                        field):
+        """A config file's value of each method setting reaches every method that does not
+        set it itself: each kNN arm of every preset, and evaluate's one method."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} = {FLAG_VALUES[field]}\n")
+        value = getattr(build_config(path), field)
+        assert value != getattr(RunConfig(), field)
+        for preset in PRESETS:
+            methods = preset_methods(preset, build_config(path),
+                                     manual_weights=FeatureWeights.uniform())
+            knn_arms = [m for m in methods if m.kind == "knn"]
+            assert knn_arms, preset
+            for m in knn_arms:
+                if field not in self.ARM_SETS[m.name]:
+                    assert getattr(m, field) == value, (preset, m.name)
+
+        captured = []
+
+        def capture(patients, methods, **kwargs):
+            captured.extend(methods)
+            return {m.name: [evaluation.FoldMetrics(0, 1, 0, 0, 1, 1.0, 1.0, 1.0)]
+                    for m in methods}
+
+        monkeypatch.setattr(evaluation, "cross_validate", capture)
+        rc = main(["evaluate", "--events", str(synth_dir / "events.csv"),
+                   "--outcomes", str(synth_dir / "outcomes.csv"), "--config", str(path),
+                   "--out", str(tmp_path / "metrics.csv")])
+        assert rc == 0
+        (method,) = captured
+        assert getattr(method, field) == value
+
+    def test_experiment_exp3_with_manual_weights(self, tmp_path):
+        """--manual-weights adds exp3's manual arm second; reports match at 1 and 2 workers."""
+        manual, config = tmp_path / "manual.csv", tmp_path / "run.cfg"
+        manual.write_text("".join(f"{name},{i % 3}\n"
+                                  for i, name in enumerate(vocab.ALL_VARIABLES)))
+        config.write_text("max_epochs = 3\n")
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            rc = main(["experiment", "exp3", "--n-patients", "60", "--seed", "3",
+                       "--folds", "3", "--k", "3", "--config", str(config),
+                       "--manual-weights", str(manual), "--workers", workers,
+                       "--out-dir", str(out)])
             assert rc == 0
-            reports[features] = json.loads((out / "exp3_report.json").read_text())
-        assert reports["all"]["methods"] == reports["static_only"]["methods"]
-        assert reports["all"]["fold_f_measures"] != reports["static_only"]["fold_f_measures"]
+            reports.append([(out / f"exp3_report.{ext}").read_bytes() for ext in ("json", "txt")])
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["methods"] == ["gd", "manual", "chi2", "infogain",
+                                                       "gini", "none"]
 
     def test_compare_rejects_a_repeated_report_name(self, tmp_path, capsys):
         report = tmp_path / "a.csv"
@@ -535,6 +604,33 @@ class TestLocatedFaults:
         err = one_line_error(capsys, ["compare", f"a={good}", f"b={bad}",
                                       "--out-json", tmp_path / "report.json"])
         assert err == f"error: {bad} line 3: {reason}\n"
+
+    @pytest.mark.parametrize("reports, reason", [
+        (["a.csv", "b={one}"], "expected NAME=PATH, got 'a.csv'"),
+        (["a={one}", "b={two}"], "methods cover different numbers of folds"),
+    ], ids=["no_path", "fold_counts"])
+    def test_compare_report_argument_fault(self, tmp_path, capsys, reports, reason):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        one.write_text(f"{FOLD_METRICS_HEADER}\n0,1,2,3,4,0.5,0.5,0.5\n")
+        two.write_text(f"{FOLD_METRICS_HEADER}\n0,1,2,3,4,0.5,0.5,0.5\n1,1,2,3,4,0.5,0.5,0.5\n")
+        err = one_line_error(capsys, ["compare"] + [r.format(one=one, two=two) for r in reports]
+                             + ["--out-json", tmp_path / "report.json"])
+        assert err == f"error: {reason}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--init-weights", "--manual-weights"])
+    def test_manual_weights_reject_a_repeated_variable(self, synth_dir, framed, tmp_path,
+                                                       capsys, flag):
+        weights = tmp_path / "manual.csv"
+        weights.write_text("Age,1.0\nAge,5.0\n")
+        argv = {
+            "--init-weights": ["train", "--frames", framed, "--weights-out", tmp_path / "w.csv"],
+            "--manual-weights": ["evaluate", "--events", synth_dir / "events.csv",
+                                 "--outcomes", synth_dir / "outcomes.csv",
+                                 "--weighting", "manual", "--out", tmp_path / "m.csv"],
+        }[flag]
+        err = one_line_error(capsys, argv + [flag, weights])
+        assert err == f"error: {weights} line 2: variable 'Age' listed twice\n"
 
     def test_stats_line_without_separator(self, synth_dir, tmp_path, capsys):
         stats = tmp_path / "stats.txt"

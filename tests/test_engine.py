@@ -297,7 +297,7 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     rng = np.random.default_rng(seed)
     train = quantized_frames(n, rng, levels=levels, n_buckets=6, duplicates=n // 4)
     k = int(rng.integers(1, n))
-    model = Model(stack(train), quantized_weights(rng), k=k, prediction_mode=mode)
+    model = Model(stack(train), quantized_weights(rng), k=k, mode=mode)
     if leave_one_out:
         queries = stack(train[: n // 2])
     else:
@@ -326,7 +326,7 @@ def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
     rng = np.random.default_rng(11)
     train = make(40, rng)
     model = Model(stack(train), FeatureWeights(rng.random(vocab.N_VARIABLES)), k=7,
-                  prediction_mode=mode, threshold=0.4)
+                  mode=mode, threshold=0.4)
     queries = stack(train[:15] if leave_one_out else make(15, np.random.default_rng(12)))
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
     one_by_one = [decide(neighbors(q, model, leave_one_out), mode, model.threshold)
@@ -367,7 +367,7 @@ def test_shared_distances_equal_per_method_classify_batch(mode, make):
                   FeatureWeights(rng.random(vocab.N_VARIABLES))]
     found = nearest(queries, shared, [w.values for w in weightings], 6)
     for w, (idx, d2_sel) in zip(weightings, found):
-        on_own = Model(stack(train), w, k=6, prediction_mode=mode, threshold=0.45)
+        on_own = Model(stack(train), w, k=6, mode=mode, threshold=0.45)
         expected = classify_batch(queries, on_own)
         got = decide_rows(d2_sel, shared.labels[idx], mode, 0.45)
         assert got[0].tolist() == expected[0].tolist()

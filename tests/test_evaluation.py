@@ -268,7 +268,7 @@ class TestCrossValidate:
             for method, got in zip(methods, shared):
                 if method.kind == "knn":
                     model = knn.Model(train, _learn_weights(train, method), k=method.k,
-                                      prediction_mode=method.mode, threshold=method.threshold)
+                                      mode=method.mode, threshold=method.threshold)
                     own = knn.classify_batch(test, model)[0]
                 else:
                     own = _predict_fold_methods(train, test, [method])[0]

@@ -165,7 +165,7 @@ class TestClassify:
             f.statics[0] = query.statics[0] + 0.1
             f.label = labels[i]
         model = Model(stack(frames), FeatureWeights.uniform(), k=k,
-                      prediction_mode=mode, threshold=threshold)
+                      mode=mode, threshold=threshold)
         return query, model
 
     def test_majority(self, rng):
@@ -190,7 +190,7 @@ class TestClassify:
     def test_bad_mode_and_threshold(self, rng):
         frames = random_dense_frames(5, rng)
         with pytest.raises(PatsimError, match="^mode must be one of .*, got 'oracle'$"):
-            Model(stack(frames), FeatureWeights.uniform(), k=2, prediction_mode="oracle")
+            Model(stack(frames), FeatureWeights.uniform(), k=2, mode="oracle")
         with pytest.raises(PatsimError, match=r"^threshold must be in \(0, 1\)$"):
             Model(stack(frames), FeatureWeights.uniform(), k=2, threshold=1.5)
 

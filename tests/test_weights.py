@@ -240,6 +240,21 @@ class TestFilterScores:
         with pytest.raises(PatsimError, match="^training cohort contains a single class$"):
             filter_weights(stack(frames), "chi2")
 
+    @pytest.mark.parametrize("method", ["chi2", "infogain", "gini"])
+    def test_no_positive_score_falls_back_to_the_active_variables(self, rng, method):
+        """Identical patients score 0 everywhere: each active variable then weighs 1."""
+        frames = random_dense_frames(12, rng)
+        for i, f in enumerate(frames):
+            f.label = i % 2
+            f.dynamic, f.statics = frames[0].dynamic.copy(), frames[0].statics.copy()
+        cohort = stack(frames)
+        assert (filter_score(cohort, method) <= 0).all()
+        dynamic_only = np.arange(vocab.N_VARIABLES) < vocab.N_DYNAMIC
+        for active in (None, dynamic_only):
+            expected = np.ones(vocab.N_VARIABLES) if active is None else active.astype(float)
+            assert filter_weights(cohort, method, active=active).values.tolist() == \
+                expected.tolist()
+
     def test_unknown_method(self, small_cohort):
         with pytest.raises(PatsimError, match="^unknown filter method 'relief'$"):
             filter_score(small_cohort, "relief")
