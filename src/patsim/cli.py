@@ -13,16 +13,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import evaluation, framing, ingest, knn, synth, tables, weights as weights_mod
+from . import evaluation, experiments, framing, ingest, knn, synth, tables, weights as weights_mod
 from .config import _CHOICES, RunConfig, build_config, check_choices, given
 from .errors import InputFault, PatsimError
-from .experiments import PRESETS, knn_method, represent, run_experiment, validation_ids
 
 logger = logging.getLogger(__name__)
 
 
-def _config_from_args(args) -> RunConfig:
-    return build_config(file_path=args.config, overrides=given(args, RunConfig))
+def _config_from_args(args, fixed=()) -> RunConfig:
+    return build_config(args.config, given(args, RunConfig), fixed)
 
 
 def _build(cls, args, config):
@@ -100,18 +99,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
+    manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
+    method = experiments.knn_method(config.weighting, config, manual_weights=manual)
     cohort = ingest.load_cohort(args.events, args.outcomes)
-    manual = None
-    if args.manual_weights:
-        manual = weights_mod.load_manual_weights(args.manual_weights)
-    method = knn_method(config.weighting, config, manual_weights=manual)
     ids = cohort.patient_ids
     if args.split == "validation":
-        ids = validation_ids(cohort, config.seed)
-    patients = represent(cohort, method.representation, config, ids)
-    metrics = evaluation.cross_validate(patients, [method], k_folds=config.folds,
-                                        seed=config.seed,
-                                        workers=config.effective_workers())[method.name]
+        ids = experiments.validation_ids(cohort, config.seed)
+    metrics = experiments.cross_validate_methods(cohort, [method], config, ids)[method.name]
     evaluation.save_fold_metrics(metrics, args.out)
     mean_f = sum(m.f_measure for m in metrics) / len(metrics)
     print(f"{method.name}: mean F over {len(metrics)} folds = {mean_f:.4f}")
@@ -146,10 +140,10 @@ def _write_report(report, json_path, text_path=None):
 
 
 def _cmd_experiment(args) -> int:
-    if args.manual_weights and args.preset != "exp3":
-        raise PatsimError(f"--manual-weights sets exp3's manual arm, which {args.preset} "
-                          f"does not have")
-    config = _config_from_args(args)
+    if args.manual_weights and args.preset not in experiments.MANUAL_PRESETS:
+        raise PatsimError(f"--manual-weights sets {'/'.join(experiments.MANUAL_PRESETS)}'s "
+                          f"manual arm, which {args.preset} does not have")
+    config = _config_from_args(args, experiments.fixed_settings(args.preset))
     if bool(args.events) != bool(args.outcomes):
         raise PatsimError("supply both --events and --outcomes, or neither")
     synthetic = [_FLAGS[dest][0] for dest in ("n_patients", "profile")
@@ -161,10 +155,8 @@ def _cmd_experiment(args) -> int:
         cohort = ingest.load_cohort(args.events, args.outcomes)
     else:
         cohort = synth.generate(_build(synth.SynthSpec, args, config)).cohort()
-    manual = None
-    if args.manual_weights:
-        manual = weights_mod.load_manual_weights(args.manual_weights)
-    report = run_experiment(args.preset, config, cohort, manual_weights=manual)
+    manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
+    report = experiments.run_experiment(args.preset, config, cohort, manual_weights=manual)
     out = Path(args.out_dir)
     _write_report(report, out / f"{args.preset}_report.json",
                   out / f"{args.preset}_report.txt")
@@ -176,7 +168,7 @@ def _cmd_experiment(args) -> int:
 # names. An enum setting takes its choices from config._CHOICES, and a setting's help
 # ends with the library's default.
 _FLAGS = {
-    "preset": ("preset", dict(choices=PRESETS, help="which comparison to run")),
+    "preset": ("preset", dict(choices=experiments.PRESETS, help="which comparison to run")),
     "reports": ("reports", dict(nargs="+", metavar="NAME=PATH",
                                 help="fold metrics CSVs written by evaluate")),
     "events": ("--events", dict(help="events CSV: patient_id,minute,variable,value")),

@@ -126,16 +126,19 @@ def _coerce(name, raw):
     return {"int": int, "float": float}.get(_FIELD_TYPES[name], str)(raw)
 
 
-def read_config_values(path) -> dict:
+def read_config_values(path, fixed=()) -> dict:
     """Parse a key=value config file into typed values; `#` starts a comment line.
 
-    An unknown key or a bad value raises InputFault naming the file and line.
+    An unknown key, a key in `fixed` (a setting the command sets itself) or a
+    bad value raises InputFault naming the file and line.
     """
     values = {}
     for line_no, cells in tables.read_rows(path, width=2, sep="=", comment="#"):
         key, value = (cell.strip() for cell in cells)
         if key not in _FIELD_TYPES:
             raise InputFault(f"unknown config key {key!r}", line_no, path)
+        if key in fixed:
+            raise InputFault(f"config key {key!r} is set by the command itself", line_no, path)
         try:
             values[key] = _coerce(key, value)
         except ValueError:
@@ -143,11 +146,11 @@ def read_config_values(path) -> dict:
     return values
 
 
-def build_config(file_path=None, overrides=None) -> RunConfig:
+def build_config(file_path=None, overrides=None, fixed=()) -> RunConfig:
     """Merge defaults, an optional config file, and explicit overrides."""
     values = {}
     if file_path:
-        values.update(read_config_values(file_path))
+        values.update(read_config_values(file_path, fixed))
     for key, value in (overrides or {}).items():
         if value is None:
             continue

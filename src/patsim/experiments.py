@@ -18,13 +18,37 @@ import logging
 
 from . import framing
 from .config import RunConfig, given
-from .errors import PatsimError
 from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
 
 logger = logging.getLogger(__name__)
 
-PRESETS = ("exp1", "exp2", "exp3")
+# Each preset's arms in report order: (name, kind, the method settings the arm sets
+# itself). A kNN arm takes the run's value of every other setting; any other arm takes
+# the defaults. The manual arm runs only when a weights file is given.
+PRESET_ARMS = {
+    "exp1": (
+        ("similarity_gd", "knn", dict(representation="timeseries", weighting="gd")),
+        ("majority_class", "majority", {}),
+        ("linear_aggregates", "linear", dict(representation="aggregation")),
+    ),
+    "exp2": (
+        ("timeseries", "knn", dict(representation="timeseries", weighting="gd")),
+        ("aggregation", "knn", dict(representation="aggregation", weighting="gd")),
+        *((name, "knn", dict(representation="timeseries", weighting="gd", features=name))
+          for name in ("dynamic_only", "static_only")),
+    ),
+    "exp3": tuple((name, "knn", dict(weighting=name))
+                  for name in ("gd", "manual", "chi2", "infogain", "gini", "none")),
+}
+PRESETS = tuple(PRESET_ARMS)
+MANUAL_PRESETS = tuple(preset for preset, arms in PRESET_ARMS.items()
+                       if any(own.get("weighting") == "manual" for *_, own in arms))
+
+
+def fixed_settings(preset) -> set:
+    """The method settings every kNN arm of `preset` sets itself; a run's value reaches none."""
+    return set.intersection(*(set(own) for _, kind, own in PRESET_ARMS[preset] if kind == "knn"))
 
 
 def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
@@ -33,36 +57,15 @@ def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
 
 
 def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
-    if preset == "exp1":
-        return [
-            knn_method("similarity_gd", config, representation="timeseries", weighting="gd"),
-            MethodSpec(name="majority_class", kind="majority"),
-            MethodSpec(name="linear_aggregates", kind="linear", representation="aggregation"),
-        ]
-    if preset == "exp2":
-        return [
-            knn_method("timeseries", config, representation="timeseries", weighting="gd"),
-            knn_method("aggregation", config, representation="aggregation", weighting="gd"),
-            knn_method("dynamic_only", config, representation="timeseries",
-                       weighting="gd", features="dynamic_only"),
-            knn_method("static_only", config, representation="timeseries",
-                       weighting="gd", features="static_only"),
-        ]
-    if preset == "exp3":
-        methods = [
-            knn_method("gd", config, weighting="gd"),
-            knn_method("chi2", config, weighting="chi2"),
-            knn_method("infogain", config, weighting="infogain"),
-            knn_method("gini", config, weighting="gini"),
-            knn_method("none", config, weighting="none"),
-        ]
-        if manual_weights is not None:
-            methods.insert(1, knn_method("manual", config, weighting="manual",
-                                         manual_weights=manual_weights))
+    methods = []
+    for name, kind, own in PRESET_ARMS[preset]:
+        if own.get("weighting") == "manual" and manual_weights is None:
+            logger.warning("%s: no manual weights file supplied, skipping the manual arm", preset)
+        elif kind == "knn":
+            methods.append(knn_method(name, config, manual_weights=manual_weights, **own))
         else:
-            logger.warning("exp3: no manual weights file supplied, skipping the manual arm")
-        return methods
-    raise PatsimError(f"unknown experiment preset {preset!r}")
+            methods.append(MethodSpec(name=name, kind=kind, **own))
+    return methods
 
 
 def validation_ids(cohort, seed) -> list:
@@ -78,25 +81,27 @@ def represent(cohort, representation, config: RunConfig, ids) -> framing.Frames:
     return framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
 
 
-def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
-    """Run one preset end to end on a raw cohort and compare the methods.
+def cross_validate_methods(cohort, methods, config: RunConfig, ids) -> dict:
+    """Each method's fold metrics on the patients in `ids`, keyed by name in `methods` order.
 
     Methods are grouped by representation; each group shares one
     cross-validation, so every fold is scaled once for all its methods.
     """
-    methods = preset_methods(preset, config, manual_weights=manual_weights)
     groups = {}
     for method in methods:
-        rep = "timeseries" if method.kind == "majority" else method.representation
-        groups.setdefault(rep, []).append(method)
-
-    validation = validation_ids(cohort, config.seed)
-    workers = config.effective_workers()
+        groups.setdefault(method.representation, []).append(method)
     by_name = {}
     for rep, group in groups.items():
         logger.info("cross-validating %s (%s)", ", ".join(m.name for m in group), rep)
         by_name.update(cross_validate(
-            represent(cohort, rep, config, validation), group,
-            k_folds=config.folds, seed=config.seed, workers=workers,
+            represent(cohort, rep, config, ids), group,
+            k_folds=config.folds, seed=config.seed, workers=config.effective_workers(),
         ))
-    return compare({method.name: by_name[method.name] for method in methods})
+    return {method.name: by_name[method.name] for method in methods}
+
+
+def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
+    """Run one preset end to end on a raw cohort and compare the methods."""
+    methods = preset_methods(preset, config, manual_weights=manual_weights)
+    return compare(cross_validate_methods(cohort, methods, config,
+                                          validation_ids(cohort, config.seed)))

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from patsim import cli, evaluation, framing, ingest, tables, vocab
+from patsim import cli, evaluation, experiments, framing, ingest, tables, vocab
 from patsim.cli import main
 from patsim.config import (_CHOICES, _RULES, MethodSettings, RunConfig, build_config,
                            read_config_values)
 from patsim.errors import PatsimError
 from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
-from patsim.experiments import PRESETS, knn_method, preset_methods, represent, validation_ids
-from patsim.knn import FeatureWeights
+from patsim.experiments import (MANUAL_PRESETS, PRESET_ARMS, PRESETS, knn_method, represent,
+                                validation_ids)
 from patsim.synth import SynthSpec
 from patsim.weights import TrainConfig, load_manual_weights
 from util import FAULTS, mask_lines, mutate
@@ -258,48 +258,57 @@ class TestEvaluateCompare:
             patients, [method], k_folds=3, seed=5, workers=1)["chi2"], expected)
         assert out.read_bytes() == expected.read_bytes()
 
-    # the method settings each preset's kNN arms set themselves; the rest come from the run
-    ARM_SETS = {
-        "similarity_gd": {"representation", "weighting"},
-        "timeseries": {"representation", "weighting"},
-        "aggregation": {"representation", "weighting"},
-        "dynamic_only": {"representation", "weighting", "features"},
-        "static_only": {"representation", "weighting", "features"},
-        **{name: {"weighting"} for name in ("gd", "manual", "chi2", "infogain", "gini", "none")},
-    }
+    # each preset's kNN arms, by name, and the method settings each sets itself
+    ARM_SETS = {preset: {name: own for name, kind, own in arms if kind == "knn"}
+                for preset, arms in PRESET_ARMS.items()}
 
     @pytest.mark.parametrize("field", [f.name for f in fields(MethodSettings)])
     def test_experiment_takes_features_from_the_config(self, synth_dir, tmp_path, monkeypatch,
-                                                        field):
+                                                        capsys, field):
         """A config file's value of each method setting reaches every method that does not
-        set it itself: each kNN arm of every preset, and evaluate's one method."""
-        path = tmp_path / "run.cfg"
+        set it itself: evaluate's one method and each kNN arm of every preset. A setting that
+        every kNN arm of a preset sets is refused before any input is read."""
+        path, manual = tmp_path / "run.cfg", tmp_path / "manual.csv"
         path.write_text(f"{field} = {FLAG_VALUES[field]}\n")
-        value = getattr(build_config(path), field)
+        manual.write_text("".join(f"{name},1\n" for name in vocab.ALL_VARIABLES))
+        config = build_config(path)
+        value = getattr(config, field)
         assert value != getattr(RunConfig(), field)
-        for preset in PRESETS:
-            methods = preset_methods(preset, build_config(path),
-                                     manual_weights=FeatureWeights.uniform())
-            knn_arms = [m for m in methods if m.kind == "knn"]
-            assert knn_arms, preset
-            for m in knn_arms:
-                if field not in self.ARM_SETS[m.name]:
-                    assert getattr(m, field) == value, (preset, m.name)
-
         captured = []
 
-        def capture(patients, methods, **kwargs):
+        def capture(patients, methods, k_folds, **kwargs):
             captured.extend(methods)
-            return {m.name: [evaluation.FoldMetrics(0, 1, 0, 0, 1, 1.0, 1.0, 1.0)]
-                    for m in methods}
+            return {m.name: [evaluation.FoldMetrics(i, 1, 0, 0, 1, 1.0, 1.0, 1.0)
+                             for i in range(k_folds)] for m in methods}
 
-        monkeypatch.setattr(evaluation, "cross_validate", capture)
-        rc = main(["evaluate", "--events", str(synth_dir / "events.csv"),
-                   "--outcomes", str(synth_dir / "outcomes.csv"), "--config", str(path),
-                   "--out", str(tmp_path / "metrics.csv")])
-        assert rc == 0
-        (method,) = captured
-        assert getattr(method, field) == value
+        monkeypatch.setattr(experiments, "cross_validate", capture)
+        for command in ["evaluate", *PRESETS]:
+            captured.clear()
+            if command == "evaluate":
+                argv = ["evaluate", "--out", tmp_path / "metrics.csv"]
+                arms = {config.weighting: {}}
+            else:
+                argv = ["experiment", command, "--out-dir", tmp_path / command]
+                arms = self.ARM_SETS[command]
+            refused = all(field in own for own in arms.values())
+            events, outcomes, weights = ([tmp_path / "missing.csv"] * 3 if refused else
+                                         [synth_dir / "events.csv", synth_dir / "outcomes.csv",
+                                          manual])
+            argv += ["--config", path, "--events", events, "--outcomes", outcomes]
+            if command in ("evaluate", *MANUAL_PRESETS):
+                argv += ["--manual-weights", weights]
+            if refused:
+                assert field not in cli._COMMANDS["experiment"][2].split()
+                err = one_line_error(capsys, argv)
+                assert err == (f"error: {path} line 1: config key {field!r} is set by the "
+                               f"command itself\n")
+                assert not captured
+                continue
+            assert main([str(a) for a in argv]) == 0, command
+            methods = {m.name: m for m in captured if m.kind == "knn"}
+            assert methods.keys() == arms.keys(), command
+            for name, own in arms.items():
+                assert getattr(methods[name], field) == own.get(field, value), (command, name)
 
     def test_experiment_exp3_with_manual_weights(self, tmp_path):
         """--manual-weights adds exp3's manual arm second; reports match at 1 and 2 workers."""
@@ -698,9 +707,12 @@ class TestLocatedFaults:
          "--manual-weights sets exp3's manual arm, which exp1 does not have"),
         (["experiment", "exp2", "--manual-weights", "missing_w.csv"], None,
          "--manual-weights sets exp3's manual arm, which exp2 does not have"),
+        (["evaluate", "--weighting", "manual", "--out", "m.csv"], None,
+         "manual weighting requires a loaded weights file"),
     ], ids=["lr_negative", "lr_nan", "config_max_epochs_0", "threshold", "horizon_72h",
             "window_5h", "workers_negative", "config_workers_negative", "n_patients_with_data",
-            "profile_with_data", "exp1_manual_weights", "exp2_manual_weights"])
+            "profile_with_data", "exp1_manual_weights", "exp2_manual_weights",
+            "evaluate_manual_without_file"])
     def test_settings_faults_come_before_data(self, tmp_path, capsys, argv, config, reason):
         argv = argv + ["--events", tmp_path / "missing.csv", "--outcomes", tmp_path / "no.csv"]
         if argv[0] == "experiment":
