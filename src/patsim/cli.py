@@ -99,6 +99,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
+    if args.manual_weights and config.weighting != "manual":
+        raise PatsimError(f"--manual-weights is for manual weighting, not {config.weighting}")
     manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
     method = experiments.knn_method(config.weighting, config, manual_weights=manual)
     cohort = ingest.load_cohort(args.events, args.outcomes)

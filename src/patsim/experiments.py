@@ -59,12 +59,13 @@ def knn_method(name, config: RunConfig, **overrides) -> MethodSpec:
 def preset_methods(preset, config: RunConfig, manual_weights=None) -> list:
     methods = []
     for name, kind, own in PRESET_ARMS[preset]:
-        if own.get("weighting") == "manual" and manual_weights is None:
+        if own.get("weighting") != "manual":
+            methods.append(knn_method(name, config, **own) if kind == "knn"
+                           else MethodSpec(name=name, kind=kind, **own))
+        elif manual_weights is None:
             logger.warning("%s: no manual weights file supplied, skipping the manual arm", preset)
-        elif kind == "knn":
-            methods.append(knn_method(name, config, manual_weights=manual_weights, **own))
         else:
-            methods.append(MethodSpec(name=name, kind=kind, **own))
+            methods.append(knn_method(name, config, manual_weights=manual_weights, **own))
     return methods
 
 

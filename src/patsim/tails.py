@@ -1,17 +1,18 @@
-"""Chi-square and normal tail probabilities for the comparison's p-values.
+"""The chi-square tail probability for the Friedman test's p-value.
 
-A line-for-line port, in stdlib `math`, of the cephes code scipy 1.17.1
-runs for `scipy.special.chdtrc` and `scipy.special.ndtr`, so Friedman and
-Wilcoxon p-values keep scipy's bits without importing scipy. Every
-operation is the C code's, in the C code's order: IEEE doubles and the
-same libm `exp`, `log`, `pow` and `sqrt` round the same way.
+A line-for-line port, in stdlib `math`, of the cephes code scipy 1.17.1 runs
+for `scipy.special.chdtrc`, so Friedman p-values keep scipy's bits without
+importing scipy. Every operation is the C code's, in the C code's order: IEEE
+doubles and the same libm `exp`, `log`, `pow` and `sqrt` round the same way.
 
 Three cephes branches of `igamc` are not reproduced here: `igamc_series`
 (a <= 1 and x <= 1.1), `asymptotic_series` (a > 20 with x near a) and the
 `log1pmx` form of `igam_fac` (a or x >= 200 with x near a). Where `chdtrc`
 reaches one of them it returns scipy's own value, importing scipy then.
 The Friedman tests of exp2 and exp3 (3 to 5 degrees of freedom) never do.
-"""
+
+The Wilcoxon normal tail for n > 25 is not ported: `wilcoxon_signed_rank`
+imports `scipy.special.ndtr`, which no preset at its default 20 folds reaches."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ MAXLOG = 7.09782712893383996843e2
 MAXITER = 2000
 BIG = 4.503599627370496e15
 BIGINV = 2.22044604925031308085e-16
-SQRTH = 7.07106781186547524401e-1
 
 # lgam: Stirling's series above 13, a rational approximation on [2, 3) below
 _A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
@@ -59,30 +59,6 @@ _LANCZOS_NUM = (
     56906521.91347156388090791033559122686859)
 _LANCZOS_DENOM = (1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0,
                   45995730.0, 105258076.0, 150917976.0, 120543840.0, 39916800.0, 0.0)
-
-# erfc on [1, 8) and [8, inf), erf on [0, 1]
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
-      7.46321056442269912687e0, 4.86371970985681366614e1,
-      1.96520832956077098242e2, 5.26445194995477358631e2,
-      9.34528527171957607540e2, 1.02755188689515710272e3,
-      5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
-      3.54937778887819891062e2, 9.75708501743205489753e2,
-      1.82390916687909736289e3, 2.24633760818710981792e3,
-      1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
-      5.01905042251180477414e0, 6.16021097993053585195e0,
-      7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
-      1.20489539808096656605e1, 1.70814450747565897222e1,
-      9.60896809063285878198e0, 3.36907645100081516050e0)
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
-      2.23200534594684319226e3, 7.00332514112805075473e3,
-      5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
-      4.59432382970980127987e3, 2.26290000613890934246e4,
-      4.92673942608635921086e4)
-
 
 def _polevl(x: float, coef) -> float:
     """Horner's rule, highest degree first."""
@@ -254,46 +230,3 @@ def chdtrc(df: float, x: float) -> float:
         from scipy.special import chdtrc as scipy_chdtrc
         return float(scipy_chdtrc(df, x))
 
-
-def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if abs(x) > 1.0:
-        return 1.0 - _erfc(x)
-    z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def _erfc(a: float) -> float:
-    x = -a if a < 0.0 else a
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z >= -MAXLOG:
-        z = math.exp(z)
-        if x < 8.0:
-            p = _polevl(x, _P)
-            q = _p1evl(x, _Q)
-        else:
-            p = _polevl(x, _R)
-            q = _p1evl(x, _S)
-        y = (z * p) / q
-        if a < 0:
-            y = 2.0 - y
-        if y != 0.0:
-            return y
-    return 2.0 if a < 0 else 0.0
-
-
-def ndtr(a: float) -> float:
-    """P(Z <= a) for a standard normal Z; scipy's bits."""
-    if math.isnan(a):
-        return math.nan
-    x = a * SQRTH
-    z = abs(x)
-    if z < SQRTH:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    if x > 0:
-        y = 1.0 - y
-    return y

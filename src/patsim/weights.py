@@ -69,7 +69,7 @@ def _distinct_rows(grid, statics) -> tuple:
     first = {}
     first_copy = np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)],
                           dtype=np.intp)
-    distinct = np.unique(first_copy)
+    distinct = np.flatnonzero(first_copy == np.arange(n))
     return distinct, np.searchsorted(distinct, first_copy)
 
 
@@ -228,7 +228,7 @@ def _active(active) -> np.ndarray:
 
 def _check_cohort(labels, k=0):
     """A training cohort holds both classes and, when k is given, k leave-one-out candidates."""
-    if len(np.unique(labels)) < 2:
+    if not (labels != labels[:1]).any():        # np.unique's first call imports numpy.ma
         raise PatsimError("training cohort contains a single class")
     if k > len(labels) - 1:
         raise PatsimError(f"k={k} but only {len(labels) - 1} leave-one-out candidates")

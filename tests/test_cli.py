@@ -295,7 +295,7 @@ class TestEvaluateCompare:
                                          [synth_dir / "events.csv", synth_dir / "outcomes.csv",
                                           manual])
             argv += ["--config", path, "--events", events, "--outcomes", outcomes]
-            if command in ("evaluate", *MANUAL_PRESETS):
+            if command in MANUAL_PRESETS:
                 argv += ["--manual-weights", weights]
             if refused:
                 assert field not in cli._COMMANDS["experiment"][2].split()
@@ -709,10 +709,12 @@ class TestLocatedFaults:
          "--manual-weights sets exp3's manual arm, which exp2 does not have"),
         (["evaluate", "--weighting", "manual", "--out", "m.csv"], None,
          "manual weighting requires a loaded weights file"),
+        (["evaluate", "--weighting", "chi2", "--manual-weights", "missing_w.csv",
+          "--out", "m.csv"], None, "--manual-weights is for manual weighting, not chi2"),
     ], ids=["lr_negative", "lr_nan", "config_max_epochs_0", "threshold", "horizon_72h",
             "window_5h", "workers_negative", "config_workers_negative", "n_patients_with_data",
             "profile_with_data", "exp1_manual_weights", "exp2_manual_weights",
-            "evaluate_manual_without_file"])
+            "evaluate_manual_without_file", "evaluate_chi2_with_manual_weights"])
     def test_settings_faults_come_before_data(self, tmp_path, capsys, argv, config, reason):
         argv = argv + ["--events", tmp_path / "missing.csv", "--outcomes", tmp_path / "no.csv"]
         if argv[0] == "experiment":

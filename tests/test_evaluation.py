@@ -282,6 +282,13 @@ class TestCrossValidate:
         with pytest.raises(PatsimError, match="manual weighting requires a loaded weights file"):
             MethodSpec(name="m", weighting="manual")
 
+    def test_weights_file_is_for_manual_weighting_alone(self, tmp_path):
+        manual = FeatureWeights(np.ones(vocab.N_VARIABLES))
+        with pytest.raises(PatsimError, match="^a weights file is for manual weighting, not chi2$"):
+            MethodSpec(name="m", weighting="chi2", manual_weights=manual)
+        methods = experiments.preset_methods("exp3", RunConfig(), manual_weights=manual)
+        assert [m.name for m in methods if m.manual_weights is not None] == ["manual"]
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
@@ -403,8 +410,10 @@ class TestWilcoxon:
 
 
 class TestTailProbabilities:
-    """p-values come from patsim.tails, bit-identical to scipy.special and so to
-    the scipy.stats calls."""
+    """Friedman p-values come from patsim.tails, which ports only chdtrc,
+    bit-identical to scipy.special and so to the scipy.stats calls. The Wilcoxon
+    normal tail for n > 25 imports scipy.special.ndtr; no preset at the default
+    20 folds reaches it."""
 
     def test_chdtrc_equals_scipy_on_every_branch(self):
         # df 1-60 reach the continued fraction, the series, Lanczos and lgam (below
@@ -423,20 +432,12 @@ class TestTailProbabilities:
             with pytest.raises(tails.NotPorted, match=branch):
                 tails._igamc(a, x)
 
-    def test_ndtr_equals_scipy_on_a_grid(self):
-        from scipy.special import ndtr
-        zs = np.concatenate([np.linspace(-40, 40, 40001), [-math.inf, math.inf, -0.0, 5e-324]])
-        got = np.array([tails.ndtr(z) for z in zs.tolist()])
-        assert got.tobytes() == ndtr(zs).tobytes()
-
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 60),
-           st.floats(0, 4000) | st.sampled_from([5e-324, 1e300, math.inf]),
-           st.floats(-40, 40) | st.sampled_from([-math.inf, math.inf]))
-    def test_tails_equal_scipy_on_random_draws(self, df, x, z):
-        from scipy.special import chdtrc, ndtr
+           st.floats(0, 4000) | st.sampled_from([5e-324, 1e300, math.inf]))
+    def test_tails_equal_scipy_on_random_draws(self, df, x):
+        from scipy.special import chdtrc
         assert struct.pack("d", tails.chdtrc(df, x)) == struct.pack("d", chdtrc(df, x))
-        assert struct.pack("d", tails.ndtr(z)) == struct.pack("d", ndtr(z))
 
     def test_special_functions_equal_stats_calls(self):
         from scipy.special import chdtrc, ndtr
@@ -497,6 +498,19 @@ class TestTailProbabilities:
                              check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_train_leaves_numpy_ma_out(self, tmp_path):
+        """np.unique's first call imports numpy.ma (11-13 ms); train's class and copy
+        checks do without it."""
+        frames = framing.stack(random_dense_frames(12, np.random.default_rng(35)))
+        framing.write_frames(frames, tmp_path / "f.csv")
+        argv = ["train", "--frames", str(tmp_path / "f.csv"), "--k", "3", "--max-epochs", "2",
+                "--weights-out", str(tmp_path / "w.csv")]
+        code = ("import sys; from patsim.cli import main; "
+                f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+
     def test_cli_import_leaves_scipy_and_the_pool_modules_out(self):
         """patsim.tails (and through it scipy.special) loads only inside friedman and
         wilcoxon_signed_rank, and
@@ -546,6 +560,38 @@ class TestTailProbabilities:
         friedman_record = json.loads(out_json.read_text())["friedman"]
         assert friedman_record["statistic"] == 2.0
         assert friedman_record["p_value"] == float(chdtrc(2, 2.0)) != math.exp(-1.0)
+
+    def test_compare_on_30_folds_prints_the_normal_tails_bits(self, tmp_path):
+        """Two methods whose F-measures differ in all 30 folds, a ahead in 24: Friedman
+        fires, and the Wilcoxon test takes its normal tail (n > 25), which loads
+        scipy.special and reports min(1, 2 sf(|z|)) bit for bit."""
+        tps = {"a": [2 + i % 5 for i in range(30)]}
+        tps["b"] = [tp - 1 if i % 5 else tp + 1 for i, tp in enumerate(tps["a"])]
+        reports = []
+        for name, fold_tps in tps.items():
+            save_fold_metrics([fold_metrics(i, [1] * tp + [0, 1], [1] * tp + [1, 0])
+                               for i, tp in enumerate(fold_tps)], tmp_path / f"{name}.csv")
+            reports.append(f"{name}={tmp_path / name}.csv")
+        out_json = tmp_path / "cmp.json"
+        code = ("import sys; from patsim.cli import main; "
+                f"assert main(['compare', *{reports!r}, '--out-json', {str(out_json)!r}]) == 0; "
+                "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "True"
+        record = json.loads(out_json.read_text())
+        assert record["friedman"]["p_value"] < 0.05
+        f = np.array(record["fold_f_measures"])
+        d = f[:, 0] - f[:, 1]
+        assert np.count_nonzero(d) == 30
+        ranks = scipy_stats.rankdata(np.abs(d))
+        w_plus = float(ranks[d > 0].sum())
+        mean = 30 * 31 / 4.0
+        _, counts = np.unique(ranks, return_counts=True)
+        var = 30 * 31 * 61 / 24.0 - float((counts ** 3 - counts).sum()) / 48.0
+        z = (w_plus - mean - 0.5 * np.sign(w_plus - mean)) / np.sqrt(var)
+        [pair] = record["pairwise"]
+        assert pair["p_value"] == float(min(1.0, 2.0 * scipy_stats.norm.sf(abs(z))))
 
 def make_fold_metrics(f_values):
     return [fold_metrics(i, [1, 0], [1 if f > 0.5 else 0, 0]) for i, f in enumerate(f_values)]

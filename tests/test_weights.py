@@ -83,6 +83,23 @@ class TestTrainingError:
             Workspace(stack(frames)).neighbor_sets(np.ones(vocab.N_VARIABLES), 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=8), st.integers(0, 8))
+def test_cohort_check_gives_np_uniques_messages(labels, k):
+    """The two-class check avoids np.unique, whose first call imports numpy.ma, and
+    faults exactly where and as a check by np.unique did."""
+    labels = np.array(labels, dtype=int)
+    expected = ("training cohort contains a single class" if len(np.unique(labels)) < 2
+                else f"k={k} but only {len(labels) - 1} leave-one-out candidates"
+                if k > len(labels) - 1 else None)
+    try:
+        weights._check_cohort(labels, k)
+        got = None
+    except PatsimError as exc:
+        got = str(exc)
+    assert got == expected
+
+
 class TestGradient:
     def test_matches_finite_differences(self, small_cohort, rng):
         w0 = rng.random(vocab.N_VARIABLES) + 0.2
