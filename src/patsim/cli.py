@@ -192,8 +192,8 @@ _FLAGS = {
     "out": ("--out", dict(help="CSV to write: predictions (predict), fold metrics (evaluate)")),
     "out_json": ("--out-json", dict(help="comparison report JSON to write")),
     "out_text": ("--out-text", dict(help="comparison report text to write")),
-    "split": ("--split", dict(choices=("none", "validation"), help="validation: cross-validate "
-                              "only the held-out half of a 50/50 split (default none)")),
+    "split": ("--split", dict(help="validation: cross-validate only the held-out half of a "
+                              "50/50 split (default none)")),
     "window_hours": ("--window-hours", dict(type=int, help="hours per time frame")),
     "horizon_hours": ("--horizon-hours", dict(type=int, help="hours of each stay to frame")),
     "representation": ("--representation", dict(help="time frames or per-variable aggregates")),

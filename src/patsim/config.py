@@ -14,7 +14,8 @@ from . import tables, vocab
 from .errors import InputFault, PatsimError
 
 REPRESENTATIONS = ("timeseries", "aggregation")
-WEIGHTINGS = ("gd", "none", "manual", "chi2", "infogain", "gini")
+FILTERS = ("chi2", "infogain", "gini")
+WEIGHTINGS = ("gd", "none", "manual") + FILTERS
 FEATURE_SETS = ("all", "dynamic_only", "static_only")
 PREDICTION_MODES = ("majority", "weighted")
 KINDS = ("knn", "majority", "linear")
@@ -27,6 +28,7 @@ _CHOICES = {
     "mode": PREDICTION_MODES,
     "kind": KINDS,
     "profile": PROFILES,
+    "split": ("none", "validation"),
 }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 
 from . import framing
-from .config import RunConfig, given
+from .config import FILTERS, RunConfig, given
 from .evaluation import (ComparisonReport, MethodSpec, compare, cross_validate,
                          split_dev_validation)
 
@@ -39,7 +39,7 @@ PRESET_ARMS = {
           for name in ("dynamic_only", "static_only")),
     ),
     "exp3": tuple((name, "knn", dict(weighting=name))
-                  for name in ("gd", "manual", "chi2", "infogain", "gini", "none")),
+                  for name in ("gd", "manual", *FILTERS, "none")),
 }
 PRESETS = tuple(PRESET_ARMS)
 MANUAL_PRESETS = tuple(preset for preset, arms in PRESET_ARMS.items()

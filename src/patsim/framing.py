@@ -9,7 +9,10 @@ Two representations are produced from the same raw events:
 
 Both share one min-max scaling, fitted on training patients only and
 reused to transform anything else: an aggregation table scales as 216
-one-bucket variables, one per (variable, statistic) column.
+one-bucket variables, one per (variable, statistic) column. The pipeline
+works on whole `Frames` cohorts; the per-patient names left, `FramedPatient`
+(a cohort's item, as `write_frames` walks it), `stack` and
+`impute_and_scale`, stay because perfbench's set-up and tracer bind them.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ class FramedPatient:
     mask: np.ndarray | None   # (36, n_buckets) bool, True = observed; None for aggregates
     statics: np.ndarray   # (4,) float, NaN = unobserved
     label: int
-
-    @property
-    def feature_grid(self) -> np.ndarray:
-        return self.dynamic
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +88,7 @@ def stack(rows) -> Frames:
     rows = sorted(rows, key=lambda f: f.patient_id)
     mask = None if rows[0].mask is None else np.stack([f.mask for f in rows])
     return Frames([f.patient_id for f in rows], np.array([f.label for f in rows], dtype=int),
-                  np.stack([f.feature_grid for f in rows]), np.stack([f.statics for f in rows]),
+                  np.stack([f.dynamic for f in rows]), np.stack([f.statics for f in rows]),
                   mask)
 
 

@@ -14,13 +14,15 @@ patients under every given weighting, screening out by a bounded gram
 product the patients that cannot be among them and scanning the rest
 exactly; `top_k` selects from a distance matrix over those columns (the
 ascending-patient_id tie-break lives there), and `decide_rows` scores
-the selection.
+the selection. The two per-patient names left, `weighted_distance_sq`
+and `neighbors`, serve no pipeline path: perfbench's output check and
+tracer bind them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,19 +61,14 @@ def _weight_array(weights) -> np.ndarray:
     return FeatureWeights(np.asarray(weights, dtype=float)).values
 
 
-def variable_distances_sq(a, b) -> np.ndarray:
-    """All 40 per-variable squared distances between two dense patients."""
-    grid_a, grid_b = a.feature_grid, b.feature_grid
-    if grid_a.shape != grid_b.shape:
-        raise PatsimError("patients are on different grids")
-    dyn = ((grid_a - grid_b) ** 2).mean(axis=1)
-    stat = (a.statics - b.statics) ** 2
-    return np.concatenate([dyn, stat])
-
-
 def weighted_distance_sq(a, b, weights) -> float:
-    """d2(a, b) = sum_v w_v * D2_v(a, b); symmetric, zero when a equals b."""
-    return float(variable_distances_sq(a, b) @ _weight_array(weights))
+    """d2(a, b) = sum_v w_v * D2_v(a, b) between two dense patients; symmetric, zero when a
+    equals b. A one-pair form of `nearest`'s distance, kept for perfbench's brute-force check."""
+    if a.dynamic.shape != b.dynamic.shape:
+        raise PatsimError("patients are on different grids")
+    per_var = np.concatenate([((a.dynamic - b.dynamic) ** 2).mean(axis=1),
+                              (a.statics - b.statics) ** 2])
+    return float(per_var @ _weight_array(weights))
 
 
 # Queries screened at once: the screen's (block, n_train) arrays hold about this
@@ -261,18 +258,6 @@ def decide_rows(d2_sel, y_sel, mode, threshold=RunConfig.threshold) -> tuple:
 
 
 @dataclass
-class NeighborSet:
-    """The k nearest training patients for one query.
-
-    Entries are (train_patient_id, squared_distance, label), ascending by
-    squared distance with patient_id breaking ties.
-    """
-
-    query_id: str
-    entries: list = field(default_factory=list)
-
-
-@dataclass
 class Model:
     """Lazy classifier: stored training patients plus distance weights.
 
@@ -306,15 +291,8 @@ def classify_batch(queries: Frames, model: Model, leave_one_out=False) -> tuple:
     return decide_rows(d2_sel, model.frames.labels[idx], model.mode, model.threshold)
 
 
-def neighbors(query, model: Model, leave_one_out=False) -> NeighborSet:
-    """Exact k nearest training patients, as a full scan finds them.
-
-    With leave_one_out, training entries sharing the query's patient_id are
-    excluded. Ties in distance resolve by ascending patient_id.
-    """
+def neighbors(query, model: Model, leave_one_out=False) -> tuple:
+    """`nearest`'s (idx, d2_sel), each of length k, for one FramedPatient query."""
     (idx, d2_sel), = nearest(stack([query]), model.frames, [model.weights.values], model.k,
                              leave_one_out)
-    train = model.frames
-    entries = [(train.ids[i], float(d), int(train.labels[i]))
-               for i, d in zip(idx[0], d2_sel[0])]
-    return NeighborSet(query_id=query.patient_id, entries=entries)
+    return idx[0], d2_sel[0]

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tables, vocab
-from .config import RunConfig, check_choices
+from .config import FILTERS, RunConfig, check_choices
 from .errors import InputFault, PatsimError
 from .knn import FeatureWeights, _weight_array, top_k
 
@@ -369,12 +369,9 @@ def _impurity_gains(tables, impurity) -> np.ndarray:
     return impurity(tables.sum(axis=1)) - within
 
 
-# keyed by the filter names of config.WEIGHTINGS
-_SCORERS = {
-    "chi2": _chi_square_scores,
-    "infogain": lambda tables: _impurity_gains(tables, _entropies),
-    "gini": lambda tables: _impurity_gains(tables, _ginis),
-}
+_SCORERS = dict(zip(FILTERS, (_chi_square_scores,
+                               lambda tables: _impurity_gains(tables, _entropies),
+                               lambda tables: _impurity_gains(tables, _ginis))))
 
 
 def filter_score(frames, method) -> np.ndarray:

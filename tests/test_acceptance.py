@@ -20,10 +20,10 @@ from patsim.config import RunConfig
 from patsim.errors import PatsimError
 from patsim.evaluation import friedman, wilcoxon_signed_rank
 from patsim.experiments import run_experiment
-from patsim.knn import FeatureWeights, Model, neighbors, variable_distances_sq
+from patsim.knn import FeatureWeights, Model
 from patsim.synth import SynthSpec, generate
 from patsim.weights import TrainConfig, Workspace, train_gd
-from util import cohort_of, random_dense_frames
+from util import cohort_of, nearest_sets, random_dense_frames, scan_neighbors
 
 pytestmark = pytest.mark.acceptance
 
@@ -109,15 +109,12 @@ def test_criterion_2_brute_force_knn():
     queries.append(replace(train[11], patient_id="tie_query"))
     w = FeatureWeights(rng.random(vocab.N_VARIABLES) + 0.05)
     model = Model(framing.stack(train), w, k=10)
-    for q in queries:
-        ns = neighbors(q, model, leave_one_out=False)
-        scan = sorted(
-            ((float(variable_distances_sq(q, t) @ w.values), t.patient_id, t.label)
-             for t in train),
-            key=lambda item: (item[0], item[1]))[:10]
-        assert [(e[0], e[2]) for e in ns.entries] == [(s[1], s[2]) for s in scan]
+    batch = framing.stack(queries)
+    for q, ns in zip(batch, nearest_sets(batch, model)):
+        scan = scan_neighbors(q, train, w.values, 10)
+        assert [(e[0], e[2]) for e in ns.entries] == [(s[0], s[2]) for s in scan.entries]
         np.testing.assert_allclose([e[1] for e in ns.entries],
-                                   [s[0] for s in scan], rtol=1e-12)
+                                   [s[1] for s in scan.entries], rtol=1e-12)
     elapsed = time.time() - start
     assert elapsed < 5.0, f"brute-force check took {elapsed:.1f}s"
     ok(2, f"neighbor retrieval equals the exhaustive scan on 200 queries "

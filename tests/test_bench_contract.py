@@ -70,6 +70,22 @@ def test_fit_predict_workload_checks_pass(workloads, tmp_path):
     assert workloads.check_predict(inputs, out, rng) == []
 
 
+def test_exp3_workload_checks_pass(workloads, tmp_path):
+    """exp3 on the benchmark's cohort at --workers 1 and 2: both reports pass
+    their checks, and they are byte-identical, as the benchmark requires."""
+    inputs = workloads.setup_exp3(tmp_path, 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    for label, args in workloads._exp3_commands(inputs, out):
+        assert main(args) == 0, label
+    rng = random.Random(1)
+    assert workloads.check_exp3(1)(inputs, out, rng) == []
+    assert workloads.check_exp3(2)(inputs, out, rng) == []
+    reports = workloads.WORKLOADS["exp3"].reports
+    assert [workloads.sha256(out / name) for name in reports["exp3-w1"]] == \
+        [workloads.sha256(out / name) for name in reports["exp3-w2"]]
+
+
 def test_traced_commands_run_and_nest_their_spans(tracer, tmp_path):
     """The benchmark's traced CLI over one train, one predict and one exp3, small.
 

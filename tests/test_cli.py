@@ -566,10 +566,14 @@ class TestFlagWiring:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_every_rule_names_a_setting(self):
-        """A rule or choice whose key is no setting's name would never fire."""
+        """A rule or choice whose key is no setting's name would never fire, unless
+        the key is a flag's dest: the parser then takes its choices from there."""
         settings = {f.name for cls in (RunConfig, TrainConfig, SynthSpec, MethodSpec)
                     for f in fields(cls)} | set(inspect.signature(evaluation.compare).parameters)
-        assert set(_RULES) | set(_CHOICES) <= settings
+        assert set(_RULES) <= settings
+        flag_choices = {action.dest: action.choices for sub in _subparsers().values()
+                        for action in sub._actions if action.dest in set(_CHOICES) - settings}
+        assert flag_choices == {name: _CHOICES[name] for name in set(_CHOICES) - settings}
 
     def test_a_flag_sets_what_its_config_key_sets(self, tmp_path):
         run_fields = {f.name for f in fields(RunConfig)}

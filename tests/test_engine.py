@@ -28,7 +28,6 @@ from patsim.knn import (
     classify_batch,
     decide_rows,
     nearest,
-    neighbors,
     top_k,
 )
 from patsim.weights import (
@@ -43,6 +42,7 @@ from util import (
     decide,
     full_scan,
     full_scan_nearest,
+    nearest_set,
     quantized_frames,
     random_dense_frames,
     square_distance_tensor,
@@ -222,6 +222,27 @@ def test_packed_tensor_is_the_square_upper_triangle(make, n):
         square_distance_tensor(frames.grid, frames.statics)[:, iu, ju].tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 3))
+def test_distinct_rows_map_each_row_to_its_first_copy(data, n, n_buckets):
+    """Rows equal bit for bit map to the first of them, and `distinct` lists those
+    first copies in ascending order; 0.0 and -0.0 cells are different bits."""
+    cells = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+    grid = np.array(data.draw(st.lists(cells, min_size=n * vocab.N_DYNAMIC * n_buckets,
+                                       max_size=n * vocab.N_DYNAMIC * n_buckets)))
+    grid = grid.reshape(n, vocab.N_DYNAMIC, n_buckets)
+    statics = np.array(data.draw(st.lists(cells, min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+    plants = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                min_size=1, max_size=n))
+    for src, dst in plants:
+        grid[dst], statics[dst] = grid[src], statics[src]
+    rows = np.concatenate([grid.reshape(n, -1), statics], axis=1).view(np.uint64)
+    first_copy = (rows[:, None, :] == rows[None, :, :]).all(axis=2).argmax(axis=1)
+    distinct, copy_of = weights._distinct_rows(grid, statics)
+    assert distinct[copy_of].tolist() == first_copy.tolist()
+    assert distinct.tolist() == sorted(set(first_copy.tolist()))
+
+
 def test_tensor_build_heap_stays_small(monkeypatch):
     """Besides the tensor, an untracked memory map, the build holds a few
     (n, n) arrays and pair-length arrays on the heap; taking every dynamic
@@ -307,7 +328,7 @@ def test_classify_batch_matches_scan(seed, levels, n, leave_one_out, mode):
     for q, label, score in zip(queries, labels, scores):
         row = full_scan(stack([q]), model.frames, [model.weights.values])[0, 0]
         nearest = scan(row, ids, k, skip=q.patient_id if leave_one_out else None)
-        assert [e[0] for e in neighbors(q, model, leave_one_out).entries] == \
+        assert [e[0] for e in nearest_set(q, model, leave_one_out).entries] == \
             [ids[j] for j in nearest]
         if mode == "majority":
             pos = int(y[nearest].sum())
@@ -329,7 +350,7 @@ def test_classify_batch_equals_per_query_path(mode, leave_one_out, make):
                   mode=mode, threshold=0.4)
     queries = stack(train[:15] if leave_one_out else make(15, np.random.default_rng(12)))
     labels, scores = classify_batch(queries, model, leave_one_out=leave_one_out)
-    one_by_one = [decide(neighbors(q, model, leave_one_out), mode, model.threshold)
+    one_by_one = [decide(nearest_set(q, model, leave_one_out), mode, model.threshold)
                   for q in queries]
     assert labels.tolist() == [label for label, _ in one_by_one]
     assert scores.tolist() == [score for _, score in one_by_one]
@@ -347,7 +368,7 @@ def test_weighted_rows_equal_the_per_query_product(make):
     found = nearest(queries, train, weightings, 7)
     assert len(found) == len(weightings)
     for i, q in enumerate(queries):
-        dyn = ((train.grid - q.feature_grid[None]) ** 2).mean(axis=2)
+        dyn = ((train.grid - q.dynamic[None]) ** 2).mean(axis=2)
         stat = (train.statics - q.statics[None]) ** 2
         per_var = np.concatenate([dyn, stat], axis=1)
         for (idx, d2_sel), w in zip(found, weightings):
@@ -566,7 +587,7 @@ def _old_gradient_for_sets(dist, w, sets, labels):
 
 def _old_train_gd(frames, config, active):
     frames = sorted(frames, key=lambda f: f.patient_id)
-    grid = np.stack([f.feature_grid for f in frames])
+    grid = np.stack([f.dynamic for f in frames])
     statics = np.stack([f.statics for f in frames])
     labels = np.array([f.label for f in frames], dtype=float)
     w = np.ones(vocab.N_VARIABLES) * active if config.initial_weights is None \

@@ -223,23 +223,23 @@ class TestAggregate:
             ev("p", 20, "Heart rate", 1.0),
             ev("p", 30, "Heart rate", 2.0),
         ], label=0)
-        assert list(f.feature_grid[HR]) == [1.0, 3.0, 2.0, 3.0, 2.0, 3.0]
+        assert list(f.dynamic[HR]) == [1.0, 3.0, 2.0, 3.0, 2.0, 3.0]
 
     def test_single_value(self):
         f = aggregate_one("p", [ev("p", 10, "Heart rate", 7.0)], label=0)
-        assert list(f.feature_grid[HR]) == [7.0, 7.0, 7.0, 7.0, 7.0, 1.0]
+        assert list(f.dynamic[HR]) == [7.0, 7.0, 7.0, 7.0, 7.0, 1.0]
 
     def test_even_count_median(self):
         f = aggregate_one("p", [
             ev("p", 10, "Heart rate", 1.0),
             ev("p", 20, "Heart rate", 3.0),
         ], label=0)
-        assert f.feature_grid[HR, 2] == 2.0
+        assert f.dynamic[HR, 2] == 2.0
 
     def test_zero_events(self):
         f = aggregate_one("p", [], label=0)
-        assert f.feature_grid[HR, 5] == 0.0
-        assert np.isnan(f.feature_grid[HR, :5]).all()
+        assert f.dynamic[HR, 5] == 0.0
+        assert np.isnan(f.dynamic[HR, :5]).all()
 
     def test_permutation_sensitivity(self, rng):
         minutes = sorted(int(m) for m in rng.choice(2800, size=9, replace=False))
@@ -248,12 +248,12 @@ class TestAggregate:
             perm = rng.permutation(9)
             f = aggregate_one("p", [ev("p", m, "Heart rate", float(values[perm][i]))
                                 for i, m in enumerate(minutes)], label=0)
-            assert f.feature_grid[HR, 0] == values.min()
-            assert f.feature_grid[HR, 1] == values.max()
-            assert f.feature_grid[HR, 2] == pytest.approx(np.median(values))
-            assert f.feature_grid[HR, 5] == 9.0
-            assert f.feature_grid[HR, 3] == values[perm][0]
-            assert f.feature_grid[HR, 4] == values[perm][-1]
+            assert f.dynamic[HR, 0] == values.min()
+            assert f.dynamic[HR, 1] == values.max()
+            assert f.dynamic[HR, 2] == pytest.approx(np.median(values))
+            assert f.dynamic[HR, 5] == 9.0
+            assert f.dynamic[HR, 3] == values[perm][0]
+            assert f.dynamic[HR, 4] == values[perm][-1]
 
     def test_scale_fills_missing_from_training(self):
         tr1 = aggregate_one("t1", [ev("t1", 10, "Heart rate", 10.0)], label=0)
@@ -263,8 +263,8 @@ class TestAggregate:
         empty = aggregate_one("q", [], label=0)
         scaled, = scale_frames(stack([empty]), stats)
         # count 0 scales to 0 (training counts 1 and 2), means fill the rest
-        assert scaled.feature_grid[HR, 5] == 0.0
-        assert scaled.feature_grid[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
+        assert scaled.dynamic[HR, 5] == 0.0
+        assert scaled.dynamic[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
 
 
 def test_frames_file_roundtrip(tmp_path, rng):
@@ -523,7 +523,7 @@ def test_framing_matches_per_event_oracle(case, grid):
         assert frame.label == agg.label == labels[frame.patient_id]
         assert bits(frame.dynamic) == bits(dynamic) and bits(frame.mask) == bits(mask)
         assert bits(frame.statics) == bits(statics) == bits(agg.statics)
-        assert bits(agg.feature_grid) == bits(table) and agg.mask is None
+        assert bits(agg.dynamic) == bits(table) and agg.mask is None
 
     # the framing invariants: scaling never touches the mask, dense output
     # lies in [0, 1], and carrying forward never overwrites an observed cell

@@ -7,15 +7,17 @@ import pytest
 from patsim import vocab
 from patsim.errors import PatsimError
 from patsim.framing import stack
-from patsim.knn import (
-    FeatureWeights,
-    Model,
+from patsim.knn import FeatureWeights, Model, neighbors, weighted_distance_sq
+from util import (
     NeighborSet,
-    neighbors,
+    classify,
+    nearest_set,
+    nearest_sets,
+    random_dense_frames,
+    scan_neighbors,
+    soft_score,
     variable_distances_sq,
-    weighted_distance_sq,
 )
-from util import classify, random_dense_frames, soft_score
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 
@@ -92,7 +94,7 @@ class TestNeighbors:
         frames = random_dense_frames(12, rng)
         query = replace(frames[4], patient_id="query")
         model = Model(stack(frames), FeatureWeights.uniform(), k=3)
-        ns = neighbors(query, model, leave_one_out=False)
+        ns = nearest_set(query, model, leave_one_out=False)
         assert ns.entries[0][0] == frames[4].patient_id
         assert ns.entries[0][1] == 0.0
 
@@ -102,14 +104,14 @@ class TestNeighbors:
         frames[2].statics = frames[1].statics.copy()
         query = replace(frames[1], patient_id="zz_query")
         model = Model(stack(frames), FeatureWeights.uniform(), k=2)
-        ns = neighbors(query, model, leave_one_out=False)
+        ns = nearest_set(query, model, leave_one_out=False)
         first_two = [ns.entries[0][0], ns.entries[1][0]]
         assert first_two == sorted([frames[1].patient_id, frames[2].patient_id])
 
     def test_leave_one_out_excludes_self(self, rng):
         frames = random_dense_frames(8, rng)
         model = Model(stack(frames), FeatureWeights.uniform(), k=3)
-        ns = neighbors(frames[2], model, leave_one_out=True)
+        ns = nearest_set(frames[2], model, leave_one_out=True)
         assert frames[2].patient_id not in [e[0] for e in ns.entries]
 
     def test_k_too_large(self, rng):
@@ -118,25 +120,26 @@ class TestNeighbors:
             Model(stack(frames), FeatureWeights.uniform(), k=5)
         model = Model(stack(frames), FeatureWeights.uniform(), k=4)
         with pytest.raises(PatsimError, match="^k=4 but only 3 candidate neighbors$"):
-            neighbors(frames[0], model, leave_one_out=True)
+            nearest_set(frames[0], model, leave_one_out=True)
 
     def test_brute_force_oracle(self, rng):
         train = random_dense_frames(60, rng)
         queries = random_dense_frames(25, np.random.default_rng(9))
         w = FeatureWeights(rng.random(vocab.N_VARIABLES))
         model = Model(stack(train), w, k=7)
-        for q in queries:
-            ns = neighbors(q, model, leave_one_out=False)
+        batch = stack(queries)
+        for q, ns in zip(batch, nearest_sets(batch, model)):
             # independent scan: per-pair distance, sorted by (d2, id)
-            scan = sorted(
-                ((float(variable_distances_sq(q, t) @ w.values), t.patient_id, t.label)
-                 for t in train),
-                key=lambda item: (item[0], item[1]))[:7]
-            assert [(e[0], e[2]) for e in ns.entries] == [(s[1], s[2]) for s in scan]
+            scan = scan_neighbors(q, train, w.values, 7)
+            assert [(e[0], e[2]) for e in ns.entries] == [(s[0], s[2]) for s in scan.entries]
             # the scan accumulates in a different float order; identity and
             # ordering must be exact, values to rounding resolution
             np.testing.assert_allclose([e[1] for e in ns.entries],
-                                       [s[0] for s in scan], rtol=1e-12)
+                                       [s[1] for s in scan.entries], rtol=1e-12)
+            # the one-query entry perfbench's tracer times is nearest's row for q
+            idx, d2 = neighbors(q, model)
+            assert [(model.frames.ids[i], float(d)) for i, d in zip(idx, d2)] == \
+                [(e[0], e[1]) for e in ns.entries]
 
 
 class TestSoftScore:
@@ -203,8 +206,8 @@ class TestInvariants:
         m1 = Model(stack(frames), FeatureWeights(base), k=5)
         m2 = Model(stack(frames), FeatureWeights(base * 3.7), k=5)
         for q in queries:
-            n1 = neighbors(q, m1, leave_one_out=False)
-            n2 = neighbors(q, m2, leave_one_out=False)
+            n1 = nearest_set(q, m1, leave_one_out=False)
+            n2 = nearest_set(q, m2, leave_one_out=False)
             assert [e[0] for e in n1.entries] == [e[0] for e in n2.entries]
             assert classify(q, m1)[0] == classify(q, m2)[0]
 
@@ -227,7 +230,7 @@ class TestInvariants:
         w = FeatureWeights(rng.random(vocab.N_VARIABLES))
         model = Model(stack(frames), w, k=4)
         for q in frames[:4]:
-            ns = neighbors(q, model, leave_one_out=False)
+            ns = nearest_set(q, model, leave_one_out=False)
             for _, d2, _ in ns.entries:
                 s = math.exp(-d2)
                 assert d2 >= 0.0 and 0.0 < s <= 1.0
@@ -240,6 +243,6 @@ class TestInvariants:
         runs = []
         for _ in range(2):
             model = Model(stack(frames), w, k=6)
-            ns = neighbors(q, model, leave_one_out=False)
+            ns = nearest_set(q, model, leave_one_out=False)
             runs.append((tuple(ns.entries), classify(q, model)))
         assert runs[0] == runs[1]

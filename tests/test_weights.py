@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from patsim import vocab, weights
 from patsim.errors import InputFault, PatsimError
 from patsim.framing import stack
-from patsim.knn import FeatureWeights, Model, neighbors
+from patsim.knn import FeatureWeights, Model
 from patsim.weights import (
     N_BINS,
     TrainConfig,
@@ -26,6 +26,7 @@ from patsim.weights import (
 )
 from util import (
     equal_frequency_bins,
+    nearest_sets,
     quantized_frames,
     random_dense_frames,
     soft_score,
@@ -60,8 +61,7 @@ class TestTrainingError:
         fast, _ = ws.error_and_gradient(w.values, ws.neighbor_sets(w.values, k))
         model = Model(small_cohort, w, k=k)
         slow = 0.0
-        for f in small_cohort:
-            ns = neighbors(f, model, leave_one_out=True)
+        for f, ns in zip(small_cohort, nearest_sets(small_cohort, model, leave_one_out=True)):
             yhat = soft_score(ns)
             slow += (f.label - yhat) ** 2 + ((1 - f.label) - (1 - yhat)) ** 2
         assert fast == pytest.approx(slow, rel=1e-9)

@@ -1,9 +1,11 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 from hypothesis import strategies as st
 
 from patsim import framing, ingest, vocab, weights
 from patsim.framing import N_AGG, FramedPatient, stack
-from patsim.knn import NeighborSet, classify_batch, decide_rows, top_k
+from patsim.knn import classify_batch, decide_rows, nearest, top_k
 
 
 def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
@@ -228,6 +230,51 @@ def full_scan_nearest(queries, train, weightings, k, leave_one_out=False) -> lis
     if leave_one_out:
         d2[:, np.array(queries.ids)[:, None] == np.array(train.ids)] = np.inf
     return [(idx := top_k(rows, k), np.take_along_axis(rows, idx, axis=1)) for rows in d2]
+
+
+@dataclass
+class NeighborSet:
+    """The k nearest training patients for one query.
+
+    Entries are (train_patient_id, squared_distance, label), ascending by
+    squared distance with patient_id breaking ties.
+    """
+
+    query_id: str
+    entries: list = field(default_factory=list)
+
+
+def variable_distances_sq(a, b) -> np.ndarray:
+    """Reference: all 40 per-variable squared distances between two dense patients."""
+    dyn = ((a.dynamic - b.dynamic) ** 2).mean(axis=1)
+    return np.concatenate([dyn, (a.statics - b.statics) ** 2])
+
+
+def scan_neighbors(query, train, w, k) -> NeighborSet:
+    """Reference neighbor set of one query: every training patient, one pair at a time.
+
+    Each pair's distance is variable_distances_sq @ w, and the scan sorts
+    (distance, patient_id). The sums go in another order than
+    knn.nearest's, so its distances agree with them only to rounding.
+    """
+    scan = sorted(((float(variable_distances_sq(query, t) @ w), t.patient_id, t.label)
+                   for t in train), key=lambda item: (item[0], item[1]))
+    return NeighborSet(query.patient_id, [(pid, d2, label) for d2, pid, label in scan[:k]])
+
+
+def nearest_sets(queries, model, leave_one_out=False) -> list:
+    """knn.nearest's neighbor sets for the rows of `queries`, a Frames, in its order."""
+    (idx, d2_sel), = nearest(queries, model.frames, [model.weights.values], model.k,
+                             leave_one_out)
+    train = model.frames
+    return [NeighborSet(pid, [(train.ids[i], float(d), int(train.labels[i]))
+                              for i, d in zip(row, dist)])
+            for pid, row, dist in zip(queries.ids, idx, d2_sel)]
+
+
+def nearest_set(query, model, leave_one_out=False) -> NeighborSet:
+    """knn.nearest's neighbor set of one query: a one-query batch."""
+    return nearest_sets(stack([query]), model, leave_one_out)[0]
 
 
 def classify(query, model):
