@@ -70,7 +70,7 @@ def _cmd_train(args) -> int:
     frames = framing.read_frames(args.frames)
     if args.init_weights:
         cfg.initial_weights = weights_mod.load_manual_weights(args.init_weights)
-    learned, trace = weights_mod.train_gd(frames, cfg)
+    learned, trace = weights_mod.train_gd(weights_mod.Workspace(frames), cfg)
     weights_mod.save_weights(learned, args.weights_out)
     if args.trace_out:
         weights_mod.save_trace(trace, args.trace_out)

@@ -15,7 +15,7 @@ import numpy as np
 from . import framing, tables, vocab
 from .config import MethodSettings, RunConfig, check_choices, given
 from .errors import InputFault, PatsimError, TooFewPairs
-from .knn import FeatureWeights, decide_rows, nearest
+from .knn import FeatureWeights, _flat, decide_rows, nearest
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
 
@@ -158,8 +158,7 @@ def _baseline_prediction(train_scaled, test_scaled, method: MethodSpec) -> np.nd
     y_train = train_scaled.labels.astype(float)
     if method.kind == "majority":
         return np.full(len(test_scaled), int(y_train.mean() >= 0.5), dtype=int)
-    x_train, x_test = (np.hstack([f.grid.reshape(len(f), -1), f.statics])
-                       for f in (train_scaled, test_scaled))
+    x_train, x_test = (_flat(f.grid, f.statics) for f in (train_scaled, test_scaled))
     w, b = _fit_linear_scorer(x_train, y_train)
     return (x_test @ w + b >= 0).astype(int)
 

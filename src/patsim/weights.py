@@ -21,7 +21,7 @@ import numpy as np
 from . import tables, vocab
 from .config import FILTERS, RunConfig, check_choices
 from .errors import InputFault, PatsimError
-from .knn import FeatureWeights, _weight_array, top_k
+from .knn import FeatureWeights, _flat, _weight_array, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -64,12 +64,10 @@ def _distinct_rows(grid, statics) -> tuple:
     them: one hash per row, where a sort of the rows as opaque byte
     strings (a void view) spends most of its time copying them.
     """
-    n = len(grid)
-    rows = np.concatenate([grid.reshape(n, -1), statics], axis=1)
     first = {}
-    first_copy = np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)],
-                          dtype=np.intp)
-    distinct = np.flatnonzero(first_copy == np.arange(n))
+    first_copy = np.array([first.setdefault(row.tobytes(), i)
+                           for i, row in enumerate(_flat(grid, statics))], dtype=np.intp)
+    distinct = np.flatnonzero(first_copy == np.arange(len(grid)))
     return distinct, np.searchsorted(distinct, first_copy)
 
 
@@ -160,8 +158,9 @@ class Workspace:
     The packed (40, n(n-1)/2) leave-one-out distance tensor with its pair
     index, and the filter tables, are built on first use and then shared by
     every weighting trained on this cohort; they go when the workspace
-    does. Only the two leave-one-out methods below read the tensor. Every
-    function below that takes `frames` also takes a Workspace.
+    does. Only the two leave-one-out methods below read the tensor. The
+    three learners, `train_gd`, `filter_score` and `filter_weights`, take a
+    Workspace: wrap a bare cohort once and share it across weightings.
     """
 
     def __init__(self, frames):
@@ -215,10 +214,6 @@ class Workspace:
         return _error_value(yhat, labels), grad
 
 
-def _workspace(frames) -> Workspace:
-    return frames if isinstance(frames, Workspace) else Workspace(frames)
-
-
 def _active(active) -> np.ndarray:
     """Boolean mask of searched variables; None means all of them."""
     if active is None:
@@ -241,18 +236,18 @@ def _finite(value, epoch):
                           f"epoch {epoch}; a smaller learning rate may converge")
 
 
-def train_gd(frames, config: TrainConfig, active=None) -> tuple:
-    """Gradient-descent weight search; returns (FeatureWeights, TrainTrace).
+def train_gd(ws: Workspace, config: TrainConfig, active=None) -> tuple:
+    """Gradient-descent weight search on the cohort of `ws`; returns (FeatureWeights, TrainTrace).
 
     Each epoch re-selects leave-one-out neighbor sets at the current
     weights, takes one step w <- max(0, w - lr * dE/dw), and stops once the
     relative error improvement stays below the configured floor for
     `patience` consecutive epochs. The best-error weights seen are
-    returned, not necessarily the last iterate. `active` optionally
-    restricts the search to a boolean subset of variables; the rest are
-    pinned to zero.
+    returned, not necessarily the last iterate; the trace records the run
+    as it goes. `active` optionally restricts the search to a boolean
+    subset of variables; the rest are pinned to zero.
     """
-    ws, active = _workspace(frames), _active(active)
+    active = _active(active)
     start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
     w = _weight_array(start * active)
     err, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, config.k))
@@ -260,11 +255,7 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
         raise PatsimError(f"gradient descent cannot start: the training error is not finite at "
                           f"the start weights (largest {w.max():g}); smaller ones may converge")
 
-    trace = TrainTrace()
-    trace.errors.append(err)
-    best_err, best_w, best_epoch = err, w.copy(), 0
-
-    plateau = 0
+    trace, best_w, plateau = TrainTrace(errors=[err], best_error=err), w.copy(), 0
     for epoch in range(1, config.max_epochs + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.maximum(w - config.learning_rate * grad, 0.0)
@@ -274,19 +265,14 @@ def train_gd(frames, config: TrainConfig, active=None) -> tuple:
         _finite(new_err, epoch)
         trace.errors.append(new_err)
         trace.epochs_run = epoch
-        if new_err < best_err:
-            best_err, best_w, best_epoch = new_err, w.copy(), epoch
+        if new_err < trace.best_error:
+            trace.best_error, trace.best_epoch, best_w = new_err, epoch, w.copy()
         rel_improvement = (err - new_err) / err if err > 0 else 0.0
         plateau = plateau + 1 if rel_improvement < config.min_relative_improvement else 0
         err = new_err
         if plateau >= config.patience:
             trace.stop_reason = "converged"
             break
-    else:
-        trace.stop_reason = "max_epochs"
-
-    trace.best_error = best_err
-    trace.best_epoch = best_epoch
     return FeatureWeights(best_w), trace
 
 
@@ -374,22 +360,21 @@ _SCORERS = dict(zip(FILTERS, (_chi_square_scores,
                                lambda tables: _impurity_gains(tables, _ginis))))
 
 
-def filter_score(frames, method) -> np.ndarray:
-    """Raw per-variable filter scores against the binary label (see _filter_tables)."""
+def filter_score(ws: Workspace, method) -> np.ndarray:
+    """Raw per-variable filter scores of `ws`'s cohort against the label (see _filter_tables)."""
     if method not in _SCORERS:
         raise PatsimError(f"unknown filter method {method!r}")
-    ws = _workspace(frames)
     _check_cohort(ws.train.labels)
     return _SCORERS[method](ws.tables)
 
 
-def filter_weights(frames, method, active=None) -> FeatureWeights:
+def filter_weights(ws: Workspace, method, active=None) -> FeatureWeights:
     """Filter scores normalized to sum to the active variable count.
 
     The normalization makes the weight mass comparable with the all-ones
     (unweighted) configuration. All-zero scores fall back to uniform.
     """
-    scores = filter_score(frames, method)
+    scores = filter_score(ws, method)
     active = _active(active)
     scores = np.where(active, np.maximum(scores, 0.0), 0.0)
     total = scores.sum()

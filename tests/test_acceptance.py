@@ -249,19 +249,19 @@ def test_criterion_8_determinism(exp3_runs):
 
 def test_criterion_9_training_sanity():
     rng = np.random.default_rng(99)
-    frames = framing.stack(random_dense_frames(40, rng))
+    ws = Workspace(framing.stack(random_dense_frames(40, rng)))
 
-    _, trace = train_gd(frames, TrainConfig(k=5, max_epochs=30))
+    _, trace = train_gd(ws, TrainConfig(k=5, max_epochs=30))
     best = np.minimum.accumulate(trace.errors)
     assert all(later <= earlier for earlier, later in zip(best, best[1:]))
 
-    frozen, _ = train_gd(frames, TrainConfig(k=5, learning_rate=1e-30, max_epochs=10))
+    frozen, _ = train_gd(ws, TrainConfig(k=5, learning_rate=1e-30, max_epochs=10))
     assert (frozen.values == 1.0).all()
 
     single = random_dense_frames(20, rng)
     for f in single:
         f.label = 1
     with pytest.raises(PatsimError, match="contains a single class"):
-        train_gd(framing.stack(single), TrainConfig(k=5))
+        train_gd(Workspace(framing.stack(single)), TrainConfig(k=5))
     ok(9, "best-so-far error non-increasing, tiny learning rate keeps "
           "weights, single-class cohort rejected")

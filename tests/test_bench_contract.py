@@ -91,8 +91,10 @@ def test_traced_commands_run_and_nest_their_spans(tracer, tmp_path):
 
     traced_cli.py rebinds patsim's module globals, so each command runs in
     its own process, as the benchmark runs it. The tracer reads its
-    targets' arguments and results (train_gd's first argument must support
-    len()), so a change to them fails the command, which no other test sees.
+    targets' arguments and results (train_gd's first argument, a Workspace,
+    must support len()), so a change to them fails the command, which no
+    other test sees; the traced train's train_gd span records the framed
+    cohort's size and the epochs run.
     """
     frames, weights = tmp_path / "frames.csv", tmp_path / "w.csv"
     assert main(["synth", "--out-dir", str(tmp_path / "synth"), "--n-patients", "60",
@@ -119,3 +121,6 @@ def test_traced_commands_run_and_nest_their_spans(tracer, tmp_path):
         spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
         assert "main" in {s["name"] for s in spans}, label
         assert tracer.span_errors(spans) == [], label
+        if label == "train":    # train_gd gets the Workspace that `train` wraps its frames in
+            assert [s["info"] for s in spans if s["name"] == "train_gd"] == \
+                [{"n": 60, "epochs": 2}]

@@ -586,6 +586,7 @@ def _old_gradient_for_sets(dist, w, sets, labels):
 
 
 def _old_train_gd(frames, config, active):
+    """(best weights, errors, best epoch, stop reason) of the double-gather loop."""
     frames = sorted(frames, key=lambda f: f.patient_id)
     grid = np.stack([f.dynamic for f in frames])
     statics = np.stack([f.statics for f in frames])
@@ -595,8 +596,8 @@ def _old_train_gd(frames, config, active):
     dist = square_distance_tensor(grid, statics)
     sets = _old_neighbor_sets(dist, w, config.k)
     err = _error_value(_old_soft_scores(dist, w, sets, labels), labels)
-    errors, best_err, best_w, plateau = [err], err, w.copy(), 0
-    for _ in range(config.max_epochs):
+    errors, best_err, best_w, best_epoch, plateau = [err], err, w.copy(), 0, 0
+    for epoch in range(1, config.max_epochs + 1):
         grad = _old_gradient_for_sets(dist, w, sets, labels)
         w = np.maximum(w - config.learning_rate * grad, 0.0)
         w *= active
@@ -604,13 +605,24 @@ def _old_train_gd(frames, config, active):
         new_err = _error_value(_old_soft_scores(dist, w, sets, labels), labels)
         errors.append(new_err)
         if new_err < best_err:
-            best_err, best_w = new_err, w.copy()
+            best_err, best_w, best_epoch = new_err, w.copy(), epoch
         rel = (err - new_err) / err if err > 0 else 0.0
         plateau = plateau + 1 if rel < config.min_relative_improvement else 0
         err = new_err
         if plateau >= config.patience:
-            break
-    return best_w, errors
+            return best_w, errors, best_epoch, "converged"
+    return best_w, errors, best_epoch, "max_epochs"
+
+
+def _assert_same_run(learned, trace, reference):
+    """train_gd's weights and whole trace equal the reference loop's, bit for bit."""
+    old_w, old_errors, old_best_epoch, old_stop = reference
+    assert trace.errors == old_errors
+    assert learned.values.tobytes() == old_w.tobytes()
+    assert trace.best_epoch == old_best_epoch
+    assert trace.best_error == old_errors[old_best_epoch]
+    assert trace.epochs_run == len(old_errors) - 1
+    assert trace.stop_reason == old_stop
 
 
 @pytest.mark.parametrize("make", [random_dense_frames, quantized_frames])
@@ -624,10 +636,8 @@ def test_train_gd_equals_double_gather_loop(make, features):
     for cfg in (TrainConfig(k=6, max_epochs=12, patience=13),
                 TrainConfig(k=4, max_epochs=200, learning_rate=0.5,
                             initial_weights=FeatureWeights(rng.random(vocab.N_VARIABLES)))):
-        learned, trace = train_gd(stack(frames), cfg, active=active)
-        old_w, old_errors = _old_train_gd(frames, cfg, active)
-        assert trace.errors == old_errors
-        assert learned.values.tolist() == old_w.tolist()
+        learned, trace = train_gd(Workspace(stack(frames)), cfg, active=active)
+        _assert_same_run(learned, trace, _old_train_gd(frames, cfg, active))
 
 
 ACTIVE_SETS = {
@@ -644,7 +654,7 @@ ACTIVE_SETS = {
        st.sampled_from([0.1, 0.5, 2.0, 1e4]), st.integers(1, 25), st.integers(1, 4))
 def test_train_gd_equals_the_reference_loop_on_drawn_cohorts(seed, make, n, features,
                                                              initial, lr, max_epochs, patience):
-    """Weights and every trace error, bit for bit, on dense, tie-heavy, copy-heavy and
+    """Weights and the whole trace, bit for bit, on dense, tie-heavy, copy-heavy and
     one-bucket cohorts, with every active set and with or without start weights; a
     reference run that leaves the finite numbers makes train_gd fail in one PatsimError."""
     rng = np.random.default_rng(seed)
@@ -654,11 +664,10 @@ def test_train_gd_equals_the_reference_loop_on_drawn_cohorts(seed, make, n, feat
                       max_epochs=max_epochs, patience=patience, initial_weights=start)
     active = ACTIVE_SETS[features]
     with np.errstate(all="ignore"):
-        old_w, old_errors = _old_train_gd(frames, cfg, active)
-    if not np.isfinite(old_errors).all():
+        reference = _old_train_gd(frames, cfg, active)
+    if not np.isfinite(reference[1]).all():
         with pytest.raises(PatsimError):
-            train_gd(stack(frames), cfg, active=active)
+            train_gd(Workspace(stack(frames)), cfg, active=active)
         return
-    learned, trace = train_gd(stack(frames), cfg, active=active)
-    assert trace.errors == old_errors
-    assert learned.values.tobytes() == old_w.tobytes()
+    learned, trace = train_gd(Workspace(stack(frames)), cfg, active=active)
+    _assert_same_run(learned, trace, reference)

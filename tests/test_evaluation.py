@@ -267,7 +267,8 @@ class TestCrossValidate:
             shared = _predict_fold_methods(train, test, methods)
             for method, got in zip(methods, shared):
                 if method.kind == "knn":
-                    model = knn.Model(train, _learn_weights(train, method), k=method.k,
+                    learned = _learn_weights(weights.Workspace(train), method)
+                    model = knn.Model(train, learned, k=method.k,
                                       mode=method.mode, threshold=method.threshold)
                     own = knn.classify_batch(test, model)[0]
                 else:

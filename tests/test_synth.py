@@ -94,13 +94,14 @@ class TestSignal:
                        for n in result.manifest["informative_variables"]]
         noise = [v for v in range(vocab.N_DYNAMIC) if v not in informative]
         for method in ("chi2", "infogain", "gini"):
-            scores = weights.filter_score(dense, method)
+            scores = weights.filter_score(weights.Workspace(dense), method)
             assert min(scores[informative]) > max(scores[noise])
 
     def test_gd_ranks_informative_above_noise(self):
         result = generate(SynthSpec(n_patients=300, seed=6))
         dense = self.scaled_frames(result)
-        learned, _ = weights.train_gd(dense, weights.TrainConfig(max_epochs=80))
+        learned, _ = weights.train_gd(weights.Workspace(dense),
+                                       weights.TrainConfig(max_epochs=80))
         informative = [vocab.VARIABLE_INDEX[n]
                        for n in result.manifest["informative_variables"]]
         noise = [v for v in range(vocab.N_DYNAMIC) if v not in informative]
@@ -112,14 +113,14 @@ class TestSignal:
         informative = [vocab.VARIABLE_INDEX[n]
                        for n in result.manifest["informative_variables"]]
         noise = [v for v in range(vocab.N_DYNAMIC) if v not in informative]
-        before = weights.filter_score(dense, "chi2")
+        before = weights.filter_score(weights.Workspace(dense), "chi2")
         assert min(before[informative]) > max(before[noise])
 
         rng = np.random.default_rng(0)
         labels = np.array([f.label for f in dense])
         rng.shuffle(labels)
         shuffled = replace(dense, labels=labels)
-        after = weights.filter_score(shuffled, "chi2")
+        after = weights.filter_score(weights.Workspace(shuffled), "chi2")
         # informative scores collapse into the noise score range
         assert max(after[informative]) < np.percentile(after[noise], 99) * 3
 

@@ -135,7 +135,7 @@ class TestGradient:
 class TestTrainGd:
     def test_tiny_learning_rate_keeps_weights(self, small_cohort):
         cfg = TrainConfig(learning_rate=1e-30, max_epochs=10, k=5)
-        learned, trace = train_gd(small_cohort, cfg)
+        learned, trace = train_gd(Workspace(small_cohort), cfg)
         assert (learned.values == 1.0).all()
         assert trace.stop_reason == "converged"
 
@@ -145,12 +145,12 @@ class TestTrainGd:
         for f in frames:
             f.dynamic[HR] = 0.25 + 0.5 * f.label + 0.05 * rng.random(24)
         cfg = TrainConfig(k=7, max_epochs=60)
-        learned, _ = train_gd(stack(frames), cfg)
+        learned, _ = train_gd(Workspace(stack(frames)), cfg)
         noise = np.delete(learned.values[: vocab.N_DYNAMIC], HR)
         assert learned.values[HR] > noise.max()
 
     def test_best_so_far_non_increasing(self, small_cohort):
-        _, trace = train_gd(small_cohort, TrainConfig(k=5, max_epochs=25))
+        _, trace = train_gd(Workspace(small_cohort), TrainConfig(k=5, max_epochs=25))
         best = np.minimum.accumulate(trace.errors)
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
         assert trace.best_error == pytest.approx(min(trace.errors))
@@ -158,7 +158,7 @@ class TestTrainGd:
 
     def test_converged_stop_reason(self, rng):
         frames = two_tight_clusters(rng)
-        _, trace = train_gd(stack(frames), TrainConfig(k=3, max_epochs=100))
+        _, trace = train_gd(Workspace(stack(frames)), TrainConfig(k=3, max_epochs=100))
         assert trace.stop_reason == "converged"
         assert trace.epochs_run < 100
 
@@ -167,22 +167,23 @@ class TestTrainGd:
         for f in frames:
             f.label = 0
         with pytest.raises(PatsimError, match="^training cohort contains a single class$"):
-            train_gd(stack(frames), TrainConfig(k=3))
+            train_gd(Workspace(stack(frames)), TrainConfig(k=3))
 
     def test_needs_k_plus_one(self, rng):
         frames = random_dense_frames(5, rng)
         with pytest.raises(PatsimError, match="^k=5 but only 4 leave-one-out candidates$"):
-            train_gd(stack(frames), TrainConfig(k=5))
+            train_gd(Workspace(stack(frames)), TrainConfig(k=5))
 
     def test_non_negative_weights(self, small_cohort):
-        learned, _ = train_gd(small_cohort, TrainConfig(k=5, learning_rate=2.0,
-                                                        max_epochs=15))
+        learned, _ = train_gd(Workspace(small_cohort), TrainConfig(k=5, learning_rate=2.0,
+                                                                   max_epochs=15))
         assert learned.values.min() >= 0.0
 
     def test_active_mask_pins_inactive_to_zero(self, small_cohort):
         active = np.zeros(vocab.N_VARIABLES, dtype=bool)
         active[: vocab.N_DYNAMIC] = True
-        learned, _ = train_gd(small_cohort, TrainConfig(k=5, max_epochs=5), active=active)
+        learned, _ = train_gd(Workspace(small_cohort), TrainConfig(k=5, max_epochs=5),
+                              active=active)
         assert (learned.values[vocab.N_DYNAMIC:] == 0.0).all()
 
     def test_bad_config(self):
@@ -215,7 +216,7 @@ class TestFilterScores:
         for i, f in enumerate(frames):
             f.label = i % 2
             f.dynamic[HR] = f.label + 0.01 * rng.random(24)
-        scores = filter_score(stack(frames), "infogain")
+        scores = filter_score(Workspace(stack(frames)), "infogain")
         assert scores[HR] == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_variable_scores_zero(self, rng):
@@ -231,8 +232,8 @@ class TestFilterScores:
             frames[2 * b].label = 0
             frames[2 * b + 1].dynamic[HR] = b / 19.0
             frames[2 * b + 1].label = 1
-        chi = filter_score(stack(frames), "chi2")
-        gin = filter_score(stack(frames), "gini")
+        chi = filter_score(Workspace(stack(frames)), "chi2")
+        gin = filter_score(Workspace(stack(frames)), "gini")
         assert chi[HR] == pytest.approx(0.0, abs=1e-9)
         assert gin[HR] == pytest.approx(0.0, abs=1e-9)
 
@@ -241,12 +242,12 @@ class TestFilterScores:
         for f in frames:
             f.dynamic[HR] = 0.3 + 0.4 * f.label + 0.05 * rng.random(24)
         for method in ("chi2", "infogain", "gini"):
-            scores = filter_score(stack(frames), method)
+            scores = filter_score(Workspace(stack(frames)), method)
             assert int(np.argmax(scores)) == HR
 
     def test_normalization_sums_to_variable_count(self, small_cohort):
         for method in ("chi2", "infogain", "gini"):
-            fw = filter_weights(small_cohort, method)
+            fw = filter_weights(Workspace(small_cohort), method)
             assert fw.values.sum() == pytest.approx(vocab.N_VARIABLES)
             assert fw.values.min() >= 0.0
 
@@ -255,7 +256,7 @@ class TestFilterScores:
         for f in frames:
             f.label = 0
         with pytest.raises(PatsimError, match="^training cohort contains a single class$"):
-            filter_weights(stack(frames), "chi2")
+            filter_weights(Workspace(stack(frames)), "chi2")
 
     @pytest.mark.parametrize("method", ["chi2", "infogain", "gini"])
     def test_no_positive_score_falls_back_to_the_active_variables(self, rng, method):
@@ -264,7 +265,7 @@ class TestFilterScores:
         for i, f in enumerate(frames):
             f.label = i % 2
             f.dynamic, f.statics = frames[0].dynamic.copy(), frames[0].statics.copy()
-        cohort = stack(frames)
+        cohort = Workspace(stack(frames))
         assert (filter_score(cohort, method) <= 0).all()
         dynamic_only = np.arange(vocab.N_VARIABLES) < vocab.N_DYNAMIC
         for active in (None, dynamic_only):
@@ -274,7 +275,7 @@ class TestFilterScores:
 
     def test_unknown_method(self, small_cohort):
         with pytest.raises(PatsimError, match="^unknown filter method 'relief'$"):
-            filter_score(small_cohort, "relief")
+            filter_score(Workspace(small_cohort), "relief")
 
     def test_contingency_matches_counting_loop(self, rng):
         for n, spread in ((7, 1.0), (40, 1.0), (40, 0.0), (300, 3.0)):
@@ -304,11 +305,11 @@ class TestFilterScores:
             # the reference bins, tabulates and scores every variable on its own
             expected = table_filter_scores(cohort, method)
             assert filter_score(shared, method).tobytes() == expected.tobytes()
-            assert filter_score(cohort, method).tobytes() == expected.tobytes()
+            assert filter_score(Workspace(cohort), method).tobytes() == expected.tobytes()
             active = np.arange(vocab.N_VARIABLES) % 3 > 0
             assert filter_weights(shared, method, active).values.tobytes() == \
-                filter_weights(cohort, method, active).values.tobytes()
-        # one table build for the shared workspace, one more for each call on a plain cohort
+                filter_weights(Workspace(cohort), method, active).values.tobytes()
+        # one table build for the shared workspace, one more for each fresh workspace
         assert len(calls) == 1 + 2 * 3
 
     @settings(max_examples=60, deadline=None)
