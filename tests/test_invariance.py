@@ -3,7 +3,8 @@
 Each knob below changes only the shape of the execution. `predict`
 (leave-one-out and `--query-frames`) and `evaluate` must write the same
 bytes at every value of it as at its default, and so must every command
-of the whole pipeline at any drawn combination of the knobs.
+of the whole pipeline at any drawn combination of the knobs, which must
+also exit the same way, refusals included.
 """
 
 import tempfile
@@ -94,9 +95,10 @@ KNOBS = [
 DEFAULT_SHAPE = {name: values[0] for name, values in KNOBS}
 
 
-def pipeline(root, seed, screen_elements, block_bytes, workers) -> dict:
-    """The bytes of every file that synth, frame, train, predict in both modes,
-    evaluate and exp3 write on a 40-patient cohort in the given shape."""
+def pipeline(root, seed, screen_elements, block_bytes, workers) -> tuple:
+    """The exit codes of synth, frame, train, predict in both modes, evaluate and
+    exp3 on a 40-patient cohort in the given shape, up to the first that refuses,
+    and the bytes of every file they write."""
     out = Path(root) / f"s{screen_elements}-b{block_bytes}-w{workers}"
     files = {name: str(out / name) for name in (
         "events.csv", "outcomes.csv", "frames.csv", "mask.csv", "stats.txt", "w.csv",
@@ -123,18 +125,38 @@ def pipeline(root, seed, screen_elements, block_bytes, workers) -> dict:
     ]
     with mock.patch.object(knn, "SCREEN_ELEMENTS", screen_elements), \
             mock.patch.object(tables, "BLOCK_BYTES", block_bytes):
+        codes = []
         for argv in commands:
-            assert main(argv) == 0, argv
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            codes.append(main(argv))
+            if codes[-1]:
+                break
+    return codes, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def expected_codes(outcomes: bytes) -> list:
+    """0 for each of the seven commands, up to the first that refuses the cohort
+    with exit 1: evaluate when a class has fewer than 3 members for its 3 folds,
+    exp3 when a class has fewer than 3 in the validation half, which gets the
+    floor half of each class."""
+    labels = [line.rsplit(b",", 1)[1] for line in outcomes.splitlines()[1:]]
+    smaller = min(labels.count(b"0"), labels.count(b"1"))
+    if smaller < 3:
+        return [0] * 5 + [1]
+    if smaller // 2 < 3:
+        return [0] * 6 + [1]
+    return [0] * 7
 
 
 @settings(max_examples=4, deadline=None)
 @given(st.integers(0, 2 ** 16),
        st.fixed_dictionaries({name: st.sampled_from(values) for name, values in KNOBS}))
 @example(1, {"screen_elements": 1, "block_bytes": 512, "workers": 3})
+@example(157, {"screen_elements": 100, "block_bytes": 4096, "workers": 2})  # 5 positives
 def test_pipeline_outputs_do_not_depend_on_the_execution_shape(seed, shape):
     with tempfile.TemporaryDirectory() as root:
-        default = pipeline(root, seed, **DEFAULT_SHAPE)
-        assert len(default) == 14
+        codes, default = pipeline(root, seed, **DEFAULT_SHAPE)
+        assert codes == expected_codes(default["outcomes.csv"])
+        if codes[-1] == 0:
+            assert len(default) == 14
         if shape != DEFAULT_SHAPE:
-            assert pipeline(root, seed, **shape) == default
+            assert pipeline(root, seed, **shape) == (codes, default)
