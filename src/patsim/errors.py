@@ -3,7 +3,7 @@
 Every refusal is a PatsimError, so callers (and the CLI) can separate
 validation failures from genuine I/O or programming errors. A fault
 located in an input file is an InputFault, which names the file and
-line; TooFewPairs is the one fault that code handles apart from the rest.
+line.
 """
 
 
@@ -25,7 +25,3 @@ class InputFault(PatsimError):
         if line_no is not None:
             where.append(f"line {line_no}")
         super().__init__(f"{' '.join(where)}: {message}" if where else message)
-
-
-class TooFewPairs(PatsimError):
-    """A Wilcoxon test with too few non-zero differences; compare reports it as not run."""

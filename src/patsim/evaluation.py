@@ -14,7 +14,7 @@ import numpy as np
 
 from . import framing, tables, vocab
 from .config import MethodSettings, RunConfig, check_choices, given
-from .errors import InputFault, PatsimError, TooFewPairs
+from .errors import InputFault, PatsimError
 from .knn import FeatureWeights, _flat, decide_rows, nearest
 from .streams import substream
 from .weights import TrainConfig, Workspace, filter_weights, train_gd
@@ -297,7 +297,7 @@ def friedman(matrix) -> tuple:
     statistic = numerator / correction if correction > 0 else 0.0
     statistic = max(statistic, 0.0)
     # imported here, so commands that compare nothing (train, predict) never compile
-    # it; it loads scipy only for the cephes branches it does not port
+    # it; it loads scipy only for 27 or more methods or a cephes branch it does not port
     from .tails import chdtrc
     p_value = chdtrc(m - 1, statistic)
     return float(statistic), p_value
@@ -330,7 +330,8 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     Zero differences are dropped; tied absolute differences get average
     ranks. Exact p by enumeration of the 2^n sign assignments for n <= 25,
     normal approximation with continuity and tie correction otherwise.
-    Returns (min(W+, W-), p).
+    Returns (min(W+, W-), p), or (0, 1) for fewer than 5 non-zero differences,
+    which carry no evidence of a difference.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -340,7 +341,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     d = d[d != 0]
     n = len(d)
     if n < 5:
-        raise TooFewPairs(f"only {n} non-zero differences, need at least 5")
+        return 0.0, 1.0
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
@@ -414,12 +415,7 @@ def compare(fold_metrics_by_method: dict, alpha=ComparisonReport.alpha) -> Compa
     if report.friedman_p < alpha:
         for i in range(len(methods)):
             for j in range(i + 1, len(methods)):
-                try:
-                    stat, p = wilcoxon_signed_rank(f_matrix[:, i], f_matrix[:, j])
-                except TooFewPairs:
-                    # methods with (near-)identical fold scores carry no
-                    # evidence of a difference
-                    stat, p = 0.0, 1.0
+                stat, p = wilcoxon_signed_rank(f_matrix[:, i], f_matrix[:, j])
                 report.pairwise.append(PairwiseResult(
                     methods[i], methods[j], stat, p, p < alpha))
     return report
@@ -481,7 +477,8 @@ _FOLD_KINDS = (int,) * 5 + (float,) * 3
 
 
 def load_fold_metrics(path) -> list:
-    """Read a file written by save_fold_metrics; a bad cell names its file, line and column."""
+    """Read a file written by save_fold_metrics; a bad cell names its file, line and column,
+    and a file with no rows names the file."""
     out = []
     for line_no, cells in tables.read_rows(path, FOLD_METRICS_HEADER):
         values = [tables.finite_number(cell, kind) for cell, kind in zip(cells, _FOLD_KINDS)]
@@ -490,4 +487,6 @@ def load_fold_metrics(path) -> list:
             raise InputFault(f"bad value {cells[col]!r} for "
                              f"{FOLD_METRICS_HEADER.split(',')[col]!r}", line_no, path)
         out.append(FoldMetrics(*values))
+    if not out:
+        raise InputFault("no fold rows, so there are no folds to compare", path=path)
     return out

@@ -391,19 +391,14 @@ def _frame_rows(path):
             raise InputFault(f"duplicate patient id {pid!r} (first at line "
                              f"{first_line[pid]})", line_no, path)
         first_line[pid] = line_no
-        try:
-            values = np.array([float(x) for x in cells[2:]], dtype=float)
-            scaled = ((values >= 0.0) & (values <= 1.0)).all()
-        except ValueError:
-            scaled = False
-        if not scaled:
-            for col in range(2, len(cells)):
-                value = tables.finite_number(cells[col])
-                if value is None or not 0.0 <= value <= 1.0:
-                    break
-            reason = "not a finite number" if value is None else "outside [0, 1]"
-            raise InputFault(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
-                             f"{reason}: {cells[col]!r}", line_no, path)
+        values = []
+        for col in range(2, len(cells)):
+            value = tables.finite_number(cells[col])
+            if value is None or not 0.0 <= value <= 1.0:
+                reason = "not a finite number" if value is None else "outside [0, 1]"
+                raise InputFault(f"cell {_frames_header(','.join(cells)).split(',')[col]} is "
+                                 f"{reason}: {cells[col]!r}", line_no, path)
+            values.append(value)
         labels.append(int(label))
         rows.append(values)
     return list(first_line), np.array(labels, dtype=int), np.array(rows, dtype=float)

@@ -618,6 +618,14 @@ class TestLocatedFaults:
                                       "--out-json", tmp_path / "report.json"])
         assert err == f"error: {bad} line 3: {reason}\n"
 
+    def test_compare_refuses_a_fold_metrics_file_without_rows(self, tmp_path, capsys):
+        empty = tmp_path / "e.csv"
+        empty.write_text(f"{FOLD_METRICS_HEADER}\n")
+        err = one_line_error(capsys, ["compare", f"a={empty}", f"b={empty}",
+                                      "--out-json", tmp_path / "o.json"])
+        assert err == f"error: {empty}: no fold rows, so there are no folds to compare\n"
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("reports, reason", [
         (["a.csv", "b={one}"], "expected NAME=PATH, got 'a.csv'"),
         (["a={one}", "b={two}"], "methods cover different numbers of folds"),

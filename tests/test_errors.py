@@ -15,7 +15,6 @@ INSTANCES = [
     errors.PatsimError("plain message"),
     errors.InputFault("bad cell", 4, "frames.csv"),
     errors.InputFault("no location"),
-    errors.TooFewPairs("only 3 non-zero differences, need at least 5"),
 ]
 
 
@@ -86,8 +85,10 @@ RAISERS = {
                           "class 1 has fewer than 2 members"),
     "unequal samples": (lambda d: evaluation.wilcoxon_signed_rank([1.0, 2.0], [1.0]),
                         "paired samples must have equal length"),
-    "too few pairs": (lambda d: evaluation.wilcoxon_signed_rank([1.0] * 5, [1.0] * 5),
-                      "only 0 non-zero differences"),
+    "fold metrics without rows": (
+        lambda d: evaluation.load_fold_metrics(
+            _file(d, "f.csv", evaluation.FOLD_METRICS_HEADER + "\n")),
+        "no fold rows"),
     "degenerate matrix": (lambda d: evaluation.friedman(np.ones((1, 3))),
                           "need at least 2 folds and 2 methods"),
 }

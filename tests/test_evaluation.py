@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 from patsim import evaluation, experiments, framing, knn, synth, tails, vocab, weights
 from patsim.config import RunConfig
-from patsim.errors import PatsimError, TooFewPairs
+from patsim.errors import PatsimError
 from patsim.evaluation import (
     MethodSpec,
     _average_ranks,
@@ -345,8 +345,7 @@ class TestFriedman:
 class TestWilcoxon:
     def test_equal_samples_rejected(self):
         a = np.arange(10.0)
-        with pytest.raises(TooFewPairs):
-            wilcoxon_signed_rank(a, a)
+        assert wilcoxon_signed_rank(a, a) == (0.0, 1.0)
 
     def test_all_positive_n5_exact(self):
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -411,15 +410,16 @@ class TestWilcoxon:
 
 
 class TestTailProbabilities:
-    """Friedman p-values come from patsim.tails, which ports only chdtrc,
-    bit-identical to scipy.special and so to the scipy.stats calls. The Wilcoxon
+    """Friedman p-values come from patsim.tails, which ports only chdtrc for
+    0 < a = df/2 < 13 (up to 26 methods), bit-identical to scipy.special and so
+    to the scipy.stats calls; other inputs take scipy's own chdtrc. The Wilcoxon
     normal tail for n > 25 imports scipy.special.ndtr; no preset at the default
     20 folds reaches it."""
 
     def test_chdtrc_equals_scipy_on_every_branch(self):
-        # df 1-60 reach the continued fraction, the series, Lanczos and lgam (below
-        # and above 13) in igam_fac, and the deferred igamc_series (df <= 2) and
-        # asymptotic series (df > 40); df 300 and 600 reach igam_fac's log1pmx form
+        # the port covers a = df/2 < 13: df 1-25 reach the continued fraction, the
+        # series, Lanczos and lgam in igam_fac, and the deferred igamc_series (df <= 2);
+        # df 26-60, 300 and 600 and the non-finite edges are scipy's, outside the range
         from scipy.special import chdtrc
         edges = [0.0, 5e-324, 1e-300, 1e-10, 1e300, math.inf]
         grid = np.concatenate([np.linspace(0, 3, 601), np.linspace(3, 150, 1471),
@@ -428,8 +428,8 @@ class TestTailProbabilities:
             xs = np.concatenate([grid, df * np.linspace(0.5, 1.5, 201)])
             got = np.array([tails.chdtrc(df, x) for x in xs.tolist()])
             assert got.tobytes() == chdtrc(float(df), xs).tobytes(), df
-        for a, x, branch in [(0.5, 0.5, "igamc_series"), (25.0, 25.0, "asymptotic_series"),
-                             (300.0, 400.0, "log1pmx form")]:
+        for a, x, branch in [(0.5, 0.5, "igamc_series"), (25.0, 25.0, "outside 0 < a < 13"),
+                             (300.0, 400.0, "outside 0 < a < 13")]:
             with pytest.raises(tails.NotPorted, match=branch):
                 tails._igamc(a, x)
 
@@ -453,7 +453,7 @@ class TestTailProbabilities:
     def test_friedman_p_equals_chi2_sf(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
-            n, m = int(rng.integers(2, 25)), int(rng.integers(2, 7))
+            n, m = int(rng.integers(2, 25)), int(rng.integers(2, 31))
             matrix = np.round(rng.random((n, m)), int(rng.integers(1, 3)))
             stat, p = friedman(matrix)
             assert p == float(scipy_stats.chi2.sf(stat, m - 1))
@@ -481,9 +481,10 @@ class TestTailProbabilities:
         assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_scipy_out(self):
-        """scipy loads only when a p-value reaches a cephes branch patsim.tails
-        does not port (test_experiment_exp3_leaves_scipy_out,
-        test_compare_in_a_deferred_branch_prints_scipys_bits)."""
+        """scipy loads only when a p-value reaches an input or a cephes branch
+        patsim.tails does not port (test_experiment_exp3_leaves_scipy_out,
+        test_compare_in_a_deferred_branch_prints_scipys_bits,
+        test_friedman_loads_scipy_only_past_26_methods)."""
         code = "import sys, patsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
@@ -561,6 +562,21 @@ class TestTailProbabilities:
         friedman_record = json.loads(out_json.read_text())["friedman"]
         assert friedman_record["statistic"] == 2.0
         assert friedman_record["p_value"] == float(chdtrc(2, 2.0)) != math.exp(-1.0)
+
+    @pytest.mark.parametrize("m, loads_scipy", [(26, False), (27, True)])
+    def test_friedman_loads_scipy_only_past_26_methods(self, m, loads_scipy):
+        """m methods give a = (m - 1)/2, and patsim.tails ports a < 13: 26 methods
+        leave scipy out, 27 load it, and both report scipy's bits."""
+        from scipy.special import chdtrc
+        matrix = np.random.default_rng(34).random((8, m)).tolist()
+        code = ("import sys; from patsim.evaluation import friedman; "
+                f"print(*friedman({matrix!r})); print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        result, loaded = out.stdout.splitlines()
+        stat, p = map(float, result.split())
+        assert loaded == str(loads_scipy)
+        assert struct.pack("d", p) == struct.pack("d", chdtrc(m - 1, stat))
 
     def test_compare_on_30_folds_prints_the_normal_tails_bits(self, tmp_path):
         """Two methods whose F-measures differ in all 30 folds, a ahead in 24: Friedman

@@ -113,7 +113,7 @@ def test_learned_weights_round_trip(values):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
                           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
-                          FINITE, FINITE, FINITE), max_size=25))
+                          FINITE, FINITE, FINITE), min_size=1, max_size=25))
 def test_fold_metrics_round_trip(rows):
     metrics = [FoldMetrics(*row) for row in rows]
     text = written(lambda path: evaluation.save_fold_metrics(metrics, path))
