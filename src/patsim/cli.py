@@ -58,7 +58,9 @@ def _cmd_frame(args) -> int:
     else:
         stats = framing.fit_scaling(frames)
     dense = framing.scale_frames(frames, stats)
-    framing.write_frames(dense, args.out_frames, args.out_mask)
+    framing.write_frames(dense, args.out_frames)
+    if args.out_mask:
+        framing.write_mask(frames, args.out_mask)
     if args.stats_out:
         framing.write_scaling_stats(stats, args.stats_out)
     print(f"framed {len(dense)} patients ({n_buckets} buckets, sparsity {raw_sparsity:.4f})")

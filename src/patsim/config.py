@@ -57,7 +57,8 @@ _RULES = {
 def check_choices(**values) -> None:
     """Reject any setting in `values`, keyed by its field name, that breaks its choice or rule.
 
-    The grid rule: a positive window divides the horizon, of at most vocab.HORIZON_HOURS.
+    The grid rule, checked when both its keys are given: a positive window
+    divides the horizon, of at most vocab.HORIZON_HOURS.
     """
     for name, allowed in _CHOICES.items():
         if name in values and values[name] not in allowed:
@@ -65,7 +66,7 @@ def check_choices(**values) -> None:
     for name, (text, holds) in _RULES.items():
         if name in values and not holds(values[name]):
             raise PatsimError(f"{name} must be {text}")
-    if "horizon_hours" in values:
+    if "window_hours" in values and "horizon_hours" in values:
         window, horizon = values["window_hours"], values["horizon_hours"]
         if not (window > 0 and horizon % window == 0 and 0 < horizon <= vocab.HORIZON_HOURS):
             raise PatsimError(f"window_hours must be positive and divide horizon_hours, which is "
@@ -131,8 +132,9 @@ def _coerce(name, raw):
 def read_config_values(path, fixed=()) -> dict:
     """Parse a key=value config file into typed values; `#` starts a comment line.
 
-    An unknown key, a key in `fixed` (a setting the command sets itself) or a
-    bad value raises InputFault naming the file and line.
+    An unknown key, a key in `fixed` (a setting the command sets itself), a
+    value of the wrong type or one that breaks its key's choice or rule
+    raises InputFault naming the file and line.
     """
     values = {}
     for line_no, cells in tables.read_rows(path, width=2, sep="=", comment="#"):
@@ -145,18 +147,14 @@ def read_config_values(path, fixed=()) -> dict:
             values[key] = _coerce(key, value)
         except ValueError:
             raise InputFault(f"bad value for {key!r}: {value!r}", line_no, path) from None
+        try:
+            check_choices(**{key: values[key]})
+        except PatsimError as fault:
+            raise InputFault(str(fault), line_no, path) from None
     return values
 
 
 def build_config(file_path=None, overrides=None, fixed=()) -> RunConfig:
-    """Merge defaults, an optional config file, and explicit overrides."""
-    values = {}
-    if file_path:
-        values.update(read_config_values(file_path, fixed))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise PatsimError(f"unknown config key {key!r}")
-        values[key] = value
-    return RunConfig(**values)
+    """Defaults, under an optional config file, under `overrides` (RunConfig fields, no None)."""
+    file_values = read_config_values(file_path, fixed) if file_path else {}
+    return RunConfig(**{**file_values, **(overrides or {})})

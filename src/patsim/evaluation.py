@@ -405,13 +405,14 @@ def compare(fold_metrics_by_method: dict, alpha=ComparisonReport.alpha) -> Compa
     f_matrix = np.column_stack([
         [m.f_measure for m in fold_metrics_by_method[name]] for name in methods
     ])
-    report = ComparisonReport(methods=methods, f_measures=f_matrix, alpha=alpha)
+    statistic, p_value = friedman(f_matrix)     # its shape check comes before any mean
+    report = ComparisonReport(methods=methods, f_measures=f_matrix, friedman_statistic=statistic,
+                              friedman_p=p_value, alpha=alpha)
     for name in methods:
         ms = fold_metrics_by_method[name]
         report.mean_precision[name] = float(np.mean([m.precision for m in ms]))
         report.mean_recall[name] = float(np.mean([m.recall for m in ms]))
         report.mean_f_measure[name] = float(np.mean([m.f_measure for m in ms]))
-    report.friedman_statistic, report.friedman_p = friedman(f_matrix)
     if report.friedman_p < alpha:
         for i in range(len(methods)):
             for j in range(i + 1, len(methods)):
@@ -478,7 +479,7 @@ _FOLD_KINDS = (int,) * 5 + (float,) * 3
 
 def load_fold_metrics(path) -> list:
     """Read a file written by save_fold_metrics; a bad cell names its file, line and column,
-    and a file with no rows names the file."""
+    a fold out of the order 0, 1, ... its file and line, and a file with no rows the file."""
     out = []
     for line_no, cells in tables.read_rows(path, FOLD_METRICS_HEADER):
         values = [tables.finite_number(cell, kind) for cell, kind in zip(cells, _FOLD_KINDS)]
@@ -486,6 +487,9 @@ def load_fold_metrics(path) -> list:
             col = values.index(None)
             raise InputFault(f"bad value {cells[col]!r} for "
                              f"{FOLD_METRICS_HEADER.split(',')[col]!r}", line_no, path)
+        if values[0] != len(out):    # compare pairs the methods' folds by position
+            raise InputFault(f"fold {values[0]} out of order, expected fold {len(out)}",
+                             line_no, path)
         out.append(FoldMetrics(*values))
     if not out:
         raise InputFault("no fold rows, so there are no folds to compare", path=path)

@@ -18,7 +18,7 @@ works on whole `Frames` cohorts; the per-patient names left, `FramedPatient`
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -35,15 +35,13 @@ class FramedPatient:
     """One patient, as one row of a Frames cohort.
 
     On the time-frame grid `dynamic` is (36, n_buckets); before imputation
-    it holds NaN wherever `mask` is False, after scale_frames it is dense
-    with every entry in [0, 1]. The mask is never modified by imputation.
-    An aggregation row holds the (36, 6) table, columns in AGG_FUNCTIONS
-    order, and has no mask.
+    it holds NaN wherever no event was observed, after scale_frames it is
+    dense with every entry in [0, 1]. An aggregation row holds the (36, 6)
+    table, columns in AGG_FUNCTIONS order.
     """
 
     patient_id: str
-    dynamic: np.ndarray   # (36, n_buckets) or (36, 6) float
-    mask: np.ndarray | None   # (36, n_buckets) bool, True = observed; None for aggregates
+    dynamic: np.ndarray   # (36, n_buckets) or (36, 6) float, NaN = unobserved
     statics: np.ndarray   # (4,) float, NaN = unobserved
     label: int
 
@@ -54,42 +52,39 @@ class Frames(Sequence):
 
     Patient i is `ids[i]` with label `labels[i]`, feature grid `grid[i]`
     (36 variables by the time-frame buckets, or by the six aggregation
-    statistics) and statics `statics[i]`. `mask` is the (n, 36, n_buckets)
-    observation mask on the time-frame grid and None for aggregates.
-    Item i is patient i's FramedPatient, whose arrays are views into these.
+    statistics) and statics `statics[i]`. `aggregated` marks a cohort of
+    aggregation tables. Item i is patient i's FramedPatient, whose arrays
+    are views into these.
     """
 
     ids: list
     labels: np.ndarray    # (n,) int
-    grid: np.ndarray      # (n, 36, c) float
+    grid: np.ndarray      # (n, 36, c) float, NaN = unobserved before imputation
     statics: np.ndarray   # (n, 4) float
-    mask: np.ndarray | None = None
+    _: KW_ONLY
+    aggregated: bool = False
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, i) -> FramedPatient:
         i = range(len(self.ids))[i]
-        return FramedPatient(self.ids[i], self.grid[i],
-                             None if self.mask is None else self.mask[i],
-                             self.statics[i], int(self.labels[i]))
+        return FramedPatient(self.ids[i], self.grid[i], self.statics[i], int(self.labels[i]))
 
     def take(self, rows) -> Frames:
         """The patients at the given rows, copied; ascending rows keep the patient_id order."""
         rows = np.asarray(rows, dtype=np.intp)
         return Frames([self.ids[r] for r in rows], self.labels[rows], self.grid[rows],
-                      self.statics[rows], None if self.mask is None else self.mask[rows])
+                      self.statics[rows], aggregated=self.aggregated)
 
 
 def stack(rows) -> Frames:
-    """The Frames of FramedPatient rows, sorted by patient_id (stable for equal ids)."""
+    """The time-frame Frames of FramedPatient rows, sorted by patient_id (stable for equal ids)."""
     if not rows:
         raise PatsimError("cohort has no patients")
     rows = sorted(rows, key=lambda f: f.patient_id)
-    mask = None if rows[0].mask is None else np.stack([f.mask for f in rows])
     return Frames([f.patient_id for f in rows], np.array([f.label for f in rows], dtype=int),
-                  np.stack([f.dynamic for f in rows]), np.stack([f.statics for f in rows]),
-                  mask)
+                  np.stack([f.dynamic for f in rows]), np.stack([f.statics for f in rows]))
 
 
 def _first_statics(cohort) -> np.ndarray:
@@ -116,8 +111,7 @@ def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
     Bucket t covers minutes [60*window_hours*t, 60*window_hours*(t+1));
     a cell is the arithmetic mean of the observations falling in it, summed
     in the cohort's row order. Events at or beyond the horizon are ignored.
-    Statics take the first observed value. Unobserved cells are NaN with
-    mask False.
+    Statics take the first observed value. Unobserved cells are NaN.
     """
     check_choices(window_hours=window_hours, horizon_hours=horizon_hours)
     n_buckets = horizon_hours // window_hours
@@ -127,18 +121,16 @@ def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
     # bincount adds each cell's values in row order, one after another
     sums = np.bincount(cell, weights=cohort.value[rows], minlength=np.prod(shape))
     counts = np.bincount(cell, minlength=np.prod(shape))
-    mask = (counts > 0).reshape(shape)
-    dynamic = np.where(mask, (sums / np.maximum(counts, 1)).reshape(shape), np.nan)
+    dynamic = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan).reshape(shape)
     return Frames(list(cohort.patient_ids), cohort.labels.astype(int), dynamic,
-                  _first_statics(cohort), mask)
+                  _first_statics(cohort))
 
 
 def sparsity(frames: Frames) -> float:
     """Fraction of dynamic cells with no observation, before imputation."""
     if not frames:
         raise PatsimError("sparsity of an empty cohort is undefined")
-    total = frames.mask.size
-    return (total - int(frames.mask.sum())) / total
+    return int(np.isnan(frames.grid).sum()) / frames.grid.size
 
 
 @dataclass
@@ -165,13 +157,12 @@ class ScalingStats:
     static_degenerate: np.ndarray  # (4,) bool
 
 
-def _column_sums(values, observed=None) -> tuple:
-    """(min, max, sum, count) over axis 0 of the observed entries, NaN ones by default.
+def _column_sums(values) -> tuple:
+    """(min, max, sum, count) over axis 0 of the observed entries, those not NaN.
 
     A column never observed has min +inf, max -inf, sum 0 and count 0.
     """
-    if observed is None:
-        observed = ~np.isnan(values)
+    observed = ~np.isnan(values)
     return (np.where(observed, values, np.inf).min(axis=0),
             np.where(observed, values, -np.inf).max(axis=0),
             np.where(observed, values, 0.0).sum(axis=0), observed.sum(axis=0))
@@ -203,22 +194,22 @@ def _variable_grid(frames: Frames) -> np.ndarray:
     its one column's own.
     """
     n, rows, cols = frames.grid.shape
-    return frames.grid if frames.mask is not None else frames.grid.reshape(n, rows * cols, 1)
+    return frames.grid.reshape(n, rows * cols, 1) if frames.aggregated else frames.grid
 
 
 def fit_scaling(frames: Frames) -> ScalingStats:
     """Fit per-variable scaling statistics from training frames only.
 
-    One masked pass gives the sums of every (variable, bucket); a
-    variable's statistics pool its buckets' sums. A cohort without a mask
-    holds aggregation tables, fitted column by column.
+    One pass over the cells not NaN gives the sums of every (variable,
+    bucket); a variable's statistics pool its buckets' sums. An aggregated
+    cohort is fitted column by column.
     """
     if not frames:
         raise PatsimError("cannot fit scaling statistics on an empty cohort")
     if frames.grid.shape[1] != vocab.N_DYNAMIC:
         raise PatsimError("expected 36 dynamic variables")
     grid = _variable_grid(frames)
-    lo, hi, sums, counts = _column_sums(grid, frames.mask)     # each (variables, n_buckets)
+    lo, hi, sums, counts = _column_sums(grid)     # each (variables, n_buckets)
     dyn_min, dyn_max, dyn_mean, dyn_degenerate = _column_stats(
         lo.min(axis=1), hi.max(axis=1), sums.sum(axis=1), counts.sum(axis=1))
     return ScalingStats(grid.shape[2], dyn_min, dyn_max, dyn_mean,
@@ -260,7 +251,7 @@ def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
     """Dense, [0, 1]-scaled copy of a cohort, time frames or aggregates, in one pass.
 
     Every step is elementwise per patient, so a patient's result does not
-    depend on the rest of the cohort. The mask is shared, not copied.
+    depend on the rest of the cohort.
     """
     filled, statics = _impute_stack(_variable_grid(frames), frames.statics, stats)
     return replace(frames,
@@ -271,7 +262,7 @@ def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
 
 
 def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
-    """Dense, [0, 1]-scaled copy of one patient; mask preserved unchanged."""
+    """Dense, [0, 1]-scaled copy of one time-frame patient."""
     return scale_frames(stack([frame]), stats)[0]
 
 
@@ -304,7 +295,8 @@ def aggregate_cohort(cohort, horizon_hours=vocab.HORIZON_HOURS) -> Frames:
     table[at, 4] = values[ends - 1]
     table[at, 5] = counts
     return Frames(list(cohort.patient_ids), cohort.labels.astype(int),
-                  table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG), _first_statics(cohort))
+                  table.reshape(cohort.n_patients, vocab.N_DYNAMIC, N_AGG), _first_statics(cohort),
+                  aggregated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +313,25 @@ def _dynamic_header(n_buckets):
     return ",".join(["patient_id", "label"] + cols)
 
 
-def write_frames(frames, path, mask_path=None) -> None:
-    """Write dense frames as CSV (variable-major cells), plus 0/1 mask file, an output only.
+def write_frames(frames, path) -> None:
+    """Write dense frames as CSV, variable-major cells.
 
     Rows are written one patient at a time, in the order given, so any
     sequence of FramedPatient rows can be written as well as a Frames.
     """
     if not frames:
         raise PatsimError("no frames to write")
-    n_buckets = frames[0].dynamic.shape[1]
-    tables.write_rows(path, _dynamic_header(n_buckets), (
+    tables.write_rows(path, _dynamic_header(frames[0].dynamic.shape[1]), (
         ",".join([f.patient_id, str(f.label)] + [repr(float(x)) for x in f.dynamic.ravel()]
                  + [repr(float(x)) for x in f.statics])
         for f in frames))
-    if mask_path is not None:
-        tables.write_rows(mask_path, ",".join(["patient_id"] + _cell_names(n_buckets)), (
-            ",".join([f.patient_id] + [str(int(b)) for b in f.mask.ravel()]) for f in frames))
+
+
+def write_mask(frames: Frames, path) -> None:
+    """Write the 0/1 observation mask of raw frames, 1 where a cell is not NaN; an output only."""
+    cells = np.where(np.isnan(frames.grid), "0", "1").reshape(len(frames), -1).tolist()
+    tables.write_rows(path, ",".join(["patient_id"] + _cell_names(frames.grid.shape[2])), (
+        ",".join([pid, *row]) for pid, row in zip(frames.ids, cells)))
 
 
 def read_frames(path) -> Frames:
@@ -348,15 +343,15 @@ def read_frames(path) -> Frames:
     outside [0, 1] (the range frame scales every cell into), a label
     outside {0, 1} or a repeated patient id raises InputFault naming the
     file and line, and a file with no patient rows one naming the file.
-    The patients come back in ascending patient_id order, every cell observed.
+    The patients come back in ascending patient_id order.
     """
     ids, labels, cells = _frame_columns(path) or _frame_rows(path)
     if not ids:
         raise InputFault("no patient rows, so the cohort has no patients", path=path)
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    grid = cells[order, :-vocab.N_STATIC].reshape(len(ids), vocab.N_DYNAMIC, -1)
-    return Frames([ids[i] for i in order], labels[order], grid, cells[order, -vocab.N_STATIC:],
-                  np.ones(grid.shape, dtype=bool))
+    return Frames([ids[i] for i in order], labels[order],
+                  cells[order, :-vocab.N_STATIC].reshape(len(ids), vocab.N_DYNAMIC, -1),
+                  cells[order, -vocab.N_STATIC:])
 
 
 def _frames_header(line):

@@ -7,16 +7,17 @@ columns, which puts a whole time series on the same scale as one static
 feature. Similarity is exp(-d2), giving a smooth score in (0, 1] with no
 special case at zero distance.
 
-One engine serves prediction and the leave-one-out weight training in
-`weights`, over cohorts stacked in ascending patient_id order
+Prediction works over cohorts stacked in ascending patient_id order
 (`framing.Frames`): `nearest` finds each query's k nearest training
 patients under every given weighting, screening out by a bounded gram
 product the patients that cannot be among them and scanning the rest
 exactly; `top_k` selects from a distance matrix over those columns (the
 ascending-patient_id tie-break lives there), and `decide_rows` scores
-the selection. The two per-patient names left, `weighted_distance_sq`
-and `neighbors`, serve no pipeline path: perfbench's output check and
-tracer bind them.
+the selection. The leave-one-out weight training in `weights` takes its
+distances from `Workspace`'s packed gram tensor instead, and shares only
+`top_k` with prediction. The two per-patient names left,
+`weighted_distance_sq` and `neighbors`, serve no pipeline path:
+perfbench's output check and tracer bind them.
 """
 
 from __future__ import annotations

@@ -134,9 +134,10 @@ def test_criterion_3_framing_exactness():
     ], {"a": 1, "b": 0, "c": 0}))     # c has no events
 
     assert a.dynamic[hr, 0] == 85.0 and a.dynamic[hr, 1] == 100.0
-    assert a.mask[hr, 0] and a.mask[hr, 1] and not a.mask[hr, 2:].any()
-    assert b.mask[hr, 1] and not b.mask[hr, 0]
+    assert not np.isnan(a.dynamic[hr, :2]).any() and np.isnan(a.dynamic[hr, 2:]).all()
+    assert not np.isnan(b.dynamic[hr, 1]) and np.isnan(b.dynamic[hr, 0])
 
+    unobserved = [np.isnan(f.dynamic) for f in (a, b, c)]
     stats = framing.fit_scaling(framing.stack([a, b, c]))
     assert stats.dyn_min[hr] == 70.0 and stats.dyn_max[hr] == 100.0
     assert stats.dyn_bucket_mean[hr, 0] == 85.0
@@ -149,7 +150,8 @@ def test_criterion_3_framing_exactness():
     assert db.dynamic[hr, 1] == 0.0 and (db.dynamic[hr, 2:] == 0.0).all()
     assert (dc.dynamic[hr] == 0.5).all()                # all-missing variable
     assert da.statics[age] == 0.0 and db.statics[age] == 1.0 and dc.statics[age] == 0.5
-    assert (da.mask == a.mask).all()
+    # scaling copies: each raw patient's unobserved cells are NaN still, and only those
+    assert all((np.isnan(f.dynamic) == nan).all() for f, nan in zip((a, b, c), unobserved))
 
     result = generate(SynthSpec(n_patients=200, missing_rate=0.28, seed=21))
     frames = framing.frame_cohort(result.cohort())

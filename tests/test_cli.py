@@ -60,7 +60,8 @@ class TestFrameCommand:
         assert len(frames) == 60
         observed = framing.frame_cohort(ingest.load_cohort(synth_dir / "events.csv",
                                                            synth_dir / "outcomes.csv"))
-        assert mask_path.read_text().splitlines() == mask_lines(observed.ids, observed.mask)
+        assert mask_path.read_text().splitlines() == \
+            mask_lines(observed.ids, ~np.isnan(observed.grid))
         grid = np.stack([f.dynamic for f in frames])
         assert grid.min() >= 0.0 and grid.max() <= 1.0
 
@@ -462,8 +463,6 @@ class TestConfig:
             RunConfig(window_hours=5, horizon_hours=48)
         with pytest.raises(PatsimError, match="^weighting must be one of .*, got 'magic'$"):
             RunConfig(weighting="magic")
-        with pytest.raises(PatsimError, match="^unknown config key 'nonsense'$"):
-            build_config(overrides={"nonsense": 1})
         with pytest.raises(PatsimError, match=r"^alpha must be in \(0, 1\)$"):
             evaluation.compare({}, alpha=float("nan"))
 
@@ -626,6 +625,17 @@ class TestLocatedFaults:
         assert err == f"error: {empty}: no fold rows, so there are no folds to compare\n"
         assert not (tmp_path / "o.json").exists()
 
+    def test_compare_refuses_folds_out_of_order(self, tmp_path, capsys):
+        good, swapped = tmp_path / "good.csv", tmp_path / "swapped.csv"
+        evaluation.save_fold_metrics([evaluation.FoldMetrics(i, 1, 2, 3, 4, 0.5, i / 4, 0.5)
+                                      for i in range(3)], good)
+        header, first, second, third = good.read_text().splitlines()
+        swapped.write_text("\n".join([header, second, first, third]) + "\n")
+        err = one_line_error(capsys, ["compare", f"a={good}", f"b={swapped}",
+                                      "--out-json", tmp_path / "report.json"])
+        assert err == f"error: {swapped} line 2: fold 1 out of order, expected fold 0\n"
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("reports, reason", [
         (["a.csv", "b={one}"], "expected NAME=PATH, got 'a.csv'"),
         (["a={one}", "b={two}"], "methods cover different numbers of folds"),
@@ -700,7 +710,8 @@ class TestLocatedFaults:
     @pytest.mark.parametrize("argv, config, reason", [
         (["experiment", "exp3", "--lr", "-1"], None, "learning_rate must be positive and finite"),
         (["experiment", "exp3", "--lr", "nan"], None, "learning_rate must be positive and finite"),
-        (["experiment", "exp3"], "max_epochs = 0\n", "max_epochs must be at least 1"),
+        (["experiment", "exp3"], "max_epochs = 0\n",
+         "{config} line 1: max_epochs must be at least 1"),
         (["evaluate", "--threshold", "1.5", "--out", "m.csv"], None,
          "threshold must be in (0, 1)"),
         (["frame", "--horizon-hours", "72", "--out-frames", "f.csv"], None,
@@ -710,7 +721,7 @@ class TestLocatedFaults:
          "window_hours must be positive and divide horizon_hours, which is at most 48; "
          "got 5 and 48"),
         (["experiment", "exp3", "--workers", "-4"], None, "workers must be at least 0"),
-        (["experiment", "exp3"], "workers = -1\n", "workers must be at least 0"),
+        (["experiment", "exp3"], "workers = -1\n", "{config} line 1: workers must be at least 0"),
         (["experiment", "exp3", "--n-patients", "50"], None,
          "--n-patients sets the synthetic cohort, which --events and --outcomes replace"),
         (["experiment", "exp3", "--profile", "trend"], None,
@@ -734,6 +745,7 @@ class TestLocatedFaults:
         if config:
             (tmp_path / "run.cfg").write_text(config)
             argv += ["--config", tmp_path / "run.cfg"]
+        reason = reason.format(config=tmp_path / "run.cfg")
         assert one_line_error(capsys, argv) == f"error: {reason}\n"
 
     @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "1.5"])
@@ -816,6 +828,32 @@ class TestLocatedFaults:
         assert err == f"error: {config} {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    GRID = "window_hours must be positive and divide horizon_hours, which is at most 48; got "
+
+    @pytest.mark.parametrize("argv, text, reason", [
+        (["train"], "k = 3\nmax_epochs = 0\n", "{config} line 2: max_epochs must be at least 1"),
+        (["evaluate"], "weighting = foo\n",
+         f"{{config}} line 1: weighting must be one of {_CHOICES['weighting']}, got 'foo'"),
+        # the grid rule spans two keys, here from the file and the defaults or a flag
+        (["evaluate"], "window_hours = 5\n", GRID + "5 and 48"),
+        (["train"], "horizon_hours = 72\n", GRID + "2 and 72"),
+        (["frame", "--window-hours", "5"], "horizon_hours = 24\n", GRID + "5 and 24"),
+        # a flag's fault names no file
+        (["train", "--max-epochs", "0"], "k = 3\n", "max_epochs must be at least 1"),
+        (["evaluate", "--weighting", "gd"], "max_epochs = 0\n",
+         "{config} line 1: max_epochs must be at least 1"),
+    ])
+    def test_config_value_fault_names_file_and_line(self, tmp_path, capsys, argv, text, reason):
+        config = tmp_path / "c.cfg"
+        config.write_text(text)
+        data = ["--events", tmp_path / "e.csv", "--outcomes", tmp_path / "o.csv"]
+        files = {"train": ["--frames", tmp_path / "f.csv", "--weights-out", tmp_path / "w.csv"],
+                 "evaluate": data + ["--out", tmp_path / "m.csv"],
+                 "frame": data + ["--out-frames", tmp_path / "f.csv"]}[argv[0]]
+        err = one_line_error(capsys, argv + files + ["--config", config])
+        assert err == f"error: {reason.format(config=config)}\n"
+        assert not any(p.name != "c.cfg" for p in tmp_path.iterdir())
+
     def test_header_fault_quotes_a_bounded_prefix(self, framed, tmp_path, capsys):
         first = framed.read_text().splitlines()[0]
         err = one_line_error(capsys, ["predict", "--train-frames", framed, "--weights", framed,
@@ -872,6 +910,10 @@ class TestReaderFuzz:
         "predict --query-frames": ("frames", lambda f, bad, out: [
             "predict", "--train-frames", f["frames"], "--query-frames", bad,
             "--weights", f["weights"], "--out", out / "p.csv"]),
+        "predict --weights": ("weights", lambda f, bad, out: [
+            "predict", "--train-frames", f["frames"], "--weights", bad, "--out", out / "p.csv"]),
+        "compare NAME=PATH": ("metrics", lambda f, bad, out: [
+            "compare", f"a={f['metrics']}", f"b={bad}", "--out-json", out / "r.json"]),
         "experiment --events": ("events", lambda f, bad, out: [
             "experiment", "exp3", "--events", bad, "--outcomes", f["outcomes"],
             "--out-dir", out]),
@@ -887,9 +929,12 @@ class TestReaderFuzz:
                                       reader, mutation, data):
         kind, argv = self.READERS[reader]
         files = {"frames": framed, "events": synth_dir / "events.csv",
-                 "outcomes": synth_dir / "outcomes.csv", "weights": tmp_path / "w.csv"}
+                 "outcomes": synth_dir / "outcomes.csv", "weights": tmp_path / "w.csv",
+                 "metrics": tmp_path / "metrics.csv"}
         files["weights"].write_text("variable,weight\n" + "".join(
             f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
+        evaluation.save_fold_metrics([evaluation.FoldMetrics(i, 3, 1, 2, 9, 0.75, 0.6, i / 5)
+                                      for i in range(4)], files["metrics"])
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
             out = Path(out)
             bad = out / f"bad_{kind}.csv"

@@ -41,7 +41,7 @@ def columns_of(result):
                 [(a.dtype.str, a.tobytes()) for a in
                  (result.patient, result.minute, result.variable, result.value)])
     return (result.ids, [(a.dtype.str, a.shape, a.tobytes()) for a in
-                         (result.labels, result.grid, result.statics, result.mask)])
+                         (result.labels, result.grid, result.statics)])
 
 
 def same_outcome(got, want):

@@ -489,13 +489,12 @@ def test_exact_overflow_under_a_finite_gram_falls_back_to_the_full_scan():
     """A difference of 1.4e154 squares to +inf on the exact path, while the gram, under
     a weight of 1e-300, puts the pair at about 7.8e6: that pair alone would pass the
     screen at k = 1, and the nearest patient (at 1.6e7) would be missed."""
-    blank = dict(mask=np.ones((vocab.N_DYNAMIC, 24), dtype=bool), label=0)
     far_cell = np.zeros((vocab.N_DYNAMIC, 24))
     far_cell[0, 0] = 1.4e154
-    query = FramedPatient("q", np.zeros((vocab.N_DYNAMIC, 24)), statics=np.zeros(4), **blank)
-    train = stack([FramedPatient("a", far_cell, statics=np.zeros(4), **blank),
+    query = FramedPatient("q", np.zeros((vocab.N_DYNAMIC, 24)), statics=np.zeros(4), label=0)
+    train = stack([FramedPatient("a", far_cell, statics=np.zeros(4), label=0),
                    FramedPatient("b", np.zeros((vocab.N_DYNAMIC, 24)),
-                                 statics=np.array([4000.0, 0, 0, 0]), **blank)])
+                                 statics=np.array([4000.0, 0, 0, 0]), label=0)])
     w = np.ones(vocab.N_VARIABLES)
     w[0] = 1e-300
     with np.errstate(over="ignore"):

@@ -673,6 +673,11 @@ class TestCompare:
         with pytest.raises(PatsimError, match="^need at least two methods to compare$"):
             compare({"only": metrics_with_f(rng.random(5))})
 
+    def test_empty_fold_lists_refuse_before_any_mean(self):
+        # the suite turns numpy's "Mean of empty slice" RuntimeWarning into an error
+        with pytest.raises(PatsimError, match="^need at least 2 folds and 2 methods$"):
+            compare({"a": [], "b": []})
+
 
 def test_fold_metrics_file_roundtrip(tmp_path, rng):
     metrics = [fold_metrics(i, (rng.random(10) < 0.4).astype(int),

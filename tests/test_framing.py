@@ -22,6 +22,7 @@ from patsim.framing import (
     sparsity,
     stack,
     write_frames,
+    write_mask,
     write_scaling_stats,
 )
 from util import (cohort_of, framing_oracle, reference_aggregation_scaling,
@@ -62,24 +63,23 @@ class TestBucketize:
         a, _, _ = hand_fixture()
         assert a.dynamic[HR, 0] == 85.0
         assert a.dynamic[HR, 1] == 100.0
-        assert a.mask[HR, 0] and a.mask[HR, 1]
-        assert not a.mask[HR, 2:].any()
+        assert np.isnan(a.dynamic[HR, 2:]).all()
         assert a.statics[AGE] == 40.0
 
     def test_half_open_boundary(self):
         b = frame_one("b", [ev("b", 120, "Heart rate", 70.0)], label=0)
-        assert not b.mask[HR, 0]
-        assert b.mask[HR, 1] and b.dynamic[HR, 1] == 70.0
+        assert np.isnan(b.dynamic[HR, 0])
+        assert b.dynamic[HR, 1] == 70.0
 
     def test_final_minute_lands_in_last_bucket(self):
         f = frame_one("x", [ev("x", 2879, "Heart rate", 66.0)], label=0)
-        assert f.mask[HR, 23] and f.dynamic[HR, 23] == 66.0
+        assert f.dynamic[HR, 23] == 66.0
 
     def test_one_hour_windows(self):
         f = frame_one("x", [ev("x", 59, "Heart rate", 70.0)], label=0,
                        window_hours=1, horizon_hours=48)
         assert f.dynamic.shape == (36, 48)
-        assert f.mask[HR, 0]
+        assert f.dynamic[HR, 0] == 70.0
 
     def test_bad_config(self):
         with pytest.raises(PatsimError, match="^window_hours must be positive and divide "):
@@ -101,11 +101,10 @@ class TestBucketize:
         f = frame_one("p", events, label=0)
         for t in range(24):
             if t in expected:
-                assert f.mask[HR, t]
                 assert f.dynamic[HR, t] == pytest.approx(np.mean(expected[t]))
             else:
-                assert not f.mask[HR, t]
-        assert int(f.mask[HR].sum()) == len(expected)
+                assert np.isnan(f.dynamic[HR, t])
+        assert int((~np.isnan(f.dynamic[HR])).sum()) == len(expected)
 
 
 class TestSparsity:
@@ -168,11 +167,12 @@ class TestScaling:
         glucose = vocab.DYNAMIC_INDEX["Glucose"]
         assert (da.dynamic[glucose] == 0.5).all()
 
-    def test_mask_preserved(self):
+    def test_raw_nan_cells_preserved(self):
         a, b, c = hand_fixture()
+        unobserved = np.isnan(a.dynamic)
         stats = fit_scaling(stack([a, b, c]))
         da = impute_and_scale(a, stats)
-        assert (da.mask == a.mask).all()
+        assert (np.isnan(a.dynamic) == unobserved).all() and not np.isnan(da.dynamic).any()
 
     def test_clamp_above_training_max(self):
         a, b, c = hand_fixture()
@@ -203,7 +203,7 @@ class TestScaling:
         values = np.stack([d.dynamic for d in dense])
         assert values.min() >= 0.0 and values.max() <= 1.0
         for v in (HR, vocab.DYNAMIC_INDEX["Glucose"]):
-            observed = np.concatenate([d.dynamic[v][f.mask[v]]
+            observed = np.concatenate([d.dynamic[v][~np.isnan(f.dynamic[v])]
                                        for d, f in zip(dense, frames)])
             assert observed.min() == 0.0 and observed.max() == 1.0
 
@@ -256,32 +256,49 @@ class TestAggregate:
             assert f.dynamic[HR, 4] == values[perm][-1]
 
     def test_scale_fills_missing_from_training(self):
-        tr1 = aggregate_one("t1", [ev("t1", 10, "Heart rate", 10.0)], label=0)
-        tr2 = aggregate_one("t2", [ev("t2", 10, "Heart rate", 20.0),
-                               ev("t2", 20, "Heart rate", 30.0)], label=1)
-        stats = fit_scaling(stack([tr1, tr2]))
-        empty = aggregate_one("q", [], label=0)
-        scaled, = scale_frames(stack([empty]), stats)
+        stats = fit_scaling(aggregate_cohort(cohort_of([
+            ev("t1", 10, "Heart rate", 10.0),
+            ev("t2", 10, "Heart rate", 20.0),
+            ev("t2", 20, "Heart rate", 30.0)], {"t1": 0, "t2": 1})))
+        scaled, = scale_frames(aggregate_cohort(cohort_of([], {"q": 0})), stats)
         # count 0 scales to 0 (training counts 1 and 2), means fill the rest
         assert scaled.dynamic[HR, 5] == 0.0
         assert scaled.dynamic[HR, 0] == pytest.approx((15 - 10) / 10)   # mean of 10,20
+
+    def test_the_aggregation_marker_is_keyword_only(self):
+        a = hand_fixture()
+        with pytest.raises(TypeError):
+            Frames(a.ids, a.labels, a.grid, a.statics, True)
+        assert Frames(a.ids, a.labels, a.grid, a.statics, aggregated=True).take([1]).aggregated
+
+    def test_stacked_rows_are_time_frames(self):
+        # a cohort's row carries no marker: stacked aggregation rows are a 6-bucket grid
+        stats = fit_scaling(aggregate_cohort(cohort_of([ev("t", 10, "Heart rate", 1.0)],
+                                                       {"t": 0})))
+        empty = aggregate_one("q", [], label=0)
+        assert not stack([empty]).aggregated
+        with pytest.raises(PatsimError,
+                           match=r"^frame grid \(36, 6\) does not match stats \(216, 1\)$"):
+            impute_and_scale(empty, stats)
 
 
 def test_frames_file_roundtrip(tmp_path, rng):
     from util import mask_lines, random_dense_frames
     frames = random_dense_frames(5, rng)
-    frames[2].mask[:, ::3] = False
+    raw = stack(frames)
+    raw.grid[2, :, ::3] = np.nan
     fpath, mpath = tmp_path / "f.csv", tmp_path / "m.csv"
-    write_frames(frames, fpath, mpath)
+    write_frames(frames, fpath)
+    write_mask(raw, mpath)
     back = read_frames(fpath)
     for orig, new in zip(frames, back):
         assert orig.patient_id == new.patient_id and orig.label == new.label
         assert (orig.dynamic == new.dynamic).all()
-        assert new.mask.all()
         assert (orig.statics == new.statics).all()
-    # the mask file is an output only: it holds the mask written, not the one read
-    assert mpath.read_text().splitlines() == \
-        mask_lines([f.patient_id for f in frames], [f.mask for f in frames])
+    assert not np.isnan(back.grid).any()
+    # the mask file is an output only: it holds the raw cohort's NaN cells as 0
+    assert mpath.read_text().splitlines() == mask_lines(raw.ids, ~np.isnan(raw.grid))
+    assert mpath.read_text().count(",0") == 36 * 8
 
 
 def test_missing_mask_file_is_an_error(tmp_path, rng):
@@ -289,9 +306,9 @@ def test_missing_mask_file_is_an_error(tmp_path, rng):
     fpath = tmp_path / "f.csv"
     write_frames(random_dense_frames(3, rng), fpath)
     assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
-    assert all(f.mask.all() for f in read_frames(fpath))
+    assert not np.isnan(read_frames(fpath).grid).any()
     with pytest.raises(FileNotFoundError):
-        write_frames(random_dense_frames(3, rng), fpath, tmp_path / "no_such_dir" / "m.csv")
+        write_mask(stack(random_dense_frames(3, rng)), tmp_path / "no_such_dir" / "m.csv")
 
 
 def test_scaling_stats_roundtrip(tmp_path):
@@ -381,18 +398,17 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
         statics = rng.normal(0.0, spread, vocab.N_STATIC)
         statics[rng.random(vocab.N_STATIC) < missing] = np.nan
         statics[0] = np.nan
-        return FramedPatient(pid, dynamic, ~np.isnan(dynamic), statics, int(rng.random() < 0.5))
+        return FramedPatient(pid, dynamic, statics, int(rng.random() < 0.5))
 
     train = [raw(f"a{i}", 1.0) for i in range(n_train)]
     # both extremes observed in training, so out-of-range test cells must clip
     train[0].dynamic[[HIGH_VAR, LOW_VAR], 0] = (-1.0, 1.0)
     train[1].dynamic[[HIGH_VAR, LOW_VAR], 0] = (1.0, -1.0)
-    for f in train:
-        f.mask = ~np.isnan(f.dynamic)
     test = [raw(f"b{i}", 5.0) for i in range(n_test)]
     test[0].dynamic[HIGH_VAR, 0] = 1e6
     test[0].dynamic[LOW_VAR, 0] = -1e6
     frames = train + test
+    unobserved = [np.isnan(f.dynamic) for f in frames]
     stats = fit_scaling(stack(train))
 
     scaled = scale_frames(stack(frames), stats)
@@ -404,7 +420,7 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
             assert got.tobytes() == ref_dynamic.tobytes()
         for got in (statics[i], scaled[i].statics, single.statics):
             assert got.tobytes() == ref_statics.tobytes()
-        assert (scaled[i].mask == f.mask).all() and (single.mask == f.mask).all()
+        assert (np.isnan(f.dynamic) == unobserved[i]).all()
     assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
     assert (statics[:, 0] == 0.5).all()
     assert dynamic[n_train, HIGH_VAR, 0] == 1.0 and dynamic[n_train, LOW_VAR, 0] == 0.0
@@ -430,7 +446,7 @@ def test_fit_scaling_equals_the_pass_by_pass_reference(seed, n, n_buckets, missi
     grid[~mask] = np.nan
     statics[rng.random(statics.shape) < missing] = np.nan
     statics[:, 0], statics[:, 1] = np.nan, -1.5
-    frames = Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics, mask)
+    frames = Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics)
     got, want = fit_scaling(frames), reference_fit_scaling(frames)
     assert got.n_buckets == want.n_buckets == n_buckets
     for name in ("dyn_min", "dyn_max", "dyn_mean", "dyn_bucket_mean", "dyn_degenerate",
@@ -458,7 +474,8 @@ def test_aggregation_scaling_equals_the_column_by_column_reference(seed, n_train
         grid[rng.random(grid.shape) < 0.1] = -0.0
         grid[rng.random(grid.shape) < missing] = np.nan
         statics[rng.random(statics.shape) < missing] = np.nan
-        return Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics)
+        return Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics,
+                      aggregated=True)
 
     train, test = table(n_train, 1.0), table(n_test, 5.0)
     train.grid[:, ALL_NAN_VAR] = np.nan
@@ -469,7 +486,7 @@ def test_aggregation_scaling_equals_the_column_by_column_reference(seed, n_train
     for side in (train, test):
         got = scale_frames(side, stats)
         want_grid, want_statics = reference_aggregation_scaling(train, side)
-        assert got.mask is None and got.grid.shape == side.grid.shape
+        assert got.aggregated and got.grid.shape == side.grid.shape
         assert got.grid.tobytes() == want_grid.tobytes()
         assert got.statics.tobytes() == want_statics.tobytes()
         assert (got.grid[:, [ALL_NAN_VAR, CONSTANT_VAR]] == 0.5).all()
@@ -518,23 +535,24 @@ def test_framing_matches_per_event_oracle(case, grid):
     aggs = aggregate_cohort(cohort, horizon_hours)
     oracle = framing_oracle(rows, labels, window_hours, horizon_hours)
     assert [f.patient_id for f in frames] == [a.patient_id for a in aggs] == sorted(labels)
+    assert aggs.aggregated and not frames.aggregated
     for frame, agg in zip(frames, aggs):
         dynamic, mask, statics, table = oracle[frame.patient_id]
         assert frame.label == agg.label == labels[frame.patient_id]
-        assert bits(frame.dynamic) == bits(dynamic) and bits(frame.mask) == bits(mask)
+        assert bits(frame.dynamic) == bits(dynamic)
+        assert bits(~np.isnan(frame.dynamic)) == bits(mask)
         assert bits(frame.statics) == bits(statics) == bits(agg.statics)
-        assert bits(agg.dynamic) == bits(table) and agg.mask is None
+        assert bits(agg.dynamic) == bits(table)
 
-    # the framing invariants: scaling never touches the mask, dense output
-    # lies in [0, 1], and carrying forward never overwrites an observed cell
-    raw = np.stack([f.dynamic for f in frames])
-    masks = np.stack([f.mask for f in frames])
+    # the framing invariants: scaling never touches the raw grid's NaN cells, dense
+    # output lies in [0, 1], and carrying forward never overwrites an observed cell
+    raw = frames.grid.copy()
+    observed = ~np.isnan(raw)
     stats = fit_scaling(frames)
-    dense = scale_frames(frames, stats)
-    assert all(bits(d.mask) == bits(m) for d, m in zip(dense, masks))
-    assert all(bits(impute_and_scale(f, stats).mask) == bits(f.mask) for f in frames)
+    dense = [*scale_frames(frames, stats), *(impute_and_scale(f, stats) for f in frames)]
+    assert bits(frames.grid) == bits(raw)
     for d in dense:
         assert ((d.dynamic >= 0.0) & (d.dynamic <= 1.0)).all()
         assert ((d.statics >= 0.0) & (d.statics <= 1.0)).all()
     filled, _ = _impute_stack(raw, np.stack([f.statics for f in frames]), stats)
-    assert bits(filled[masks]) == bits(raw[masks])
+    assert bits(filled[observed]) == bits(raw[observed])

@@ -79,15 +79,16 @@ def test_frames_and_mask_round_trip(seed, n_buckets, n):
     shape = (vocab.N_DYNAMIC, n_buckets)
     # frames cells lie in [0, 1]; their magnitudes still span several decades
     frames = [FramedPatient(f"p{i}", rng.random(shape) * 10.0 ** -rng.integers(0, 7),
-                            rng.random(shape) < 0.6, rng.random(vocab.N_STATIC),
-                            int(rng.integers(0, 2)))
+                            rng.random(vocab.N_STATIC), int(rng.integers(0, 2)))
               for i in rng.permutation(n)]
+    raw = framing.stack(frames)
+    raw.grid[rng.random(raw.grid.shape) >= 0.6] = np.nan
     with tempfile.TemporaryDirectory() as tmp:
         fpath, mpath = Path(tmp) / "frames.csv", Path(tmp) / "mask.csv"
-        framing.write_frames(frames, fpath, mpath)
-        # the mask file is written in the given order and never read back
-        assert mpath.read_text().splitlines() == \
-            mask_lines([f.patient_id for f in frames], [f.mask for f in frames])
+        framing.write_frames(frames, fpath)
+        # the mask file marks the raw cells that are not NaN, in patient_id order
+        framing.write_mask(raw, mpath)
+        assert mpath.read_text().splitlines() == mask_lines(raw.ids, ~np.isnan(raw.grid))
         for variant in variants(fpath.read_text()):
             fpath.write_bytes(variant.encode("utf-8"))
             back = framing.read_frames(fpath)
@@ -97,7 +98,7 @@ def test_frames_and_mask_round_trip(seed, n_buckets, n):
             for a, b in zip(back, framing.stack(frames)):
                 assert a.dynamic.tobytes() == b.dynamic.tobytes()
                 assert a.statics.tobytes() == b.statics.tobytes()
-            assert back.mask.all()
+            assert not np.isnan(back.grid).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,11 +112,12 @@ def test_learned_weights_round_trip(values):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
                           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
                           FINITE, FINITE, FINITE), min_size=1, max_size=25))
 def test_fold_metrics_round_trip(rows):
-    metrics = [FoldMetrics(*row) for row in rows]
+    # a fold-metrics file holds folds 0, 1, ... in order
+    metrics = [FoldMetrics(i, *row) for i, row in enumerate(rows)]
     text = written(lambda path: evaluation.save_fold_metrics(metrics, path))
     for back in read_each(text, evaluation.load_fold_metrics):
         assert back == metrics
@@ -186,7 +188,8 @@ def _manual_weights(d):
 
 def _fold_metrics(d):
     path = d / "folds.csv"
-    evaluation.save_fold_metrics([FoldMetrics(0, 1, 2, 3, 4, 0.5, 0.25, 1 / 3)] * 2, path)
+    evaluation.save_fold_metrics([FoldMetrics(i, 1, 2, 3, 4, 0.5, 0.25, 1 / 3)
+                                  for i in range(2)], path)
     return path, evaluation.load_fold_metrics
 
 

@@ -16,7 +16,6 @@ def random_dense_frames(n, rng, n_buckets=24, prevalence=0.4):
         frames.append(FramedPatient(
             patient_id=f"q{i:0{width}d}",
             dynamic=rng.random((vocab.N_DYNAMIC, n_buckets)),
-            mask=np.ones((vocab.N_DYNAMIC, n_buckets), dtype=bool),
             statics=rng.random(vocab.N_STATIC),
             label=int(rng.random() < prevalence),
         ))
@@ -56,14 +55,15 @@ def quantized_frames(n, rng, levels=3, n_buckets=24, duplicates=3, prevalence=0.
 
 
 def reference_fit_scaling(frames) -> framing.ScalingStats:
-    """Reference scaling statistics of a masked cohort, pass by pass.
+    """Reference scaling statistics of a raw cohort (NaN = unobserved), pass by pass.
 
     The arithmetic framing.fit_scaling replaced: each variable's min and
     max over all its observed cells at once, then per-(variable, bucket)
     sums and counts, pooled along the buckets for the variable means, and
     the statics column by column. fit_scaling must equal it bit for bit.
     """
-    dyn, mask, statics = frames.grid, frames.mask, frames.statics
+    dyn, statics = frames.grid, frames.statics
+    mask = ~np.isnan(dyn)
     observed_var = mask.any(axis=(0, 2))
     dyn_min = np.where(observed_var, np.where(mask, dyn, np.inf).min(axis=(0, 2)), np.nan)
     dyn_max = np.where(observed_var, np.where(mask, dyn, -np.inf).max(axis=(0, 2)), np.nan)
