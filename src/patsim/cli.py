@@ -119,14 +119,17 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     settings = given(args, evaluation.compare)
     check_choices(**settings)      # before any report is read
-    fold_metrics = {}
+    fold_metrics, paths = {}, {}
     for item in args.reports:
         name, sep, path = item.partition("=")
         if not sep:
             raise PatsimError(f"expected NAME=PATH, got {item!r}")
         if name in fold_metrics:
             raise PatsimError(f"report name {name!r} given twice")
-        fold_metrics[name] = evaluation.load_fold_metrics(path)
+        fold_metrics[name], paths[name] = evaluation.load_fold_metrics(path), path
+    if len({len(folds) for folds in fold_metrics.values()}) > 1:
+        raise PatsimError("reports cover different numbers of folds: " + ", ".join(
+            f"{name}={paths[name]} has {len(folds)}" for name, folds in fold_metrics.items()))
     report = evaluation.compare(fold_metrics, **settings)
     _write_report(report, Path(args.out_json), args.out_text and Path(args.out_text))
     print(evaluation.report_to_text(report), end="")

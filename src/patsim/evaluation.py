@@ -399,9 +399,9 @@ def compare(fold_metrics_by_method: dict, alpha=ComparisonReport.alpha) -> Compa
     methods = list(fold_metrics_by_method)
     if len(methods) < 2:
         raise PatsimError("need at least two methods to compare")
-    n_folds = {len(v) for v in fold_metrics_by_method.values()}
-    if len(n_folds) != 1:
-        raise PatsimError("methods cover different numbers of folds")
+    if len({len(v) for v in fold_metrics_by_method.values()}) != 1:
+        raise PatsimError("methods cover different numbers of folds: " + ", ".join(
+            f"{name} has {len(folds)}" for name, folds in fold_metrics_by_method.items()))
     f_matrix = np.column_stack([
         [m.f_measure for m in fold_metrics_by_method[name]] for name in methods
     ])

@@ -97,11 +97,34 @@ def _first_statics(cohort) -> np.ndarray:
     return statics.reshape(cohort.n_patients, vocab.N_STATIC)
 
 
-def _dynamic_rows(cohort, horizon_hours):
-    """Indices of the dynamic rows before the horizon, and their (patient, variable) cell."""
-    rows = np.flatnonzero((cohort.variable < vocab.N_DYNAMIC)
-                          & (cohort.minute.astype(np.intp) < horizon_hours * 60))
-    return rows, cohort.patient[rows].astype(np.intp) * vocab.N_DYNAMIC + cohort.variable[rows]
+def _dynamic_rows(cohort, horizon_hours, block=slice(None)):
+    """Indices, from the start of `block`, of its dynamic rows before the horizon, and their
+    (patient, variable) cell."""
+    variable = cohort.variable[block]
+    rows = np.flatnonzero((variable < vocab.N_DYNAMIC)
+                          & (cohort.minute[block].astype(np.intp) < horizon_hours * 60))
+    return rows, cohort.patient[block][rows].astype(np.intp) * vocab.N_DYNAMIC + variable[rows]
+
+
+# Event rows framed at once: frame_cohort takes whole patients, at least one, while
+# a block holds at most this many rows, so its temporaries stay bounded as n grows.
+FRAME_BLOCK_ROWS = 1 << 15
+
+
+def _patient_blocks(cohort):
+    """(patients, rows) slices of consecutive blocks of whole patients.
+
+    The cohort's rows are in canonical order, so each patient's rows are
+    one run and the runs follow the patient order.
+    """
+    n = cohort.n_patients
+    starts = np.searchsorted(cohort.patient, np.arange(n + 1, dtype=cohort.patient.dtype))
+    first = 0
+    while first < n:
+        end = int(np.searchsorted(starts, starts[first] + FRAME_BLOCK_ROWS, side="right")) - 1
+        end = max(end, first + 1)
+        yield slice(first, end), slice(starts[first], starts[end])
+        first = end
 
 
 def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
@@ -112,17 +135,26 @@ def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
     a cell is the arithmetic mean of the observations falling in it, summed
     in the cohort's row order. Events at or beyond the horizon are ignored.
     Statics take the first observed value. Unobserved cells are NaN.
+
+    The grid is filled a block of whole patients at a time (_patient_blocks).
+    A cell's events all belong to one patient, so each cell's sum is the
+    one a single pass over the cohort gives.
     """
     check_choices(window_hours=window_hours, horizon_hours=horizon_hours)
     n_buckets = horizon_hours // window_hours
-    rows, cell = _dynamic_rows(cohort, horizon_hours)
-    cell = cell * n_buckets + cohort.minute[rows].astype(np.intp) // (60 * window_hours)
-    shape = (cohort.n_patients, vocab.N_DYNAMIC, n_buckets)
-    # bincount adds each cell's values in row order, one after another
-    sums = np.bincount(cell, weights=cohort.value[rows], minlength=np.prod(shape))
-    counts = np.bincount(cell, minlength=np.prod(shape))
-    dynamic = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan).reshape(shape)
-    return Frames(list(cohort.patient_ids), cohort.labels.astype(int), dynamic,
+    grid = np.empty((cohort.n_patients, vocab.N_DYNAMIC, n_buckets))
+    for patients, block in _patient_blocks(cohort):
+        rows, cell = _dynamic_rows(cohort, horizon_hours, block)
+        cell -= patients.start * vocab.N_DYNAMIC
+        cell *= n_buckets
+        cell += cohort.minute[block][rows] // (60 * window_hours)
+        out = grid[patients].reshape(-1)
+        # bincount adds each cell's values in row order, one after another
+        sums = np.bincount(cell, weights=cohort.value[block][rows], minlength=out.size)
+        counts = np.bincount(cell, minlength=out.size)
+        np.divide(sums, np.maximum(counts, 1), out=out)
+        out[counts == 0] = np.nan
+    return Frames(list(cohort.patient_ids), cohort.labels.astype(int), grid,
                   _first_statics(cohort))
 
 
@@ -428,30 +460,48 @@ def write_scaling_stats(stats: ScalingStats, path) -> None:
 def read_scaling_stats(path) -> ScalingStats:
     """Read a file written by write_scaling_stats.
 
-    Every line must be key=value; a missing key or an unparsable value
-    raises InputFault naming the file (and the line, for a bad value).
-    The first missing key in file order is the one named.
+    Every line must be key=value; a missing key or a bad value raises
+    InputFault naming the file (and the line, for a bad value). The first
+    missing key in file order is the one named. A value is bad when it
+    does not parse, when it is infinite, or when it breaks what
+    fit_scaling guarantees of a variable: its min, max and mean are nan
+    together (it was never observed) or not at all, and it is degenerate
+    unless its min is below its max. Scaling by such statistics would
+    write nan cells.
     """
     kv = {key: (line_no, value)
           for line_no, (key, value) in tables.read_rows(path, width=2, sep="=")}
 
+    def bad(key, reason=""):
+        line_no, value = kv[key]
+        return InputFault(f"bad value {value!r} for {key!r}{reason}", line_no, path)
+
     def get(key, convert=float):
         if key not in kv:
             raise InputFault(f"missing key {key!r}", path=path)
-        line_no, value = kv[key]
         try:
-            return convert(value)
+            value = convert(kv[key][1])
         except ValueError:
-            raise InputFault(f"bad value {value!r} for {key!r}", line_no, path) from None
+            raise bad(key) from None
+        if abs(value) == np.inf:
+            raise bad(key)
+        return value
 
     n_buckets = get("n_buckets", int)
     if not 1 <= n_buckets <= len(kv):   # it sizes an array before any other key is read
-        raise InputFault(f"bad value {kv['n_buckets'][1]!r} for 'n_buckets'",
-                         kv["n_buckets"][0], path)
+        raise bad("n_buckets")
     fields = {name: np.empty(size, dtype=bool if name.endswith("degenerate") else float)
               for names, size in ((_DYN_STATS, vocab.N_DYNAMIC), (_STATIC_STATS, vocab.N_STATIC))
               for name in names}
     fields["dyn_bucket_mean"] = np.empty((vocab.N_DYNAMIC, n_buckets))
     for key, name, index in _stats_keys(n_buckets):
         fields[name][index] = get(key, int if name.endswith("degenerate") else float)
+    for names in (_DYN_STATS, _STATIC_STATS):
+        lo, hi, mean, degenerate = (fields[name] for name in names)
+        for i in range(len(lo)):
+            unseen = [name for name, x in zip(names, (lo[i], hi[i], mean[i])) if np.isnan(x)]
+            if 0 < len(unseen) < 3:
+                raise bad(f"{unseen[0]}.{i}", ": nan only where min, max and mean all are")
+            if not (degenerate[i] or lo[i] < hi[i]):
+                raise bad(f"{names[3]}.{i}", ": degenerate unless min is below max")
     return ScalingStats(n_buckets=n_buckets, **fields)

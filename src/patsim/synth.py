@@ -138,10 +138,15 @@ def generate(spec: SynthSpec) -> SynthResult:
     risk, signal_rows, level_vars, shape_vars = _signal_rows(spec, labels, informative, rng)
 
     shape = (vocab.N_DYNAMIC, vocab.N_BUCKETS, 2)      # variable, bucket, observation
-    variable = np.broadcast_to(np.arange(vocab.N_DYNAMIC)[:, None, None], shape)
+    cell_variable = np.broadcast_to(np.arange(vocab.N_DYNAMIC)[:, None, None], shape)
     bucket_start = (np.arange(vocab.N_BUCKETS) * 60 * vocab.WINDOW_HOURS)[None, :, None]
     observation = np.arange(2)
-    patient, minutes, variables, values = [], [], [], []
+    # each patient's rows go straight into columns sized for its statics and two
+    # observations in every cell; pages past the rows written are never touched
+    bound = n * (vocab.N_STATIC + np.prod(shape))
+    patient, minutes = np.empty(bound, dtype=np.int32), np.empty(bound, dtype=np.int16)
+    variables, values = np.empty(bound, dtype=np.int8), np.empty(bound, dtype=np.float64)
+    end = 0
     total_cells = 0
     dropped_cells = 0
     for i in range(n):
@@ -159,11 +164,18 @@ def generate(spec: SynthSpec) -> SynthResult:
             risk[i] * signal_rows[y] + 0.6 * value_noise[:, :, 0])
         step = scales[:, None] * 0.1 * value_noise[:, :, 1]
         observed = keep[:, :, None] & (observation < n_obs[:, :, None])
-        value = (cell_values[:, :, None] + step[:, :, None] * observation)[observed]
-        patient.append(np.full(vocab.N_STATIC + len(value), i))
-        minutes += [np.zeros(vocab.N_STATIC, dtype=int), (bucket_start + minute_noise)[observed]]
-        variables += [np.arange(vocab.N_DYNAMIC, vocab.N_VARIABLES), variable[observed]]
-        values += [static_values, _round4(value)]
+        first, start = end, end + vocab.N_STATIC     # the statics, then the dynamic rows
+        end = start + int(observed.sum())
+        patient[first:end] = i
+        minutes[first:start] = 0
+        variables[first:start] = np.arange(vocab.N_DYNAMIC, vocab.N_VARIABLES)
+        values[first:start] = static_values
+        minutes[start:end] = (bucket_start + minute_noise)[observed]
+        variables[start:end] = cell_variable[observed]
+        values[start:end] = _round4((cell_values[:, :, None] + step[:, :, None] * observation)
+                                    [observed])
+    for column in (patient, minutes, variables, values):
+        column.resize(end, refcheck=False)     # shrinks in place; no view of a column exists
     manifest = {
         "profile": spec.profile,
         "seed": spec.seed,
@@ -180,8 +192,5 @@ def generate(spec: SynthSpec) -> SynthResult:
         "total_cells": total_cells,
         "dropped_cells": dropped_cells,
     }
-    events = Events(pids, np.concatenate(patient).astype(np.int32),
-                    np.concatenate(minutes).astype(np.int16),
-                    np.concatenate(variables).astype(np.int8),
-                    np.concatenate(values).astype(np.float64))
+    events = Events(pids, patient, minutes, variables, values)
     return SynthResult(events, Outcomes(pids, labels), manifest)

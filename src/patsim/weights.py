@@ -223,7 +223,9 @@ def _active(active) -> np.ndarray:
 
 def _check_cohort(labels, k=0):
     """A training cohort holds both classes and, when k is given, k leave-one-out candidates."""
-    if not (labels != labels[:1]).any():        # np.unique's first call imports numpy.ma
+    # not np.unique: asked for no index or count, it calls np.ma.is_masked, so its
+    # first call imports numpy.ma, as np.quantile's does, and train imports neither
+    if not (labels != labels[:1]).any():
         raise PatsimError("training cohort contains a single class")
     if k > len(labels) - 1:
         raise PatsimError(f"k={k} but only {len(labels) - 1} leave-one-out candidates")

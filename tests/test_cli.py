@@ -638,7 +638,8 @@ class TestLocatedFaults:
 
     @pytest.mark.parametrize("reports, reason", [
         (["a.csv", "b={one}"], "expected NAME=PATH, got 'a.csv'"),
-        (["a={one}", "b={two}"], "methods cover different numbers of folds"),
+        (["a={one}", "b={two}"], "reports cover different numbers of folds: "
+                                 "a={one} has 1, b={two} has 2"),
     ], ids=["no_path", "fold_counts"])
     def test_compare_report_argument_fault(self, tmp_path, capsys, reports, reason):
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -646,7 +647,7 @@ class TestLocatedFaults:
         two.write_text(f"{FOLD_METRICS_HEADER}\n0,1,2,3,4,0.5,0.5,0.5\n1,1,2,3,4,0.5,0.5,0.5\n")
         err = one_line_error(capsys, ["compare"] + [r.format(one=one, two=two) for r in reports]
                              + ["--out-json", tmp_path / "report.json"])
-        assert err == f"error: {reason}\n"
+        assert err == f"error: {reason.format(one=one, two=two)}\n"
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--init-weights", "--manual-weights"])
@@ -893,13 +894,32 @@ class TestLocatedFaults:
         assert err == f"error: {events}: no event rows, so the cohort has no patients\n"
 
 
+@pytest.fixture(scope="module")
+def stats_in(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("stats")
+    assert main(["frame", "--events", str(synth_dir / "events.csv"),
+                 "--outcomes", str(synth_dir / "outcomes.csv"),
+                 "--out-frames", str(out / "frames.csv"), "--stats-out", str(out / "stats.txt")]) == 0
+    return out / "stats.txt"
+
+
+# enough folds for the 60 patients of synth_dir, so exp3 succeeds on valid inputs
+EXP3_FOLDS = ("--folds", "3", "--workers", "1")
+
+
 class TestReaderFuzz:
     """A mutated input file fails in one stderr line naming it, exit 1 (2 for I/O), no traceback.
 
     Each case breaks one file of a command that would otherwise succeed.
     The one exception to naming the broken file: an events or outcomes
     file with no rows leaves the other file's first patient unmatched, and
-    that fault names the other file and line.
+    that fault names the other file and line. Some mutations break
+    nothing, and the command must exit 0 with nothing on stderr:
+    write_scaling_stats writes nan for a bucket that no training patient
+    was observed in, so a stats file with a nan bucket mean is valid; a
+    config with no rows sets no key; and manual weights with no rows leave
+    every variable at 0, with a logged warning (which pytest captures
+    apart from stderr).
     """
 
     READERS = {
@@ -916,34 +936,63 @@ class TestReaderFuzz:
             "compare", f"a={f['metrics']}", f"b={bad}", "--out-json", out / "r.json"]),
         "experiment --events": ("events", lambda f, bad, out: [
             "experiment", "exp3", "--events", bad, "--outcomes", f["outcomes"],
-            "--out-dir", out]),
+            "--out-dir", out, *EXP3_FOLDS]),
         "experiment --outcomes": ("outcomes", lambda f, bad, out: [
             "experiment", "exp3", "--events", f["events"], "--outcomes", bad,
-            "--out-dir", out]),
+            "--out-dir", out, *EXP3_FOLDS]),
+        "frame --stats-in": ("stats", lambda f, bad, out: [
+            "frame", "--events", f["events"], "--outcomes", f["outcomes"], "--stats-in", bad,
+            "--out-frames", out / "f.csv"]),
+        "train --init-weights": ("weights", lambda f, bad, out: [
+            "train", "--frames", f["frames"], "--init-weights", bad,
+            "--weights-out", out / "w.csv", "--max-epochs", "1"]),
+        "experiment --manual-weights": ("weights", lambda f, bad, out: [
+            "experiment", "exp3", "--events", f["events"], "--outcomes", f["outcomes"],
+            "--manual-weights", bad, "--out-dir", out, *EXP3_FOLDS]),
+        "train --config": ("config", lambda f, bad, out: [
+            "train", "--frames", f["frames"], "--weights-out", out / "w.csv", "--config", bad]),
     }
+    # the key=value files; the first line of each stands as the header
+    SEPARATORS = {"stats": "=", "config": "="}
+    # the readers that take a file with no rows
+    LENIENT = {"train --config", "train --init-weights", "experiment --manual-weights"}
 
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(sorted(READERS)), st.sampled_from(FAULTS + ("missing",)), st.data())
-    def test_one_line_naming_the_file(self, synth_dir, framed, tmp_path, capsys,
-                                      reader, mutation, data):
+    def test_one_line_naming_the_file(self, synth_dir, framed, stats_in, tmp_path, capsys,
+                                      caplog, reader, mutation, data):
         kind, argv = self.READERS[reader]
         files = {"frames": framed, "events": synth_dir / "events.csv",
                  "outcomes": synth_dir / "outcomes.csv", "weights": tmp_path / "w.csv",
-                 "metrics": tmp_path / "metrics.csv"}
+                 "metrics": tmp_path / "metrics.csv", "stats": stats_in,
+                 "config": tmp_path / "run.cfg"}
         files["weights"].write_text("variable,weight\n" + "".join(
             f"{name},1.0\n" for name in vocab.ALL_VARIABLES))
         evaluation.save_fold_metrics([evaluation.FoldMetrics(i, 3, 1, 2, 9, 0.75, 0.6, i / 5)
                                       for i in range(4)], files["metrics"])
+        files["config"].write_text("# train settings\nmax_epochs=1\nk=5\n")
+        text = files[kind].read_text()
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
             out = Path(out)
             bad = out / f"bad_{kind}.csv"
             if mutation != "missing":
-                bad.write_bytes(mutate(files[kind].read_text(), mutation, data.draw)
-                                .encode(errors="surrogateescape"))
+                mutated = mutate(text, mutation, data.draw, self.SEPARATORS.get(kind, ","))
+                bad.write_bytes(mutated.encode(errors="surrogateescape"))
             capsys.readouterr()
+            caplog.clear()
             rc = main([str(a) for a in argv(files, bad, out)])
             err = capsys.readouterr().err
+        if kind == "stats" and mutation == "nan" and all(
+                line.startswith("dyn_bucket_mean.")
+                for line in set(mutated.splitlines()) - set(text.splitlines())):
+            assert (rc, err) == (0, "")
+            return
+        if reader in self.LENIENT and mutation in ("empty", "header_only"):
+            assert (rc, err) == (0, "")
+            if kind == "weights":
+                assert "leaves 40 variables at weight 0" in caplog.text
+            return
         partner = {"events": "outcomes", "outcomes": "events"}.get(kind)
         named = files[partner] if partner and mutation == "header_only" else bad
         assert rc == (2 if mutation == "missing" else 1)

@@ -673,6 +673,11 @@ class TestCompare:
         with pytest.raises(PatsimError, match="^need at least two methods to compare$"):
             compare({"only": metrics_with_f(rng.random(5))})
 
+    def test_unequal_fold_counts_name_each_method_and_count(self, rng):
+        with pytest.raises(PatsimError, match="^methods cover different numbers of folds: "
+                                              "a has 5, b has 4$"):
+            compare({"a": metrics_with_f(rng.random(5)), "b": metrics_with_f(rng.random(4))})
+
     def test_empty_fold_lists_refuse_before_any_mean(self):
         # the suite turns numpy's "Mean of empty slice" RuntimeWarning into an error
         with pytest.raises(PatsimError, match="^need at least 2 folds and 2 methods$"):

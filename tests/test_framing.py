@@ -1,11 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patsim import vocab
+from patsim import framing, ingest, synth, vocab
 from patsim.errors import InputFault, PatsimError
 from patsim.framing import (
     N_AGG,
@@ -26,7 +27,7 @@ from patsim.framing import (
     write_scaling_stats,
 )
 from util import (cohort_of, framing_oracle, reference_aggregation_scaling,
-                  reference_fit_scaling)
+                  reference_fit_scaling, traced_peak)
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 AGE = vocab.STATIC_INDEX["Age"]
@@ -353,6 +354,32 @@ def test_scaling_stats_bad_value_names_line(tmp_path):
         assert str(exc.value) == f"{path} line {line}: bad value {reason}"
 
 
+@pytest.mark.parametrize("key, value, named, reason", [
+    ("dyn_max.{hr}", "inf", "dyn_max.{hr}", ""),
+    ("static_min.{age}", "-inf", "static_min.{age}", ""),
+    ("dyn_min.{hr}", "nan", "dyn_min.{hr}", ": nan only where min, max and mean all are"),
+    ("static_mean.{age}", "nan", "static_mean.{age}", ": nan only where min, max and mean all are"),
+    ("dyn_max.{hr}", "70.0", "dyn_degenerate.{hr}", ": degenerate unless min is below max"),
+    ("dyn_degenerate.{ph}", "0", "dyn_degenerate.{ph}", ": degenerate unless min is below max"),
+], ids=["inf", "minus_inf", "nan_min", "nan_mean", "min_equals_max", "never_observed"])
+def test_scaling_stats_that_would_write_nan_cells_name_the_line(tmp_path, key, value, named,
+                                                                reason):
+    """Each edit, of a file write_scaling_stats wrote, would make scale_frames write nan cells."""
+    path = tmp_path / "stats.txt"
+    write_scaling_stats(fit_scaling(hand_fixture()), path)
+    index = {"hr": HR, "age": AGE, "ph": vocab.DYNAMIC_INDEX["pH"]}
+    key, named = key.format(**index), named.format(**index)
+    lines = path.read_text().splitlines()
+    at = [line.split("=")[0] for line in lines]
+    lines[at.index(key)] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputFault) as exc:
+        read_scaling_stats(path)
+    line = lines[at.index(named)]
+    assert str(exc.value) == (f"{path} line {at.index(named) + 1}: bad value "
+                              f"{line.split('=')[1]!r} for {named!r}{reason}")
+
+
 def _reference_impute_and_scale(frame, stats):
     """Oracle: one patient at a time, row-wise carry-forward on a 2-D grid."""
     n_rows, n_cols = frame.dynamic.shape
@@ -556,3 +583,43 @@ def test_framing_matches_per_event_oracle(case, grid):
         assert ((d.statics >= 0.0) & (d.statics <= 1.0)).all()
     filled, _ = _impute_stack(raw, np.stack([f.statics for f in frames]), stats)
     assert bits(filled[observed]) == bits(raw[observed])
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_rows(), st.sampled_from([(2, 48), (1, 24), (4, 48)]))
+def test_framing_a_patient_at_a_time_matches_one_block(case, grid):
+    """Blocks of one patient each give the grid and statics of one block, bit for bit:
+    patients with only static rows or none, events past a 24 h horizon, one patient."""
+    cohort = cohort_of(*case)
+    with mock.patch.object(framing, "FRAME_BLOCK_ROWS", 1):
+        # a block is one patient, or patients whose rows number at most the constant
+        assert all(p.stop - p.start == 1 or r.stop - r.start <= 1
+                   for p, r in framing._patient_blocks(cohort))
+        blocks = frame_cohort(cohort, *grid)
+    with mock.patch.object(framing, "FRAME_BLOCK_ROWS", 2 ** 40):
+        assert len(list(framing._patient_blocks(cohort))) == 1
+        whole = frame_cohort(cohort, *grid)
+    assert bits(blocks.grid) == bits(whole.grid)
+    assert bits(blocks.statics) == bits(whole.statics)
+
+
+@pytest.fixture(scope="module")
+def planted_cohort():
+    return synth.generate(synth.SynthSpec(n_patients=400, seed=1001)).cohort()
+
+
+def test_frame_cohort_holds_little_beyond_its_grid(planted_cohort):
+    frames, peak = traced_peak(lambda: frame_cohort(planted_cohort))
+    assert peak <= 3.5 * frames.grid.nbytes, (peak, frames.grid.nbytes)
+
+
+def test_write_frames_holds_a_bounded_block(planted_cohort, tmp_path):
+    frames = frame_cohort(planted_cohort)
+    dense = scale_frames(frames, fit_scaling(frames))
+    _, peak = traced_peak(lambda: write_frames(dense, tmp_path / "frames.csv"))
+    assert peak <= 2 * 2 ** 20, peak
+
+
+def test_write_events_holds_a_bounded_block(planted_cohort, tmp_path):
+    _, peak = traced_peak(lambda: ingest.write_events(planted_cohort, tmp_path / "events.csv"))
+    assert peak <= 1.9 * 2 ** 20, peak

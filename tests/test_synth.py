@@ -10,6 +10,7 @@ from patsim import framing, vocab, weights
 from patsim.cli import main
 from patsim.errors import PatsimError
 from patsim.synth import SynthSpec, _round4, generate
+from util import traced_peak
 
 
 def frames_for(result):
@@ -57,6 +58,13 @@ class TestGenerator:
         for column in ("patient", "minute", "variable", "value"):
             assert getattr(r1.events, column).tobytes() == getattr(r2.events, column).tobytes()
         assert r1.outcomes.labels.tolist() == r2.outcomes.labels.tolist()
+
+    def test_generation_holds_little_beyond_its_event_columns(self):
+        result, peak = traced_peak(lambda: generate(SynthSpec(n_patients=400, seed=1001)))
+        events = result.events
+        columns = sum(c.nbytes for c in (events.patient, events.minute, events.variable,
+                                         events.value))
+        assert peak <= 2.5 * columns, (peak, columns)
 
     def test_manifest_lists_informative(self):
         result = generate(SynthSpec(n_patients=10, n_informative_variables=4, seed=4))

@@ -9,6 +9,7 @@ a short row.
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,16 +130,24 @@ def _with_nans(rng, shape):
     return values
 
 
+def _variable_stats(rng, size) -> list:
+    """[min, max, mean, degenerate] of `size` variables as fit_scaling leaves them: one never
+    observed has nan statistics, and a variable is degenerate unless its min is below its max."""
+    lo, hi, mean = rng.normal(size=(3, size))
+    unseen = rng.random(size) < 0.2
+    lo[unseen] = hi[unseen] = mean[unseen] = np.nan
+    return [lo, hi, mean, ~(lo < hi) | (rng.random(size) < 0.2)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
 def test_scaling_stats_round_trip(seed, n_buckets):
     rng = np.random.default_rng(seed)
     n_dyn, n_stat = vocab.N_DYNAMIC, vocab.N_STATIC
-    stats = ScalingStats(n_buckets, _with_nans(rng, n_dyn), _with_nans(rng, n_dyn),
-                         _with_nans(rng, n_dyn), _with_nans(rng, (n_dyn, n_buckets)),
-                         rng.random(n_dyn) < 0.5, _with_nans(rng, n_stat),
-                         _with_nans(rng, n_stat), _with_nans(rng, n_stat),
-                         rng.random(n_stat) < 0.5)
+    dyn_min, dyn_max, dyn_mean, dyn_degenerate = _variable_stats(rng, n_dyn)
+    stats = ScalingStats(n_buckets, dyn_min, dyn_max, dyn_mean,
+                         _with_nans(rng, (n_dyn, n_buckets)), dyn_degenerate,
+                         *_variable_stats(rng, n_stat))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stats.txt"
         framing.write_scaling_stats(stats, path)
@@ -258,3 +267,14 @@ def test_write_rows_to_a_file(tmp_path):
     path = tmp_path / "table.csv"
     tables.write_rows(path, "a,b", (f"{i},{i * i}" for i in range(3)))
     assert path.read_bytes() == b"a,b\n0,0\n1,1\n2,4\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.text("ab,é", max_size=12)), st.integers(1, 40))
+def test_write_rows_keeps_every_row_at_any_block_size(rows, write_bytes):
+    """Blocks sized by the first row's length, rows longer than a block and empty rows included."""
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(tables, "WRITE_BYTES", write_bytes)):
+        path = Path(tmp) / "table.csv"
+        tables.write_rows(path, "a,b", iter(rows))
+        assert path.read_text(encoding="utf-8") == "a,b\n" + "".join(r + "\n" for r in rows)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,36 +389,37 @@ ODD_CELLS = ("nan", "-inf", "1e400", "1_0", "5_0", " 1", "1 ", "0x10", "5.0", "+
              "", "1d5", ".5", "5.", "1e5", "Heart rate", "é", "(1)")
 
 
-def mutate(text, mutation, draw) -> str:
+def mutate(text, mutation, draw, sep=",") -> str:
     """`text`, a table file with a header and at least one row, changed by `mutation`.
 
     `draw` is hypothesis's data.draw: it picks the row, cell and details,
-    so a failing case shrinks. Write the result with
-    `encode(errors="surrogateescape")`: "non_utf8" puts in a byte that
-    no UTF-8 text holds, as that error handler decodes it.
+    so a failing case shrinks. Cells are split at `sep` ("=" for the
+    key=value files, whose first line stands as the header). Write the
+    result with `encode(errors="surrogateescape")`: "non_utf8" puts in a
+    byte that no UTF-8 text holds, as that error handler decodes it.
     """
     head, *rows = text.splitlines()
     i = draw(st.integers(0, len(rows) - 1))
-    cells = rows[i].split(",")
+    cells = rows[i].split(sep)
     j = draw(st.integers(1, len(cells) - 1))   # a cell after the id
     if mutation == "empty":
         return ""
     if mutation == "header_only":
         rows = []
     elif mutation == "drop_cell":
-        rows[i] = ",".join(cells[:-1])
+        rows[i] = sep.join(cells[:-1])
     elif mutation == "add_cell":
-        rows[i] += ",1"
-    elif mutation == "truncate":   # cut before the last comma, keeping part of the id
-        rows[i] = rows[i][:draw(st.integers(1, max(1, rows[i].rindex(",") - 1)))]
+        rows[i] += sep + "1"
+    elif mutation == "truncate":   # cut before the last separator, keeping part of the id
+        rows[i] = rows[i][:draw(st.integers(1, max(1, rows[i].rindex(sep) - 1)))]
     elif mutation in ("nan", "inf", "odd_cell"):
         cells[j] = {"nan": "nan", "inf": "inf"}.get(mutation) or draw(st.sampled_from(ODD_CELLS))
-        rows[i] = ",".join(cells)
+        rows[i] = sep.join(cells)
     elif mutation == "blank":
         rows.insert(i, draw(st.sampled_from(["", " ", "\t"])))
     elif mutation == "space":
         cells[j] = draw(st.sampled_from([" ", ""])) + cells[j] + draw(st.sampled_from([" ", ""]))
-        rows[i] = ",".join(cells)
+        rows[i] = sep.join(cells)
     elif mutation == "non_utf8":
         at, byte = draw(st.integers(0, len(rows[i]))), draw(st.sampled_from("\udcff\udcc3\udc80"))
         rows[i] = rows[i][:at] + byte + rows[i][at:]
@@ -431,3 +433,17 @@ def mutate(text, mutation, draw) -> str:
     if mutation == "no_final_newline":
         return out[:-1]
     return out
+
+
+def traced_peak(call):
+    """(call(), the peak of memory traced during it above the level it started at).
+
+    numpy reports its buffers to tracemalloc, so the reading repeats exactly.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
