@@ -8,11 +8,12 @@ Two representations are produced from the same raw events:
   (minimum, maximum, median, first, last, count).
 
 Both share one min-max scaling, fitted on training patients only and
-reused to transform anything else: an aggregation table scales as 216
-one-bucket variables, one per (variable, statistic) column. The pipeline
-works on whole `Frames` cohorts; the per-patient names left, `FramedPatient`
-(a cohort's item, as `write_frames` walks it), `stack` and
-`impute_and_scale`, stay because perfbench's set-up and tracer bind them.
+reused to transform anything else. It takes every group of variables as
+an (n, variables, buckets) grid: the statics scale as 4 one-bucket
+variables, and an aggregation table as 216, one per (variable, statistic)
+column. The pipeline works on whole `Frames` cohorts; the per-patient names
+left, `FramedPatient` (a cohort's item, as `write_frames` walks it), `stack`
+and `impute_and_scale`, stay because perfbench's set-up and tracer bind them.
 """
 
 from __future__ import annotations
@@ -172,9 +173,8 @@ class ScalingStats:
     Mins/maxes pool all buckets of a variable; bucket means are per
     (variable, bucket) and NaN where that bucket was never observed.
     Degenerate variables (never observed, or constant) scale to 0.5. The
-    shapes are the time-frame grid's: an aggregation table scales as 216
-    one-bucket variables, its (variable, statistic) columns, so each
-    column's statistics are its own.
+    shapes are the grid's as _variables views it: an aggregation table's
+    are (216, 1), so each (variable, statistic) column has its own.
     """
 
     n_buckets: int
@@ -189,94 +189,75 @@ class ScalingStats:
     static_degenerate: np.ndarray  # (4,) bool
 
 
-def _column_sums(values) -> tuple:
-    """(min, max, sum, count) over axis 0 of the observed entries, those not NaN.
+def _variables(frames: Frames) -> tuple:
+    """The grid and the statics as (n, variables, buckets) groups, scaled each on its own.
 
-    A column never observed has min +inf, max -inf, sum 0 and count 0.
-    """
-    observed = ~np.isnan(values)
-    return (np.where(observed, values, np.inf).min(axis=0),
-            np.where(observed, values, -np.inf).max(axis=0),
-            np.where(observed, values, 0.0).sum(axis=0), observed.sum(axis=0))
-
-
-def _column_stats(lo, hi, sums, counts) -> tuple:
-    """(min, max, mean, degenerate) of columns from their _column_sums.
-
-    Columns never observed get NaN statistics; they and constant columns
-    are degenerate.
-    """
-    seen = counts > 0
-    with np.errstate(invalid="ignore"):
-        mean = np.where(seen, sums / np.maximum(counts, 1), np.nan)
-    lo, hi = np.where(seen, lo, np.nan), np.where(seen, hi, np.nan)
-    return lo, hi, mean, ~seen | (hi <= lo)
-
-
-def _fill(values, mean):
-    """NaN entries take the training mean, or 0 where that is NaN too."""
-    return np.where(np.isnan(values), np.where(np.isnan(mean), 0.0, mean), values)
-
-
-def _variable_grid(frames: Frames) -> np.ndarray:
-    """The grid as (n, variables, buckets); an aggregation table's columns are variables.
-
-    The (n, 36, 6) table is viewed as (n, 216, 1): over one bucket
-    carry-forward changes nothing, and a variable's pooled statistics are
-    its one column's own.
+    The statics are (n, 4, 1), and an aggregation table's (n, 36, 6) is
+    viewed as (n, 216, 1): over one bucket carry-forward changes nothing,
+    and a variable's pooled statistics are its one column's own.
     """
     n, rows, cols = frames.grid.shape
-    return frames.grid.reshape(n, rows * cols, 1) if frames.aggregated else frames.grid
+    grid = frames.grid.reshape(n, rows * cols, 1) if frames.aggregated else frames.grid
+    return grid, frames.statics[:, :, None]
+
+
+def _fit(values) -> tuple:
+    """(min, max, mean, bucket means, degenerate) of each variable of a group, NaN skipped.
+
+    One pass over the cells gives every (variable, bucket)'s min, max, sum
+    and count; a variable's statistics pool its buckets'. A bucket never
+    observed has a NaN mean; a variable never observed gets NaN statistics,
+    and it and a constant variable are degenerate.
+    """
+    observed = ~np.isnan(values)
+    lo = np.where(observed, values, np.inf).min(axis=0)     # each (variables, buckets)
+    hi = np.where(observed, values, -np.inf).max(axis=0)
+    sums, counts = np.where(observed, values, 0.0).sum(axis=0), observed.sum(axis=0)
+    seen = counts.sum(axis=1) > 0
+    with np.errstate(invalid="ignore"):
+        mean = np.where(seen, sums.sum(axis=1) / np.maximum(counts.sum(axis=1), 1), np.nan)
+        bucket_mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    lo, hi = np.where(seen, lo.min(axis=1), np.nan), np.where(seen, hi.max(axis=1), np.nan)
+    return lo, hi, mean, bucket_mean, ~seen | (hi <= lo)
+
+
+def _scale(values, lo, hi, mean, bucket_mean, degenerate) -> np.ndarray:
+    """Dense, [0, 1]-scaled copy of a group, by the statistics _fit gives.
+
+    An unobserved cell takes the last observed value before it, else the
+    bucket mean, the pooled mean or 0; observed cells keep their values.
+    Each variable then scales by its min and max, clipped into [0, 1], or
+    to 0.5 when degenerate, in place in the one grid-sized output.
+    """
+    out, gaps = values.copy(), np.isnan(values)
+    for t in range(1, out.shape[2]):
+        np.copyto(out[..., t], out[..., t - 1], where=gaps[..., t])
+    fallback = np.where(np.isnan(bucket_mean), np.where(np.isnan(mean), 0.0, mean)[:, None],
+                        bucket_mean)
+    np.copyto(out, fallback, where=np.isnan(out))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out -= lo[:, None]
+        out /= (hi - lo)[:, None]
+    np.clip(out, 0.0, 1.0, out=out)
+    out[:, degenerate] = 0.5
+    return out
 
 
 def fit_scaling(frames: Frames) -> ScalingStats:
     """Fit per-variable scaling statistics from training frames only.
 
-    One pass over the cells not NaN gives the sums of every (variable,
-    bucket); a variable's statistics pool its buckets' sums. An aggregated
+    The grid and the statics are fitted the same way (_fit); an aggregated
     cohort is fitted column by column.
     """
     if not frames:
         raise PatsimError("cannot fit scaling statistics on an empty cohort")
     if frames.grid.shape[1] != vocab.N_DYNAMIC:
         raise PatsimError("expected 36 dynamic variables")
-    grid = _variable_grid(frames)
-    lo, hi, sums, counts = _column_sums(grid)     # each (variables, n_buckets)
-    dyn_min, dyn_max, dyn_mean, dyn_degenerate = _column_stats(
-        lo.min(axis=1), hi.max(axis=1), sums.sum(axis=1), counts.sum(axis=1))
-    return ScalingStats(grid.shape[2], dyn_min, dyn_max, dyn_mean,
-                        _column_stats(lo, hi, sums, counts)[2], dyn_degenerate,
-                        *_column_stats(*_column_sums(frames.statics)))
-
-
-def _locf(values: np.ndarray) -> np.ndarray:
-    """Carry the last observed value forward along the last axis (NaN = missing)."""
-    observed = ~np.isnan(values)
-    idx = np.where(observed, np.arange(values.shape[-1]), 0)
-    np.maximum.accumulate(idx, axis=-1, out=idx)
-    return np.take_along_axis(values, idx, axis=-1)
-
-
-def _scale01(values, lo, hi, degenerate):
-    span = hi - lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = (values - lo) / span
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return np.where(degenerate, 0.5, scaled)
-
-
-def _impute_stack(dynamic, statics, stats: ScalingStats) -> tuple:
-    """Fill unobserved cells of stacked raw grids (n, variables, nb) and statics (n, 4).
-
-    Carry-forward first, then the training bucket mean, the pooled mean,
-    and 0 when the variable was never observed in training. Values
-    already present are never modified.
-    """
-    if dynamic.shape[1:] != stats.dyn_bucket_mean.shape:
-        raise PatsimError(f"frame grid {dynamic.shape[1:]} does not match stats "
-                          f"{stats.dyn_bucket_mean.shape}")
-    return (_fill(_locf(dynamic), _fill(stats.dyn_bucket_mean, stats.dyn_mean[:, None])),
-            _fill(statics, stats.static_mean))
+    grid, statics = _variables(frames)
+    dyn_min, dyn_max, dyn_mean, bucket_mean, dyn_degenerate = _fit(grid)
+    static_min, static_max, static_mean, _, static_degenerate = _fit(statics)
+    return ScalingStats(grid.shape[2], dyn_min, dyn_max, dyn_mean, bucket_mean, dyn_degenerate,
+                        static_min, static_max, static_mean, static_degenerate)
 
 
 def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
@@ -285,17 +266,21 @@ def scale_frames(frames: Frames, stats: ScalingStats) -> Frames:
     Every step is elementwise per patient, so a patient's result does not
     depend on the rest of the cohort.
     """
-    filled, statics = _impute_stack(_variable_grid(frames), frames.statics, stats)
-    return replace(frames,
-                   grid=_scale01(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
-                                 stats.dyn_degenerate[:, None]).reshape(frames.grid.shape),
-                   statics=_scale01(statics, stats.static_min, stats.static_max,
-                                    stats.static_degenerate))
+    grid, statics = _variables(frames)
+    if grid.shape[1:] != stats.dyn_bucket_mean.shape:
+        raise PatsimError(f"frame grid {grid.shape[1:]} does not match stats "
+                          f"{stats.dyn_bucket_mean.shape}")
+    grid = _scale(grid, stats.dyn_min, stats.dyn_max, stats.dyn_mean, stats.dyn_bucket_mean,
+                  stats.dyn_degenerate)
+    statics = _scale(statics, stats.static_min, stats.static_max, stats.static_mean,
+                     stats.static_mean[:, None], stats.static_degenerate)
+    return replace(frames, grid=grid.reshape(frames.grid.shape), statics=statics[:, :, 0])
 
 
 def impute_and_scale(frame: FramedPatient, stats: ScalingStats) -> FramedPatient:
     """Dense, [0, 1]-scaled copy of one time-frame patient."""
-    return scale_frames(stack([frame]), stats)[0]
+    return scale_frames(Frames([frame.patient_id], np.array([frame.label]), frame.dynamic[None],
+                               frame.statics[None]), stats)[0]
 
 
 def aggregate_cohort(cohort, horizon_hours=vocab.HORIZON_HOURS) -> Frames:
@@ -354,16 +339,16 @@ def write_frames(frames, path) -> None:
     if not frames:
         raise PatsimError("no frames to write")
     tables.write_rows(path, _dynamic_header(frames[0].dynamic.shape[1]), (
-        ",".join([f.patient_id, str(f.label)] + [repr(float(x)) for x in f.dynamic.ravel()]
-                 + [repr(float(x)) for x in f.statics])
+        ",".join([f.patient_id, str(f.label), *map(repr, f.dynamic.ravel().tolist()),
+                  *map(repr, f.statics.tolist())])
         for f in frames))
 
 
 def write_mask(frames: Frames, path) -> None:
     """Write the 0/1 observation mask of raw frames, 1 where a cell is not NaN; an output only."""
-    cells = np.where(np.isnan(frames.grid), "0", "1").reshape(len(frames), -1).tolist()
     tables.write_rows(path, ",".join(["patient_id"] + _cell_names(frames.grid.shape[2])), (
-        ",".join([pid, *row]) for pid, row in zip(frames.ids, cells)))
+        ",".join([pid, *np.where(np.isnan(grid), "0", "1").ravel().tolist()])
+        for pid, grid in zip(frames.ids, frames.grid)))
 
 
 def read_frames(path) -> Frames:

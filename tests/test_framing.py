@@ -12,7 +12,6 @@ from patsim.framing import (
     N_AGG,
     FramedPatient,
     Frames,
-    _impute_stack,
     aggregate_cohort,
     fit_scaling,
     frame_cohort,
@@ -27,7 +26,7 @@ from patsim.framing import (
     write_scaling_stats,
 )
 from util import (cohort_of, framing_oracle, reference_aggregation_scaling,
-                  reference_fit_scaling, traced_peak)
+                  reference_fit_scaling, reference_time_frame_scaling, traced_peak)
 
 HR = vocab.DYNAMIC_INDEX["Heart rate"]
 AGE = vocab.STATIC_INDEX["Age"]
@@ -182,13 +181,15 @@ class TestScaling:
         assert impute_and_scale(hot, stats).dynamic[HR, 0] == 1.0
 
     def test_impute_identity_on_dense(self, rng):
+        # with no cell to impute, every cell is its own value min-max scaled
         from util import random_dense_frames
-        dense_raw = random_dense_frames(4, rng)
-        stats = fit_scaling(stack(dense_raw))
-        for f in dense_raw:
-            dynamic, statics = _impute_stack(f.dynamic[None], f.statics[None], stats)
-            assert (dynamic[0] == f.dynamic).all()
-            assert (statics[0] == f.statics).all()
+        dense_raw = stack(random_dense_frames(4, rng))
+        stats = fit_scaling(dense_raw)
+        scaled = scale_frames(dense_raw, stats)
+        lo, hi = stats.dyn_min[:, None], stats.dyn_max[:, None]
+        assert (scaled.grid == (dense_raw.grid - lo) / (hi - lo)).all()
+        lo, hi = stats.static_min, stats.static_max
+        assert (scaled.statics == (dense_raw.statics - lo) / (hi - lo)).all()
 
     def test_scaling_bounds_and_endpoints(self, rng):
         frames = []
@@ -380,33 +381,7 @@ def test_scaling_stats_that_would_write_nan_cells_name_the_line(tmp_path, key, v
                               f"{line.split('=')[1]!r} for {named!r}{reason}")
 
 
-def _reference_impute_and_scale(frame, stats):
-    """Oracle: one patient at a time, row-wise carry-forward on a 2-D grid."""
-    n_rows, n_cols = frame.dynamic.shape
-    idx = np.where(~np.isnan(frame.dynamic), np.arange(n_cols)[None, :], 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    filled = frame.dynamic[np.arange(n_rows)[:, None], idx]
-    gaps = np.isnan(filled)
-    if gaps.any():
-        fallback = np.where(np.isnan(stats.dyn_bucket_mean),
-                            stats.dyn_mean[:, None], stats.dyn_bucket_mean)
-        fallback = np.where(np.isnan(fallback), 0.0, fallback)
-        filled = np.where(gaps, fallback, filled)
-    statics = np.where(np.isnan(frame.statics),
-                       np.where(np.isnan(stats.static_mean), 0.0, stats.static_mean),
-                       frame.statics)
-
-    def scale(values, lo, hi, degenerate):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-        return np.where(degenerate, 0.5, scaled)
-
-    return (scale(filled, stats.dyn_min[:, None], stats.dyn_max[:, None],
-                  stats.dyn_degenerate[:, None]),
-            scale(statics, stats.static_min, stats.static_max, stats.static_degenerate))
-
-
-ALL_NAN_VAR, CONSTANT_VAR, HIGH_VAR, LOW_VAR = 0, 1, 2, 3
+ALL_NAN_VAR, CONSTANT_VAR, HIGH_VAR, LOW_VAR, ZERO_VAR = 0, 1, 2, 3, 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,13 +415,13 @@ def test_batch_scaling_matches_per_frame_bitwise(seed, n_train, n_test, n_bucket
 
     scaled = scale_frames(stack(frames), stats)
     dynamic, statics = scaled.grid, scaled.statics
+    ref_dynamic, ref_statics = reference_time_frame_scaling(stack(frames), stats)
     for i, f in enumerate(frames):
-        ref_dynamic, ref_statics = _reference_impute_and_scale(f, stats)
         single = impute_and_scale(f, stats)
         for got in (dynamic[i], scaled[i].dynamic, single.dynamic):
-            assert got.tobytes() == ref_dynamic.tobytes()
+            assert got.tobytes() == ref_dynamic[i].tobytes()
         for got in (statics[i], scaled[i].statics, single.statics):
-            assert got.tobytes() == ref_statics.tobytes()
+            assert got.tobytes() == ref_statics[i].tobytes()
         assert (np.isnan(f.dynamic) == unobserved[i]).all()
     assert (dynamic[:, ALL_NAN_VAR] == 0.5).all() and (dynamic[:, CONSTANT_VAR] == 0.5).all()
     assert (statics[:, 0] == 0.5).all()
@@ -519,6 +494,47 @@ def test_aggregation_scaling_equals_the_column_by_column_reference(seed, n_train
         assert (got.grid[:, [ALL_NAN_VAR, CONSTANT_VAR]] == 0.5).all()
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_train=st.integers(2, 6), n_test=st.integers(1, 4),
+       n_buckets=st.sampled_from([1, 12, 24]), missing=st.floats(0.0, 1.0),
+       levels=st.sampled_from([0, 3]))
+def test_time_frame_scaling_equals_the_bucket_by_bucket_reference(seed, n_train, n_test,
+                                                                  n_buckets, missing, levels):
+    """Both sides' bits, on drawn grids of 1, 12 or 24 buckets with NaN cells, a
+    never-observed and a constant variable and static, signed zeros (-0.0 test cells
+    against a training minimum of +0.0), continuous or tied values, and test cells
+    beyond the training range."""
+    rng = np.random.default_rng(seed)
+
+    def frames(n, spread):
+        grid = rng.normal(0.0, spread, (n, vocab.N_DYNAMIC, n_buckets))
+        statics = rng.normal(0.0, spread, (n, vocab.N_STATIC))
+        if levels:
+            grid, statics = np.round(grid * levels) / levels, np.round(statics * levels)
+        grid[rng.random(grid.shape) < 0.1] = -0.0
+        grid[rng.random(grid.shape) < missing] = np.nan
+        statics[rng.random(statics.shape) < missing] = np.nan
+        return Frames([f"p{i}" for i in range(n)], np.zeros(n, dtype=int), grid, statics)
+
+    train, test = frames(n_train, 1.0), frames(n_test, 5.0)
+    train.grid[:, ALL_NAN_VAR] = np.nan
+    train.grid[:, CONSTANT_VAR] = 3.25
+    train.grid[:, ZERO_VAR] = np.abs(train.grid[:, ZERO_VAR])
+    train.grid[:2, [HIGH_VAR, LOW_VAR, ZERO_VAR], 0] = [[-1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+    train.statics[:, 0], train.statics[:, 1] = np.nan, -1.5
+    test.grid[0, [HIGH_VAR, LOW_VAR, ZERO_VAR], 0] = (1e6, -1e6, -0.0)
+    stats = fit_scaling(train)
+    for side in (train, test):
+        got = scale_frames(side, stats)
+        want_grid, want_statics = reference_time_frame_scaling(side, stats)
+        assert not got.aggregated and got.grid.shape == side.grid.shape
+        assert got.grid.tobytes() == want_grid.tobytes()
+        assert got.statics.tobytes() == want_statics.tobytes()
+        assert (got.grid[:, [ALL_NAN_VAR, CONSTANT_VAR]] == 0.5).all()
+        assert (got.statics[:, :2] == 0.5).all()
+    assert tuple(got.grid[0, [HIGH_VAR, LOW_VAR], 0]) == (1.0, 0.0)
+
+
 ORACLE_VARIABLES = ("Heart rate", "pH", "Glucose", "Age", "Weight")
 # bucket edges of both window widths, the 24 h horizon and the last minute
 ORACLE_MINUTES = (0, 1, 59, 60, 119, 120, 239, 240, 1439, 1440, 2879)
@@ -572,17 +588,17 @@ def test_framing_matches_per_event_oracle(case, grid):
         assert bits(agg.dynamic) == bits(table)
 
     # the framing invariants: scaling never touches the raw grid's NaN cells, dense
-    # output lies in [0, 1], and carrying forward never overwrites an observed cell
+    # output lies in [0, 1], and carrying forward never overwrites an observed cell,
+    # as the bucket-by-bucket reference, which keeps every observed value, shows
     raw = frames.grid.copy()
-    observed = ~np.isnan(raw)
     stats = fit_scaling(frames)
-    dense = [*scale_frames(frames, stats), *(impute_and_scale(f, stats) for f in frames)]
+    scaled = scale_frames(frames, stats)
+    dense = [*scaled, *(impute_and_scale(f, stats) for f in frames)]
     assert bits(frames.grid) == bits(raw)
     for d in dense:
         assert ((d.dynamic >= 0.0) & (d.dynamic <= 1.0)).all()
         assert ((d.statics >= 0.0) & (d.statics <= 1.0)).all()
-    filled, _ = _impute_stack(raw, np.stack([f.statics for f in frames]), stats)
-    assert bits(filled[observed]) == bits(raw[observed])
+    assert bits(scaled.grid) == bits(reference_time_frame_scaling(frames, stats)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -623,3 +639,16 @@ def test_write_frames_holds_a_bounded_block(planted_cohort, tmp_path):
 def test_write_events_holds_a_bounded_block(planted_cohort, tmp_path):
     _, peak = traced_peak(lambda: ingest.write_events(planted_cohort, tmp_path / "events.csv"))
     assert peak <= 1.9 * 2 ** 20, peak
+
+
+def test_scale_frames_holds_little_beyond_its_grid(planted_cohort):
+    frames = frame_cohort(planted_cohort)
+    stats = fit_scaling(frames)
+    _, peak = traced_peak(lambda: scale_frames(frames, stats))
+    assert peak <= 2.5 * frames.grid.nbytes, (peak, frames.grid.nbytes)
+
+
+def test_write_mask_holds_a_bounded_block(planted_cohort, tmp_path):
+    frames = frame_cohort(planted_cohort)
+    _, peak = traced_peak(lambda: write_mask(frames, tmp_path / "mask.csv"))
+    assert peak <= 2 * 2 ** 20, peak

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import dataclass, field
 
@@ -113,6 +114,45 @@ def reference_aggregation_scaling(train, test) -> tuple:
         return np.where(~ever | (hi <= lo), 0.5, out)
 
     return scaled(train.grid, test.grid), scaled(train.statics, test.statics)
+
+
+def reference_time_frame_scaling(test, stats) -> tuple:
+    """Reference apply of time-frame scaling: the scaled (grid, statics) of `test`.
+
+    Walks each patient's variables bucket by bucket, in Python floats. An
+    observed cell keeps its value; an unobserved (NaN) one takes the last
+    observed value before it in that variable, else the training bucket
+    mean, else the variable's pooled mean, else 0. A static takes its
+    training mean, else 0. Then each cell scales by its variable's training
+    min and max and clips into [0, 1], or is 0.5 when the variable is
+    degenerate. scale_frames(test, stats) must equal it bit for bit.
+    """
+    def first_seen(*values):
+        return next(x for x in values if not math.isnan(x))
+
+    def scaled(x, lo, hi, degenerate):
+        return 0.5 if degenerate else min(max((x - lo) / (hi - lo), 0.0), 1.0)
+
+    def fields(group, *names):
+        return [getattr(stats, f"{group}_{name}").tolist() for name in names]
+
+    lo, hi, mean, bucket_mean, degenerate = fields("dyn", "min", "max", "mean", "bucket_mean",
+                                                   "degenerate")
+    grid = test.grid.tolist()
+    for patient in grid:
+        for v, cells in enumerate(patient):
+            last = math.nan
+            for t, x in enumerate(cells):
+                if not math.isnan(x):
+                    last = x
+                cells[t] = scaled(first_seen(last, bucket_mean[v][t], mean[v], 0.0),
+                                  lo[v], hi[v], degenerate[v])
+    lo, hi, mean, degenerate = fields("static", "min", "max", "mean", "degenerate")
+    statics = test.statics.tolist()
+    for row in statics:
+        for i, x in enumerate(row):
+            row[i] = scaled(first_seen(x, mean[i], 0.0), lo[i], hi[i], degenerate[i])
+    return np.array(grid).reshape(test.grid.shape), np.array(statics).reshape(test.statics.shape)
 
 
 def square_distance_tensor(grid, statics) -> np.ndarray:
