@@ -16,7 +16,12 @@ from .errors import InputFault, PatsimError
 REPRESENTATIONS = ("timeseries", "aggregation")
 FILTERS = ("chi2", "infogain", "gini")
 WEIGHTINGS = ("gd", "none", "manual") + FILTERS
-FEATURE_SETS = ("all", "dynamic_only", "static_only")
+# each feature set's variables: a contiguous range of the canonical order
+FEATURE_SETS = {
+    "all": range(vocab.N_VARIABLES),
+    "dynamic_only": range(vocab.N_DYNAMIC),
+    "static_only": range(vocab.N_DYNAMIC, vocab.N_VARIABLES),
+}
 PREDICTION_MODES = ("majority", "weighted")
 KINDS = ("knn", "majority", "linear")
 PROFILES = ("planted", "trend")
@@ -24,7 +29,7 @@ PROFILES = ("planted", "trend")
 _CHOICES = {
     "representation": REPRESENTATIONS,
     "weighting": WEIGHTINGS,
-    "features": FEATURE_SETS,
+    "features": tuple(FEATURE_SETS),
     "mode": PREDICTION_MODES,
     "kind": KINDS,
     "profile": PROFILES,

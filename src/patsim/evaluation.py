@@ -12,12 +12,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import framing, tables, vocab
+from . import framing, tables
 from .config import MethodSettings, RunConfig, check_choices, given
 from .errors import InputFault, PatsimError
 from .knn import FeatureWeights, _flat, decide_rows, nearest
 from .streams import substream
-from .weights import TrainConfig, Workspace, filter_weights, train_gd
+from .weights import TrainConfig, Workspace, feature_mask, filter_weights, train_gd
 
 
 @dataclass
@@ -112,14 +112,6 @@ class MethodSpec(MethodSettings):
         if self.weighting != "manual" and self.manual_weights is not None:
             raise PatsimError(f"a weights file is for manual weighting, not {self.weighting}")
 
-    def active_mask(self) -> np.ndarray:
-        active = np.ones(vocab.N_VARIABLES, dtype=bool)
-        if self.features == "dynamic_only":
-            active[vocab.N_DYNAMIC:] = False
-        elif self.features == "static_only":
-            active[: vocab.N_DYNAMIC] = False
-        return active
-
 
 def _scale_split(train_raw, test_raw) -> tuple:
     """Fit scaling on the training side, then scale both sides with it."""
@@ -128,15 +120,14 @@ def _scale_split(train_raw, test_raw) -> tuple:
 
 
 def _learn_weights(fold: Workspace, method: MethodSpec) -> FeatureWeights:
-    active = method.active_mask()
     if method.weighting == "gd":
-        learned, _ = train_gd(fold, TrainConfig(**given(method, TrainConfig)), active=active)
+        learned, _ = train_gd(fold, TrainConfig(**given(method, TrainConfig)), method.features)
         return learned
     if method.weighting == "none":
-        return FeatureWeights(np.where(active, 1.0, 0.0))
+        return FeatureWeights(np.where(feature_mask(method.features), 1.0, 0.0))
     if method.weighting == "manual":
-        return FeatureWeights(method.manual_weights.values * active)
-    return filter_weights(fold, method.weighting, active=active)
+        return FeatureWeights(method.manual_weights.values * feature_mask(method.features))
+    return filter_weights(fold, method.weighting, method.features)
 
 
 def _fit_linear_scorer(x, y, iters=300, lr=0.5):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tables, vocab
-from .config import FILTERS, RunConfig, check_choices
+from .config import FEATURE_SETS, FILTERS, RunConfig, check_choices
 from .errors import InputFault, PatsimError
 from .knn import FeatureWeights, _flat, _weight_array, top_k
 
@@ -214,11 +214,12 @@ class Workspace:
         return _error_value(yhat, labels), grad
 
 
-def _active(active) -> np.ndarray:
-    """Boolean mask of searched variables; None means all of them."""
-    if active is None:
-        return np.ones(vocab.N_VARIABLES, dtype=bool)
-    return np.asarray(active, dtype=bool)
+def feature_mask(features) -> np.ndarray:
+    """Boolean mask, in canonical variable order, of the feature set named `features`."""
+    check_choices(features=features)
+    mask = np.zeros(vocab.N_VARIABLES, dtype=bool)
+    mask[FEATURE_SETS[features]] = True
+    return mask
 
 
 def _check_cohort(labels, k=0):
@@ -238,7 +239,7 @@ def _finite(value, epoch):
                           f"epoch {epoch}; a smaller learning rate may converge")
 
 
-def train_gd(ws: Workspace, config: TrainConfig, active=None) -> tuple:
+def train_gd(ws: Workspace, config: TrainConfig, features="all") -> tuple:
     """Gradient-descent weight search on the cohort of `ws`; returns (FeatureWeights, TrainTrace).
 
     Each epoch re-selects leave-one-out neighbor sets at the current
@@ -246,10 +247,10 @@ def train_gd(ws: Workspace, config: TrainConfig, active=None) -> tuple:
     relative error improvement stays below the configured floor for
     `patience` consecutive epochs. The best-error weights seen are
     returned, not necessarily the last iterate; the trace records the run
-    as it goes. `active` optionally restricts the search to a boolean
-    subset of variables; the rest are pinned to zero.
+    as it goes. The search runs over the feature set named `features`
+    (config.FEATURE_SETS); every other variable is pinned to zero.
     """
-    active = _active(active)
+    active = feature_mask(features)
     start = 1.0 if config.initial_weights is None else _weight_array(config.initial_weights)
     w = _weight_array(start * active)
     err, grad = ws.error_and_gradient(w, ws.neighbor_sets(w, config.k))
@@ -370,14 +371,14 @@ def filter_score(ws: Workspace, method) -> np.ndarray:
     return _SCORERS[method](ws.tables)
 
 
-def filter_weights(ws: Workspace, method, active=None) -> FeatureWeights:
-    """Filter scores normalized to sum to the active variable count.
+def filter_weights(ws: Workspace, method, features="all") -> FeatureWeights:
+    """Filter scores over the feature set named `features`, normalized to sum to its size.
 
     The normalization makes the weight mass comparable with the all-ones
-    (unweighted) configuration. All-zero scores fall back to uniform.
+    (unweighted) configuration. All-zero scores fall back to uniform on the set.
     """
     scores = filter_score(ws, method)
-    active = _active(active)
+    active = feature_mask(features)
     scores = np.where(active, np.maximum(scores, 0.0), 0.0)
     total = scores.sum()
     n_active = int(active.sum())

@@ -749,6 +749,13 @@ class TestLocatedFaults:
         reason = reason.format(config=tmp_path / "run.cfg")
         assert one_line_error(capsys, argv) == f"error: {reason}\n"
 
+    @pytest.mark.parametrize("flag", ["--events", "--outcomes"])
+    def test_experiment_takes_events_and_outcomes_together(self, tmp_path, capsys, flag):
+        err = one_line_error(capsys, ["experiment", "exp3", flag, tmp_path / "missing.csv",
+                                      "--out-dir", tmp_path / "out"])
+        assert err == "error: supply both --events and --outcomes, or neither\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "-1", "0", "1", "1.5"])
     def test_compare_alpha_fault_comes_before_the_reports(self, tmp_path, capsys, alpha):
         err = one_line_error(capsys, ["compare", f"x={tmp_path / 'missing.csv'}",

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patsim import knn, vocab, weights
+from patsim.config import FEATURE_SETS
 from patsim.errors import PatsimError
 from patsim.framing import FramedPatient, stack
 from patsim.knn import (
@@ -35,6 +36,7 @@ from patsim.weights import (
     Workspace,
     _distance_tensor,
     _error_value,
+    feature_mask,
     train_gd,
 )
 from util import (
@@ -629,44 +631,33 @@ def _assert_same_run(learned, trace, reference):
 def test_train_gd_equals_double_gather_loop(make, features):
     rng = np.random.default_rng(5)
     frames = make(45, rng)
-    active = np.ones(vocab.N_VARIABLES, dtype=bool)
-    if features == "dynamic_only":
-        active[vocab.N_DYNAMIC:] = False
     for cfg in (TrainConfig(k=6, max_epochs=12, patience=13),
                 TrainConfig(k=4, max_epochs=200, learning_rate=0.5,
                             initial_weights=FeatureWeights(rng.random(vocab.N_VARIABLES)))):
-        learned, trace = train_gd(Workspace(stack(frames)), cfg, active=active)
-        _assert_same_run(learned, trace, _old_train_gd(frames, cfg, active))
-
-
-ACTIVE_SETS = {
-    "all": np.ones(vocab.N_VARIABLES, dtype=bool),
-    "dynamic_only": np.arange(vocab.N_VARIABLES) < vocab.N_DYNAMIC,
-    "static_only": np.arange(vocab.N_VARIABLES) >= vocab.N_DYNAMIC,
-}
+        learned, trace = train_gd(Workspace(stack(frames)), cfg, features)
+        _assert_same_run(learned, trace, _old_train_gd(frames, cfg, feature_mask(features)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(SEEDS, st.sampled_from([random_dense_frames, quantized_frames, copy_heavy_frames,
                                one_bucket_frames]),
-       st.integers(4, 40), st.sampled_from(sorted(ACTIVE_SETS)), st.booleans(),
+       st.integers(4, 40), st.sampled_from(sorted(FEATURE_SETS)), st.booleans(),
        st.sampled_from([0.1, 0.5, 2.0, 1e4]), st.integers(1, 25), st.integers(1, 4))
 def test_train_gd_equals_the_reference_loop_on_drawn_cohorts(seed, make, n, features,
                                                              initial, lr, max_epochs, patience):
     """Weights and the whole trace, bit for bit, on dense, tie-heavy, copy-heavy and
-    one-bucket cohorts, with every active set and with or without start weights; a
+    one-bucket cohorts, with every feature set and with or without start weights; a
     reference run that leaves the finite numbers makes train_gd fail in one PatsimError."""
     rng = np.random.default_rng(seed)
     frames = make(n, rng)
     start = FeatureWeights(2.0 * rng.random(vocab.N_VARIABLES)) if initial else None
     cfg = TrainConfig(k=int(rng.integers(1, min(n - 1, 8) + 1)), learning_rate=lr,
                       max_epochs=max_epochs, patience=patience, initial_weights=start)
-    active = ACTIVE_SETS[features]
     with np.errstate(all="ignore"):
-        reference = _old_train_gd(frames, cfg, active)
+        reference = _old_train_gd(frames, cfg, feature_mask(features))
     if not np.isfinite(reference[1]).all():
         with pytest.raises(PatsimError):
-            train_gd(Workspace(stack(frames)), cfg, active=active)
+            train_gd(Workspace(stack(frames)), cfg, features)
         return
-    learned, trace = train_gd(Workspace(stack(frames)), cfg, active=active)
+    learned, trace = train_gd(Workspace(stack(frames)), cfg, features)
     _assert_same_run(learned, trace, reference)

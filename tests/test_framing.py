@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,11 @@ class TestScaling:
     def test_empty(self):
         with pytest.raises(PatsimError, match="^cannot fit scaling statistics on an empty cohort$"):
             fit_scaling(hand_fixture().take([]))
+
+    def test_grid_without_36_variables(self):
+        cohort = hand_fixture()
+        with pytest.raises(PatsimError, match="^expected 36 dynamic variables$"):
+            fit_scaling(replace(cohort, grid=cohort.grid[:, 1:]))
 
     def test_impute_and_scale_hand_values(self):
         a, b, c = hand_fixture()
@@ -301,6 +307,12 @@ def test_frames_file_roundtrip(tmp_path, rng):
     # the mask file is an output only: it holds the raw cohort's NaN cells as 0
     assert mpath.read_text().splitlines() == mask_lines(raw.ids, ~np.isnan(raw.grid))
     assert mpath.read_text().count(",0") == 36 * 8
+
+
+def test_write_frames_of_no_rows_is_refused(tmp_path):
+    with pytest.raises(PatsimError, match="^no frames to write$"):
+        write_frames([], tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_missing_mask_file_is_an_error(tmp_path, rng):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from patsim import vocab
 from patsim.errors import PatsimError
 from patsim.framing import stack
-from patsim.knn import FeatureWeights, Model, neighbors, weighted_distance_sq
+from patsim.knn import FeatureWeights, Model, nearest, neighbors, weighted_distance_sq
 from util import (
     NeighborSet,
     classify,
@@ -34,6 +35,18 @@ class TestFeatureWeights:
         w = FeatureWeights.uniform()
         assert (w.values == 1.0).all()
         assert w.values.shape == (vocab.N_VARIABLES,)
+
+    @pytest.mark.parametrize("shape", [(39,), (41,), (1, 40)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(PatsimError, match=f"^expected 40 weights, got shape "
+                                              f"{re.escape(str(shape))}$"):
+            FeatureWeights(np.ones(shape))
+
+    def test_nan_rejected(self):
+        values = np.ones(vocab.N_VARIABLES)
+        values[HR] = np.nan
+        with pytest.raises(PatsimError, match="^weight for 'Heart rate' is not finite$"):
+            FeatureWeights(values)
 
 
 class TestVariableDistance:
@@ -88,6 +101,12 @@ class TestWeightedDistance:
                 assert weighted_distance_sq(a, b, w) == pytest.approx(
                     weighted_distance_sq(b, a, w))
 
+    def test_different_grids_rejected(self, rng):
+        a = random_dense_frames(1, rng)[0]
+        b = replace(a, patient_id="b", dynamic=a.dynamic[:, :12])
+        with pytest.raises(PatsimError, match="^patients are on different grids$"):
+            weighted_distance_sq(a, b, FeatureWeights.uniform())
+
 
 class TestNeighbors:
     def test_exact_copy_is_rank_one(self, rng):
@@ -113,6 +132,20 @@ class TestNeighbors:
         model = Model(stack(frames), FeatureWeights.uniform(), k=3)
         ns = nearest_set(frames[2], model, leave_one_out=True)
         assert frames[2].patient_id not in [e[0] for e in ns.entries]
+
+    def test_query_grid_must_match_the_training_grid(self, rng):
+        train = stack(random_dense_frames(6, rng))
+        queries = replace(train, grid=train.grid[:, :, :12])
+        with pytest.raises(PatsimError, match="^query grid does not match training grid$"):
+            nearest(queries, train, [FeatureWeights.uniform().values], 3)
+
+    def test_plain_weight_vector_is_validated_into_feature_weights(self, rng):
+        train = stack(random_dense_frames(6, rng))
+        model = Model(train, np.full(vocab.N_VARIABLES, 2.0), k=3)
+        assert isinstance(model.weights, FeatureWeights)
+        assert model.weights.values.tolist() == [2.0] * vocab.N_VARIABLES
+        with pytest.raises(PatsimError, match=r"^expected 40 weights, got shape \(39,\)$"):
+            Model(train, np.ones(vocab.N_VARIABLES - 1), k=3)
 
     def test_k_too_large(self, rng):
         frames = random_dense_frames(4, rng)

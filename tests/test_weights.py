@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patsim import vocab, weights
+from patsim.config import FEATURE_SETS
 from patsim.errors import InputFault, PatsimError
 from patsim.framing import stack
 from patsim.knn import FeatureWeights, Model
@@ -17,6 +18,7 @@ from patsim.weights import (
     _SCORERS,
     _error_value,
     _filter_tables,
+    feature_mask,
     filter_score,
     filter_weights,
     load_manual_weights,
@@ -180,17 +182,36 @@ class TestTrainGd:
         assert learned.values.min() >= 0.0
 
     def test_active_mask_pins_inactive_to_zero(self, small_cohort):
-        active = np.zeros(vocab.N_VARIABLES, dtype=bool)
-        active[: vocab.N_DYNAMIC] = True
-        learned, _ = train_gd(Workspace(small_cohort), TrainConfig(k=5, max_epochs=5),
-                              active=active)
-        assert (learned.values[vocab.N_DYNAMIC:] == 0.0).all()
+        """Every variable outside the named feature set keeps weight 0."""
+        cohort = Workspace(small_cohort)
+        for features in FEATURE_SETS:
+            learned, _ = train_gd(cohort, TrainConfig(k=5, max_epochs=5), features)
+            inside = feature_mask(features)
+            assert (learned.values[~inside] == 0.0).all()
 
     def test_bad_config(self):
         with pytest.raises(PatsimError, match="^learning_rate must be positive and finite$"):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(PatsimError, match="^patience must be at least 1$"):
             TrainConfig(patience=0)
+
+
+class TestFeatureSets:
+    def test_each_name_masks_its_range_of_the_canonical_order(self):
+        dynamic, static = [True] * vocab.N_DYNAMIC, [True] * vocab.N_STATIC
+        assert feature_mask("all").tolist() == dynamic + static
+        assert feature_mask("dynamic_only").tolist() == dynamic + [False] * vocab.N_STATIC
+        assert feature_mask("static_only").tolist() == [False] * vocab.N_DYNAMIC + static
+
+    def test_unknown_name_is_refused_by_check_choices(self, small_cohort):
+        cohort = Workspace(small_cohort)
+        refused = r"^features must be one of \('all', 'dynamic_only', 'static_only'\), " \
+                  r"got 'vitals'$"
+        for learn in (lambda: feature_mask("vitals"),
+                      lambda: train_gd(cohort, TrainConfig(k=5), "vitals"),
+                      lambda: filter_weights(cohort, "chi2", "vitals")):
+            with pytest.raises(PatsimError, match=refused):
+                learn()
 
 
 def score_of(table, method) -> float:
@@ -267,11 +288,10 @@ class TestFilterScores:
             f.dynamic, f.statics = frames[0].dynamic.copy(), frames[0].statics.copy()
         cohort = Workspace(stack(frames))
         assert (filter_score(cohort, method) <= 0).all()
-        dynamic_only = np.arange(vocab.N_VARIABLES) < vocab.N_DYNAMIC
-        for active in (None, dynamic_only):
-            expected = np.ones(vocab.N_VARIABLES) if active is None else active.astype(float)
-            assert filter_weights(cohort, method, active=active).values.tolist() == \
-                expected.tolist()
+        assert filter_weights(cohort, method).values.tolist() == [1.0] * vocab.N_VARIABLES
+        for features in FEATURE_SETS:
+            assert filter_weights(cohort, method, features).values.tolist() == \
+                feature_mask(features).astype(float).tolist()
 
     def test_unknown_method(self, small_cohort):
         with pytest.raises(PatsimError, match="^unknown filter method 'relief'$"):
@@ -306,9 +326,8 @@ class TestFilterScores:
             expected = table_filter_scores(cohort, method)
             assert filter_score(shared, method).tobytes() == expected.tobytes()
             assert filter_score(Workspace(cohort), method).tobytes() == expected.tobytes()
-            active = np.arange(vocab.N_VARIABLES) % 3 > 0
-            assert filter_weights(shared, method, active).values.tobytes() == \
-                filter_weights(Workspace(cohort), method, active).values.tobytes()
+            assert filter_weights(shared, method, "dynamic_only").values.tobytes() == \
+                filter_weights(Workspace(cohort), method, "dynamic_only").values.tobytes()
         # one table build for the shared workspace, one more for each fresh workspace
         assert len(calls) == 1 + 2 * 3
 
