@@ -46,8 +46,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_frame(args) -> int:
     config = _config_from_args(args)
-    cohort = ingest.load_cohort(args.events, args.outcomes)
-    frames = framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
+    frames = framing.frame_cohort(ingest.load_cohort(args.events, args.outcomes),
+                                  config.window_hours, config.horizon_hours)
     raw_sparsity = framing.sparsity(frames)
     n_buckets = frames.grid.shape[2]
     if args.stats_in:
@@ -106,10 +106,9 @@ def _cmd_evaluate(args) -> int:
     manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
     method = experiments.knn_method(config.weighting, config, manual_weights=manual)
     cohort = ingest.load_cohort(args.events, args.outcomes)
-    ids = cohort.patient_ids
     if args.split == "validation":
-        ids = experiments.validation_ids(cohort, config.seed)
-    metrics = experiments.cross_validate_methods(cohort, [method], config, ids)[method.name]
+        cohort = experiments.validation_half(cohort, config.seed)
+    metrics = experiments.cross_validate_methods(cohort, [method], config)[method.name]
     evaluation.save_fold_metrics(metrics, args.out)
     mean_f = sum(m.f_measure for m in metrics) / len(metrics)
     print(f"{method.name}: mean F over {len(metrics)} folds = {mean_f:.4f}")
@@ -162,8 +161,10 @@ def _cmd_experiment(args) -> int:
         cohort = ingest.load_cohort(args.events, args.outcomes)
     else:
         cohort = synth.generate(_build(synth.SynthSpec, args, config)).cohort()
+    # experiments.run_experiment, with the whole cohort dropped before the first fold
+    cohort = experiments.validation_half(cohort, config.seed)
     manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
-    report = experiments.run_experiment(args.preset, config, cohort, manual_weights=manual)
+    report = experiments.compare_preset(args.preset, config, cohort, manual_weights=manual)
     out = Path(args.out_dir)
     _write_report(report, out / f"{args.preset}_report.json",
                   out / f"{args.preset}_report.txt")

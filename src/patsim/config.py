@@ -66,8 +66,11 @@ def check_choices(**values) -> None:
     divides the horizon, of at most vocab.HORIZON_HOURS.
     """
     for name, allowed in _CHOICES.items():
-        if name in values and values[name] not in allowed:
-            raise PatsimError(f"{name} must be one of {allowed}, got {values[name]!r}")
+        # `in` would compare an array with each name elementwise, and its repr runs over lines
+        if name in values and not (isinstance(values[name], str) and values[name] in allowed):
+            got = values[name]
+            got = repr(got) if isinstance(got, str) else " ".join(repr(got).split())
+            raise PatsimError(f"{name} must be one of {allowed}, got {got}")
     for name, (text, holds) in _RULES.items():
         if name in values and not holds(values[name]):
             raise PatsimError(f"{name} must be {text}")

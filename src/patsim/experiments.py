@@ -74,16 +74,20 @@ def validation_ids(cohort, seed) -> list:
     return split_dev_validation(cohort.patient_ids, cohort.labels, seed)[1]
 
 
-def represent(cohort, representation, config: RunConfig, ids) -> framing.Frames:
-    """The patients in `ids`, and only those, framed or aggregated, in patient_id order."""
-    cohort = cohort.select(ids)
+def validation_half(cohort, seed):
+    """The cohort of the validation half's patients; the caller can drop the whole cohort."""
+    return cohort.select(validation_ids(cohort, seed))
+
+
+def represent(cohort, representation, config: RunConfig) -> framing.Frames:
+    """Every patient of `cohort`, framed or aggregated, in patient_id order."""
     if representation == "aggregation":
         return framing.aggregate_cohort(cohort, config.horizon_hours)
     return framing.frame_cohort(cohort, config.window_hours, config.horizon_hours)
 
 
-def cross_validate_methods(cohort, methods, config: RunConfig, ids) -> dict:
-    """Each method's fold metrics on the patients in `ids`, keyed by name in `methods` order.
+def cross_validate_methods(cohort, methods, config: RunConfig) -> dict:
+    """Each method's fold metrics on every patient of `cohort`, keyed by name in `methods` order.
 
     Methods are grouped by representation; each group shares one
     cross-validation, so every fold is scaled once for all its methods.
@@ -95,14 +99,18 @@ def cross_validate_methods(cohort, methods, config: RunConfig, ids) -> dict:
     for rep, group in groups.items():
         logger.info("cross-validating %s (%s)", ", ".join(m.name for m in group), rep)
         by_name.update(cross_validate(
-            represent(cohort, rep, config, ids), group,
+            represent(cohort, rep, config), group,
             k_folds=config.folds, seed=config.seed, workers=config.effective_workers(),
         ))
     return {method.name: by_name[method.name] for method in methods}
 
 
-def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
-    """Run one preset end to end on a raw cohort and compare the methods."""
+def compare_preset(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
+    """Cross-validate the arms of `preset` on every patient of `cohort` and compare them."""
     methods = preset_methods(preset, config, manual_weights=manual_weights)
-    return compare(cross_validate_methods(cohort, methods, config,
-                                          validation_ids(cohort, config.seed)))
+    return compare(cross_validate_methods(cohort, methods, config))
+
+
+def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
+    """Run one preset end to end on a raw cohort: compare_preset on its validation half."""
+    return compare_preset(preset, config, validation_half(cohort, config.seed), manual_weights)

@@ -23,7 +23,7 @@ from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
-from . import tables, vocab
+from . import ingest, tables, vocab
 from .config import check_choices
 from .errors import InputFault, PatsimError
 
@@ -118,14 +118,9 @@ def _patient_blocks(cohort):
     The cohort's rows are in canonical order, so each patient's rows are
     one run and the runs follow the patient order.
     """
-    n = cohort.n_patients
-    starts = np.searchsorted(cohort.patient, np.arange(n + 1, dtype=cohort.patient.dtype))
-    first = 0
-    while first < n:
-        end = int(np.searchsorted(starts, starts[first] + FRAME_BLOCK_ROWS, side="right")) - 1
-        end = max(end, first + 1)
-        yield slice(first, end), slice(starts[first], starts[end])
-        first = end
+    ends = np.searchsorted(cohort.patient, np.arange(cohort.n_patients + 1,
+                                                     dtype=cohort.patient.dtype))
+    return ingest.run_blocks(ends, FRAME_BLOCK_ROWS)
 
 
 def frame_cohort(cohort, window_hours=vocab.WINDOW_HOURS,
@@ -380,7 +375,8 @@ def _frame_columns(path):
     """_frame_rows's result for a well-formed frames file, from tables.read_columns, else None."""
     ids, labels, cells = [], [], []
     for block in tables.read_columns(path, _frames_header, lambda header: [
-            ("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))]):
+            ("label", "S2"), ("cells", np.float64, (header.count(",") - 1,))],
+            tables.BLOCK_BYTES):
         if block is None or not (np.isin(block["label"], (b"0", b"1")).all()
                                  and ((block["cells"] >= 0.0) & (block["cells"] <= 1.0)).all()):
             return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -28,13 +29,26 @@ OUTCOMES_HEADER = "patient_id,in_hospital_death"
 MISSING_PLACEHOLDER = -1.0
 
 # canonical variable index -> rank of its name; rows sort by name, not by index
-_NAME_RANK = np.array([sorted(vocab.ALL_VARIABLES).index(name) for name in vocab.ALL_VARIABLES])
+_NAME_RANK = np.array([sorted(vocab.ALL_VARIABLES).index(name) for name in vocab.ALL_VARIABLES],
+                      dtype=np.int8)
 
 # the columnar parse reads names one byte wider than the longest, so a longer one cannot
 # truncate into a match, and minutes wider than int16, so any past the horizon shows
 _SORTED_NAMES = np.array(sorted(vocab.ALL_VARIABLES), dtype=np.bytes_)
 _SORTED_INDEX = np.argsort(_NAME_RANK).astype(np.int8)
 _EVENT_FIELDS = [("minute", "i8"), ("name", f"S{_SORTED_NAMES.itemsize + 1}"), ("value", "f8")]
+
+# bytes of an events file parsed per block. A block's parsed rows (some 55 bytes apiece:
+# names are read 34 bytes wide) and their temporaries are what the parse holds beside
+# its columns: on 400 planted patients (5.4 MiB of columns) tracemalloc read 10.1 MiB
+# at 1 MiB blocks, 6.9 at 256 KiB and 6.1 at 64 KiB, which parsed about 10 % slower
+EVENT_BLOCK_BYTES = 1 << 18
+
+# event rows build_cohort checks or sorts at once, a block of whole patients (at least
+# one). On 400 planted patients the join of a canonical file traced 0.7 MiB at 2**15
+# rows and 2.3 at 2**17, and perfbench's exp3 set-up then left 50-52 MiB resident
+# against 53 at 2**17
+JOIN_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +103,11 @@ class Cohort:
         return len(self.patient_ids)
 
     def select(self, ids) -> Cohort:
-        """The patients in `ids` with their rows, in this cohort's order."""
+        """The patients in `ids` with their rows, in this cohort's order; all of them is self."""
         keep = set(ids)
         chosen = np.array([pid in keep for pid in self.patient_ids], dtype=bool)
+        if chosen.all():
+            return self
         rows = chosen[self.patient]
         return Cohort([pid for pid in self.patient_ids if pid in keep], self.labels[chosen],
                       (np.cumsum(chosen, dtype=np.int32) - 1)[self.patient[rows]],
@@ -113,31 +129,64 @@ def parse_events(path) -> Events:
 
 
 def _event_columns(path):
-    """_event_rows's result for a well-formed events file, from tables.read_columns, else None."""
-    codes, first_line, columns = {}, [], []   # codes: patient_id bytes -> code
-    dropped, line = 0, 1   # line: the last line of the blocks read so far
-    for rows in tables.read_columns(path, EVENTS_HEADER, _EVENT_FIELDS):
-        if rows is None:
+    """_event_rows's result for a well-formed events file, from tables.read_columns, else None.
+
+    Each block's kept rows go straight into int32/int16/int8/float64 columns sized
+    for the whole file: the rows kept so far per byte read so far, times the file's
+    length, plus a sixteenth. Rows past that grow the columns in place (a realloc,
+    not a copy beside them), and at the end they shrink in place to the rows kept.
+    """
+    size = os.path.getsize(path)
+    codes, first_line = {}, []   # codes: patient_id bytes -> code
+    columns, blocks = [], 0
+    dropped, end, line = 0, 0, 1   # line: the last line of the blocks read so far
+    for rows in tables.read_columns(path, EVENTS_HEADER, _EVENT_FIELDS, EVENT_BLOCK_BYTES):
+        block = None if rows is None else _kept_rows(rows)
+        del rows        # the parsed rows go before the next block is read
+        if block is None:
             return None
-        minute, name, value = rows["minute"], rows["name"], rows["value"]
-        at = np.searchsorted(_SORTED_NAMES, name) % len(_SORTED_NAMES)
-        if not ((_SORTED_NAMES[at] == name).all() and (minute >= 0).all()
-                and (minute < vocab.HORIZON_MINUTES).all() and np.isfinite(value).all()):
-            return None
-        kept = np.flatnonzero(value != MISSING_PLACEHOLDER)
-        dropped += len(rows) - len(kept)
-        ids = rows["id"][kept]
-        runs = np.flatnonzero(np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1])))
-        for pid, row in zip(ids[runs].tolist(), kept[runs].tolist()):
+        n_rows, runs, run_rows, minute, variable, value = block
+        for pid, row in runs:
             if pid not in codes:
                 codes[pid] = len(codes)
                 first_line.append(line + 1 + row)
-        run_codes = np.array([codes[pid] for pid in ids[runs].tolist()], dtype=np.int32)
-        columns.append((np.repeat(run_codes, np.diff(runs, append=len(ids))),
-                        minute[kept].astype(np.int16), _SORTED_INDEX[at[kept]], value[kept]))
-        line += len(rows)
-    return (Events([pid.decode("ascii") for pid in codes], *map(np.concatenate, zip(*columns)),
-                   first_line, path), dropped) if columns else None
+        run_codes = np.array([codes[pid] for pid, _ in runs], dtype=np.int32)
+        blocks, line, stop = blocks + 1, line + n_rows, end + len(value)
+        dropped += n_rows - len(value)
+        if not columns or stop > len(columns[0]):
+            capacity = max(stop, stop * size // max(1, min(size, blocks * EVENT_BLOCK_BYTES)))
+            capacity += capacity // 16
+            for column in columns:
+                column.resize(capacity, refcheck=False)   # no view of a column exists
+            columns = columns or [np.empty(capacity, dtype)
+                                  for dtype in (np.int32, np.int16, np.int8, np.float64)]
+        for column, part in zip(columns, (np.repeat(run_codes, run_rows), minute, variable, value)):
+            column[end:stop] = part
+        end = stop
+    if not blocks:
+        return None
+    for column in columns:
+        column.resize(end, refcheck=False)
+    return Events([pid.decode("ascii") for pid in codes], *columns, first_line, path), dropped
+
+
+def _kept_rows(rows):
+    """An events block's parsed rows, less the placeholders, or None if a row breaks a rule.
+
+    Returns (rows parsed, runs, rows per run, minute, variable, value): each run
+    of one patient's kept rows is (patient_id bytes, the block row it starts on).
+    """
+    minute, name, value = rows["minute"], rows["name"], rows["value"]
+    at = np.searchsorted(_SORTED_NAMES, name) % len(_SORTED_NAMES)
+    if not ((_SORTED_NAMES[at] == name).all() and (minute >= 0).all()
+            and (minute < vocab.HORIZON_MINUTES).all() and np.isfinite(value).all()):
+        return None
+    kept = np.flatnonzero(value != MISSING_PLACEHOLDER)
+    ids = rows["id"][kept]
+    runs = np.flatnonzero(np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1])))
+    return (len(rows), list(zip(ids[runs].tolist(), kept[runs].tolist())),
+            np.diff(runs, append=len(ids)), minute[kept].astype(np.int16),
+            _SORTED_INDEX[at[kept]], value[kept])
 
 
 def _event_rows(path):
@@ -214,15 +263,67 @@ def build_cohort(events: Events, outcomes: Outcomes) -> Cohort:
                              outcomes.lines and outcomes.lines[i], outcomes.path)
     patient_ids = sorted(events.ids)
     index = {pid: i for i, pid in enumerate(patient_ids)}
-    patient = np.array([index[pid] for pid in events.ids], dtype=np.int32)[events.patient]
+    rank = np.array([index[pid] for pid in events.ids], dtype=np.int32)   # of each code
     labels = np.array([label_of[pid] for pid in patient_ids], dtype=np.int64)
-    # one int64 per row ordered as (patient, minute + 2**15 in 16 bits, name rank in 6); rows
-    # already in canonical order, as write_events leaves them, skip the stable sort
-    key = (patient.astype(np.int64) << 22 | (events.minute.astype(np.int64) + 2 ** 15) << 6
-           | _NAME_RANK[events.variable])
-    order = slice(None) if (key[1:] >= key[:-1]).all() else np.argsort(key, kind="stable")
-    return Cohort(patient_ids, labels, patient[order], events.minute[order],
-                  events.variable[order], events.value[order])
+    codes, minute, variable, value = events.patient, events.minute, events.variable, events.value
+    if not _nondecreasing(len(codes), lambda rows: codes[rows]):
+        # some patient's rows interleave with another's: one stable sort of every row
+        patient = rank[codes]
+        order = np.argsort(_sort_key(patient, minute, variable), kind="stable")
+        return Cohort(patient_ids, labels, patient[order], minute[order], variable[order],
+                      value[order])
+    # codes follow first appearance, so each patient's rows are one run, in code order
+    starts = np.searchsorted(codes, np.arange(len(rank) + 1, dtype=codes.dtype))
+    code_of = np.argsort(rank)
+    lengths = np.diff(starts)[code_of]                  # rows of each rank
+    if events.ids == patient_ids:                       # codes are ranks
+        patient = codes
+        if _nondecreasing(len(codes), lambda rows: _sort_key(codes[rows], minute[rows],
+                                                              variable[rows])):
+            return Cohort(patient_ids, labels, codes, minute, variable, value)
+    else:
+        patient = np.repeat(np.arange(len(rank), dtype=np.int32), lengths)
+    out = [np.empty_like(column) for column in (minute, variable, value)]
+    ends = np.concatenate(([0], np.cumsum(lengths)))   # run bounds of each rank in the cohort
+    for ranks, rows in run_blocks(ends, JOIN_BLOCK_ROWS):
+        src = np.repeat(starts[code_of[ranks]] - ends[ranks], lengths[ranks]) \
+            + np.arange(rows.start, rows.stop)
+        src = src[np.argsort(_sort_key(patient[rows], minute[src], variable[src]), kind="stable")]
+        for column, source in zip(out, (minute, variable, value)):
+            column[rows] = source[src]
+    return Cohort(patient_ids, labels, patient, *out)
+
+
+def _sort_key(patient, minute, variable) -> np.ndarray:
+    """One int64 per row ordered as canonical order: patient, minute + 2**15 in 16 bits,
+    name rank in 6; built in place, so it holds 8 bytes a row."""
+    key = patient.astype(np.int64)
+    key <<= 16
+    key += minute
+    key += 2 ** 15
+    key <<= 6
+    key |= _NAME_RANK[variable]
+    return key
+
+
+def _nondecreasing(n_rows, keys) -> bool:
+    """Whether keys(rows), for a slice of the n_rows rows, never falls, checked a block at a time."""
+    return all((k[1:] >= k[:-1]).all() for k in (
+        keys(slice(lo, lo + JOIN_BLOCK_ROWS + 1)) for lo in range(0, n_rows, JOIN_BLOCK_ROWS)))
+
+
+def run_blocks(ends, limit):
+    """(runs, rows) slices of consecutive blocks of whole runs.
+
+    Run i covers rows ends[i]:ends[i + 1]. A block holds the runs that fit
+    in `limit` rows, or one run that alone exceeds it.
+    """
+    first, n = 0, len(ends) - 1
+    while first < n:
+        end = int(np.searchsorted(ends, ends[first] + limit, side="right")) - 1
+        end = max(end, first + 1)
+        yield slice(first, end), slice(int(ends[first]), int(ends[end]))
+        first = end
 
 
 def load_cohort(events_path, outcomes_path) -> Cohort:

@@ -18,8 +18,11 @@ from .errors import InputFault
 # characters of a line that a header fault quotes; a frames header runs to kilobytes
 QUOTE_CHARS = 60
 
-# read_columns parses only these bytes (LF included), about BLOCK_BYTES per np.loadtxt call
+# read_columns parses only these bytes (LF included)
 PLAIN_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.+-(), \n"
+# bytes of a frames file per np.loadtxt call (read_frames); the events parse sets its
+# own, ingest.EVENT_BLOCK_BYTES. 256 KiB frames blocks raised train's peak RSS on 400
+# planted patients from 64.2 to 64.7 MiB
 BLOCK_BYTES = 1 << 20
 # write_rows writes about this many bytes of text at a time: a write per row made
 # write_events 20 % slower, and a block's text is held twice, as rows and joined
@@ -83,8 +86,10 @@ def _utf8(line, line_no, path) -> str:
     return line
 
 
-def read_columns(path, header, fields):
+def read_columns(path, header, fields, block_bytes):
     """Yield the rows of a well-formed comma table at `path` as structured arrays, by block.
+
+    A block is the next `block_bytes` of the file, extended to the end of its last line.
 
     Well-formed: line 1 is `header` (as in read_rows), every byte is in PLAIN_BYTES, no line
     is blank, no space stands beside a comma or a line end, and np.loadtxt reads each row as
@@ -99,12 +104,14 @@ def read_columns(path, header, fields):
             yield None
             return
         fields = fields(expected) if callable(fields) else fields
-        while chunk := fh.read(BLOCK_BYTES):
-            block = chunk + fh.readline()
+        while block := fh.read(block_bytes):
+            block += fh.readline()
             rows = _parse_block(block if block.endswith(b"\n") else block + b"\n", fields)
+            del block       # the caller works on the rows without the text
             yield rows
             if rows is None:
                 return
+            del rows        # nor holds them while the next block is parsed
 
 
 def _parse_block(block, fields):

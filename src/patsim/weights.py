@@ -87,12 +87,10 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     BLAS gives two identical rows different last bits against a third
     patient, which would order exact copies against patient_id.
 
-    Every variable is centred and its squared norms summed in one pass
-    over the distinct patients' grids, which gives them as one variable at
-    a time would, bit for bit: the subtraction is elementwise, and each
-    norm sums one variable's contiguous cells. Each dynamic row is then
-    built in place: the pairs' squared norms are gathered straight into it
-    and into one reused buffer and added, the pairs' gram entries are
+    Each dynamic row is built in place, one variable at a time: its
+    distinct patients' cells are centred and their squared norms summed,
+    the pairs' squared norms are gathered straight into the row and into
+    one reused buffer and added, the pairs' gram entries are
     gathered into the buffer, doubled and subtracted, and a copy pair's
     entry is zeroed, all before the clip and the division. That is the
     square build's arithmetic, element for element, without its (n, n)
@@ -108,12 +106,6 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     """
     n, n_dyn, n_cols = grid.shape
     distinct, copy_of = _distinct_rows(grid, statics)
-    # centering keeps a constant column's distances exactly zero; each mean is
-    # taken over its own variable's view, whose summation order, for a
-    # one-column grid, differs from the whole grid's
-    centred = grid[distinct]
-    centred -= np.array([grid[:, v, :].mean(axis=0) for v in range(n_dyn)])
-    norms = (centred * centred).sum(axis=2)
     iu, ju = np.triu_indices(n, 1)
     size = vocab.N_VARIABLES * len(iu)
     out = np.frombuffer(mmap.mmap(-1, 8 * size, flags=_TENSOR_MAP_FLAGS),
@@ -127,7 +119,12 @@ def _distance_tensor(grid, statics) -> np.ndarray:
     copies = pi == pj
     buf = np.empty(len(pi))
     for v in range(n_dyn):
-        x, sq, row = centred[:, v, :], norms[:, v], out[v]
+        # centering keeps a constant column's distances exactly zero; the mean is
+        # taken over the variable's view, whose summation order, for a one-column
+        # grid, differs from the whole grid's
+        x = grid[distinct, v, :]
+        x -= grid[:, v, :].mean(axis=0)
+        sq, row = (x * x).sum(axis=1), out[v]
         np.take(sq, pi, out=row, mode="clip")
         row += np.take(sq, pj, out=buf, mode="clip")
         np.take(x @ x.T, flat, out=buf, mode="clip")

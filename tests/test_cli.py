@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from patsim.config import (_CHOICES, _RULES, MethodSettings, RunConfig, build_co
 from patsim.errors import PatsimError
 from patsim.evaluation import FOLD_METRICS_HEADER, MethodSpec, load_fold_metrics
 from patsim.experiments import (MANUAL_PRESETS, PRESET_ARMS, PRESETS, knn_method, represent,
-                                validation_ids)
+                                validation_half)
 from patsim.synth import SynthSpec
 from patsim.weights import TrainConfig, load_manual_weights
 from util import FAULTS, mask_lines, mutate
@@ -252,12 +253,44 @@ class TestEvaluateCompare:
         cohort = ingest.load_cohort(synth_dir / "events.csv", synth_dir / "outcomes.csv")
         config = RunConfig(weighting="chi2", k=3, folds=3, seed=5)
         method = knn_method("chi2", config)
-        patients = represent(cohort, method.representation, config,
-                             validation_ids(cohort, config.seed))
+        patients = represent(validation_half(cohort, config.seed), method.representation,
+                             config)
         assert len(patients) < cohort.n_patients
         evaluation.save_fold_metrics(evaluation.cross_validate(
             patients, [method], k_folds=3, seed=5, workers=1)["chi2"], expected)
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command, after", [
+        (["experiment", "exp3", "--folds", "3", "--out-dir", "{out}"],
+         (experiments, "cross_validate")),
+        (["evaluate", "--split", "validation", "--folds", "3", "--out", "{out}/m.csv"],
+         (experiments, "cross_validate")),
+        (["frame", "--out-frames", "{out}/frames.csv"], (framing, "sparsity")),
+    ])
+    def test_the_loaded_cohort_is_dropped_before_it_is_worked_on(
+            self, synth_dir, tmp_path, monkeypatch, command, after):
+        """experiment and evaluate --split validation hold only the validation half by
+        the first fold, and frame holds no cohort once it is framed."""
+        loaded, dead = [], []
+        load, (module, name) = ingest.load_cohort, after
+        checked = getattr(module, name)
+
+        def loading(*paths):
+            cohort = load(*paths)
+            loaded.append(weakref.ref(cohort))
+            return cohort
+
+        def checking(*args, **kwargs):
+            dead.append(loaded[0]() is None)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_cohort", loading)
+        monkeypatch.setattr(module, name, checking)
+        (tmp_path / "run.cfg").write_text("max_epochs = 2\n")
+        assert main([arg.format(out=tmp_path) for arg in command] + [
+            "--events", str(synth_dir / "events.csv"), "--outcomes",
+            str(synth_dir / "outcomes.csv"), "--config", str(tmp_path / "run.cfg")]) == 0
+        assert len(loaded) == 1 and dead and all(dead)
 
     # each preset's kNN arms, by name, and the method settings each sets itself
     ARM_SETS = {preset: {name: own for name, kind, own in arms if kind == "knn"}

@@ -24,6 +24,7 @@ from util import FAULTS, RESHAPES, mutate, random_dense_frames
 
 # tiny blocks make files of a few rows span several np.loadtxt calls
 BLOCK_SIZES = st.sampled_from([1, 48, 300, tables.BLOCK_BYTES])
+EVENT_BLOCK_SIZES = st.sampled_from([1, 48, 300, ingest.EVENT_BLOCK_BYTES])
 
 
 def outcome(read, path):
@@ -101,13 +102,14 @@ def reference_events(path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(EVENT_ROWS, st.sampled_from((None,) + FAULTS + RESHAPES + EVENT_ONLY), BLOCK_SIZES,
-       st.data())
+@given(EVENT_ROWS, st.sampled_from((None,) + FAULTS + RESHAPES + EVENT_ONLY),
+       EVENT_BLOCK_SIZES, st.data())
 def test_events_columns_match_the_row_loop(rows, mutation, block, data):
     text = events_text(rows)
     if mutation is not None:
         text = mutate_events(text, mutation, data.draw)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tables, "BLOCK_BYTES", block):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest, "EVENT_BLOCK_BYTES", block):
         path = written(text, tmp, "events.csv")
         fast = ingest._event_columns(path)
         if mutation in (None, "shuffle", "no_final_newline", "placeholder_patient"):
@@ -123,10 +125,22 @@ def test_patient_codes_follow_first_kept_rows(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(ingest.EVENTS_HEADER + "\nb,0,Age,-1\na,0,Age,50\nb,5,Age,60\na,9,Age,-1\n"
                     "c,1,Age,-1\nb,7,Age,1\n")
-    with mock.patch.object(tables, "BLOCK_BYTES", 1):
+    with mock.patch.object(ingest, "EVENT_BLOCK_BYTES", 1):
         events, dropped = ingest._event_columns(path)
     assert (events.ids, events.first_line, dropped) == (["a", "b"], [3, 4], 3)
     assert events.patient.tolist() == [0, 1, 1]
+
+
+def test_columns_grow_past_the_first_blocks_estimate(tmp_path):
+    """Long rows first and short ones after: the columns sized from the first block
+    are too short, grow in place, and still give the row loop's result."""
+    path = tmp_path / "events.csv"
+    path.write_text(events_text([("long", 1, "Heart rate", -1.2345678901234567e-100)] * 30
+                                + [(f"s{i % 7}", i, "pH", 7.0) for i in range(300)]))
+    with mock.patch.object(ingest, "EVENT_BLOCK_BYTES", 256):
+        events, dropped = ingest._event_columns(path)
+    want, want_dropped = ingest._event_rows(path)
+    assert columns_of(events) == columns_of(want) and dropped == want_dropped
 
 
 # number parsing: np.loadtxt against int() and float()

@@ -653,6 +653,29 @@ def test_write_events_holds_a_bounded_block(planted_cohort, tmp_path):
     assert peak <= 1.9 * 2 ** 20, peak
 
 
+def column_bytes(events):
+    return sum(c.nbytes for c in (events.patient, events.minute, events.variable, events.value))
+
+
+def test_loading_events_holds_their_columns_and_a_bounded_block(planted_cohort, tmp_path):
+    """parse_events holds its columns and one block; the join of a canonical file keeps
+    the events' columns and holds one block of checks."""
+    events_path, outcomes_path = tmp_path / "events.csv", tmp_path / "outcomes.csv"
+    ingest.write_events(planted_cohort, events_path)
+    ingest.write_outcomes(planted_cohort, outcomes_path)
+    events, peak = traced_peak(lambda: ingest.parse_events(events_path))
+    assert peak <= column_bytes(events) + 2 * 2 ** 20, (peak, column_bytes(events))
+    outcomes = ingest.parse_outcomes(outcomes_path)
+    _, peak = traced_peak(lambda: ingest.build_cohort(events, outcomes))
+    assert peak <= 1.5 * 2 ** 20, peak
+
+
+def test_joining_synthesized_events_holds_one_copy_and_a_bounded_block():
+    result = synth.generate(synth.SynthSpec(n_patients=400, seed=1001))
+    _, peak = traced_peak(result.cohort)
+    assert peak <= column_bytes(result.events) + 2 * 2 ** 20, (peak, column_bytes(result.events))
+
+
 def test_scale_frames_holds_little_beyond_its_grid(planted_cohort):
     frames = frame_cohort(planted_cohort)
     stats = fit_scaling(frames)

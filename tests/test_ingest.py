@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestBuildCohort:
         chosen = cohort.select(["p3", "p1"])
         assert chosen.patient_ids == ["p1", "p3"] and chosen.labels.tolist() == [0, 1]
         assert rows_of(chosen) == [r for r in rows_of(cohort) if r[0] != "p2"]
-        assert_same_cohort(cohort.select(cohort.patient_ids), cohort)
+        assert cohort.select(cohort.patient_ids[::-1] + ["p9"]) is cohort
 
 
 def test_roundtrip_and_closure(tmp_path, rng):
@@ -279,24 +280,48 @@ def test_shuffled_events_file_gives_the_same_cohort(tmp_path, rng):
     assert_same_cohort(ingest.load_cohort(shuffled, outcomes), sorted_cohort)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2 ** 15, 2 ** 15 - 1),
+ROWS = st.lists(st.tuples(st.integers(0, 3), st.integers(-2 ** 15, 2 ** 15 - 1),
                           st.integers(0, vocab.N_VARIABLES - 1), st.sampled_from([0.5, 1.5])),
-                min_size=1, max_size=12).map(sorted) | st.lists(
+                min_size=1, max_size=12) | st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from([-2 ** 15, -1, 0, 7, 2 ** 15 - 1]),
-              st.integers(0, 2), st.sampled_from([0.5, 1.5])), min_size=1, max_size=12))
-def test_cohort_rows_follow_lexsort(rows):
-    """build_cohort's one-key order, and its skip for sorted rows, equal a stable lexsort."""
+              st.integers(0, 2), st.sampled_from([0.5, 1.5])), min_size=1, max_size=12)
+
+
+def canonical(rows):
+    return sorted(rows, key=lambda r: (r[0], r[1], ingest._NAME_RANK[r[2]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    ROWS,                                                       # patients interleave
+    ROWS.map(sorted),                                           # near canonical
+    ROWS.map(canonical),
+    # each patient's rows together, in file order, with the patients in any order
+    st.tuples(ROWS, st.permutations(range(4))).map(
+        lambda case: sorted(case[0], key=lambda r: case[1][r[0]]))),
+    st.sampled_from([1, 2, 3, ingest.JOIN_BLOCK_ROWS]))
+def test_cohort_rows_follow_lexsort(rows, block):
+    """build_cohort's order equals a stable lexsort whether patients interleave or not, in
+    blocks shorter than a patient or not; canonical rows keep the events' arrays."""
     ids = [f"p{p}" for p, _, _, _ in rows]
     events = ingest.Events(list(dict.fromkeys(ids)), np.array(
         [list(dict.fromkeys(ids)).index(pid) for pid in ids], dtype=np.int32),
         np.array([m for _, m, _, _ in rows], dtype=np.int16),
         np.array([v for _, _, v, _ in rows], dtype=np.int8),
         np.array([x for _, _, _, x in rows], dtype=np.float64))
-    cohort = ingest.build_cohort(events, ingest.Outcomes(
-        sorted(set(ids)), np.zeros(len(set(ids)), dtype=np.int64)))
+    with mock.patch.object(ingest, "JOIN_BLOCK_ROWS", block):
+        cohort = ingest.build_cohort(events, ingest.Outcomes(
+            sorted(set(ids)), np.zeros(len(set(ids)), dtype=np.int64)))
     patient = np.array([sorted(set(ids)).index(pid) for pid in ids], dtype=np.int32)
     order = np.lexsort((ingest._NAME_RANK[events.variable], events.minute, patient))
     assert cohort.patient.tolist() == patient[order].tolist()
     for column in ("minute", "variable", "value"):
         assert getattr(cohort, column).tolist() == getattr(events, column)[order].tolist()
+    if events.ids == sorted(events.ids) and (np.diff(events.patient) >= 0).all():
+        assert cohort.patient is events.patient     # grouped, and the codes are ranks
+    columns = ("patient", "minute", "variable", "value")
+    if rows == canonical(rows):
+        assert all(getattr(cohort, c) is getattr(events, c) for c in columns)
+    else:
+        assert not any(np.shares_memory(getattr(cohort, c), getattr(events, c))
+                       for c in columns[1:])

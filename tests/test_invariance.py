@@ -7,6 +7,7 @@ of the whole pipeline at any drawn combination of the knobs, which must
 also exit the same way, refusals included.
 """
 
+import contextlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patsim import knn, tables
+from patsim import ingest, knn, tables
 from patsim.cli import main
 
 N_PATIENTS, FOLDS = 60, 4
@@ -26,10 +27,20 @@ N_FOLD_TRAIN = N_PATIENTS - N_PATIENTS // FOLDS
 # budget of the screen's (block, n_train) arrays, and checked against its default.
 SCREEN_BLOCKS = (1, 3)
 
-# Bytes per columnar read, tables.BLOCK_BYTES, against its default of 1 MiB. A block
-# is extended to the end of its last line, so an events file is then parsed about 150
-# rows at a time and a frames file (about 17 KB a row) one row at a time.
+# Bytes per columnar read, tables.BLOCK_BYTES for frames files and
+# ingest.EVENT_BLOCK_BYTES for events files, against their defaults of 1 MiB and
+# 256 KiB. A block is extended to the end of its last line, so an events file is then
+# parsed about 150 rows at a time and a frames file (about 17 KB a row) one row at a time.
 READ_BLOCK_BYTES = 4096
+
+
+@contextlib.contextmanager
+def read_blocks(block_bytes):
+    """Both columnar reads in blocks of `block_bytes`; None keeps their defaults."""
+    with mock.patch.object(tables, "BLOCK_BYTES", block_bytes or tables.BLOCK_BYTES), \
+            mock.patch.object(ingest, "EVENT_BLOCK_BYTES",
+                              block_bytes or ingest.EVENT_BLOCK_BYTES):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -79,17 +90,17 @@ def test_outputs_do_not_depend_on_the_screen_block(inputs, default_outputs, bloc
 
 
 def test_outputs_do_not_depend_on_the_read_block(inputs, default_outputs):
-    with mock.patch.object(tables, "BLOCK_BYTES", READ_BLOCK_BYTES):
+    with read_blocks(READ_BLOCK_BYTES):
         assert outputs(inputs, inputs / "read_block", None) == default_outputs
 
 
 # Every execution-shape knob with the values drawn for it, its default first:
-# the screen's element budget (1: one query per block), the columnar read block
-# (512: about 15 events rows, or one frames row, per np.loadtxt call) and the
-# cross-validation fold processes.
+# the screen's element budget (1: one query per block), both columnar read blocks
+# (None: their defaults; 512: about 15 events rows, or one frames row, per np.loadtxt
+# call) and the cross-validation fold processes.
 KNOBS = [
     ("screen_elements", (knn.SCREEN_ELEMENTS, 1, 100)),
-    ("block_bytes", (tables.BLOCK_BYTES, 512, 4096)),
+    ("block_bytes", (None, 512, 4096)),
     ("workers", (1, 2, 3)),
 ]
 DEFAULT_SHAPE = {name: values[0] for name, values in KNOBS}
@@ -124,7 +135,7 @@ def pipeline(root, seed, screen_elements, block_bytes, workers) -> tuple:
          "--out-dir", str(out)] + run,
     ]
     with mock.patch.object(knn, "SCREEN_ELEMENTS", screen_elements), \
-            mock.patch.object(tables, "BLOCK_BYTES", block_bytes):
+            read_blocks(block_bytes):
         codes = []
         for argv in commands:
             codes.append(main(argv))

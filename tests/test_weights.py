@@ -213,6 +213,15 @@ class TestFeatureSets:
             with pytest.raises(PatsimError, match=refused):
                 learn()
 
+    def test_a_mask_is_refused_in_one_line(self):
+        """A mask where a feature set's name belongs is a one-line fault, not numpy's
+        ValueError on the truth value of an array."""
+        with pytest.raises(PatsimError, match=r"^features must be one of \('all', "
+                                              r"'dynamic_only', 'static_only'\), got "
+                                              r"array\(\[ True, True, .* True\]\)$") as exc:
+            feature_mask(np.ones(vocab.N_VARIABLES, dtype=bool))
+        assert "\n" not in str(exc.value)
+
 
 def score_of(table, method) -> float:
     """A filter's score of one (bin, label) table, through the whole-array scorers."""
