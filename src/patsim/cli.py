@@ -145,6 +145,13 @@ def _write_report(report, json_path, text_path=None):
             fh.write(evaluation.report_to_text(report))
 
 
+def _experiment_cohort(args, config):
+    """The cohort of the given files, else a synthetic one."""
+    if args.events:
+        return ingest.load_cohort(args.events, args.outcomes)
+    return synth.generate(_build(synth.SynthSpec, args, config)).cohort()
+
+
 def _cmd_experiment(args) -> int:
     if args.manual_weights and args.preset not in experiments.MANUAL_PRESETS:
         raise PatsimError(f"--manual-weights sets {'/'.join(experiments.MANUAL_PRESETS)}'s "
@@ -157,14 +164,11 @@ def _cmd_experiment(args) -> int:
     if args.events and synthetic:
         raise PatsimError(f"{synthetic[0]} sets the synthetic cohort, which --events and "
                           f"--outcomes replace")
-    if args.events:
-        cohort = ingest.load_cohort(args.events, args.outcomes)
-    else:
-        cohort = synth.generate(_build(synth.SynthSpec, args, config)).cohort()
-    # experiments.run_experiment, with the whole cohort dropped before the first fold
-    cohort = experiments.validation_half(cohort, config.seed)
-    manual = weights_mod.load_manual_weights(args.manual_weights) if args.manual_weights else None
-    report = experiments.compare_preset(args.preset, config, cohort, manual_weights=manual)
+    # the cohort goes in unnamed, so run_experiment frees it once it holds the validation half
+    report = experiments.run_experiment(
+        args.preset, config, _experiment_cohort(args, config),
+        manual_weights=weights_mod.load_manual_weights(args.manual_weights)
+        if args.manual_weights else None)
     out = Path(args.out_dir)
     _write_report(report, out / f"{args.preset}_report.json",
                   out / f"{args.preset}_report.txt")

@@ -105,12 +105,12 @@ def cross_validate_methods(cohort, methods, config: RunConfig) -> dict:
     return {method.name: by_name[method.name] for method in methods}
 
 
-def compare_preset(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
-    """Cross-validate the arms of `preset` on every patient of `cohort` and compare them."""
+def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
+    """Run one preset end to end on a raw cohort and compare the methods.
+
+    Only the validation half is kept: a caller that passes the cohort unnamed
+    frees the whole cohort before the first fold.
+    """
+    cohort = validation_half(cohort, config.seed)
     methods = preset_methods(preset, config, manual_weights=manual_weights)
     return compare(cross_validate_methods(cohort, methods, config))
-
-
-def run_experiment(preset, config: RunConfig, cohort, manual_weights=None) -> ComparisonReport:
-    """Run one preset end to end on a raw cohort: compare_preset on its validation half."""
-    return compare_preset(preset, config, validation_half(cohort, config.seed), manual_weights)

@@ -103,11 +103,9 @@ class Cohort:
         return len(self.patient_ids)
 
     def select(self, ids) -> Cohort:
-        """The patients in `ids` with their rows, in this cohort's order; all of them is self."""
+        """The patients in `ids` with their rows, in this cohort's order."""
         keep = set(ids)
         chosen = np.array([pid in keep for pid in self.patient_ids], dtype=bool)
-        if chosen.all():
-            return self
         rows = chosen[self.patient]
         return Cohort([pid for pid in self.patient_ids if pid in keep], self.labels[chosen],
                       (np.cumsum(chosen, dtype=np.int32) - 1)[self.patient[rows]],

@@ -229,7 +229,7 @@ class TestBuildCohort:
         chosen = cohort.select(["p3", "p1"])
         assert chosen.patient_ids == ["p1", "p3"] and chosen.labels.tolist() == [0, 1]
         assert rows_of(chosen) == [r for r in rows_of(cohort) if r[0] != "p2"]
-        assert cohort.select(cohort.patient_ids[::-1] + ["p9"]) is cohort
+        assert_same_cohort(cohort.select(cohort.patient_ids), cohort)
 
 
 def test_roundtrip_and_closure(tmp_path, rng):
